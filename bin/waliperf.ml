@@ -1,19 +1,24 @@
-(* waliperf — the performance observatory CLI (`dune build @perf`).
+(* waliperf — the performance observatory CLI and the suite gate
+   (`dune build @gate`).
 
      dune exec bin/waliperf.exe -- run -o BENCH_perf.json
      dune exec bin/waliperf.exe -- compare baseline.json current.json
      dune exec bin/waliperf.exe -- diff base.folded cur.folded
      dune exec bin/waliperf.exe -- baseline update
-     dune exec bin/waliperf.exe -- gate --quiet      # the CI gate (@perf)
+     dune exec bin/waliperf.exe -- gate --quiet
 
-   `run` executes every bundled app with metrics + profiling on and
-   emits the deterministic counters (instructions retired, syscall
+   `run` executes every bundled app once, with the recorder, every
+   observability pillar and the statically derived seccomp allowlist on,
+   and emits the deterministic counters (instructions retired, syscall
    crossings, virtual-clock ns) as a `wali-bench v1` JSON document.
-   `gate` compares such a run against the committed baselines under
-   bench/baselines/ at zero tolerance — any counter drift is a real
-   behavior change — and names the responsible frames and syscalls by
-   diffing the run's folded-stack profile against the baseline profile.
-   `baseline update` is the deliberate way to accept a new truth. *)
+   `gate` checks each app's run (static ⊇ dynamic syscalls, well-formed
+   trace/metrics/profile, fused = unfused recording, replay without
+   divergence — see Perf.Gate) and compares the counters against the
+   committed baselines under bench/baselines/ at zero tolerance: any
+   counter drift is a real behavior change, and the diff of the run's
+   folded-stack profile against the baseline profile names the
+   responsible frames and syscalls. `baseline update` is the deliberate
+   way to accept a new truth. *)
 
 open Cmdliner
 
@@ -139,10 +144,40 @@ let gate_diffs dir (drift : Perf.Baseline.row list)
     apps;
   Buffer.contents b
 
+(* The only suite gate. One instrumented run per app feeds every check:
+   the per-app checks of Perf.Gate (soundness, artifacts, the fusion
+   differential, replay), then the zero-tolerance counter comparison
+   against the baseline. *)
 let gate_cmd dir out report quiet =
-  let model, profiles = Perf.Scenario.run_suite () in
-  let json = Perf.Model.to_json model in
-  (match out with Some f -> write_file f json | None -> ());
+  let failed = Buffer.create 256 in
+  let results =
+    List.filter_map
+      (fun (a : Apps.Suite.app) ->
+        let name = a.Apps.Suite.a_name in
+        match Perf.Scenario.run_app a with
+        | exception e ->
+            Printf.bprintf failed "%s: analysis or run failed: %s\n" name
+              (Printexc.to_string e);
+            None
+        | r ->
+            (match Perf.Gate.failures a r with
+            | [] ->
+                if not quiet then
+                  Printf.printf
+                    "%-10s status %-3d %5d syscalls %6d records  ok\n" name
+                    (r.Perf.Scenario.ar_status lsr 8)
+                    (Observe.Metrics.total_calls
+                       (Observe.Sink.metrics r.Perf.Scenario.ar_sink))
+                    (Array.length
+                       r.Perf.Scenario.ar_trace.Replay.Trace.tr_events)
+            | fs -> List.iter (Printf.bprintf failed "%s: %s\n" name) fs);
+            Some r)
+      Apps.Suite.all
+  in
+  let model, profiles = Perf.Scenario.model results in
+  (match out with
+  | Some f -> write_file f (Perf.Model.to_json model)
+  | None -> ());
   let base =
     match Perf.Model.load (det_file dir) with
     | Ok m -> m
@@ -155,11 +190,13 @@ let gate_cmd dir out report quiet =
   in
   let rows = Perf.Baseline.compare_runs ~base ~cur:model () in
   let drift = Perf.Baseline.counter_drift rows in
-  if drift = [] then begin
+  if drift = [] && Buffer.length failed = 0 then begin
     let msg =
       Printf.sprintf
-        "waliperf: %d deterministic metrics across %d scenarios match the baseline\n"
-        (List.length rows)
+        "waliperf: %d apps sound, artifacts valid, fused = unfused, replays \
+         converged; %d deterministic metrics across %d scenarios match the \
+         baseline\n"
+        (List.length results) (List.length rows)
         (List.length model.Perf.Model.b_scenarios)
     in
     (match report with Some f -> write_file f ("no drift\n" ^ msg) | None -> ());
@@ -168,14 +205,17 @@ let gate_cmd dir out report quiet =
     exit 0
   end
   else begin
-    let diffs = gate_diffs dir drift profiles in
     let body =
-      Perf.Baseline.render rows
-      ^ Printf.sprintf
-          "waliperf: %d deterministic counter(s) drifted from the baseline\n\
-           (a deliberate change? run `waliperf baseline update` and commit)\n"
-          (List.length drift)
-      ^ diffs
+      Buffer.contents failed
+      ^
+      if drift = [] then ""
+      else
+        Perf.Baseline.render rows
+        ^ Printf.sprintf
+            "waliperf: %d deterministic counter(s) drifted from the baseline\n\
+             (a deliberate change? run `waliperf baseline update` and commit)\n"
+            (List.length drift)
+        ^ gate_diffs dir drift profiles
     in
     (match report with Some f -> write_file f body | None -> ());
     prerr_string body;
@@ -265,9 +305,10 @@ let gate_c =
   Cmd.v
     (Cmd.info "gate"
        ~doc:
-         "Run the deterministic scenarios against the committed baseline; \
-          fail on any counter drift, naming the responsible frames via the \
-          flamegraph diff")
+         "Run every bundled app once with all hooks on; fail on any \
+          soundness escape, malformed artifact, fusion or replay \
+          divergence, or counter drift from the committed baseline \
+          (naming the responsible frames via the flamegraph diff)")
     Term.(const gate_cmd $ dir_t $ out_t $ report_t $ quiet_t)
 
 let cmd =

@@ -4,7 +4,6 @@
      dune exec bin/walireplay.exe -- replay calc.trace
      dune exec bin/walireplay.exe -- report calc.trace
      dune exec bin/walireplay.exe -- reduce big.trace -o small.trace --prefix 100
-     dune exec bin/walireplay.exe -- gate --quiet     # the CI gate (@replay)
 
    Recording runs a bundled app (or a raw .wasm binary) exactly like the
    test suite does — same setup, same scripted stdin — and captures every
@@ -55,16 +54,10 @@ let find_app name =
            (List.map (fun a -> a.Apps.Suite.a_name) Apps.Suite.all));
       exit 2
 
-(* Record one target the way Suite.run drives it: boot, app setup,
-   scripted stdin (EOF via dropped writer), then the recorded run. *)
-let record_target ?(fuse = true) (t : target) : Replay.Recorder.run =
-  let kernel = Kernel.Task.boot () in
-  t.t_setup kernel;
-  if t.t_stdin <> "" then begin
-    Kernel.Task.console_feed kernel t.t_stdin;
-    Kernel.Pipe.drop_writer kernel.Kernel.Task.console_in
-  end;
-  Replay.Recorder.record ~app:t.t_name ~fuse ~kernel ~binary:t.t_binary
+(* Record one target from a kernel booted the way Suite.run boots it. *)
+let record_target (t : target) : Replay.Recorder.run =
+  let kernel = Apps.Suite.boot ~setup:t.t_setup ~stdin:t.t_stdin () in
+  Replay.Recorder.record ~app:t.t_name ~kernel ~binary:t.t_binary
     ~argv:t.t_argv ~env:[] ()
 
 let load_trace file =
@@ -197,62 +190,6 @@ let reduce_cmd file out prefix =
     | None -> "");
   exit 0
 
-(* ---- gate: record + codec round-trip + replay every bundled app ---- *)
-
-(* The gate is also the fusion differential harness: every app records
-   twice, once with macro-op fusion and once without, and the two encoded
-   traces must be byte-identical. Fusion may only change how fast ops
-   dispatch, never which events cross the WALI boundary — any divergence
-   (syscall order, arguments, results, signal coordinates, exit status)
-   shows up as an encoding mismatch and fails the gate. *)
-let gate_cmd quiet =
-  let ok = ref true in
-  List.iter
-    (fun a ->
-      let t = target_of_app a in
-      let r = record_target ~fuse:true t in
-      let reduced = Replay.Reduce.reduce r.Replay.Recorder.r_trace in
-      let fused_bytes = Replay.Trace.encode reduced in
-      let r_nf = record_target ~fuse:false t in
-      let nf_bytes =
-        Replay.Trace.encode (Replay.Reduce.reduce r_nf.Replay.Recorder.r_trace)
-      in
-      if fused_bytes <> nf_bytes then begin
-        ok := false;
-        Printf.eprintf
-          "walireplay: %s: FUSION DIVERGENCE: fused and unfused runs \
-           recorded different traces (%d vs %d bytes)\n"
-          t.t_name
-          (String.length fused_bytes)
-          (String.length nf_bytes)
-      end;
-      (* exercise the codec on every trace: what replays is the
-         decode of the encode *)
-      let trace = Replay.Trace.decode fused_bytes in
-      let o =
-        Replay.Replayer.replay ~setup:t.t_setup ~trace ~binary:t.t_binary ()
-      in
-      match o.Replay.Replayer.rp_divergence with
-      | None ->
-          if not quiet then
-            Printf.printf
-              "%-10s %6d records %8d bytes  status %-3d replay ok  fused=unfused\n"
-              t.t_name
-              (Array.length trace.Replay.Trace.tr_events)
-              (Replay.Reduce.byte_size trace)
-              (r.Replay.Recorder.r_status lsr 8)
-      | Some d ->
-          ok := false;
-          Printf.eprintf "walireplay: %s: DIVERGENCE\n%s\n" t.t_name
-            (Replay.Replayer.pp_divergence d))
-    Apps.Suite.all;
-  if !ok && quiet then
-    Printf.printf
-      "walireplay: %d apps recorded fused and unfused with byte-identical \
-       traces and replayed with zero divergences\n"
-      (List.length Apps.Suite.all);
-  exit (if !ok then 0 else 1)
-
 (* ---- cmdliner wiring ---- *)
 
 let file_pos = Arg.(required & pos 0 (some string) None & info [] ~docv:"TRACE")
@@ -280,9 +217,6 @@ let prefix_t =
   Arg.(value & opt (some int) None
        & info [ "prefix" ] ~docv:"N"
            ~doc:"Keep only the first N events (divergence bisection).")
-
-let quiet_t =
-  Arg.(value & flag & info [ "quiet"; "q" ] ~doc:"Suppress per-app lines.")
 
 let record_c =
   Cmd.v
@@ -323,16 +257,10 @@ let reduce_c =
     (Cmd.info "reduce" ~doc:"Shrink a trace (zero-run compression, --prefix)")
     Term.(const reduce_cmd $ file_pos $ out_t $ prefix_t)
 
-let gate_c =
-  Cmd.v
-    (Cmd.info "gate"
-       ~doc:"Record and replay every bundled app; fail on any divergence")
-    Term.(const gate_cmd $ quiet_t)
-
 let cmd =
   Cmd.group
     (Cmd.info "walireplay"
        ~doc:"Deterministic record/replay at the WALI boundary")
-    [ record_c; replay_c; report_c; reduce_c; gate_c ]
+    [ record_c; replay_c; report_c; reduce_c ]
 
 let () = exit (Cmd.eval cmd)

@@ -33,9 +33,9 @@ let run_cmd file app trace deny derive poll no_fuse record replay trace_out
         exit 2
   in
   let tracer = Wali.Strace.create ~verbose:trace () in
-  (* One sink serves all three observability flags. It shares the
-     strace tracer's metrics registry, so per-syscall aggregation
-     happens exactly once (see Interface.traced_dispatch). *)
+  (* One sink serves all three observability flags. It is built over the
+     strace tracer's metrics registry: an engine has one registry (see
+     Engine.create). *)
   let observe =
     if trace_out = None && metrics_out = None && profile_out = None && not top
     then None
@@ -99,30 +99,25 @@ let run_cmd file app trace deny derive poll no_fuse record replay trace_out
     | _, Some a -> a
     | _ -> "wasm"
   in
-  (* app setup, shared by the live, record, and replay paths: VFS/process
-     state plus the app's scripted stdin (EOF via the dropped writer),
-     the same way the test suite drives these programs *)
-  let setup kernel =
-    match app with
-    | Some name -> (
-        match Apps.Suite.find name with
-        | Some a ->
-            a.Apps.Suite.a_setup kernel;
-            if a.Apps.Suite.a_stdin <> "" then begin
-              Kernel.Task.console_feed kernel a.Apps.Suite.a_stdin;
-              Kernel.Pipe.drop_writer kernel.Kernel.Task.console_in
-            end
-        | None -> ())
-    | None -> ()
+  (* the app's files (live, record and replay paths) and scripted stdin
+     (live and record), the same way the test suite drives these
+     programs *)
+  let suite_app = Option.bind app Apps.Suite.find in
+  let setup =
+    match suite_app with
+    | Some a -> a.Apps.Suite.a_setup
+    | None -> Apps.Suite.no_setup
+  in
+  let boot () =
+    Apps.Suite.boot ~setup
+      ?stdin:(Option.map (fun a -> a.Apps.Suite.a_stdin) suite_app)
+      ()
   in
   (* with --app and no explicit arguments, use the app's scripted argv
      (the same one the test suite and walireplay drive it with) *)
   let argv =
-    match (args, app) with
-    | [], Some name -> (
-        match Apps.Suite.find name with
-        | Some a -> a.Apps.Suite.a_argv
-        | None -> [ argv0 ])
+    match (args, suite_app) with
+    | [], Some a -> a.Apps.Suite.a_argv
     | _ -> argv0 :: args
   in
   let env = [ "HOME=/home/user"; "TERM=vt100" ] in
@@ -165,8 +160,7 @@ let run_cmd file app trace deny derive poll no_fuse record replay trace_out
           prerr_endline (Replay.Replayer.pp_divergence d);
           exit 1)
   | Some trace_file, None ->
-      let kernel = Kernel.Task.boot () in
-      setup kernel;
+      let kernel = boot () in
       let r =
         Replay.Recorder.record
           ~app:(Option.value app ~default:"")
@@ -184,8 +178,7 @@ let run_cmd file app trace deny derive poll no_fuse record replay trace_out
       print_profile ();
       exit (r.Replay.Recorder.r_status lsr 8)
   | None, None ->
-      let kernel = Kernel.Task.boot () in
-      setup kernel;
+      let kernel = boot () in
       let status, out, result =
         Wali.Interface.run_program ~kernel ~trace:tracer ~policy ~poll_scheme
           ~fuse ?observe ~binary ~argv ~env ()

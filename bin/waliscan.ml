@@ -8,7 +8,7 @@
 
      dune exec bin/waliscan.exe -- program.wasm
      dune exec bin/waliscan.exe -- --app minish --verify
-     dune exec bin/waliscan.exe -- --all --verify --quiet   # the CI gate
+     dune exec bin/waliscan.exe -- --all --verify --quiet
      dune exec bin/waliscan.exe -- --policy program.wasm    # allowlist only *)
 
 open Cmdliner
@@ -59,8 +59,9 @@ let scan ~quiet ~policy_only ~verify (t : target) : bool =
       if not verify then true
       else begin
         let r =
-          Analysis.Crosscheck.run ~setup:t.t_setup ~stdin:t.t_stdin
-            ~argv:t.t_argv ~summary ~binary:t.t_binary ()
+          (Analysis.Crosscheck.run ~setup:t.t_setup ~stdin:t.t_stdin
+             ~argv:t.t_argv ~summary ~binary:t.t_binary ())
+            .Analysis.Crosscheck.cc_verdict
         in
         if Analysis.Crosscheck.ok r then begin
           (* keep --policy output pipeable: verdict details stay off stdout *)

@@ -169,19 +169,25 @@ let binary_of (a : app) : string =
       Hashtbl.replace binary_cache a.a_name b;
       b
 
+(** Boot a kernel the way every suite run starts: [setup] lays down the
+    files the program expects, then [stdin] is queued on the console and
+    closed (EOF by dropping the writer). *)
+let boot ?(setup = no_setup) ?(stdin = "") () : Kernel.Task.kernel =
+  let kernel = Kernel.Task.boot () in
+  setup kernel;
+  if stdin <> "" then begin
+    Kernel.Task.console_feed kernel stdin;
+    Kernel.Pipe.drop_writer kernel.Kernel.Task.console_in
+  end;
+  kernel
+
 (** Run an app on the WALI engine; returns (status, output). [policy]
     lets callers run the suite under e.g. a statically derived seccomp
     allowlist (see lib/analysis). *)
 let run ?(argv : string list option) ?(env = []) ?trace ?policy ?poll_scheme
     ?fuse ?observe (a : app) : int * string =
   let binary = binary_of a in
-  let kernel = Kernel.Task.boot () in
-  a.a_setup kernel;
-  if a.a_stdin <> "" then begin
-    Kernel.Task.console_feed kernel a.a_stdin;
-    (* close stdin after the script: feed EOF by dropping the writer *)
-    Kernel.Pipe.drop_writer kernel.Kernel.Task.console_in
-  end;
+  let kernel = boot ~setup:a.a_setup ~stdin:a.a_stdin () in
   let status, out, _ =
     Wali.Interface.run_program ~kernel ?trace ?policy ?poll_scheme ?fuse
       ?observe ~binary

@@ -77,9 +77,21 @@ and interposer = {
          a second time on top of the injected recorded delivery. *)
 }
 
-let create ?(poll_scheme = Code.Poll_loops) ?(fuse = true)
-    ?(trace = Strace.create ()) ?(policy = Seccomp.allow_all ()) ?observe
-    (kernel : Kernel.Task.kernel) : t =
+(** One registry per engine: with an observability sink, the tracer is a
+    view over the sink's registry (a [~trace] passed with [~observe] must
+    already be one), so every crossing updates exactly one registry. *)
+let create ?(poll_scheme = Code.Poll_loops) ?(fuse = true) ?trace
+    ?(policy = Seccomp.allow_all ()) ?observe (kernel : Kernel.Task.kernel) :
+    t =
+  let trace =
+    match (trace, observe) with
+    | Some t, Some o when Strace.metrics t != Observe.Sink.metrics o ->
+        invalid_arg
+          "Engine.create: ~trace and ~observe must share one metrics registry"
+    | Some t, _ -> t
+    | None, Some o -> Strace.of_metrics (Observe.Sink.metrics o)
+    | None, None -> Strace.create ()
+  in
   (match observe with
   | Some o -> Observe.Sink.set_kstats o kernel.Kernel.Task.stats
   | None -> ());
@@ -108,25 +120,11 @@ let proc_of eng (m : Rt.machine) : proc =
   | Some p -> p
   | None -> Values.trap "no WALI process for machine (pid %d)" m.Rt.m_pid
 
-let find_proc eng tid = Hashtbl.find_opt eng.procs tid
 
 (** The machine's current Wasm call stack, outermost first — the folded
     profile's frame order. *)
 let machine_stack (m : Rt.machine) : string list =
   List.init m.Rt.depth (fun i -> m.Rt.frames.(i).Rt.fr_code.Code.fc_name)
-
-(** Install the profiler's call/return sample hook on a machine (new
-    process images and spawned threads; fork children inherit the hook
-    through [Machine.clone]). *)
-let install_prof eng (m : Rt.machine) : unit =
-  match eng.observe with
-  | Some o when Observe.Sink.profiling o ->
-      m.Rt.prof_hook <-
-        Some
-          (fun mm ->
-            Observe.Sink.prof_sample o ~pid:mm.Rt.m_pid ~steps:mm.Rt.steps
-              ~stack:(fun () -> machine_stack mm))
-  | _ -> ()
 
 let register_proc eng (p : proc) =
   Hashtbl.replace eng.procs p.pr_task.Kernel.Task.tid p;
@@ -244,14 +242,33 @@ let rec deliver_signals eng (p : proc) (m : Rt.machine) : unit =
         end
   end
 
-let poll_hook eng : Rt.machine -> unit =
- fun m ->
+(** A counted safepoint poll of process [p] running machine [m]. *)
+let poll eng (p : proc) (m : Rt.machine) : unit =
   (match eng.observe with
   | Some o -> Observe.Sink.safepoint_poll o
   | None -> ());
-  let p = proc_of eng m in
   (match eng.interpose with Some ip -> ip.ip_poll eng p m | None -> ());
   deliver_signals eng p m
+
+let poll_hook eng : Rt.machine -> unit = fun m -> poll eng (proc_of eng m) m
+
+(** A fresh machine for task [tid] (a new process image or a spawned
+    thread), with the engine's safepoint poll and, when profiling, the
+    profiler's call/return sample hook. Fork children inherit both
+    through [Machine.clone]. *)
+let new_machine eng (inst : Rt.instance) ~tid : Rt.machine =
+  let m = Rt.Machine.create inst in
+  m.Rt.m_pid <- tid;
+  m.Rt.poll_hook <- Some (poll_hook eng);
+  (match eng.observe with
+  | Some o when Observe.Sink.profiling o ->
+      m.Rt.prof_hook <-
+        Some
+          (fun mm ->
+            Observe.Sink.prof_sample o ~pid:mm.Rt.m_pid ~steps:mm.Rt.steps
+              ~stack:(fun () -> machine_stack mm))
+  | _ -> ());
+  m
 
 (* ------------------------------------------------------------------ *)
 (* Image construction                                                   *)
@@ -336,6 +353,21 @@ let setup_stdio eng (task : Kernel.Task.t) =
 (* Task completion                                                      *)
 (* ------------------------------------------------------------------ *)
 
+(** Close the books on a machine that stops running (its task exits, or
+    execve replaces it): charge its last steps to the profile and retire
+    its instruction count. *)
+let retire_machine eng (m : Rt.machine) : unit =
+  match eng.observe with
+  | Some o ->
+      if Observe.Sink.profiling o then begin
+        Observe.Sink.prof_sample o ~pid:m.Rt.m_pid ~steps:m.Rt.steps
+          ~stack:(fun () -> machine_stack m);
+        Observe.Sink.prof_reset o ~pid:m.Rt.m_pid
+      end;
+      Observe.Sink.instr_retire o ~pid:m.Rt.m_pid ~steps:m.Rt.steps
+        ~fused:m.Rt.fused
+  | None -> ()
+
 (* Tear the task down with a packed wait status, propagating exit_group
    to sibling threads. *)
 let do_exit eng (p : proc) ~(status : int) : unit =
@@ -353,20 +385,9 @@ let do_exit eng (p : proc) ~(status : int) : unit =
   end;
   Task.exit_task eng.kernel task ~status;
   eng.live_procs <- eng.live_procs - 1;
+  Option.iter (retire_machine eng) p.pr_machine;
   (match eng.observe with
   | Some o ->
-      (match p.pr_machine with
-      | Some m ->
-          (* Attribute the final stretch of steps, then retire the
-             machine's instruction count. *)
-          if Observe.Sink.profiling o then begin
-            Observe.Sink.prof_sample o ~pid:m.Rt.m_pid ~steps:m.Rt.steps
-              ~stack:(fun () -> machine_stack m);
-            Observe.Sink.prof_reset o ~pid:m.Rt.m_pid
-          end;
-          Observe.Sink.instr_retire o ~pid:m.Rt.m_pid ~steps:m.Rt.steps
-            ~fused:m.Rt.fused
-      | None -> ());
       Observe.Sink.proc_exit o ~pid:task.Task.tgid ~tid:task.Task.tid ~status
         ~ts:(Fiber.now ())
   | None -> ());
@@ -407,6 +428,3 @@ let run_machine_body eng (p : proc) (m : Rt.machine) ~fresh_entry
         | Interp.R_trap _ -> wsignal_status Kernel.Ktypes.sigill
       in
       do_exit eng p ~status
-
-(** Result of the last finished process with pid [tid], if tracked. *)
-let result_of (p : proc) = p.pr_result

@@ -105,20 +105,8 @@ let do_execve eng (p : Engine.proc) mem ~path_ptr ~argv_ptr ~envp_ptr :
           Rt.H_exec
             (fun () ->
               let task = p.Engine.pr_task in
-              (* Close the books on the replaced machine: charge its last
-                 steps and retire its instruction count; the new image
-                 starts from a fresh counter. *)
-              (match (eng.Engine.observe, p.Engine.pr_machine) with
-              | Some o, Some m_old ->
-                  if Observe.Sink.profiling o then begin
-                    Observe.Sink.prof_sample o ~pid:m_old.Rt.m_pid
-                      ~steps:m_old.Rt.steps
-                      ~stack:(fun () -> Engine.machine_stack m_old);
-                    Observe.Sink.prof_reset o ~pid:m_old.Rt.m_pid
-                  end;
-                  Observe.Sink.instr_retire o ~pid:m_old.Rt.m_pid
-                    ~steps:m_old.Rt.steps ~fused:m_old.Rt.fused
-              | _ -> ());
+              (* the new image starts from a fresh step counter *)
+              Option.iter (Engine.retire_machine eng) p.Engine.pr_machine;
               (* POSIX: caught signals reset to default across exec. *)
               let actions = task.Task.group.Task.actions in
               Array.iteri
@@ -132,10 +120,7 @@ let do_execve eng (p : Engine.proc) mem ~path_ptr ~argv_ptr ~envp_ptr :
                  realized directly in the engine). *)
               p.Engine.pr_shared <-
                 Engine.make_pshared eng ~inst ~argv ~env:envp ~binary;
-              let m' = Rt.Machine.create inst in
-              m'.Rt.m_pid <- task.Task.tid;
-              m'.Rt.poll_hook <- Some (Engine.poll_hook eng);
-              Engine.install_prof eng m';
+              let m' = Engine.new_machine eng inst ~tid:task.Task.tid in
               (match Rt.exported_func inst "_start" with
               | Rt.Wasm_func { wf_inst; wf_code } ->
                   Rt.Machine.push_frame m' wf_inst wf_code
@@ -155,10 +140,7 @@ let do_thread_spawn eng (p : Engine.proc) (m : Rt.machine) ~entry_idx ~arg :
       in
       (* Instance-per-thread: per-thread execution state lives in the new
          machine; the process image (memory, tables, code) is shared. *)
-      let tm = Rt.Machine.create m.Rt.m_inst in
-      tm.Rt.m_pid <- child_task.Task.tid;
-      tm.Rt.poll_hook <- Some (Engine.poll_hook eng);
-      Engine.install_prof eng tm;
+      let tm = Engine.new_machine eng m.Rt.m_inst ~tid:child_task.Task.tid in
       let cp =
         {
           Engine.pr_task = child_task;
@@ -191,9 +173,8 @@ let forbidden_path path =
 
 exception Sys_ret of int64
 
-let dispatch_raw eng (name : string) (m : Rt.machine)
+let dispatch_raw eng (p : Engine.proc) (name : string) (m : Rt.machine)
     (args : Values.value array) : (Rt.host_outcome, Errno.t) result =
-  let p = Engine.proc_of eng m in
   let ctx = p.Engine.pr_sys in
   let mem = Rt.memory0 m in
   let sh = p.Engine.pr_shared in
@@ -525,7 +506,7 @@ let dispatch_raw eng (name : string) (m : Rt.machine)
         if ap 2 <> 0 then Abi.set_i64 mem (ap 2) old;
         (* §3.3: handle signals unblocked by this call before re-entering
            the Wasm critical section. *)
-        (match m.Rt.poll_hook with Some f -> f m | None -> ());
+        if Option.is_some m.Rt.poll_hook then Engine.poll eng p m;
         ret 0L
     | "rt_sigpending" ->
         let* pend = Syscalls.rt_sigpending ctx in
@@ -535,7 +516,7 @@ let dispatch_raw eng (name : string) (m : Rt.machine)
         let nmask = Abi.i64 mem (ap 0) in
         let* old = Syscalls.rt_sigprocmask ctx ~how:Ktypes.sig_setmask ~set:(Some nmask) in
         let r = Syscalls.pause ctx in
-        (match m.Rt.poll_hook with Some f -> f m | None -> ());
+        if Option.is_some m.Rt.poll_hook then Engine.poll eng p m;
         let _ = Syscalls.rt_sigprocmask ctx ~how:Ktypes.sig_setmask ~set:(Some old) in
         retu r
     | "rt_sigreturn" ->
@@ -763,8 +744,8 @@ let dispatch_raw eng (name : string) (m : Rt.machine)
 (* Collapse the Result plumbing: [Error e] from a let* chain is an errno
    return; Sys_ret carries successful encodings; failed pointer
    translation is -EFAULT, as in the raw kernel ABI. *)
-let dispatch eng name m args : Rt.host_outcome =
-  match dispatch_raw eng name m args with
+let dispatch_proc eng p name m args : Rt.host_outcome =
+  match dispatch_raw eng p name m args with
   | Ok o -> o
   | Error e -> Rt.H_return [ Values.I64 (errno_ret e) ]
   | exception Sys_ret v -> Rt.H_return [ Values.I64 v ]
@@ -772,19 +753,28 @@ let dispatch eng name m args : Rt.host_outcome =
   | exception Rt.Memory.Bounds ->
       Rt.H_return [ Values.I64 (errno_ret Errno.EFAULT) ]
 
+let dispatch eng name m args : Rt.host_outcome =
+  dispatch_proc eng (Engine.proc_of eng m) name m args
+
 (* ------------------------------------------------------------------ *)
 (* Host function construction / resolver                                *)
 (* ------------------------------------------------------------------ *)
 
+(* The one interposer call site: record/replay (and any other tooling)
+   sees every crossing here, syscalls and thread_spawn alike. The
+   recorder runs [live] and logs its outcome; the replayer substitutes
+   the logged outcome for it. *)
+let interposed eng p name m args live : Rt.host_outcome =
+  match eng.Engine.interpose with
+  | Some ip -> ip.Engine.ip_dispatch eng p name m args live
+  | None -> live ()
+
 let traced_dispatch eng name (m : Rt.machine) (args : Values.value array) :
     Rt.host_outcome =
   let p = Engine.proc_of eng m in
-  (* The live path: seccomp decision + kernel dispatch. An interposer
-     (record/replay) wraps this thunk — the recorder runs it and logs the
-     outcome, the replayer substitutes the logged outcome for it. *)
   let live () =
     match Seccomp.check eng.Engine.policy name with
-    | Seccomp.Allow -> dispatch eng name m args
+    | Seccomp.Allow -> dispatch_proc eng p name m args
     | Seccomp.Deny e -> Rt.H_return [ Values.I64 (errno_ret e) ]
     | Seccomp.Kill ->
         raise (Engine.Killed_by (Ktypes.wsignal_status Ktypes.sigsys))
@@ -794,38 +784,35 @@ let traced_dispatch eng name (m : Rt.machine) (args : Values.value array) :
   (match eng.Engine.observe with
   | Some o -> Observe.Sink.syscall_begin o ~pid ~tid ~name ~ts:t0
   | None -> ());
-  let outcome =
-    match eng.Engine.interpose with
-    | Some ip -> ip.Engine.ip_dispatch eng p name m args live
-    | None -> live ()
+  (* One registry update and the span's end, whether the call returns or
+     raises (a seccomp kill, a trap): a call that never returns counts
+     as a failed one. *)
+  let finish result =
+    let t1 = Fiber.now () in
+    let ns = Int64.sub t1 t0 in
+    Strace.note eng.Engine.trace ~pid ~name ~args ~result ~ns;
+    match eng.Engine.observe with
+    | Some o ->
+        Observe.Sink.syscall_end o ~pid ~tid ~name ~ts:t1 ~ns ~result
+          ~stack:(fun () -> Engine.machine_stack m)
+    | None -> ()
   in
-  let t1 = Fiber.now () in
-  let ns = Int64.sub t1 t0 in
-  let result =
-    match outcome with Rt.H_return [ Values.I64 r ] -> r | _ -> 0L
-  in
-  Strace.note eng.Engine.trace ~pid ~name
-    ~args:(Array.to_list (Array.map Values.as_i64 args))
-    ~result ~ns;
-  (match eng.Engine.observe with
-  | Some o ->
-      (* When the sink shares the tracer's registry, Strace.note above
-         already aggregated this call — don't count it twice. *)
-      if not (Observe.Sink.metrics o == Strace.metrics eng.Engine.trace) then
-        Observe.Sink.record_syscall o ~name ~result ~ns;
-      Observe.Sink.syscall_end o ~pid ~tid ~name ~ts:t1 ~ns ~result
-        ~stack:(fun () -> Engine.machine_stack m)
-  | None -> ());
-  (* Linux delivers pending signals on return to userspace from any
-     syscall; mirror that by polling before handing the result back
-     (complements the compiler-inserted safepoints of §3.3). Polling
-     after the span closes keeps the trace well-nested even when a
-     delivery terminates the process. *)
-  (match outcome with
-  | Rt.H_return _ -> (
-      match m.Rt.poll_hook with Some f -> f m | None -> ())
-  | _ -> ());
-  outcome
+  match interposed eng p name m args live with
+  | exception e ->
+      finish (errno_ret Errno.EPERM);
+      raise e
+  | outcome ->
+      finish
+        (match outcome with Rt.H_return [ Values.I64 r ] -> r | _ -> 0L);
+      (* Linux delivers pending signals on return to userspace from any
+         syscall; mirror that by polling before handing the result back
+         (complements the compiler-inserted safepoints of §3.3). Polling
+         after the span closes keeps the trace well-nested even when a
+         delivery terminates the process. *)
+      (match outcome with
+      | Rt.H_return _ when Option.is_some m.Rt.poll_hook -> Engine.poll eng p m
+      | _ -> ());
+      outcome
 
 let i64s n = List.init n (fun _ -> Types.T_i64)
 
@@ -890,17 +877,13 @@ let thread_spawn_host_func eng : Rt.func_inst =
           (* thread_spawn creates engine structure (a fiber and a
              machine), so like fork it must be interposable: replay
              re-executes it live and validates the resulting tid. *)
-          let live () =
-            let tid =
-              do_thread_spawn eng p m
-                ~entry_idx:(Int32.to_int (Values.as_i32 args.(0)))
-                ~arg:(Int32.to_int (Values.as_i32 args.(1)))
-            in
-            Rt.H_return [ Values.I32 (Int64.to_int32 tid) ]
-          in
-          match eng.Engine.interpose with
-          | Some ip -> ip.Engine.ip_dispatch eng p "thread_spawn" m args live
-          | None -> live ());
+          interposed eng p "thread_spawn" m args (fun () ->
+              let tid =
+                do_thread_spawn eng p m
+                  ~entry_idx:(Int32.to_int (Values.as_i32 args.(0)))
+                  ~arg:(Int32.to_int (Values.as_i32 args.(1)))
+              in
+              Rt.H_return [ Values.I32 (Int64.to_int32 tid) ]));
     }
 
 (** The engine's import resolver for the ["wali"] namespace. *)
@@ -935,10 +918,7 @@ let spawn_init (eng : Engine.t) ~(binary : string) ~(argv : string list)
   let inst = Engine.build_image eng ~resolver:(resolver eng) ~binary ~name in
   let task = Task.make_init eng.Engine.kernel ~comm:name in
   Engine.setup_stdio eng task;
-  let m = Rt.Machine.create inst in
-  m.Rt.m_pid <- task.Task.tid;
-  m.Rt.poll_hook <- Some (Engine.poll_hook eng);
-  Engine.install_prof eng m;
+  let m = Engine.new_machine eng inst ~tid:task.Task.tid in
   let p =
     {
       Engine.pr_task = task;
@@ -965,9 +945,7 @@ let run_program ?(kernel : Task.kernel option) ?(poll_scheme = Code.Poll_loops)
     ~(argv : string list) ~(env : string list) () :
     int * string * Interp.run_result option =
   let kernel = match kernel with Some k -> k | None -> Task.boot () in
-  let trace = match trace with Some t -> t | None -> Strace.create () in
-  let policy = match policy with Some p -> p | None -> Seccomp.allow_all () in
-  let eng = Engine.create ~poll_scheme ~fuse ~trace ~policy ?observe kernel in
+  let eng = Engine.create ~poll_scheme ~fuse ?trace ?policy ?observe kernel in
   let status = ref 0 in
   let result = ref None in
   (match observe with Some o -> Observe.Sink.attach o | None -> ());

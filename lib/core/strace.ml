@@ -2,10 +2,11 @@
     data source for the Fig 2 syscall profile).
 
     The per-syscall aggregation itself lives in {!Observe.Metrics} — this
-    module is a thin consumer that adds the verbose strace-style line
-    rendering and the frequency-ordered profile views. An observability
-    sink can share the same registry (see {!of_metrics} / {!metrics}) so
-    each WALI crossing is counted exactly once, whoever is looking. *)
+    module is a thin view over one registry that adds the verbose
+    strace-style line rendering and the frequency-ordered profile views.
+    When an engine has an observability sink, its tracer is a view over
+    the sink's registry (see [Engine.create]), so each WALI crossing
+    updates exactly one registry, whoever is looking. *)
 
 type t = {
   reg : Observe.Metrics.t;
@@ -16,8 +17,7 @@ type t = {
 let create ?(verbose = false) () =
   { reg = Observe.Metrics.create (); verbose; log = None }
 
-(** A tracer over an existing registry (shared with an observability
-    sink, or replaying a recorded run into a fresh view). *)
+(** A tracer over an existing registry (an observability sink's). *)
 let of_metrics ?(verbose = false) reg = { reg; verbose; log = None }
 
 let metrics t = t.reg
@@ -30,12 +30,17 @@ let pp_arg (v : int64) : string =
   if Int64.compare v 0x10000L >= 0 then Printf.sprintf "0x%Lx" v
   else Int64.to_string v
 
-let note t ~pid ~name ~args ~(result : int64) ~ns =
+(** Count one crossing; [args] (the raw i64 arguments) are rendered
+    only when the tracer is verbose. *)
+let note t ~pid ~name ~(args : Wasm.Values.value array) ~(result : int64) ~ns
+    =
   Observe.Metrics.record t.reg ~name ~result ~ns;
   if t.verbose then begin
     let line =
       Printf.sprintf "[%d] %s(%s) = %Ld" pid name
-        (String.concat ", " (List.map pp_arg args))
+        (String.concat ", "
+           (Array.to_list
+              (Array.map (fun v -> pp_arg (Wasm.Values.as_i64 v)) args)))
         result
     in
     match t.log with Some f -> f line | None -> prerr_endline line
@@ -72,5 +77,3 @@ let info t name = Option.map info_of (Observe.Metrics.find t.reg name)
 let total_errors t = Observe.Metrics.total_errors t.reg
 let unique_syscalls t = Observe.Metrics.unique t.reg
 let total_calls t = Observe.Metrics.total_calls t.reg
-let total_ns t = Observe.Metrics.total_ns t.reg
-let reset t = Observe.Metrics.reset t.reg

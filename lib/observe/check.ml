@@ -1,5 +1,5 @@
-(** Structural validators for the three dump formats, used by the
-    [@observe] gate and the test suite. They check what a viewer would
+(** Structural validators for the three dump formats, used by the suite
+    gate ([Perf.Gate]) and the test suite. They check what a viewer would
     choke on: parse errors, unbalanced or misnamed B/E pairs, and
     timestamps running backwards within a lane. *)
 

@@ -71,10 +71,6 @@ let by_calls t : (string * syscall_stats) list =
 let by_time t : (string * syscall_stats) list =
   fold (fun name s acc -> (name, s) :: acc) t [] |> List.sort cmp_by_time
 
-let reset t =
-  Hashtbl.reset t.tbl;
-  t.total <- 0
-
 (* ------------------------------------------------------------------ *)
 (* Kernel-internal counters                                             *)
 (* ------------------------------------------------------------------ *)

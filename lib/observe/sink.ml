@@ -31,7 +31,7 @@ type prof_state = { mutable ps_last_steps : int64 }
 
 type t = {
   cfg : config;
-  reg : Metrics.t; (* possibly shared with Strace *)
+  reg : Metrics.t; (* the engine's one registry; Strace is a view over it *)
   mutable ks : Metrics.kstats option; (* kernel counter block, set at attach *)
   tb : Tracebuf.t;
   pf : Profile.t;
@@ -93,11 +93,6 @@ let tracing o = o.cfg.c_trace
 
 let syscall_begin o ~pid ~tid ~name ~ts =
   if o.cfg.c_trace then Tracebuf.span_begin o.tb ~name ~cat:"syscall" ~pid ~tid ~ts
-
-(** Aggregate one completed syscall into the registry. Callers sharing
-    the registry with a {!Strace} tracer must not call this (the tracer
-    already recorded it) — see [Interface.traced_dispatch]. *)
-let record_syscall o ~name ~result ~ns = Metrics.record o.reg ~name ~result ~ns
 
 let syscall_end o ~pid ~tid ~name ~ts ~ns ~result ~(stack : unit -> string list)
     =

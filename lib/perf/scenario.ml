@@ -1,33 +1,49 @@
 (** The deterministic scenario runner behind `waliperf`.
 
-    Each bundled app runs once with the metrics and profiling pillars on
-    (no tracing — the trace buffer is the one pillar whose cost scales
-    with the run and the gate never reads it), and reports only
-    deterministic counters: instructions retired, syscall crossings,
-    virtual-clock nanoseconds, scheduler and kernel event counts. Two
-    runs of the same build produce byte-identical results, which is what
-    lets the baseline gate use zero tolerance.
+    Each bundled app runs once, fused by default, with everything the
+    suite gate reads switched on: the replay recorder, an observability
+    sink with all three pillars (metrics, span trace, folded-stack
+    profile) and the seccomp allowlist the static analyzer derives for
+    the binary. None of these moves the virtual clock, so the run
+    reports the same deterministic counters a bare run would:
+    instructions retired, syscall crossings, virtual-clock nanoseconds,
+    scheduler and kernel event counts. Two runs of the same build produce
+    byte-identical results, which is what lets the baseline gate use zero
+    tolerance.
 
     The suite-level scenario merges every per-app latency histogram
     ({!Observe.Hist.merge}) into whole-suite percentiles of time below
     the WALI boundary — still virtual-clock, still deterministic. *)
 
-let gate_cfg =
-  { Observe.Sink.c_metrics = true; c_trace = false; c_profile = true }
-
 type app_result = {
   ar_name : string;
   ar_status : int; (* raw wait status *)
   ar_metrics : (string * Model.metric) list;
-  ar_folded : string; (* the folded-stack profile of the run *)
-  ar_reg : Observe.Metrics.t; (* the run's syscall registry *)
+  ar_sink : Observe.Sink.t; (* all pillars: registry, trace, profile *)
+  ar_trace : Replay.Trace.t; (* the run's recording *)
+  ar_verdict : Analysis.Crosscheck.verdict; (* dynamic vs static syscalls *)
 }
 
 let scenario_name app = "app/" ^ app
 
+(** Record one run of [a] from a freshly booted suite kernel. *)
+let record ?fuse ?policy ?observe (a : Apps.Suite.app) : Replay.Recorder.run =
+  Replay.Recorder.record ~app:a.Apps.Suite.a_name ?fuse ?policy ?observe
+    ~kernel:(Apps.Suite.boot ~setup:a.Apps.Suite.a_setup
+               ~stdin:a.Apps.Suite.a_stdin ())
+    ~binary:(Apps.Suite.binary_of a) ~argv:a.Apps.Suite.a_argv ~env:[] ()
+
+(** The one instrumented run of [a]. Raises if the static analysis of
+    its binary fails. *)
 let run_app ?(fuse = true) ?(walls = false) (a : Apps.Suite.app) : app_result =
-  let sink = Observe.Sink.create gate_cfg in
-  let status, _out = Apps.Suite.run ~fuse ~observe:sink a in
+  let name = a.Apps.Suite.a_name in
+  let summary =
+    Analysis.Reach.analyze_binary ~name (Apps.Suite.binary_of a)
+  in
+  let policy = Analysis.Reach.policy summary in
+  let sink = Observe.Sink.create Observe.Sink.all_on in
+  let r = record ~fuse ~policy ~observe:sink a in
+  let status = r.Replay.Recorder.r_status in
   let rc = Observe.Sink.run_counters sink in
   let reg = Observe.Sink.metrics sink in
   let ks = Observe.Sink.kstats_or_zero sink in
@@ -58,7 +74,7 @@ let run_app ?(fuse = true) ?(walls = false) (a : Apps.Suite.app) : app_result =
       [ ("host_wall_ns", Model.wall s) ]
   in
   {
-    ar_name = a.Apps.Suite.a_name;
+    ar_name = name;
     ar_status = status;
     ar_metrics =
       [
@@ -81,8 +97,9 @@ let run_app ?(fuse = true) ?(walls = false) (a : Apps.Suite.app) : app_result =
         ("exit_status", c (status lsr 8));
       ]
       @ wall_metrics;
-    ar_folded = Observe.Sink.profile_folded sink;
-    ar_reg = reg;
+    ar_sink = sink;
+    ar_trace = r.Replay.Recorder.r_trace;
+    ar_verdict = Analysis.Crosscheck.check ~summary ~policy reg;
   }
 
 (** Suite-level aggregate: merge the per-syscall latency histograms of
@@ -96,7 +113,7 @@ let suite_scenario (results : app_result list) :
         Observe.Metrics.fold
           (fun _ (s : Observe.Metrics.syscall_stats) acc ->
             Observe.Hist.merge acc s.Observe.Metrics.hist)
-          r.ar_reg acc)
+          (Observe.Sink.metrics r.ar_sink) acc)
       (Observe.Hist.create ()) results
   in
   let sum name =
@@ -126,15 +143,19 @@ let suite_scenario (results : app_result list) :
         Model.counter_i ~unit_:"ns" (Observe.Hist.max_value merged) );
     ] )
 
-(** Run the suite's deterministic scenarios: the [wali-bench v1] run plus
-    the per-app folded profiles (for the differential profiler). *)
-let run_suite ?(apps = Apps.Suite.all) ?fuse ?walls () :
-    Model.t * (string * string) list =
-  let results = List.map (run_app ?fuse ?walls) apps in
+(** The [wali-bench v1] run of [results] plus the per-app folded profiles
+    (for the differential profiler). *)
+let model (results : app_result list) : Model.t * (string * string) list =
   let scenarios =
     suite_scenario results
     :: List.map (fun r -> (scenario_name r.ar_name, r.ar_metrics)) results
   in
-  let model = Model.make ~suite:"wali-deterministic" scenarios in
-  let profiles = List.map (fun r -> (r.ar_name, r.ar_folded)) results in
-  (model, profiles)
+  ( Model.make ~suite:"wali-deterministic" scenarios,
+    List.map
+      (fun r -> (r.ar_name, Observe.Sink.profile_folded r.ar_sink))
+      results )
+
+(** Run the suite's deterministic scenarios. *)
+let run_suite ?(apps = Apps.Suite.all) ?fuse ?walls () :
+    Model.t * (string * string) list =
+  model (List.map (run_app ?fuse ?walls) apps)

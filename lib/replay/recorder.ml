@@ -162,12 +162,10 @@ let record ?(app = "") ?(poll_scheme = Code.Poll_loops) ?(fuse = true) ?strace
     ?policy ?(kernel : Kernel.Task.kernel option) ?observe ~(binary : string)
     ~(argv : string list) ~(env : string list) () : run =
   let kernel = match kernel with Some k -> k | None -> Kernel.Task.boot () in
-  let strace = match strace with Some t -> t | None -> Strace.create () in
-  let policy = match policy with Some p -> p | None -> Seccomp.allow_all () in
   (* The sink rides in the engine's dedicated observe slot, so recording
      (which owns the single interposer slot) and observability compose. *)
   let eng =
-    Engine.create ~poll_scheme ~fuse ~trace:strace ~policy ?observe kernel
+    Engine.create ~poll_scheme ~fuse ?trace:strace ?policy ?observe kernel
   in
   let rc = make () in
   eng.Engine.interpose <- Some (interposer rc);

@@ -40,7 +40,6 @@ type outcome = {
   rp_consumed : int;
   rp_total : int;
   rp_divergence : divergence option;
-  rp_errors : int; (* error returns seen during replay (Strace) *)
 }
 
 let converged (o : outcome) = o.rp_divergence = None
@@ -379,26 +378,19 @@ let replay ?(setup = fun (_ : Kernel.Task.kernel) -> ())
             d_expected = Digest.to_hex trace.Trace.tr_header.Trace.h_digest;
             d_actual = Digest.to_hex digest;
           };
-      rp_errors = 0;
     }
   else begin
     let st = make trace in
     let kernel = Kernel.Task.boot () in
     setup kernel;
-    (* When a sink is observing the replay, aggregate syscalls straight
-       into its registry: the regenerated metrics/trace/profile then come
-       from the recorded outcomes, not a live kernel. *)
-    let strace =
-      match observe with
-      | Some o -> Strace.of_metrics (Observe.Sink.metrics o)
-      | None -> Strace.create ()
-    in
     let poll_scheme =
       match Trace.poll_scheme_of_name trace.Trace.tr_header.Trace.h_poll with
       | Some s -> s
       | None -> Code.Poll_loops
     in
-    let eng = Engine.create ~poll_scheme ~fuse ~trace:strace ?observe kernel in
+    (* A sink observing the replay regenerates its metrics, trace and
+       profile from the recorded outcomes, not a live kernel. *)
+    let eng = Engine.create ~poll_scheme ~fuse ?observe kernel in
     eng.Engine.interpose <- Some (interposer st);
     let status = ref 0 in
     (match observe with Some o -> Observe.Sink.attach o | None -> ());
@@ -463,6 +455,5 @@ let replay ?(setup = fun (_ : Kernel.Task.kernel) -> ())
       rp_consumed = st.st_cursor;
       rp_total = total;
       rp_divergence = st.st_div;
-      rp_errors = Strace.total_errors strace;
     }
   end

@@ -28,7 +28,7 @@ let classify = function
   | _ -> Data
 
 (** Safepoint polls the live dispatcher performs *inside* the handler
-    (interface.ml invokes [m.poll_hook] before returning from these);
+    (interface.ml polls via [Engine.poll] before returning from these);
     injection must replicate them so the per-machine poll counters that
     position signal deliveries stay aligned between record and replay. *)
 let polls_inside = function "rt_sigprocmask" | "rt_sigsuspend" -> 1 | _ -> 0

@@ -206,13 +206,14 @@ let test_seccomp_rule_order () =
 let test_crosscheck_builder_module () =
   let binary = Binary.encode (direct_module ()) in
   let r = Analysis.Crosscheck.run_binary ~name:"direct" binary in
-  Alcotest.(check bool) "sound" true (Analysis.Crosscheck.ok r);
-  Alcotest.(check strs) "no escapes" [] r.Analysis.Crosscheck.cc_escaped;
+  let v = r.Analysis.Crosscheck.cc_verdict in
+  Alcotest.(check bool) "sound" true (Analysis.Crosscheck.ok v);
+  Alcotest.(check strs) "no escapes" [] v.Analysis.Crosscheck.cc_escaped;
   Alcotest.(check (list (pair string int))) "no denials" []
-    r.Analysis.Crosscheck.cc_denied;
+    v.Analysis.Crosscheck.cc_denied;
   Alcotest.(check string) "output" "hi\n" r.Analysis.Crosscheck.cc_output;
   Alcotest.(check strs) "dynamic = static here"
-    [ "exit_group"; "write" ] r.Analysis.Crosscheck.cc_dynamic
+    [ "exit_group"; "write" ] v.Analysis.Crosscheck.cc_dynamic
 
 (* The acceptance gate: every suite application runs under its
    statically derived policy with zero seccomp denials, the dynamic
@@ -232,10 +233,10 @@ let test_suite_under_derived_policies () =
       in
       Alcotest.(check strs)
         (a.Apps.Suite.a_name ^ ": dynamic escapes static set")
-        [] r.Analysis.Crosscheck.cc_escaped;
+        [] r.Analysis.Crosscheck.cc_verdict.Analysis.Crosscheck.cc_escaped;
       Alcotest.(check (list (pair string int)))
         (a.Apps.Suite.a_name ^ ": denials under derived policy")
-        [] r.Analysis.Crosscheck.cc_denied;
+        [] r.Analysis.Crosscheck.cc_verdict.Analysis.Crosscheck.cc_denied;
       List.iter
         (fun sub ->
           if not (contains r.Analysis.Crosscheck.cc_output sub) then

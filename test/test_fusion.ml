@@ -332,8 +332,8 @@ let test_clone_under_fusion () =
   | _ -> Alcotest.fail "clone memory wrong under fusion"
 
 (* End-to-end: recording the calc app fused and unfused produces
-   byte-identical syscall traces (the walireplay gate enforces this for
-   the whole suite; this is the in-tree witness). *)
+   byte-identical syscall traces (`waliperf gate` enforces this for the
+   whole suite; this is the in-tree witness). *)
 let test_calc_trace_identical () =
   let record fuse =
     match Apps.Suite.find "calc" with

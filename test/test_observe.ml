@@ -1,8 +1,9 @@
 (* The observability subsystem (lib/observe): histogram bucketing edge
    cases, the hand-rolled JSON parser, trace-event well-formedness over a
    real forking app, metrics schema checks, folded-profile determinism,
-   replay regenerating the recorded run's syscall histogram, and the
-   Strace hex argument rendering satellite. *)
+   replay regenerating the recorded run's syscall histogram, the Strace
+   hex argument rendering, and the WALI crossing's one-registry and
+   killed-call accounting. *)
 
 (* ---- helpers ---- *)
 
@@ -254,16 +255,75 @@ let test_strace_hex_args () =
   let t = Wali.Strace.create ~verbose:true () in
   let lines = ref [] in
   t.Wali.Strace.log <- Some (fun l -> lines := l :: !lines);
+  let i64 v = Wasm.Values.I64 v in
   Wali.Strace.note t ~pid:7 ~name:"write"
-    ~args:[ 3L; 0x12340L; 64L ]
+    ~args:[| i64 3L; i64 0x12340L; i64 64L |]
     ~result:64L ~ns:100L;
-  Wali.Strace.note t ~pid:7 ~name:"close" ~args:[ 0xFFFFL ] ~result:0L ~ns:0L;
+  Wali.Strace.note t ~pid:7 ~name:"close" ~args:[| i64 0xFFFFL |] ~result:0L
+    ~ns:0L;
   match List.rev !lines with
   | [ w; c ] ->
       Alcotest.(check string)
         "address-like arg in hex" "[7] write(3, 0x12340, 64) = 64" w;
       Alcotest.(check string) "small args stay decimal" "[7] close(65535) = 0" c
   | ls -> Alcotest.failf "expected 2 lines, got %d" (List.length ls)
+
+(* ---- the crossing: one registry, closed even when killed ---- *)
+
+(* A seccomp kill raises out of the crossing. The call still closes its
+   span and counts once, as a failed call. *)
+let test_seccomp_kill_closes_span () =
+  let trace = Wali.Strace.create () in
+  let sink =
+    Observe.Sink.create ~metrics:(Wali.Strace.metrics trace)
+      Observe.Sink.all_on
+  in
+  let policy = Wali.Seccomp.allow_all () in
+  Wali.Seccomp.kill_on policy "write";
+  let status, _ =
+    Apps.Suite.run ~trace ~policy ~observe:sink (find_app "calc")
+  in
+  Alcotest.(check int) "killed by SIGSYS"
+    (Kernel.Ktypes.wsignal_status Kernel.Ktypes.sigsys)
+    status;
+  (match Observe.Check.check_trace (Observe.Sink.trace_json sink) with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "trace: %s" e);
+  match Wali.Strace.info trace "write" with
+  | None -> Alcotest.fail "the killed write was not counted"
+  | Some i ->
+      Alcotest.(check int) "write counted once" 1 i.Wali.Strace.i_calls;
+      Alcotest.(check int) "as a failed call" 1 i.Wali.Strace.i_errors
+
+let test_one_registry_per_engine () =
+  let o = Observe.Sink.create Observe.Sink.metrics_only in
+  let eng = Wali.Engine.create ~observe:o (Kernel.Task.boot ()) in
+  Alcotest.(check bool) "the tracer is a view over the sink's registry" true
+    (Wali.Strace.metrics eng.Wali.Engine.trace == Observe.Sink.metrics o);
+  Alcotest.check_raises "a tracer over another registry is refused"
+    (Invalid_argument
+       "Engine.create: ~trace and ~observe must share one metrics registry")
+    (fun () ->
+      ignore
+        (Wali.Engine.create ~trace:(Wali.Strace.create ()) ~observe:o
+           (Kernel.Task.boot ())));
+  (* a recorded run counts each recorded syscall exactly once *)
+  let a = find_app "minish" in
+  let sink = Observe.Sink.create Observe.Sink.all_on in
+  let r =
+    Replay.Recorder.record ~observe:sink
+      ~kernel:(Apps.Suite.boot ~setup:a.Apps.Suite.a_setup
+                 ~stdin:a.Apps.Suite.a_stdin ())
+      ~binary:(Apps.Suite.binary_of a) ~argv:a.Apps.Suite.a_argv ~env:[] ()
+  in
+  let recorded =
+    Array.fold_left
+      (fun n -> function Replay.Trace.E_syscall _ -> n + 1 | _ -> n)
+      0 r.Replay.Recorder.r_trace.Replay.Trace.tr_events
+  in
+  Alcotest.(check bool) "minish makes syscalls" true (recorded > 0);
+  Alcotest.(check int) "sink calls = recorded syscall events" recorded
+    (Observe.Metrics.total_calls (Observe.Sink.metrics sink))
 
 let tests =
   [
@@ -284,4 +344,8 @@ let tests =
       test_replay_regenerates_metrics;
     Alcotest.test_case "strace renders addresses in hex" `Quick
       test_strace_hex_args;
+    Alcotest.test_case "seccomp kill closes span, counts call" `Quick
+      test_seccomp_kill_closes_span;
+    Alcotest.test_case "one registry per engine" `Quick
+      test_one_registry_per_engine;
   ]
