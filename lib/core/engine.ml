@@ -116,9 +116,10 @@ let fresh_mem_id eng =
   id
 
 let proc_of eng (m : Rt.machine) : proc =
-  match Hashtbl.find_opt eng.procs m.Rt.m_pid with
-  | Some p -> p
-  | None -> Values.trap "no WALI process for machine (pid %d)" m.Rt.m_pid
+  match Hashtbl.find eng.procs m.Rt.m_pid with
+  | p -> p
+  | exception Not_found ->
+      Values.trap "no WALI process for machine (pid %d)" m.Rt.m_pid
 
 
 (** The machine's current Wasm call stack, outermost first — the folded
@@ -408,7 +409,7 @@ let run_machine_body eng (p : proc) (m : Rt.machine) ~fresh_entry
            match entry with
            | Some f -> Interp.invoke m f args
            | None -> Interp.R_trap "no entry function"
-         else Interp.resume m ~results:0)
+         else Interp.resume m)
     with Killed_by status -> `Killed status
   in
   match outcome with

@@ -68,11 +68,11 @@ type op =
       (* local_get a; local_get b; i32.binop *)
   | F_ll_i32_binop_set of int * int * int_binop * int
       (* local_get a; local_get b; i32.binop; local_set d *)
-  | F_lc_i32_binop of int * Int32.t * int_binop
+  | F_lc_i32_binop of int * int * int_binop
       (* local_get a; i32.const c; i32.binop *)
-  | F_lc_i32_binop_set of int * Int32.t * int_binop * int
+  | F_lc_i32_binop_set of int * int * int_binop * int
       (* local_get a; i32.const c; i32.binop; local_set d *)
-  | F_const_i32_binop of Int32.t * int_binop
+  | F_const_i32_binop of int * int_binop
       (* i32.const c; i32.binop — tos := tos op c *)
   | F_i32_binop_set of int_binop * int
       (* i32.binop; local_set d — sink the result into a local *)
@@ -82,10 +82,11 @@ type op =
       (* i32.relop; br_if — fused compare-and-branch *)
   | F_ll_i32_relop_br_if of int * int * int_relop * jump
       (* local_get a; local_get b; i32.relop; br_if *)
-  | F_lc_i32_relop_br_if of int * Int32.t * int_relop * jump
+  | F_lc_i32_relop_br_if of int * int * int_relop * jump
       (* local_get a; i32.const c; i32.relop; br_if *)
-  | F_lc_store of int * Values.value * store_kind * int
-      (* local_get a; const v; store — mem[local a + off] := v *)
+  | F_lc_store of int * int64 * store_kind * int
+      (* local_get a; const v; store — mem[local a + off] := v, kept as
+         its slot bits *)
   | F_i32_eqz_br_if of jump
       (* i32.eqz; br_if — branch-if-zero *)
   | F_i32_relop_eqz_br_if of int_relop * jump
@@ -93,7 +94,7 @@ type op =
          minicc lowers `if (a < b)` fall-through edges this way *)
   | F_ll_i32_relop_eqz_br_if of int * int * int_relop * jump
       (* local_get a; local_get b; i32.relop; i32.eqz; br_if *)
-  | F_lc_i32_relop_eqz_br_if of int * Int32.t * int_relop * jump
+  | F_lc_i32_relop_eqz_br_if of int * int * int_relop * jump
       (* local_get a; i32.const c; i32.relop; i32.eqz; br_if *)
   | F_l_i32_binop of int * int_binop
       (* local_get b; i32.binop — tos := tos op local b *)
@@ -150,6 +151,7 @@ type fcode = {
   fc_arity : int; (* List.length fc_type.results, precomputed for returns *)
   fc_nparams : int; (* List.length fc_type.params, precomputed for calls *)
   fc_locals : val_type array; (* params followed by extra locals *)
+  fc_max_height : int; (* operand-stack slots the body can use above its locals *)
   fc_ops : op array;
 }
 
@@ -206,13 +208,15 @@ let compile_func env ~poll (f : func) : fcode =
   (* Value stack of types; Unknown height handling via frame.unreachable. *)
   let vstack = ref [] in
   let vheight = ref 0 in
+  let max_height = ref 0 in
   let ctrls : ctrl list ref = ref [] in
   let cur_ctrl () =
     match !ctrls with [] -> invalid "control stack underflow" | c :: _ -> c
   in
   let push_v t =
     vstack := t :: !vstack;
-    incr vheight
+    incr vheight;
+    if !vheight > !max_height then max_height := !vheight
   in
   (* Pops are polymorphic once the current frame is unreachable and the
      stack has been drained to the frame base. *)
@@ -252,6 +256,14 @@ let compile_func env ~poll (f : func) : fcode =
       }
     in
     ctrls := c :: !ctrls
+  in
+  (* Reset the stack to a frame's base: discards what an arm left
+     behind, which only unreachable code can do. *)
+  let truncate base =
+    while !vheight > base do
+      vstack := List.tl !vstack;
+      decr vheight
+    done
   in
   let mark_unreachable () =
     let c = cur_ctrl () in
@@ -593,15 +605,7 @@ let compile_func env ~poll (f : func) : fcode =
     (* Close the then arm manually (types), then emit skip-over-else. *)
     let c = cur_ctrl () in
     if not c.cf_unreachable then pop_list ft.results;
-    (* Reset stack to frame base. *)
-    let base = c.cf_height - List.length ft.params in
-    while !vheight > base do
-      match !vstack with
-      | _ :: rest ->
-          vstack := rest;
-          decr vheight
-      | [] -> ()
-    done;
+    truncate (c.cf_height - List.length ft.params);
     ctrls := List.tl !ctrls;
     let to_end = { target = -1; arity = 0; drop = 0 } in
     let then_was_reachable = not c.cf_unreachable in
@@ -613,14 +617,7 @@ let compile_func env ~poll (f : func) : fcode =
     List.iter instr else_body;
     let c2 = cur_ctrl () in
     if not c2.cf_unreachable then pop_list ft.results;
-    let base2 = c2.cf_height - List.length ft.params in
-    while !vheight > base2 do
-      match !vstack with
-      | _ :: rest ->
-          vstack := rest;
-          decr vheight
-      | [] -> ()
-    done;
+    truncate (c2.cf_height - List.length ft.params);
     (* Patch branches recorded against either arm's frame to the join. *)
     ctrls := List.tl !ctrls;
     let join = !len in
@@ -632,15 +629,7 @@ let compile_func env ~poll (f : func) : fcode =
   and end_frame () =
     let c = cur_ctrl () in
     if not c.cf_unreachable then pop_list c.cf_results;
-    (* Discard anything left (only possible in unreachable code). *)
-    let base = c.cf_height - List.length c.cf_params in
-    while !vheight > base do
-      match !vstack with
-      | _ :: rest ->
-          vstack := rest;
-          decr vheight
-      | [] -> ()
-    done;
+    truncate (c.cf_height - List.length c.cf_params);
     ctrls := List.tl !ctrls;
     List.iter (fun j -> j.target <- !len) c.cf_patches;
     push_list c.cf_results
@@ -657,7 +646,8 @@ let compile_func env ~poll (f : func) : fcode =
   { fc_name = f.f_name; fc_type = ftype;
     fc_arity = List.length ftype.results;
     fc_nparams = List.length ftype.params;
-    fc_locals = locals; fc_ops = Array.sub !buf 0 !len }
+    fc_locals = locals; fc_max_height = !max_height;
+    fc_ops = Array.sub !buf 0 !len }
 
 (* ------------------------------------------------------------------ *)
 (* Macro-op fusion                                                      *)
@@ -728,6 +718,22 @@ let nontrap_binop = function
   | Ast.Div_s | Ast.Div_u | Ast.Rem_s | Ast.Rem_u -> false
   | _ -> true
 
+(* Apply [f] to every jump record of an op. *)
+let iter_jumps f = function
+  | K_br j | K_br_if j
+  | F_i32_relop_br_if (_, j)
+  | F_ll_i32_relop_br_if (_, _, _, j)
+  | F_lc_i32_relop_br_if (_, _, _, j)
+  | F_i32_eqz_br_if j
+  | F_i32_relop_eqz_br_if (_, j)
+  | F_ll_i32_relop_eqz_br_if (_, _, _, j)
+  | F_lc_i32_relop_eqz_br_if (_, _, _, j) ->
+      f j
+  | K_br_table (js, dj) ->
+      Array.iter f js;
+      f dj
+  | _ -> ()
+
 let fuse_func (sites : (string, int) Hashtbl.t) (fc : fcode) : fcode =
   let ops = fc.fc_ops in
   let n = Array.length ops in
@@ -735,14 +741,7 @@ let fuse_func (sites : (string, int) Hashtbl.t) (fc : fcode) : fcode =
   let mark (j : jump) =
     if j.target >= 0 && j.target <= n then is_target.(j.target) <- true
   in
-  Array.iter
-    (function
-      | K_br j | K_br_if j -> mark j
-      | K_br_table (js, dj) ->
-          Array.iter mark js;
-          mark dj
-      | _ -> ())
-    ops;
+  Array.iter (iter_jumps mark) ops;
   let out = Array.make (max n 1) K_return in
   let olen = ref 0 in
   let new_pc = Array.make (n + 1) 0 in
@@ -763,7 +762,7 @@ let fuse_func (sites : (string, int) Hashtbl.t) (fc : fcode) : fcode =
           Some (F_ll_i32_relop_eqz_br_if (a, b, o, j))
       | ( K_local_get a, K_const (Values.I32 c), K_i32_relop o, K_i32_eqz,
           K_br_if j ) ->
-          Some (F_lc_i32_relop_eqz_br_if (a, c, o, j))
+          Some (F_lc_i32_relop_eqz_br_if (a, Int32.to_int c, o, j))
       | _ -> None
   in
   let try4 i =
@@ -775,11 +774,11 @@ let fuse_func (sites : (string, int) Hashtbl.t) (fc : fcode) : fcode =
           Some (F_ll_i32_binop_set (a, b, o, d))
       | K_local_get a, K_const (Values.I32 c), K_i32_binop o, K_local_set d
         when nontrap_binop o ->
-          Some (F_lc_i32_binop_set (a, c, o, d))
+          Some (F_lc_i32_binop_set (a, Int32.to_int c, o, d))
       | K_local_get a, K_local_get b, K_i32_relop o, K_br_if j ->
           Some (F_ll_i32_relop_br_if (a, b, o, j))
       | K_local_get a, K_const (Values.I32 c), K_i32_relop o, K_br_if j ->
-          Some (F_lc_i32_relop_br_if (a, c, o, j))
+          Some (F_lc_i32_relop_br_if (a, Int32.to_int c, o, j))
       | _ -> None
   in
   let try3 i =
@@ -789,9 +788,9 @@ let fuse_func (sites : (string, int) Hashtbl.t) (fc : fcode) : fcode =
       | K_local_get a, K_local_get b, K_i32_binop o ->
           Some (F_ll_i32_binop (a, b, o))
       | K_local_get a, K_const (Values.I32 c), K_i32_binop o ->
-          Some (F_lc_i32_binop (a, c, o))
+          Some (F_lc_i32_binop (a, Int32.to_int c, o))
       | K_local_get a, K_const v, K_store (k, off) ->
-          Some (F_lc_store (a, v, k, off))
+          Some (F_lc_store (a, Values.to_slot v, k, off))
       | K_i32_relop o, K_i32_eqz, K_br_if j ->
           Some (F_i32_relop_eqz_br_if (o, j))
       | _ -> None
@@ -803,7 +802,7 @@ let fuse_func (sites : (string, int) Hashtbl.t) (fc : fcode) : fcode =
       | K_local_get a, K_load (k, off) -> Some (F_local_load (a, k, off))
       | K_local_get a, K_i32_binop o -> Some (F_l_i32_binop (a, o))
       | K_local_get a, K_store (k, off) -> Some (F_l_store (a, k, off))
-      | K_const (Values.I32 c), K_i32_binop o -> Some (F_const_i32_binop (c, o))
+      | K_const (Values.I32 c), K_i32_binop o -> Some (F_const_i32_binop (Int32.to_int c, o))
       | K_i32_binop o, K_local_set d when nontrap_binop o ->
           Some (F_i32_binop_set (o, d))
       | K_i32_binop o, K_load (k, off) when nontrap_binop o ->
@@ -820,16 +819,7 @@ let fuse_func (sites : (string, int) Hashtbl.t) (fc : fcode) : fcode =
   in
   let i = ref 0 in
   while !i < n do
-    let sop =
-      match try5 !i with
-      | Some s -> Some s
-      | None -> (
-          match try4 !i with
-          | Some s -> Some s
-          | None -> (
-              match try3 !i with Some s -> Some s | None -> try2 !i))
-    in
-    match sop with
+    match List.find_map (fun try_w -> try_w !i) [ try5; try4; try3; try2 ] with
     | Some s ->
         let w = op_width s in
         for k = !i to !i + w - 1 do
@@ -851,23 +841,7 @@ let fuse_func (sites : (string, int) Hashtbl.t) (fc : fcode) : fcode =
   done;
   new_pc.(n) <- !olen;
   let fused = Array.sub out 0 !olen in
-  let remap (j : jump) = j.target <- new_pc.(j.target) in
-  Array.iter
-    (function
-      | K_br j | K_br_if j -> remap j
-      | K_br_table (js, dj) ->
-          Array.iter remap js;
-          remap dj
-      | F_i32_relop_br_if (_, j)
-      | F_ll_i32_relop_br_if (_, _, _, j)
-      | F_lc_i32_relop_br_if (_, _, _, j)
-      | F_i32_eqz_br_if j
-      | F_i32_relop_eqz_br_if (_, j)
-      | F_ll_i32_relop_eqz_br_if (_, _, _, j)
-      | F_lc_i32_relop_eqz_br_if (_, _, _, j) ->
-          remap j
-      | _ -> ())
-    fused;
+  Array.iter (iter_jumps (fun j -> j.target <- new_pc.(j.target))) fused;
   { fc with fc_ops = fused }
 
 (* ------------------------------------------------------------------ *)

@@ -3,7 +3,12 @@
     The loop — not the host functions — performs process-model surgery
     (fork clones the machine, exec swaps the process image), mirroring how
     WALI keeps syscall handlers tiny while the engine owns the execution
-    environment. *)
+    environment.
+
+    Operands live in the machine's untagged 8-byte slots (see
+    {!Rt.machine}). An i32 is computed as an OCaml [int] holding its
+    sign-extended value, so the i32 path boxes nothing; i64 and float
+    operands are read and written as unboxed [int64]/[float] locals. *)
 
 open Values
 open Rt
@@ -13,146 +18,236 @@ type run_result =
   | R_trap of string
   | R_exit of int
 
+(* ------------------------------------------------------------------ *)
+(* Slots                                                                *)
+(* ------------------------------------------------------------------ *)
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
+
+let[@inline] slot (m : machine) k = get64 m.stack (8 * k)
+let[@inline] set_slot (m : machine) k v = set64 m.stack (8 * k) v
+let[@inline] slot_i (m : machine) k = Int64.to_int (get64 m.stack (8 * k))
+let[@inline] set_slot_i (m : machine) k v = set64 m.stack (8 * k) (Int64.of_int v)
+
+let[@inline] push (m : machine) v =
+  set_slot m m.sp v;
+  m.sp <- m.sp + 1
+
+let[@inline] push_i (m : machine) v =
+  set_slot_i m m.sp v;
+  m.sp <- m.sp + 1
+
+let[@inline] pop (m : machine) =
+  m.sp <- m.sp - 1;
+  slot m m.sp
+
+let[@inline] pop_i (m : machine) =
+  m.sp <- m.sp - 1;
+  slot_i m m.sp
+
+let[@inline] local_i (m : machine) (fr : frame) i = slot_i m (fr.fr_fp + i)
+let[@inline] wrap x = (x lsl 31) asr 31 (* an int's low 32 bits, sign-extended *)
+let[@inline] u32 x = x land 0xFFFF_FFFF
+let[@inline] f32_slot f = Int64.of_int32 (Int32.bits_of_float f)
+let[@inline] f32_of_slot s = Int32.float_of_bits (Int64.to_int32 s)
+let[@inline] b2i b = if b then 1 else 0
+
+(* ------------------------------------------------------------------ *)
+(* Frames and branches                                                  *)
+(* ------------------------------------------------------------------ *)
+
 let jump (m : machine) (fr : frame) (j : Code.jump) =
   let { Code.target; arity; drop } = j in
   if drop > 0 then begin
     for i = 0 to arity - 1 do
-      m.stack.(m.sp - drop - arity + i) <- m.stack.(m.sp - arity + i)
+      set_slot m (m.sp - drop - arity + i) (slot m (m.sp - arity + i))
     done;
     m.sp <- m.sp - drop
   end;
   fr.fr_pc <- target
 
-(* Pop the current frame, preserving [fc_arity] results from the stack
-   top. The frame record stays in the machine's frame array for reuse by
-   the next call at this depth. *)
+(* Pop the current frame, moving [fc_arity] results down to its [fr_fp].
+   The frame record stays in the machine's frame array for reuse by the
+   next call at this depth. *)
 let pop_frame (m : machine) =
-  (match m.prof_hook with Some h -> h m | None -> ());
+  (match m.prof_hook with Some h -> Machine.sync m; h m | None -> ());
   if m.depth = 0 then trap "return with no frame";
   let fr = m.frames.(m.depth - 1) in
   let n = fr.fr_code.Code.fc_arity in
   for i = 0 to n - 1 do
-    m.stack.(fr.fr_ret_sp + i) <- m.stack.(m.sp - n + i)
+    set_slot m (fr.fr_fp + i) (slot m (m.sp - n + i))
   done;
-  m.sp <- fr.fr_ret_sp + n;
+  m.sp <- fr.fr_fp + n;
   m.depth <- m.depth - 1
 
-let addr_of (m : machine) offset =
-  let a = Machine.pop m in
-  (Int32.to_int (as_i32 a) land 0xFFFFFFFF) + offset
+(* Pop [types] (last on top) as tagged values. *)
+let pop_values (m : machine) (types : Types.val_type list) =
+  let base = m.sp - List.length types in
+  m.sp <- base;
+  List.mapi (fun i t -> Values.of_slot t (slot m (base + i))) types
 
-let i32_of_bool b = I32 (if b then 1l else 0l)
+(* ------------------------------------------------------------------ *)
+(* Memory                                                               *)
+(* ------------------------------------------------------------------ *)
 
-let exec_load (m : machine) mem kind addr =
-  let v =
-    match kind with
-    | Code.L_i32 -> I32 (Memory.load32 mem addr)
-    | Code.L_i64 -> I64 (Memory.load64 mem addr)
-    | Code.L_f32 -> F32 (Memory.load32 mem addr)
-    | Code.L_f64 -> F64 (Memory.load64 mem addr)
-    | Code.L_i32_8 Ast.SX -> I32 (Int32.of_int (Memory.load8_s mem addr))
-    | Code.L_i32_8 Ast.ZX -> I32 (Int32.of_int (Memory.load8_u mem addr))
-    | Code.L_i32_16 Ast.SX -> I32 (Int32.of_int (Memory.load16_s mem addr))
-    | Code.L_i32_16 Ast.ZX -> I32 (Int32.of_int (Memory.load16_u mem addr))
-    | Code.L_i64_8 Ast.SX -> I64 (Int64.of_int (Memory.load8_s mem addr))
-    | Code.L_i64_8 Ast.ZX -> I64 (Int64.of_int (Memory.load8_u mem addr))
-    | Code.L_i64_16 Ast.SX -> I64 (Int64.of_int (Memory.load16_s mem addr))
-    | Code.L_i64_16 Ast.ZX -> I64 (Int64.of_int (Memory.load16_u mem addr))
-    | Code.L_i64_32 Ast.SX -> I64 (Int64.of_int32 (Memory.load32 mem addr))
-    | Code.L_i64_32 Ast.ZX ->
-        I64 (Int64.logand (Int64.of_int32 (Memory.load32 mem addr)) 0xFFFFFFFFL)
-  in
-  Machine.push m v
+let oob addr = trap "out of bounds memory access at %d" addr
 
-let exec_store mem kind addr v =
+let[@inline] check (d : Bytes.t) addr w = if addr > Bytes.length d - w then oob addr
+
+(* Load from [addr] and push the result slot. *)
+let exec_load (m : machine) (d : Bytes.t) kind addr =
   match kind with
-  | Code.S_i32 -> Memory.store32 mem addr (as_i32 v)
-  | Code.S_i64 -> Memory.store64 mem addr (as_i64 v)
-  | Code.S_f32 -> Memory.store32 mem addr (as_f32 v)
-  | Code.S_f64 -> Memory.store64 mem addr (as_f64 v)
-  | Code.S_i32_8 -> Memory.store8 mem addr (Int32.to_int (as_i32 v))
-  | Code.S_i32_16 -> Memory.store16 mem addr (Int32.to_int (as_i32 v))
-  | Code.S_i64_8 -> Memory.store8 mem addr (Int64.to_int (Int64.logand (as_i64 v) 0xffL))
-  | Code.S_i64_16 -> Memory.store16 mem addr (Int64.to_int (Int64.logand (as_i64 v) 0xffffL))
-  | Code.S_i64_32 -> Memory.store32 mem addr (Int64.to_int32 (as_i64 v))
+  | Code.L_i32 | Code.L_f32 | Code.L_i64_32 Ast.SX ->
+      check d addr 4;
+      push m (Int64.of_int32 (Bytes.get_int32_le d addr))
+  | Code.L_i64 | Code.L_f64 ->
+      check d addr 8;
+      push m (Bytes.get_int64_le d addr)
+  | Code.L_i32_8 Ast.SX | Code.L_i64_8 Ast.SX ->
+      check d addr 1;
+      push_i m (Bytes.get_int8 d addr)
+  | Code.L_i32_8 Ast.ZX | Code.L_i64_8 Ast.ZX ->
+      check d addr 1;
+      push_i m (Bytes.get_uint8 d addr)
+  | Code.L_i32_16 Ast.SX | Code.L_i64_16 Ast.SX ->
+      check d addr 2;
+      push_i m (Bytes.get_int16_le d addr)
+  | Code.L_i32_16 Ast.ZX | Code.L_i64_16 Ast.ZX ->
+      check d addr 2;
+      push_i m (Bytes.get_uint16_le d addr)
+  | Code.L_i64_32 Ast.ZX ->
+      check d addr 4;
+      push_i m (u32 (Int32.to_int (Bytes.get_int32_le d addr)))
+
+(* Store the low bits of slot [v] at [addr]. Inlined, so that [v] is
+   never boxed. *)
+let[@inline] exec_store (d : Bytes.t) kind addr (v : int64) =
+  match kind with
+  | Code.S_i32 | Code.S_f32 | Code.S_i64_32 ->
+      check d addr 4;
+      Bytes.set_int32_le d addr (Int64.to_int32 v)
+  | Code.S_i64 | Code.S_f64 ->
+      check d addr 8;
+      Bytes.set_int64_le d addr v
+  | Code.S_i32_8 | Code.S_i64_8 ->
+      check d addr 1;
+      Bytes.set_uint8 d addr (Int64.to_int v land 0xff)
+  | Code.S_i32_16 | Code.S_i64_16 ->
+      check d addr 2;
+      Bytes.set_uint16_le d addr (Int64.to_int v land 0xffff)
+
+let[@inline] mem0 (fr : frame) = fr.fr_inst.i_memories.(0)
+
+(* ------------------------------------------------------------------ *)
+(* Numeric operators                                                    *)
+(* ------------------------------------------------------------------ *)
 
 let exec_i32_unop o x =
   match o with
-  | Ast.Clz -> Int32.of_int (I32_op.clz x)
-  | Ast.Ctz -> Int32.of_int (I32_op.ctz x)
-  | Ast.Popcnt -> Int32.of_int (I32_op.popcnt x)
-
-let exec_i64_unop o x =
-  match o with
-  | Ast.Clz -> Int64.of_int (I64_op.clz x)
-  | Ast.Ctz -> Int64.of_int (I64_op.ctz x)
-  | Ast.Popcnt -> Int64.of_int (I64_op.popcnt x)
+  | Ast.Clz -> I32_op.clz x
+  | Ast.Ctz -> I32_op.ctz x
+  | Ast.Popcnt -> I32_op.popcnt x
 
 let exec_i32_binop o a b =
-  let open Int32 in
   match o with
-  | Ast.Add -> add a b
-  | Ast.Sub -> sub a b
-  | Ast.Mul -> mul a b
+  | Ast.Add -> wrap (a + b)
+  | Ast.Sub -> wrap (a - b)
+  | Ast.Mul -> wrap (a * b)
   | Ast.Div_s -> I32_op.div_s a b
   | Ast.Div_u -> I32_op.div_u a b
   | Ast.Rem_s -> I32_op.rem_s a b
   | Ast.Rem_u -> I32_op.rem_u a b
-  | Ast.And -> logand a b
-  | Ast.Or -> logor a b
-  | Ast.Xor -> logxor a b
-  | Ast.Shl -> I32_op.shl a b
-  | Ast.Shr_s -> I32_op.shr_s a b
-  | Ast.Shr_u -> I32_op.shr_u a b
-  | Ast.Rotl -> I32_op.rotl a b
-  | Ast.Rotr -> I32_op.rotr a b
-
-let exec_i64_binop o a b =
-  let open Int64 in
-  match o with
-  | Ast.Add -> add a b
-  | Ast.Sub -> sub a b
-  | Ast.Mul -> mul a b
-  | Ast.Div_s -> I64_op.div_s a b
-  | Ast.Div_u -> I64_op.div_u a b
-  | Ast.Rem_s -> I64_op.rem_s a b
-  | Ast.Rem_u -> I64_op.rem_u a b
-  | Ast.And -> logand a b
-  | Ast.Or -> logor a b
-  | Ast.Xor -> logxor a b
-  | Ast.Shl -> I64_op.shl a b
-  | Ast.Shr_s -> I64_op.shr_s a b
-  | Ast.Shr_u -> I64_op.shr_u a b
-  | Ast.Rotl -> I64_op.rotl a b
-  | Ast.Rotr -> I64_op.rotr a b
+  | Ast.And -> a land b
+  | Ast.Or -> a lor b
+  | Ast.Xor -> a lxor b
+  | Ast.Shl -> wrap (a lsl (b land 31))
+  | Ast.Shr_s -> a asr (b land 31)
+  | Ast.Shr_u -> wrap (u32 a lsr (b land 31))
+  | Ast.Rotl ->
+      let n = b land 31 and u = u32 a in
+      wrap ((u lsl n) lor (u lsr (32 - n)))
+  | Ast.Rotr ->
+      let n = b land 31 and u = u32 a in
+      wrap ((u lsr n) lor (u lsl (32 - n)))
 
 let exec_i32_relop o a b =
   match o with
   | Ast.Eq -> a = b
   | Ast.Ne -> a <> b
-  | Ast.Lt_s -> Int32.compare a b < 0
-  | Ast.Lt_u -> I32_op.unsigned_compare a b < 0
-  | Ast.Gt_s -> Int32.compare a b > 0
-  | Ast.Gt_u -> I32_op.unsigned_compare a b > 0
-  | Ast.Le_s -> Int32.compare a b <= 0
-  | Ast.Le_u -> I32_op.unsigned_compare a b <= 0
-  | Ast.Ge_s -> Int32.compare a b >= 0
-  | Ast.Ge_u -> I32_op.unsigned_compare a b >= 0
+  | Ast.Lt_s -> a < b
+  | Ast.Lt_u -> u32 a < u32 b
+  | Ast.Gt_s -> a > b
+  | Ast.Gt_u -> u32 a > u32 b
+  | Ast.Le_s -> a <= b
+  | Ast.Le_u -> u32 a <= u32 b
+  | Ast.Ge_s -> a >= b
+  | Ast.Ge_u -> u32 a >= u32 b
 
-let exec_i64_relop o a b =
-  match o with
-  | Ast.Eq -> a = b
-  | Ast.Ne -> a <> b
-  | Ast.Lt_s -> Int64.compare a b < 0
-  | Ast.Lt_u -> I64_op.unsigned_compare a b < 0
-  | Ast.Gt_s -> Int64.compare a b > 0
-  | Ast.Gt_u -> I64_op.unsigned_compare a b > 0
-  | Ast.Le_s -> Int64.compare a b <= 0
-  | Ast.Le_u -> I64_op.unsigned_compare a b <= 0
-  | Ast.Ge_s -> Int64.compare a b >= 0
-  | Ast.Ge_u -> I64_op.unsigned_compare a b >= 0
+(* The i64 and float operators rewrite the stack top in place, so their
+   operands stay unboxed locals. *)
+let exec_i64_unop (m : machine) o =
+  let k = m.sp - 1 in
+  let x = slot m k in
+  set_slot_i m k
+    (match o with
+    | Ast.Clz -> I64_op.clz x
+    | Ast.Ctz -> I64_op.ctz x
+    | Ast.Popcnt -> I64_op.popcnt x)
 
-let exec_f_unop o x =
+let exec_i64_binop (m : machine) o =
+  let b = pop m in
+  let k = m.sp - 1 in
+  let a = slot m k in
+  let open Int64 in
+  set64 m.stack (8 * k)
+    (match o with
+    | Ast.Add -> add a b
+    | Ast.Sub -> sub a b
+    | Ast.Mul -> mul a b
+    | Ast.Div_s -> I64_op.div_s a b
+    | Ast.Div_u -> I64_op.div_u a b
+    | Ast.Rem_s -> I64_op.rem_s a b
+    | Ast.Rem_u -> I64_op.rem_u a b
+    | Ast.And -> logand a b
+    | Ast.Or -> logor a b
+    | Ast.Xor -> logxor a b
+    | Ast.Shl -> shift_left a (to_int b land 63)
+    | Ast.Shr_s -> shift_right a (to_int b land 63)
+    | Ast.Shr_u -> shift_right_logical a (to_int b land 63)
+    | Ast.Rotl -> I64_op.rotl a b
+    | Ast.Rotr -> I64_op.rotr a b)
+
+let exec_i64_relop (m : machine) o =
+  let b = pop m in
+  let k = m.sp - 1 in
+  let a = slot m k in
+  let ua = Int64.add a Int64.min_int and ub = Int64.add b Int64.min_int in
+  set_slot_i m k
+    (b2i
+       (match o with
+       | Ast.Eq -> a = b
+       | Ast.Ne -> a <> b
+       | Ast.Lt_s -> a < b
+       | Ast.Lt_u -> ua < ub
+       | Ast.Gt_s -> a > b
+       | Ast.Gt_u -> ua > ub
+       | Ast.Le_s -> a <= b
+       | Ast.Le_u -> ua <= ub
+       | Ast.Ge_s -> a >= b
+       | Ast.Ge_u -> ua >= ub))
+
+(* Round to nearest, ties to even; the sign of a zero result is kept. *)
+let nearest x =
+  let r = Float.round x in
+  let r =
+    if Float.abs (r -. x) = 0.5 && Float.rem r 2.0 <> 0.0 then
+      r -. Float.copy_sign 1.0 x
+    else r
+  in
+  Float.copy_sign r x
+
+let[@inline] exec_f_unop o x =
   match o with
   | Ast.Neg -> -.x
   | Ast.Abs -> Float.abs x
@@ -160,9 +255,9 @@ let exec_f_unop o x =
   | Ast.Ceil -> Float.ceil x
   | Ast.Floor -> Float.floor x
   | Ast.Trunc -> Float.trunc x
-  | Ast.Nearest -> Float.round x (* round-half-away; close enough for our use *)
+  | Ast.Nearest -> nearest x
 
-let exec_f_binop o a b =
+let[@inline] exec_f_binop o a b =
   match o with
   | Ast.Fadd -> a +. b
   | Ast.Fsub -> a -. b
@@ -172,7 +267,7 @@ let exec_f_binop o a b =
   | Ast.Fmax -> Float.max a b
   | Ast.Copysign -> Float.copy_sign a b
 
-let exec_f_relop o a b =
+let[@inline] exec_f_relop o (a : float) b =
   match o with
   | Ast.Feq -> a = b
   | Ast.Fne -> a <> b
@@ -181,122 +276,120 @@ let exec_f_relop o a b =
   | Ast.Fle -> a <= b
   | Ast.Fge -> a >= b
 
-let exec_cvt (c : Code.cvt) v =
-  match c with
-  | Code.C_i32_wrap_i64 -> I32 (Int64.to_int32 (as_i64 v))
-  | Code.C_i64_extend_i32 Ast.SX -> I64 (Int64.of_int32 (as_i32 v))
-  | Code.C_i64_extend_i32 Ast.ZX ->
-      I64 (Int64.logand (Int64.of_int32 (as_i32 v)) 0xFFFFFFFFL)
-  | Code.C_i32_trunc_f32 Ast.SX ->
-      I32 (Convert.trunc_f64_i32_s (Int32.float_of_bits (as_f32 v)))
-  | Code.C_i32_trunc_f32 Ast.ZX ->
-      I32 (Convert.trunc_f64_i32_u (Int32.float_of_bits (as_f32 v)))
-  | Code.C_i32_trunc_f64 Ast.SX ->
-      I32 (Convert.trunc_f64_i32_s (Int64.float_of_bits (as_f64 v)))
-  | Code.C_i32_trunc_f64 Ast.ZX ->
-      I32 (Convert.trunc_f64_i32_u (Int64.float_of_bits (as_f64 v)))
-  | Code.C_i64_trunc_f32 Ast.SX ->
-      I64 (Convert.trunc_f64_i64_s (Int32.float_of_bits (as_f32 v)))
-  | Code.C_i64_trunc_f32 Ast.ZX ->
-      I64 (Convert.trunc_f64_i64_u (Int32.float_of_bits (as_f32 v)))
-  | Code.C_i64_trunc_f64 Ast.SX ->
-      I64 (Convert.trunc_f64_i64_s (Int64.float_of_bits (as_f64 v)))
-  | Code.C_i64_trunc_f64 Ast.ZX ->
-      I64 (Convert.trunc_f64_i64_u (Int64.float_of_bits (as_f64 v)))
-  | Code.C_f32_convert_i32 Ast.SX ->
-      F32 (Int32.bits_of_float (Int32.to_float (as_i32 v)))
-  | Code.C_f32_convert_i32 Ast.ZX ->
-      F32 (Int32.bits_of_float (Convert.convert_i32_u_to_float (as_i32 v)))
-  | Code.C_f32_convert_i64 Ast.SX ->
-      F32 (Int32.bits_of_float (Int64.to_float (as_i64 v)))
-  | Code.C_f32_convert_i64 Ast.ZX ->
-      F32 (Int32.bits_of_float (Convert.convert_i64_u_to_float (as_i64 v)))
-  | Code.C_f64_convert_i32 Ast.SX ->
-      F64 (Int64.bits_of_float (Int32.to_float (as_i32 v)))
-  | Code.C_f64_convert_i32 Ast.ZX ->
-      F64 (Int64.bits_of_float (Convert.convert_i32_u_to_float (as_i32 v)))
-  | Code.C_f64_convert_i64 Ast.SX ->
-      F64 (Int64.bits_of_float (Int64.to_float (as_i64 v)))
-  | Code.C_f64_convert_i64 Ast.ZX ->
-      F64 (Int64.bits_of_float (Convert.convert_i64_u_to_float (as_i64 v)))
-  | Code.C_f32_demote_f64 ->
-      F32 (Int32.bits_of_float (Int64.float_of_bits (as_f64 v)))
-  | Code.C_f64_promote_f32 ->
-      F64 (Int64.bits_of_float (Int32.float_of_bits (as_f32 v)))
-  | Code.C_i32_reinterpret_f32 -> I32 (as_f32 v)
-  | Code.C_i64_reinterpret_f64 -> I64 (as_f64 v)
-  | Code.C_f32_reinterpret_i32 -> F32 (as_i32 v)
-  | Code.C_f64_reinterpret_i64 -> F64 (as_i64 v)
-  | Code.C_i32_extend8_s ->
-      let x = Int32.to_int (as_i32 v) land 0xff in
-      I32 (Int32.of_int (if x >= 0x80 then x - 0x100 else x))
-  | Code.C_i32_extend16_s ->
-      let x = Int32.to_int (as_i32 v) land 0xffff in
-      I32 (Int32.of_int (if x >= 0x8000 then x - 0x10000 else x))
-  | Code.C_i64_extend8_s ->
-      let x = Int64.to_int (Int64.logand (as_i64 v) 0xffL) in
-      I64 (Int64.of_int (if x >= 0x80 then x - 0x100 else x))
-  | Code.C_i64_extend16_s ->
-      let x = Int64.to_int (Int64.logand (as_i64 v) 0xffffL) in
-      I64 (Int64.of_int (if x >= 0x8000 then x - 0x10000 else x))
-  | Code.C_i64_extend32_s -> I64 (Int64.of_int32 (Int64.to_int32 (as_i64 v)))
+let exec_cvt (m : machine) (c : Code.cvt) =
+  let k = m.sp - 1 in
+  let v = slot m k in
+  let i32 = Int64.to_int32 v in
+  let sx8 x = (x lsl 55) asr 55 and sx16 x = (x lsl 47) asr 47 in
+  set64 m.stack (8 * k)
+    (match c with
+    | Code.C_i32_wrap_i64 | Code.C_i64_extend_i32 Ast.SX
+    | Code.C_i64_extend32_s ->
+        Int64.of_int32 i32
+    | Code.C_i64_extend_i32 Ast.ZX -> Int64.logand v 0xFFFFFFFFL
+    | Code.C_i32_trunc_f32 Ast.SX ->
+        Int64.of_int32 (Convert.trunc_f64_i32_s (f32_of_slot v))
+    | Code.C_i32_trunc_f32 Ast.ZX ->
+        Int64.of_int32 (Convert.trunc_f64_i32_u (f32_of_slot v))
+    | Code.C_i32_trunc_f64 Ast.SX ->
+        Int64.of_int32 (Convert.trunc_f64_i32_s (Int64.float_of_bits v))
+    | Code.C_i32_trunc_f64 Ast.ZX ->
+        Int64.of_int32 (Convert.trunc_f64_i32_u (Int64.float_of_bits v))
+    | Code.C_i64_trunc_f32 Ast.SX -> Convert.trunc_f64_i64_s (f32_of_slot v)
+    | Code.C_i64_trunc_f32 Ast.ZX -> Convert.trunc_f64_i64_u (f32_of_slot v)
+    | Code.C_i64_trunc_f64 Ast.SX -> Convert.trunc_f64_i64_s (Int64.float_of_bits v)
+    | Code.C_i64_trunc_f64 Ast.ZX -> Convert.trunc_f64_i64_u (Int64.float_of_bits v)
+    | Code.C_f32_convert_i32 Ast.SX -> f32_slot (Int32.to_float i32)
+    | Code.C_f32_convert_i32 Ast.ZX -> f32_slot (Convert.convert_i32_u_to_float i32)
+    | Code.C_f32_convert_i64 Ast.SX -> f32_slot (Int64.to_float v)
+    | Code.C_f32_convert_i64 Ast.ZX -> f32_slot (Convert.convert_i64_u_to_float v)
+    | Code.C_f64_convert_i32 Ast.SX -> Int64.bits_of_float (Int32.to_float i32)
+    | Code.C_f64_convert_i32 Ast.ZX ->
+        Int64.bits_of_float (Convert.convert_i32_u_to_float i32)
+    | Code.C_f64_convert_i64 Ast.SX -> Int64.bits_of_float (Int64.to_float v)
+    | Code.C_f64_convert_i64 Ast.ZX ->
+        Int64.bits_of_float (Convert.convert_i64_u_to_float v)
+    | Code.C_f32_demote_f64 -> f32_slot (Int64.float_of_bits v)
+    | Code.C_f64_promote_f32 -> Int64.bits_of_float (f32_of_slot v)
+    | Code.C_i32_reinterpret_f32 | Code.C_f32_reinterpret_i32
+    | Code.C_i64_reinterpret_f64 | Code.C_f64_reinterpret_i64 ->
+        v
+    | Code.C_i32_extend8_s | Code.C_i64_extend8_s ->
+        Int64.of_int (sx8 (Int64.to_int v))
+    | Code.C_i32_extend16_s | Code.C_i64_extend16_s ->
+        Int64.of_int (sx16 (Int64.to_int v)))
+
+(* Each handler counts its op before anything can trap; a
+   superinstruction charges its whole width ({!Code.op_width}), so
+   instruction counts (and trap-time counts) are identical to the
+   unfused engine. *)
+let[@inline] fuse (m : machine) width =
+  m.hot_steps <- m.hot_steps + width - 1;
+  m.hot_fused <- m.hot_fused + 1
+
+let host_outcome m hf_fn args ~where =
+  match hf_fn m (Array.of_list args) with
+  | H_return vs -> R_done vs
+  | H_trap s -> R_trap s
+  | H_exit c -> R_exit c
+  | H_fork _ | H_exec _ -> R_trap ("fork/exec " ^ where)
 
 exception Exit_trap of run_result
 
 (** Run machine [m0] until its frame depth returns to [stop_depth]
-    (0 = run to completion). [results] gives the arity of the entry
-    function. *)
-let rec run_machine ?(stop_depth = 0) (m0 : machine) ~(results : int) :
-    run_result =
+    (0 = run to completion). [results] gives the result types of the
+    entry function. *)
+let rec run_machine ?(stop_depth = 0) (m0 : machine)
+    ~(results : Types.val_type list) : run_result =
   let m = ref m0 in
   let results = ref results in
   let stop_depth = ref stop_depth in
-  let call_host (h : func_inst) hf_type (hf_fn : host_fn) =
-    ignore h;
-    let n = List.length hf_type.Types.params in
-    let args = Array.make n (I32 0l) in
-    for i = n - 1 downto 0 do
-      args.(i) <- Machine.pop !m
-    done;
-    match hf_fn !m args with
-    | H_return vs -> List.iter (Machine.push !m) vs
+  let call_host h hf_type (hf_fn : host_fn) =
+    let mch = !m in
+    let args = Array.of_list (pop_values mch hf_type.Types.params) in
+    Machine.sync mch;
+    match hf_fn mch args with
+    | H_return vs ->
+        (* slots are untyped, so a mistyped result would go unnoticed *)
+        if List.map Values.type_of vs <> hf_type.Types.results then
+          trap "host function %s returned [%s]" (func_name_of h)
+            (String.concat ", " (List.map Values.to_string vs));
+        List.iter (Machine.push mch) vs
     | H_trap s -> raise (Exit_trap (R_trap s))
     | H_exit code -> raise (Exit_trap (R_exit code))
     | H_fork register_child ->
-        let child = Machine.clone !m in
+        let child = Machine.clone mch in
         Machine.push child (I64 0L);
         let pid = register_child child in
-        Machine.push !m (I64 pid)
+        Machine.push mch (I64 pid)
     | H_exec make ->
         let m' = make () in
         m := m';
-        results := 0;
+        results := [];
         stop_depth := 0
+  in
+  let call f =
+    match f with
+    | Wasm_func { wf_inst; wf_code } -> Machine.push_frame !m wf_inst wf_code
+    | Host_func { hf_type; hf_fn; _ } -> call_host f hf_type hf_fn
   in
   let step fr =
     let mch = !m in
     let op = fr.fr_code.Code.fc_ops.(fr.fr_pc) in
     fr.fr_pc <- fr.fr_pc + 1;
-    mch.steps <- Int64.add mch.steps 1L;
+    mch.hot_steps <- mch.hot_steps + 1;
     match op with
     | Code.K_unreachable -> trap "unreachable executed"
     | Code.K_br j -> jump mch fr j
-    | Code.K_br_if j ->
-        let c = as_i32 (Machine.pop mch) in
-        if c <> 0l then jump mch fr j
+    | Code.K_br_if j -> if pop_i mch <> 0 then jump mch fr j
     | Code.K_br_table (js, dj) ->
-        let i = Int32.to_int (as_i32 (Machine.pop mch)) land 0xFFFFFFFF in
-        let j = if i >= 0 && i < Array.length js then js.(i) else dj in
-        jump mch fr j
+        let i = u32 (pop_i mch) in
+        jump mch fr (if i < Array.length js then js.(i) else dj)
     | Code.K_return -> pop_frame mch
-    | Code.K_call fi -> (
-        match fr.fr_inst.i_funcs.(fi) with
-        | Wasm_func { wf_inst; wf_code } -> Machine.push_frame mch wf_inst wf_code
-        | Host_func { hf_type; hf_fn; _ } as h -> call_host h hf_type hf_fn)
+    | Code.K_call fi -> call fr.fr_inst.i_funcs.(fi)
     | Code.K_call_indirect (ti, tbl) -> (
-        let i = Int32.to_int (as_i32 (Machine.pop mch)) land 0xFFFFFFFF in
-        let table = fr.fr_inst.i_tables.(tbl) in
-        match Table.get table i with
+        let i = u32 (pop_i mch) in
+        match Table.get fr.fr_inst.i_tables.(tbl) i with
         | None -> trap "uninitialized element %d" i
         | Some fidx ->
             let f = fr.fr_inst.i_funcs.(fidx) in
@@ -306,294 +399,224 @@ let rec run_machine ?(stop_depth = 0) (m0 : machine) ~(results : int) :
                 (Types.string_of_func_type expect)
                 (func_name_of f)
                 (Types.string_of_func_type (func_type_of f));
-            (match f with
-            | Wasm_func { wf_inst; wf_code } ->
-                Machine.push_frame mch wf_inst wf_code
-            | Host_func { hf_type; hf_fn; _ } as h -> call_host h hf_type hf_fn))
-    | Code.K_drop -> ignore (Machine.pop mch)
+            call f)
+    | Code.K_drop -> mch.sp <- mch.sp - 1
     | Code.K_select ->
-        let c = as_i32 (Machine.pop mch) in
-        let v2 = Machine.pop mch in
-        let v1 = Machine.pop mch in
-        Machine.push mch (if c <> 0l then v1 else v2)
-    | Code.K_local_get i -> Machine.push mch fr.fr_locals.(i)
-    | Code.K_local_set i -> fr.fr_locals.(i) <- Machine.pop mch
-    | Code.K_local_tee i -> fr.fr_locals.(i) <- Machine.peek mch
-    | Code.K_global_get i -> Machine.push mch (Global.get fr.fr_inst.i_globals.(i))
-    | Code.K_global_set i -> Global.set fr.fr_inst.i_globals.(i) (Machine.pop mch)
+        let c = pop_i mch in
+        mch.sp <- mch.sp - 1;
+        if c = 0 then set_slot mch (mch.sp - 1) (slot mch mch.sp)
+    | Code.K_local_get i -> push mch (slot mch (fr.fr_fp + i))
+    | Code.K_local_set i -> set_slot mch (fr.fr_fp + i) (pop mch)
+    | Code.K_local_tee i -> set_slot mch (fr.fr_fp + i) (slot mch (mch.sp - 1))
+    | Code.K_global_get i ->
+        push mch (Values.to_slot (Global.get fr.fr_inst.i_globals.(i)))
+    | Code.K_global_set i ->
+        let g = fr.fr_inst.i_globals.(i) in
+        Global.set g (Values.of_slot (Values.type_of (Global.get g)) (pop mch))
     | Code.K_load (kind, off) ->
-        let mem = fr.fr_inst.i_memories.(0) in
-        let addr = addr_of mch off in
-        (try exec_load mch mem kind addr
-         with Memory.Bounds -> trap "out of bounds memory access at %d" addr)
+        let addr = u32 (pop_i mch) + off in
+        exec_load mch (mem0 fr).Memory.data kind addr
     | Code.K_store (kind, off) ->
-        let mem = fr.fr_inst.i_memories.(0) in
-        let v = Machine.pop mch in
-        let addr = addr_of mch off in
-        (try exec_store mem kind addr v
-         with Memory.Bounds -> trap "out of bounds memory access at %d" addr)
-    | Code.K_memory_size ->
-        Machine.push mch (I32 (Int32.of_int (Memory.size_pages fr.fr_inst.i_memories.(0))))
+        let v = pop mch in
+        let addr = u32 (pop_i mch) + off in
+        exec_store (mem0 fr).Memory.data kind addr v
+    | Code.K_memory_size -> push_i mch (Memory.size_pages (mem0 fr))
     | Code.K_memory_grow ->
-        let n = Int32.to_int (as_i32 (Machine.pop mch)) in
-        let r = Memory.grow fr.fr_inst.i_memories.(0) n in
-        Machine.push mch (I32 (Int32.of_int r))
+        let k = mch.sp - 1 in
+        set_slot_i mch k (Memory.grow (mem0 fr) (slot_i mch k))
     | Code.K_memory_fill ->
-        let len = Int32.to_int (as_i32 (Machine.pop mch)) land 0xFFFFFFFF in
-        let byte = Int32.to_int (as_i32 (Machine.pop mch)) in
-        let dst = Int32.to_int (as_i32 (Machine.pop mch)) land 0xFFFFFFFF in
-        (try Memory.fill fr.fr_inst.i_memories.(0) ~dst ~byte ~len
+        let len = u32 (pop_i mch) in
+        let byte = pop_i mch in
+        let dst = u32 (pop_i mch) in
+        (try Memory.fill (mem0 fr) ~dst ~byte ~len
          with Memory.Bounds -> trap "out of bounds memory fill")
     | Code.K_memory_copy ->
-        let len = Int32.to_int (as_i32 (Machine.pop mch)) land 0xFFFFFFFF in
-        let src = Int32.to_int (as_i32 (Machine.pop mch)) land 0xFFFFFFFF in
-        let dst = Int32.to_int (as_i32 (Machine.pop mch)) land 0xFFFFFFFF in
-        (try Memory.copy fr.fr_inst.i_memories.(0) ~dst ~src ~len
+        let len = u32 (pop_i mch) in
+        let src = u32 (pop_i mch) in
+        let dst = u32 (pop_i mch) in
+        (try Memory.copy (mem0 fr) ~dst ~src ~len
          with Memory.Bounds -> trap "out of bounds memory copy")
-    | Code.K_const v -> Machine.push mch v
-    | Code.K_i32_eqz -> Machine.push mch (i32_of_bool (as_i32 (Machine.pop mch) = 0l))
-    | Code.K_i64_eqz -> Machine.push mch (i32_of_bool (as_i64 (Machine.pop mch) = 0L))
-    | Code.K_i32_unop o -> Machine.push mch (I32 (exec_i32_unop o (as_i32 (Machine.pop mch))))
-    | Code.K_i64_unop o -> Machine.push mch (I64 (exec_i64_unop o (as_i64 (Machine.pop mch))))
+    | Code.K_const (I32 x | F32 x) -> push_i mch (Int32.to_int x)
+    | Code.K_const (I64 x | F64 x) -> push mch x
+    | Code.K_i32_eqz ->
+        let k = mch.sp - 1 in
+        set_slot_i mch k (b2i (slot_i mch k = 0))
+    | Code.K_i64_eqz ->
+        let k = mch.sp - 1 in
+        set_slot_i mch k (b2i (slot mch k = 0L))
+    | Code.K_i32_unop o ->
+        let k = mch.sp - 1 in
+        set_slot_i mch k (exec_i32_unop o (slot_i mch k))
+    | Code.K_i64_unop o -> exec_i64_unop mch o
     | Code.K_i32_binop o ->
-        let b = as_i32 (Machine.pop mch) in
-        let a = as_i32 (Machine.pop mch) in
-        Machine.push mch (I32 (exec_i32_binop o a b))
-    | Code.K_i64_binop o ->
-        let b = as_i64 (Machine.pop mch) in
-        let a = as_i64 (Machine.pop mch) in
-        Machine.push mch (I64 (exec_i64_binop o a b))
+        let b = pop_i mch in
+        let k = mch.sp - 1 in
+        set_slot_i mch k (exec_i32_binop o (slot_i mch k) b)
+    | Code.K_i64_binop o -> exec_i64_binop mch o
     | Code.K_i32_relop o ->
-        let b = as_i32 (Machine.pop mch) in
-        let a = as_i32 (Machine.pop mch) in
-        Machine.push mch (i32_of_bool (exec_i32_relop o a b))
-    | Code.K_i64_relop o ->
-        let b = as_i64 (Machine.pop mch) in
-        let a = as_i64 (Machine.pop mch) in
-        Machine.push mch (i32_of_bool (exec_i64_relop o a b))
+        let b = pop_i mch in
+        let k = mch.sp - 1 in
+        set_slot_i mch k (b2i (exec_i32_relop o (slot_i mch k) b))
+    | Code.K_i64_relop o -> exec_i64_relop mch o
     | Code.K_f32_unop o ->
-        let x = Int32.float_of_bits (as_f32 (Machine.pop mch)) in
-        Machine.push mch (F32 (Int32.bits_of_float (exec_f_unop o x)))
+        let k = mch.sp - 1 in
+        set_slot mch k (f32_slot (exec_f_unop o (f32_of_slot (slot mch k))))
     | Code.K_f64_unop o ->
-        let x = Int64.float_of_bits (as_f64 (Machine.pop mch)) in
-        Machine.push mch (F64 (Int64.bits_of_float (exec_f_unop o x)))
+        let k = mch.sp - 1 in
+        set_slot mch k
+          (Int64.bits_of_float (exec_f_unop o (Int64.float_of_bits (slot mch k))))
     | Code.K_f32_binop o ->
-        let b = Int32.float_of_bits (as_f32 (Machine.pop mch)) in
-        let a = Int32.float_of_bits (as_f32 (Machine.pop mch)) in
-        Machine.push mch (F32 (Int32.bits_of_float (exec_f_binop o a b)))
+        let b = f32_of_slot (pop mch) in
+        let k = mch.sp - 1 in
+        set_slot mch k (f32_slot (exec_f_binop o (f32_of_slot (slot mch k)) b))
     | Code.K_f64_binop o ->
-        let b = Int64.float_of_bits (as_f64 (Machine.pop mch)) in
-        let a = Int64.float_of_bits (as_f64 (Machine.pop mch)) in
-        Machine.push mch (F64 (Int64.bits_of_float (exec_f_binop o a b)))
+        let b = Int64.float_of_bits (pop mch) in
+        let k = mch.sp - 1 in
+        set_slot mch k
+          (Int64.bits_of_float (exec_f_binop o (Int64.float_of_bits (slot mch k)) b))
     | Code.K_f32_relop o ->
-        let b = Int32.float_of_bits (as_f32 (Machine.pop mch)) in
-        let a = Int32.float_of_bits (as_f32 (Machine.pop mch)) in
-        Machine.push mch (i32_of_bool (exec_f_relop o a b))
+        let b = f32_of_slot (pop mch) in
+        let k = mch.sp - 1 in
+        set_slot_i mch k (b2i (exec_f_relop o (f32_of_slot (slot mch k)) b))
     | Code.K_f64_relop o ->
-        let b = Int64.float_of_bits (as_f64 (Machine.pop mch)) in
-        let a = Int64.float_of_bits (as_f64 (Machine.pop mch)) in
-        Machine.push mch (i32_of_bool (exec_f_relop o a b))
-    | Code.K_cvt c -> Machine.push mch (exec_cvt c (Machine.pop mch))
+        let b = Int64.float_of_bits (pop mch) in
+        let k = mch.sp - 1 in
+        set_slot_i mch k (b2i (exec_f_relop o (Int64.float_of_bits (slot mch k)) b))
+    | Code.K_cvt c -> exec_cvt mch c
     | Code.K_poll -> (
-        match mch.poll_hook with Some f -> f mch | None -> ())
-    (* Superinstructions: dedicated handlers that read/write stack slots
-       and locals directly instead of going through Machine.push/pop.
-       Each charges [op_width - 1] extra steps *before* any trap can
-       fire, so instruction counts (and trap-time counts) are identical
-       to the unfused engine. *)
+        match mch.poll_hook with Some f -> Machine.sync mch; f mch | None -> ())
+    (* Superinstructions: dedicated handlers that read and write stack
+       slots and locals directly. *)
     | Code.F_ll_i32_binop (a, b, o) ->
-        mch.steps <- Int64.add mch.steps 2L;
-        mch.fused <- Int64.add mch.fused 1L;
-        Machine.push mch
-          (I32 (exec_i32_binop o (as_i32 fr.fr_locals.(a)) (as_i32 fr.fr_locals.(b))))
+        fuse mch 3;
+        push_i mch (exec_i32_binop o (local_i mch fr a) (local_i mch fr b))
     | Code.F_ll_i32_binop_set (a, b, o, d) ->
-        mch.steps <- Int64.add mch.steps 3L;
-        mch.fused <- Int64.add mch.fused 1L;
-        fr.fr_locals.(d) <-
-          I32 (exec_i32_binop o (as_i32 fr.fr_locals.(a)) (as_i32 fr.fr_locals.(b)))
+        fuse mch 4;
+        set_slot_i mch (fr.fr_fp + d)
+          (exec_i32_binop o (local_i mch fr a) (local_i mch fr b))
     | Code.F_lc_i32_binop (a, c, o) ->
-        mch.steps <- Int64.add mch.steps 2L;
-        mch.fused <- Int64.add mch.fused 1L;
-        Machine.push mch (I32 (exec_i32_binop o (as_i32 fr.fr_locals.(a)) c))
+        fuse mch 3;
+        push_i mch (exec_i32_binop o (local_i mch fr a) c)
     | Code.F_lc_i32_binop_set (a, c, o, d) ->
-        mch.steps <- Int64.add mch.steps 3L;
-        mch.fused <- Int64.add mch.fused 1L;
-        fr.fr_locals.(d) <- I32 (exec_i32_binop o (as_i32 fr.fr_locals.(a)) c)
+        fuse mch 4;
+        set_slot_i mch (fr.fr_fp + d) (exec_i32_binop o (local_i mch fr a) c)
     | Code.F_const_i32_binop (c, o) ->
-        mch.steps <- Int64.add mch.steps 1L;
-        mch.fused <- Int64.add mch.fused 1L;
-        let t = mch.sp - 1 in
-        mch.stack.(t) <- I32 (exec_i32_binop o (as_i32 mch.stack.(t)) c)
+        fuse mch 2;
+        let k = mch.sp - 1 in
+        set_slot_i mch k (exec_i32_binop o (slot_i mch k) c)
     | Code.F_i32_binop_set (o, d) ->
-        mch.steps <- Int64.add mch.steps 1L;
-        mch.fused <- Int64.add mch.fused 1L;
-        let b = as_i32 mch.stack.(mch.sp - 1) in
-        let a = as_i32 mch.stack.(mch.sp - 2) in
-        mch.sp <- mch.sp - 2;
-        fr.fr_locals.(d) <- I32 (exec_i32_binop o a b)
+        fuse mch 2;
+        let b = pop_i mch in
+        let a = pop_i mch in
+        set_slot_i mch (fr.fr_fp + d) (exec_i32_binop o a b)
     | Code.F_local_load (a, kind, off) ->
-        mch.steps <- Int64.add mch.steps 1L;
-        mch.fused <- Int64.add mch.fused 1L;
-        let mem = fr.fr_inst.i_memories.(0) in
-        let addr = (Int32.to_int (as_i32 fr.fr_locals.(a)) land 0xFFFFFFFF) + off in
-        (try exec_load mch mem kind addr
-         with Memory.Bounds -> trap "out of bounds memory access at %d" addr)
+        fuse mch 2;
+        exec_load mch (mem0 fr).Memory.data kind (u32 (local_i mch fr a) + off)
     | Code.F_i32_relop_br_if (o, j) ->
-        mch.steps <- Int64.add mch.steps 1L;
-        mch.fused <- Int64.add mch.fused 1L;
-        let b = as_i32 mch.stack.(mch.sp - 1) in
-        let a = as_i32 mch.stack.(mch.sp - 2) in
-        mch.sp <- mch.sp - 2;
+        fuse mch 2;
+        let b = pop_i mch in
+        let a = pop_i mch in
         if exec_i32_relop o a b then jump mch fr j
     | Code.F_ll_i32_relop_br_if (a, b, o, j) ->
-        mch.steps <- Int64.add mch.steps 3L;
-        mch.fused <- Int64.add mch.fused 1L;
-        if exec_i32_relop o (as_i32 fr.fr_locals.(a)) (as_i32 fr.fr_locals.(b))
-        then jump mch fr j
+        fuse mch 4;
+        if exec_i32_relop o (local_i mch fr a) (local_i mch fr b) then jump mch fr j
     | Code.F_lc_i32_relop_br_if (a, c, o, j) ->
-        mch.steps <- Int64.add mch.steps 3L;
-        mch.fused <- Int64.add mch.fused 1L;
-        if exec_i32_relop o (as_i32 fr.fr_locals.(a)) c then jump mch fr j
+        fuse mch 4;
+        if exec_i32_relop o (local_i mch fr a) c then jump mch fr j
     | Code.F_lc_store (a, v, kind, off) ->
-        mch.steps <- Int64.add mch.steps 2L;
-        mch.fused <- Int64.add mch.fused 1L;
-        let mem = fr.fr_inst.i_memories.(0) in
-        let addr = (Int32.to_int (as_i32 fr.fr_locals.(a)) land 0xFFFFFFFF) + off in
-        (try exec_store mem kind addr v
-         with Memory.Bounds -> trap "out of bounds memory access at %d" addr)
+        fuse mch 3;
+        let addr = u32 (local_i mch fr a) + off in
+        exec_store (mem0 fr).Memory.data kind addr v
     | Code.F_i32_eqz_br_if j ->
-        mch.steps <- Int64.add mch.steps 1L;
-        mch.fused <- Int64.add mch.fused 1L;
-        if as_i32 (Machine.pop mch) = 0l then jump mch fr j
+        fuse mch 2;
+        if pop_i mch = 0 then jump mch fr j
     | Code.F_i32_relop_eqz_br_if (o, j) ->
-        mch.steps <- Int64.add mch.steps 2L;
-        mch.fused <- Int64.add mch.fused 1L;
-        let b = as_i32 mch.stack.(mch.sp - 1) in
-        let a = as_i32 mch.stack.(mch.sp - 2) in
-        mch.sp <- mch.sp - 2;
+        fuse mch 3;
+        let b = pop_i mch in
+        let a = pop_i mch in
         if not (exec_i32_relop o a b) then jump mch fr j
     | Code.F_ll_i32_relop_eqz_br_if (a, b, o, j) ->
-        mch.steps <- Int64.add mch.steps 4L;
-        mch.fused <- Int64.add mch.fused 1L;
-        if not (exec_i32_relop o (as_i32 fr.fr_locals.(a)) (as_i32 fr.fr_locals.(b)))
-        then jump mch fr j
+        fuse mch 5;
+        if not (exec_i32_relop o (local_i mch fr a) (local_i mch fr b)) then
+          jump mch fr j
     | Code.F_lc_i32_relop_eqz_br_if (a, c, o, j) ->
-        mch.steps <- Int64.add mch.steps 4L;
-        mch.fused <- Int64.add mch.fused 1L;
-        if not (exec_i32_relop o (as_i32 fr.fr_locals.(a)) c) then jump mch fr j
+        fuse mch 5;
+        if not (exec_i32_relop o (local_i mch fr a) c) then jump mch fr j
     | Code.F_l_i32_binop (b, o) ->
-        mch.steps <- Int64.add mch.steps 1L;
-        mch.fused <- Int64.add mch.fused 1L;
-        let t = mch.sp - 1 in
-        mch.stack.(t) <-
-          I32 (exec_i32_binop o (as_i32 mch.stack.(t)) (as_i32 fr.fr_locals.(b)))
+        fuse mch 2;
+        let k = mch.sp - 1 in
+        set_slot_i mch k (exec_i32_binop o (slot_i mch k) (local_i mch fr b))
     | Code.F_i32_binop_load (o, kind, off) ->
-        mch.steps <- Int64.add mch.steps 1L;
-        mch.fused <- Int64.add mch.fused 1L;
-        let b = as_i32 mch.stack.(mch.sp - 1) in
-        let a = as_i32 mch.stack.(mch.sp - 2) in
-        mch.sp <- mch.sp - 2;
-        let mem = fr.fr_inst.i_memories.(0) in
-        let addr = (Int32.to_int (exec_i32_binop o a b) land 0xFFFFFFFF) + off in
-        (try exec_load mch mem kind addr
-         with Memory.Bounds -> trap "out of bounds memory access at %d" addr)
+        fuse mch 2;
+        let b = pop_i mch in
+        let a = pop_i mch in
+        exec_load mch (mem0 fr).Memory.data kind (u32 (exec_i32_binop o a b) + off)
     | Code.F_i32_binop_binop (o1, o2) ->
-        mch.steps <- Int64.add mch.steps 1L;
-        mch.fused <- Int64.add mch.fused 1L;
-        let z = as_i32 mch.stack.(mch.sp - 1) in
-        let y = as_i32 mch.stack.(mch.sp - 2) in
-        let x = as_i32 mch.stack.(mch.sp - 3) in
-        mch.sp <- mch.sp - 2;
-        mch.stack.(mch.sp - 1) <- I32 (exec_i32_binop o2 x (exec_i32_binop o1 y z))
+        fuse mch 2;
+        let z = pop_i mch in
+        let y = pop_i mch in
+        let k = mch.sp - 1 in
+        set_slot_i mch k (exec_i32_binop o2 (slot_i mch k) (exec_i32_binop o1 y z))
     | Code.F_i32_binop_store (o, kind, off) ->
-        mch.steps <- Int64.add mch.steps 1L;
-        mch.fused <- Int64.add mch.fused 1L;
-        let y = as_i32 mch.stack.(mch.sp - 1) in
-        let x = as_i32 mch.stack.(mch.sp - 2) in
-        let a = mch.stack.(mch.sp - 3) in
-        mch.sp <- mch.sp - 3;
-        let mem = fr.fr_inst.i_memories.(0) in
-        let addr = (Int32.to_int (as_i32 a) land 0xFFFFFFFF) + off in
-        (try exec_store mem kind addr (I32 (exec_i32_binop o x y))
-         with Memory.Bounds -> trap "out of bounds memory access at %d" addr)
+        fuse mch 2;
+        let y = pop_i mch in
+        let x = pop_i mch in
+        let addr = u32 (pop_i mch) + off in
+        exec_store (mem0 fr).Memory.data kind addr
+          (Int64.of_int (exec_i32_binop o x y))
     | Code.F_l_store (v, kind, off) ->
-        mch.steps <- Int64.add mch.steps 1L;
-        mch.fused <- Int64.add mch.fused 1L;
-        let mem = fr.fr_inst.i_memories.(0) in
-        let addr = addr_of mch off in
-        (try exec_store mem kind addr fr.fr_locals.(v)
-         with Memory.Bounds -> trap "out of bounds memory access at %d" addr)
+        fuse mch 2;
+        let addr = u32 (pop_i mch) + off in
+        exec_store (mem0 fr).Memory.data kind addr (slot mch (fr.fr_fp + v))
     | Code.F_set_get i ->
-        mch.steps <- Int64.add mch.steps 1L;
-        mch.fused <- Int64.add mch.fused 1L;
-        fr.fr_locals.(i) <- Machine.peek mch
+        fuse mch 2;
+        set_slot mch (fr.fr_fp + i) (slot mch (mch.sp - 1))
     | Code.F_i32_eqz_eqz ->
-        mch.steps <- Int64.add mch.steps 1L;
-        mch.fused <- Int64.add mch.fused 1L;
-        let t = mch.sp - 1 in
-        mch.stack.(t) <- i32_of_bool (as_i32 mch.stack.(t) <> 0l)
+        fuse mch 2;
+        let k = mch.sp - 1 in
+        set_slot_i mch k (b2i (slot_i mch k <> 0))
   in
   try
     let rec loop () =
-      if !m.depth <= !stop_depth then begin
-        let n = !results in
-        let vs = ref [] in
-        for _ = 1 to n do
-          vs := Machine.pop !m :: !vs
-        done;
-        R_done !vs
+      let mch = !m in
+      if mch.depth <= !stop_depth then begin
+        let vs = pop_values mch !results in
+        Machine.sync mch;
+        R_done vs
       end
       else begin
-        let mch = !m in
         step mch.frames.(mch.depth - 1);
         loop ()
       end
     in
     loop ()
   with
-  | Trap s -> R_trap s
-  | Exit_trap r -> r
+  | Trap s -> Machine.sync !m; R_trap s
+  | Exit_trap r -> Machine.sync !m; r
+  | e -> Machine.sync !m; raise e
 
 (** Re-entrant call: invoke [f] on a machine that is already mid-execution
     (e.g. to run a virtual signal handler at a safepoint) and return when
     it completes, leaving the interrupted frames untouched. *)
 and call_nested (m : machine) (f : func_inst) (args : value list) : run_result =
-  let ft = func_type_of f in
   match f with
   | Wasm_func { wf_inst; wf_code } ->
       let base = m.depth in
       List.iter (Machine.push m) args;
       Machine.push_frame m wf_inst wf_code;
-      run_machine m ~results:(List.length ft.Types.results) ~stop_depth:base
-  | Host_func { hf_fn; _ } -> (
-      match hf_fn m (Array.of_list args) with
-      | H_return vs -> R_done vs
-      | H_trap s -> R_trap s
-      | H_exit c -> R_exit c
-      | H_fork _ | H_exec _ -> R_trap "fork/exec in nested host call")
+      run_machine m ~results:wf_code.Code.fc_type.Types.results ~stop_depth:base
+  | Host_func { hf_fn; _ } -> host_outcome m hf_fn args ~where:"in nested host call"
 
 (** Invoke [f] on a fresh entry in machine [m] (frames must be empty). *)
 let invoke (m : machine) (f : func_inst) (args : value list) : run_result =
   assert (m.depth = 0);
-  let ft = func_type_of f in
-  List.iter (Machine.push m) args;
   match f with
   | Wasm_func { wf_inst; wf_code } ->
+      List.iter (Machine.push m) args;
       Machine.push_frame m wf_inst wf_code;
-      run_machine m ~results:(List.length ft.Types.results)
-  | Host_func { hf_type; hf_fn; _ } -> (
-      let n = List.length hf_type.Types.params in
-      let a = Array.make n (I32 0l) in
-      for i = n - 1 downto 0 do
-        a.(i) <- Machine.pop m
-      done;
-      match hf_fn m a with
-      | H_return vs -> R_done vs
-      | H_trap s -> R_trap s
-      | H_exit c -> R_exit c
-      | H_fork _ | H_exec _ -> R_trap "fork/exec outside wasm context")
+      run_machine m ~results:wf_code.Code.fc_type.Types.results
+  | Host_func { hf_fn; _ } -> host_outcome m hf_fn args ~where:"outside wasm context"
 
 (** Resume a machine that already has frames (used after fork: the child
-    continues from its cloned state). *)
-let resume (m : machine) ~(results : int) : run_result =
-  run_machine m ~results
+    continues from its cloned state, whose entry returns nothing). *)
+let resume (m : machine) : run_result = run_machine m ~results:[]

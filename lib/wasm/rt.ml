@@ -161,22 +161,34 @@ and host_outcome =
 and frame = {
   (* All fields mutable: the machine keeps a growable array of frame
      records that are reused in place across calls/returns, so a call
-     allocates neither a list cell nor (usually) a locals array. *)
+     allocates no frame. *)
   mutable fr_inst : instance;
   mutable fr_code : Code.fcode;
-  mutable fr_locals : value array;
+  mutable fr_fp : int;
+      (* slot of local 0 (params first); also the stack height that
+         [return] restores before pushing the results *)
   mutable fr_pc : int;
-  mutable fr_ret_sp : int; (* value-stack height to restore on return *)
 }
 
+(* The value stack is a [Bytes.t] of untagged 8-byte slots. Validation
+   has fixed each slot's type, so the slot holds only bits: an i32 or
+   f32 sign-extended from 32 bits (so [Int64.to_int] reads an i32 back as
+   the OCaml [int] the interpreter computes with), an i64 or f64 as is.
+   A frame's locals are the slots [fr_fp, fr_fp + nlocals): a call's
+   arguments become its first locals in place, and the operand stack
+   grows above them. [Values.value] appears only at the edges — host-call
+   arguments and results, [Interp.invoke]/[call_nested], globals and
+   {!Machine.push}. *)
 and machine = {
-  mutable stack : value array;
-  mutable sp : int;
+  mutable stack : Bytes.t;
+  mutable sp : int; (* live slots *)
   mutable frames : frame array; (* slots 0..depth-1 live; top = depth-1 *)
   mutable depth : int; (* live frame count *)
   mutable m_inst : instance; (* root instance (the process image) *)
-  mutable steps : int64; (* executed ops, for deterministic metrics *)
-  mutable fused : int64; (* superinstruction dispatches (fusion coverage) *)
+  mutable hot_steps : int; (* executed ops, counted by the interpreter *)
+  mutable hot_fused : int; (* superinstruction dispatches (fusion coverage) *)
+  mutable steps : int64; (* snapshot of [hot_steps], see [Machine.sync] *)
+  mutable fused : int64; (* snapshot of [hot_fused] *)
   mutable poll_hook : (machine -> unit) option;
   mutable prof_hook : (machine -> unit) option;
       (* profiler sample hook, fired on frame push/pop before the frame
@@ -216,20 +228,28 @@ module Machine = struct
       fc_arity = 0;
       fc_nparams = 0;
       fc_locals = [||];
+      fc_max_height = 0;
       fc_ops = [||];
     }
 
   let null_frame () =
-    { fr_inst = null_inst; fr_code = null_code; fr_locals = [||]; fr_pc = 0;
-      fr_ret_sp = 0 }
+    { fr_inst = null_inst; fr_code = null_code; fr_fp = 0; fr_pc = 0 }
+
+  (* Guest recursion is bounded by frame count and by value-stack slots
+     (8 MiB), so a runaway guest traps instead of exhausting the host.
+     No bundled app comes near either bound. *)
+  let max_frames = 1 lsl 16
+  let max_slots = 1 lsl 20
 
   let create inst =
     {
-      stack = Array.make 256 (I32 0l);
+      stack = Bytes.make (256 * 8) '\000';
       sp = 0;
       frames = Array.init 16 (fun _ -> null_frame ());
       depth = 0;
       m_inst = inst;
+      hot_steps = 0;
+      hot_fused = 0;
       steps = 0L;
       fused = 0L;
       poll_hook = None;
@@ -237,63 +257,65 @@ module Machine = struct
       m_pid = 0;
     }
 
-  let push m v =
-    if m.sp = Array.length m.stack then begin
-      let s = Array.make (2 * m.sp) (I32 0l) in
-      Array.blit m.stack 0 s 0 m.sp;
+  (** Publish the hot counters to the [steps]/[fused] snapshot. The
+      interpreter calls this wherever control leaves its loop: before a
+      host call, the poll hook and the profiler hook, and when the run
+      ends (result, trap or exit). *)
+  let sync m =
+    m.steps <- Int64.of_int m.hot_steps;
+    m.fused <- Int64.of_int m.hot_fused
+
+  (** Make room for [n] slots in total. *)
+  let reserve m n =
+    let cap = Bytes.length m.stack / 8 in
+    if n > cap then begin
+      if n > max_slots then trap "call stack exhausted";
+      let s = Bytes.make (8 * min max_slots (max n (2 * cap))) '\000' in
+      Bytes.blit m.stack 0 s 0 (8 * m.sp);
       m.stack <- s
-    end;
-    m.stack.(m.sp) <- v;
+    end
+
+  (** Push a tagged value as a slot (the API edge; the interpreter
+      writes slots directly). *)
+  let push m v =
+    reserve m (m.sp + 1);
+    Bytes.set_int64_ne m.stack (8 * m.sp) (Values.to_slot v);
     m.sp <- m.sp + 1
-
-  let pop m =
-    if m.sp = 0 then trap "value stack underflow";
-    m.sp <- m.sp - 1;
-    m.stack.(m.sp)
-
-  let peek m =
-    if m.sp = 0 then trap "value stack underflow";
-    m.stack.(m.sp - 1)
-
-  let top_frame m = m.frames.(m.depth - 1)
 
   let grow_frames m =
     let old = m.frames in
     let n = Array.length old in
+    if n >= max_frames then trap "call stack exhausted";
     m.frames <-
       Array.init (2 * n) (fun i -> if i < n then old.(i) else null_frame ())
 
   (** Push a call frame for [code] whose arguments are the top
-      [n_params] values of the stack. The frame record (and its locals
-      array, when large enough) is reused from a previous call at the
-      same depth — every local up to [nlocals] is initialized below, so
-      stale values are never observable. *)
+      [n_params] slots of the stack: they become its first locals, and
+      the remaining locals are zeroed (all-zero bits is the default of
+      every type). The frame record is reused from a previous call at
+      the same depth, and the stack is grown here to hold the body's
+      locals and operand stack, so the body's own pushes never need to
+      grow it. *)
   let push_frame m inst (code : Code.fcode) =
-    (match m.prof_hook with Some h -> h m | None -> ());
+    (match m.prof_hook with Some h -> sync m; h m | None -> ());
     let nparams = code.Code.fc_nparams in
     let nlocals = Array.length code.Code.fc_locals in
-    if m.depth = Array.length m.frames then grow_frames m;
-    let fr = m.frames.(m.depth) in
-    let locals =
-      if Array.length fr.fr_locals >= max nlocals 1 then fr.fr_locals
-      else Array.make (max nlocals 4) (I32 0l)
-    in
-    for i = 0 to nlocals - 1 do
-      locals.(i) <- Values.default_of code.Code.fc_locals.(i)
-    done;
     if m.sp < nparams then trap "call: missing arguments";
-    for i = 0 to nparams - 1 do
-      locals.(i) <- m.stack.(m.sp - nparams + i)
+    let fp = m.sp - nparams in
+    if m.depth = Array.length m.frames then grow_frames m;
+    reserve m (fp + nlocals + code.Code.fc_max_height);
+    for k = m.sp to fp + nlocals - 1 do
+      Bytes.set_int64_ne m.stack (8 * k) 0L
     done;
-    m.sp <- m.sp - nparams;
+    let fr = m.frames.(m.depth) in
     fr.fr_inst <- inst;
     fr.fr_code <- code;
-    fr.fr_locals <- locals;
+    fr.fr_fp <- fp;
     fr.fr_pc <- 0;
-    fr.fr_ret_sp <- m.sp;
+    m.sp <- fp + nlocals;
     m.depth <- m.depth + 1
 
-  (** Deep-copy: new stack, new frames with copied locals; memories of the
+  (** Deep-copy: new stack (locals included) and frames; memories of the
       root instance are copied too (fork semantics). Instances other than
       the root share structure except for memory 0 which is replaced.
 
@@ -356,28 +378,25 @@ module Machine = struct
           i'
     in
     let root = clone_inst m.m_inst in
-    (* Live frames get fresh records and locals (the child must not see
-       parent mutations); spare slots get fresh placeholders so the two
-       machines never share a reusable frame record. *)
+    (* Live frames get fresh records (locals live in the copied stack, so
+       the child never sees parent mutations); spare slots get fresh
+       placeholders so the two machines never share a reusable frame
+       record. *)
     let frames =
       Array.init (Array.length m.frames) (fun i ->
           if i < m.depth then
             let fr = m.frames.(i) in
-            {
-              fr_inst = clone_inst fr.fr_inst;
-              fr_code = fr.fr_code;
-              fr_locals = Array.copy fr.fr_locals;
-              fr_pc = fr.fr_pc;
-              fr_ret_sp = fr.fr_ret_sp;
-            }
+            { fr with fr_inst = clone_inst fr.fr_inst }
           else null_frame ())
     in
     {
-      stack = Array.copy m.stack;
+      stack = Bytes.copy m.stack;
       sp = m.sp;
       frames;
       depth = m.depth;
       m_inst = root;
+      hot_steps = m.hot_steps;
+      hot_fused = m.hot_fused;
       steps = m.steps;
       fused = m.fused;
       poll_hook = m.poll_hook;

@@ -19,12 +19,17 @@ let type_of = function
   | F32 _ -> Types.T_f32
   | F64 _ -> Types.T_f64
 
-let default_of = function
-  | Types.T_i32 -> I32 0l
-  | Types.T_i64 -> I64 0L
-  | Types.T_f32 -> F32 0l
-  | Types.T_f64 -> F64 0L
-  | Types.T_funcref -> I32 0l (* null funcref sentinel; tables store options *)
+(** The untagged 8-byte stack slot of a value (see {!Rt.machine}): i32
+    and f32 bits sign-extended from 32 bits, i64 and f64 bits as they
+    are. *)
+let to_slot = function I32 x | F32 x -> Int64.of_int32 x | I64 x | F64 x -> x
+
+let of_slot (t : Types.val_type) s =
+  match t with
+  | Types.T_i32 | Types.T_funcref -> I32 (Int64.to_int32 s)
+  | Types.T_i64 -> I64 s
+  | Types.T_f32 -> F32 (Int64.to_int32 s)
+  | Types.T_f64 -> F64 s
 
 let to_string = function
   | I32 v -> Printf.sprintf "i32:%ld" v
@@ -41,67 +46,34 @@ let as_f64 = function F64 v -> v | v -> trap "expected f64, got %s" (to_string v
 (* i32 operators                                                       *)
 (* ------------------------------------------------------------------ *)
 
+(** The i32 operators the interpreter does not inline, on the OCaml
+    [int] form of an i32 slot (the value sign-extended). *)
 module I32_op = struct
-  open Int32
+  let u32 x = x land 0xFFFF_FFFF
 
-  let unsigned_compare a b = compare (add a min_int) (add b min_int)
+  let rec clz_from x n =
+    if n = 32 || x land (0x8000_0000 lsr n) <> 0 then n else clz_from x (n + 1)
 
-  let clz x =
-    if x = 0l then 32
-    else begin
-      let n = ref 0 and x = ref x in
-      while logand !x 0x80000000l = 0l do
-        incr n;
-        x := shift_left !x 1
-      done;
-      !n
-    end
+  let rec ctz_from x n =
+    if n = 32 || x land (1 lsl n) <> 0 then n else ctz_from x (n + 1)
 
-  let ctz x =
-    if x = 0l then 32
-    else begin
-      let n = ref 0 and x = ref x in
-      while logand !x 1l = 0l do
-        incr n;
-        x := shift_right_logical !x 1
-      done;
-      !n
-    end
+  let clz x = clz_from x 0
+  let ctz x = ctz_from x 0
 
-  let popcnt x =
-    let n = ref 0 in
-    for i = 0 to 31 do
-      if logand (shift_right_logical x i) 1l = 1l then incr n
-    done;
-    !n
+  let rec popcnt_from x n = if x = 0 then n else popcnt_from (x land (x - 1)) (n + 1)
+  let popcnt x = popcnt_from (u32 x) 0
+
+  let nonzero b = if b = 0 then trap "integer divide by zero"
 
   let div_s a b =
-    if b = 0l then trap "integer divide by zero"
-    else if a = min_int && b = -1l then trap "integer overflow"
-    else div a b
+    nonzero b;
+    if a = -0x8000_0000 && b = -1 then trap "integer overflow" else a / b
 
-  let rem_s a b =
-    if b = 0l then trap "integer divide by zero"
-    else if a = min_int && b = -1l then 0l
-    else rem a b
+  let rem_s a b = nonzero b; a mod b
 
-  let div_u a b =
-    if b = 0l then trap "integer divide by zero" else unsigned_div a b
-
-  let rem_u a b =
-    if b = 0l then trap "integer divide by zero" else unsigned_rem a b
-
-  let shl a b = shift_left a (to_int (logand b 31l))
-  let shr_s a b = shift_right a (to_int (logand b 31l))
-  let shr_u a b = shift_right_logical a (to_int (logand b 31l))
-
-  let rotl a b =
-    let n = to_int (logand b 31l) in
-    if n = 0 then a else logor (shift_left a n) (shift_right_logical a (32 - n))
-
-  let rotr a b =
-    let n = to_int (logand b 31l) in
-    if n = 0 then a else logor (shift_right_logical a n) (shift_left a (32 - n))
+  (* unsigned results above 2^31 come back sign-extended *)
+  let div_u a b = nonzero b; ((u32 a / u32 b) lsl 31) asr 31
+  let rem_u a b = nonzero b; ((u32 a mod u32 b) lsl 31) asr 31
 end
 
 (* ------------------------------------------------------------------ *)
@@ -176,32 +148,34 @@ end
 (* ------------------------------------------------------------------ *)
 
 module Convert = struct
-  let trunc_f64_i32_s f =
+  (* [@inline]: the interpreter's callers then keep floats and results
+     unboxed where cross-module inlining is on *)
+  let[@inline] trunc_f64_i32_s f =
     if Float.is_nan f then trap "invalid conversion to integer";
     if f >= 2147483648.0 || f < -2147483649.0 then trap "integer overflow";
     Int32.of_float f
 
-  let trunc_f64_i32_u f =
+  let[@inline] trunc_f64_i32_u f =
     if Float.is_nan f then trap "invalid conversion to integer";
     if f >= 4294967296.0 || f <= -1.0 then trap "integer overflow";
     Int64.to_int32 (Int64.of_float f)
 
-  let trunc_f64_i64_s f =
+  let[@inline] trunc_f64_i64_s f =
     if Float.is_nan f then trap "invalid conversion to integer";
     if f >= 9.2233720368547758e18 || f < -9.2233720368547758e18 then
       trap "integer overflow";
     Int64.of_float f
 
-  let trunc_f64_i64_u f =
+  let[@inline] trunc_f64_i64_u f =
     if Float.is_nan f then trap "invalid conversion to integer";
     if f >= 1.8446744073709552e19 || f <= -1.0 then trap "integer overflow";
     if f < 9.2233720368547758e18 then Int64.of_float f
     else Int64.add (Int64.of_float (f -. 9223372036854775808.0)) Int64.min_int
 
-  let convert_i32_u_to_float x =
+  let[@inline] convert_i32_u_to_float x =
     Int64.to_float (Int64.logand (Int64.of_int32 x) 0xFFFFFFFFL)
 
-  let convert_i64_u_to_float x =
+  let[@inline] convert_i64_u_to_float x =
     if Int64.compare x 0L >= 0 then Int64.to_float x
     else
       Int64.to_float (Int64.shift_right_logical x 1) *. 2.0

@@ -2,6 +2,7 @@ let () =
   Alcotest.run "wali-repro"
     [
       ("wasm", Test_wasm.tests);
+      ("interp", Test_interp.tests);
       ("fusion", Test_fusion.tests);
       ("fiber", Test_fiber.tests);
       ("kernel", Test_kernel.tests);
