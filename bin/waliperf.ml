@@ -43,10 +43,8 @@ let load_model what file =
 
 (* ---- run ---- *)
 
-let run_cmd no_fuse walls out =
-  let model, _profiles =
-    Perf.Scenario.run_suite ~fuse:(not no_fuse) ~walls ()
-  in
+let run_cmd out =
+  let model, _profiles = Perf.Scenario.run_suite () in
   let json = Perf.Model.to_json model in
   (match Observe.Check.check_bench json with
   | Ok () -> ()
@@ -255,24 +253,12 @@ let top_t =
 
 let pos_file n docv = Arg.(required & pos n (some string) None & info [] ~docv)
 
-let no_fuse_t =
-  Arg.(value & flag
-       & info [ "no-fuse" ]
-           ~doc:"Disable the macro-op fusion pass (plain single-op dispatch).")
-
-let walls_t =
-  Arg.(value & flag
-       & info [ "walls" ]
-           ~doc:
-             "Also measure host wall-clock per app (min-of-5 with MAD band). \
-              Non-deterministic: never part of the gate or baselines.")
-
 let run_c =
   Cmd.v
     (Cmd.info "run"
        ~doc:
          "Run the deterministic scenario suite and emit wali-bench v1 JSON")
-    Term.(const run_cmd $ no_fuse_t $ walls_t $ out_t)
+    Term.(const run_cmd $ out_t)
 
 let compare_c =
   Cmd.v

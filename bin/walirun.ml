@@ -8,9 +8,8 @@
 
 open Cmdliner
 
-let run_cmd file app trace deny derive poll no_fuse record replay trace_out
+let run_cmd file app trace deny derive poll record replay trace_out
     metrics_out profile_out top args =
-  let fuse = not no_fuse in
   (* with --app, every positional is an application argument *)
   let file, args =
     match app with
@@ -147,7 +146,7 @@ let run_cmd file app trace deny derive poll no_fuse record replay trace_out
             exit 1
       in
       let o =
-        Replay.Replayer.replay ~setup ~fuse ~trace:tr ~binary ?observe ()
+        Replay.Replayer.replay ~setup ~trace:tr ~binary ?observe ()
       in
       dump_observe ();
       (match o.Replay.Replayer.rp_divergence with
@@ -164,7 +163,7 @@ let run_cmd file app trace deny derive poll no_fuse record replay trace_out
       let r =
         Replay.Recorder.record
           ~app:(Option.value app ~default:"")
-          ~poll_scheme ~fuse ~strace:tracer ~policy ~kernel ~binary ~argv ~env
+          ~poll_scheme ~strace:tracer ~policy ~kernel ~binary ~argv ~env
           ?observe ()
       in
       let reduced = Replay.Reduce.reduce r.Replay.Recorder.r_trace in
@@ -181,7 +180,7 @@ let run_cmd file app trace deny derive poll no_fuse record replay trace_out
       let kernel = boot () in
       let status, out, result =
         Wali.Interface.run_program ~kernel ~trace:tracer ~policy ~poll_scheme
-          ~fuse ?observe ~binary ~argv ~env ()
+          ?observe ~binary ~argv ~env ()
       in
       print_string out;
       (match result with
@@ -213,14 +212,6 @@ let derive_t =
 
 let poll_t =
   Arg.(value & opt string "loops" & info [ "poll" ] ~doc:"Safepoint scheme: none|loops|funcs|every.")
-
-let no_fuse_t =
-  Arg.(value & flag
-       & info [ "no-fuse" ]
-           ~doc:"Disable the macro-op fusion pass: dispatch one flattened \
-                 op at a time. Observable behavior is identical either \
-                 way; this exists for performance comparison and \
-                 differential testing.")
 
 let record_t =
   Arg.(value & opt (some string) None
@@ -266,7 +257,7 @@ let cmd =
   Cmd.v
     (Cmd.info "walirun" ~doc:"Run WebAssembly binaries over the WALI kernel interface")
     Term.(const run_cmd $ file_t $ app_t $ trace_t $ deny_t $ derive_t
-          $ poll_t $ no_fuse_t $ record_t $ replay_t $ trace_out_t $ metrics_t
+          $ poll_t $ record_t $ replay_t $ trace_out_t $ metrics_t
           $ profile_out_t $ top_t $ args_t)
 
 let () = exit (Cmd.eval cmd)

@@ -185,14 +185,12 @@ let boot ?(setup = no_setup) ?(stdin = "") () : Kernel.Task.kernel =
     lets callers run the suite under e.g. a statically derived seccomp
     allowlist (see lib/analysis). *)
 let run ?(argv : string list option) ?(env = []) ?trace ?policy ?poll_scheme
-    ?fuse ?observe (a : app) : int * string =
+    ?observe (a : app) : int * string =
   let binary = binary_of a in
   let kernel = boot ~setup:a.a_setup ~stdin:a.a_stdin () in
   let status, out, _ =
-    Wali.Interface.run_program ~kernel ?trace ?policy ?poll_scheme ?fuse
-      ?observe ~binary
-      ~argv:(Option.value argv ~default:a.a_argv)
-      ~env ()
+    Wali.Interface.run_program ~kernel ?trace ?policy ?poll_scheme ?observe
+      ~binary ~argv:(Option.value argv ~default:a.a_argv) ~env ()
   in
   (status, out)
 

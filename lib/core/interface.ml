@@ -940,12 +940,12 @@ let spawn_init (eng : Engine.t) ~(binary : string) ~(argv : string list)
     the VFS, run it to completion, return (exit_status, console output,
     result). Used by tests, examples and benches. *)
 let run_program ?(kernel : Task.kernel option) ?(poll_scheme = Code.Poll_loops)
-    ?(fuse = true) ?(trace : Strace.t option) ?(policy : Seccomp.t option)
+    ?(trace : Strace.t option) ?(policy : Seccomp.t option)
     ?(observe : Observe.Sink.t option) ~(binary : string)
     ~(argv : string list) ~(env : string list) () :
     int * string * Interp.run_result option =
   let kernel = match kernel with Some k -> k | None -> Task.boot () in
-  let eng = Engine.create ~poll_scheme ~fuse ?trace ?policy ?observe kernel in
+  let eng = Engine.create ~poll_scheme ?trace ?policy ?observe kernel in
   let status = ref 0 in
   let result = ref None in
   (match observe with Some o -> Observe.Sink.attach o | None -> ());

@@ -145,11 +145,10 @@ let instr_retire o ~pid ~steps ~fused =
 
 (** Record the static fusion stats of a freshly built process image
     (initial load and each execve); images accumulate over the run. *)
-let note_fusion o ~ops_before ~ops_after ~(sites : (string * int) list) =
+let note_fusion o ~ops_before ~ops_after ~sites =
   o.fuse_before <- o.fuse_before + ops_before;
   o.fuse_after <- o.fuse_after + ops_after;
-  o.fuse_sites <-
-    o.fuse_sites + List.fold_left (fun a (_, n) -> a + n) 0 sites
+  o.fuse_sites <- o.fuse_sites + sites
 
 (* ---- processes ---- *)
 

@@ -1,10 +1,9 @@
 (** The deterministic scenario runner behind `waliperf`.
 
-    Each bundled app runs once, fused by default, with everything the
-    suite gate reads switched on: the replay recorder, an observability
-    sink with all three pillars (metrics, span trace, folded-stack
-    profile) and the seccomp allowlist the static analyzer derives for
-    the binary. None of these moves the virtual clock, so the run
+    Each bundled app runs once, fused, with everything the suite gate
+    reads switched on: the replay recorder, an observability sink with
+    all three pillars (metrics, span trace, folded-stack profile) and the
+    seccomp allowlist the static analyzer derives for the binary. None of these moves the virtual clock, so the run
     reports the same deterministic counters a bare run would:
     instructions retired, syscall crossings, virtual-clock nanoseconds,
     scheduler and kernel event counts. Two runs of the same build produce
@@ -35,44 +34,20 @@ let record ?fuse ?policy ?observe (a : Apps.Suite.app) : Replay.Recorder.run =
 
 (** The one instrumented run of [a]. Raises if the static analysis of
     its binary fails. *)
-let run_app ?(fuse = true) ?(walls = false) (a : Apps.Suite.app) : app_result =
+let run_app (a : Apps.Suite.app) : app_result =
   let name = a.Apps.Suite.a_name in
   let summary =
     Analysis.Reach.analyze_binary ~name (Apps.Suite.binary_of a)
   in
   let policy = Analysis.Reach.policy summary in
   let sink = Observe.Sink.create Observe.Sink.all_on in
-  let r = record ~fuse ~policy ~observe:sink a in
+  let r = record ~policy ~observe:sink a in
   let status = r.Replay.Recorder.r_status in
   let rc = Observe.Sink.run_counters sink in
   let reg = Observe.Sink.metrics sink in
   let ks = Observe.Sink.kstats_or_zero sink in
   let ci = Model.counter_i in
   let c v = Model.counter (float_of_int v) in
-  (* Host wall-clock is the one non-deterministic metric and is opt-in:
-     the gate and the committed baselines never see it (Wall rows would
-     be hardware-dependent), but `waliperf run --walls` measures it so
-     fused and unfused runs can be compared on real time. *)
-  let wall_metrics =
-    if not walls then []
-    else
-      let sample () =
-        (* decorrelate minor-heap state between samples; at sub-ms run
-           lengths a collection landing inside one sample otherwise
-           dominates the measurement *)
-        Gc.minor ();
-        let t0 = Unix.gettimeofday () in
-        ignore (Apps.Suite.run ~fuse a);
-        (Unix.gettimeofday () -. t0) *. 1e9
-      in
-      (* Short runs (boot-dominated, sub-ms) are noisy at n=5: take more
-         samples so the min-of-N actually reaches the uncontended floor.
-         The pilot sample doubles as warmup. *)
-      let pilot = sample () in
-      let n = if pilot < 1e6 then 25 else if pilot < 10e6 then 9 else 5 in
-      let s = Stats.measure ~warmup:1 ~n sample in
-      [ ("host_wall_ns", Model.wall s) ]
-  in
   {
     ar_name = name;
     ar_status = status;
@@ -95,8 +70,7 @@ let run_app ?(fuse = true) ?(walls = false) (a : Apps.Suite.app) : app_result =
         ("dcache_hits", ci ks.Observe.Metrics.dcache_hits);
         ("dcache_misses", ci ks.Observe.Metrics.dcache_misses);
         ("exit_status", c (status lsr 8));
-      ]
-      @ wall_metrics;
+      ];
     ar_sink = sink;
     ar_trace = r.Replay.Recorder.r_trace;
     ar_verdict = Analysis.Crosscheck.check ~summary ~policy reg;
@@ -156,6 +130,5 @@ let model (results : app_result list) : Model.t * (string * string) list =
       results )
 
 (** Run the suite's deterministic scenarios. *)
-let run_suite ?(apps = Apps.Suite.all) ?fuse ?walls () :
-    Model.t * (string * string) list =
-  model (List.map (run_app ?fuse ?walls) apps)
+let run_suite ?(apps = Apps.Suite.all) () : Model.t * (string * string) list =
+  model (List.map run_app apps)

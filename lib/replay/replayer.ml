@@ -360,7 +360,7 @@ let interposer (st : state) : Engine.interposer =
     out of the VFS). The digest check refuses a binary other than the
     recorded one unless [check_digest:false]. *)
 let replay ?(setup = fun (_ : Kernel.Task.kernel) -> ())
-    ?(check_digest = true) ?(fuse = true) ?observe ~(trace : Trace.t)
+    ?(check_digest = true) ?observe ~(trace : Trace.t)
     ~(binary : string) () : outcome =
   let total = Array.length trace.Trace.tr_events in
   let digest = Digest.string binary in
@@ -390,7 +390,7 @@ let replay ?(setup = fun (_ : Kernel.Task.kernel) -> ())
     in
     (* A sink observing the replay regenerates its metrics, trace and
        profile from the recorded outcomes, not a live kernel. *)
-    let eng = Engine.create ~poll_scheme ~fuse ?observe kernel in
+    let eng = Engine.create ~poll_scheme ?observe kernel in
     eng.Engine.interpose <- Some (interposer st);
     let status = ref 0 in
     (match observe with Some o -> Observe.Sink.attach o | None -> ());

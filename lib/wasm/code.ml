@@ -66,8 +66,6 @@ type op =
      graph and jump targets are all untouched by fusion. *)
   | F_ll_i32_binop of int * int * int_binop
       (* local_get a; local_get b; i32.binop *)
-  | F_ll_i32_binop_set of int * int * int_binop * int
-      (* local_get a; local_get b; i32.binop; local_set d *)
   | F_lc_i32_binop of int * int * int_binop
       (* local_get a; i32.const c; i32.binop *)
   | F_lc_i32_binop_set of int * int * int_binop * int
@@ -76,17 +74,6 @@ type op =
       (* i32.const c; i32.binop — tos := tos op c *)
   | F_i32_binop_set of int_binop * int
       (* i32.binop; local_set d — sink the result into a local *)
-  | F_local_load of int * load_kind * int
-      (* local_get a; load — address comes straight from the local *)
-  | F_i32_relop_br_if of int_relop * jump
-      (* i32.relop; br_if — fused compare-and-branch *)
-  | F_ll_i32_relop_br_if of int * int * int_relop * jump
-      (* local_get a; local_get b; i32.relop; br_if *)
-  | F_lc_i32_relop_br_if of int * int * int_relop * jump
-      (* local_get a; i32.const c; i32.relop; br_if *)
-  | F_lc_store of int * int64 * store_kind * int
-      (* local_get a; const v; store — mem[local a + off] := v, kept as
-         its slot bits *)
   | F_i32_eqz_br_if of jump
       (* i32.eqz; br_if — branch-if-zero *)
   | F_i32_relop_eqz_br_if of int_relop * jump
@@ -100,8 +87,6 @@ type op =
       (* local_get b; i32.binop — tos := tos op local b *)
   | F_i32_binop_load of int_binop * load_kind * int
       (* i32.binop; load — address computed by the binop *)
-  | F_i32_binop_binop of int_binop * int_binop
-      (* i32.binop; i32.binop — chained arithmetic *)
   | F_i32_binop_store of int_binop * store_kind * int
       (* i32.binop; store — store the freshly computed value *)
   | F_l_store of int * store_kind * int
@@ -653,55 +638,24 @@ let compile_func env ~poll (f : func) : fcode =
 (* Macro-op fusion                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(** Coverage-stats name of a superinstruction ([None] for plain ops). *)
-let superop_name = function
-  | F_ll_i32_binop _ -> Some "ll_i32_binop"
-  | F_ll_i32_binop_set _ -> Some "ll_i32_binop_set"
-  | F_lc_i32_binop _ -> Some "lc_i32_binop"
-  | F_lc_i32_binop_set _ -> Some "lc_i32_binop_set"
-  | F_const_i32_binop _ -> Some "const_i32_binop"
-  | F_i32_binop_set _ -> Some "i32_binop_set"
-  | F_local_load _ -> Some "local_load"
-  | F_i32_relop_br_if _ -> Some "i32_relop_br_if"
-  | F_ll_i32_relop_br_if _ -> Some "ll_i32_relop_br_if"
-  | F_lc_i32_relop_br_if _ -> Some "lc_i32_relop_br_if"
-  | F_lc_store _ -> Some "lc_store"
-  | F_i32_eqz_br_if _ -> Some "i32_eqz_br_if"
-  | F_i32_relop_eqz_br_if _ -> Some "i32_relop_eqz_br_if"
-  | F_ll_i32_relop_eqz_br_if _ -> Some "ll_i32_relop_eqz_br_if"
-  | F_lc_i32_relop_eqz_br_if _ -> Some "lc_i32_relop_eqz_br_if"
-  | F_l_i32_binop _ -> Some "l_i32_binop"
-  | F_i32_binop_load _ -> Some "i32_binop_load"
-  | F_i32_binop_binop _ -> Some "i32_binop_binop"
-  | F_i32_binop_store _ -> Some "i32_binop_store"
-  | F_l_store _ -> Some "l_store"
-  | F_set_get _ -> Some "set_get"
-  | F_i32_eqz_eqz -> Some "i32_eqz_eqz"
-  | _ -> None
-
 (** How many original ops an op stands for (1 for plain ops). The
     interpreter charges this to [machine.steps], so instruction counts,
     profile weights and replay coordinates are byte-identical between the
     fused and unfused engines. *)
 let op_width = function
   | F_ll_i32_relop_eqz_br_if _ | F_lc_i32_relop_eqz_br_if _ -> 5
-  | F_ll_i32_binop_set _ | F_lc_i32_binop_set _
-  | F_ll_i32_relop_br_if _ | F_lc_i32_relop_br_if _ -> 4
-  | F_ll_i32_binop _ | F_lc_i32_binop _ | F_lc_store _
-  | F_i32_relop_eqz_br_if _ -> 3
-  | F_const_i32_binop _ | F_i32_binop_set _ | F_local_load _
-  | F_i32_relop_br_if _ | F_i32_eqz_br_if _ | F_l_i32_binop _
-  | F_i32_binop_load _ | F_i32_binop_binop _ | F_i32_binop_store _
-  | F_l_store _ | F_set_get _ | F_i32_eqz_eqz -> 2
+  | F_lc_i32_binop_set _ -> 4
+  | F_ll_i32_binop _ | F_lc_i32_binop _ | F_i32_relop_eqz_br_if _ -> 3
+  | F_const_i32_binop _ | F_i32_binop_set _ | F_i32_eqz_br_if _
+  | F_l_i32_binop _ | F_i32_binop_load _ | F_i32_binop_store _ | F_l_store _
+  | F_set_get _ | F_i32_eqz_eqz -> 2
   | _ -> 1
 
 type fuse_stats = {
   fs_ops_before : int; (* flat ops over all functions, pre-fusion *)
   fs_ops_after : int;
-  fs_sites : (string * int) list; (* superop name -> static sites, sorted *)
+  fs_sites : int; (* superinstructions emitted *)
 }
-
-let empty_fuse_stats = { fs_ops_before = 0; fs_ops_after = 0; fs_sites = [] }
 
 (** Rewrite [fc]'s ops, greedily replacing the hot idioms with
     superinstructions (longest match first). A window is fusable only if
@@ -721,9 +675,6 @@ let nontrap_binop = function
 (* Apply [f] to every jump record of an op. *)
 let iter_jumps f = function
   | K_br j | K_br_if j
-  | F_i32_relop_br_if (_, j)
-  | F_ll_i32_relop_br_if (_, _, _, j)
-  | F_lc_i32_relop_br_if (_, _, _, j)
   | F_i32_eqz_br_if j
   | F_i32_relop_eqz_br_if (_, j)
   | F_ll_i32_relop_eqz_br_if (_, _, _, j)
@@ -734,7 +685,7 @@ let iter_jumps f = function
       f dj
   | _ -> ()
 
-let fuse_func (sites : (string, int) Hashtbl.t) (fc : fcode) : fcode =
+let fuse_func (fc : fcode) : fcode =
   let ops = fc.fc_ops in
   let n = Array.length ops in
   let is_target = Array.make (n + 1) false in
@@ -769,16 +720,9 @@ let fuse_func (sites : (string, int) Hashtbl.t) (fc : fcode) : fcode =
     if not (fusable i 4) then None
     else
       match (ops.(i), ops.(i + 1), ops.(i + 2), ops.(i + 3)) with
-      | K_local_get a, K_local_get b, K_i32_binop o, K_local_set d
-        when nontrap_binop o ->
-          Some (F_ll_i32_binop_set (a, b, o, d))
       | K_local_get a, K_const (Values.I32 c), K_i32_binop o, K_local_set d
         when nontrap_binop o ->
           Some (F_lc_i32_binop_set (a, Int32.to_int c, o, d))
-      | K_local_get a, K_local_get b, K_i32_relop o, K_br_if j ->
-          Some (F_ll_i32_relop_br_if (a, b, o, j))
-      | K_local_get a, K_const (Values.I32 c), K_i32_relop o, K_br_if j ->
-          Some (F_lc_i32_relop_br_if (a, Int32.to_int c, o, j))
       | _ -> None
   in
   let try3 i =
@@ -789,8 +733,6 @@ let fuse_func (sites : (string, int) Hashtbl.t) (fc : fcode) : fcode =
           Some (F_ll_i32_binop (a, b, o))
       | K_local_get a, K_const (Values.I32 c), K_i32_binop o ->
           Some (F_lc_i32_binop (a, Int32.to_int c, o))
-      | K_local_get a, K_const v, K_store (k, off) ->
-          Some (F_lc_store (a, Values.to_slot v, k, off))
       | K_i32_relop o, K_i32_eqz, K_br_if j ->
           Some (F_i32_relop_eqz_br_if (o, j))
       | _ -> None
@@ -799,7 +741,6 @@ let fuse_func (sites : (string, int) Hashtbl.t) (fc : fcode) : fcode =
     if not (fusable i 2) then None
     else
       match (ops.(i), ops.(i + 1)) with
-      | K_local_get a, K_load (k, off) -> Some (F_local_load (a, k, off))
       | K_local_get a, K_i32_binop o -> Some (F_l_i32_binop (a, o))
       | K_local_get a, K_store (k, off) -> Some (F_l_store (a, k, off))
       | K_const (Values.I32 c), K_i32_binop o -> Some (F_const_i32_binop (Int32.to_int c, o))
@@ -807,11 +748,8 @@ let fuse_func (sites : (string, int) Hashtbl.t) (fc : fcode) : fcode =
           Some (F_i32_binop_set (o, d))
       | K_i32_binop o, K_load (k, off) when nontrap_binop o ->
           Some (F_i32_binop_load (o, k, off))
-      | K_i32_binop o1, K_i32_binop o2 when nontrap_binop o1 ->
-          Some (F_i32_binop_binop (o1, o2))
       | K_i32_binop o, K_store (k, off) when nontrap_binop o ->
           Some (F_i32_binop_store (o, k, off))
-      | K_i32_relop o, K_br_if j -> Some (F_i32_relop_br_if (o, j))
       | K_i32_eqz, K_br_if j -> Some (F_i32_eqz_br_if j)
       | K_i32_eqz, K_i32_eqz -> Some F_i32_eqz_eqz
       | K_local_set s, K_local_get g when s = g -> Some (F_set_get s)
@@ -827,11 +765,6 @@ let fuse_func (sites : (string, int) Hashtbl.t) (fc : fcode) : fcode =
         done;
         out.(!olen) <- s;
         incr olen;
-        (match superop_name s with
-        | Some name ->
-            Hashtbl.replace sites name
-              (1 + Option.value ~default:0 (Hashtbl.find_opt sites name))
-        | None -> ());
         i := !i + w
     | None ->
         new_pc.(!i) <- !olen;
@@ -920,8 +853,8 @@ type compiled = {
 
 (** Validate and compile every local function of [m]. [fuse] (default on)
     runs the macro-op fusion pass over the validated flat code; the
-    unfused engine is kept selectable for A/B runs and the differential
-    replay gate. *)
+    unfused engine is the reference that the gate's differential and the
+    tests compare the fused one against. *)
 let compile_module ?(poll = Poll_none) ?(fuse = true) (m : module_) : compiled =
   let env = build_env m in
   (* Validate exports refer to existing indices. *)
@@ -937,16 +870,17 @@ let compile_module ?(poll = Poll_none) ?(fuse = true) (m : module_) : compiled =
       | Ed_table i -> check i env.e_num_tables "table")
     m.exports;
   let funcs = Array.map (compile_func env ~poll) m.funcs in
-  let before = Array.fold_left (fun a fc -> a + Array.length fc.fc_ops) 0 funcs in
-  let sites = Hashtbl.create 16 in
-  let funcs = if fuse then Array.map (fuse_func sites) funcs else funcs in
-  let after = Array.fold_left (fun a fc -> a + Array.length fc.fc_ops) 0 funcs in
+  let count f fcs = Array.fold_left (fun a fc -> a + f fc.fc_ops) 0 fcs in
+  let superops ops =
+    Array.fold_left (fun a op -> if op_width op > 1 then a + 1 else a) 0 ops
+  in
+  let before = count Array.length funcs in
+  let funcs = if fuse then Array.map fuse_func funcs else funcs in
   let fs =
     {
       fs_ops_before = before;
-      fs_ops_after = after;
-      fs_sites =
-        List.sort compare (Hashtbl.fold (fun k v l -> (k, v) :: l) sites []);
+      fs_ops_after = count Array.length funcs;
+      fs_sites = count superops funcs;
     }
   in
   { cm_module = m; cm_env = env; cm_funcs = funcs; cm_fuse = fs }

@@ -490,10 +490,6 @@ let rec run_machine ?(stop_depth = 0) (m0 : machine)
     | Code.F_ll_i32_binop (a, b, o) ->
         fuse mch 3;
         push_i mch (exec_i32_binop o (local_i mch fr a) (local_i mch fr b))
-    | Code.F_ll_i32_binop_set (a, b, o, d) ->
-        fuse mch 4;
-        set_slot_i mch (fr.fr_fp + d)
-          (exec_i32_binop o (local_i mch fr a) (local_i mch fr b))
     | Code.F_lc_i32_binop (a, c, o) ->
         fuse mch 3;
         push_i mch (exec_i32_binop o (local_i mch fr a) c)
@@ -509,24 +505,6 @@ let rec run_machine ?(stop_depth = 0) (m0 : machine)
         let b = pop_i mch in
         let a = pop_i mch in
         set_slot_i mch (fr.fr_fp + d) (exec_i32_binop o a b)
-    | Code.F_local_load (a, kind, off) ->
-        fuse mch 2;
-        exec_load mch (mem0 fr).Memory.data kind (u32 (local_i mch fr a) + off)
-    | Code.F_i32_relop_br_if (o, j) ->
-        fuse mch 2;
-        let b = pop_i mch in
-        let a = pop_i mch in
-        if exec_i32_relop o a b then jump mch fr j
-    | Code.F_ll_i32_relop_br_if (a, b, o, j) ->
-        fuse mch 4;
-        if exec_i32_relop o (local_i mch fr a) (local_i mch fr b) then jump mch fr j
-    | Code.F_lc_i32_relop_br_if (a, c, o, j) ->
-        fuse mch 4;
-        if exec_i32_relop o (local_i mch fr a) c then jump mch fr j
-    | Code.F_lc_store (a, v, kind, off) ->
-        fuse mch 3;
-        let addr = u32 (local_i mch fr a) + off in
-        exec_store (mem0 fr).Memory.data kind addr v
     | Code.F_i32_eqz_br_if j ->
         fuse mch 2;
         if pop_i mch = 0 then jump mch fr j
@@ -551,12 +529,6 @@ let rec run_machine ?(stop_depth = 0) (m0 : machine)
         let b = pop_i mch in
         let a = pop_i mch in
         exec_load mch (mem0 fr).Memory.data kind (u32 (exec_i32_binop o a b) + off)
-    | Code.F_i32_binop_binop (o1, o2) ->
-        fuse mch 2;
-        let z = pop_i mch in
-        let y = pop_i mch in
-        let k = mch.sp - 1 in
-        set_slot_i mch k (exec_i32_binop o2 (slot_i mch k) (exec_i32_binop o1 y z))
     | Code.F_i32_binop_store (o, kind, off) ->
         fuse mch 2;
         let y = pop_i mch in
