@@ -82,37 +82,30 @@ let writeback (mem : Rt.Memory.t) (r : region) =
         ~src_off:r.r_addr ~len:r.r_len
   | _ -> ()
 
-(* Remove [addr,addr+len) from region [r], yielding surviving pieces. *)
+(* Remove [addr,addr+len) from region [r], yielding the surviving
+   pieces in address order. *)
 let carve (mem : Rt.Memory.t) ~addr ~len r : region list =
   writeback mem r;
-  let pieces = ref [] in
-  if r.r_addr < addr then
-    pieces :=
-      { r with r_len = addr - r.r_addr } :: !pieces;
-  if addr + len < r.r_addr + r.r_len then begin
-    let tail_addr = addr + len in
-    let tail_backing =
-      match r.r_backing with
-      | Anon -> Anon
-      | File f -> File { f with fb_off = f.fb_off + (tail_addr - r.r_addr) }
-    in
-    pieces :=
-      { r_addr = tail_addr; r_len = r.r_addr + r.r_len - tail_addr;
-        r_prot = r.r_prot; r_backing = tail_backing }
-      :: !pieces
-  end;
-  !pieces
+  let stop = addr + len and r_end = r.r_addr + r.r_len in
+  let head = if r.r_addr < addr then [ { r with r_len = addr - r.r_addr } ] else [] in
+  if stop >= r_end then head
+  else
+    let moved = function File f -> File { f with fb_off = f.fb_off + stop - r.r_addr } | b -> b in
+    head @ [ { r with r_addr = stop; r_len = r_end - stop; r_backing = moved r.r_backing } ]
 
+(* [regions] is sorted, so the regions [addr,addr+len) overlaps are one
+   run: splice their surviving pieces in where the run was. *)
 let do_unmap t (mem : Rt.Memory.t) ~addr ~len =
-  let keep, gone =
-    List.partition (fun r -> not (region_overlaps ~addr ~len r)) t.regions
+  let rec go = function
+    | r :: rest when r.r_addr + r.r_len <= addr -> r :: go rest
+    | r :: rest when r.r_addr < addr + len ->
+        let pieces = carve mem ~addr ~len r in
+        let kept = List.fold_left (fun n p -> n + p.r_len) 0 pieces in
+        t.mapped_bytes <- t.mapped_bytes - (r.r_len - kept);
+        pieces @ go rest
+    | rest -> rest
   in
-  let survivors = List.concat_map (carve mem ~addr ~len) gone in
-  let all = List.sort (fun a b -> compare a.r_addr b.r_addr) (keep @ survivors) in
-  let old_total = List.fold_left (fun n r -> n + r.r_len) 0 t.regions in
-  let new_total = List.fold_left (fun n r -> n + r.r_len) 0 all in
-  t.regions <- all;
-  t.mapped_bytes <- t.mapped_bytes - (old_total - new_total)
+  t.regions <- go t.regions
 
 (** mmap. [file] is the backing regular-file buffer for non-anonymous
     maps. Returns the mapped address. *)
@@ -192,7 +185,7 @@ let mremap t ~(mem : Rt.Memory.t) ~old_addr ~old_len ~new_len :
   let old_len = align_up old_len and new_len = align_up new_len in
   match List.find_opt (fun r -> r.r_addr = old_addr) t.regions with
   | None -> Error Kernel.Errno.EFAULT
-  | Some r when r.r_len <> old_len -> Error Kernel.Errno.EINVAL
+  | Some r when r.r_len <> old_len || new_len <= 0 -> Error Kernel.Errno.EINVAL
   | Some r ->
       if new_len = old_len then Ok old_addr
       else if new_len < old_len then begin
@@ -202,10 +195,9 @@ let mremap t ~(mem : Rt.Memory.t) ~old_addr ~old_len ~new_len :
       else begin
         (* Try to extend in place. *)
         let next_start =
-          List.fold_left
-            (fun acc x ->
-              if x.r_addr > r.r_addr then min acc x.r_addr else acc)
-            max_int t.regions
+          match List.find_opt (fun x -> x.r_addr > r.r_addr) t.regions with
+          | Some x -> x.r_addr (* regions are sorted *)
+          | None -> max_int
         in
         if old_addr + new_len <= min next_start (limit_of mem)
            && ensure_mem mem old_addr new_len

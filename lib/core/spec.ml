@@ -181,7 +181,9 @@ let stubs : entry list =
 
 let all : entry list = implemented @ stubs
 
-let find name = List.find_opt (fun e -> e.name = name) all
+(* one name table, built once (names are unique) *)
+let by_name = Hashtbl.of_seq (List.to_seq (List.map (fun e -> (e.name, e)) all))
+let find name = Hashtbl.find_opt by_name name
 
 let import_module = "wali"
 let import_name name = "SYS_" ^ name

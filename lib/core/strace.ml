@@ -30,11 +30,11 @@ let pp_arg (v : int64) : string =
   if Int64.compare v 0x10000L >= 0 then Printf.sprintf "0x%Lx" v
   else Int64.to_string v
 
-(** Count one crossing; [args] (the raw i64 arguments) are rendered
-    only when the tracer is verbose. *)
-let note t ~pid ~name ~(args : Wasm.Values.value array) ~(result : int64) ~ns
-    =
-  Observe.Metrics.record t.reg ~name ~result ~ns;
+(** Count one crossing of [name] in [s], its record in the registry
+    ({!Observe.Metrics.stats_of}); [args] (the raw i64 arguments) are
+    rendered only when the tracer is verbose. *)
+let note_stats t s ~pid ~name ~(args : Wasm.Values.value array) ~(result : int64) ~ns =
+  Observe.Metrics.record_stats t.reg s ~result ~ns;
   if t.verbose then begin
     let line =
       Printf.sprintf "[%d] %s(%s) = %Ld" pid name
@@ -45,6 +45,9 @@ let note t ~pid ~name ~(args : Wasm.Values.value array) ~(result : int64) ~ns
     in
     match t.log with Some f -> f line | None -> prerr_endline line
   end
+
+let note t ~pid ~name ~args ~result ~ns =
+  note_stats t (Observe.Metrics.stats_of t.reg name) ~pid ~name ~args ~result ~ns
 
 (** (name, calls) sorted by frequency, most frequent first; ties break
     alphabetically so the profile is stable across runs. The comparator

@@ -27,13 +27,15 @@ let stats_of t name =
       Hashtbl.replace t.tbl name s;
       s
 
-let record t ~name ~(result : int64) ~(ns : int64) =
-  let s = stats_of t name in
+(** Count one call in [s], a record of [t] from [stats_of]. *)
+let record_stats t s ~(result : int64) ~(ns : int64) =
   s.calls <- s.calls + 1;
   if Int64.compare result 0L < 0 then s.errors <- s.errors + 1;
   s.ns <- Int64.add s.ns (if Int64.compare ns 0L > 0 then ns else 0L);
   Hist.record s.hist ns;
   t.total <- t.total + 1
+
+let record t ~name ~result ~ns = record_stats t (stats_of t name) ~result ~ns
 
 let find t name = Hashtbl.find_opt t.tbl name
 

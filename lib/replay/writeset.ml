@@ -1,7 +1,7 @@
 (** The per-syscall write-set oracle: which guest-memory bytes may the
     kernel side of the thin interface write for a given call?
 
-    This is the recorder's static model of `Wali.Interface.dispatch_raw`
+    This is the recorder's static model of the `Wali.Interface.bind` handlers
     — for each syscall it enumerates the (addr, len) output regions from
     the handler's ABI (stat buffers, iovecs, read targets, …), clamped to
     the result where the ABI says so. Regions may over-approximate

@@ -327,12 +327,22 @@ let[@inline] fuse (m : machine) width =
   m.hot_steps <- m.hot_steps + width - 1;
   m.hot_fused <- m.hot_fused + 1
 
-let host_outcome m hf_fn args ~where =
-  match hf_fn m (Array.of_list args) with
-  | H_return vs -> R_done vs
-  | H_trap s -> R_trap s
-  | H_exit c -> R_exit c
-  | H_fork _ | H_exec _ -> R_trap ("fork/exec " ^ where)
+(* A host function called from outside the interpreter loop. *)
+let call_host_direct m f args ~where =
+  match f with
+  | Host_slot { hs_type; hs_fn; _ } ->
+      let base = m.sp in
+      List.iter (Machine.push m) args;
+      let r = hs_fn m base in
+      m.sp <- base;
+      R_done (List.map (fun t -> Values.of_slot t r) hs_type.Types.results)
+  | Host_func { hf_fn; _ } -> (
+      match hf_fn m (Array.of_list args) with
+      | H_return vs -> R_done vs
+      | H_trap s -> R_trap s
+      | H_exit c -> R_exit c
+      | H_fork _ | H_exec _ -> R_trap ("fork/exec " ^ where))
+  | Wasm_func _ -> assert false
 
 exception Exit_trap of run_result
 
@@ -371,6 +381,14 @@ let rec run_machine ?(stop_depth = 0) (m0 : machine)
   let call f =
     match f with
     | Wasm_func { wf_inst; wf_code } -> Machine.push_frame !m wf_inst wf_code
+    | Host_slot { hs_type; hs_fn; _ } ->
+        (* the arguments stay in place; the result replaces the first *)
+        let mch = !m in
+        let base = mch.sp - List.length hs_type.Types.params in
+        Machine.sync mch;
+        let r = hs_fn mch base in
+        set_slot mch base r;
+        mch.sp <- base + 1
     | Host_func { hf_type; hf_fn; _ } -> call_host f hf_type hf_fn
   in
   let step fr =
@@ -577,7 +595,7 @@ and call_nested (m : machine) (f : func_inst) (args : value list) : run_result =
       List.iter (Machine.push m) args;
       Machine.push_frame m wf_inst wf_code;
       run_machine m ~results:wf_code.Code.fc_type.Types.results ~stop_depth:base
-  | Host_func { hf_fn; _ } -> host_outcome m hf_fn args ~where:"in nested host call"
+  | Host_func _ | Host_slot _ -> call_host_direct m f args ~where:"in nested host call"
 
 (** Invoke [f] on a fresh entry in machine [m] (frames must be empty). *)
 let invoke (m : machine) (f : func_inst) (args : value list) : run_result =
@@ -587,7 +605,7 @@ let invoke (m : machine) (f : func_inst) (args : value list) : run_result =
       List.iter (Machine.push m) args;
       Machine.push_frame m wf_inst wf_code;
       run_machine m ~results:wf_code.Code.fc_type.Types.results
-  | Host_func { hf_fn; _ } -> host_outcome m hf_fn args ~where:"outside wasm context"
+  | Host_func _ | Host_slot _ -> call_host_direct m f args ~where:"outside wasm context"
 
 (** Resume a machine that already has frames (used after fork: the child
     continues from its cloned state, whose entry returns nothing). *)

@@ -139,6 +139,7 @@ type instance = {
 and func_inst =
   | Wasm_func of { wf_inst : instance; wf_code : Code.fcode }
   | Host_func of { hf_name : string; hf_type : func_type; hf_fn : host_fn }
+  | Host_slot of { hs_name : string; hs_type : func_type; hs_fn : slot_fn }
 
 and extern =
   | E_func of func_inst
@@ -147,6 +148,13 @@ and extern =
   | E_global of Global.t
 
 and host_fn = machine -> value array -> host_outcome
+
+(** A host function on the slot convention, with one result: called as
+    [hs_fn m base], it reads its arguments from [m]'s stack slots
+    [base, base + arity), which stay live under anything pushed meanwhile
+    until it returns, and returns the result's slot bits. No
+    {!Values.value} is built. *)
+and slot_fn = machine -> int -> int64
 
 (** What a host function tells the engine loop to do. [H_fork] and
     [H_exec] require machine surgery that only the engine loop can
@@ -176,9 +184,9 @@ and frame = {
    the OCaml [int] the interpreter computes with), an i64 or f64 as is.
    A frame's locals are the slots [fr_fp, fr_fp + nlocals): a call's
    arguments become its first locals in place, and the operand stack
-   grows above them. [Values.value] appears only at the edges — host-call
-   arguments and results, [Interp.invoke]/[call_nested], globals and
-   {!Machine.push}. *)
+   grows above them. [Values.value] appears only at the edges — boxed
+   host-call arguments and results, [Interp.invoke]/[call_nested],
+   globals and {!Machine.push}. *)
 and machine = {
   mutable stack : Bytes.t;
   mutable sp : int; (* live slots *)
@@ -199,10 +207,12 @@ and machine = {
 let func_type_of = function
   | Wasm_func { wf_code; _ } -> wf_code.Code.fc_type
   | Host_func { hf_type; _ } -> hf_type
+  | Host_slot { hs_type; _ } -> hs_type
 
 let func_name_of = function
   | Wasm_func { wf_code; _ } -> wf_code.Code.fc_name
   | Host_func { hf_name; _ } -> hf_name
+  | Host_slot { hs_name; _ } -> hs_name
 
 module Machine = struct
   type t = machine
@@ -360,7 +370,7 @@ module Machine = struct
             Array.map
               (function
                 | Wasm_func w -> Wasm_func { w with wf_inst = clone_inst w.wf_inst }
-                | Host_func h -> Host_func h)
+                | (Host_func _ | Host_slot _) as h -> h)
               i.i_funcs;
           Hashtbl.iter
             (fun k v ->
@@ -368,7 +378,7 @@ module Machine = struct
                 match v with
                 | E_func (Wasm_func w) ->
                     E_func (Wasm_func { w with wf_inst = clone_inst w.wf_inst })
-                | E_func (Host_func h) -> E_func (Host_func h)
+                | E_func ((Host_func _ | Host_slot _) as h) -> E_func h
                 | E_memory mem -> E_memory (clone_mem mem)
                 | E_table t -> E_table t
                 | E_global g -> E_global g

@@ -164,6 +164,45 @@ let test_host_result_checked () =
   | _, Interp.R_trap s when Astring_contains.contains s "host function h returned" -> ()
   | _, r -> Alcotest.failf "mistyped host result: %s" (show r)
 
+(* A slot-convention host function reads its arguments in place on the
+   stack. They must survive a nested call the host makes on the same
+   machine (a signal handler run at the post-call poll does that), its
+   result must replace them, and a call from outside the loop must work
+   the same way. *)
+let test_slot_host_args_stable () =
+  let b = Builder.create () in
+  let h = Builder.import_func b ~module_:"env" ~name:"h" ~params:[ i64; i64 ] ~results:[ i64 ] in
+  Builder.export_func b "g"
+    (Builder.func b ~name:"g" ~params:[ i32 ] ~results:[ i32 ] ~locals:[ i64; i64 ]
+       [ I64_const (-1L); Local_set 1; I64_const (-2L); Local_set 2; Local_get 0; I32_const 7l;
+         I32_binop Mul ]);
+  Builder.export_func b "f"
+    (Builder.func b ~name:"f" ~params:[] ~results:[ i64 ] ~locals:[]
+       [ I64_const 100L; I64_const 5L; I64_const 0x1234L; Call h; I64_binop Add ]);
+  let g = ref None in
+  let slot (m : Rt.machine) k = Bytes.get_int64_ne m.Rt.stack (8 * k) in
+  let hs_fn m base =
+    let before = (slot m base, slot m (base + 1)) in
+    (match Interp.call_nested m (Option.get !g) [ Values.I32 9l ] with
+    | Interp.R_done [ Values.I32 63l ] -> ()
+    | r -> Alcotest.failf "nested call: %s" (show r));
+    Alcotest.(check (pair int64 int64)) "arguments intact" before (slot m base, slot m (base + 1));
+    Int64.add (Int64.mul (fst before) 1_000_000L) (snd before)
+  in
+  let ty = { Types.params = [ i64; i64 ]; results = [ i64 ] } in
+  let hosts = [ ("h", Rt.E_func (Rt.Host_slot { hs_name = "h"; hs_type = ty; hs_fn })) ] in
+  let inst = instantiate ~hosts b in
+  g := Some (Rt.exported_func inst "g");
+  (match invoke inst "f" [] with
+  | _, Interp.R_done [ Values.I64 r ] ->
+      Alcotest.(check int64) "f" (Int64.of_int (100 + 5_000_000 + 0x1234)) r
+  | _, r -> Alcotest.failf "f: %s" (show r));
+  let m = Rt.Machine.create inst in
+  let direct = Rt.Host_slot { hs_name = "h"; hs_type = ty; hs_fn } in
+  match Interp.invoke m direct [ Values.I64 2L; Values.I64 3L ] with
+  | Interp.R_done [ Values.I64 2_000_003L ] -> Alcotest.(check int) "popped" 0 m.Rt.sp
+  | r -> Alcotest.failf "direct call: %s" (show r)
+
 (* A frame record and its stack slots are reused by the next call at the
    same depth: the new frame's locals must read as zero. *)
 let test_frame_locals_zeroed () =
@@ -513,6 +552,7 @@ let tests =
     Alcotest.test_case "dispatch allocates nothing per instruction" `Quick test_no_alloc;
     Alcotest.test_case "untagged slots round-trip edge values" `Quick test_slot_roundtrip;
     Alcotest.test_case "host results are type-checked" `Quick test_host_result_checked;
+    Alcotest.test_case "slot host call arguments stay in place" `Quick test_slot_host_args_stable;
     Alcotest.test_case "reused frame's locals are zeroed" `Quick test_frame_locals_zeroed;
     Alcotest.test_case "fork clone stack and locals independent" `Quick test_fork_isolation;
     Alcotest.test_case "counter snapshots stay exact" `Quick test_counter_snapshots;

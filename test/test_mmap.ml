@@ -32,36 +32,59 @@ let arb = QCheck.make ~print:(fun l -> String.concat "; " (List.map print_op l))
 
 let heap_base = 1 lsl 20
 
-let run_ops ops =
+(* Apply [ops], failing on the first one after which the regions are
+   ill-formed or [check] does not hold. [check] also sees a page-level
+   model of what should be mapped, kept from each call's result alone:
+   page number -> mapped. *)
+let run_ops ?(check = fun _ _ -> true) ops =
   let mem = Wasm.Rt.Memory.create ~min_pages:32 ~max_pages:512 in
   let t = Mmap_mgr.create ~heap_base in
+  let model = Hashtbl.create 64 in
+  let set addr len v =
+    for pg = addr / 4096 to ((addr + Mmap_mgr.align_up len) / 4096) - 1 do
+      if v then Hashtbl.replace model pg () else Hashtbl.remove model pg
+    done
+  in
   List.iter
     (fun op ->
       (match op with
-      | Map len ->
-          ignore
-            (Mmap_mgr.mmap t ~mem ~addr:0 ~len ~prot:3
-               ~flags:Kernel.Ktypes.(map_private lor map_anonymous)
-               ~file:None)
+      | Map len -> (
+          match
+            Mmap_mgr.mmap t ~mem ~addr:0 ~len ~prot:3
+              ~flags:Kernel.Ktypes.(map_private lor map_anonymous)
+              ~file:None
+          with
+          | Ok a -> set a len true
+          | Error _ -> ())
       | Map_fixed (a, len) ->
           let addr = heap_base + (a * 4096) in
-          ignore
-            (Mmap_mgr.mmap t ~mem ~addr ~len ~prot:3
-               ~flags:
-                 Kernel.Ktypes.(map_private lor map_anonymous lor map_fixed)
-               ~file:None)
-      | Unmap (a, len) ->
-          ignore (Mmap_mgr.munmap t ~mem ~addr:(heap_base + (a * 4096)) ~len)
+          (match
+             Mmap_mgr.mmap t ~mem ~addr ~len ~prot:3
+               ~flags:Kernel.Ktypes.(map_private lor map_anonymous lor map_fixed)
+               ~file:None
+           with
+          | Ok a -> set a len true
+          | Error _ -> ())
+      | Unmap (a, len) -> (
+          let addr = heap_base + (a * 4096) in
+          match Mmap_mgr.munmap t ~mem ~addr ~len with
+          | Ok () -> set addr len false
+          | Error _ -> ())
       | Remap (i, nl) -> (
           match Mmap_mgr.regions t with
           | [] -> ()
           | rs ->
               let r = List.nth rs (abs i mod List.length rs) in
-              ignore
-                (Mmap_mgr.mremap t ~mem ~old_addr:r.Mmap_mgr.r_addr
-                   ~old_len:r.Mmap_mgr.r_len ~new_len:nl)));
+              let old_addr = r.Mmap_mgr.r_addr and old_len = r.Mmap_mgr.r_len in
+              match Mmap_mgr.mremap t ~mem ~old_addr ~old_len ~new_len:nl with
+              | Ok a ->
+                  set old_addr old_len false;
+                  set a nl true
+              | Error _ -> ()));
       if not (Mmap_mgr.well_formed t) then
-        QCheck.Test.fail_reportf "regions ill-formed after %s" (print_op op))
+        QCheck.Test.fail_reportf "regions ill-formed after %s" (print_op op);
+      if not (check t model) then
+        QCheck.Test.fail_reportf "check failed after %s" (print_op op))
     ops;
   (* every region lies inside the grown sandbox *)
   List.for_all
@@ -72,7 +95,25 @@ let run_ops ops =
 
 let prop_invariants =
   QCheck.Test.make ~name:"mmap regions disjoint/aligned/in-bounds" ~count:200
-    arb run_ops
+    arb (fun ops -> run_ops ops)
+
+(* munmap splices the surviving pieces into place and keeps the byte count
+   by subtraction. The regions must stay sorted and disjoint (checked by
+   [run_ops]), cover exactly the pages the calls' results say are mapped,
+   and [mapped_bytes] must equal their total length. *)
+let prop_mapped_bytes =
+  QCheck.Test.make ~name:"mmap mapped_bytes = sum of region lengths" ~count:300 arb
+    (run_ops ~check:(fun t model ->
+         let regions = Mmap_mgr.regions t in
+         let total = List.fold_left (fun n r -> n + r.Mmap_mgr.r_len) 0 regions in
+         Mmap_mgr.mapped_bytes t = total
+         && total = 4096 * Hashtbl.length model
+         && List.for_all
+              (fun r ->
+                let first = r.Mmap_mgr.r_addr / 4096 in
+                let pages = List.init (r.Mmap_mgr.r_len / 4096) (( + ) first) in
+                List.for_all (Hashtbl.mem model) pages)
+              regions))
 
 let test_file_mapping_writeback () =
   (* MAP_SHARED file mappings write back on msync/munmap *)
@@ -152,6 +193,7 @@ let test_efault_on_bad_pointers () =
 let tests =
   [
     QCheck_alcotest.to_alcotest prop_invariants;
+    QCheck_alcotest.to_alcotest prop_mapped_bytes;
     Alcotest.test_case "shared file mapping write-back" `Quick test_file_mapping_writeback;
     Alcotest.test_case "partial unmap splits regions" `Quick test_partial_unmap_splits;
     Alcotest.test_case "bad guest pointers yield EFAULT" `Quick test_efault_on_bad_pointers;

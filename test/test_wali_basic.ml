@@ -209,6 +209,200 @@ let test_seccomp_deny () =
     [ ("getpid", 1) ]
     (Seccomp.denied_counts policy)
 
+(* Run [binary] as init with [policy], calling [after_link eng] once the
+   module is linked but before the scheduler runs its first instruction. *)
+let run_after_link ~policy ~after_link binary =
+  let kernel = Kernel.Task.boot () in
+  let eng = Engine.create ~policy kernel in
+  let status = ref (-1) in
+  Fiber.run (fun () ->
+      let p = Interface.spawn_init eng ~binary ~argv:[ "t" ] ~env:[] in
+      after_link eng;
+      eng.Engine.on_proc_exit <- Some (fun q st -> if q == p then status := st));
+  !status
+
+(* A guest that exits with -getpid(). *)
+let getpid_exit () =
+  build_wali_module
+    ~imports:[ ("getpid", 0); ("exit_group", 1) ]
+    ~locals:[]
+    (fun call -> [ call "getpid"; I64_const (-1L); I64_binop Mul; call "exit_group"; Drop ])
+
+(* Each import's verdict is resolved when it is linked; a rule added after
+   that must still apply to the very next call. *)
+let test_seccomp_after_link () =
+  let policy = Seccomp.allow_all () in
+  let status =
+    run_after_link ~policy (getpid_exit ()) ~after_link:(fun _ ->
+        Seccomp.deny policy "getpid" ())
+  in
+  Alcotest.(check int) "denied after link: EPERM" (Kernel.Ktypes.wexit_status 1) status;
+  Alcotest.(check (list (pair string int))) "denial counted" [ ("getpid", 1) ]
+    (Seccomp.denied_counts policy);
+  let policy = Seccomp.allow_all () in
+  let status =
+    run_after_link ~policy (getpid_exit ()) ~after_link:(fun _ -> Seccomp.kill_on policy "getpid")
+  in
+  Alcotest.(check int) "killed after link: SIGSYS"
+    (Kernel.Ktypes.wsignal_status Kernel.Ktypes.sigsys)
+    status;
+  Alcotest.(check (list (pair string int))) "kill counted" [ ("getpid", 1) ]
+    (Seccomp.denied_counts policy);
+  (* a policy replaced wholesale after link applies too *)
+  let policy = Seccomp.allow_all () in
+  let status =
+    run_after_link ~policy (getpid_exit ()) ~after_link:(fun eng ->
+        eng.Engine.policy <- Seccomp.allowlist [ "exit_group" ])
+  in
+  Alcotest.(check int) "replaced policy: EPERM" (Kernel.Ktypes.wexit_status 1) status
+
+(* A rule added while the guest runs: getpid succeeds, the guest sleeps
+   1 ms, a timer denies getpid at 0.5 ms, and the second getpid fails.
+   Exit status: 10 if the first call succeeded, plus -(second result). *)
+let test_seccomp_mid_run () =
+  let binary =
+    build_wali_module
+      ~imports:[ ("getpid", 0); ("nanosleep", 2); ("exit_group", 1) ]
+      ~locals:[ i64t ]
+      (fun call ->
+        [
+          call "getpid"; Local_set 0;
+          (* timespec { 0 s, 1_000_000 ns } at 64 *)
+          I32_const 64l; I64_const 0L; I64_store { offset = 0; align = 3 };
+          I32_const 72l; I64_const 1_000_000L; I64_store { offset = 0; align = 3 };
+          k 64; k 0; call "nanosleep"; Drop;
+          Local_get 0; k 0; I64_relop Gt_s; I64_extend_i32 ZX; k 10; I64_binop Mul;
+          call "getpid"; I64_binop Sub; call "exit_group"; Drop;
+        ])
+  in
+  let policy = Seccomp.allow_all () in
+  let status =
+    run_after_link ~policy binary ~after_link:(fun _ ->
+        Fiber.at 500_000L (fun () -> Seccomp.deny policy "getpid" ()))
+  in
+  Alcotest.(check int) "first allowed, second denied" (Kernel.Ktypes.wexit_status 11) status;
+  Alcotest.(check (list (pair string int))) "one denial" [ ("getpid", 1) ]
+    (Seccomp.denied_counts policy)
+
+(* Hostile guest pointers: a buffer or path at 0xFFFFFFF0, 64 bytes long,
+   wraps past the end of the 32-bit space. Every call must return -EFAULT
+   to the guest (no host exception), on the plain slot path and on the
+   boxed path a verbose tracer takes, and count as an error. *)
+let test_hostile_pointers () =
+  let bad = 0xFFFF_FFF0 in
+  let calls =
+    [
+      ("read", [ 0; bad; 64 ]);
+      ("write", [ 1; bad; 64 ]);
+      ("pread64", [ 0; bad; 64; 0 ]);
+      ("fstat", [ 1; bad ]);
+      ("clock_gettime", [ 1; bad ]);
+      ("open", [ bad; 0; 0 ]);
+      ("getcwd", [ bad; 64 ]);
+    ]
+  in
+  let binary =
+    build_wali_module
+      ~imports:(List.map (fun (n, a) -> (n, List.length a)) calls @ [ ("exit_group", 1) ])
+      ~locals:[]
+      (fun call ->
+        (* exit with the 1-based index of the first call not given -EFAULT *)
+        List.concat
+          (List.mapi
+             (fun i (n, args) ->
+               List.map k args
+               @ [
+                   call n; k (-14); I64_relop Ne;
+                   If (Bt_none, [ k (i + 1); call "exit_group"; Drop ], []);
+                 ])
+             calls)
+        @ [ k 0; call "exit_group"; Drop ])
+  in
+  List.iter
+    (fun verbose ->
+      let trace = Strace.create ~verbose () in
+      trace.Strace.log <- Some ignore;
+      let status, _, _ = Interface.run_program ~trace ~binary ~argv:[ "t" ] ~env:[] () in
+      Alcotest.(check int) "every call got -EFAULT" 0 status;
+      List.iter
+        (fun (n, _) ->
+          match Strace.info trace n with
+          | Some i ->
+              Alcotest.(check (pair int int)) (n ^ " counted once, as an error") (1, 1)
+                (i.Strace.i_calls, i.Strace.i_errors)
+          | None -> Alcotest.failf "%s not counted" n)
+        calls)
+    [ false; true ]
+
+(* The path calls and their [*at] twins share one handler each, with the
+   twin's arguments one slot later: drive every pair through the by-name
+   edge, the plain call with absolute paths and the twin relative to a
+   directory fd, and check the results and the file system they leave. *)
+let test_at_twins () =
+  let eng = Engine.create (Kernel.Task.boot ()) in
+  let results = ref [] in
+  Fiber.run (fun () ->
+      let p = Interface.spawn_init eng ~binary:(getpid_exit ()) ~argv:[ "t" ] ~env:[] in
+      let m = Option.get p.Engine.pr_machine in
+      let mem = Rt.memory0 m in
+      let at = ref 1024 in
+      let s str =
+        let a = !at in
+        Rt.Memory.write_string mem ~addr:a (str ^ "\000");
+        at := a + 64;
+        a
+      in
+      let call name args =
+        match Interface.dispatch eng name m (Array.of_list (List.map (fun v -> Values.I64 (Int64.of_int v)) args)) with
+        | Rt.H_return [ Values.I64 r ] -> Int64.to_int r
+        | _ -> Alcotest.failf "%s: not a value" name
+      in
+      let buf = 8192 in
+      let mode_of path_call = ignore (path_call ()); Int32.to_int (Rt.Memory.load32 mem (buf + 16)) in
+      let ok what r = results := (what, r) :: !results in
+      let fdcwd = Kernel.Syscalls.at_fdcwd in
+      ok "mkdir" (call "mkdir" [ s "/t"; 0o755 ]);
+      ok "close" (call "close" [ call "open" [ s "/t/a"; Kernel.Ktypes.(o_creat lor o_wronly); 0o644 ] ]);
+      let d = call "openat" [ fdcwd; s "/t"; Kernel.Ktypes.o_directory; 0 ] in
+      ok "openat rel" (min 0 (call "openat" [ d; s "a"; 0; 0 ]));
+      ok "access" (call "access" [ s "/t/a"; 0 ]);
+      ok "faccessat" (call "faccessat" [ d; s "a"; 0 ]);
+      ok "faccessat missing" (call "faccessat" [ d; s "zz"; 0 ]);
+      ok "mkdirat" (call "mkdirat" [ d; s "c"; 0o755 ]);
+      ok "linkat" (call "linkat" [ d; s "a"; d; s "b" ]);
+      ok "link" (call "link" [ s "/t/a"; s "/t/l" ]);
+      ok "renameat" (call "renameat" [ d; s "b"; d; s "e" ]);
+      ok "rename" (call "rename" [ s "/t/e"; s "/t/b" ]);
+      ok "symlinkat" (call "symlinkat" [ s "/t/a"; d; s "y" ]);
+      ok "symlink" (call "symlink" [ s "/t/a"; s "/t/z" ]);
+      ok "readlinkat" (call "readlinkat" [ d; s "y"; buf; 64 ]);
+      ok "readlink" (call "readlink" [ s "/t/z"; buf; 64 ]);
+      ok "chmod" (call "chmod" [ s "/t/a"; 0o600 ]);
+      ok "fchmodat" (call "fchmodat" [ d; s "a"; 0o640 ]);
+      ok "fchownat" (call "fchownat" [ d; s "a"; 5; 6 ]);
+      ok "stat mode" (mode_of (fun () -> call "stat" [ s "/t/z"; buf ]));
+      ok "stat uid" (Int32.to_int (Rt.Memory.load32 mem (buf + 24)));
+      ok "lstat mode" (mode_of (fun () -> call "lstat" [ s "/t/z"; buf ]));
+      ok "newfstatat follow" (mode_of (fun () -> call "newfstatat" [ d; s "y"; buf; 0 ]));
+      ok "newfstatat nofollow" (mode_of (fun () -> call "newfstatat" [ d; s "y"; buf; 0x100 ]));
+      ok "unlinkat" (call "unlinkat" [ d; s "b"; 0 ]);
+      ok "unlinkat dir" (call "unlinkat" [ d; s "c"; 0x200 ]);
+      ok "unlink" (call "unlink" [ s "/t/l" ]);
+      ok "rmdir nonempty" (min 0 (call "rmdir" [ s "/t" ]));
+      ok "stat gone" (call "stat" [ s "/t/b"; buf ]));
+  let reg = Kernel.Ktypes.s_ifreg and lnk = Kernel.Ktypes.s_iflnk in
+  Alcotest.(check (list (pair string int))) "results"
+    [
+      ("mkdir", 0); ("close", 0); ("openat rel", 0); ("access", 0); ("faccessat", 0);
+      ("faccessat missing", -2); ("mkdirat", 0); ("linkat", 0); ("link", 0); ("renameat", 0);
+      ("rename", 0); ("symlinkat", 0); ("symlink", 0); ("readlinkat", 4); ("readlink", 4);
+      ("chmod", 0); ("fchmodat", 0); ("fchownat", 0); ("stat mode", reg lor 0o640);
+      ("stat uid", 5); ("lstat mode", lnk lor 0o777); ("newfstatat follow", reg lor 0o640);
+      ("newfstatat nofollow", lnk lor 0o777); ("unlinkat", 0); ("unlinkat dir", 0); ("unlink", 0);
+      ("rmdir nonempty", -39); ("stat gone", -2);
+    ]
+    (List.rev !results)
+
 (* mmap returns page-aligned sandboxed memory that is readable/writable. *)
 let test_mmap () =
   let binary =
@@ -319,6 +513,10 @@ let tests =
     Alcotest.test_case "default disposition terminates" `Quick test_default_term;
     Alcotest.test_case "/proc/self/mem interposed" `Quick test_proc_self_mem_blocked;
     Alcotest.test_case "seccomp-like deny" `Quick test_seccomp_deny;
+    Alcotest.test_case "seccomp rule added after link" `Quick test_seccomp_after_link;
+    Alcotest.test_case "seccomp rule added mid-run" `Quick test_seccomp_mid_run;
+    Alcotest.test_case "hostile pointers get EFAULT" `Quick test_hostile_pointers;
+    Alcotest.test_case "path calls and their *at twins" `Quick test_at_twins;
     Alcotest.test_case "mmap/munmap in linear memory" `Quick test_mmap;
     Alcotest.test_case "ENOSYS passthrough stubs" `Quick test_enosys_stub;
     Alcotest.test_case "strace profile counts" `Quick test_strace_counts;
