@@ -22,7 +22,7 @@ type pshared = {
   ps_mem_id : int; (* futex address-space id *)
   mutable ps_brk : int;
   ps_heap_base : int;
-  ps_binary : string; (* the loaded .wasm image, for diagnostics *)
+  ps_binary : string; (* the loaded .wasm image; keeps its compiled image cached *)
 }
 
 type proc = {
@@ -279,30 +279,36 @@ let new_machine eng (inst : Rt.instance) ~tid : Rt.machine =
    [Link.instantiate] never mutates the compiled module — memories,
    globals and tables are built fresh per instance — so compiled images
    are shared across processes and repeated execs of the same binary.
-   Compilation consumes no virtual time, so the cache cannot perturb any
-   deterministic counter; it only removes redundant host work. *)
-let compile_cache : (string * string * Code.poll_scheme * bool, Code.compiled)
-    Hashtbl.t =
-  Hashtbl.create 16
+   The table is weak in its key: a binary's images (one per poll scheme
+   and fusion setting) live while some caller holds the binary string
+   (a live process's [ps_binary], a caller's own copy) and go at the
+   next major collection after the last one is dropped. Keys compare by
+   content, so an equal copy of a live binary hits. Compilation consumes
+   no virtual time, so the cache cannot perturb any deterministic
+   counter; it only removes redundant host work. *)
+module Images = Ephemeron.K1.Make (struct
+  type t = string
 
-let compile_cache_max = 64
+  let equal = String.equal
+  let hash = Hashtbl.hash
+end)
 
-let compile_cached ~poll ~fuse ~name binary : Code.compiled =
-  let key = (Digest.string binary, name, poll, fuse) in
-  match Hashtbl.find_opt compile_cache key with
+let compile_cache : ((Code.poll_scheme * bool) * Code.compiled) list Images.t =
+  Images.create 16
+
+let compile_cached ~poll ~fuse binary : Code.compiled =
+  let images = Option.value (Images.find_opt compile_cache binary) ~default:[] in
+  match List.assoc_opt (poll, fuse) images with
   | Some cm -> cm
   | None ->
-      let m = Binary.decode ~name binary in
-      let cm = Code.compile_module ~poll ~fuse m in
-      if Hashtbl.length compile_cache >= compile_cache_max then
-        Hashtbl.reset compile_cache;
-      Hashtbl.replace compile_cache key cm;
+      let cm = Code.compile_module ~poll ~fuse (Binary.decode binary) in
+      Images.replace compile_cache binary (((poll, fuse), cm) :: images);
       cm
 
 (** Compile and instantiate a Wasm binary as a fresh process image. *)
 let build_image eng ~(resolver : Link.resolver) ~(binary : string)
     ~(name : string) : Rt.instance =
-  let cm = compile_cached ~poll:eng.poll_scheme ~fuse:eng.fuse ~name binary in
+  let cm = compile_cached ~poll:eng.poll_scheme ~fuse:eng.fuse binary in
   (match eng.observe with
   | Some o ->
       let fs = cm.Code.cm_fuse in

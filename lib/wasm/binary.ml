@@ -392,36 +392,54 @@ let encode (m : module_) : string =
 (* ------------------------------------------------------------------ *)
 
 module D = struct
-  type t = { src : string; mutable pos : int; limit : int }
+  type t = {
+    src : string;
+    mutable pos : int;
+    mutable limit : int; (* end of the current section *)
+    mutable stop : int; (* the opcode that ended the last [instr_seq] *)
+  }
 
-  let make src = { src; pos = 0; limit = String.length src }
+  let make src = { src; pos = 0; limit = String.length src; stop = 0 }
 
   let eof d = d.pos >= d.limit
 
-  let byte d =
+  let peek d =
     if eof d then decode_error "unexpected end of input";
-    let c = Char.code d.src.[d.pos] in
+    Char.code d.src.[d.pos]
+
+  let byte d =
+    let c = peek d in
     d.pos <- d.pos + 1;
     c
 
   let u32 d =
-    let rec go shift acc =
-      let b = byte d in
-      let acc = acc lor ((b land 0x7f) lsl shift) in
-      if b land 0x80 <> 0 then go (shift + 7) acc else acc
-    in
-    go 0 0
+    let acc = ref 0 and shift = ref 0 and b = ref 0x80 in
+    while !b land 0x80 <> 0 do
+      b := byte d;
+      acc := !acc lor ((!b land 0x7f) lsl !shift);
+      shift := !shift + 7
+    done;
+    !acc
 
   let s64 d =
-    let rec go shift acc =
-      let b = byte d in
-      let acc = Int64.logor acc (Int64.shift_left (Int64.of_int (b land 0x7f)) shift) in
-      if b land 0x80 <> 0 then go (shift + 7) acc
-      else if shift + 7 < 64 && b land 0x40 <> 0 then
-        Int64.logor acc (Int64.shift_left (-1L) (shift + 7))
-      else acc
-    in
-    go 0 0L
+    let acc = ref 0L and shift = ref 0 and b = ref 0x80 in
+    while !b land 0x80 <> 0 do
+      b := byte d;
+      acc := Int64.logor !acc (Int64.shift_left (Int64.of_int (!b land 0x7f)) !shift);
+      shift := !shift + 7
+    done;
+    if !shift < 64 && !b land 0x40 <> 0 then
+      Int64.logor !acc (Int64.shift_left (-1L) !shift)
+    else !acc
+
+  (* A vector's length. Every element takes at least one byte, so a
+     count beyond the bytes left in the section is malformed, and
+     rejecting it here keeps a forged count from sizing an allocation. *)
+  let count d =
+    let n = u32 d in
+    if n < 0 || n > d.limit - d.pos then
+      decode_error "count %d exceeds the %d bytes left" n (d.limit - d.pos);
+    n
 
   let s32 d = Int64.to_int32 (s64 d)
 
@@ -440,7 +458,7 @@ module D = struct
     !v
 
   let bytes d n =
-    if d.pos + n > d.limit then decode_error "unexpected end of input";
+    if n < 0 || n > d.limit - d.pos then decode_error "unexpected end of input";
     let s = String.sub d.src d.pos n in
     d.pos <- d.pos + n;
     s
@@ -467,8 +485,7 @@ module D = struct
 
   let block_type d =
     (* Peek: 0x40 empty, valtype byte, or signed LEB index. *)
-    let c = Char.code d.src.[d.pos] in
-    match c with
+    match peek d with
     | 0x40 -> d.pos <- d.pos + 1; Bt_none
     | 0x7F | 0x7E | 0x7D | 0x7C | 0x70 -> Bt_val (val_type d)
     | _ -> Bt_type (Int64.to_int (s64 d))
@@ -478,17 +495,17 @@ module D = struct
     let offset = u32 d in
     { align; offset }
 
-  let rec instr_seq d (stops : int list) : instr list * int =
-    let acc = ref [] in
-    let rec go () =
-      let op = byte d in
-      if List.mem op stops then (List.rev !acc, op)
-      else begin
-        acc := decode_instr d op :: !acc;
-        go ()
-      end
-    in
-    go ()
+  (* The instructions up to [end], or up to [else] when [in_if]; the
+     opcode that ended the sequence is left in [d.stop]. *)
+  let[@tail_mod_cons] rec instr_seq d ~in_if : instr list =
+    let op = byte d in
+    if op = 0x0B || (in_if && op = 0x05) then begin
+      d.stop <- op;
+      []
+    end
+    else
+      let i = decode_instr d op in
+      i :: instr_seq d ~in_if
 
   and decode_instr d op : instr =
     match op with
@@ -496,22 +513,19 @@ module D = struct
     | 0x01 -> Nop
     | 0x02 ->
         let bt = block_type d in
-        let body, _ = instr_seq d [ 0x0B ] in
-        Block (bt, body)
+        Block (bt, instr_seq d ~in_if:false)
     | 0x03 ->
         let bt = block_type d in
-        let body, _ = instr_seq d [ 0x0B ] in
-        Loop (bt, body)
+        Loop (bt, instr_seq d ~in_if:false)
     | 0x04 ->
         let bt = block_type d in
-        let t, stop = instr_seq d [ 0x05; 0x0B ] in
-        let e = if stop = 0x05 then fst (instr_seq d [ 0x0B ]) else [] in
+        let t = instr_seq d ~in_if:true in
+        let e = if d.stop = 0x05 then instr_seq d ~in_if:false else [] in
         If (bt, t, e)
     | 0x0C -> Br (u32 d)
     | 0x0D -> Br_if (u32 d)
     | 0x0E ->
-        let n = u32 d in
-        let is = List.init n (fun _ -> u32 d) in
+        let is = List.init (count d) (fun _ -> u32 d) in
         Br_table (is, u32 d)
     | 0x0F -> Return
     | 0x10 -> Call (u32 d)
@@ -627,7 +641,7 @@ module D = struct
         | n -> decode_error "unsupported 0xFC opcode %d" n)
     | op -> decode_error "unsupported opcode 0x%02x" op
 
-  let expr d = fst (instr_seq d [ 0x0B ])
+  let expr d = instr_seq d ~in_if:false
 end
 
 let decode ?(name = "") (src : string) : module_ =
@@ -636,10 +650,14 @@ let decode ?(name = "") (src : string) : module_ =
   if D.bytes d 4 <> "\x01\x00\x00\x00" then decode_error "bad version";
   let m = ref { empty_module with m_name = name } in
   let func_type_idxs = ref [||] in
+  let src_len = String.length src in
   while not (D.eof d) do
     let id = D.byte d in
     let size = D.u32 d in
+    if size < 0 || size > src_len - d.D.pos then
+      decode_error "section %d overruns the input" id;
     let stop = d.D.pos + size in
+    d.D.limit <- stop;
     (match id with
     | 0 ->
         (* Custom section: decode function names from the "name" section
@@ -651,8 +669,7 @@ let decode ?(name = "") (src : string) : module_ =
             let len = D.u32 d in
             let sub_stop = d.D.pos + len in
             if sub = 1 then begin
-              let k = D.u32 d in
-              for _ = 1 to k do
+              for _ = 1 to D.count d do
                 let idx = D.u32 d in
                 let nm = D.name d in
                 let j = idx - num_imported_funcs !m in
@@ -664,19 +681,19 @@ let decode ?(name = "") (src : string) : module_ =
           done;
         d.D.pos <- stop
     | 1 ->
-        let n = D.u32 d in
+        let n = D.count d in
         let types =
           Array.init n (fun _ ->
               if D.byte d <> 0x60 then decode_error "bad functype tag";
-              let np = D.u32 d in
+              let np = D.count d in
               let params = List.init np (fun _ -> D.val_type d) in
-              let nr = D.u32 d in
+              let nr = D.count d in
               let results = List.init nr (fun _ -> D.val_type d) in
               { params; results })
         in
         m := { !m with types }
     | 2 ->
-        let n = D.u32 d in
+        let n = D.count d in
         let imports =
           List.init n (fun _ ->
               let imp_module = D.name d in
@@ -698,10 +715,10 @@ let decode ?(name = "") (src : string) : module_ =
         in
         m := { !m with imports }
     | 3 ->
-        let n = D.u32 d in
+        let n = D.count d in
         func_type_idxs := Array.init n (fun _ -> D.u32 d)
     | 4 ->
-        let n = D.u32 d in
+        let n = D.count d in
         let tables =
           Array.init n (fun _ ->
               if D.byte d <> 0x70 then decode_error "bad table elem type";
@@ -709,10 +726,10 @@ let decode ?(name = "") (src : string) : module_ =
         in
         m := { !m with tables }
     | 5 ->
-        let n = D.u32 d in
+        let n = D.count d in
         m := { !m with memories = Array.init n (fun _ -> D.limits d) }
     | 6 ->
-        let n = D.u32 d in
+        let n = D.count d in
         let globals =
           Array.init n (fun _ ->
               let t = D.val_type d in
@@ -722,7 +739,7 @@ let decode ?(name = "") (src : string) : module_ =
         in
         m := { !m with globals }
     | 7 ->
-        let n = D.u32 d in
+        let n = D.count d in
         let exports =
           List.init n (fun _ ->
               let exp_name = D.name d in
@@ -739,28 +756,31 @@ let decode ?(name = "") (src : string) : module_ =
         m := { !m with exports }
     | 8 -> m := { !m with start = Some (D.u32 d) }
     | 9 ->
-        let n = D.u32 d in
+        let n = D.count d in
         let elems =
           List.init n (fun _ ->
               let e_table = D.u32 d in
               let e_offset = D.expr d in
-              let k = D.u32 d in
-              let e_funcs = List.init k (fun _ -> D.u32 d) in
+              let e_funcs = List.init (D.count d) (fun _ -> D.u32 d) in
               { e_table; e_offset; e_funcs })
         in
         m := { !m with elems }
     | 10 ->
-        let n = D.u32 d in
+        let n = D.count d in
         if n <> Array.length !func_type_idxs then
           decode_error "function/code section mismatch";
         let funcs =
           Array.init n (fun i ->
               let _size = D.u32 d in
-              let nruns = D.u32 d in
+              let total = ref 0 in
               let locals =
                 List.concat
-                  (List.init nruns (fun _ ->
+                  (List.init (D.count d) (fun _ ->
                        let c = D.u32 d in
+                       total := !total + c;
+                       if c < 0 || !total > Rt.Machine.max_slots then
+                         decode_error "function %d declares over %d locals" i
+                           Rt.Machine.max_slots;
                        let t = D.val_type d in
                        List.init c (fun _ -> t)))
               in
@@ -774,7 +794,7 @@ let decode ?(name = "") (src : string) : module_ =
         in
         m := { !m with funcs }
     | 11 ->
-        let n = D.u32 d in
+        let n = D.count d in
         let datas =
           List.init n (fun _ ->
               let d_mem = D.u32 d in
@@ -785,6 +805,7 @@ let decode ?(name = "") (src : string) : module_ =
         in
         m := { !m with datas }
     | id -> decode_error "unknown section id %d" id);
-    if d.D.pos <> stop then decode_error "section %d size mismatch" id
+    if d.D.pos <> stop then decode_error "section %d size mismatch" id;
+    d.D.limit <- src_len
   done;
   !m

@@ -696,81 +696,55 @@ let fuse_func (fc : fcode) : fcode =
   let out = Array.make (max n 1) K_return in
   let olen = ref 0 in
   let new_pc = Array.make (n + 1) 0 in
-  let fusable i w =
-    i + w <= n
-    &&
-    let ok = ref true in
-    for k = i + 1 to i + w - 1 do
-      if is_target.(k) then ok := false
+  (* [lim] ends the window at [i]: the first pc that is past the code,
+     5 ops on, or an interior branch target. Ops from there on read as
+     [K_unreachable], which no pattern contains, so one match on the
+     window, longest patterns first, picks the superinstruction. *)
+  let lim = ref 0 in
+  let op k = if k < !lim then ops.(k) else K_unreachable in
+  let superop i =
+    lim := i + 1;
+    while !lim < n && !lim < i + 5 && not is_target.(!lim) do
+      incr lim
     done;
-    !ok
-  in
-  let try5 i =
-    if not (fusable i 5) then None
-    else
-      match (ops.(i), ops.(i + 1), ops.(i + 2), ops.(i + 3), ops.(i + 4)) with
-      | K_local_get a, K_local_get b, K_i32_relop o, K_i32_eqz, K_br_if j ->
-          Some (F_ll_i32_relop_eqz_br_if (a, b, o, j))
-      | ( K_local_get a, K_const (Values.I32 c), K_i32_relop o, K_i32_eqz,
-          K_br_if j ) ->
-          Some (F_lc_i32_relop_eqz_br_if (a, Int32.to_int c, o, j))
-      | _ -> None
-  in
-  let try4 i =
-    if not (fusable i 4) then None
-    else
-      match (ops.(i), ops.(i + 1), ops.(i + 2), ops.(i + 3)) with
-      | K_local_get a, K_const (Values.I32 c), K_i32_binop o, K_local_set d
-        when nontrap_binop o ->
-          Some (F_lc_i32_binop_set (a, Int32.to_int c, o, d))
-      | _ -> None
-  in
-  let try3 i =
-    if not (fusable i 3) then None
-    else
-      match (ops.(i), ops.(i + 1), ops.(i + 2)) with
-      | K_local_get a, K_local_get b, K_i32_binop o ->
-          Some (F_ll_i32_binop (a, b, o))
-      | K_local_get a, K_const (Values.I32 c), K_i32_binop o ->
-          Some (F_lc_i32_binop (a, Int32.to_int c, o))
-      | K_i32_relop o, K_i32_eqz, K_br_if j ->
-          Some (F_i32_relop_eqz_br_if (o, j))
-      | _ -> None
-  in
-  let try2 i =
-    if not (fusable i 2) then None
-    else
-      match (ops.(i), ops.(i + 1)) with
-      | K_local_get a, K_i32_binop o -> Some (F_l_i32_binop (a, o))
-      | K_local_get a, K_store (k, off) -> Some (F_l_store (a, k, off))
-      | K_const (Values.I32 c), K_i32_binop o -> Some (F_const_i32_binop (Int32.to_int c, o))
-      | K_i32_binop o, K_local_set d when nontrap_binop o ->
-          Some (F_i32_binop_set (o, d))
-      | K_i32_binop o, K_load (k, off) when nontrap_binop o ->
-          Some (F_i32_binop_load (o, k, off))
-      | K_i32_binop o, K_store (k, off) when nontrap_binop o ->
-          Some (F_i32_binop_store (o, k, off))
-      | K_i32_eqz, K_br_if j -> Some (F_i32_eqz_br_if j)
-      | K_i32_eqz, K_i32_eqz -> Some F_i32_eqz_eqz
-      | K_local_set s, K_local_get g when s = g -> Some (F_set_get s)
-      | _ -> None
+    match (ops.(i), op (i + 1), op (i + 2), op (i + 3), op (i + 4)) with
+    | K_local_get a, K_local_get b, K_i32_relop o, K_i32_eqz, K_br_if j ->
+        F_ll_i32_relop_eqz_br_if (a, b, o, j)
+    | K_local_get a, K_const (Values.I32 c), K_i32_relop o, K_i32_eqz, K_br_if j
+      ->
+        F_lc_i32_relop_eqz_br_if (a, Int32.to_int c, o, j)
+    | K_local_get a, K_const (Values.I32 c), K_i32_binop o, K_local_set d, _
+      when nontrap_binop o ->
+        F_lc_i32_binop_set (a, Int32.to_int c, o, d)
+    | K_local_get a, K_local_get b, K_i32_binop o, _, _ -> F_ll_i32_binop (a, b, o)
+    | K_local_get a, K_const (Values.I32 c), K_i32_binop o, _, _ ->
+        F_lc_i32_binop (a, Int32.to_int c, o)
+    | K_i32_relop o, K_i32_eqz, K_br_if j, _, _ -> F_i32_relop_eqz_br_if (o, j)
+    | K_local_get a, K_i32_binop o, _, _, _ -> F_l_i32_binop (a, o)
+    | K_local_get a, K_store (k, off), _, _, _ -> F_l_store (a, k, off)
+    | K_const (Values.I32 c), K_i32_binop o, _, _, _ ->
+        F_const_i32_binop (Int32.to_int c, o)
+    | K_i32_binop o, K_local_set d, _, _, _ when nontrap_binop o ->
+        F_i32_binop_set (o, d)
+    | K_i32_binop o, K_load (k, off), _, _, _ when nontrap_binop o ->
+        F_i32_binop_load (o, k, off)
+    | K_i32_binop o, K_store (k, off), _, _, _ when nontrap_binop o ->
+        F_i32_binop_store (o, k, off)
+    | K_i32_eqz, K_br_if j, _, _, _ -> F_i32_eqz_br_if j
+    | K_i32_eqz, K_i32_eqz, _, _, _ -> F_i32_eqz_eqz
+    | K_local_set s, K_local_get g, _, _, _ when s = g -> F_set_get s
+    | o, _, _, _, _ -> o
   in
   let i = ref 0 in
   while !i < n do
-    match List.find_map (fun try_w -> try_w !i) [ try5; try4; try3; try2 ] with
-    | Some s ->
-        let w = op_width s in
-        for k = !i to !i + w - 1 do
-          new_pc.(k) <- !olen
-        done;
-        out.(!olen) <- s;
-        incr olen;
-        i := !i + w
-    | None ->
-        new_pc.(!i) <- !olen;
-        out.(!olen) <- ops.(!i);
-        incr olen;
-        incr i
+    let s = superop !i in
+    let w = op_width s in
+    for k = !i to !i + w - 1 do
+      new_pc.(k) <- !olen
+    done;
+    out.(!olen) <- s;
+    incr olen;
+    i := !i + w
   done;
   new_pc.(n) <- !olen;
   let fused = Array.sub out 0 !olen in

@@ -436,6 +436,104 @@ let test_calc_trace_identical () =
     "trace sizes" (String.length unfused) (String.length fused);
   Alcotest.(check bool) "traces byte-identical" true (String.equal fused unfused)
 
+(* ---- compiled-image cache ---- *)
+
+(* A program whose bytes, through [tag], differ from every other binary
+   the test process loads. *)
+let tagged_binary tag =
+  let b = Builder.create () in
+  ignore (Builder.add_memory b ~min:1 ~max:(Some 1));
+  Builder.add_data b ~offset:0 tag;
+  let f = Builder.func b ~name:"_start" ~params:[] ~results:[] ~locals:[] [ Nop ] in
+  Builder.export_func b "_start" f;
+  Binary.encode (Builder.build b)
+
+let copy s = Bytes.to_string (Bytes.of_string s)
+
+let engine ?poll_scheme ?fuse () =
+  Wali.Engine.create ?poll_scheme ?fuse (Kernel.Task.boot ())
+
+let image eng binary =
+  let inst =
+    Wali.Engine.build_image eng ~resolver:Link.empty_resolver ~binary ~name:"t"
+  in
+  inst.Rt.i_codes
+
+let cached binary = Wali.Engine.Images.mem Wali.Engine.compile_cache binary
+
+let alive () =
+  (Wali.Engine.Images.stats_alive Wali.Engine.compile_cache).Hashtbl.num_bindings
+
+let test_cache_key () =
+  let bin = tagged_binary "cache key" in
+  let eng = engine () in
+  let img = image eng bin in
+  if not (img == image eng (copy bin)) then
+    Alcotest.fail "an equal binary was compiled again";
+  if img == image (engine ~fuse:false ()) bin then
+    Alcotest.fail "the unfused engine got the fused image";
+  if img == image (engine ~poll_scheme:Code.Poll_none ()) bin then
+    Alcotest.fail "another poll scheme got the same image"
+
+(* Loads a fresh binary, drops it and returns an equal copy. *)
+let[@inline never] load_and_drop eng tag =
+  let bin = tagged_binary tag in
+  ignore (image eng bin);
+  copy bin
+
+let test_cache_lifetime () =
+  let eng = engine () in
+  Gc.full_major ();
+  let before = alive () in
+  let probe = load_and_drop eng "dropped" in
+  if not (cached probe) then Alcotest.fail "image not cached while the binary lives";
+  Alcotest.(check int) "live entries with the binary" (before + 1) (alive ());
+  Gc.full_major ();
+  if cached probe then Alcotest.fail "image outlived its binary";
+  Alcotest.(check int) "live entries after it is dropped" before (alive ())
+
+(* A live process's [ps_binary] keeps its image: a second load of equal
+   bytes after a full collection reuses it. *)
+let test_cache_held_by_process () =
+  let eng = engine () in
+  let[@inline never] spawn () =
+    let bin = tagged_binary "held by a process" in
+    (Wali.Interface.spawn_init eng ~binary:bin ~argv:[ "t" ] ~env:[], copy bin)
+  in
+  Fiber.run (fun () ->
+      let p, probe = spawn () in
+      Gc.full_major ();
+      let m = Option.get p.Wali.Engine.pr_machine in
+      if not (image eng probe == m.Rt.m_inst.Rt.i_codes) then
+        Alcotest.fail "a running process's image was compiled again")
+
+(* ---- load path ---- *)
+
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  let r = f () in
+  (Gc.minor_words () -. w0, r)
+
+(* Over the suite's binaries, decoding allocates a few words per input
+   byte (the AST it builds) and fusion a few per input op (its output),
+   with nothing boxed per LEB byte and no list or closure per op. *)
+let test_load_alloc () =
+  let bins = List.map Apps.Suite.binary_of Apps.Suite.all in
+  let nbytes = List.fold_left (fun a b -> a + String.length b) 0 bins in
+  let words, mods = minor_words (fun () -> List.map Binary.decode bins) in
+  let per_byte = words /. float_of_int nbytes in
+  if per_byte > 8.0 then
+    Alcotest.failf "decode allocates %.2f minor words per byte" per_byte;
+  let fcs =
+    Array.concat
+      (List.map (fun m -> (Code.compile_module ~fuse:false m).Code.cm_funcs) mods)
+  in
+  let nops = Array.fold_left (fun a fc -> a + Array.length fc.Code.fc_ops) 0 fcs in
+  let words, _ = minor_words (fun () -> Array.map Code.fuse_func fcs) in
+  let per_op = words /. float_of_int nops in
+  if per_op > 8.0 then
+    Alcotest.failf "fusion allocates %.2f minor words per op" per_op
+
 let tests =
   [
     Alcotest.test_case "hot idioms fuse and agree" `Quick test_idioms;
@@ -446,5 +544,9 @@ let tests =
     Alcotest.test_case "fd table memo" `Quick test_fdtab_memo;
     Alcotest.test_case "machine clone under fusion" `Quick test_clone_under_fusion;
     Alcotest.test_case "calc trace fused = unfused" `Quick test_calc_trace_identical;
+    Alcotest.test_case "image cache keyed by content and options" `Quick test_cache_key;
+    Alcotest.test_case "image dies with its binary" `Quick test_cache_lifetime;
+    Alcotest.test_case "live process keeps its image" `Quick test_cache_held_by_process;
+    Alcotest.test_case "load path allocation" `Quick test_load_alloc;
     QCheck_alcotest.to_alcotest prop_differential;
   ]

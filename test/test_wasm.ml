@@ -340,6 +340,48 @@ let test_binary_roundtrip () =
   | Interp.R_done [ Values.I32 1l ] -> ()
   | _ -> Alcotest.fail "decoded module misbehaves"
 
+(* Malformed binaries fail with [Decode_error], never with another
+   exception or by exhausting the host: a guest can execve any bytes it
+   wrote. [one_func] is a type section with ()->() and a function section
+   with one function of that type. *)
+let header = "\x00asm\x01\x00\x00\x00"
+let one_func = "\x01\x04\x01\x60\x00\x00\x03\x02\x01\x00"
+
+let decodes_or_rejects what bin =
+  match Binary.decode bin with
+  | _ -> true
+  | exception Binary.Decode_error _ -> false
+  | exception e ->
+      Alcotest.failf "%s: %s instead of Decode_error" what (Printexc.to_string e)
+
+let expect_decode_error what bin =
+  if decodes_or_rejects what bin then Alcotest.failf "%s: decoded" what
+
+let test_decode_truncated () =
+  (* a body that ends right after a block opcode *)
+  let bin = header ^ one_func ^ "\x0a\x04\x01\x02\x00\x02" in
+  Alcotest.(check int) "input size" 24 (String.length bin);
+  expect_decode_error "block type at end of input" bin;
+  (* every prefix of a suite binary decodes or is rejected *)
+  let good = Apps.Suite.binary_of (Option.get (Apps.Suite.find "calc")) in
+  for k = 0 to String.length good - 1 do
+    ignore (decodes_or_rejects (Printf.sprintf "prefix %d" k) (String.sub good 0 k))
+  done
+
+let test_decode_count_bombs () =
+  let u32_max = "\xff\xff\xff\xff\x0f" in
+  let locals = header ^ one_func ^ "\x0a\x0a\x01\x08\x01" ^ u32_max ^ "\x7f\x0b" in
+  Alcotest.(check int) "code section size" 12 (String.length locals - 18);
+  expect_decode_error "2^32-1 locals" locals;
+  expect_decode_error "2^20+1 locals"
+    (header ^ one_func ^ "\x0a\x08\x01\x06\x01\x81\x80\x40\x7f\x0b");
+  expect_decode_error "2^32-1 types" (header ^ "\x01\x08" ^ u32_max ^ "\x60\x00\x00");
+  expect_decode_error "2^32-1 br_table labels"
+    (header ^ one_func ^ "\x0a\x0a\x01\x08\x00\x0e" ^ u32_max ^ "\x0b");
+  (* a 10-byte LEB that wraps to a negative name length *)
+  expect_decode_error "negative name length"
+    (header ^ "\x00\x0b" ^ "\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01" ^ "x")
+
 let test_host_func () =
   let b = Builder.create () in
   let h =
@@ -500,6 +542,8 @@ let tests =
     Alcotest.test_case "select" `Quick test_select_drop;
     Alcotest.test_case "validator rejects" `Quick test_validation_rejects;
     Alcotest.test_case "binary round-trip" `Quick test_binary_roundtrip;
+    Alcotest.test_case "truncated input is a decode error" `Quick test_decode_truncated;
+    Alcotest.test_case "count bombs are decode errors" `Quick test_decode_count_bombs;
     Alcotest.test_case "host function" `Quick test_host_func;
     Alcotest.test_case "machine clone isolates memory" `Quick test_machine_clone;
     Alcotest.test_case "loop safepoints" `Quick test_poll_safepoints;
