@@ -151,10 +151,10 @@ let run_cmd file app trace deny derive poll record replay trace_out
       dump_observe ();
       (match o.Replay.Replayer.rp_divergence with
       | None ->
+          let code = Kernel.Ktypes.shell_exit_code o.Replay.Replayer.rp_status in
           Printf.printf "replay converged: %d/%d records, exit status %d\n"
-            o.Replay.Replayer.rp_consumed o.Replay.Replayer.rp_total
-            (o.Replay.Replayer.rp_status lsr 8);
-          exit (o.Replay.Replayer.rp_status lsr 8)
+            o.Replay.Replayer.rp_consumed o.Replay.Replayer.rp_total code;
+          exit code
       | Some d ->
           prerr_endline (Replay.Replayer.pp_divergence d);
           exit 1)
@@ -175,7 +175,7 @@ let run_cmd file app trace deny derive poll record replay trace_out
         trace_file;
       dump_observe ();
       print_profile ();
-      exit (r.Replay.Recorder.r_status lsr 8)
+      exit (Kernel.Ktypes.shell_exit_code r.Replay.Recorder.r_status)
   | None, None ->
       let kernel = boot () in
       let status, out, result =
@@ -188,7 +188,7 @@ let run_cmd file app trace deny derive poll record replay trace_out
       | _ -> ());
       dump_observe ();
       print_profile ();
-      exit (status lsr 8)
+      exit (Kernel.Ktypes.shell_exit_code status)
 
 let file_t =
   Arg.(value & pos 0 (some string) None & info [] ~docv:"FILE.wasm")

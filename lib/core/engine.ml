@@ -177,7 +177,10 @@ let run_signal_handler _eng (p : proc) (m : Rt.machine) ~(signo : int)
       (match result with
       | Interp.R_done _ -> ()
       | Interp.R_trap msg -> Values.trap "trap in signal handler: %s" msg
-      | Interp.R_exit _ -> () (* unreachable: exits raise *))
+      | Interp.R_exit code ->
+          (* exit in a handler ends the process; the interrupted frames
+             never resume *)
+          raise (Killed_by (wexit_status code)))
 
 (** Deliver every currently-deliverable signal on machine [m]. Handlers
     run re-entrantly on the interrupted machine (sig_poll in Fig 5);

@@ -177,6 +177,12 @@ let wuntraced = 2
 let wexit_status code = (code land 0xff) lsl 8
 let wsignal_status signo = signo land 0x7f
 
+(* The exit code a shell gives for wait status [status]: the process's
+   exit code, or 128 + the signal number if a signal ended it. *)
+let shell_exit_code status =
+  let signo = status land 0x7f in
+  if signo = 0 then (status lsr 8) land 0xff else 128 + signo
+
 (* ---- clocks ---- *)
 
 let clock_realtime = 0

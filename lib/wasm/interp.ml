@@ -46,7 +46,6 @@ let[@inline] pop_i (m : machine) =
   m.sp <- m.sp - 1;
   slot_i m m.sp
 
-let[@inline] local_i (m : machine) (fr : frame) i = slot_i m (fr.fr_fp + i)
 let[@inline] wrap x = (x lsl 31) asr 31 (* an int's low 32 bits, sign-extended *)
 let[@inline] u32 x = x land 0xFFFF_FFFF
 let[@inline] f32_slot f = Int64.of_int32 (Int32.bits_of_float f)
@@ -57,7 +56,8 @@ let[@inline] b2i b = if b then 1 else 0
 (* Frames and branches                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let jump (m : machine) (fr : frame) (j : Code.jump) =
+(* Move a branch's payload over the slots it drops; returns the target pc. *)
+let jump (m : machine) (j : Code.jump) =
   let { Code.target; arity; drop } = j in
   if drop > 0 then begin
     for i = 0 to arity - 1 do
@@ -65,7 +65,7 @@ let jump (m : machine) (fr : frame) (j : Code.jump) =
     done;
     m.sp <- m.sp - drop
   end;
-  fr.fr_pc <- target
+  target
 
 (* Pop the current frame, moving [fc_arity] results down to its [fr_fp].
    The frame record stays in the machine's frame array for reuse by the
@@ -137,7 +137,13 @@ let[@inline] exec_store (d : Bytes.t) kind addr (v : int64) =
       check d addr 2;
       Bytes.set_uint16_le d addr (Int64.to_int v land 0xffff)
 
-let[@inline] mem0 (fr : frame) = fr.fr_inst.i_memories.(0)
+(* Memory 0 of an instance, held by [exec] as the record (memory.grow and
+   the kernel's mmap replace its [data]). Validation rejects memory ops in
+   a module without memory, so the empty placeholder is never accessed. *)
+let no_memory = Memory.create ~min_pages:0 ~max_pages:0
+
+let memory_of (inst : instance) =
+  if Array.length inst.i_memories = 0 then no_memory else inst.i_memories.(0)
 
 (* ------------------------------------------------------------------ *)
 (* Numeric operators                                                    *)
@@ -391,20 +397,30 @@ let rec run_machine ?(stop_depth = 0) (m0 : machine)
         mch.sp <- base + 1
     | Host_func { hf_type; hf_fn; _ } -> call_host f hf_type hf_fn
   in
-  let step fr =
-    let mch = !m in
-    let op = fr.fr_code.Code.fc_ops.(fr.fr_pc) in
-    fr.fr_pc <- fr.fr_pc + 1;
+  (* [exec] runs frame [fr] with its op array, frame pointer, memory 0
+     and pc held in arguments: an op that stays in the frame tail-calls
+     [exec] with the next pc, and [fr_pc] is written back only by the ops
+     that leave it (calls, return, a poll whose hook is set), after which
+     [loop] re-reads the machine and its top frame. A trap needs no
+     write-back. *)
+  let rec exec mch fr (ops : Code.op array) fp (mem : Memory.t) pc =
+    let op = ops.(pc) in
     mch.hot_steps <- mch.hot_steps + 1;
+    let next = pc + 1 in
     match op with
     | Code.K_unreachable -> trap "unreachable executed"
-    | Code.K_br j -> jump mch fr j
-    | Code.K_br_if j -> if pop_i mch <> 0 then jump mch fr j
+    | Code.K_br j -> exec mch fr ops fp mem (jump mch j)
+    | Code.K_br_if j ->
+        exec mch fr ops fp mem (if pop_i mch <> 0 then jump mch j else next)
     | Code.K_br_table (js, dj) ->
         let i = u32 (pop_i mch) in
-        jump mch fr (if i < Array.length js then js.(i) else dj)
-    | Code.K_return -> pop_frame mch
-    | Code.K_call fi -> call fr.fr_inst.i_funcs.(fi)
+        exec mch fr ops fp mem (jump mch (if i < Array.length js then js.(i) else dj))
+    | Code.K_return ->
+        fr.fr_pc <- next;
+        pop_frame mch
+    | Code.K_call fi ->
+        fr.fr_pc <- next;
+        call fr.fr_inst.i_funcs.(fi)
     | Code.K_call_indirect (ti, tbl) -> (
         let i = u32 (pop_i mch) in
         match Table.get fr.fr_inst.i_tables.(tbl) i with
@@ -417,154 +433,213 @@ let rec run_machine ?(stop_depth = 0) (m0 : machine)
                 (Types.string_of_func_type expect)
                 (func_name_of f)
                 (Types.string_of_func_type (func_type_of f));
+            fr.fr_pc <- next;
             call f)
-    | Code.K_drop -> mch.sp <- mch.sp - 1
+    | Code.K_drop ->
+        mch.sp <- mch.sp - 1;
+        exec mch fr ops fp mem next
     | Code.K_select ->
         let c = pop_i mch in
         mch.sp <- mch.sp - 1;
-        if c = 0 then set_slot mch (mch.sp - 1) (slot mch mch.sp)
-    | Code.K_local_get i -> push mch (slot mch (fr.fr_fp + i))
-    | Code.K_local_set i -> set_slot mch (fr.fr_fp + i) (pop mch)
-    | Code.K_local_tee i -> set_slot mch (fr.fr_fp + i) (slot mch (mch.sp - 1))
+        if c = 0 then set_slot mch (mch.sp - 1) (slot mch mch.sp);
+        exec mch fr ops fp mem next
+    | Code.K_local_get i ->
+        push mch (slot mch (fp + i));
+        exec mch fr ops fp mem next
+    | Code.K_local_set i ->
+        set_slot mch (fp + i) (pop mch);
+        exec mch fr ops fp mem next
+    | Code.K_local_tee i ->
+        set_slot mch (fp + i) (slot mch (mch.sp - 1));
+        exec mch fr ops fp mem next
     | Code.K_global_get i ->
-        push mch (Values.to_slot (Global.get fr.fr_inst.i_globals.(i)))
+        push mch (Values.to_slot (Global.get fr.fr_inst.i_globals.(i)));
+        exec mch fr ops fp mem next
     | Code.K_global_set i ->
         let g = fr.fr_inst.i_globals.(i) in
-        Global.set g (Values.of_slot (Values.type_of (Global.get g)) (pop mch))
+        Global.set g (Values.of_slot (Values.type_of (Global.get g)) (pop mch));
+        exec mch fr ops fp mem next
     | Code.K_load (kind, off) ->
         let addr = u32 (pop_i mch) + off in
-        exec_load mch (mem0 fr).Memory.data kind addr
+        exec_load mch mem.Memory.data kind addr;
+        exec mch fr ops fp mem next
     | Code.K_store (kind, off) ->
         let v = pop mch in
         let addr = u32 (pop_i mch) + off in
-        exec_store (mem0 fr).Memory.data kind addr v
-    | Code.K_memory_size -> push_i mch (Memory.size_pages (mem0 fr))
+        exec_store mem.Memory.data kind addr v;
+        exec mch fr ops fp mem next
+    | Code.K_memory_size ->
+        push_i mch (Memory.size_pages mem);
+        exec mch fr ops fp mem next
     | Code.K_memory_grow ->
         let k = mch.sp - 1 in
-        set_slot_i mch k (Memory.grow (mem0 fr) (slot_i mch k))
+        set_slot_i mch k (Memory.grow mem (slot_i mch k));
+        exec mch fr ops fp mem next
     | Code.K_memory_fill ->
         let len = u32 (pop_i mch) in
         let byte = pop_i mch in
         let dst = u32 (pop_i mch) in
-        (try Memory.fill (mem0 fr) ~dst ~byte ~len
-         with Memory.Bounds -> trap "out of bounds memory fill")
+        (try Memory.fill mem ~dst ~byte ~len
+         with Memory.Bounds -> trap "out of bounds memory fill");
+        exec mch fr ops fp mem next
     | Code.K_memory_copy ->
         let len = u32 (pop_i mch) in
         let src = u32 (pop_i mch) in
         let dst = u32 (pop_i mch) in
-        (try Memory.copy (mem0 fr) ~dst ~src ~len
-         with Memory.Bounds -> trap "out of bounds memory copy")
-    | Code.K_const (I32 x | F32 x) -> push_i mch (Int32.to_int x)
-    | Code.K_const (I64 x | F64 x) -> push mch x
+        (try Memory.copy mem ~dst ~src ~len
+         with Memory.Bounds -> trap "out of bounds memory copy");
+        exec mch fr ops fp mem next
+    | Code.K_const (I32 x | F32 x) ->
+        push_i mch (Int32.to_int x);
+        exec mch fr ops fp mem next
+    | Code.K_const (I64 x | F64 x) ->
+        push mch x;
+        exec mch fr ops fp mem next
     | Code.K_i32_eqz ->
         let k = mch.sp - 1 in
-        set_slot_i mch k (b2i (slot_i mch k = 0))
+        set_slot_i mch k (b2i (slot_i mch k = 0));
+        exec mch fr ops fp mem next
     | Code.K_i64_eqz ->
         let k = mch.sp - 1 in
-        set_slot_i mch k (b2i (slot mch k = 0L))
+        set_slot_i mch k (b2i (slot mch k = 0L));
+        exec mch fr ops fp mem next
     | Code.K_i32_unop o ->
         let k = mch.sp - 1 in
-        set_slot_i mch k (exec_i32_unop o (slot_i mch k))
-    | Code.K_i64_unop o -> exec_i64_unop mch o
+        set_slot_i mch k (exec_i32_unop o (slot_i mch k));
+        exec mch fr ops fp mem next
+    | Code.K_i64_unop o ->
+        exec_i64_unop mch o;
+        exec mch fr ops fp mem next
     | Code.K_i32_binop o ->
         let b = pop_i mch in
         let k = mch.sp - 1 in
-        set_slot_i mch k (exec_i32_binop o (slot_i mch k) b)
-    | Code.K_i64_binop o -> exec_i64_binop mch o
+        set_slot_i mch k (exec_i32_binop o (slot_i mch k) b);
+        exec mch fr ops fp mem next
+    | Code.K_i64_binop o ->
+        exec_i64_binop mch o;
+        exec mch fr ops fp mem next
     | Code.K_i32_relop o ->
         let b = pop_i mch in
         let k = mch.sp - 1 in
-        set_slot_i mch k (b2i (exec_i32_relop o (slot_i mch k) b))
-    | Code.K_i64_relop o -> exec_i64_relop mch o
+        set_slot_i mch k (b2i (exec_i32_relop o (slot_i mch k) b));
+        exec mch fr ops fp mem next
+    | Code.K_i64_relop o ->
+        exec_i64_relop mch o;
+        exec mch fr ops fp mem next
     | Code.K_f32_unop o ->
         let k = mch.sp - 1 in
-        set_slot mch k (f32_slot (exec_f_unop o (f32_of_slot (slot mch k))))
+        set_slot mch k (f32_slot (exec_f_unop o (f32_of_slot (slot mch k))));
+        exec mch fr ops fp mem next
     | Code.K_f64_unop o ->
         let k = mch.sp - 1 in
         set_slot mch k
-          (Int64.bits_of_float (exec_f_unop o (Int64.float_of_bits (slot mch k))))
+          (Int64.bits_of_float (exec_f_unop o (Int64.float_of_bits (slot mch k))));
+        exec mch fr ops fp mem next
     | Code.K_f32_binop o ->
         let b = f32_of_slot (pop mch) in
         let k = mch.sp - 1 in
-        set_slot mch k (f32_slot (exec_f_binop o (f32_of_slot (slot mch k)) b))
+        set_slot mch k (f32_slot (exec_f_binop o (f32_of_slot (slot mch k)) b));
+        exec mch fr ops fp mem next
     | Code.K_f64_binop o ->
         let b = Int64.float_of_bits (pop mch) in
         let k = mch.sp - 1 in
         set_slot mch k
-          (Int64.bits_of_float (exec_f_binop o (Int64.float_of_bits (slot mch k)) b))
+          (Int64.bits_of_float (exec_f_binop o (Int64.float_of_bits (slot mch k)) b));
+        exec mch fr ops fp mem next
     | Code.K_f32_relop o ->
         let b = f32_of_slot (pop mch) in
         let k = mch.sp - 1 in
-        set_slot_i mch k (b2i (exec_f_relop o (f32_of_slot (slot mch k)) b))
+        set_slot_i mch k (b2i (exec_f_relop o (f32_of_slot (slot mch k)) b));
+        exec mch fr ops fp mem next
     | Code.K_f64_relop o ->
         let b = Int64.float_of_bits (pop mch) in
         let k = mch.sp - 1 in
-        set_slot_i mch k (b2i (exec_f_relop o (Int64.float_of_bits (slot mch k)) b))
-    | Code.K_cvt c -> exec_cvt mch c
+        set_slot_i mch k (b2i (exec_f_relop o (Int64.float_of_bits (slot mch k)) b));
+        exec mch fr ops fp mem next
+    | Code.K_cvt c ->
+        exec_cvt mch c;
+        exec mch fr ops fp mem next
     | Code.K_poll -> (
-        match mch.poll_hook with Some f -> Machine.sync mch; f mch | None -> ())
+        match mch.poll_hook with
+        | Some f ->
+            fr.fr_pc <- next;
+            Machine.sync mch;
+            f mch
+        | None -> exec mch fr ops fp mem next)
     (* Superinstructions: dedicated handlers that read and write stack
        slots and locals directly. *)
     | Code.F_ll_i32_binop (a, b, o) ->
         fuse mch 3;
-        push_i mch (exec_i32_binop o (local_i mch fr a) (local_i mch fr b))
+        push_i mch (exec_i32_binop o (slot_i mch (fp + a)) (slot_i mch (fp + b)));
+        exec mch fr ops fp mem next
     | Code.F_lc_i32_binop (a, c, o) ->
         fuse mch 3;
-        push_i mch (exec_i32_binop o (local_i mch fr a) c)
+        push_i mch (exec_i32_binop o (slot_i mch (fp + a)) c);
+        exec mch fr ops fp mem next
     | Code.F_lc_i32_binop_set (a, c, o, d) ->
         fuse mch 4;
-        set_slot_i mch (fr.fr_fp + d) (exec_i32_binop o (local_i mch fr a) c)
+        set_slot_i mch (fp + d) (exec_i32_binop o (slot_i mch (fp + a)) c);
+        exec mch fr ops fp mem next
     | Code.F_const_i32_binop (c, o) ->
         fuse mch 2;
         let k = mch.sp - 1 in
-        set_slot_i mch k (exec_i32_binop o (slot_i mch k) c)
+        set_slot_i mch k (exec_i32_binop o (slot_i mch k) c);
+        exec mch fr ops fp mem next
     | Code.F_i32_binop_set (o, d) ->
         fuse mch 2;
         let b = pop_i mch in
         let a = pop_i mch in
-        set_slot_i mch (fr.fr_fp + d) (exec_i32_binop o a b)
+        set_slot_i mch (fp + d) (exec_i32_binop o a b);
+        exec mch fr ops fp mem next
     | Code.F_i32_eqz_br_if j ->
         fuse mch 2;
-        if pop_i mch = 0 then jump mch fr j
+        exec mch fr ops fp mem (if pop_i mch = 0 then jump mch j else next)
     | Code.F_i32_relop_eqz_br_if (o, j) ->
         fuse mch 3;
         let b = pop_i mch in
         let a = pop_i mch in
-        if not (exec_i32_relop o a b) then jump mch fr j
+        exec mch fr ops fp mem (if exec_i32_relop o a b then next else jump mch j)
     | Code.F_ll_i32_relop_eqz_br_if (a, b, o, j) ->
         fuse mch 5;
-        if not (exec_i32_relop o (local_i mch fr a) (local_i mch fr b)) then
-          jump mch fr j
+        exec mch fr ops fp mem
+          (if exec_i32_relop o (slot_i mch (fp + a)) (slot_i mch (fp + b)) then next
+           else jump mch j)
     | Code.F_lc_i32_relop_eqz_br_if (a, c, o, j) ->
         fuse mch 5;
-        if not (exec_i32_relop o (local_i mch fr a) c) then jump mch fr j
+        exec mch fr ops fp mem
+          (if exec_i32_relop o (slot_i mch (fp + a)) c then next else jump mch j)
     | Code.F_l_i32_binop (b, o) ->
         fuse mch 2;
         let k = mch.sp - 1 in
-        set_slot_i mch k (exec_i32_binop o (slot_i mch k) (local_i mch fr b))
+        set_slot_i mch k (exec_i32_binop o (slot_i mch k) (slot_i mch (fp + b)));
+        exec mch fr ops fp mem next
     | Code.F_i32_binop_load (o, kind, off) ->
         fuse mch 2;
         let b = pop_i mch in
         let a = pop_i mch in
-        exec_load mch (mem0 fr).Memory.data kind (u32 (exec_i32_binop o a b) + off)
+        exec_load mch mem.Memory.data kind (u32 (exec_i32_binop o a b) + off);
+        exec mch fr ops fp mem next
     | Code.F_i32_binop_store (o, kind, off) ->
         fuse mch 2;
         let y = pop_i mch in
         let x = pop_i mch in
         let addr = u32 (pop_i mch) + off in
-        exec_store (mem0 fr).Memory.data kind addr
-          (Int64.of_int (exec_i32_binop o x y))
+        exec_store mem.Memory.data kind addr (Int64.of_int (exec_i32_binop o x y));
+        exec mch fr ops fp mem next
     | Code.F_l_store (v, kind, off) ->
         fuse mch 2;
         let addr = u32 (pop_i mch) + off in
-        exec_store (mem0 fr).Memory.data kind addr (slot mch (fr.fr_fp + v))
+        exec_store mem.Memory.data kind addr (slot mch (fp + v));
+        exec mch fr ops fp mem next
     | Code.F_set_get i ->
         fuse mch 2;
-        set_slot mch (fr.fr_fp + i) (slot mch (mch.sp - 1))
+        set_slot mch (fp + i) (slot mch (mch.sp - 1));
+        exec mch fr ops fp mem next
     | Code.F_i32_eqz_eqz ->
         fuse mch 2;
         let k = mch.sp - 1 in
-        set_slot_i mch k (b2i (slot_i mch k <> 0))
+        set_slot_i mch k (b2i (slot_i mch k <> 0));
+        exec mch fr ops fp mem next
   in
   try
     let rec loop () =
@@ -575,7 +650,8 @@ let rec run_machine ?(stop_depth = 0) (m0 : machine)
         R_done vs
       end
       else begin
-        step mch.frames.(mch.depth - 1);
+        let fr = mch.frames.(mch.depth - 1) in
+        exec mch fr fr.fr_code.Code.fc_ops fr.fr_fp (memory_of fr.fr_inst) fr.fr_pc;
         loop ()
       end
     in

@@ -163,6 +163,116 @@ let test_wrapping_arithmetic () =
     |}
     "-2147483648\n689956897\n"
 
+(* QCheck: random MiniC programs must print the same output and exit
+   with the same status through the Wasm engine and the native closure
+   backend. The native backend shares no code with the interpreter's
+   loop, so it is an independent oracle for it, unlike fused = unfused.
+   Programs mix for and while loops, a leaf call, a call that loops over
+   it, a bounded recursion, stores to a global array, and / and % with
+   divisors kept in 1..16 (no trap, no INT_MIN / -1). *)
+let prop_wasm_matches_native =
+  let open QCheck.Gen in
+  let rec expr ~calls vars d =
+    let leaf = oneof [ map string_of_int (int_bound 99); oneofl vars ] in
+    if d = 0 then leaf
+    else
+      let sub = expr ~calls vars (d - 1) in
+      let bin ops =
+        let* a = sub and* b = sub and* o = oneofl ops in
+        return (Printf.sprintf "(%s %s %s)" a o b)
+      in
+      frequency
+        ([
+           (2, leaf);
+           (4, bin [ "+"; "-"; "*"; "&"; "|"; "^"; "<"; "=="; "!="; ">="; "<=" ]);
+           ( 2,
+             let* a = sub and* b = sub and* o = oneofl [ "/"; "%" ] in
+             return (Printf.sprintf "(%s %s ((%s & 15) + 1))" a o b) );
+           ( 1,
+             let* a = sub and* b = sub and* o = oneofl [ "<<"; ">>" ] in
+             return (Printf.sprintf "(%s %s (%s & 31))" a o b) );
+           (1, map (Printf.sprintf "g[(%s) & 15]") sub);
+         ]
+        @
+        if calls then
+          [
+            ( 1,
+              let* a = sub and* b = sub in
+              return (Printf.sprintf "f0(%s, %s)" a b) );
+          ]
+        else [])
+  in
+  let e vars = expr ~calls:true vars 2 in
+  let rec stmts ~nested n =
+    list_repeat n (stmt ~nested) >|= String.concat "\n"
+  and stmt ~nested =
+    let vars = [ "x"; "y"; "i"; "j" ] in
+    let e = e vars in
+    frequency
+      ([
+         (3, let* v = oneofl [ "x"; "y" ] and* r = e in
+             return (Printf.sprintf "%s = %s;" v r));
+         (2, let* k = e and* r = e in
+             return (Printf.sprintf "g[(%s) & 15] = %s;" k r));
+         (1, let* a = e and* b = e in
+             return (Printf.sprintf "x = x + f1(%s, %s);" a b));
+         (1, let* a = e and* b = e in
+             return (Printf.sprintf "y = y + rec(%s & 7, %s);" a b));
+       ]
+      @
+      if nested then []
+      else
+        [
+          ( 1,
+            let* c = e and* t = stmts ~nested:true 2 and* f = stmts ~nested:true 1 in
+            return (Printf.sprintf "if (%s) {\n%s\n} else {\n%s\n}" c t f) );
+          ( 1,
+            let* k = int_range 1 4 and* b = stmts ~nested:true 2 in
+            return
+              (Printf.sprintf "j = 0;\nwhile (j < %d) {\n%s\nj = j + 1;\n}" k b) );
+        ])
+  in
+  let program =
+    let leaf_expr vars = expr ~calls:false vars 2 in
+    let* t = leaf_expr [ "a"; "b" ]
+    and* st = leaf_expr [ "a"; "b"; "t" ]
+    and* r0 = leaf_expr [ "a"; "b"; "t" ]
+    and* r1 = e [ "a"; "b"; "s" ]
+    and* rr = e [ "a"; "n" ]
+    and* x0 = int_bound 50
+    and* y0 = int_bound 50
+    and* trips = int_range 1 8
+    and* body = int_range 1 5 >>= stmts ~nested:false in
+    return
+      (Printf.sprintf
+         {|int g[16];
+int f0(int a, int b) { int t = %s; g[a & 15] = %s; return %s; }
+int f1(int a, int b) {
+  int s = 0; int k = 0;
+  while (k < (a & 3)) { s = s + f0(s, b + k); k = k + 1; }
+  return s + %s;
+}
+int rec(int n, int a) { if (n <= 0) { return a; } return rec(n - 1, %s) + (a & 3); }
+int main() {
+  int x = %d; int y = %d; int i = 0; int j = 0;
+  for (i = 0; i < %d; i = i + 1) {
+%s
+  }
+  printi(x); printc(' '); printi(y); printc('\n');
+  for (i = 0; i < 16; i = i + 1) { printi(g[i]); printc(' '); }
+  printc('\n');
+  return (x ^ y) & 127;
+}
+|}
+         t st r0 r1 rr x0 y0 trips body)
+  in
+  QCheck.Test.make ~name:"random MiniC programs: wasm = native" ~count:40
+    (QCheck.make ~print:Fun.id program) (fun src ->
+      let wasm = run_wasm src and native = run_native src in
+      wasm = native
+      || QCheck.Test.fail_reportf "wasm (%d) %S\nnative (%d) %S" (fst wasm)
+           (snd wasm) (fst native) (snd native))
+
 let tests =
   [
     Alcotest.test_case "compute kernels agree" `Quick test_compute;
@@ -173,4 +283,6 @@ let tests =
     Alcotest.test_case "calli agrees" `Quick test_calli_across_backends;
     Alcotest.test_case "fork under RV emulation" `Quick test_rv_fork;
     Alcotest.test_case "i32 wrapping agrees" `Quick test_wrapping_arithmetic;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 13 |])
+      prop_wasm_matches_native;
   ]

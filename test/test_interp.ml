@@ -18,8 +18,8 @@ let host name params results fn =
 
 (* Compile [b]'s module, fused or not, and instantiate it; [hosts] maps
    "env" import names to host functions. *)
-let instantiate ?(fuse = true) ?(hosts = []) b =
-  let cm = Code.compile_module ~fuse (Builder.build b) in
+let instantiate ?poll ?(fuse = true) ?(hosts = []) b =
+  let cm = Code.compile_module ?poll ~fuse (Builder.build b) in
   let resolver ~module_name ~name =
     if module_name = "env" then List.assoc_opt name hosts else None
   in
@@ -348,6 +348,90 @@ let test_counter_snapshots () =
     (uf_call, uf_trap)
 
 (* ------------------------------------------------------------------ *)
+(* Safepoint resume                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* [f n] keeps an i64 and an i32 operand live across its loop header.
+   Each trip grows memory by a page in the frame itself, then stores the
+   trip count in the last word of memory and adds it back from there. At
+   every loop-header poll the hook runs [scribble] through
+   [Interp.call_nested]: its locals and operands land in the slots above
+   the interrupted [sp], and it grows memory too. The frame must resume
+   after its poll with its operands intact and read the grown pages, so
+   the result, and the steps less the poll ops and the nested calls',
+   equal a run compiled without safepoints. *)
+let test_safepoint_resume () =
+  let n = 4 in
+  let b = Builder.create () in
+  ignore (Builder.add_memory b ~min:1 ~max:(Some 32));
+  let mem = { offset = 0; align = 2 } in
+  let f =
+    Builder.func b ~name:"f" ~params:[ i32 ] ~results:[ i64 ] ~locals:[ i32; i32 ]
+      [
+        I64_const 0x7777_0000_0000L; I32_const 1000l;
+        Block
+          ( Bt_none,
+            [
+              Loop
+                ( Bt_none,
+                  [
+                    Local_get 0; I32_eqz; Br_if 1;
+                    I32_const 1l; Memory_grow; Drop;
+                    Memory_size; I32_const 65536l; I32_binop Mul; I32_const 4l;
+                    I32_binop Sub; Local_set 2;
+                    Local_get 2; Local_get 0; I32_store mem;
+                    Local_get 1; Local_get 2; I32_load mem; I32_binop Add; Local_set 1;
+                    Local_get 0; I32_const 1l; I32_binop Sub; Local_set 0;
+                    Br 0;
+                  ] );
+            ] );
+        Local_get 1; I32_binop Add; I64_extend_i32 SX; I64_binop Add;
+      ]
+  in
+  let scribble =
+    Builder.func b ~name:"scribble" ~params:[ i32 ] ~results:[ i32 ]
+      ~locals:[ i64; i64; i64; i64 ]
+      [
+        I64_const (-1L); Local_set 1; I64_const (-1L); Local_set 2;
+        I64_const (-1L); Local_set 3; I64_const (-1L); Local_set 4;
+        I64_const (-1L); I64_const (-1L); I64_binop Mul; Drop;
+        I32_const 1l; Memory_grow; Drop;
+        Local_get 0; I32_const 1l; I32_binop Add;
+      ]
+  in
+  Builder.export_func b "f" f;
+  Builder.export_func b "scribble" scribble;
+  let want = Int64.add 0x7777_0000_0000L (Int64.of_int (1000 + (n * (n + 1) / 2))) in
+  let run inst hook =
+    let m = Rt.Machine.create inst in
+    m.Rt.poll_hook <- hook;
+    match Interp.invoke m (Rt.exported_func inst "f") [ Values.I32 (Int32.of_int n) ] with
+    | Interp.R_done [ Values.I64 r ] ->
+        Alcotest.(check int64) "result" want r;
+        m
+    | r -> Alcotest.failf "f: %s" (show r)
+  in
+  let plain = run (instantiate ~poll:Code.Poll_none b) None in
+  let inst = instantiate ~poll:Code.Poll_loops b in
+  let polls = ref 0 and nested = ref 0 in
+  let hook m =
+    incr polls;
+    if !polls > n + 1 then
+      Alcotest.failf "poll %d: the frame did not resume after its safepoint" !polls;
+    let s0 = m.Rt.hot_steps in
+    (match Interp.call_nested m (Rt.exported_func inst "scribble") [ Values.I32 7l ] with
+    | Interp.R_done [ Values.I32 8l ] -> ()
+    | r -> Alcotest.failf "nested call: %s" (show r));
+    nested := !nested + (m.Rt.hot_steps - s0)
+  in
+  let m = run inst (Some hook) in
+  Alcotest.(check int) "polls" (n + 1) !polls;
+  Alcotest.(check int) "steps less polls and nested calls" (Int64.to_int plain.Rt.steps)
+    (Int64.to_int m.Rt.steps - !polls - !nested);
+  Alcotest.(check int) "pages grown by the frame and at each poll" (1 + n + (n + 1))
+    (Rt.Memory.size_pages (Rt.memory0 m))
+
+(* ------------------------------------------------------------------ *)
 (* Traps and rounding                                                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -556,6 +640,7 @@ let tests =
     Alcotest.test_case "reused frame's locals are zeroed" `Quick test_frame_locals_zeroed;
     Alcotest.test_case "fork clone stack and locals independent" `Quick test_fork_isolation;
     Alcotest.test_case "counter snapshots stay exact" `Quick test_counter_snapshots;
+    Alcotest.test_case "frame resumes after a safepoint" `Quick test_safepoint_resume;
     Alcotest.test_case "unbounded recursion traps" `Quick test_recursion_bound;
     Alcotest.test_case "nearest rounds half to even" `Quick test_nearest;
     QCheck_alcotest.to_alcotest int_ops_match_reference;

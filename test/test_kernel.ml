@@ -234,6 +234,20 @@ let test_fork_wait () =
           Alcotest.(check int) "status" (Ktypes.wexit_status 7) wr.Task.wr_status
       | None -> Alcotest.fail "no child reaped")
 
+(* A shell's exit code for a wait status: the exit code itself, or
+   128 + signo for a process a signal ended. *)
+let test_shell_exit_code () =
+  let check name want status =
+    Alcotest.(check int) name want (Ktypes.shell_exit_code status)
+  in
+  check "exit 0" 0 (Ktypes.wexit_status 0);
+  check "exit 7" 7 (Ktypes.wexit_status 7);
+  check "exit 255" 255 (Ktypes.wexit_status 255);
+  check "exit 256 wraps" 0 (Ktypes.wexit_status 256);
+  check "SIGILL (trap)" 132 (Ktypes.wsignal_status Ktypes.sigill);
+  check "SIGSYS (seccomp kill)" 159 (Ktypes.wsignal_status Ktypes.sigsys);
+  check "SIGKILL" 137 (Ktypes.wsignal_status Ktypes.sigkill)
+
 let test_wait_echild () =
   in_kernel (fun _k ctx ->
       expect_err Errno.ECHILD (Syscalls.wait4 ctx ~pid:(-1) ~options:0))
@@ -527,6 +541,7 @@ let tests =
     Alcotest.test_case "pipe EOF and EPIPE/SIGPIPE" `Quick test_pipe_eof_epipe;
     Alcotest.test_case "pipe O_NONBLOCK" `Quick test_pipe_nonblock;
     Alcotest.test_case "fork + wait4 status" `Quick test_fork_wait;
+    Alcotest.test_case "shell exit code of a wait status" `Quick test_shell_exit_code;
     Alcotest.test_case "wait with no children" `Quick test_wait_echild;
     Alcotest.test_case "WNOHANG" `Quick test_wnohang;
     Alcotest.test_case "signal interrupts blocked read (EINTR)" `Quick test_signal_interrupts_read;

@@ -461,6 +461,29 @@ let test_strace_counts () =
   Alcotest.(check bool) "exit traced" true
     (List.mem_assoc "exit_group" (Strace.profile trace))
 
+(* exit(7) in a signal handler ends the process there: the interrupted
+   code never resumes, so nothing after the kill is printed and the
+   process makes one exit_group. *)
+let test_exit_in_handler () =
+  let binary =
+    Minic.to_wasm_binary
+      {|
+        void on_int(int sig) { print("handler\n"); exit(7); }
+        int main(int argc, char **argv) {
+          signal(2, fnptr(on_int));
+          kill(getpid(), 2);
+          print("after kill\n");
+          return 0;
+        }
+      |}
+  in
+  let trace = Strace.create () in
+  let status, out, _ = Interface.run_program ~trace ~binary ~argv:[ "t" ] ~env:[] () in
+  Alcotest.(check string) "stdout" "handler\n" out;
+  Alcotest.(check int) "status" (Kernel.Ktypes.wexit_status 7) status;
+  Alcotest.(check int) "one exit_group" 1
+    (List.assoc "exit_group" (Strace.profile trace))
+
 (* argv/env transfer methods (§3.4). *)
 let test_argv_env () =
   let b = Builder.create ~name:"argv" () in
@@ -520,5 +543,6 @@ let tests =
     Alcotest.test_case "mmap/munmap in linear memory" `Quick test_mmap;
     Alcotest.test_case "ENOSYS passthrough stubs" `Quick test_enosys_stub;
     Alcotest.test_case "strace profile counts" `Quick test_strace_counts;
+    Alcotest.test_case "exit in a signal handler" `Quick test_exit_in_handler;
     Alcotest.test_case "argv/env transfer" `Quick test_argv_env;
   ]
