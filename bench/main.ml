@@ -4,7 +4,7 @@
      fig2   syscall profile across the application suite
      fig3   Linux syscall similarity across ISAs
      table1 porting effort (WALI / WASIX / WASI)
-     table2 intrinsic syscall overhead (WALI layer vs direct kernel call)
+     table2 intrinsic syscall overhead (hook, marshalling, kernel)
      table3 cost of async-signal safepoint polling schemes
      fig7   runtime breakdown (app / WALI layer / kernel)
      fig8   virtualization comparison: memory + execution time sweeps
@@ -12,14 +12,33 @@
    `bench/main.exe all` runs everything (the default). Wall-clock numbers
    use the host monotonic clock as min-of-N with a MAD noise band
    (lib/perf); shapes, not absolute values, are the reproduction target
-   (see EXPERIMENTS.md). `--json=FILE` additionally writes every
-   scenario's numbers as a `wali-bench v1` document. *)
+   (see EXPERIMENTS.md); Table 2 and Fig 7 take theirs from perfbench's
+   probe and layer accountant. `--json=FILE` additionally writes every
+   scenario's numbers as a `wali-bench v1` document. A wrong result (a
+   replay that diverges, a probed call or an app run that fails its
+   check) keeps its section out of the document and makes the run exit
+   1. *)
 
 let now = Monotonic_clock.now
 
 let ms_of_ns ns = Int64.to_float ns /. 1e6
 
-let header title = Printf.printf "\n=== %s ===\n%!" title
+(* A section (begun by [header]) that finds a wrong result calls [fail]:
+   the section's numbers stay out of the document and the run exits 1. *)
+let failed = ref false
+let section_failed = ref false
+
+let fail fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.printf "!! %s\n%!" msg;
+      failed := true;
+      section_failed := true)
+    fmt
+
+let header title =
+  section_failed := false;
+  Printf.printf "\n=== %s ===\n%!" title
 
 (* ---- structured results (wali-bench v1) ---- *)
 
@@ -28,7 +47,8 @@ let header title = Printf.printf "\n=== %s ===\n%!" title
    sample count and noise band. *)
 let scenarios : (string * (string * Perf.Model.metric) list) list ref = ref []
 
-let emit name metrics = scenarios := (name, metrics) :: !scenarios
+let emit name metrics =
+  if not !section_failed then scenarios := (name, metrics) :: !scenarios
 
 let c_int v = Perf.Model.counter (float_of_int v)
 
@@ -190,127 +210,55 @@ let table1 () =
 (* Table 2: intrinsic syscall overhead                                  *)
 (* ------------------------------------------------------------------ *)
 
+let probe_rounds = 15
+
+(* Table 2 and Fig 7 read their syscall costs from perfbench's probe:
+   [probe.<sys>.hook_ns], [.marshal_ns] and [.kernel_ns] per syscall it
+   times, and [probe.seccomp_ns]. A probed call that returns the wrong
+   result fails the run. *)
+let probe () =
+  let ms, ok = Perfbench.Probe.table2 ~rounds:probe_rounds in
+  if not ok then fail "Table 2 probe: a probed call returned a wrong result";
+  let probed =
+    List.filter_map
+      (fun (k, _) ->
+        match String.split_on_char '.' k with
+        | [ "probe"; sys; "kernel_ns" ] -> Some sys
+        | _ -> None)
+      ms
+  in
+  let ns sys field = List.assoc (Printf.sprintf "probe.%s.%s" sys field) ms in
+  (probed, ns, List.assoc "probe.seccomp_ns" ms)
+
 let table2 () =
-  header "Table 2: WALI syscall overhead vs direct kernel calls";
-  Printf.printf "%-16s %12s %8s %6s %6s\n" "syscall" "overhead" "noise" "LOC"
-    "state";
-  let t2_metrics = ref [] in
-  Fiber.run (fun () ->
-      let kernel = Kernel.Task.boot () in
-      let eng = Wali.Engine.create kernel in
-      let task = Kernel.Task.make_init kernel ~comm:"bench" in
-      Wali.Engine.setup_stdio eng task;
-      let mem = Wasm.Rt.Memory.create ~min_pages:64 ~max_pages:512 in
-      let _, machine =
-        Virt.Native_run.make_proc eng task mem ~heap_base:(1 lsl 20)
-      in
-      let ctx = Kernel.Syscalls.make_ctx kernel task eng.Wali.Engine.futexes in
-      (match
-         Kernel.Syscalls.openat ctx ~dirfd:Kernel.Syscalls.at_fdcwd
-           ~path:"/tmp/bench.dat"
-           ~flags:Kernel.Ktypes.(o_creat lor o_rdwr)
-           ~mode:0o600
-       with
-      | Ok _ -> ()
-      | Error _ -> failwith "bench file");
-      Wasm.Rt.Memory.write_string mem ~addr:4096 (String.make 256 'x');
-      Wasm.Rt.Memory.write_string mem ~addr:8192 "/tmp/bench.dat\000";
-      let kbuf = Bytes.create 256 in
-      let i64 v = Wasm.Values.I64 (Int64.of_int v) in
-      let wali name args =
-        ignore (Wali.Interface.dispatch eng name machine args)
-      in
-      let meta n =
-        Option.value (Wali.Spec.find n) ~default:(List.hd Wali.Spec.implemented)
-      in
-      let report name (w : Perf.Stats.t) (d : Perf.Stats.t) =
-        let m = meta name in
-        let overhead = max 0.0 (w.Perf.Stats.s_min -. d.Perf.Stats.s_min) in
-        let band = w.Perf.Stats.s_mad +. d.Perf.Stats.s_mad in
-        t2_metrics :=
-          (name, Perf.Model.wall_v ~n:w.Perf.Stats.s_n ~mad:band overhead)
-          :: !t2_metrics;
-        Printf.printf "%-16s %9.0f ns %7.0f %6d %6s\n" name overhead band
-          m.Wali.Spec.loc
-          (if m.Wali.Spec.stateful then "Y" else "N")
-      in
-      let cases =
+  header "Table 2: WALI syscall overhead (Perfbench.Probe, median ns per call)";
+  let probed, ns, seccomp = probe () in
+  let wall v = Perf.Model.wall_v ~n:probe_rounds ~mad:0.0 v in
+  Printf.printf "%-16s %8s %8s %8s %9s %6s %6s\n" "syscall" "hook" "marshal"
+    "kernel" "overhead" "LOC" "state";
+  let rows =
+    List.concat_map
+      (fun sys ->
+        let h = ns sys "hook_ns" and m = ns sys "marshal_ns"
+        and k = ns sys "kernel_ns" in
+        let spec = Option.get (Wali.Spec.find sys) in
+        Printf.printf "%-16s %8.0f %8.0f %8.0f %9.0f %6d %6s\n" sys h m k
+          (h +. m +. k) spec.Wali.Spec.loc
+          (if spec.Wali.Spec.stateful then "Y" else "N");
         [
-          ( "write",
-            (fun () -> wali "write" [| i64 3; i64 4096; i64 64 |]),
-            fun () ->
-              ignore (Kernel.Syscalls.write ctx ~fd:3 ~buf:kbuf ~off:0 ~len:64)
-          );
-          ( "pread64",
-            (fun () -> wali "pread64" [| i64 3; i64 4096; i64 64; i64 0 |]),
-            fun () ->
-              ignore
-                (Kernel.Syscalls.pread64 ctx ~fd:3 ~buf:kbuf ~off:0 ~len:64
-                   ~pos:0) );
-          ( "stat",
-            (fun () -> wali "stat" [| i64 8192; i64 16384 |]),
-            fun () ->
-              ignore
-                (Kernel.Syscalls.stat_path ctx ~dirfd:Kernel.Syscalls.at_fdcwd
-                   ~path:"/tmp/bench.dat" ~follow:true) );
-          ( "fstat",
-            (fun () -> wali "fstat" [| i64 3; i64 16384 |]),
-            fun () -> ignore (Kernel.Syscalls.fstat ctx ~fd:3) );
-          ( "lseek",
-            (fun () -> wali "lseek" [| i64 3; i64 0; i64 0 |]),
-            fun () ->
-              ignore (Kernel.Syscalls.lseek ctx ~fd:3 ~offset:0 ~whence:0) );
-          ( "getpid",
-            (fun () -> wali "getpid" [||]),
-            fun () -> ignore (Kernel.Syscalls.getpid ctx) );
-          ( "getuid",
-            (fun () -> wali "getuid" [||]),
-            fun () -> ignore (Kernel.Syscalls.getuid ctx) );
-          ( "clock_gettime",
-            (fun () -> wali "clock_gettime" [| i64 1; i64 16384 |]),
-            fun () -> ignore (Kernel.Syscalls.clock_gettime ctx ~clock:1) );
-          ( "rt_sigprocmask",
-            (fun () -> wali "rt_sigprocmask" [| i64 0; i64 0; i64 0; i64 8 |]),
-            fun () ->
-              ignore (Kernel.Syscalls.rt_sigprocmask ctx ~how:0 ~set:None) );
-          ( "fcntl",
-            (fun () -> wali "fcntl" [| i64 3; i64 3; i64 0 |]),
-            fun () -> ignore (Kernel.Syscalls.fcntl ctx ~fd:3 ~cmd:3 ~arg:0) );
-          ( "rt_sigaction",
-            (fun () -> wali "rt_sigaction" [| i64 10; i64 0; i64 16384; i64 16 |]),
-            fun () ->
-              ignore (Kernel.Syscalls.rt_sigaction ctx ~signo:10 ~action:None)
-          );
-          ( "access",
-            (fun () -> wali "access" [| i64 8192; i64 0 |]),
-            fun () ->
-              ignore
-                (Kernel.Syscalls.faccessat ctx ~dirfd:Kernel.Syscalls.at_fdcwd
-                   ~path:"/tmp/bench.dat" ~amode:0) );
-        ]
-      in
-      List.iter
-        (fun (name, w, d) -> report name (time_per_call w) (time_per_call d))
-        cases;
-      (* mmap/munmap pair: stateful path through the region allocator *)
-      let iters = 2000 in
-      let st =
-        Perf.Stats.measure ~n:3 (fun () ->
-            let t0 = now () in
-            for _ = 1 to iters do
-              wali "mmap" [| i64 0; i64 8192; i64 3; i64 0x22; i64 (-1); i64 0 |];
-              wali "munmap" [| i64 (1 lsl 20); i64 8192 |]
-            done;
-            Int64.to_float (Int64.sub (now ()) t0) /. float_of_int iters /. 2.0)
-      in
-      t2_metrics := ("mmap", Perf.Model.wall st) :: !t2_metrics;
-      let m = meta "mmap" in
-      Printf.printf "%-16s %9.0f ns %7.0f %6d %6s   (mmap+munmap pair / 2)\n"
-        "mmap" st.Perf.Stats.s_min st.Perf.Stats.s_mad m.Wali.Spec.loc
-        (if m.Wali.Spec.stateful then "Y" else "N"));
+          (sys ^ ".hook_ns", wall h);
+          (sys ^ ".marshal_ns", wall m);
+          (sys ^ ".kernel_ns", wall k);
+          (sys ^ ".overhead_ns", wall (h +. m +. k));
+        ])
+      probed
+  in
+  Printf.printf "%-16s %8.0f %8s %8s %9s   (the policy lookup inside hook)\n"
+    "seccomp" seccomp "" "" "";
   (* clone / thread spawn: the engine-dominated outlier (paper: ~500us
-     in WAMR due to execution-environment replication). Measured as the
-     host-time delta between a 200-spawn run and an empty run. *)
+     in WAMR due to execution-environment replication), which the probe
+     does not time. Measured as the host-time delta between a 200-spawn
+     run and an empty run. *)
   let spawn_src n =
     Printf.sprintf
       {|
@@ -337,14 +285,16 @@ let table2 () =
     max 0.0 ((loaded.Perf.Stats.s_min -. base.Perf.Stats.s_min) /. 200.0)
   in
   let band = (loaded.Perf.Stats.s_mad +. base.Perf.Stats.s_mad) /. 200.0 in
-  t2_metrics :=
-    ( "clone_thread",
-      Perf.Model.wall_v ~n:loaded.Perf.Stats.s_n ~mad:band per )
-    :: !t2_metrics;
   Printf.printf
-    "%-16s %9.0f ns %7.0f %6s %6s   (instance replication; the paper's outlier)\n"
-    "clone(thread)" per band "100+" "Y";
-  emit "table2" !t2_metrics
+    "%-16s %36.0f %6s %6s   (instance replication; the paper's outlier)\n"
+    "clone(thread)" per "100+" "Y";
+  print_endline
+    "(overhead = hook + marshal + kernel: the whole traced crossing; the \
+     WALI layer's own share is hook + marshal)";
+  emit "table2"
+    (("seccomp_ns", wall seccomp)
+    :: ("clone_thread", Perf.Model.wall_v ~n:loaded.Perf.Stats.s_n ~mad:band per)
+    :: rows)
 
 (* ------------------------------------------------------------------ *)
 (* Table 3: safepoint polling schemes                                   *)
@@ -407,69 +357,68 @@ let table3 () =
 (* Fig 7: runtime breakdown                                             *)
 (* ------------------------------------------------------------------ *)
 
+let fig7_iters = 9
+
+(* Each app runs at its suite argv under perfbench's layer accountant:
+   app = the interpreter's time, and the accountant's busy time at the
+   WALI boundary splits into kernel = each syscall's Strace count × the
+   probe's kernel_ns, summed over the syscalls the probe times, and
+   wali = busy − kernel. Medians over [fig7_iters] iterations. *)
 let fig7 () =
   header "Fig 7: runtime breakdown across the system stack (% of run)";
-  (* calibrate the WALI marshalling layer cost with a null-ish syscall *)
-  let layer_ns = ref 800.0 in
-  Fiber.run (fun () ->
-      let kernel = Kernel.Task.boot () in
-      let eng = Wali.Engine.create kernel in
-      let task = Kernel.Task.make_init kernel ~comm:"cal" in
-      Wali.Engine.setup_stdio eng task;
-      let mem = Wasm.Rt.Memory.create ~min_pages:16 ~max_pages:64 in
-      let _, machine = Virt.Native_run.make_proc eng task mem ~heap_base:(1 lsl 20) in
-      let ctx = Kernel.Syscalls.make_ctx kernel task eng.Wali.Engine.futexes in
-      let w =
-        time_per_call (fun () ->
-            ignore (Wali.Interface.dispatch eng "getpid" machine [||]))
-      in
-      let d = time_per_call (fun () -> ignore (Kernel.Syscalls.getpid ctx)) in
-      layer_ns := max 50.0 (w.Perf.Stats.s_min -. d.Perf.Stats.s_min));
-  Printf.printf "(WALI layer cost calibrated at %.0f ns/call)\n" !layer_ns;
-  Printf.printf "%-12s %8s %8s %8s  %s\n" "app" "app%" "wali%" "kernel%" "(syscalls)";
-  let f7_metrics = ref [ ("layer_ns", Perf.Model.wall_v ~n:1 ~mad:0.0 !layer_ns) ] in
-  List.iter
-    (fun name ->
-      match Apps.Suite.find name with
-      | None -> ()
-      | Some a ->
-          (* syscall count is deterministic: one traced run fixes it, then
-             timing runs use a fresh trace each so nothing accumulates *)
-          let calls =
-            let trace = Wali.Strace.create () in
-            let _ = Apps.Suite.run ~trace a in
-            float_of_int (Wali.Strace.total_calls trace)
-          in
-          let s =
-            time_ms (fun () ->
-                let trace = Wali.Strace.create () in
-                ignore (Apps.Suite.run ~trace a))
-          in
-          let total = s.Perf.Stats.s_min *. 1e6 in
-          let wali_t = calls *. !layer_ns in
-          let kernel_t = min (calls *. 2000.0) (total -. wali_t) in
-          let app_t = max 0.0 (total -. wali_t -. kernel_t) in
-          let wali_pct = wali_t /. total *. 100. in
-          let rel_band =
-            if s.Perf.Stats.s_min > 0.0 then
-              s.Perf.Stats.s_mad /. s.Perf.Stats.s_min
-            else 0.0
-          in
-          f7_metrics :=
-            (name ^ ".calls", Perf.Model.counter calls)
-            :: ( name ^ ".wali_pct",
-                 Perf.Model.wall_v ~unit_:"pct" ~n:s.Perf.Stats.s_n
-                   ~mad:(wali_pct *. rel_band) wali_pct )
-            :: !f7_metrics;
-          Printf.printf "%-12s %7.1f%% %7.1f%% %7.1f%%  (%.0f)\n" name
-            (app_t /. total *. 100.)
-            wali_pct
-            (max 0.0 kernel_t /. total *. 100.)
-            calls)
-    [ "zpack"; "calc"; "minidb"; "minish"; "kvd" ];
-  emit "fig7" !f7_metrics;
+  let probed, ns, _ = probe () in
+  let acc = Perfbench.Accountant.create () in
+  Printf.printf "%-10s %7s %7s %8s  %s\n" "app" "app%" "wali%" "kernel%"
+    "covered calls";
+  let metrics =
+    List.concat_map
+      (fun name ->
+        let a = Option.get (Apps.Suite.find name) in
+        let trace = Wali.Strace.create () in
+        ignore (Apps.Suite.run ~trace a);
+        let covered =
+          List.filter (fun (sys, _) -> List.mem sys probed) (Wali.Strace.profile trace)
+        in
+        let kernel =
+          List.fold_left
+            (fun t (sys, n) -> t +. (float_of_int n *. ns sys "kernel_ns"))
+            0.0 covered
+        in
+        let job =
+          Perfbench.Workloads.of_app a ~binary:(Apps.Suite.binary_of a)
+            ~argv:a.Apps.Suite.a_argv ~expect:a.Apps.Suite.a_expect
+        in
+        let runs =
+          List.init fig7_iters (fun _ -> Perfbench.Accountant.run_iteration acc [ job ])
+        in
+        if not (List.for_all snd runs) then
+          fail "%s failed its output check under the accountant" name;
+        let med f =
+          Perfbench.Sample.median (Array.of_list (List.map (fun (it, _) -> f acc it) runs))
+        in
+        let app = med Perfbench.Accountant.interp_ns
+        and busy = med Perfbench.Accountant.busy_ns in
+        let pct t = t /. (app +. busy) *. 100.0 in
+        let n_covered = List.fold_left (fun n (_, c) -> n + c) 0 covered
+        and calls = Wali.Strace.total_calls trace in
+        Printf.printf "%-10s %6.1f%% %6.1f%% %7.1f%%  %d/%d\n" name (pct app)
+          (pct (busy -. kernel)) (pct kernel) n_covered calls;
+        let share t = Perf.Model.wall_v ~unit_:"pct" ~n:fig7_iters ~mad:0.0 (pct t) in
+        [
+          (name ^ ".app_pct", share app);
+          (name ^ ".wali_pct", share (busy -. kernel));
+          (name ^ ".kernel_pct", share kernel);
+          (name ^ ".calls", c_int calls);
+          (name ^ ".covered_calls", c_int n_covered);
+        ])
+      [ "zpack"; "calc"; "minidb"; "minish"; "kvd" ]
+  in
+  emit "fig7" metrics;
   print_endline
-    "(paper: typically <1% of execution in the WALI interface; memcached ~2.4%)"
+    "(wali% is an upper bound: calls the probe does not time stay in it, and \
+     under the accountant every call takes the boxed by-name edge, not the \
+     slot path the plain engine runs)\n\
+     (paper: typically <1% of execution in the WALI interface; memcached ~2.4%)"
 
 (* ------------------------------------------------------------------ *)
 (* Fig 8: virtualization comparison                                     *)
@@ -626,13 +575,7 @@ let analysis_bench () =
 let replay_bench () =
   header "Replay: recording overhead vs live, replay speedup (lib/replay)";
   let boot_for (a : Apps.Suite.app) =
-    let kernel = Kernel.Task.boot () in
-    a.Apps.Suite.a_setup kernel;
-    if a.Apps.Suite.a_stdin <> "" then begin
-      Kernel.Task.console_feed kernel a.Apps.Suite.a_stdin;
-      Kernel.Pipe.drop_writer kernel.Kernel.Task.console_in
-    end;
-    kernel
+    Apps.Suite.boot ~setup:a.Apps.Suite.a_setup ~stdin:a.Apps.Suite.a_stdin ()
   in
   Printf.printf "%-10s %8s %9s %9s %9s %8s %9s %9s\n" "app" "calls" "live"
     "record" "replay" "overhead" "speedup" "bytes";
@@ -673,7 +616,7 @@ let replay_bench () =
                 ()
             in
             if not (Replay.Replayer.converged o) then
-              Printf.printf "!! %s diverged on replay\n" a.Apps.Suite.a_name)
+              fail "%s diverged on replay" a.Apps.Suite.a_name)
       in
       let calls =
         Array.fold_left
@@ -820,6 +763,7 @@ let () =
   | _ ->
       ok := false;
       usage ());
-  match !json_out with
+  (match !json_out with
   | Some f when !ok -> write_json f
-  | _ -> ()
+  | _ -> ());
+  if !failed then exit 1

@@ -418,12 +418,9 @@ let test_calc_trace_identical () =
     match Apps.Suite.find "calc" with
     | None -> Alcotest.fail "no calc app"
     | Some a ->
-        let kernel = Kernel.Task.boot () in
-        a.Apps.Suite.a_setup kernel;
-        if a.Apps.Suite.a_stdin <> "" then begin
-          Kernel.Task.console_feed kernel a.Apps.Suite.a_stdin;
-          Kernel.Pipe.drop_writer kernel.Kernel.Task.console_in
-        end;
+        let kernel =
+          Apps.Suite.boot ~setup:a.Apps.Suite.a_setup ~stdin:a.Apps.Suite.a_stdin ()
+        in
         let r =
           Replay.Recorder.record ~app:"calc" ~fuse ~kernel
             ~binary:(Apps.Suite.binary_of a) ~argv:a.Apps.Suite.a_argv ~env:[]

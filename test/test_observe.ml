@@ -226,12 +226,9 @@ let test_profile_deterministic () =
 
 let test_replay_regenerates_metrics () =
   let a = find_app "minish" in
-  let kernel = Kernel.Task.boot () in
-  a.Apps.Suite.a_setup kernel;
-  if a.Apps.Suite.a_stdin <> "" then begin
-    Kernel.Task.console_feed kernel a.Apps.Suite.a_stdin;
-    Kernel.Pipe.drop_writer kernel.Kernel.Task.console_in
-  end;
+  let kernel =
+    Apps.Suite.boot ~setup:a.Apps.Suite.a_setup ~stdin:a.Apps.Suite.a_stdin ()
+  in
   let recorded = Observe.Sink.create Observe.Sink.metrics_only in
   let r =
     Replay.Recorder.record ~app:"minish" ~kernel ~observe:recorded

@@ -14,12 +14,9 @@ let record_app name : Replay.Recorder.run * string =
   match Apps.Suite.find name with
   | None -> Alcotest.failf "no app %s" name
   | Some a ->
-      let kernel = Kernel.Task.boot () in
-      a.Apps.Suite.a_setup kernel;
-      if a.Apps.Suite.a_stdin <> "" then begin
-        Kernel.Task.console_feed kernel a.Apps.Suite.a_stdin;
-        Kernel.Pipe.drop_writer kernel.Kernel.Task.console_in
-      end;
+      let kernel =
+        Apps.Suite.boot ~setup:a.Apps.Suite.a_setup ~stdin:a.Apps.Suite.a_stdin ()
+      in
       ( Replay.Recorder.record ~app:name ~kernel
           ~binary:(Apps.Suite.binary_of a) ~argv:a.Apps.Suite.a_argv ~env:[] (),
         Apps.Suite.binary_of a )
