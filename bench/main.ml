@@ -324,10 +324,22 @@ let table3 () =
              small numbers, so the noisy single-shot (or even a median)
              flips signs run to run; minima subtract stably *)
           let sample scheme =
-            time_ms (fun () ->
-                ignore (Apps.Suite.run ~argv ~poll_scheme:scheme a))
+            let run = ref (0, "") in
+            let s =
+              time_ms (fun () -> run := Apps.Suite.run ~argv ~poll_scheme:scheme a)
+            in
+            (s, !run)
           in
-          let base = sample Wasm.Code.Poll_none in
+          let base, want = sample Wasm.Code.Poll_none in
+          (* polls move no result: every scheme's exit status and output
+             must be the unpolled run's *)
+          let checked scheme name =
+            let s, got = sample scheme in
+            if got <> want then
+              fail "%s: the %s run's exit status or output differs from Poll_none's"
+                label name;
+            s
+          in
           let bmin = base.Perf.Stats.s_min in
           let pct (s : Perf.Stats.t) =
             (s.Perf.Stats.s_min -. bmin) /. bmin *. 100.0
@@ -335,9 +347,9 @@ let table3 () =
           let band (s : Perf.Stats.t) =
             (s.Perf.Stats.s_mad +. base.Perf.Stats.s_mad) /. bmin *. 100.0
           in
-          let l = sample Wasm.Code.Poll_loops in
-          let fn = sample Wasm.Code.Poll_funcs in
-          let al = sample Wasm.Code.Poll_every in
+          let l = checked Wasm.Code.Poll_loops "Loop" in
+          let fn = checked Wasm.Code.Poll_funcs "Func" in
+          let al = checked Wasm.Code.Poll_every "All" in
           List.iter
             (fun (scheme, s) ->
               t3_metrics :=

@@ -33,6 +33,15 @@ type proc = {
   mutable pr_result : Interp.run_result option; (* set when the task ends *)
 }
 
+(* Processes by task tid, hashed as themselves: every crossing and every
+   armed poll finds its process without the polymorphic hash. *)
+module Procs = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash tid = tid
+end)
+
 type t = {
   kernel : Kernel.Task.kernel;
   futexes : Kernel.Futex.t;
@@ -40,7 +49,7 @@ type t = {
   mutable policy : Seccomp.t;
   mutable poll_scheme : Code.poll_scheme;
   mutable fuse : bool; (* run the macro-op fusion pass on new images *)
-  procs : (int, proc) Hashtbl.t; (* task tid -> proc *)
+  procs : proc Procs.t; (* task tid -> proc *)
   mutable next_mem_id : int;
   mutable live_procs : int;
   mutable on_proc_exit : (proc -> int -> unit) option;
@@ -102,7 +111,7 @@ let create ?(poll_scheme = Code.Poll_loops) ?(fuse = true) ?trace
     policy;
     poll_scheme;
     fuse;
-    procs = Hashtbl.create 16;
+    procs = Procs.create 16;
     next_mem_id = 1;
     live_procs = 0;
     on_proc_exit = None;
@@ -116,7 +125,7 @@ let fresh_mem_id eng =
   id
 
 let proc_of eng (m : Rt.machine) : proc =
-  match Hashtbl.find eng.procs m.Rt.m_pid with
+  match Procs.find eng.procs m.Rt.m_pid with
   | p -> p
   | exception Not_found ->
       Values.trap "no WALI process for machine (pid %d)" m.Rt.m_pid
@@ -128,7 +137,7 @@ let machine_stack (m : Rt.machine) : string list =
   List.init m.Rt.depth (fun i -> m.Rt.frames.(i).Rt.fr_code.Code.fc_name)
 
 let register_proc eng (p : proc) =
-  Hashtbl.replace eng.procs p.pr_task.Kernel.Task.tid p;
+  Procs.replace eng.procs p.pr_task.Kernel.Task.tid p;
   eng.live_procs <- eng.live_procs + 1;
   match eng.observe with
   | Some o ->
@@ -246,23 +255,42 @@ let rec deliver_signals eng (p : proc) (m : Rt.machine) : unit =
         end
   end
 
-(** A counted safepoint poll of process [p] running machine [m]. *)
+(** A counted safepoint poll of process [p] running machine [m]. Once
+    nothing is left to deliver it clears the task's attention cell, so
+    the machine's next polls stay in the interpreter until the kernel
+    arms the cell again. With an observer or an interposer the cell is
+    never cleared: they see every poll. *)
 let poll eng (p : proc) (m : Rt.machine) : unit =
   (match eng.observe with
   | Some o -> Observe.Sink.safepoint_poll o
   | None -> ());
   (match eng.interpose with Some ip -> ip.ip_poll eng p m | None -> ());
-  deliver_signals eng p m
+  deliver_signals eng p m;
+  let task = p.pr_task in
+  if Option.is_none eng.observe && Option.is_none eng.interpose
+     && Kernel.Task.quiet task
+  then task.Kernel.Task.attn := false
+
+(** The poll on the way back from a syscall, run only while the
+    machine's attention cell is armed. Linux delivers pending signals on
+    return to userspace from any syscall; this mirrors it (complementing
+    the compiler-inserted safepoints of §3.3). The crossing calls it
+    after its span closes, which keeps the trace well-nested even when a
+    delivery terminates the process. *)
+let safepoint eng (p : proc) (m : Rt.machine) : unit =
+  if !(m.Rt.m_attn) && Option.is_some m.Rt.poll_hook then poll eng p m
 
 let poll_hook eng : Rt.machine -> unit = fun m -> poll eng (proc_of eng m) m
 
-(** A fresh machine for task [tid] (a new process image or a spawned
-    thread), with the engine's safepoint poll and, when profiling, the
-    profiler's call/return sample hook. Fork children inherit both
-    through [Machine.clone]. *)
-let new_machine eng (inst : Rt.instance) ~tid : Rt.machine =
+(** A fresh machine for [task] (a new process image or a spawned
+    thread), with the engine's safepoint poll on the task's attention
+    cell and, when profiling, the profiler's call/return sample hook.
+    Fork children inherit both hooks through [Machine.clone] but must be
+    pointed at their own task's cell. *)
+let new_machine eng (inst : Rt.instance) ~(task : Kernel.Task.t) : Rt.machine =
   let m = Rt.Machine.create inst in
-  m.Rt.m_pid <- tid;
+  m.Rt.m_pid <- task.Kernel.Task.tid;
+  m.Rt.m_attn <- task.Kernel.Task.attn;
   m.Rt.poll_hook <- Some (poll_hook eng);
   (match eng.observe with
   | Some o when Observe.Sink.profiling o ->
@@ -378,21 +406,27 @@ let retire_machine eng (m : Rt.machine) : unit =
         ~fused:m.Rt.fused
   | None -> ()
 
-(* Tear the task down with a packed wait status, propagating exit_group
-   to sibling threads. *)
-let do_exit eng (p : proc) ~(status : int) : unit =
+(* Tear the task down with a packed wait status. With [group] (exit_group,
+   a trap or a fatal signal, and any end of the group leader) the whole
+   thread group goes: every sibling is armed and woken, and dies at its
+   next poll with the status of the first exit. *)
+let do_exit eng (p : proc) ~group ~(status : int) : unit =
   let open Kernel in
   let task = p.pr_task in
-  let is_group_leader = task.Task.tid = task.Task.tgid in
-  if is_group_leader then begin
-    (* exit_group semantics: take the rest of the thread group down. *)
-    task.Task.group.Task.exiting <- Some status;
-    List.iter
-      (fun (sib : Task.t) ->
-        if sib != task then
-          match !(sib.Task.intr) with Some wake -> wake () | None -> ())
-      task.Task.group.Task.threads
-  end;
+  let g = task.Task.group in
+  let status =
+    if group || task.Task.tid = task.Task.tgid then begin
+      if Option.is_none g.Task.exiting then g.Task.exiting <- Some status;
+      Task.arm_group g;
+      List.iter
+        (fun (sib : Task.t) ->
+          if sib != task then
+            match !(sib.Task.intr) with Some wake -> wake () | None -> ())
+        g.Task.threads;
+      Option.get g.Task.exiting
+    end
+    else status
+  in
   Task.exit_task eng.kernel task ~status;
   eng.live_procs <- eng.live_procs - 1;
   Option.iter (retire_machine eng) p.pr_machine;
@@ -404,7 +438,7 @@ let do_exit eng (p : proc) ~(status : int) : unit =
   (match eng.on_proc_exit with
   | Some f -> f p status
   | None -> ());
-  Hashtbl.remove eng.procs task.Task.tid
+  Procs.remove eng.procs task.Task.tid
 
 (** The body that every process/thread fiber runs. Wasm traps terminate
     the process like fatal signals (SIGILL-style status), which is how
@@ -424,7 +458,7 @@ let run_machine_body eng (p : proc) (m : Rt.machine) ~fresh_entry
   match outcome with
   | `Killed status ->
       p.pr_result <- Some (Interp.R_exit (status lsr 8));
-      do_exit eng p ~status
+      do_exit eng p ~group:true ~status
   | `Result r ->
       p.pr_result <- Some r;
       (match (r, eng.observe) with
@@ -437,4 +471,6 @@ let run_machine_body eng (p : proc) (m : Rt.machine) ~fresh_entry
         | Interp.R_exit code -> wexit_status code
         | Interp.R_trap _ -> wsignal_status Kernel.Ktypes.sigill
       in
-      do_exit eng p ~status
+      (* a thread's return ends only that thread *)
+      let group = match r with Interp.R_done _ -> false | _ -> true in
+      do_exit eng p ~group ~status

@@ -50,6 +50,8 @@ let do_fork eng (p : Engine.proc) (child_m : Rt.machine) : int64 =
     }
   in
   child_m.Rt.m_pid <- child_task.Task.tid;
+  (* the clone still holds the parent's attention cell *)
+  child_m.Rt.m_attn <- child_task.Task.attn;
   let fiber = Printf.sprintf "wali-pid%d" child_task.Task.tid in
   ignore (start eng child_task shared child_m ~fiber ~entry:None ~args:[]);
   (* Instruction accounting: the child machine clones the parent's step
@@ -110,7 +112,7 @@ let do_execve eng (p : Engine.proc) mem ~path_ptr ~argv_ptr ~envp_ptr :
                  realized directly in the engine). *)
               p.Engine.pr_shared <-
                 Engine.make_pshared eng ~inst ~argv ~env:envp ~binary;
-              let m' = Engine.new_machine eng inst ~tid:task.Task.tid in
+              let m' = Engine.new_machine eng inst ~task in
               (match Rt.exported_func inst "_start" with
               | Rt.Wasm_func { wf_inst; wf_code } ->
                   Rt.Machine.push_frame m' wf_inst wf_code
@@ -130,7 +132,7 @@ let do_thread_spawn eng (p : Engine.proc) (m : Rt.machine) ~entry_idx ~arg :
       in
       (* Instance-per-thread: per-thread execution state lives in the new
          machine; the process image (memory, tables, code) is shared. *)
-      let tm = Engine.new_machine eng m.Rt.m_inst ~tid:child_task.Task.tid in
+      let tm = Engine.new_machine eng m.Rt.m_inst ~task:child_task in
       let fiber = Printf.sprintf "wali-tid%d" child_task.Task.tid in
       ignore
         (start eng child_task p.Engine.pr_shared tm ~fiber ~entry:(Some f)
@@ -442,7 +444,7 @@ let slot_handler (name : string) : call -> int64 =
       if ap c 2 <> 0 then Abi.set_i64 (mem c) (ap c 2) old;
       (* §3.3: handle signals unblocked by this call before re-entering
          the Wasm critical section. *)
-      if Option.is_some c.m.Rt.poll_hook then Engine.poll c.eng c.p c.m;
+      Engine.safepoint c.eng c.p c.m;
       0L
   | "rt_sigpending" -> fun c ->
       let* pend = Syscalls.rt_sigpending (ctx c) in
@@ -452,7 +454,7 @@ let slot_handler (name : string) : call -> int64 =
       let nmask = Abi.i64 (mem c) (ap c 0) in
       let* old = Syscalls.rt_sigprocmask (ctx c) ~how:Ktypes.sig_setmask ~set:(Some nmask) in
       let r = Syscalls.pause (ctx c) in
-      if Option.is_some c.m.Rt.poll_hook then Engine.poll c.eng c.p c.m;
+      Engine.safepoint c.eng c.p c.m;
       let _ = Syscalls.rt_sigprocmask (ctx c) ~how:Ktypes.sig_setmask ~set:(Some old) in
       retu r
   | "rt_sigreturn" ->
@@ -711,13 +713,6 @@ let leave eng s (p : Engine.proc) m ~args t0 result =
         ~stack:(fun () -> Engine.machine_stack m)
   | None -> ()
 
-(* Linux delivers pending signals on return to userspace from any
-   syscall; mirror that by polling before handing the result back
-   (complements the compiler-inserted safepoints of §3.3). Polling after
-   the span closes keeps the trace well-nested even when a delivery
-   terminates the process. *)
-let after eng p (m : Rt.machine) = if Option.is_some m.Rt.poll_hook then Engine.poll eng p m
-
 (* The one interposer call site: record/replay (and any other tooling)
    sees every crossing here, syscalls and thread_spawn alike. The
    recorder runs [live] and logs its outcome; the replayer substitutes
@@ -743,7 +738,7 @@ let boxed eng s p m args run : Rt.host_outcome =
       raise e
   | outcome ->
       leave eng s p m ~args t0 (match outcome with Rt.H_return [ Values.I64 r ] -> r | _ -> 0L);
-      (match outcome with Rt.H_return _ -> after eng p m | _ -> ());
+      (match outcome with Rt.H_return _ -> Engine.safepoint eng p m | _ -> ());
       outcome
 
 (* A slot syscall of [arity] arguments, the stack slots of [c]. *)
@@ -762,7 +757,7 @@ let slot_crossing s arity h c : int64 =
         raise e
     | r ->
         leave eng s p m ~args:[||] t0 r;
-        after eng p m;
+        Engine.safepoint eng p m;
         r
 
 let syscall_host_func eng (e : Spec.entry) : Rt.func_inst =
@@ -898,7 +893,7 @@ let spawn_init (eng : Engine.t) ~(binary : string) ~(argv : string list)
   let inst = Engine.build_image eng ~resolver:(resolver eng) ~binary ~name in
   let task = Task.make_init eng.Engine.kernel ~comm:name in
   Engine.setup_stdio eng task;
-  let m = Engine.new_machine eng inst ~tid:task.Task.tid in
+  let m = Engine.new_machine eng inst ~task in
   let shared = Engine.make_pshared eng ~inst ~argv ~env ~binary in
   start eng task shared m ~fiber:name ~entry:(Some (Rt.exported_func inst "_start")) ~args:[]
 

@@ -40,6 +40,10 @@ and t = {
   mutable start_time : int64;
   mutable umask : int;
   mutable alarm_gen : int; (* cancels stale alarms *)
+  attn : bool ref;
+      (* the attention cell a safepoint poll tests: set whenever this task
+         may have something to deliver (a pending signal, a group exit);
+         cleared only by the engine's poll once nothing is left *)
 }
 
 type kernel = {
@@ -209,6 +213,7 @@ let make_init (k : kernel) ~comm : t =
       start_time = Fiber.now ();
       umask = 0o022;
       alarm_gen = 0;
+      attn = ref true;
     }
   in
   group.threads <- [ t ];
@@ -258,6 +263,7 @@ let clone_task (k : kernel) (parent : t) ~thread ~share_files : t =
       start_time = Fiber.now ();
       umask = parent.umask;
       alarm_gen = 0;
+      attn = ref true;
     }
   in
   group.threads <- t :: group.threads;
@@ -267,6 +273,9 @@ let clone_task (k : kernel) (parent : t) ~thread ~share_files : t =
 let find (k : kernel) pid = Hashtbl.find_opt k.tasks pid
 
 let live_threads g = List.filter (fun t -> t.state = Running) g.threads
+
+(** Arm the attention cell of every thread in [g]. *)
+let arm_group g = List.iter (fun t -> t.attn := true) g.threads
 
 (* ------------------------------------------------------------------ *)
 (* Signals                                                              *)
@@ -291,6 +300,7 @@ let post_to_thread (k : kernel) (t : t) signo : unit =
     () (* discarded *)
   else begin
     t.pending <- Sigset.add t.pending signo;
+    t.attn := true;
     k.stats.Observe.Metrics.sig_queued <-
       k.stats.Observe.Metrics.sig_queued + 1;
     if deliverable t signo then
@@ -307,6 +317,7 @@ let post_to_group (k : kernel) (g : tgroup) signo : unit =
       then ()
       else begin
         g.group_pending <- Sigset.add g.group_pending signo;
+        arm_group g;
         k.stats.Observe.Metrics.sig_queued <-
           k.stats.Observe.Metrics.sig_queued + 1;
         (* Wake one thread that would deliver it. *)
@@ -365,6 +376,12 @@ let rec next_signal (t : t) : (int * sigaction) option =
         t.group.group_pending <- Sigset.remove t.group.group_pending signo;
       if is_ignored t signo && signo <> sigkill then next_signal t
       else Some (signo, action_of t signo)
+
+(** Nothing pending for [t] and no group exit under way: its attention
+    cell may be cleared. *)
+let quiet (t : t) =
+  Sigset.is_empty (Sigset.union t.pending t.group.group_pending)
+  && Option.is_none t.group.exiting
 
 let has_deliverable_signal (t : t) =
   let candidates = Sigset.union t.pending t.group.group_pending in

@@ -400,9 +400,9 @@ let rec run_machine ?(stop_depth = 0) (m0 : machine)
   (* [exec] runs frame [fr] with its op array, frame pointer, memory 0
      and pc held in arguments: an op that stays in the frame tail-calls
      [exec] with the next pc, and [fr_pc] is written back only by the ops
-     that leave it (calls, return, a poll whose hook is set), after which
-     [loop] re-reads the machine and its top frame. A trap needs no
-     write-back. *)
+     that leave it (calls, return, a poll whose hook is set and whose
+     attention cell is armed), after which [loop] re-reads the machine
+     and its top frame. A trap needs no write-back. *)
   let rec exec mch fr (ops : Code.op array) fp (mem : Memory.t) pc =
     let op = ops.(pc) in
     mch.hot_steps <- mch.hot_steps + 1;
@@ -560,12 +560,16 @@ let rec run_machine ?(stop_depth = 0) (m0 : machine)
         exec_cvt mch c;
         exec mch fr ops fp mem next
     | Code.K_poll -> (
-        match mch.poll_hook with
-        | Some f ->
-            fr.fr_pc <- next;
-            Machine.sync mch;
-            f mch
-        | None -> exec mch fr ops fp mem next)
+        (* with the attention cell clear there is nothing to deliver, and
+           the poll is one load and a branch *)
+        if not !(mch.m_attn) then exec mch fr ops fp mem next
+        else
+          match mch.poll_hook with
+          | Some f ->
+              fr.fr_pc <- next;
+              Machine.sync mch;
+              f mch
+          | None -> exec mch fr ops fp mem next)
     (* Superinstructions: dedicated handlers that read and write stack
        slots and locals directly. *)
     | Code.F_ll_i32_binop (a, b, o) ->

@@ -198,6 +198,10 @@ and machine = {
   mutable steps : int64; (* snapshot of [hot_steps], see [Machine.sync] *)
   mutable fused : int64; (* snapshot of [hot_fused] *)
   mutable poll_hook : (machine -> unit) option;
+  mutable m_attn : bool ref;
+      (* the attention cell: a safepoint poll calls [poll_hook] only while
+         it is set. The engine points it at its task's cell; a machine no
+         engine owns keeps its own, which nothing clears *)
   mutable prof_hook : (machine -> unit) option;
       (* profiler sample hook, fired on frame push/pop before the frame
          stack mutates (so the sampled stack is the one that ran) *)
@@ -263,6 +267,7 @@ module Machine = struct
       steps = 0L;
       fused = 0L;
       poll_hook = None;
+      m_attn = ref true;
       prof_hook = None;
       m_pid = 0;
     }
@@ -410,6 +415,7 @@ module Machine = struct
       steps = m.steps;
       fused = m.fused;
       poll_hook = m.poll_hook;
+      m_attn = m.m_attn;
       prof_hook = m.prof_hook;
       m_pid = m.m_pid;
     }

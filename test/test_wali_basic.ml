@@ -484,6 +484,185 @@ let test_exit_in_handler () =
   Alcotest.(check int) "one exit_group" 1
     (List.assoc "exit_group" (Strace.profile trace))
 
+(* ------------------------------------------------------------------ *)
+(* Safepoint attention cell                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* [n] trips of an i32 countdown loop, then exit_group(0). *)
+let countdown n =
+  build_wali_module ~imports:[ ("exit_group", 1) ] ~locals:[ i32t ] (fun call ->
+      [
+        I32_const (Int32.of_int n); Local_set 0;
+        Block
+          ( Bt_none,
+            [
+              Loop
+                ( Bt_none,
+                  [
+                    Local_get 0; I32_eqz; Br_if 1;
+                    Local_get 0; I32_const 1l; I32_binop Sub; Local_set 0; Br 0;
+                  ] );
+            ] );
+        k 0; call "exit_group"; Drop;
+      ])
+
+(* Under the engine's poll hook, a loop-header poll with nothing pending
+   stays in the interpreter: [2n] trips allocate under one word per trip
+   more than [n] (a poll that leaves the frame boxes the step counters). *)
+let test_poll_no_alloc () =
+  let n = 20_000 in
+  let words binary =
+    let w0 = Gc.minor_words () in
+    let status, _, _ = run binary in
+    let w1 = Gc.minor_words () in
+    Alcotest.(check int) "status" 0 status;
+    w1 -. w0
+  in
+  let short = countdown n and long = countdown (2 * n) in
+  ignore (words short);
+  ignore (words long);
+  let per_trip = (words long -. words short) /. float_of_int n in
+  if per_trip >= 1.0 then
+    Alcotest.failf "a poll with nothing pending allocates %.2f words per trip" per_trip
+
+(* Run [binary] as the initial process of a fresh engine whose "env"
+   import [post] runs [post] on the calling process (a host call with no
+   poll after it); returns the exit status. *)
+let run_with_post ~post binary =
+  let kernel = Kernel.Task.boot () in
+  let eng = Engine.create kernel in
+  let status = ref (-1) in
+  let hf_fn m _ =
+    post kernel (Engine.proc_of eng m).Engine.pr_task;
+    Rt.H_return []
+  in
+  let hf_type = { Types.params = []; results = [] } in
+  let resolver ~module_name ~name =
+    if module_name = "env" && name = "post" then
+      Some (Rt.E_func (Rt.Host_func { hf_name = "post"; hf_type; hf_fn }))
+    else Interface.resolver eng ~module_name ~name
+  in
+  Fiber.run (fun () ->
+      let inst = Engine.build_image eng ~resolver ~binary ~name:"t" in
+      let task = Kernel.Task.make_init kernel ~comm:"t" in
+      let m = Engine.new_machine eng inst ~task in
+      let shared = Engine.make_pshared eng ~inst ~argv:[ "t" ] ~env:[] ~binary in
+      let p =
+        Interface.start eng task shared m ~fiber:"t"
+          ~entry:(Some (Rt.exported_func inst "_start")) ~args:[]
+      in
+      eng.Engine.on_proc_exit <- Some (fun q st -> if q == p then status := st));
+  !status
+
+(* A SIGUSR1 handler records the loop's trip count; [post] makes the
+   signal pending after the cell was cleared and before a 5-trip loop
+   whose header polls. The process exits with the recorded count (255 if
+   the handler never ran): 0 when it ran at the loop's first poll. *)
+let test_pending_before_loop () =
+  let binary =
+    let b = Builder.create ~name:"pend" () in
+    ignore (Builder.add_memory b ~min:1 ~max:(Some 1));
+    let post = Builder.import_func b ~module_:"env" ~name:"post" ~params:[] ~results:[] in
+    let imp name arity =
+      Builder.import_func b ~module_:"wali" ~name:("SYS_" ^ name)
+        ~params:(List.init arity (fun _ -> i64t)) ~results:[ i64t ]
+    in
+    let sigaction = imp "rt_sigaction" 4 and exit_group = imp "exit_group" 1 in
+    ignore (Builder.add_table b ~min:4 ~max:(Some 4));
+    let mem = { offset = 0; align = 2 } in
+    (* handler(signo): mem[128] <- mem[136], the trips run so far *)
+    let handler =
+      Builder.func b ~name:"handler" ~params:[ i32t ] ~results:[] ~locals:[]
+        [ I32_const 128l; I32_const 136l; I32_load mem; I32_store mem ]
+    in
+    Builder.add_elem b ~table:0 ~offset:2 [ handler ];
+    let start =
+      Builder.func b ~name:"_start" ~params:[] ~results:[] ~locals:[]
+        [
+          I32_const 128l; I32_const (-1l); I32_store mem;
+          I32_const 64l; I32_const 2l; I32_store mem;
+          k 10; k 64; k 0; k 16; Call sigaction; Drop;
+          Call post;
+          Block
+            ( Bt_none,
+              [
+                Loop
+                  ( Bt_none,
+                    [
+                      I32_const 136l; I32_load mem; I32_const 5l; I32_relop Ge_s; Br_if 1;
+                      I32_const 136l; I32_const 136l; I32_load mem; I32_const 1l;
+                      I32_binop Add; I32_store mem; Br 0;
+                    ] );
+              ] );
+          I32_const 128l; I32_load mem; I64_extend_i32 SX; Call exit_group; Drop;
+        ]
+    in
+    Builder.export_func b "_start" start;
+    Builder.export_memory b "memory" 0;
+    Binary.encode (Builder.build b)
+  in
+  List.iter
+    (fun (how, post) ->
+      Alcotest.(check int) how (Kernel.Ktypes.wexit_status 0) (run_with_post ~post binary))
+    [
+      ("thread-directed", fun k t -> Kernel.Task.post_to_thread k t 10);
+      ("process-directed", fun k t -> Kernel.Task.post_to_group k t.Kernel.Task.group 10);
+    ]
+
+(* A SIGUSR1 raised while blocked stays pending through a compute loop,
+   and runs its handler as rt_sigprocmask unblocks it. *)
+let test_masked_pending () =
+  let binary =
+    Minic.to_wasm_binary
+      {|
+        int got;
+        char set[8];
+        void on_usr1(int sig) { got = got + 1; }
+        int main(int argc, char **argv) {
+          signal(10, fnptr(on_usr1));
+          *(int*)set = 512;
+          syscall("rt_sigprocmask", 0, set, 0, 8);
+          kill(getpid(), 10);
+          int s = 0;
+          for (int i = 0; i < 100; i = i + 1) { s = s + i; }
+          printi(got);
+          syscall("rt_sigprocmask", 1, set, 0, 8);
+          printi(got);
+          return 0;
+        }
+      |}
+  in
+  let status, out, _ = run binary in
+  Alcotest.(check string) "held while masked, run at unmask" "01" out;
+  Alcotest.(check int) "status" 0 status
+
+(* A fork child polls on its own task's cell: a SIGUSR1 sent to it while
+   its parent's cell is clear still ends it at its first poll. *)
+let test_fork_child_cell () =
+  let binary =
+    Minic.to_wasm_binary
+      {|
+        int st[1];
+        int main(int argc, char **argv) {
+          int pid = fork();
+          if (pid == 0) {
+            int s = 0;
+            for (int i = 0; i < 100; i = i + 1) { s = s + i; }
+            print("child finished\n");
+            return 0;
+          }
+          kill(pid, 10);
+          waitpid(pid, st, 0);
+          printi(st[0]);
+          return 0;
+        }
+      |}
+  in
+  let status, out, _ = run binary in
+  Alcotest.(check string) "child killed by SIGUSR1"
+    (string_of_int (Kernel.Ktypes.wsignal_status 10)) out;
+  Alcotest.(check int) "status" 0 status
+
 (* argv/env transfer methods (§3.4). *)
 let test_argv_env () =
   let b = Builder.create ~name:"argv" () in
@@ -545,4 +724,11 @@ let tests =
     Alcotest.test_case "strace profile counts" `Quick test_strace_counts;
     Alcotest.test_case "exit in a signal handler" `Quick test_exit_in_handler;
     Alcotest.test_case "argv/env transfer" `Quick test_argv_env;
+    Alcotest.test_case "a poll with nothing pending allocates nothing" `Quick
+      test_poll_no_alloc;
+    Alcotest.test_case "a pending signal runs at the first loop-header poll" `Quick
+      test_pending_before_loop;
+    Alcotest.test_case "a masked pending signal runs when unblocked" `Quick
+      test_masked_pending;
+    Alcotest.test_case "a fork child polls on its own cell" `Quick test_fork_child_cell;
   ]
