@@ -146,7 +146,7 @@ let run_cmd file app trace deny derive poll record replay trace_out
             exit 1
       in
       let o =
-        Replay.Replayer.replay ~setup ~trace:tr ~binary ?observe ()
+        Replay.Replayer.replay ~setup ~trace:tr ~binary ~strace:tracer ?observe ()
       in
       dump_observe ();
       (match o.Replay.Replayer.rp_divergence with

@@ -42,6 +42,144 @@ module Procs = Hashtbl.Make (struct
   let hash tid = tid
 end)
 
+(** What a process or machine lifecycle event, or a signal delivery,
+    tells a hook. A signal is delivered to a handler ([Handler_begin],
+    then [Handler_end] even when the handler ends the process) or ends
+    the process with a packed wait status ([Fatal]). *)
+type delivery = Handler_begin | Handler_end | Fatal of int
+
+type event =
+  | Proc_start of proc
+  | Proc_exit of proc * int (* packed wait status *)
+  | Machine_start of Rt.machine (* a new image, a thread, a fork child *)
+  | Machine_retire of Rt.machine (* its task exits, or execve replaces it *)
+  | Image of Code.fuse_stats (* a process image was built *)
+  | Signal of proc * Rt.machine * int * delivery
+
+(** The one observer of the WALI boundary (DESIGN §4g): the observability
+    sink, the recorder, the replayer and the verbose tracer are each one
+    of these, and {!both} runs two as one.
+
+    [h_enter p m name ~base ~arity] sees a crossing of import [name]
+    whose i64 arguments are the stack slots [base, base + arity) of [m];
+    they stay there until [h_exit]. [Some r] substitutes result [r] for
+    running the call (the replayer alone does). [h_exit] sees the result
+    after [ns] virtual ns, or [None] for a call that never returns (a
+    seccomp kill, a trap, a replayed death). [h_poll] sees every counted
+    safepoint poll, before signal delivery. With [h_virtual_signals]
+    (replay) kernel-pending signals are never popped at safepoints: the
+    hook's [h_poll] re-injects the recorded deliveries instead. *)
+type hook = {
+  h_enter : proc -> Rt.machine -> string -> base:int -> arity:int -> int64 option;
+  h_exit :
+    proc -> Rt.machine -> string -> base:int -> arity:int -> ns:int64 -> int64 option -> unit;
+  h_poll : proc -> Rt.machine -> unit;
+  h_event : event -> unit;
+  h_virtual_signals : bool;
+}
+
+let nop_hook =
+  {
+    h_enter = (fun _ _ _ ~base:_ ~arity:_ -> None);
+    h_exit = (fun _ _ _ ~base:_ ~arity:_ ~ns:_ _ -> ());
+    h_poll = (fun _ _ -> ());
+    h_event = ignore;
+    h_virtual_signals = false;
+  }
+
+(** [a] then [b]; [b]'s substituted result wins. *)
+let both a b =
+  {
+    h_enter =
+      (fun p m name ~base ~arity ->
+        let ra = a.h_enter p m name ~base ~arity in
+        match b.h_enter p m name ~base ~arity with None -> ra | rb -> rb);
+    h_exit =
+      (fun p m name ~base ~arity ~ns r ->
+        a.h_exit p m name ~base ~arity ~ns r;
+        b.h_exit p m name ~base ~arity ~ns r);
+    h_poll = (fun p m -> a.h_poll p m; b.h_poll p m);
+    h_event = (fun e -> a.h_event e; b.h_event e);
+    h_virtual_signals = a.h_virtual_signals || b.h_virtual_signals;
+  }
+
+(** Argument [i] of a crossing whose arguments start at slot [base]. *)
+let arg (m : Rt.machine) base i = Bytes.get_int64_ne m.Rt.stack (8 * (base + i))
+
+(** The machine's current Wasm call stack, outermost first — the folded
+    profile's frame order. *)
+let machine_stack (m : Rt.machine) : string list =
+  List.init m.Rt.depth (fun i -> m.Rt.frames.(i).Rt.fr_code.Code.fc_name)
+
+(* What a call that never returns reports as its result. *)
+let eperm = Int64.of_int (-Kernel.Errno.to_code Kernel.Errno.EPERM)
+
+(** The verbose tracer (WALI_VERBOSE): one strace line per crossing. *)
+let verbose_hook (tr : Strace.t) : hook =
+  {
+    nop_hook with
+    h_exit =
+      (fun p m name ~base ~arity ~ns:_ r ->
+        Strace.print tr ~pid:p.pr_task.Kernel.Task.tgid ~name ~arity (arg m base)
+          ~result:(Option.value r ~default:eperm));
+  }
+
+(** The observability sink as a hook: syscall and signal spans, process
+    lanes, the profiler's call/return samples, instructions retired,
+    fusion coverage, polls and traps. *)
+let sink_hook (o : Observe.Sink.t) : hook =
+  let module S = Observe.Sink in
+  let ids (p : proc) = (p.pr_task.Kernel.Task.tgid, p.pr_task.Kernel.Task.tid) in
+  let sample (m : Rt.machine) =
+    S.prof_sample o ~pid:m.Rt.m_pid ~steps:m.Rt.steps ~stack:(fun () -> machine_stack m)
+  in
+  {
+    h_enter =
+      (fun p _ name ~base:_ ~arity:_ ->
+        let pid, tid = ids p in
+        S.syscall_begin o ~pid ~tid ~name ~ts:(Fiber.now ());
+        None);
+    h_exit =
+      (fun p m name ~base:_ ~arity:_ ~ns r ->
+        let pid, tid = ids p in
+        S.syscall_end o ~pid ~tid ~name ~ts:(Fiber.now ()) ~ns
+          ~result:(Option.value r ~default:eperm) ~stack:(fun () -> machine_stack m));
+    h_poll = (fun _ _ -> S.safepoint_poll o);
+    h_event =
+      (fun ev ->
+        let ts = Fiber.now () in
+        match ev with
+        | Proc_start p ->
+            let pid, tid = ids p in
+            S.proc_start o ~pid ~tid ~comm:p.pr_task.Kernel.Task.comm ~ts
+        | Proc_exit (p, status) ->
+            (match p.pr_result with Some (Interp.R_trap _) -> S.trap o | _ -> ());
+            let pid, tid = ids p in
+            S.proc_exit o ~pid ~tid ~status ~ts
+        | Machine_start m ->
+            (* a fork child clones its parent's counters: retire only
+               what it executes from here on *)
+            S.instr_baseline o ~pid:m.Rt.m_pid ~steps:m.Rt.steps ~fused:m.Rt.fused;
+            if S.profiling o then m.Rt.prof_hook <- Some sample
+        | Machine_retire m ->
+            (* charge its last steps to the profile, retire its count *)
+            if S.profiling o then begin
+              sample m;
+              S.prof_reset o ~pid:m.Rt.m_pid
+            end;
+            S.instr_retire o ~pid:m.Rt.m_pid ~steps:m.Rt.steps ~fused:m.Rt.fused
+        | Image fs ->
+            S.note_fusion o ~ops_before:fs.Code.fs_ops_before
+              ~ops_after:fs.Code.fs_ops_after ~sites:fs.Code.fs_sites
+        | Signal (p, _, signo, d) -> (
+            let pid, tid = ids p in
+            match d with
+            | Handler_begin -> S.signal_begin o ~pid ~tid ~signo ~ts
+            | Handler_end -> S.signal_end o ~pid ~tid ~signo ~ts
+            | Fatal _ -> S.signal_fatal o ~pid ~tid ~signo ~ts));
+    h_virtual_signals = false;
+  }
+
 type t = {
   kernel : Kernel.Task.kernel;
   futexes : Kernel.Futex.t;
@@ -53,20 +191,17 @@ type t = {
   mutable next_mem_id : int;
   mutable live_procs : int;
   mutable on_proc_exit : (proc -> int -> unit) option;
-  mutable interpose : interposer option;
-  mutable observe : Observe.Sink.t option;
-      (* observability sink — deliberately separate from [interpose] so
-         tracing/metrics/profiling compose with record/replay *)
+  hook : hook option;
+  mutable interpose : interposer option; (* perfbench's accountant only *)
 }
 
-(** Record/replay (and other tooling) hooks around the thin interface.
-    [ip_dispatch] wraps every WALI host call — the [run] thunk performs
-    the live seccomp check + kernel dispatch, and the interposer may call
-    it (recording) or substitute its own outcome (replay). [ip_poll] is
-    invoked at every counted safepoint poll, before signal delivery, so
-    both sides of record/replay agree on delivery positions. [ip_signal]
-    observes each virtual signal delivery ([status] is the packed wait
-    status for fatal dispositions, [None] for handler runs). *)
+(** The boxed edge around every host call, kept as an adapter for the
+    benchmark's layer accountant ([perfbench/accountant.ml]); nothing else
+    sets it. [ip_dispatch] wraps each crossing: the [run] thunk performs
+    the seccomp check and the kernel dispatch, and returns the call's
+    boxed outcome. [ip_poll], [ip_signal] and [ip_virtual_signals] are
+    {!hook}'s [h_poll], fatal and handler deliveries, and
+    [h_virtual_signals]. *)
 and interposer = {
   ip_dispatch :
     t ->
@@ -79,18 +214,15 @@ and interposer = {
   ip_poll : t -> proc -> Rt.machine -> unit;
   ip_signal : t -> proc -> Rt.machine -> signo:int -> status:int option -> unit;
   ip_virtual_signals : bool;
-      (* true (replay): kernel-pending signals are never popped at
-         safepoints — deliveries come exclusively from the interposer's
-         [ip_poll] re-injection. Live process exits still post e.g.
-         SIGCHLD to kernel tasks; without this, those would be delivered
-         a second time on top of the injected recorded delivery. *)
 }
 
 (** One registry per engine: with an observability sink, the tracer is a
     view over the sink's registry (a [~trace] passed with [~observe] must
-    already be one), so every crossing updates exactly one registry. *)
+    already be one), so every crossing updates exactly one registry. The
+    engine's one hook runs the verbose tracer, the sink and [hook], in
+    that order. *)
 let create ?(poll_scheme = Code.Poll_loops) ?(fuse = true) ?trace
-    ?(policy = Seccomp.allow_all ()) ?observe (kernel : Kernel.Task.kernel) :
+    ?(policy = Seccomp.allow_all ()) ?observe ?hook (kernel : Kernel.Task.kernel) :
     t =
   let trace =
     match (trace, observe) with
@@ -101,9 +233,15 @@ let create ?(poll_scheme = Code.Poll_loops) ?(fuse = true) ?trace
     | None, Some o -> Strace.of_metrics (Observe.Sink.metrics o)
     | None, None -> Strace.create ()
   in
-  (match observe with
-  | Some o -> Observe.Sink.set_kstats o kernel.Kernel.Task.stats
-  | None -> ());
+  let sink o =
+    Observe.Sink.set_kstats o kernel.Kernel.Task.stats;
+    sink_hook o
+  in
+  let hooks =
+    List.filter_map Fun.id
+      [ (if trace.Strace.verbose then Some (verbose_hook trace) else None);
+        Option.map sink observe; hook ]
+  in
   {
     kernel;
     futexes = Kernel.Futex.create ();
@@ -115,9 +253,11 @@ let create ?(poll_scheme = Code.Poll_loops) ?(fuse = true) ?trace
     next_mem_id = 1;
     live_procs = 0;
     on_proc_exit = None;
+    hook = (match hooks with [] -> None | h :: hs -> Some (List.fold_left both h hs));
     interpose = None;
-    observe;
   }
+
+let event eng e = match eng.hook with Some h -> h.h_event e | None -> ()
 
 let fresh_mem_id eng =
   let id = eng.next_mem_id in
@@ -130,21 +270,10 @@ let proc_of eng (m : Rt.machine) : proc =
   | exception Not_found ->
       Values.trap "no WALI process for machine (pid %d)" m.Rt.m_pid
 
-
-(** The machine's current Wasm call stack, outermost first — the folded
-    profile's frame order. *)
-let machine_stack (m : Rt.machine) : string list =
-  List.init m.Rt.depth (fun i -> m.Rt.frames.(i).Rt.fr_code.Code.fc_name)
-
 let register_proc eng (p : proc) =
   Procs.replace eng.procs p.pr_task.Kernel.Task.tid p;
   eng.live_procs <- eng.live_procs + 1;
-  match eng.observe with
-  | Some o ->
-      let t = p.pr_task in
-      Observe.Sink.proc_start o ~pid:t.Kernel.Task.tgid ~tid:t.Kernel.Task.tid
-        ~comm:t.Kernel.Task.comm ~ts:(Fiber.now ())
-  | None -> ()
+  event eng (Proc_start p)
 
 (* ------------------------------------------------------------------ *)
 (* Virtual signal delivery at safepoints (paper §3.3, Fig 5)            *)
@@ -166,7 +295,7 @@ let handler_func (inst : Rt.instance) idx : Rt.func_inst option =
     stack-based structure of §3.3. A dangling handler function pointer is
     treated as default Term. Also the entry point the replayer uses to
     re-inject recorded deliveries. *)
-let run_signal_handler _eng (p : proc) (m : Rt.machine) ~(signo : int)
+let run_signal_handler (p : proc) (m : Rt.machine) ~(signo : int)
     ~(action : Kernel.Ktypes.sigaction) : unit =
   let task = p.pr_task in
   let open Kernel.Ktypes in
@@ -200,26 +329,24 @@ let rec deliver_signals eng (p : proc) (m : Rt.machine) : unit =
   | Some status -> raise (Killed_by status)
   | None -> ());
   let suppressed =
-    match eng.interpose with
-    | Some ip -> ip.ip_virtual_signals
-    | None -> false
+    (match eng.hook with Some h -> h.h_virtual_signals | None -> false)
+    || match eng.interpose with Some ip -> ip.ip_virtual_signals | None -> false
   in
   if (not suppressed) && Kernel.Task.has_deliverable_signal task then begin
     match Kernel.Task.next_signal task with
     | None -> ()
     | Some (signo, action) ->
         let open Kernel.Ktypes in
-        let observe status =
-          match eng.interpose with
-          | Some ip -> ip.ip_signal eng p m ~signo ~status
-          | None -> ()
-        in
-        let delivered () =
+        let delivered d =
+          (match eng.interpose with
+          | Some ip ->
+              let status = match d with Fatal s -> Some s | _ -> None in
+              ip.ip_signal eng p m ~signo ~status
+          | None -> ());
           let ks = eng.kernel.Kernel.Task.stats in
-          ks.Observe.Metrics.sig_delivered <-
-            ks.Observe.Metrics.sig_delivered + 1
+          ks.Observe.Metrics.sig_delivered <- ks.Observe.Metrics.sig_delivered + 1;
+          event eng (Signal (p, m, signo, d))
         in
-        let pid = task.Kernel.Task.tgid and tid = task.Kernel.Task.tid in
         if action.sa_handler = sig_ign then deliver_signals eng p m
         else if action.sa_handler = sig_dfl then begin
           match default_disposition signo with
@@ -227,29 +354,19 @@ let rec deliver_signals eng (p : proc) (m : Rt.machine) : unit =
           | Stop -> deliver_signals eng p m (* job control simplified *)
           | Term | Core ->
               let status = wsignal_status signo in
-              observe (Some status);
-              delivered ();
-              (match eng.observe with
-              | Some o ->
-                  Observe.Sink.signal_fatal o ~pid ~tid ~signo
-                    ~ts:(Fiber.now ())
-              | None -> ());
+              delivered (Fatal status);
               raise (Killed_by status)
         end
         else begin
-          observe None;
-          delivered ();
-          (match eng.observe with
-          | Some o ->
-              Observe.Sink.signal_begin o ~pid ~tid ~signo ~ts:(Fiber.now ());
+          delivered Handler_begin;
+          (match eng.hook with
+          | Some h ->
               (* the handler may exit the process via Killed_by — close
                  the span either way so the trace stays well-nested *)
               Fun.protect
-                ~finally:(fun () ->
-                  Observe.Sink.signal_end o ~pid ~tid ~signo
-                    ~ts:(Fiber.now ()))
-                (fun () -> run_signal_handler eng p m ~signo ~action)
-          | None -> run_signal_handler eng p m ~signo ~action);
+                ~finally:(fun () -> h.h_event (Signal (p, m, signo, Handler_end)))
+                (fun () -> run_signal_handler p m ~signo ~action)
+          | None -> run_signal_handler p m ~signo ~action);
           (* more signals may have arrived meanwhile *)
           deliver_signals eng p m
         end
@@ -258,18 +375,15 @@ let rec deliver_signals eng (p : proc) (m : Rt.machine) : unit =
 (** A counted safepoint poll of process [p] running machine [m]. Once
     nothing is left to deliver it clears the task's attention cell, so
     the machine's next polls stay in the interpreter until the kernel
-    arms the cell again. With an observer or an interposer the cell is
-    never cleared: they see every poll. *)
+    arms the cell again. With any hook or an interposer the cell is never
+    cleared: they see every poll. *)
 let poll eng (p : proc) (m : Rt.machine) : unit =
-  (match eng.observe with
-  | Some o -> Observe.Sink.safepoint_poll o
-  | None -> ());
+  (match eng.hook with Some h -> h.h_poll p m | None -> ());
   (match eng.interpose with Some ip -> ip.ip_poll eng p m | None -> ());
   deliver_signals eng p m;
   let task = p.pr_task in
-  if Option.is_none eng.observe && Option.is_none eng.interpose
-     && Kernel.Task.quiet task
-  then task.Kernel.Task.attn := false
+  if eng.hook == None && eng.interpose == None && Kernel.Task.quiet task then
+    task.Kernel.Task.attn := false
 
 (** The poll on the way back from a syscall, run only while the
     machine's attention cell is armed. Linux delivers pending signals on
@@ -284,22 +398,14 @@ let poll_hook eng : Rt.machine -> unit = fun m -> poll eng (proc_of eng m) m
 
 (** A fresh machine for [task] (a new process image or a spawned
     thread), with the engine's safepoint poll on the task's attention
-    cell and, when profiling, the profiler's call/return sample hook.
-    Fork children inherit both hooks through [Machine.clone] but must be
-    pointed at their own task's cell. *)
+    cell. Fork children inherit the poll hook through [Machine.clone] but
+    must be pointed at their own task's cell. *)
 let new_machine eng (inst : Rt.instance) ~(task : Kernel.Task.t) : Rt.machine =
   let m = Rt.Machine.create inst in
   m.Rt.m_pid <- task.Kernel.Task.tid;
   m.Rt.m_attn <- task.Kernel.Task.attn;
   m.Rt.poll_hook <- Some (poll_hook eng);
-  (match eng.observe with
-  | Some o when Observe.Sink.profiling o ->
-      m.Rt.prof_hook <-
-        Some
-          (fun mm ->
-            Observe.Sink.prof_sample o ~pid:mm.Rt.m_pid ~steps:mm.Rt.steps
-              ~stack:(fun () -> machine_stack mm))
-  | _ -> ());
+  event eng (Machine_start m);
   m
 
 (* ------------------------------------------------------------------ *)
@@ -340,12 +446,7 @@ let compile_cached ~poll ~fuse binary : Code.compiled =
 let build_image eng ~(resolver : Link.resolver) ~(binary : string)
     ~(name : string) : Rt.instance =
   let cm = compile_cached ~poll:eng.poll_scheme ~fuse:eng.fuse binary in
-  (match eng.observe with
-  | Some o ->
-      let fs = cm.Code.cm_fuse in
-      Observe.Sink.note_fusion o ~ops_before:fs.Code.fs_ops_before
-        ~ops_after:fs.Code.fs_ops_after ~sites:fs.Code.fs_sites
-  | None -> ());
+  event eng (Image cm.Code.cm_fuse);
   let inst, start = Link.instantiate ~name resolver cm in
   (match start with
   | Some _ -> () (* start functions run on first invoke by convention *)
@@ -392,19 +493,8 @@ let setup_stdio eng (task : Kernel.Task.t) =
 (* ------------------------------------------------------------------ *)
 
 (** Close the books on a machine that stops running (its task exits, or
-    execve replaces it): charge its last steps to the profile and retire
-    its instruction count. *)
-let retire_machine eng (m : Rt.machine) : unit =
-  match eng.observe with
-  | Some o ->
-      if Observe.Sink.profiling o then begin
-        Observe.Sink.prof_sample o ~pid:m.Rt.m_pid ~steps:m.Rt.steps
-          ~stack:(fun () -> machine_stack m);
-        Observe.Sink.prof_reset o ~pid:m.Rt.m_pid
-      end;
-      Observe.Sink.instr_retire o ~pid:m.Rt.m_pid ~steps:m.Rt.steps
-        ~fused:m.Rt.fused
-  | None -> ()
+    execve replaces it). *)
+let retire_machine eng (m : Rt.machine) : unit = event eng (Machine_retire m)
 
 (* Tear the task down with a packed wait status. With [group] (exit_group,
    a trap or a fatal signal, and any end of the group leader) the whole
@@ -430,11 +520,7 @@ let do_exit eng (p : proc) ~group ~(status : int) : unit =
   Task.exit_task eng.kernel task ~status;
   eng.live_procs <- eng.live_procs - 1;
   Option.iter (retire_machine eng) p.pr_machine;
-  (match eng.observe with
-  | Some o ->
-      Observe.Sink.proc_exit o ~pid:task.Task.tgid ~tid:task.Task.tid ~status
-        ~ts:(Fiber.now ())
-  | None -> ());
+  event eng (Proc_exit (p, status));
   (match eng.on_proc_exit with
   | Some f -> f p status
   | None -> ());
@@ -461,9 +547,6 @@ let run_machine_body eng (p : proc) (m : Rt.machine) ~fresh_entry
       do_exit eng p ~group:true ~status
   | `Result r ->
       p.pr_result <- Some r;
-      (match (r, eng.observe) with
-      | Interp.R_trap _, Some o -> Observe.Sink.trap o
-      | _ -> ());
       let status =
         let open Kernel.Ktypes in
         match r with

@@ -52,16 +52,9 @@ let do_fork eng (p : Engine.proc) (child_m : Rt.machine) : int64 =
   child_m.Rt.m_pid <- child_task.Task.tid;
   (* the clone still holds the parent's attention cell *)
   child_m.Rt.m_attn <- child_task.Task.attn;
+  Engine.event eng (Engine.Machine_start child_m);
   let fiber = Printf.sprintf "wali-pid%d" child_task.Task.tid in
   ignore (start eng child_task shared child_m ~fiber ~entry:None ~args:[]);
-  (* Instruction accounting: the child machine clones the parent's step
-     counter, so retire only what it executes from here on. (The cloned
-     prof_hook likewise re-baselines on the child's first sample.) *)
-  (match eng.Engine.observe with
-  | Some o ->
-      Observe.Sink.instr_baseline o ~pid:child_task.Task.tid
-        ~steps:child_m.Rt.steps ~fused:child_m.Rt.fused
-  | None -> ());
   Int64.of_int child_task.Task.tgid
 
 (* Read a NULL-terminated array of guest string pointers. *)
@@ -463,7 +456,7 @@ let slot_handler (name : string) : call -> int64 =
       fun _ -> Values.trap "rt_sigreturn invoked directly from WALI module"
   | "kill" -> fun c -> retu (Syscalls.kill (ctx c) ~pid:(ai c 0) ~signo:(ai c 1))
   | "tkill" -> fun c -> retu (Syscalls.tkill (ctx c) ~tid:(ai c 0) ~signo:(ai c 1))
-  | "tgkill" -> fun c -> retu (Syscalls.tkill (ctx c) ~tid:(ai c 1) ~signo:(ai c 2))
+  | "tgkill" -> fun c -> retu (Syscalls.tkill (ctx c) ~tgid:(ai c 0) ~tid:(ai c 1) ~signo:(ai c 2))
   | "pause" -> fun c -> retu (Syscalls.pause (ctx c))
   | "alarm" -> fun c -> reti (Syscalls.alarm (ctx c) ~seconds:(ai c 0))
   | "setitimer" -> fun c ->
@@ -597,6 +590,7 @@ let slot_handler (name : string) : call -> int64 =
       0L
   | "sendfile" -> (fun c ->
       let infd = ai c 1 and outfd = ai c 0 and count = ai c 3 in
+      if count < 0 then errno_ret Errno.EINVAL else
       let tmp = Bytes.create (min count 65536) in
       let rec go total =
         let want = min (Bytes.length tmp) (count - total) in
@@ -692,73 +686,116 @@ let run_slot s h c =
   | None -> ( try h c with Abi.Efault | Rt.Memory.Bounds -> errno_ret Errno.EFAULT)
   | Some r -> r
 
-(* A crossing's span, and its one registry update, made whether the call
-   returns or raises (a seccomp kill, a trap): a call that never returns
-   counts as a failed one. *)
-let enter eng s (p : Engine.proc) =
-  let t0 = Fiber.now () and t = p.Engine.pr_task in
-  (match eng.Engine.observe with
-  | Some o -> Observe.Sink.syscall_begin o ~pid:t.Task.tgid ~tid:t.Task.tid ~name:s.s_name ~ts:t0
-  | None -> ());
-  t0
+(* A crossing's one registry update, made whether the call returns or
+   raises (a seccomp kill, a trap): a call that never returns counts as a
+   failed one. *)
+let note eng s t0 r =
+  let ns = Int64.sub (Fiber.now ()) t0 and reg = Strace.metrics eng.Engine.trace in
+  if s.s_reg != reg then (s.s_row <- Observe.Metrics.stats_of reg s.s_name; s.s_reg <- reg);
+  Observe.Metrics.record_stats reg s.s_row ~result:r ~ns
 
-let leave eng s (p : Engine.proc) m ~args t0 result =
-  let t1 = Fiber.now () and name = s.s_name and t = p.Engine.pr_task in
-  let ns = Int64.sub t1 t0 and reg = Strace.metrics eng.Engine.trace in
-  if s.s_reg != reg then (s.s_row <- Observe.Metrics.stats_of reg name; s.s_reg <- reg);
-  Strace.note_stats eng.Engine.trace s.s_row ~pid:t.Task.tgid ~name ~args ~result ~ns;
-  match eng.Engine.observe with
-  | Some o ->
-      Observe.Sink.syscall_end o ~pid:t.Task.tgid ~tid:t.Task.tid ~name ~ts:t1 ~ns ~result
-        ~stack:(fun () -> Engine.machine_stack m)
+(* The hook's exit of a crossing that began at [t0]: its result [r], or
+   [None] when it never returns. *)
+let hook_exit eng name p m ~base ~arity t0 r =
+  match eng.Engine.hook with
+  | Some h -> h.Engine.h_exit p m name ~base ~arity ~ns:(Int64.sub (Fiber.now ()) t0) r
   | None -> ()
 
-(* The one interposer call site: record/replay (and any other tooling)
-   sees every crossing here, syscalls and thread_spawn alike. The
-   recorder runs [live] and logs its outcome; the replayer substitutes
-   the logged outcome for it. *)
+let finish eng s (p : Engine.proc) m ~base ~arity t0 r =
+  note eng s t0 (Option.value r ~default:Engine.eperm);
+  hook_exit eng s.s_name p m ~base ~arity t0 r
+
+let enter eng name p m ~base ~arity =
+  match eng.Engine.hook with
+  | Some h -> h.Engine.h_enter p m name ~base ~arity
+  | None -> None
+
+(* Write boxed arguments to the free slots above [m]'s stack top, where a
+   hook reads them; returns their base. *)
+let spill m (args : Values.value array) =
+  let base = m.Rt.sp and n = Array.length args in
+  Rt.Machine.reserve m (base + Int.max 6 n);
+  for i = 0 to Int.max 6 n - 1 do
+    Bytes.set_int64_ne m.Rt.stack (8 * (base + i)) (if i < n then Values.to_slot args.(i) else 0L)
+  done;
+  base
+
+(* The perfbench interposer's wrap of a crossing, when one is attached. *)
 let interposed eng p name m args live : Rt.host_outcome =
   match eng.Engine.interpose with
   | Some ip -> ip.Engine.ip_dispatch eng p name m args live
   | None -> live ()
 
-(* The boxed crossing: process-control calls, and every call while an
-   interposer is attached or the tracer is verbose. [run] is the handler;
-   the interposer's live thunk checks seccomp first. *)
-let boxed eng s p m args run : Rt.host_outcome =
-  let t0 = enter eng s p in
+(* The boxed crossing: process control, and every call while perfbench's
+   interposer is attached. [run] is the handler, checked by seccomp
+   first. The engine derives the hook's int64 result here, once: the
+   child's pid when the loop registers a fork child, the code of an
+   exit, 0 for an execve. *)
+let boxed eng s p m ~base args run : Rt.host_outcome =
+  let arity = Array.length args and t0 = Fiber.now () in
   let live () =
     match denied eng s with
     | None -> ( try run () with Abi.Efault | Rt.Memory.Bounds -> efault_outcome)
     | Some r -> Rt.H_return [ Values.I64 r ]
   in
-  match interposed eng p s.s_name m args live with
+  match
+    match enter eng s.s_name p m ~base ~arity with
+    | Some r -> Rt.H_return [ Values.I64 r ]
+    | None -> interposed eng p s.s_name m args live
+  with
   | exception e ->
-      leave eng s p m ~args t0 (errno_ret Errno.EPERM);
+      finish eng s p m ~base ~arity t0 None;
       raise e
+  | Rt.H_fork register ->
+      Rt.H_fork
+        (fun child ->
+          let pid = register child in
+          finish eng s p m ~base ~arity t0 (Some pid);
+          pid)
   | outcome ->
-      leave eng s p m ~args t0 (match outcome with Rt.H_return [ Values.I64 r ] -> r | _ -> 0L);
+      finish eng s p m ~base ~arity t0
+        (Some (match outcome with
+           | Rt.H_return [ Values.I64 r ] -> r
+           | Rt.H_exit code -> Int64.of_int code
+           | _ -> 0L));
       (match outcome with Rt.H_return _ -> Engine.safepoint eng p m | _ -> ());
       outcome
 
-(* A slot syscall of [arity] arguments, the stack slots of [c]. *)
+(* A slot syscall of [arity] arguments, the stack slots of [c]. The plain
+   path tests the hook slot and builds nothing; a hook reads the
+   arguments in place. *)
 let slot_crossing s arity h c : int64 =
-  let eng = c.eng and p = c.p and m = c.m in
-  if Option.is_some eng.Engine.interpose || eng.Engine.trace.Strace.verbose then
+  let eng = c.eng and p = c.p and m = c.m and base = c.base in
+  if eng.Engine.interpose != None then
     let args = Array.init arity (fun i -> Values.I64 (a64 c i)) in
-    match boxed eng s p m args (fun () -> Rt.H_return [ Values.I64 (h c) ]) with
+    match boxed eng s p m ~base args (fun () -> Rt.H_return [ Values.I64 (h c) ]) with
     | Rt.H_return [ Values.I64 r ] -> r
     | _ -> Values.trap "%s: an interposer changed the result's type" s.s_name
   else
-    let t0 = enter eng s p in
-    match run_slot s h c with
-    | exception e ->
-        leave eng s p m ~args:[||] t0 (errno_ret Errno.EPERM);
-        raise e
-    | r ->
-        leave eng s p m ~args:[||] t0 r;
-        Engine.safepoint eng p m;
-        r
+    let t0 = Fiber.now () in
+    match eng.Engine.hook with
+    | None -> (
+        match run_slot s h c with
+        | exception e ->
+            note eng s t0 Engine.eperm;
+            raise e
+        | r ->
+            note eng s t0 r;
+            Engine.safepoint eng p m;
+            r)
+    | Some hk -> (
+        match
+          match hk.Engine.h_enter p m s.s_name ~base ~arity with
+          | Some r -> r
+          | None -> run_slot s h c
+        with
+        | exception e ->
+            finish eng s p m ~base ~arity t0 None;
+            raise e
+        | r ->
+            finish eng s p m ~base ~arity t0 (Some r);
+            Engine.safepoint eng p m;
+            r)
 
 let syscall_host_func eng (e : Spec.entry) : Rt.func_inst =
   let s = site eng e.Spec.name and arity = e.Spec.arity in
@@ -770,7 +807,7 @@ let syscall_host_func eng (e : Spec.entry) : Rt.func_inst =
   | Proc f ->
       let hf_fn m args =
         let p = Engine.proc_of eng m in
-        boxed eng s p m args (fun () -> f eng p m args)
+        boxed eng s p m ~base:(spill m args) args (fun () -> f eng p m args)
       in
       Rt.Host_func { hf_name = name; hf_type = ty; hf_fn }
 
@@ -790,13 +827,9 @@ let by_name eng name m args f =
         Hashtbl.replace named name bs;
         bs
   in
-  let base = m.Rt.sp and n = Array.length args in
-  Rt.Machine.reserve m (base + Int.max 6 n);
-  for i = 0 to Int.max 6 n - 1 do
-    Bytes.set_int64_ne m.Rt.stack (8 * (base + i)) (if i < n then Values.to_slot args.(i) else 0L)
-  done;
-  m.Rt.sp <- base + n;
-  let r = try f n b s base with e -> m.Rt.sp <- base; raise e in
+  let base = spill m args in
+  m.Rt.sp <- base + Array.length args;
+  let r = try f (Array.length args) b s base with e -> m.Rt.sp <- base; raise e in
   m.Rt.sp <- base;
   r
 
@@ -811,13 +844,13 @@ let dispatch eng name m (args : Values.value array) : Rt.host_outcome =
       with Abi.Efault | Rt.Memory.Bounds -> efault_outcome)
 
 (** Run syscall [name] as a guest call of it runs: seccomp, tracing, the
-    interposer and the post-call signal poll. *)
+    hook and the post-call signal poll. *)
 let traced_dispatch eng name m (args : Values.value array) : Rt.host_outcome =
   let p = Engine.proc_of eng m in
   by_name eng name m args (fun n b s base ->
       match b with
       | Slot h -> Rt.H_return [ Values.I64 (slot_crossing s n h { eng; p; m; base }) ]
-      | Proc f -> boxed eng s p m args (fun () -> f eng p m args))
+      | Proc f -> boxed eng s p m ~base args (fun () -> f eng p m args))
 
 (* ------------------------------------------------------------------ *)
 (* The other imports and the resolver                                   *)
@@ -854,11 +887,23 @@ let thread_spawn_host_func eng : Rt.func_inst =
   let hf_fn m args =
     let p = Engine.proc_of eng m and arg i = Int32.to_int (Values.as_i32 args.(i)) in
     (* thread_spawn creates engine structure (a fiber and a machine), so
-       like fork it must be interposable: replay re-executes it live and
-       validates the resulting tid. *)
-    interposed eng p "thread_spawn" m args (fun () ->
-        let tid = do_thread_spawn eng p m ~entry_idx:(arg 0) ~arg:(arg 1) in
-        Rt.H_return [ Values.I32 (Int64.to_int32 tid) ])
+       like fork the hook sees it: replay re-executes it live and
+       validates the resulting tid. It is not a syscall: no seccomp rule
+       and no registry row. *)
+    let base = spill m args and t0 = Fiber.now () and name = "thread_spawn" in
+    let exit r = hook_exit eng name p m ~base ~arity:2 t0 r in
+    match
+      ignore (enter eng name p m ~base ~arity:2);
+      interposed eng p name m args (fun () ->
+          let tid = do_thread_spawn eng p m ~entry_idx:(arg 0) ~arg:(arg 1) in
+          Rt.H_return [ Values.I32 (Int64.to_int32 tid) ])
+    with
+    | exception e ->
+        exit None;
+        raise e
+    | o ->
+        exit (match o with Rt.H_return [ Values.I32 tid ] -> Some (Int64.of_int32 tid) | _ -> None);
+        o
   in
   Rt.Host_func { hf_name = "thread_spawn"; hf_type = fn_type Types.T_i32 2; hf_fn }
 
@@ -897,16 +942,18 @@ let spawn_init (eng : Engine.t) ~(binary : string) ~(argv : string list)
   let shared = Engine.make_pshared eng ~inst ~argv ~env ~binary in
   start eng task shared m ~fiber:name ~entry:(Some (Rt.exported_func inst "_start")) ~args:[]
 
-(** One-call convenience: boot a kernel, install the program at [path] in
-    the VFS, run it to completion, return (exit_status, console output,
-    result). Used by tests, examples and benches. *)
+(** One-call convenience: boot a kernel (or take [kernel]), run [binary]
+    to completion as its initial process, and return (exit status,
+    console output, result). [hook] joins the engine's hook after the
+    tracer and the sink: the recorder and the replayer run this way.
+    Used by tests, examples, benches and the record/replay tools. *)
 let run_program ?(kernel : Task.kernel option) ?(poll_scheme = Code.Poll_loops)
-    ?(trace : Strace.t option) ?(policy : Seccomp.t option)
-    ?(observe : Observe.Sink.t option) ~(binary : string)
+    ?fuse ?(trace : Strace.t option) ?(policy : Seccomp.t option)
+    ?(observe : Observe.Sink.t option) ?hook ~(binary : string)
     ~(argv : string list) ~(env : string list) () :
     int * string * Interp.run_result option =
   let kernel = match kernel with Some k -> k | None -> Task.boot () in
-  let eng = Engine.create ~poll_scheme ?trace ?policy ?observe kernel in
+  let eng = Engine.create ~poll_scheme ?fuse ?trace ?policy ?observe ?hook kernel in
   let status = ref 0 in
   let result = ref None in
   (match observe with Some o -> Observe.Sink.attach o | None -> ());

@@ -6,7 +6,8 @@
     strace-style line rendering and the frequency-ordered profile views.
     When an engine has an observability sink, its tracer is a view over
     the sink's registry (see [Engine.create]), so each WALI crossing
-    updates exactly one registry, whoever is looking. *)
+    updates exactly one registry, whoever is looking. A verbose tracer
+    logs its lines through the engine's hook ([Engine.verbose_hook]). *)
 
 type t = {
   reg : Observe.Metrics.t;
@@ -30,24 +31,21 @@ let pp_arg (v : int64) : string =
   if Int64.compare v 0x10000L >= 0 then Printf.sprintf "0x%Lx" v
   else Int64.to_string v
 
-(** Count one crossing of [name] in [s], its record in the registry
-    ({!Observe.Metrics.stats_of}); [args] (the raw i64 arguments) are
-    rendered only when the tracer is verbose. *)
-let note_stats t s ~pid ~name ~(args : Wasm.Values.value array) ~(result : int64) ~ns =
-  Observe.Metrics.record_stats t.reg s ~result ~ns;
-  if t.verbose then begin
-    let line =
-      Printf.sprintf "[%d] %s(%s) = %Ld" pid name
-        (String.concat ", "
-           (Array.to_list
-              (Array.map (fun v -> pp_arg (Wasm.Values.as_i64 v)) args)))
-        result
-    in
-    match t.log with Some f -> f line | None -> prerr_endline line
-  end
+(** Log the strace line of one crossing of [name]: its [arity] i64
+    arguments ([arg i] is the [i]-th) and its result. *)
+let print t ~pid ~name ~arity (arg : int -> int64) ~(result : int64) =
+  let line =
+    Printf.sprintf "[%d] %s(%s) = %Ld" pid name
+      (String.concat ", " (List.init arity (fun i -> pp_arg (arg i))))
+      result
+  in
+  match t.log with Some f -> f line | None -> prerr_endline line
 
-let note t ~pid ~name ~args ~result ~ns =
-  note_stats t (Observe.Metrics.stats_of t.reg name) ~pid ~name ~args ~result ~ns
+(** Count one crossing of [name] in the registry, and log its line when
+    the tracer is verbose. *)
+let note t ~pid ~name ~(args : int64 array) ~(result : int64) ~ns =
+  Observe.Metrics.record_stats t.reg (Observe.Metrics.stats_of t.reg name) ~result ~ns;
+  if t.verbose then print t ~pid ~name ~arity:(Array.length args) (Array.get args) ~result
 
 (** (name, calls) sorted by frequency, most frequent first; ties break
     alphabetically so the profile is stable across runs. The comparator

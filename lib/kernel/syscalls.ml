@@ -707,12 +707,18 @@ let kill ctx ~pid ~signo : unit Errno.result =
   count ctx;
   Task.kill ctx.k ctx.t ~pid ~signo
 
-let tkill ctx ~tid ~signo : unit Errno.result =
+(** tkill, and tgkill when [tgid] is given: the thread must then belong
+    to that thread group. *)
+let tkill ?tgid ctx ~tid ~signo : unit Errno.result =
   count ctx;
   match Task.find ctx.k tid with
-  | Some t when t.Task.state = Task.Running ->
-      if signo <> 0 then Task.post_to_thread ctx.k t signo;
-      Ok ()
+  | Some t when t.Task.state = Task.Running
+                && Option.fold tgid ~none:true ~some:(Int.equal t.Task.tgid) ->
+      if signo < 0 || signo > nsig then Error Errno.EINVAL
+      else begin
+        if signo <> 0 then Task.post_to_thread ctx.k t signo;
+        Ok ()
+      end
   | _ -> Error Errno.ESRCH
 
 let alarm ctx ~seconds : int Errno.result =

@@ -87,7 +87,6 @@ let create ?metrics cfg =
 let metrics o = o.reg
 let set_kstats o ks = o.ks <- Some ks
 let profiling o = o.cfg.c_profile
-let tracing o = o.cfg.c_trace
 
 (* ---- syscalls ---- *)
 
@@ -245,7 +244,6 @@ let detach o =
 (* ---- dumps ---- *)
 
 let trace_json o = Tracebuf.dump o.tb
-let trace_events o = Tracebuf.events o.tb
 let profile_folded o = Profile.dump o.pf
 let profile_total o = Profile.total o.pf
 let wall_ns o = o.wall_ns

@@ -1,5 +1,5 @@
-(** The recorder: runs a WALI program with an [Engine.interposer] that
-    logs every host call, signal delivery and process exit into a
+(** The recorder: runs a WALI program with an [Engine.hook] that logs
+    every host call, signal delivery and process exit into a
     {!Trace.t}.
 
     The recorder is a pure observer — every call still executes live
@@ -17,26 +17,25 @@ open Wali
 type t = {
   mutable rc_events : Trace.event list; (* reversed *)
   rc_polls : (int, int ref) Hashtbl.t; (* pid -> counted safepoint polls *)
+  mutable rc_pre : Bytes.t option;
+      (* the memory before a call the oracle cannot enumerate (brk, which
+         never blocks, so no other call runs before its exit) *)
 }
 
-let make () = { rc_events = []; rc_polls = Hashtbl.create 8 }
+let make () = { rc_events = []; rc_polls = Hashtbl.create 8; rc_pre = None }
 
 let emit rc ev = rc.rc_events <- ev :: rc.rc_events
 
-let counter rc pid =
-  match Hashtbl.find_opt rc.rc_polls pid with
-  | Some r -> r
+(** [tbl]'s value for [pid], made by [mk] on first use. *)
+let per_pid tbl pid mk =
+  match Hashtbl.find_opt tbl pid with
+  | Some v -> v
   | None ->
-      let r = ref 0 in
-      Hashtbl.add rc.rc_polls pid r;
-      r
+      let v = mk () in
+      Hashtbl.add tbl pid v;
+      v
 
-(* thread_spawn args arrive as i32s; everything else is i64. *)
-let arg_i64 (v : Values.value) : int64 =
-  match v with
-  | Values.I64 x -> x
-  | Values.I32 x -> Int64.of_int32 x
-  | _ -> 0L
+let counter rc pid = per_pid rc.rc_polls pid (fun () -> ref 0)
 
 (* Extract the recorded bytes for the oracle's (addr, len) regions,
    clamped to the current memory bounds. *)
@@ -74,78 +73,56 @@ let diff_regions ~(pre : Bytes.t) ~(post : Bytes.t) : Trace.region list =
     (fun (a, len) -> Trace.R_bytes (a, Bytes.sub_string post a len))
     !spans
 
-let interposer (rc : t) : Engine.interposer =
-  let ip_dispatch _eng _p name (m : Rt.machine) args live =
-    let mem = Rt.memory0 m in
-    let argv = Array.map arg_i64 args in
-    let pre_whole =
-      if Writeset.needs_whole name then Some (Bytes.copy mem.Rt.Memory.data)
-      else None
-    in
-    let emit_call (result : int64) =
-      let regions =
-        match pre_whole with
-        | Some pre -> diff_regions ~pre ~post:mem.Rt.Memory.data
-        | None -> (
-            match Writeset.written ~mem name argv result with
-            | Writeset.Regions spans -> capture_regions mem spans
-            | Writeset.Whole -> diff_regions ~pre:Bytes.empty ~post:mem.Rt.Memory.data)
-      in
-      emit rc
-        (Trace.E_syscall
-           {
-             Trace.sc_pid = m.Rt.m_pid;
-             sc_name = name;
-             sc_args = argv;
-             sc_result = result;
-             sc_pages = Rt.Memory.size_pages mem;
-             sc_regions = regions;
-           })
-    in
-    let outcome = live () in
-    match outcome with
-    | Rt.H_return [ Values.I64 r ] ->
-        emit_call r;
-        outcome
-    | Rt.H_return [ Values.I32 r ] ->
-        emit_call (Int64.of_int32 r);
-        outcome
-    | Rt.H_return _ ->
-        emit_call 0L;
-        outcome
-    | Rt.H_exit code ->
-        emit_call (Int64.of_int code);
-        outcome
-    | Rt.H_exec mk ->
-        emit_call 0L;
-        Rt.H_exec mk
-    | Rt.H_trap _ ->
-        emit_call 0L;
-        outcome
-    | Rt.H_fork cb ->
-        (* the record is written when the engine loop registers the
-           child — after the clone, before either side resumes — so it
-           precedes both sides' subsequent calls in the global order *)
-        Rt.H_fork
-          (fun child ->
-            let pid = cb child in
-            emit_call pid;
-            pid)
+let hook (rc : t) : Engine.hook =
+  let h_enter _ (m : Rt.machine) name ~base:_ ~arity:_ =
+    if Writeset.needs_whole name then
+      rc.rc_pre <- Some (Bytes.copy (Rt.memory0 m).Rt.Memory.data);
+    None
+  in
+  let h_exit _ (m : Rt.machine) name ~base ~arity ~ns:_ = function
+    | None -> rc.rc_pre <- None
+    | Some result ->
+        let mem = Rt.memory0 m in
+        let args = Array.init arity (Engine.arg m base) in
+        let regions =
+          match rc.rc_pre with
+          | Some pre -> diff_regions ~pre ~post:mem.Rt.Memory.data
+          | None -> (
+              match Writeset.written ~mem name args result with
+              | Writeset.Regions spans -> capture_regions mem spans
+              | Writeset.Whole -> diff_regions ~pre:Bytes.empty ~post:mem.Rt.Memory.data)
+        in
+        rc.rc_pre <- None;
+        emit rc
+          (Trace.E_syscall
+             {
+               Trace.sc_pid = m.Rt.m_pid;
+               sc_name = name;
+               sc_args = args;
+               sc_result = result;
+               sc_pages = Rt.Memory.size_pages mem;
+               sc_regions = regions;
+             })
+  in
+  let signal (m : Rt.machine) signo status =
+    emit rc
+      (Trace.E_signal
+         { Trace.sg_pid = m.Rt.m_pid; sg_poll = !(counter rc m.Rt.m_pid); sg_signo = signo;
+           sg_status = status })
   in
   {
-    Engine.ip_dispatch;
-    ip_poll = (fun _ _ m -> incr (counter rc m.Rt.m_pid));
-    ip_signal =
-      (fun _ _ m ~signo ~status ->
-        emit rc
-          (Trace.E_signal
-             {
-               Trace.sg_pid = m.Rt.m_pid;
-               sg_poll = !(counter rc m.Rt.m_pid);
-               sg_signo = signo;
-               sg_status = status;
-             }));
-    ip_virtual_signals = false;
+    Engine.h_enter;
+    h_exit;
+    h_poll = (fun _ m -> incr (counter rc m.Rt.m_pid));
+    h_event =
+      (function
+      | Engine.Signal (_, m, signo, Engine.Handler_begin) -> signal m signo None
+      | Engine.Signal (_, m, signo, Engine.Fatal status) -> signal m signo (Some status)
+      | Engine.Proc_exit (q, status) ->
+          emit rc
+            (Trace.E_exit { Trace.ex_pid = q.Engine.pr_task.Kernel.Task.tid; ex_status = status })
+      | _ -> ());
+    h_virtual_signals = false;
   }
 
 type run = {
@@ -155,42 +132,16 @@ type run = {
   r_result : Interp.run_result option;
 }
 
-(** Record one program run. Mirrors [Interface.run_program], with the
-    engine's exit notification shared between status capture and exit
-    logging (the engine has a single [on_proc_exit] slot). *)
-let record ?(app = "") ?(poll_scheme = Code.Poll_loops) ?(fuse = true) ?strace
-    ?policy ?(kernel : Kernel.Task.kernel option) ?observe ~(binary : string)
-    ~(argv : string list) ~(env : string list) () : run =
-  let kernel = match kernel with Some k -> k | None -> Kernel.Task.boot () in
-  (* The sink rides in the engine's dedicated observe slot, so recording
-     (which owns the single interposer slot) and observability compose. *)
-  let eng =
-    Engine.create ~poll_scheme ~fuse ?trace:strace ?policy ?observe kernel
-  in
+(** Record one program run: {!Interface.run_program} with the recorder's
+    hook after the tracer's and the sink's. *)
+let record ?(app = "") ?(poll_scheme = Code.Poll_loops) ?fuse ?strace ?policy
+    ?kernel ?observe ~(binary : string) ~(argv : string list)
+    ~(env : string list) () : run =
   let rc = make () in
-  eng.Engine.interpose <- Some (interposer rc);
-  let status = ref 0 in
-  let result = ref None in
-  (match observe with Some o -> Observe.Sink.attach o | None -> ());
-  Fun.protect
-    ~finally:(fun () ->
-      match observe with Some o -> Observe.Sink.detach o | None -> ())
-    (fun () ->
-      Fiber.run (fun () ->
-          let p = Interface.spawn_init eng ~binary ~argv ~env in
-          eng.Engine.on_proc_exit <-
-            Some
-              (fun q st ->
-                emit rc
-                  (Trace.E_exit
-                     {
-                       Trace.ex_pid = q.Engine.pr_task.Kernel.Task.tid;
-                       ex_status = st;
-                     });
-                if q == p then begin
-                  status := st;
-                  result := q.Engine.pr_result
-                end)));
+  let status, output, result =
+    Interface.run_program ?kernel ~poll_scheme ?fuse ?trace:strace ?policy ?observe
+      ~hook:(hook rc) ~binary ~argv ~env ()
+  in
   let trace =
     {
       Trace.tr_header =
@@ -202,12 +153,7 @@ let record ?(app = "") ?(poll_scheme = Code.Poll_loops) ?(fuse = true) ?strace
           h_poll = Trace.poll_scheme_name poll_scheme;
         };
       tr_events = Array.of_list (List.rev rc.rc_events);
-      tr_status = !status;
+      tr_status = status;
     }
   in
-  {
-    r_trace = trace;
-    r_status = !status;
-    r_output = Kernel.Task.console_output kernel;
-    r_result = !result;
-  }
+  { r_trace = trace; r_status = status; r_output = output; r_result = result }

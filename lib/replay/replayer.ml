@@ -56,52 +56,26 @@ type state = {
   st_polls : (int, int ref) Hashtbl.t; (* pid -> safepoint-poll counter *)
   mutable st_stall : int;
   mutable st_div : divergence option;
+  mutable st_live : (Trace.syscall * int) option;
+      (* the record of the live-class call in flight, checked at its exit
+         (such calls never block, so no other call runs before it) *)
 }
 
+let queue st pid = Recorder.per_pid st.st_queues pid Queue.create
+let counter st pid = Recorder.per_pid st.st_polls pid (fun () -> ref 0)
+
 let make (trace : Trace.t) : state =
-  let queues = Hashtbl.create 8 in
+  let st =
+    { st_trace = trace; st_cursor = 0; st_queues = Hashtbl.create 8; st_polls = Hashtbl.create 8;
+      st_stall = 0; st_div = None; st_live = None }
+  in
   Array.iteri
-    (fun i ev ->
-      let pid =
-        match ev with
-        | Trace.E_syscall sc -> sc.Trace.sc_pid
-        | Trace.E_signal sg -> sg.Trace.sg_pid
-        | Trace.E_exit ex -> ex.Trace.ex_pid
-      in
-      let q =
-        match Hashtbl.find_opt queues pid with
-        | Some q -> q
-        | None ->
-            let q = Queue.create () in
-            Hashtbl.add queues pid q;
-            q
-      in
-      Queue.push i q)
+    (fun i -> function
+      | Trace.E_syscall { sc_pid = pid; _ } | Trace.E_signal { sg_pid = pid; _ }
+      | Trace.E_exit { ex_pid = pid; _ } ->
+          Queue.push i (queue st pid))
     trace.Trace.tr_events;
-  {
-    st_trace = trace;
-    st_cursor = 0;
-    st_queues = queues;
-    st_polls = Hashtbl.create 8;
-    st_stall = 0;
-    st_div = None;
-  }
-
-let queue st pid =
-  match Hashtbl.find_opt st.st_queues pid with
-  | Some q -> q
-  | None ->
-      let q = Queue.create () in
-      Hashtbl.add st.st_queues pid q;
-      q
-
-let counter st pid =
-  match Hashtbl.find_opt st.st_polls pid with
-  | Some r -> r
-  | None ->
-      let r = ref 0 in
-      Hashtbl.add st.st_polls pid r;
-      r
+  st
 
 let diverge st ~index ~pid ~kind ~expected ~actual : 'a =
   let d =
@@ -114,25 +88,31 @@ let diverge st ~index ~pid ~kind ~expected ~actual : 'a =
 let fmt_call name (args : int64 array) =
   Printf.sprintf "%s(%s)" name (Trace.pp_args args)
 
+(* One more scheduler yield without progress of the global cursor; past
+   [stall_limit] the pid's [doing] cannot happen in the recorded order. *)
+let stall st pid ~doing =
+  st.st_stall <- st.st_stall + 1;
+  if st.st_stall > stall_limit then
+    diverge st ~index:st.st_cursor ~pid ~kind:"schedule"
+      ~expected:
+        (Printf.sprintf "globally-next record %s"
+           (Trace.pp_event st.st_trace.Trace.tr_events.(st.st_cursor)))
+      ~actual:(doing ());
+  Fiber.yield ()
+
 (* Wait until pid's next recorded event is the globally-next one,
-   yielding to let the fibers that own the intervening records run. *)
-let rec wait_turn st pid ~(doing : string) : Trace.event * int =
+   yielding to let the fibers that own the intervening records run.
+   [doing] describes the pid's action, for a divergence report. *)
+let rec wait_turn st pid ~(doing : unit -> string) : Trace.event * int =
   match Queue.peek_opt (queue st pid) with
   | None ->
       diverge st ~index:(Array.length st.st_trace.Trace.tr_events) ~pid
         ~kind:"extra event" ~expected:"no more events for this pid"
-        ~actual:doing
+        ~actual:(doing ())
   | Some i when i = st.st_cursor -> (st.st_trace.Trace.tr_events.(i), i)
   | Some i ->
-      st.st_stall <- st.st_stall + 1;
-      if st.st_stall > stall_limit then
-        diverge st ~index:st.st_cursor ~pid ~kind:"schedule"
-          ~expected:
-            (Printf.sprintf "globally-next record %s"
-               (Trace.pp_event st.st_trace.Trace.tr_events.(st.st_cursor)))
-          ~actual:
-            (Printf.sprintf "stalled at %s (pid's next record is #%d)" doing i);
-      Fiber.yield ();
+      stall st pid ~doing:(fun () ->
+          Printf.sprintf "stalled at %s (pid's next record is #%d)" (doing ()) i);
       wait_turn st pid ~doing
 
 let consume st pid =
@@ -142,8 +122,6 @@ let consume st pid =
   | None -> assert false);
   st.st_cursor <- st.st_cursor + 1;
   st.st_stall <- 0
-
-let arg_i64 = Recorder.arg_i64
 
 let hex (s : string) =
   String.concat "" (List.map (Printf.sprintf "%02x") (List.map Char.code (List.of_seq (String.to_seq s))))
@@ -191,7 +169,7 @@ let validate_regions st (mem : Rt.Memory.t) (r : Trace.syscall) (idx : int) =
       end)
     r.Trace.sc_regions
 
-let rec inject_signals st eng (p : Engine.proc) (m : Rt.machine) =
+let rec inject_signals st (p : Engine.proc) (m : Rt.machine) =
   let pid = m.Rt.m_pid in
   let c = counter st pid in
   match Queue.peek_opt (queue st pid) with
@@ -208,18 +186,9 @@ let rec inject_signals st eng (p : Engine.proc) (m : Rt.machine) =
           else if sg.Trace.sg_poll = !c then begin
             (* ordering: other pids' earlier records must land first *)
             while st.st_cursor < i do
-              st.st_stall <- st.st_stall + 1;
-              if st.st_stall > stall_limit then
-                diverge st ~index:st.st_cursor ~pid ~kind:"schedule"
-                  ~expected:
-                    (Printf.sprintf "globally-next record %s"
-                       (Trace.pp_event
-                          st.st_trace.Trace.tr_events.(st.st_cursor)))
-                  ~actual:
-                    (Printf.sprintf
-                       "stalled delivering signal %d to pid %d (record #%d)"
-                       sg.Trace.sg_signo pid i);
-              Fiber.yield ()
+              stall st pid ~doing:(fun () ->
+                  Printf.sprintf "stalled delivering signal %d to pid %d (record #%d)"
+                    sg.Trace.sg_signo pid i)
             done;
             consume st pid;
             match sg.Trace.sg_status with
@@ -245,75 +214,47 @@ let rec inject_signals st eng (p : Engine.proc) (m : Rt.machine) =
                          signo)
                     ~actual:"no handler registered at this point on replay"
                 else begin
-                  Engine.run_signal_handler eng p m ~signo ~action;
+                  Engine.run_signal_handler p m ~signo ~action;
                   (* further deliveries may be recorded at this same
                      safepoint (or the handler's own polls advanced c) *)
-                  inject_signals st eng p m
+                  inject_signals st p m
                 end
           end
       | _ -> ())
   | None -> ()
 
-let ip_poll st eng (p : Engine.proc) (m : Rt.machine) =
+let h_poll st (p : Engine.proc) (m : Rt.machine) =
   incr (counter st m.Rt.m_pid);
-  inject_signals st eng p m
+  inject_signals st p m
 
-let ip_dispatch st _eng (_p : Engine.proc) name (m : Rt.machine) args live =
-  let pid = m.Rt.m_pid in
-  let argv = Array.map arg_i64 args in
-  let doing = fmt_call name argv in
+let h_enter st _ (m : Rt.machine) name ~base ~arity =
+  let pid = m.Rt.m_pid and arg = Engine.arg m base in
+  let doing () = fmt_call name (Array.init arity arg) in
   let ev, idx = wait_turn st pid ~doing in
   match ev with
   | Trace.E_exit ex ->
       (* the recorded run died at this point (seccomp kill, fatal trap)
          without completing the call; reproduce the death. The exit
-         record itself is consumed and validated in on_proc_exit. *)
+         record itself is consumed and validated at the process exit. *)
       raise (Engine.Killed_by ex.Trace.ex_status)
   | Trace.E_signal sg ->
       diverge st ~index:idx ~pid ~kind:"signal"
         ~expected:
           (Printf.sprintf "delivery of signal %d at safepoint %d"
              sg.Trace.sg_signo sg.Trace.sg_poll)
-        ~actual:(Printf.sprintf "syscall entry %s" doing)
+        ~actual:(Printf.sprintf "syscall entry %s" (doing ()))
   | Trace.E_syscall r ->
-      if r.Trace.sc_name <> name then
-        diverge st ~index:idx ~pid ~kind:"name"
-          ~expected:(fmt_call r.Trace.sc_name r.Trace.sc_args)
-          ~actual:doing;
-      if r.Trace.sc_args <> argv then
-        diverge st ~index:idx ~pid ~kind:"args"
-          ~expected:(fmt_call r.Trace.sc_name r.Trace.sc_args)
-          ~actual:doing;
+      let recorded = r.Trace.sc_args in
+      let rec same i = i = arity || (Int64.equal recorded.(i) (arg i) && same (i + 1)) in
+      if r.Trace.sc_name <> name || not (Array.length recorded = arity && same 0) then
+        diverge st ~index:idx ~pid
+          ~kind:(if r.Trace.sc_name <> name then "name" else "args")
+          ~expected:(fmt_call r.Trace.sc_name recorded) ~actual:(doing ());
       consume st pid;
-      let check_result (actual : int64) =
-        if actual <> r.Trace.sc_result then
-          diverge st ~index:idx ~pid ~kind:"result"
-            ~expected:(Printf.sprintf "%s = %Ld" doing r.Trace.sc_result)
-            ~actual:(Printf.sprintf "%s = %Ld" doing actual)
-      in
       if Writeset.classify name = Writeset.Live then begin
-        match live () with
-        | Rt.H_return [ Values.I64 v ] as o ->
-            check_result v;
-            validate_regions st (Rt.memory0 m) r idx;
-            o
-        | Rt.H_return [ Values.I32 v ] as o ->
-            check_result (Int64.of_int32 v);
-            o
-        | Rt.H_return _ as o -> o
-        | Rt.H_exit code as o ->
-            check_result (Int64.of_int code);
-            o
-        | Rt.H_exec mk ->
-            check_result 0L;
-            Rt.H_exec mk
-        | Rt.H_trap _ as o -> o
-        | Rt.H_fork cb ->
-            Rt.H_fork
-              (fun child ->
-                let v = cb child in
-                check_result v;
-                v)
+        (* re-executed live, and checked against the record at its exit *)
+        st.st_live <- Some (r, idx);
+        None
       end
       else begin
         (* inject: the kernel is not consulted *)
@@ -327,133 +268,94 @@ let ip_dispatch st _eng (_p : Engine.proc) name (m : Rt.machine) args live =
         for _ = 1 to Writeset.polls_inside name do
           match m.Rt.poll_hook with Some f -> f m | None -> ()
         done;
-        Rt.H_return [ Values.I64 r.Trace.sc_result ]
+        Some r.Trace.sc_result
       end
+
+let h_exit st _ (m : Rt.machine) name ~base ~arity ~ns:_ result =
+  match (st.st_live, result) with
+  | Some (r, idx), Some actual ->
+      st.st_live <- None;
+      if actual <> r.Trace.sc_result then begin
+        let doing = fmt_call name (Array.init arity (Engine.arg m base)) in
+        diverge st ~index:idx ~pid:m.Rt.m_pid ~kind:"result"
+          ~expected:(Printf.sprintf "%s = %Ld" doing r.Trace.sc_result)
+          ~actual:(Printf.sprintf "%s = %Ld" doing actual)
+      end;
+      validate_regions st (Rt.memory0 m) r idx
+  | _ -> st.st_live <- None
 
 (* Validate a process exit against its recorded exit event. *)
 let on_exit st (q : Engine.proc) (status : int) =
   let pid = q.Engine.pr_task.Kernel.Task.tid in
-  let doing = Printf.sprintf "exit with status 0x%x" status in
+  let doing () = Printf.sprintf "exit with status 0x%x" status in
   let ev, idx = wait_turn st pid ~doing in
   match ev with
   | Trace.E_exit ex ->
       if ex.Trace.ex_status <> status then
         diverge st ~index:idx ~pid ~kind:"exit status"
           ~expected:(Printf.sprintf "exit with status 0x%x" ex.Trace.ex_status)
-          ~actual:doing;
+          ~actual:(doing ());
       consume st pid
   | other ->
       diverge st ~index:idx ~pid ~kind:"exit"
-        ~expected:(Trace.pp_event other) ~actual:doing
+        ~expected:(Trace.pp_event other) ~actual:(doing ())
 
-let interposer (st : state) : Engine.interposer =
+let hook (st : state) : Engine.hook =
   {
-    Engine.ip_dispatch = (fun eng p name m args live ->
-        ip_dispatch st eng p name m args live);
-    ip_poll = (fun eng p m -> ip_poll st eng p m);
-    ip_signal = (fun _ _ _ ~signo:_ ~status:_ -> ());
-    ip_virtual_signals = true;
+    Engine.h_enter = h_enter st;
+    h_exit = h_exit st;
+    h_poll = h_poll st;
+    h_event = (function Engine.Proc_exit (q, status) -> on_exit st q status | _ -> ());
+    h_virtual_signals = true;
   }
 
 (** Replay [trace] against [binary]. [setup] re-creates the boot-time
     VFS environment (needed only when the recorded run execve'd binaries
     out of the VFS). The digest check refuses a binary other than the
-    recorded one unless [check_digest:false]. *)
+    recorded one unless [check_digest:false]. A verbose [strace] and an
+    [observe] sink see the replay as they would the recorded run. *)
 let replay ?(setup = fun (_ : Kernel.Task.kernel) -> ())
-    ?(check_digest = true) ?observe ~(trace : Trace.t)
+    ?(check_digest = true) ?strace ?observe ~(trace : Trace.t)
     ~(binary : string) () : outcome =
   let total = Array.length trace.Trace.tr_events in
-  let digest = Digest.string binary in
-  if check_digest && digest <> trace.Trace.tr_header.Trace.h_digest then
-    {
-      rp_status = 0;
-      rp_consumed = 0;
-      rp_total = total;
-      rp_divergence =
-        Some
-          {
-            d_index = -1;
-            d_pid = 0;
-            d_kind = "binary digest";
-            d_expected = Digest.to_hex trace.Trace.tr_header.Trace.h_digest;
-            d_actual = Digest.to_hex digest;
-          };
-    }
+  let st = make trace and status = ref 0 in
+  (* a divergence found outside the run: pid 0, the first one wins *)
+  let found index kind expected actual =
+    if st.st_div = None then
+      st.st_div <-
+        Some { d_index = index; d_pid = 0; d_kind = kind; d_expected = expected; d_actual = actual }
+  in
+  let next () =
+    if st.st_cursor < total then Trace.pp_event trace.Trace.tr_events.(st.st_cursor)
+    else "run completion"
+  in
+  let digest = Digest.string binary and h = trace.Trace.tr_header in
+  if check_digest && digest <> h.Trace.h_digest then
+    found (-1) "binary digest" (Digest.to_hex h.Trace.h_digest) (Digest.to_hex digest)
   else begin
-    let st = make trace in
     let kernel = Kernel.Task.boot () in
     setup kernel;
     let poll_scheme =
-      match Trace.poll_scheme_of_name trace.Trace.tr_header.Trace.h_poll with
-      | Some s -> s
-      | None -> Code.Poll_loops
+      Option.value (Trace.poll_scheme_of_name h.Trace.h_poll) ~default:Code.Poll_loops
     in
     (* A sink observing the replay regenerates its metrics, trace and
-       profile from the recorded outcomes, not a live kernel. *)
-    let eng = Engine.create ~poll_scheme ?observe kernel in
-    eng.Engine.interpose <- Some (interposer st);
-    let status = ref 0 in
-    (match observe with Some o -> Observe.Sink.attach o | None -> ());
-    (try
-       Fun.protect
-         ~finally:(fun () ->
-           match observe with Some o -> Observe.Sink.detach o | None -> ())
-         (fun () ->
-           Fiber.run (fun () ->
-               let p =
-                 Interface.spawn_init eng ~binary
-                   ~argv:trace.Trace.tr_header.Trace.h_argv
-                   ~env:trace.Trace.tr_header.Trace.h_env
-               in
-               eng.Engine.on_proc_exit <-
-                 Some
-                   (fun q st_exit ->
-                     on_exit st q st_exit;
-                     if q == p then status := st_exit)))
+       profile, and a verbose tracer its lines, from the recorded
+       outcomes, not a live kernel. *)
+    (match
+       Interface.run_program ~kernel ~poll_scheme ?trace:strace ?observe ~hook:(hook st) ~binary
+         ~argv:h.Trace.h_argv ~env:h.Trace.h_env ()
      with
-    | Diverged _ -> () (* first divergence already captured in st *)
-    | Fiber.Deadlock names ->
-        if st.st_div = None then
-          st.st_div <-
-            Some
-              {
-                d_index = st.st_cursor;
-                d_pid = 0;
-                d_kind = "schedule";
-                d_expected =
-                  (if st.st_cursor < total then
-                     Trace.pp_event trace.Trace.tr_events.(st.st_cursor)
-                   else "run completion");
-                d_actual =
-                  "scheduler deadlock (suspended: "
-                  ^ String.concat ", " names ^ ")";
-              });
-    if st.st_div = None && st.st_cursor < total then
-      st.st_div <-
-        Some
-          {
-            d_index = st.st_cursor;
-            d_pid = 0;
-            d_kind = "coverage";
-            d_expected = Trace.pp_event trace.Trace.tr_events.(st.st_cursor);
-            d_actual =
-              Printf.sprintf "replay finished after %d of %d records"
-                st.st_cursor total;
-          };
-    if st.st_div = None && !status <> trace.Trace.tr_status then
-      st.st_div <-
-        Some
-          {
-            d_index = total;
-            d_pid = 0;
-            d_kind = "final status";
-            d_expected = Printf.sprintf "0x%x" trace.Trace.tr_status;
-            d_actual = Printf.sprintf "0x%x" !status;
-          };
-    {
-      rp_status = !status;
-      rp_consumed = st.st_cursor;
-      rp_total = total;
-      rp_divergence = st.st_div;
-    }
-  end
+    | code, _, _ -> status := code
+    | exception Diverged _ -> () (* the first divergence is already in st *)
+    | exception Fiber.Deadlock names ->
+        found st.st_cursor "schedule" (next ())
+          ("scheduler deadlock (suspended: " ^ String.concat ", " names ^ ")"));
+    if st.st_cursor < total then
+      found st.st_cursor "coverage" (next ())
+        (Printf.sprintf "replay finished after %d of %d records" st.st_cursor total);
+    if !status <> trace.Trace.tr_status then
+      found total "final status"
+        (Printf.sprintf "0x%x" trace.Trace.tr_status)
+        (Printf.sprintf "0x%x" !status)
+  end;
+  { rp_status = !status; rp_consumed = st.st_cursor; rp_total = total; rp_divergence = st.st_div }

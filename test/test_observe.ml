@@ -252,11 +252,9 @@ let test_strace_hex_args () =
   let t = Wali.Strace.create ~verbose:true () in
   let lines = ref [] in
   t.Wali.Strace.log <- Some (fun l -> lines := l :: !lines);
-  let i64 v = Wasm.Values.I64 v in
-  Wali.Strace.note t ~pid:7 ~name:"write"
-    ~args:[| i64 3L; i64 0x12340L; i64 64L |]
+  Wali.Strace.note t ~pid:7 ~name:"write" ~args:[| 3L; 0x12340L; 64L |]
     ~result:64L ~ns:100L;
-  Wali.Strace.note t ~pid:7 ~name:"close" ~args:[| i64 0xFFFFL |] ~result:0L
+  Wali.Strace.note t ~pid:7 ~name:"close" ~args:[| 0xFFFFL |] ~result:0L
     ~ns:0L;
   match List.rev !lines with
   | [ w; c ] ->

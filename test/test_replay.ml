@@ -256,6 +256,131 @@ let test_record_deterministic () =
     (Replay.Trace.encode r1.Replay.Recorder.r_trace
     = Replay.Trace.encode r2.Replay.Recorder.r_trace)
 
+(* ---- the verbose tracer on replay ---- *)
+
+(* A replay takes the same verbose tracer as the recording, through the
+   engine's hook, and prints the same strace lines: calc's plain calls,
+   and minish's forks, kills and signal handlers. *)
+let test_replay_strace_lines () =
+  List.iter
+    (fun name ->
+      let a = Option.get (Apps.Suite.find name) in
+      let binary = Apps.Suite.binary_of a in
+      let tracer () =
+        let lines = ref [] and t = Wali.Strace.create ~verbose:true () in
+        t.Wali.Strace.log <- Some (fun l -> lines := l :: !lines);
+        (t, lines)
+      in
+      let t1, recorded = tracer () and t2, replayed = tracer () in
+      let r =
+        Replay.Recorder.record ~app:name ~strace:t1
+          ~kernel:(Apps.Suite.boot ~setup:a.Apps.Suite.a_setup ~stdin:a.Apps.Suite.a_stdin ())
+          ~binary ~argv:a.Apps.Suite.a_argv ~env:[] ()
+      in
+      let o =
+        Replay.Replayer.replay ~setup:a.Apps.Suite.a_setup ~strace:t2
+          ~trace:r.Replay.Recorder.r_trace ~binary ()
+      in
+      Alcotest.(check bool) (name ^ " replay converged") true (Replay.Replayer.converged o);
+      Alcotest.(check bool) (name ^ " traced its calls") true (List.length !recorded > 10);
+      Alcotest.(check (list string)) (name ^ " strace lines") (List.rev !recorded) (List.rev !replayed))
+    [ "calc"; "minish" ]
+
+(* ---- the write-set oracle against ground truth ---- *)
+
+(* Every byte of memory 0 that a call changes lies in its
+   [Writeset.written] regions: a test hook snapshots memory at each
+   call's enter and diffs it at the exit, for every suite app. brk is
+   the oracle's whole-memory case. A call during which another fiber ran
+   is skipped, since threads share memory. Shortening read's region by
+   one byte, or pipe's from 8 bytes to 4, fails this test. *)
+let test_writeset_ground_truth () =
+  let switches = ref 0 and last = ref (-1) in
+  Fiber.set_observer
+    (Some
+       {
+         Fiber.ob_quantum =
+           (fun f _ -> if Fiber.id f <> !last then (incr switches; last := Fiber.id f));
+         ob_idle = ignore;
+       });
+  let misses = ref [] and checked = ref 0 in
+  let pre : (int, (Bytes.t * int) list) Hashtbl.t = Hashtbl.create 8 in
+  let fid () = Fiber.id (Fiber.current ()) in
+  (* snapshot buffers are reused: memory sizes rarely change *)
+  let pool = ref [] in
+  let snapshot data =
+    let n = Bytes.length data in
+    let b =
+      match !pool with
+      | b :: rest when Bytes.length b = n -> pool := rest; b
+      | _ -> Bytes.create n
+    in
+    Bytes.blit data 0 b 0 n;
+    b
+  in
+  let hook app =
+    {
+      Wali.Engine.nop_hook with
+      h_enter =
+        (fun _ m _ ~base:_ ~arity:_ ->
+          let stack = Option.value (Hashtbl.find_opt pre (fid ())) ~default:[] in
+          Hashtbl.replace pre (fid ())
+            ((snapshot (Wasm.Rt.memory0 m).Wasm.Rt.Memory.data, !switches) :: stack);
+          None);
+      h_exit =
+        (fun _ m name ~base ~arity ~ns:_ r ->
+          match Hashtbl.find pre (fid ()) with
+          | [] -> assert false
+          | (before, at) :: rest ->
+              Hashtbl.replace pre (fid ()) rest;
+              (match r with
+              | Some result when at = !switches && not (Replay.Writeset.needs_whole name) ->
+                  incr checked;
+                  let mem = Wasm.Rt.memory0 m in
+                  let after = mem.Wasm.Rt.Memory.data in
+                  let args = Array.init arity (Wali.Engine.arg m base) in
+                  let spans =
+                    match Replay.Writeset.written ~mem name args result with
+                    | Replay.Writeset.Regions spans -> spans
+                    | Replay.Writeset.Whole -> []
+                  in
+                  let covered i = List.exists (fun (a, len) -> i >= a && i < a + len) spans in
+                  let byte b i = if i < Bytes.length b then Bytes.get b i else '\000' in
+                  let n = Bytes.length after in
+                  (* memory only grows, in whole pages: compare by words *)
+                  let word b i =
+                    if i + 8 <= Bytes.length b then Bytes.get_int64_ne b i else 0L
+                  in
+                  let i = ref (if Bytes.equal before after then n else 0) in
+                  while !i < n do
+                    if not (Int64.equal (word before !i) (word after !i)) then
+                      for j = !i to !i + 7 do
+                        if byte before j <> byte after j && not (covered j) then
+                          misses := Printf.sprintf "%s: %s wrote byte %d" app name j :: !misses
+                      done;
+                    i := !i + 8
+                  done
+              | _ -> ());
+              pool := before :: !pool);
+    }
+  in
+  Fun.protect
+    ~finally:(fun () -> Fiber.set_observer None)
+    (fun () ->
+      List.iter
+        (fun (a : Apps.Suite.app) ->
+          let kernel = Apps.Suite.boot ~setup:a.Apps.Suite.a_setup ~stdin:a.Apps.Suite.a_stdin () in
+          ignore
+            (Wali.Interface.run_program ~kernel ~hook:(hook a.Apps.Suite.a_name)
+               ~binary:(Apps.Suite.binary_of a) ~argv:a.Apps.Suite.a_argv ~env:[] ()))
+        Apps.Suite.all);
+  Alcotest.(check bool) "calls checked" true (!checked > 1000);
+  match List.rev !misses with
+  | [] -> ()
+  | ms ->
+      Alcotest.failf "%d bytes outside the write-set, first: %s" (List.length ms)
+        (String.concat "; " (List.filteri (fun i _ -> i < 5) ms))
+
 (* ---- divergence detection ---- *)
 
 let test_perturbed_result_detected () =
@@ -412,4 +537,8 @@ let tests =
     Alcotest.test_case "truncated trace detected" `Quick
       test_truncated_trace_detected;
     Alcotest.test_case "golden calc trace replays" `Quick test_golden_trace;
+    Alcotest.test_case "replay prints the recording's strace lines" `Quick
+      test_replay_strace_lines;
+    Alcotest.test_case "write-set covers every changed byte" `Quick
+      test_writeset_ground_truth;
   ]

@@ -334,6 +334,79 @@ let test_hostile_pointers () =
         calls)
     [ false; true ]
 
+(* Every implemented Spec entry, called through the by-name edge on a
+   live process with hostile arguments: each value below in every
+   position at once, then in one position with the others small and
+   valid (1 is a small int and an in-bounds pointer). A call must end in
+   a result, a Wasm trap or a process kill, never another host exception.
+   Skipped: process control, the calls that wait for a signal, and the
+   calls that would never return: the poll family with an infinite
+   timeout (its virtual clock ticks on while nothing can wake it) and a
+   futex wait with none (the scheduler reports a deadlock). The console
+   reads end-of-file, and lengths of the memory-growing calls are capped
+   at 1 MiB. *)
+let test_hostile_arguments () =
+  let values =
+    [ -1L; -4096L; 0L; 1L; 0xFFFFFFFFL; 0x7FFFFFFFL; Int64.min_int; Int64.max_int; 0x100000L ]
+  in
+  let skipped =
+    [ "fork"; "vfork"; "clone"; "execve"; "exit"; "exit_group"; "pause"; "rt_sigsuspend" ]
+  in
+  let lengths = [ ("mmap", [ 1 ]); ("mremap", [ 1; 2 ]); ("brk", [ 0 ]); ("munmap", [ 1 ]); ("sendfile", [ 3 ]) ] in
+  let cap name i v =
+    match List.assoc_opt name lengths with
+    | Some ls when List.mem i ls && Int64.compare v 0x100000L > 0 -> 0x100000L
+    | _ -> v
+  in
+  let never_returns name (a : int64 array) =
+    let i j = Int64.to_int a.(j) and p j = Int64.to_int a.(j) land 0xFFFFFFFF in
+    match name with
+    | "poll" -> i 2 < 0
+    | "ppoll" -> p 2 = 0
+    | "select" | "pselect6" -> p 4 = 0
+    | "futex" -> i 1 land lnot Kernel.Ktypes.futex_private = Kernel.Ktypes.futex_wait && p 3 = 0
+    | _ -> false
+  in
+  let vectors n =
+    List.map (fun v -> Array.make n v) values
+    @ List.concat
+        (List.init n (fun i ->
+             List.map (fun v -> Array.init n (fun j -> if i = j then v else 1L)) values))
+  in
+  let escapes = ref [] in
+  List.iter
+    (fun (e : Spec.entry) ->
+      let name = e.Spec.name in
+      if not (List.mem name skipped) then begin
+        let kernel = Kernel.Task.boot () in
+        Kernel.Pipe.drop_writer kernel.Kernel.Task.console_in;
+        let eng = Engine.create kernel in
+        Fiber.run (fun () ->
+            let p = Interface.spawn_init eng ~binary:(getpid_exit ()) ~argv:[ "t" ] ~env:[] in
+            let m = Option.get p.Engine.pr_machine in
+            List.iter
+              (fun v ->
+                let args = Array.mapi (cap name) v in
+                (* each call starts from zeroed low memory: a pointer of 1
+                   reads zeros (fd 0, a zero timeout) *)
+                Bytes.fill (Rt.memory0 m).Rt.Memory.data 0 4096 '\000';
+                if not (never_returns name args) then
+                  match Interface.traced_dispatch eng name m (Array.map (fun a -> Values.I64 a) args) with
+                  | Rt.H_return [ Values.I64 _ ] | (exception (Values.Trap _ | Engine.Killed_by _)) -> ()
+                  | _ -> escapes := Printf.sprintf "%s: not an i64 result" name :: !escapes
+                  | exception ex ->
+                      escapes :=
+                        Printf.sprintf "%s(%s): %s" name
+                          (String.concat ", " (Array.to_list (Array.map Int64.to_string args)))
+                          (Printexc.to_string ex)
+                        :: !escapes)
+              (vectors e.Spec.arity))
+      end)
+    Spec.implemented;
+  match List.rev !escapes with
+  | [] -> ()
+  | es -> Alcotest.failf "%d host exceptions:\n%s" (List.length es) (String.concat "\n" es)
+
 (* The path calls and their [*at] twins share one handler each, with the
    twin's arguments one slot later: drive every pair through the by-name
    edge, the plain call with absolute paths and the twin relative to a
@@ -524,6 +597,49 @@ let test_poll_no_alloc () =
   let per_trip = (words long -. words short) /. float_of_int n in
   if per_trip >= 1.0 then
     Alcotest.failf "a poll with nothing pending allocates %.2f words per trip" per_trip
+
+(* [countdown n] with a six-argument syscall per trip: futex op 99, which
+   is -ENOSYS. *)
+let futex_loop n =
+  build_wali_module ~imports:[ ("futex", 6); ("exit_group", 1) ] ~locals:[ i32t ] (fun call ->
+      [
+        I32_const (Int32.of_int n); Local_set 0;
+        Block
+          ( Bt_none,
+            [
+              Loop
+                ( Bt_none,
+                  [
+                    Local_get 0; I32_eqz; Br_if 1;
+                    k 0; k 99; k 0; k 0; k 0; k 0; call "futex"; Drop;
+                    Local_get 0; I32_const 1l; I32_binop Sub; Local_set 0; Br 0;
+                  ] );
+            ] );
+        k 0; call "exit_group"; Drop;
+      ])
+
+(* A hooked crossing reads its arguments in place. With a hook that does
+   nothing, a trip (one six-argument call, its post-call poll and one
+   loop poll, both of which a hooked engine takes) allocates 23 words
+   more than a plain one, under the 37 that a [Values.value array] of
+   six i64 arguments alone takes. The verbose tracer, the recorder and
+   the replayer all take the hooked path. *)
+let test_hooked_crossing_unboxed () =
+  let n = 5_000 in
+  let per_trip hook =
+    let words binary =
+      let w0 = Gc.minor_words () in
+      let status, _, _ = Interface.run_program ?hook ~binary ~argv:[ "t" ] ~env:[] () in
+      Alcotest.(check int) "status" 0 status;
+      Gc.minor_words () -. w0
+    in
+    let short = futex_loop n and long = futex_loop (2 * n) in
+    ignore (words short);
+    (words long -. words short) /. float_of_int n
+  in
+  let plain = per_trip None and hooked = per_trip (Some Engine.nop_hook) in
+  if hooked -. plain > 30.0 then
+    Alcotest.failf "a hooked trip allocates %.1f words more than a plain one" (hooked -. plain)
 
 (* Run [binary] as the initial process of a fresh engine whose "env"
    import [post] runs [post] on the calling process (a host call with no
@@ -718,6 +834,7 @@ let tests =
     Alcotest.test_case "seccomp rule added after link" `Quick test_seccomp_after_link;
     Alcotest.test_case "seccomp rule added mid-run" `Quick test_seccomp_mid_run;
     Alcotest.test_case "hostile pointers get EFAULT" `Quick test_hostile_pointers;
+    Alcotest.test_case "hostile arguments at every Spec entry" `Quick test_hostile_arguments;
     Alcotest.test_case "path calls and their *at twins" `Quick test_at_twins;
     Alcotest.test_case "mmap/munmap in linear memory" `Quick test_mmap;
     Alcotest.test_case "ENOSYS passthrough stubs" `Quick test_enosys_stub;
@@ -726,6 +843,8 @@ let tests =
     Alcotest.test_case "argv/env transfer" `Quick test_argv_env;
     Alcotest.test_case "a poll with nothing pending allocates nothing" `Quick
       test_poll_no_alloc;
+    Alcotest.test_case "a hooked crossing builds no boxed arguments" `Quick
+      test_hooked_crossing_unboxed;
     Alcotest.test_case "a pending signal runs at the first loop-header poll" `Quick
       test_pending_before_loop;
     Alcotest.test_case "a masked pending signal runs when unblocked" `Quick
