@@ -8,6 +8,10 @@
 
 open Cmdliner
 
+(* walirun's exit code when every guest task is blocked and nothing is
+   left to wake one (a deadlock); documented in the man page. *)
+let deadlock_exit = 126
+
 let run_cmd file app trace deny derive poll record replay trace_out
     metrics_out profile_out top args =
   (* with --app, every positional is an application argument *)
@@ -128,6 +132,17 @@ let run_cmd file app trace deny derive poll record replay trace_out
         (Wali.Strace.profile tracer)
     end
   in
+  (* A deadlock ends the run: print what the guest wrote, name the
+     blocked fibers, exit [deadlock_exit]. *)
+  let or_deadlock kernel run =
+    match run () with
+    | r -> r
+    | exception Fiber.Deadlock names ->
+        print_string (Kernel.Task.console_output kernel);
+        Printf.eprintf "walirun: deadlock: every task is blocked (%s)\n"
+          (String.concat ", " (List.sort compare names));
+        exit deadlock_exit
+  in
   match (record, replay) with
   | Some _, Some _ ->
       prerr_endline "walirun: --record and --replay are exclusive";
@@ -161,10 +176,11 @@ let run_cmd file app trace deny derive poll record replay trace_out
   | Some trace_file, None ->
       let kernel = boot () in
       let r =
-        Replay.Recorder.record
-          ~app:(Option.value app ~default:"")
-          ~poll_scheme ~strace:tracer ~policy ~kernel ~binary ~argv ~env
-          ?observe ()
+        or_deadlock kernel (fun () ->
+            Replay.Recorder.record
+              ~app:(Option.value app ~default:"")
+              ~poll_scheme ~strace:tracer ~policy ~kernel ~binary ~argv ~env
+              ?observe ())
       in
       let reduced = Replay.Reduce.reduce r.Replay.Recorder.r_trace in
       Replay.Trace.save trace_file reduced;
@@ -179,8 +195,9 @@ let run_cmd file app trace deny derive poll record replay trace_out
   | None, None ->
       let kernel = boot () in
       let status, out, result =
-        Wali.Interface.run_program ~kernel ~trace:tracer ~policy ~poll_scheme
-          ?observe ~binary ~argv ~env ()
+        or_deadlock kernel (fun () ->
+            Wali.Interface.run_program ~kernel ~trace:tracer ~policy ~poll_scheme
+              ?observe ~binary ~argv ~env ())
       in
       print_string out;
       (match result with
@@ -255,7 +272,13 @@ let top_t =
 
 let cmd =
   Cmd.v
-    (Cmd.info "walirun" ~doc:"Run WebAssembly binaries over the WALI kernel interface")
+    (Cmd.info "walirun" ~doc:"Run WebAssembly binaries over the WALI kernel interface"
+       ~exits:
+         (Cmd.Exit.info deadlock_exit
+            ~doc:"when every task of the guest is blocked and nothing is left \
+                  to wake one (a deadlock); the blocked fibers are named on \
+                  standard error"
+         :: Cmd.Exit.defaults))
     Term.(const run_cmd $ file_t $ app_t $ trace_t $ deny_t $ derive_t
           $ poll_t $ record_t $ replay_t $ trace_out_t $ metrics_t
           $ profile_out_t $ top_t $ args_t)

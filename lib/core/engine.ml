@@ -186,7 +186,7 @@ type t = {
   trace : Strace.t;
   mutable policy : Seccomp.t;
   mutable poll_scheme : Code.poll_scheme;
-  mutable fuse : bool; (* run the macro-op fusion pass on new images *)
+  mutable fuse : bool; (* fuse superinstructions into new images *)
   procs : proc Procs.t; (* task tid -> proc *)
   mutable next_mem_id : int;
   mutable live_procs : int;
@@ -293,32 +293,41 @@ let handler_func (inst : Rt.instance) idx : Rt.func_inst option =
     block the signal itself (unless SA_NODEFER) plus sa_mask for the
     duration — nested delivery therefore defers identical signals, the
     stack-based structure of §3.3. A dangling handler function pointer is
-    treated as default Term. Also the entry point the replayer uses to
-    re-inject recorded deliveries. *)
-let run_signal_handler (p : proc) (m : Rt.machine) ~(signo : int)
+    treated as default Term. The hook sees [Handler_begin], then
+    [Handler_end] even when the handler ends the process, so the trace
+    stays well-nested. Also the entry point the replayer uses to
+    re-inject recorded deliveries, which its hook therefore sees too. *)
+let run_signal_handler eng (p : proc) (m : Rt.machine) ~(signo : int)
     ~(action : Kernel.Ktypes.sigaction) : unit =
   let task = p.pr_task in
   let open Kernel.Ktypes in
-  match handler_func m.Rt.m_inst action.sa_handler with
-  | None ->
-      (* dangling function pointer: treat as default Term *)
-      raise (Killed_by (wsignal_status signo))
-  | Some f ->
-      let old_mask = task.Kernel.Task.sigmask in
-      let block =
-        if action.sa_flags land sa_nodefer <> 0 then action.sa_mask
-        else Sigset.add action.sa_mask signo
-      in
-      task.Kernel.Task.sigmask <- Sigset.union old_mask block;
-      let result = Interp.call_nested m f [ Values.I32 (Int32.of_int signo) ] in
-      task.Kernel.Task.sigmask <- old_mask;
-      (match result with
-      | Interp.R_done _ -> ()
-      | Interp.R_trap msg -> Values.trap "trap in signal handler: %s" msg
-      | Interp.R_exit code ->
-          (* exit in a handler ends the process; the interrupted frames
-             never resume *)
-          raise (Killed_by (wexit_status code)))
+  let run () =
+    match handler_func m.Rt.m_inst action.sa_handler with
+    | None ->
+        (* dangling function pointer: treat as default Term *)
+        raise (Killed_by (wsignal_status signo))
+    | Some f ->
+        let old_mask = task.Kernel.Task.sigmask in
+        let block =
+          if action.sa_flags land sa_nodefer <> 0 then action.sa_mask
+          else Sigset.add action.sa_mask signo
+        in
+        task.Kernel.Task.sigmask <- Sigset.union old_mask block;
+        let result = Interp.call_nested m f [ Values.I32 (Int32.of_int signo) ] in
+        task.Kernel.Task.sigmask <- old_mask;
+        (match result with
+        | Interp.R_done _ -> ()
+        | Interp.R_trap msg -> Values.trap "trap in signal handler: %s" msg
+        | Interp.R_exit code ->
+            (* exit in a handler ends the process; the interrupted frames
+               never resume *)
+            raise (Killed_by (wexit_status code)))
+  in
+  match eng.hook with
+  | Some h ->
+      h.h_event (Signal (p, m, signo, Handler_begin));
+      Fun.protect ~finally:(fun () -> h.h_event (Signal (p, m, signo, Handler_end))) run
+  | None -> run ()
 
 (** Deliver every currently-deliverable signal on machine [m]. Handlers
     run re-entrantly on the interrupted machine (sig_poll in Fig 5);
@@ -337,15 +346,12 @@ let rec deliver_signals eng (p : proc) (m : Rt.machine) : unit =
     | None -> ()
     | Some (signo, action) ->
         let open Kernel.Ktypes in
-        let delivered d =
+        let delivered status =
           (match eng.interpose with
-          | Some ip ->
-              let status = match d with Fatal s -> Some s | _ -> None in
-              ip.ip_signal eng p m ~signo ~status
+          | Some ip -> ip.ip_signal eng p m ~signo ~status
           | None -> ());
           let ks = eng.kernel.Kernel.Task.stats in
-          ks.Observe.Metrics.sig_delivered <- ks.Observe.Metrics.sig_delivered + 1;
-          event eng (Signal (p, m, signo, d))
+          ks.Observe.Metrics.sig_delivered <- ks.Observe.Metrics.sig_delivered + 1
         in
         if action.sa_handler = sig_ign then deliver_signals eng p m
         else if action.sa_handler = sig_dfl then begin
@@ -354,19 +360,13 @@ let rec deliver_signals eng (p : proc) (m : Rt.machine) : unit =
           | Stop -> deliver_signals eng p m (* job control simplified *)
           | Term | Core ->
               let status = wsignal_status signo in
-              delivered (Fatal status);
+              delivered (Some status);
+              event eng (Signal (p, m, signo, Fatal status));
               raise (Killed_by status)
         end
         else begin
-          delivered Handler_begin;
-          (match eng.hook with
-          | Some h ->
-              (* the handler may exit the process via Killed_by — close
-                 the span either way so the trace stays well-nested *)
-              Fun.protect
-                ~finally:(fun () -> h.h_event (Signal (p, m, signo, Handler_end)))
-                (fun () -> run_signal_handler p m ~signo ~action)
-          | None -> run_signal_handler p m ~signo ~action);
+          delivered None;
+          run_signal_handler eng p m ~signo ~action;
           (* more signals may have arrived meanwhile *)
           deliver_signals eng p m
         end

@@ -942,11 +942,41 @@ let spawn_init (eng : Engine.t) ~(binary : string) ~(argv : string list)
   let shared = Engine.make_pshared eng ~inst ~argv ~env ~binary in
   start eng task shared m ~fiber:name ~entry:(Some (Rt.exported_func inst "_start")) ~args:[]
 
+(** Run [f] while [observe] (when given) also sees the scheduler's
+    quanta and idle time. *)
+let observing (observe : Observe.Sink.t option) f =
+  match observe with
+  | None -> f ()
+  | Some o ->
+      Observe.Sink.attach o;
+      Fun.protect ~finally:(fun () -> Observe.Sink.detach o) f
+
+(** Run [binary] to completion as [eng]'s initial process and return
+    (exit status, console output, result). When every task blocks with
+    nothing left to wake one, [Fiber.Deadlock] names the blocked fibers,
+    and the kernel's console keeps what the guest wrote (walirun reports
+    both and exits 126). *)
+let run_engine (eng : Engine.t) ~(binary : string) ~(argv : string list)
+    ~(env : string list) () : int * string * Interp.run_result option =
+  let status = ref 0 in
+  let result = ref None in
+  Fiber.run (fun () ->
+      let p = spawn_init eng ~binary ~argv ~env in
+      eng.Engine.on_proc_exit <-
+        Some
+          (fun q st ->
+            if q == p then begin
+              status := st;
+              result := q.Engine.pr_result
+            end));
+  (!status, Task.console_output eng.Engine.kernel, !result)
+
 (** One-call convenience: boot a kernel (or take [kernel]), run [binary]
-    to completion as its initial process, and return (exit status,
-    console output, result). [hook] joins the engine's hook after the
-    tracer and the sink: the recorder and the replayer run this way.
-    Used by tests, examples, benches and the record/replay tools. *)
+    to completion as its initial process on a new engine
+    ({!run_engine}), and return (exit status, console output, result).
+    [hook] joins the engine's hook after the tracer and the sink: the
+    recorder runs this way. Used by tests, examples, benches and the
+    record/replay tools. *)
 let run_program ?(kernel : Task.kernel option) ?(poll_scheme = Code.Poll_loops)
     ?fuse ?(trace : Strace.t option) ?(policy : Seccomp.t option)
     ?(observe : Observe.Sink.t option) ?hook ~(binary : string)
@@ -954,20 +984,4 @@ let run_program ?(kernel : Task.kernel option) ?(poll_scheme = Code.Poll_loops)
     int * string * Interp.run_result option =
   let kernel = match kernel with Some k -> k | None -> Task.boot () in
   let eng = Engine.create ~poll_scheme ?fuse ?trace ?policy ?observe ?hook kernel in
-  let status = ref 0 in
-  let result = ref None in
-  (match observe with Some o -> Observe.Sink.attach o | None -> ());
-  Fun.protect
-    ~finally:(fun () ->
-      match observe with Some o -> Observe.Sink.detach o | None -> ())
-    (fun () ->
-      Fiber.run (fun () ->
-          let p = spawn_init eng ~binary ~argv ~env in
-          eng.Engine.on_proc_exit <-
-            Some
-              (fun q st ->
-                if q == p then begin
-                  status := st;
-                  result := q.Engine.pr_result
-                end)));
-  (!status, Task.console_output kernel, !result)
+  observing observe (run_engine eng ~binary ~argv ~env)

@@ -59,6 +59,8 @@ type state = {
   mutable st_live : (Trace.syscall * int) option;
       (* the record of the live-class call in flight, checked at its exit
          (such calls never block, so no other call runs before it) *)
+  mutable st_engine : Engine.t option;
+      (* the replaying engine, whose hook sees re-injected deliveries *)
 }
 
 let queue st pid = Recorder.per_pid st.st_queues pid Queue.create
@@ -67,7 +69,7 @@ let counter st pid = Recorder.per_pid st.st_polls pid (fun () -> ref 0)
 let make (trace : Trace.t) : state =
   let st =
     { st_trace = trace; st_cursor = 0; st_queues = Hashtbl.create 8; st_polls = Hashtbl.create 8;
-      st_stall = 0; st_div = None; st_live = None }
+      st_stall = 0; st_div = None; st_live = None; st_engine = None }
   in
   Array.iteri
     (fun i -> function
@@ -214,7 +216,8 @@ let rec inject_signals st (p : Engine.proc) (m : Rt.machine) =
                          signo)
                     ~actual:"no handler registered at this point on replay"
                 else begin
-                  Engine.run_signal_handler p m ~signo ~action;
+                  Engine.run_signal_handler (Option.get st.st_engine) p m ~signo
+                    ~action;
                   (* further deliveries may be recorded at this same
                      safepoint (or the handler's own polls advanced c) *)
                   inject_signals st p m
@@ -341,9 +344,11 @@ let replay ?(setup = fun (_ : Kernel.Task.kernel) -> ())
     (* A sink observing the replay regenerates its metrics, trace and
        profile, and a verbose tracer its lines, from the recorded
        outcomes, not a live kernel. *)
+    let eng = Engine.create ~poll_scheme ?trace:strace ?observe ~hook:(hook st) kernel in
+    st.st_engine <- Some eng;
     (match
-       Interface.run_program ~kernel ~poll_scheme ?trace:strace ?observe ~hook:(hook st) ~binary
-         ~argv:h.Trace.h_argv ~env:h.Trace.h_env ()
+       Interface.observing observe
+         (Interface.run_engine eng ~binary ~argv:h.Trace.h_argv ~env:h.Trace.h_env)
      with
     | code, _, _ -> status := code
     | exception Diverged _ -> () (* the first divergence is already in st *)

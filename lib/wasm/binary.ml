@@ -663,7 +663,8 @@ let decode ?(name = "") (src : string) : module_ =
         (* Custom section: decode function names from the "name" section
            (it follows the code section, so funcs are already in place);
            every other custom section is skipped. *)
-        if D.name d = "name" then
+        if D.name d = "name" then begin
+          let nimported = num_imported_funcs !m in
           while d.D.pos < stop do
             let sub = D.byte d in
             let len = D.u32 d in
@@ -672,13 +673,14 @@ let decode ?(name = "") (src : string) : module_ =
               for _ = 1 to D.count d do
                 let idx = D.u32 d in
                 let nm = D.name d in
-                let j = idx - num_imported_funcs !m in
+                let j = idx - nimported in
                 if j >= 0 && j < Array.length !m.funcs then
                   !m.funcs.(j) <- { (!m.funcs.(j)) with f_name = nm }
               done
             end;
             d.D.pos <- sub_stop
-          done;
+          done
+        end;
         d.D.pos <- stop
     | 1 ->
         let n = D.count d in
@@ -789,7 +791,7 @@ let decode ?(name = "") (src : string) : module_ =
                 f_type = !func_type_idxs.(i);
                 f_locals = locals;
                 f_body = body;
-                f_name = Printf.sprintf "func%d" i;
+                f_name = "func" ^ string_of_int i;
               })
         in
         m := { !m with funcs }

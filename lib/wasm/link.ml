@@ -40,6 +40,11 @@ let eval_const (globals : Global.t array) (instrs : instr list) : value =
       else Global.get globals.(i)
   | _ -> link_error "unsupported constant expression"
 
+(* The most initial elements a module's own table may ask for; a larger
+   one is refused before it is allocated. (Validation already bounds a
+   memory at 65536 pages.) *)
+let table_limit = 1 lsl 24
+
 (** Instantiate a compiled module. Does not run the start function; the
     returned [start] must be invoked by the caller (via {!Interp.invoke})
     so that instantiation itself never executes guest code. *)
@@ -92,7 +97,12 @@ let instantiate ?(name = "") (resolver : resolver) (cm : Code.compiled) :
       m.memories
   in
   let local_tables =
-    Array.map (fun lim -> Table.create ~min:lim.lim_min ~max:lim.lim_max) m.tables
+    Array.map
+      (fun lim ->
+        if lim.lim_min > table_limit then
+          link_error "table of %d elements exceeds the limit of %d" lim.lim_min table_limit;
+        Table.create ~min:lim.lim_min ~max:lim.lim_max)
+      m.tables
   in
   let globals_so_far = Array.of_list imported_globals in
   let local_globals =

@@ -286,6 +286,36 @@ let test_replay_strace_lines () =
       Alcotest.(check (list string)) (name ^ " strace lines") (List.rev !recorded) (List.rev !replayed))
     [ "calc"; "minish" ]
 
+(* Re-injected signal deliveries reach the hook: a sink on a replay of
+   minish draws as many signal events (handler begin and end) as on the
+   recording. *)
+let test_replay_signal_spans () =
+  let a = Option.get (Apps.Suite.find "minish") in
+  let binary = Apps.Suite.binary_of a in
+  let sink () = Observe.Sink.create { Observe.Sink.all_on with c_profile = false } in
+  let signal_events o =
+    let json = Observe.Sink.trace_json o and pat = {|"cat":"signal"|} in
+    let k = String.length pat and n = ref 0 in
+    for i = 0 to String.length json - k do
+      if String.sub json i k = pat then incr n
+    done;
+    !n
+  in
+  let recorded = sink () and replayed = sink () in
+  let r =
+    Replay.Recorder.record ~app:"minish" ~observe:recorded
+      ~kernel:(Apps.Suite.boot ~setup:a.Apps.Suite.a_setup ~stdin:a.Apps.Suite.a_stdin ())
+      ~binary ~argv:a.Apps.Suite.a_argv ~env:[] ()
+  in
+  let o =
+    Replay.Replayer.replay ~setup:a.Apps.Suite.a_setup ~observe:replayed
+      ~trace:r.Replay.Recorder.r_trace ~binary ()
+  in
+  Alcotest.(check bool) "replay converged" true (Replay.Replayer.converged o);
+  let n = signal_events recorded in
+  if n = 0 then Alcotest.fail "the recording delivered no signal";
+  Alcotest.(check int) "signal events on replay" n (signal_events replayed)
+
 (* ---- the write-set oracle against ground truth ---- *)
 
 (* Every byte of memory 0 that a call changes lies in its
@@ -539,6 +569,7 @@ let tests =
     Alcotest.test_case "golden calc trace replays" `Quick test_golden_trace;
     Alcotest.test_case "replay prints the recording's strace lines" `Quick
       test_replay_strace_lines;
+    Alcotest.test_case "replayed signals reach the hook" `Quick test_replay_signal_spans;
     Alcotest.test_case "write-set covers every changed byte" `Quick
       test_writeset_ground_truth;
   ]

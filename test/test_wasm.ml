@@ -382,6 +382,43 @@ let test_decode_count_bombs () =
   expect_decode_error "negative name length"
     (header ^ "\x00\x0b" ^ "\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01" ^ "x")
 
+(* The load fuzzer's first findings, minimized: a segment naming a table
+   or memory the module lacks, or a start function past the index
+   space, escaped instantiation as [Invalid_argument]. A table over the
+   limit is refused before it is allocated. *)
+let test_segment_indices () =
+  let expect_invalid what m =
+    match Code.compile_module m with
+    | exception Code.Invalid _ -> ()
+    | _ -> Alcotest.failf "validator accepted %s" what
+  in
+  let zero = [ I32_const 0l ] in
+  expect_invalid "an elem segment for table 3"
+    { empty_module with elems = [ { e_table = 3; e_offset = zero; e_funcs = [] } ] };
+  expect_invalid "a data segment for memory 1"
+    { empty_module with datas = [ { d_mem = 1; d_offset = zero; d_bytes = "x" } ] };
+  expect_invalid "start function 0 of none" { empty_module with start = Some 0 };
+  expect_invalid "a memory whose min exceeds its max"
+    { empty_module with memories = [| { Types.lim_min = 2; lim_max = Some 1 } |] };
+  let big = { Types.lim_min = Link.table_limit + 1; lim_max = None } in
+  match
+    Link.instantiate Link.empty_resolver
+      (Code.compile_module { empty_module with tables = [| big |] })
+  with
+  | exception Link.Link_error _ -> ()
+  | _ -> Alcotest.fail "instantiated a table over Link.table_limit"
+
+(* Mutants of the suite's binaries load, or are rejected as malformed,
+   invalid or unlinkable: nothing else escapes. [bench fuzz] runs the
+   same fuzzer at a larger count. *)
+let test_load_fuzz () =
+  let s = Apps.Loadfuzz.run ~seed:17 ~count:5000 in
+  match s.Apps.Loadfuzz.s_findings with
+  | [] -> ()
+  | fs ->
+      Alcotest.failf "%s\n%s" (Apps.Loadfuzz.pp_summary s)
+        (String.concat "\n" (List.map Apps.Loadfuzz.pp_finding fs))
+
 let test_host_func () =
   let b = Builder.create () in
   let h =
@@ -544,6 +581,8 @@ let tests =
     Alcotest.test_case "binary round-trip" `Quick test_binary_roundtrip;
     Alcotest.test_case "truncated input is a decode error" `Quick test_decode_truncated;
     Alcotest.test_case "count bombs are decode errors" `Quick test_decode_count_bombs;
+    Alcotest.test_case "segment indices are validated" `Quick test_segment_indices;
+    Alcotest.test_case "module load fuzzer" `Quick test_load_fuzz;
     Alcotest.test_case "host function" `Quick test_host_func;
     Alcotest.test_case "machine clone isolates memory" `Quick test_machine_clone;
     Alcotest.test_case "loop safepoints" `Quick test_poll_safepoints;
