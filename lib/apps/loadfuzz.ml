@@ -1,5 +1,5 @@
-(** The module load fuzzer. Seeded bit-flip, truncation and splice
-    mutants of the suite's binaries go through [Binary.decode],
+(** The module load fuzzer. Seeded bit-flip, truncation, splice and
+    forged-count mutants of the suite's binaries go through [Binary.decode],
     [Code.compile_module] and [Link.instantiate] against the WALI import
     resolver, and are never executed: there is no step budget to bound a
     mutant's run. Each must load, or be rejected with
@@ -14,7 +14,7 @@ open Wasm
 type finding = {
   fd_seed : int;
   fd_index : int;
-  fd_kind : string; (* bit-flip, truncation or splice *)
+  fd_kind : string; (* bit-flip, truncation, splice or count *)
   fd_app : string; (* the binary the mutant starts from *)
   fd_exn : string;
   fd_size : int; (* the mutant's length in bytes *)
@@ -39,6 +39,34 @@ let over_budget (m : Ast.module_) =
 let suite_binaries () =
   Array.of_list (List.map (fun a -> (a.Suite.a_name, Suite.binary_of a)) Suite.all)
 
+let leb n =
+  let b = Buffer.create 5 in
+  Binary.E.u32 b n;
+  Buffer.contents b
+
+(* Each section of a well-formed binary that opens with a vector count:
+   the offsets of its size field, of the end of its count, and of its
+   end. *)
+let vector_sections src =
+  let d = Binary.D.make src in
+  d.Binary.D.pos <- 8;
+  let rec go acc =
+    if d.Binary.D.pos >= String.length src then List.rev acc
+    else begin
+      let id = Binary.D.byte d in
+      let at = d.Binary.D.pos in
+      let size = Binary.D.u32 d in
+      let stop = d.Binary.D.pos + size in
+      let acc =
+        if id = 0 || id = 8 || size = 0 then acc
+        else (ignore (Binary.D.u32 d); (at, d.Binary.D.pos, stop) :: acc)
+      in
+      d.Binary.D.pos <- stop;
+      go acc
+    end
+  in
+  go []
+
 (** Mutant [index] of run [seed] over [bins] (name, bytes): its kind,
     the name of the binary it starts from, and its bytes. The 8-byte
     header is kept, so every mutant gets past the magic and the version
@@ -48,7 +76,7 @@ let mutant bins ~seed ~index =
   let pick () = bins.(Random.State.int rng (Array.length bins)) in
   let app, src = pick () in
   let pos s = 8 + Random.State.int rng (String.length s - 8) in
-  match Random.State.int rng 3 with
+  match Random.State.int rng 4 with
   | 0 ->
       let b = Bytes.of_string src in
       for _ = 1 to 1 + Random.State.int rng 4 do
@@ -58,12 +86,25 @@ let mutant bins ~seed ~index =
       done;
       ("bit-flip", app, Bytes.to_string b)
   | 1 -> ("truncation", app, String.sub src 0 (pos src))
-  | _ ->
+  | 2 ->
       (* a prefix of one binary joined to a suffix of another (or of
          itself), both cut at arbitrary bytes *)
       let _, other = pick () in
       let cut = pos src and from = pos other in
       ("splice", app, String.sub src 0 cut ^ String.sub other from (String.length other - from))
+  | _ ->
+      (* a section's vector count rewritten as a 5-byte LEB128 of at
+         least 2^31, with the section's size fixed up to match: only the
+         decoder's bound on counts stands between it and an allocation
+         of that many elements *)
+      let secs = vector_sections src in
+      let at, counted, stop = List.nth secs (Random.State.int rng (List.length secs)) in
+      let body =
+        leb (0x80000000 + Random.State.full_int rng 0x80000000)
+        ^ String.sub src counted (stop - counted)
+      in
+      let tail = String.sub src stop (String.length src - stop) in
+      ("count", app, String.sub src 0 at ^ leb (String.length body) ^ body ^ tail)
 
 (** Load mutants [0, count) of run [seed]. *)
 let run ~seed ~count : summary =

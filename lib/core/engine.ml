@@ -524,7 +524,14 @@ let do_exit eng (p : proc) ~group ~(status : int) : unit =
   (match eng.on_proc_exit with
   | Some f -> f p status
   | None -> ());
-  Procs.remove eng.procs task.Task.tid
+  Procs.remove eng.procs task.Task.tid;
+  (* The group's last thread is gone and every observer has had its look:
+     the image's linear memory is the one thing worth reusing (DESIGN,
+     "Linear-memory lifetime"). *)
+  if g.Task.threads = [] then
+    Option.iter
+      (fun (m : Rt.machine) -> Array.iter Rt.Memory.release m.Rt.m_inst.Rt.i_memories)
+      p.pr_machine
 
 (** The body that every process/thread fiber runs. Wasm traps terminate
     the process like fatal signals (SIGILL-style status), which is how

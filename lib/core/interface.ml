@@ -163,6 +163,18 @@ let ( let* ) r f = match r with Ok x -> f x | Error e -> errno_ret e
 let at name twin = if name = twin then 1 else 0
 let dirfd c k = if k = 1 then ai c 0 else Syscalls.at_fdcwd
 
+(* A read hands the kernel memory's bytes as they stand when the call
+   starts. A blocking one can sleep while another thread grows memory,
+   which moves it to new bytes: what the kernel delivers then lands in
+   the orphaned buffer [b], so it is copied into the current one (DESIGN,
+   "Linear-memory lifetime"). A blocking write needs nothing: the orphan
+   holds memory as it stood at the grow, a moment inside the call. *)
+let landed (mem : Rt.Memory.t) b off (r : int Errno.result) =
+  (match r with
+  | Ok n when n > 0 && mem.Rt.Memory.data != b -> Bytes.blit b off mem.Rt.Memory.data off n
+  | _ -> ());
+  r
+
 (* A partial transfer reports what moved before the error. *)
 let partial total e = if total > 0 then Int64.of_int total else errno_ret e
 
@@ -181,7 +193,7 @@ let slot_handler (name : string) : call -> int64 =
   (* ---- plain I/O: zero-copy address-space translation ---- *)
   | "read" | "recvfrom" -> fun c ->
       let b, off = buf c 1 (ai c 2) in
-      reti (Syscalls.read (ctx c) ~fd:(ai c 0) ~buf:b ~off ~len:(ai c 2))
+      reti (landed (mem c) b off (Syscalls.read (ctx c) ~fd:(ai c 0) ~buf:b ~off ~len:(ai c 2)))
   | "write" | "sendto" -> fun c ->
       let b, off = buf c 1 (ai c 2) in
       reti (Syscalls.write (ctx c) ~fd:(ai c 0) ~buf:b ~off ~len:(ai c 2))
@@ -193,14 +205,17 @@ let slot_handler (name : string) : call -> int64 =
       reti (Syscalls.pwrite64 (ctx c) ~fd:(ai c 0) ~buf:b ~off ~len:(ai c 2) ~pos:(ai c 3))
   | "readv" | "writev" ->
       let read = name = "readv" in
-      let op = if read then Syscalls.read else Syscalls.write in
       fun c ->
-        let mem = mem c in
+        let mem = mem c and fd = ai c 0 in
         let rec go total = function
           | [] -> Int64.of_int total
           | (base, len) :: rest -> (
               let b, off = Abi.buffer mem ~addr:base ~len in
-              match op (ctx c) ~fd:(ai c 0) ~buf:b ~off ~len with
+              let r =
+                if read then landed mem b off (Syscalls.read (ctx c) ~fd ~buf:b ~off ~len)
+                else Syscalls.write (ctx c) ~fd ~buf:b ~off ~len
+              in
+              match r with
               | Ok 0 when read -> Int64.of_int total
               | Ok n -> if n < len then Int64.of_int (total + n) else go (total + n) rest
               | Error e -> partial total e)

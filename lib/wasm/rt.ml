@@ -23,12 +23,58 @@ module Memory = struct
 
   exception Bounds
 
+  (* The bytes of released memories (DESIGN, "Linear-memory lifetime"),
+     at most [free_cap] bytes in all, per domain. Every buffer is a
+     whole number of pages, so [free_cap / page_size] slots always have
+     room; an empty slot holds [Bytes.empty]. [create] and [clone] take
+     an exact-size buffer from here before they allocate one. *)
+  type free = { slots : Bytes.t array; mutable held : int }
+
+  let free_cap = 256 * 1024
+
+  let free_key =
+    Domain.DLS.new_key (fun () ->
+        { slots = Array.make (free_cap / page_size) Bytes.empty; held = 0 })
+
+  let free_bytes () = (Domain.DLS.get free_key).held
+
+  (* Slot [i] onwards: the first buffer of [n] bytes, emptied, or
+     [Bytes.empty]. *)
+  let rec take_from fl n i =
+    if i = Array.length fl.slots then Bytes.empty
+    else
+      let b = fl.slots.(i) in
+      if Bytes.length b = n then begin
+        fl.slots.(i) <- Bytes.empty;
+        fl.held <- fl.held - n;
+        b
+      end
+      else take_from fl n (i + 1)
+
+  let take n = take_from (Domain.DLS.get free_key) n 0
+
   let create ~(min_pages : int) ~(max_pages : int) =
-    {
-      data = Bytes.make (min_pages * page_size) '\000';
-      pages = min_pages;
-      max_pages;
-    }
+    let n = min_pages * page_size in
+    let b = take n in
+    let data = if b == Bytes.empty then Bytes.make n '\000' else (Bytes.fill b 0 n '\000'; b) in
+    { data; pages = min_pages; max_pages }
+
+  (** Detach [m] from its bytes once nothing can run on it any more: it
+      keeps 0 pages, so a stale reference traps or gets -EFAULT and never
+      sees a buffer that a later memory reuses. The bytes go on the free
+      list if they fit under [free_cap]. Releasing twice is a no-op. *)
+  let release m =
+    let b = m.data in
+    let n = Bytes.length b in
+    m.data <- Bytes.empty;
+    m.pages <- 0;
+    let fl = Domain.DLS.get free_key in
+    if n > 0 && fl.held + n <= free_cap then begin
+      let i = ref 0 in
+      while fl.slots.(!i) != Bytes.empty do incr i done;
+      fl.slots.(!i) <- b;
+      fl.held <- fl.held + n
+    end
 
   let size_pages m = m.pages
   let size_bytes m = m.pages * page_size
@@ -92,7 +138,11 @@ module Memory = struct
     check m addr (String.length s);
     Bytes.blit_string s 0 m.data addr (String.length s)
 
-  let clone m = { m with data = Bytes.copy m.data }
+  let clone m =
+    let n = Bytes.length m.data in
+    let b = take n in
+    let data = if b == Bytes.empty then Bytes.copy m.data else (Bytes.blit m.data 0 b 0 n; b) in
+    { m with data }
 end
 
 module Table = struct

@@ -12,10 +12,10 @@ let i32t = Types.T_i32
 
 (* Build a module that imports the given WALI syscalls and runs [body]
    as _start (with [locals]). Returns the encoded binary. *)
-let build_wali_module ?(extra = fun (_ : Builder.t) -> ())
+let build_wali_module ?(extra = fun (_ : Builder.t) -> ()) ?(pages = 4)
     ~(imports : (string * int) list) ~locals body : string =
   let b = Builder.create ~name:"t" () in
-  ignore (Builder.add_memory b ~min:4 ~max:(Some 64));
+  ignore (Builder.add_memory b ~min:pages ~max:(Some 64));
   let idx =
     List.map
       (fun (name, arity) ->
@@ -34,8 +34,8 @@ let build_wali_module ?(extra = fun (_ : Builder.t) -> ())
 
 let k n = I64_const (Int64.of_int n)
 
-let run ?policy binary =
-  Interface.run_program ?policy ~binary ~argv:[ "test" ] ~env:[] ()
+let run ?policy ?hook binary =
+  Interface.run_program ?policy ?hook ~binary ~argv:[ "test" ] ~env:[] ()
 
 (* write(1, "hi\n", 3); exit_group(0) *)
 let test_hello () =
@@ -388,8 +388,13 @@ let test_hostile_arguments () =
               (fun v ->
                 let args = Array.mapi (cap name) v in
                 (* each call starts from zeroed low memory: a pointer of 1
-                   reads zeros (fd 0, a zero timeout) *)
-                Bytes.fill (Rt.memory0 m).Rt.Memory.data 0 4096 '\000';
+                   reads zeros (fd 0, a zero timeout). Once the process
+                   has exited (its fiber runs while a call waits), its
+                   memory is released (0 pages) and every pointer is out
+                   of bounds *)
+                let mem = Rt.memory0 m in
+                if Rt.Memory.size_pages mem > 0 then
+                  Rt.Memory.fill mem ~dst:0 ~byte:0 ~len:4096;
                 if not (never_returns name args) then
                   match Interface.traced_dispatch eng name m (Array.map (fun a -> Values.I64 a) args) with
                   | Rt.H_return [ Values.I64 _ ] | (exception (Values.Trap _ | Engine.Killed_by _)) -> ()
@@ -822,6 +827,152 @@ let test_argv_env () =
   Alcotest.(check string) "argv[1]" "world" out;
   Alcotest.(check int) "argc" (Kernel.Ktypes.wexit_status 2) status
 
+(* ---- recycled linear memory (DESIGN, "Linear-memory lifetime") ---- *)
+
+(* Run [f] on a domain of its own, whose free list of released memories
+   starts empty: the buffers it reuses are the ones it released. *)
+let on_fresh_domain f = Domain.join (Domain.spawn f)
+
+let small_pages = 2
+let small_bytes = small_pages * Types.page_size
+let m8 = { offset = 0; align = 0 }
+
+(* A guest that forks, and both processes fill all of their memory with
+   0xAA and exit: two scribbled buffers, 256 KiB, fill the free list. *)
+let scribbler () =
+  build_wali_module ~pages:small_pages ~imports:[ ("fork", 0); ("exit_group", 1) ] ~locals:[]
+    (fun call ->
+      [ call "fork"; Drop;
+        I32_const 0l; I32_const 0xAAl; I32_const (Int32.of_int small_bytes); Memory_fill;
+        k 0; call "exit_group"; Drop ])
+
+let memory_of (p : Engine.proc) = Rt.memory0 (Option.get p.Engine.pr_machine)
+
+(* The bytes of every process image as it exits, before they are released. *)
+let exit_buffers () =
+  let bufs = ref [] in
+  let hook =
+    { Engine.nop_hook with
+      h_event =
+        (function
+        | Engine.Proc_exit (p, _) -> bufs := (memory_of p).Rt.Memory.data :: !bufs
+        | _ -> ()) }
+  in
+  (bufs, hook)
+
+(* A program that scribbles over all of its memory and exits leaves its
+   bytes on the free list; the next program of the same size gets them,
+   and must read its data segment and zeros everywhere beyond it. *)
+let test_recycled_memory_reads_zero () =
+  on_fresh_domain (fun () ->
+      let released, hook = exit_buffers () in
+      let status, _, _ = run ~hook (scribbler ()) in
+      Alcotest.(check int) "scribbler" 0 status;
+      let seg = "segment" in
+      let checker =
+        build_wali_module ~pages:small_pages
+          ~extra:(fun b -> Builder.add_data b ~offset:0 seg)
+          ~imports:[ ("exit_group", 1) ] ~locals:[ i32t ]
+          (fun call ->
+            let fail code = [ k code; call "exit_group"; Drop ] in
+            [ I32_const 0l; I32_load8 (ZX, m8); I32_const (Int32.of_int (Char.code 's'));
+              I32_relop Ne; If (Bt_none, fail 2, []);
+              I32_const (Int32.of_int (String.length seg)); Local_set 0;
+              Block
+                ( Bt_none,
+                  [ Loop
+                      ( Bt_none,
+                        [ Local_get 0; I32_const (Int32.of_int small_bytes); I32_relop Ge_u;
+                          Br_if 1;
+                          Local_get 0; I32_load8 (ZX, m8); If (Bt_none, fail 1, []);
+                          Local_get 0; I32_const 1l; I32_binop Add; Local_set 0; Br 0 ] ) ] ) ]
+            @ fail 0)
+      in
+      let reused = ref false in
+      let hook =
+        { Engine.nop_hook with
+          h_event =
+            (function
+            | Engine.Machine_start m ->
+                reused := List.memq (Rt.memory0 m).Rt.Memory.data !released
+            | _ -> ()) }
+      in
+      let status, _, _ = run ~hook checker in
+      Alcotest.(check bool) "the scribbled buffer is reused" true !reused;
+      Alcotest.(check int) "segment intact, zeros beyond it" 0 status)
+
+(* A fork child's memory, cloned into a recycled buffer, equals its
+   parent's at the fork; afterwards each sees only its own stores. *)
+let test_recycled_fork_memory () =
+  on_fresh_domain (fun () ->
+      let released, hook = exit_buffers () in
+      (* the scribbled buffers: one for the next image, one for its
+         fork child *)
+      ignore (run ~hook (scribbler ()));
+      let store8 addr c =
+        [ I32_const addr; I32_const (Int32.of_int (Char.code c)); I32_store8 m8 ]
+      in
+      let forker =
+        build_wali_module ~pages:small_pages
+          ~imports:[ ("write", 3); ("fork", 0); ("wait4", 4); ("exit_group", 1) ]
+          ~locals:[ i64t ]
+          (fun call ->
+            store8 64l 'A' @ store8 65l 'B'
+            @ [ call "fork"; Local_set 0; Local_get 0; I64_eqz;
+                If
+                  ( Bt_none,
+                    store8 64l 'C' @ [ k 1; k 64; k 2; call "write"; Drop; k 0; call "exit_group"; Drop ],
+                    store8 65l 'P'
+                    @ [ k (-1); k 0; k 0; k 0; call "wait4"; Drop; k 1; k 64; k 2; call "write"; Drop ] );
+                k 0; call "exit_group"; Drop ])
+      in
+      let parent = ref None and at_fork = ref [] in
+      let hook =
+        { Engine.nop_hook with
+          h_event =
+            (function
+            | Engine.Machine_start m -> (
+                let mem = Rt.memory0 m in
+                match !parent with
+                | None -> parent := Some mem
+                | Some pm ->
+                    at_fork :=
+                      [ ("recycled", List.memq mem.Rt.Memory.data !released);
+                        ("equal to the parent's",
+                          Rt.Memory.size_pages mem = Rt.Memory.size_pages pm
+                          && Bytes.equal mem.Rt.Memory.data pm.Rt.Memory.data) ])
+            | _ -> ()) }
+      in
+      let status, out, _ = run ~hook forker in
+      Alcotest.(check (list (pair string bool))) "child memory at the fork"
+        [ ("recycled", true); ("equal to the parent's", true) ] !at_fork;
+      Alcotest.(check string) "child sees CB, parent AP" "CBAP" out;
+      Alcotest.(check int) "status" 0 status)
+
+(* Once its group's last thread has exited, a process's memory has 0
+   pages: a stale reference to it traps or gets -EFAULT, and never sees
+   the bytes a later memory reuses. *)
+let test_released_memory () =
+  let eng = Engine.create (Kernel.Task.boot ()) in
+  let dead = ref None in
+  Fiber.run (fun () ->
+      dead := Some (Interface.spawn_init eng ~binary:(getpid_exit ()) ~argv:[ "t" ] ~env:[]));
+  let m = Option.get (Option.get !dead).Engine.pr_machine in
+  let mem = Rt.memory0 m in
+  Alcotest.(check int) "pages" 0 (Rt.Memory.size_pages mem);
+  Alcotest.check_raises "load" Rt.Memory.Bounds (fun () -> ignore (Rt.Memory.load8_u mem 0));
+  Fiber.run (fun () ->
+      let live = Interface.spawn_init eng ~binary:(getpid_exit ()) ~argv:[ "u" ] ~env:[] in
+      (* a machine on the dead image, charged to a live process *)
+      let stale = Rt.Machine.create m.Rt.m_inst in
+      stale.Rt.m_pid <- live.Engine.pr_task.Kernel.Task.tid;
+      match
+        Interface.traced_dispatch eng "read" stale [| Values.I64 0L; Values.I64 16L; Values.I64 8L |]
+      with
+      | Rt.H_return [ Values.I64 r ] ->
+          Alcotest.(check int64) "read into it" (Int64.of_int (-Kernel.Errno.(to_code EFAULT))) r
+      | _ -> Alcotest.fail "read: not a value")
+
 let tests =
   [
     Alcotest.test_case "hello via SYS_write" `Quick test_hello;
@@ -850,4 +1001,8 @@ let tests =
     Alcotest.test_case "a masked pending signal runs when unblocked" `Quick
       test_masked_pending;
     Alcotest.test_case "a fork child polls on its own cell" `Quick test_fork_child_cell;
+    Alcotest.test_case "a recycled memory reads as zeros" `Quick test_recycled_memory_reads_zero;
+    Alcotest.test_case "a fork child's recycled memory equals its parent's" `Quick
+      test_recycled_fork_memory;
+    Alcotest.test_case "a released memory has 0 pages and faults" `Quick test_released_memory;
   ]

@@ -556,6 +556,61 @@ let shift_masking =
           v = Int32.shift_left a (s land 31)
       | _ -> false)
 
+(* Random create/clone/grow/scribble/release sequences over a few live
+   memories, with released buffers going back on the free list: no two
+   live memories share their bytes, every new memory reads as zeros
+   (though it may reuse a scribbled buffer), every clone equals its
+   source, a released memory has 0 pages, and the free list stays within
+   its cap. *)
+type mem_op = Create of int | Clone of int | Grow of int * int | Scribble of int * int | Release of int
+
+let recycled_memories =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [ (3, map (fun p -> Create p) (int_bound 2)); (3, map (fun i -> Clone i) nat);
+          (1, map2 (fun i n -> Grow (i, n)) nat (int_bound 1));
+          (3, map2 (fun i a -> Scribble (i, a)) nat nat); (3, map (fun i -> Release i) nat) ])
+  in
+  QCheck.Test.make ~name:"recycled memories never alias, read zero, clone exactly" ~count:100
+    (QCheck.make QCheck.Gen.(list_size (int_bound 24) op))
+    (fun ops ->
+      let live = ref [] in
+      let pick i = List.nth !live (i mod List.length !live) in
+      let zero m = Bytes.for_all (( = ) '\000') m.Rt.Memory.data in
+      let step = function
+        | Create p ->
+            let m = Rt.Memory.create ~min_pages:p ~max_pages:3 in
+            live := m :: !live;
+            zero m
+        | _ when !live = [] -> true
+        | Clone i ->
+            let src = pick i in
+            let m = Rt.Memory.clone src in
+            live := m :: !live;
+            Bytes.equal m.Rt.Memory.data src.Rt.Memory.data
+        | Grow (i, n) -> ignore (Rt.Memory.grow (pick i) n); true
+        | Scribble (i, a) ->
+            let m = pick i in
+            Rt.Memory.fill m ~dst:0 ~byte:(1 + (a mod 255)) ~len:(Rt.Memory.size_bytes m);
+            true
+        | Release i ->
+            let m = pick i in
+            live := List.filter (fun m' -> m' != m) !live;
+            Rt.Memory.release m;
+            Rt.Memory.size_pages m = 0
+      in
+      let rec distinct = function
+        | [] -> true
+        | m :: rest ->
+            (Rt.Memory.size_bytes m = 0
+            || List.for_all (fun m' -> m'.Rt.Memory.data != m.Rt.Memory.data) rest)
+            && distinct rest
+      in
+      List.for_all
+        (fun o -> step o && distinct !live && Rt.Memory.free_bytes () <= Rt.Memory.free_cap)
+        ops)
+
 let tests =
   [
     Alcotest.test_case "const" `Quick test_const;
@@ -589,5 +644,6 @@ let tests =
     QCheck_alcotest.to_alcotest leb_roundtrip_i64;
     QCheck_alcotest.to_alcotest leb_roundtrip_u32;
     QCheck_alcotest.to_alcotest i32_ops_match_native;
+    QCheck_alcotest.to_alcotest recycled_memories;
     QCheck_alcotest.to_alcotest shift_masking;
   ]
