@@ -1,24 +1,24 @@
 (* waliperf — the performance observatory CLI and the suite gate
    (`dune build @gate`).
 
-     dune exec bin/waliperf.exe -- run -o BENCH_perf.json
+     dune exec bin/waliperf.exe -- gate --quiet -o BENCH_perf.json
+     dune exec bin/waliperf.exe -- baseline update
      dune exec bin/waliperf.exe -- compare baseline.json current.json
      dune exec bin/waliperf.exe -- diff base.folded cur.folded
-     dune exec bin/waliperf.exe -- baseline update
-     dune exec bin/waliperf.exe -- gate --quiet
 
-   `run` executes every bundled app once, with the recorder, every
+   `gate` runs every bundled app once, with the recorder, every
    observability pillar and the statically derived seccomp allowlist on,
-   and emits the deterministic counters (instructions retired, syscall
-   crossings, virtual-clock ns) as a `wali-bench v1` JSON document.
-   `gate` checks each app's run (static ⊇ dynamic syscalls, well-formed
+   checks each run (static ⊇ dynamic syscalls, well-formed
    trace/metrics/profile, fused = unfused recording, replay without
-   divergence — see Perf.Gate) and compares the counters against the
-   committed baselines under bench/baselines/ at zero tolerance: any
+   divergence — see Perf.Gate) and compares its deterministic counters
+   (instructions retired, syscall crossings, virtual-clock ns) against
+   the committed baselines under bench/baselines/ at zero tolerance: any
    counter drift is a real behavior change, and the diff of the run's
    folded-stack profile against the baseline profile names the
-   responsible frames and syscalls. `baseline update` is the deliberate
-   way to accept a new truth. *)
+   responsible frames and syscalls. `-o` writes the counters as a
+   `wali-bench v1` JSON document. `baseline update` is the deliberate
+   way to accept a new truth: it runs the same checks and writes the
+   baselines only when every one passes. *)
 
 open Cmdliner
 
@@ -40,24 +40,6 @@ let load_model what file =
   | Error e ->
       Printf.eprintf "waliperf: %s %s: %s\n" what file e;
       exit 1
-
-(* ---- run ---- *)
-
-let run_cmd out =
-  let model, _profiles = Perf.Scenario.run_suite () in
-  let json = Perf.Model.to_json model in
-  (match Observe.Check.check_bench json with
-  | Ok () -> ()
-  | Error e ->
-      Printf.eprintf "waliperf: emitted invalid wali-bench JSON: %s\n" e;
-      exit 1);
-  match out with
-  | Some f ->
-      write_file f json;
-      Printf.printf "waliperf: wrote %d scenarios to %s\n"
-        (List.length model.Perf.Model.b_scenarios)
-        f
-  | None -> print_string json
 
 (* ---- compare ---- *)
 
@@ -97,19 +79,6 @@ let diff_cmd top base_file cur_file =
       print_string (Perf.Diffprof.render ~top d);
       exit (if d.Perf.Diffprof.d_entries = [] then 0 else 1)
 
-(* ---- baseline update ---- *)
-
-let baseline_cmd dir =
-  let model, profiles = Perf.Scenario.run_suite () in
-  (try Sys.mkdir dir 0o755 with Sys_error _ -> ());
-  Perf.Model.save (det_file dir) model;
-  List.iter (fun (app, folded) -> write_file (folded_file dir app) folded) profiles;
-  Printf.printf
-    "waliperf: baseline updated: %s (%d scenarios) + %d folded profiles in %s\n"
-    (det_file dir)
-    (List.length model.Perf.Model.b_scenarios)
-    (List.length profiles) dir
-
 (* ---- gate ---- *)
 
 (* Flamegraph-diff every drifted app against its baseline profile; the
@@ -142,11 +111,10 @@ let gate_diffs dir (drift : Perf.Baseline.row list)
     apps;
   Buffer.contents b
 
-(* The only suite gate. One instrumented run per app feeds every check:
-   the per-app checks of Perf.Gate (soundness, artifacts, the fusion
-   differential, replay), then the zero-tolerance counter comparison
-   against the baseline. *)
-let gate_cmd dir out report quiet =
+(* The one instrumented run per app and the per-app checks of
+   Perf.Gate (soundness, artifacts, the fusion differential, replay) on
+   it: the runs, and one line per failure. *)
+let check_apps ~quiet : Perf.Scenario.app_result list * string =
   let failed = Buffer.create 256 in
   let results =
     List.filter_map
@@ -172,6 +140,31 @@ let gate_cmd dir out report quiet =
             Some r)
       Apps.Suite.all
   in
+  (results, Buffer.contents failed)
+
+(* ---- baseline update ---- *)
+
+let baseline_cmd dir =
+  let results, failed = check_apps ~quiet:true in
+  if failed <> "" then begin
+    prerr_string failed;
+    Printf.eprintf "waliperf: a gate check failed; %s left as it was\n" dir;
+    exit 1
+  end;
+  let model, profiles = Perf.Scenario.model results in
+  (try Sys.mkdir dir 0o755 with Sys_error _ -> ());
+  Perf.Model.save (det_file dir) model;
+  List.iter (fun (app, folded) -> write_file (folded_file dir app) folded) profiles;
+  Printf.printf
+    "waliperf: baseline updated: %s (%d scenarios) + %d folded profiles in %s\n"
+    (det_file dir)
+    (List.length model.Perf.Model.b_scenarios)
+    (List.length profiles) dir
+
+(* The only suite gate: the per-app checks, then the zero-tolerance
+   counter comparison against the baseline. *)
+let gate_cmd dir out report quiet =
+  let results, failed = check_apps ~quiet in
   let model, profiles = Perf.Scenario.model results in
   (match out with
   | Some f -> write_file f (Perf.Model.to_json model)
@@ -188,7 +181,7 @@ let gate_cmd dir out report quiet =
   in
   let rows = Perf.Baseline.compare_runs ~base ~cur:model () in
   let drift = Perf.Baseline.counter_drift rows in
-  if drift = [] && Buffer.length failed = 0 then begin
+  if drift = [] && failed = "" then begin
     let msg =
       Printf.sprintf
         "waliperf: %d apps sound, artifacts valid, fused = unfused, replays \
@@ -204,7 +197,7 @@ let gate_cmd dir out report quiet =
   end
   else begin
     let body =
-      Buffer.contents failed
+      failed
       ^
       if drift = [] then ""
       else
@@ -253,13 +246,6 @@ let top_t =
 
 let pos_file n docv = Arg.(required & pos n (some string) None & info [] ~docv)
 
-let run_c =
-  Cmd.v
-    (Cmd.info "run"
-       ~doc:
-         "Run the deterministic scenario suite and emit wali-bench v1 JSON")
-    Term.(const run_cmd $ out_t)
-
 let compare_c =
   Cmd.v
     (Cmd.info "compare"
@@ -280,7 +266,10 @@ let diff_c =
 let baseline_update_c =
   Cmd.v
     (Cmd.info "update"
-       ~doc:"Re-measure and overwrite the committed baselines")
+       ~doc:
+         "Run the gate's per-app checks and, when every one passes, \
+          overwrite the committed baselines with the run's counters and \
+          profiles")
     Term.(const baseline_cmd $ dir_t)
 
 let baseline_c =
@@ -303,6 +292,6 @@ let cmd =
        ~doc:
          "Machine-readable benchmarks, baselines, regression gates and \
           differential profiles")
-    [ run_c; compare_c; diff_c; baseline_c; gate_c ]
+    [ compare_c; diff_c; baseline_c; gate_c ]
 
 let () = exit (Cmd.eval cmd)

@@ -1,8 +1,11 @@
-(* walirun — the `iwasm`-style CLI: run a .wasm WALI binary (or a bundled
-   suite app) on the engine over a freshly booted simulated kernel.
+(* walirun — the `iwasm`-style CLI and the one runner: run a .wasm WALI
+   binary (or a bundled suite app) on the engine over a freshly booted
+   simulated kernel, record the run, or replay a recording.
 
      dune exec bin/walirun.exe -- --app minish -- -c "echo hi"
      dune exec bin/walirun.exe -- program.wasm arg1 arg2
+     dune exec bin/walirun.exe -- --app calc --record calc.trace
+     dune exec bin/walirun.exe -- --replay calc.trace
      WALI_VERBOSE-style tracing: --trace; policies: --deny read,write;
      statically derived allowlist: --derive-policy (see bin/waliscan.ml) *)
 
@@ -12,6 +15,19 @@ open Cmdliner
    left to wake one (a deadlock); documented in the man page. *)
 let deadlock_exit = 126
 
+let load_trace file =
+  match Replay.Trace.load file with
+  | tr -> tr
+  | exception Replay.Trace.Corrupt msg ->
+      Printf.eprintf "walirun: %s: corrupt trace: %s\n" file msg;
+      exit 1
+  | exception Replay.Trace.Bad_version v ->
+      Printf.eprintf "walirun: %s: unsupported trace version %d\n" file v;
+      exit 1
+  | exception Sys_error e ->
+      Printf.eprintf "walirun: %s\n" e;
+      exit 1
+
 let run_cmd file app trace deny derive poll record replay trace_out
     metrics_out profile_out top args =
   (* with --app, every positional is an application argument *)
@@ -20,17 +36,55 @@ let run_cmd file app trace deny derive poll record replay trace_out
     | Some _ -> (None, (match file with Some f -> f :: args | None -> args))
     | None -> (file, args)
   in
-  let binary =
-    match (file, app) with
-    | Some f, _ -> In_channel.with_open_bin f In_channel.input_all
-    | None, Some name -> (
+  if record <> None && replay <> None then begin
+    prerr_endline "walirun: --record and --replay are exclusive";
+    exit 2
+  end;
+  let replayed = Option.map load_trace replay in
+  (* a replay with neither FILE nor --app runs the suite app its trace
+     header names *)
+  let app =
+    match (app, file, replayed) with
+    | None, None, Some tr ->
+        let named = tr.Replay.Trace.tr_header.Replay.Trace.h_app in
+        if named = "" then begin
+          prerr_endline "walirun: the trace names no suite app; pass FILE.wasm or --app";
+          exit 2
+        end;
+        Some named
+    | _ -> app
+  in
+  let suite_app =
+    Option.map
+      (fun name ->
         match Apps.Suite.find name with
-        | Some a -> Apps.Suite.binary_of a
+        | Some a -> a
         | None ->
             Printf.eprintf "unknown app %s; available: %s\n" name
               (String.concat ", "
                  (List.map (fun a -> a.Apps.Suite.a_name) Apps.Suite.all));
             exit 2)
+      app
+  in
+  (* A suite app boots, is fed and runs exactly as the suite and the
+     gate drive it (Perf.Scenario.record): its files, its scripted stdin,
+     its argv unless arguments are given, and an empty environment. So
+     `--app calc --record` writes test/golden/app_calc.trace byte for
+     byte. *)
+  let binary, setup, stdin, argv, env =
+    match (file, suite_app) with
+    | Some f, _ ->
+        ( In_channel.with_open_bin f In_channel.input_all,
+          Apps.Suite.no_setup,
+          "",
+          Filename.basename f :: args,
+          [ "HOME=/home/user"; "TERM=vt100" ] )
+    | None, Some a ->
+        ( Apps.Suite.binary_of a,
+          a.Apps.Suite.a_setup,
+          a.Apps.Suite.a_stdin,
+          (if args = [] then a.Apps.Suite.a_argv else a.Apps.Suite.a_name :: args),
+          [] )
     | None, None ->
         prerr_endline "need a .wasm file or --app NAME";
         exit 2
@@ -96,34 +150,7 @@ let run_cmd file app trace deny derive poll record replay trace_out
     | "every" -> Wasm.Code.Poll_every
     | _ -> Wasm.Code.Poll_loops
   in
-  let argv0 =
-    match (file, app) with
-    | Some f, _ -> Filename.basename f
-    | _, Some a -> a
-    | _ -> "wasm"
-  in
-  (* the app's files (live, record and replay paths) and scripted stdin
-     (live and record), the same way the test suite drives these
-     programs *)
-  let suite_app = Option.bind app Apps.Suite.find in
-  let setup =
-    match suite_app with
-    | Some a -> a.Apps.Suite.a_setup
-    | None -> Apps.Suite.no_setup
-  in
-  let boot () =
-    Apps.Suite.boot ~setup
-      ?stdin:(Option.map (fun a -> a.Apps.Suite.a_stdin) suite_app)
-      ()
-  in
-  (* with --app and no explicit arguments, use the app's scripted argv
-     (the same one the test suite and walireplay drive it with) *)
-  let argv =
-    match (args, suite_app) with
-    | [], Some a -> a.Apps.Suite.a_argv
-    | _ -> argv0 :: args
-  in
-  let env = [ "HOME=/home/user"; "TERM=vt100" ] in
+  let boot () = Apps.Suite.boot ~setup ~stdin () in
   let print_profile () =
     if trace then begin
       Printf.eprintf "--- syscall profile ---\n";
@@ -143,23 +170,9 @@ let run_cmd file app trace deny derive poll record replay trace_out
           (String.concat ", " (List.sort compare names));
         exit deadlock_exit
   in
-  match (record, replay) with
-  | Some _, Some _ ->
-      prerr_endline "walirun: --record and --replay are exclusive";
-      exit 2
-  | None, Some trace_file ->
+  match (record, replayed) with
+  | _, Some tr ->
       (* swap the simulated kernel out for the log *)
-      let tr =
-        match Replay.Trace.load trace_file with
-        | tr -> tr
-        | exception Replay.Trace.Corrupt msg ->
-            Printf.eprintf "walirun: %s: corrupt trace: %s\n" trace_file msg;
-            exit 1
-        | exception Replay.Trace.Bad_version v ->
-            Printf.eprintf "walirun: %s: unsupported trace version %d\n"
-              trace_file v;
-            exit 1
-      in
       let o =
         Replay.Replayer.replay ~setup ~trace:tr ~binary ~strace:tracer ?observe ()
       in
@@ -240,7 +253,9 @@ let replay_t =
   Arg.(value & opt (some string) None
        & info [ "replay" ] ~docv:"FILE"
            ~doc:"Replay the run recorded in $(docv) with the kernel \
-                 swapped out for the log; fails on the first divergence.")
+                 swapped out for the log; fails on the first divergence. \
+                 With neither FILE.wasm nor --app, replays the suite app \
+                 the trace header names.")
 
 let trace_out_t =
   Arg.(value & opt (some string) None

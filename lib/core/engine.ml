@@ -189,7 +189,6 @@ type t = {
   mutable fuse : bool; (* fuse superinstructions into new images *)
   procs : proc Procs.t; (* task tid -> proc *)
   mutable next_mem_id : int;
-  mutable live_procs : int;
   mutable on_proc_exit : (proc -> int -> unit) option;
   hook : hook option;
   mutable interpose : interposer option; (* perfbench's accountant only *)
@@ -251,7 +250,6 @@ let create ?(poll_scheme = Code.Poll_loops) ?(fuse = true) ?trace
     fuse;
     procs = Procs.create 16;
     next_mem_id = 1;
-    live_procs = 0;
     on_proc_exit = None;
     hook = (match hooks with [] -> None | h :: hs -> Some (List.fold_left both h hs));
     interpose = None;
@@ -272,7 +270,6 @@ let proc_of eng (m : Rt.machine) : proc =
 
 let register_proc eng (p : proc) =
   Procs.replace eng.procs p.pr_task.Kernel.Task.tid p;
-  eng.live_procs <- eng.live_procs + 1;
   event eng (Proc_start p)
 
 (* ------------------------------------------------------------------ *)
@@ -518,7 +515,6 @@ let do_exit eng (p : proc) ~group ~(status : int) : unit =
     else status
   in
   Task.exit_task eng.kernel task ~status;
-  eng.live_procs <- eng.live_procs - 1;
   Option.iter (retire_machine eng) p.pr_machine;
   event eng (Proc_exit (p, status));
   (match eng.on_proc_exit with

@@ -871,31 +871,41 @@ let traced_dispatch eng name m (args : Values.value array) : Rt.host_outcome =
 (* The other imports and the resolver                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* argv/env support methods (§3.4): ownership of the vectors stays in the
-   application sandbox; the engine only answers sizes and copies one
-   element at a time. The method is resolved here, at link time. *)
-let env_host_func eng (name : string) (arity : int) : Rt.func_inst =
+(** The argv/env support method [name] (§3.4), for every backend:
+    [argv_env name sh mem a0 a1] answers it over the process's vectors
+    [sh] and its memory [mem], with the call's first two arguments
+    (ignored past its arity). Ownership of the vectors stays in the
+    application sandbox; the engine only answers sizes and copies one
+    element at a time. A copy to an address outside [mem] writes nothing
+    and still returns the element's size. *)
+let argv_env (name : string) : Engine.pshared -> Rt.Memory.t -> int -> int -> int =
   let env = List.mem name [ "get_envc"; "get_env_len"; "copy_env" ] in
-  let vec m =
-    let sh = (Engine.proc_of eng m).Engine.pr_shared in
-    if env then sh.Engine.ps_env else sh.Engine.ps_argv
-  in
-  let arg args i = Int32.to_int (Values.as_i32 args.(i)) in
+  let vec sh = if env then sh.Engine.ps_env else sh.Engine.ps_argv in
   (* [k] of element [i], or -1 when there is none *)
   let elt vec i k = if i < 0 || i >= Array.length vec then -1 else k vec.(i) in
-  let fn : Rt.machine -> Values.value array -> int =
-    match name with
-    | "get_argc" | "get_envc" -> fun m _ -> Array.length (vec m)
-    | "get_argv_len" | "get_env_len" ->
-        fun m args -> elt (vec m) (arg args 0) (fun s -> String.length s + 1)
-    | "copy_argv" | "copy_env" ->
-        fun m args ->
-          elt (vec m) (arg args 1) (fun s ->
-              (try Abi.write_cstring (Rt.memory0 m) (arg args 0) s with Abi.Efault -> ());
-              String.length s + 1)
-    | _ -> fun _ _ -> -1
+  match name with
+  | "get_argc" | "get_envc" -> fun sh _ _ _ -> Array.length (vec sh)
+  | "get_argv_len" | "get_env_len" ->
+      fun sh _ i _ -> elt (vec sh) i (fun s -> String.length s + 1)
+  | "copy_argv" | "copy_env" ->
+      fun sh mem addr i ->
+        elt (vec sh) i (fun s ->
+            (try Abi.write_cstring mem addr s with Abi.Efault -> ());
+            String.length s + 1)
+  | _ -> fun _ _ _ _ -> -1
+
+(* The WALI import of an argv/env method, resolved here, at link time. *)
+let env_host_func eng (name : string) (arity : int) : Rt.func_inst =
+  let fn = argv_env name in
+  let arg args i =
+    if i < Array.length args then Int32.to_int (Values.as_i32 args.(i)) else 0
   in
-  let hf_fn m args = Rt.H_return [ Values.I32 (Int32.of_int (fn m args)) ] in
+  let hf_fn m args =
+    let r =
+      fn (Engine.proc_of eng m).Engine.pr_shared (Rt.memory0 m) (arg args 0) (arg args 1)
+    in
+    Rt.H_return [ Values.I32 (Int32.of_int r) ]
+  in
   Rt.Host_func { hf_name = name; hf_type = fn_type Types.T_i32 arity; hf_fn }
 
 let thread_spawn_host_func eng : Rt.func_inst =

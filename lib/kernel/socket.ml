@@ -15,11 +15,7 @@ let addr_to_string = function
         ((h lsr 24) land 0xff) ((h lsr 16) land 0xff)
         ((h lsr 8) land 0xff) (h land 0xff) p
 
-type conn = {
-  rx : Pipe.t;
-  tx : Pipe.t;
-  mutable peer : addr option;
-}
+type conn = { rx : Pipe.t; tx : Pipe.t }
 
 type listener = {
   l_addr : addr;
@@ -40,20 +36,13 @@ type t = {
   family : int;
   mutable state : state;
   mutable opts : (int * int, int) Hashtbl.t; (* (level, opt) -> value *)
-  mutable nonblock_default : bool;
 }
 
 type registry = { mutable bindings : (addr * listener) list }
 
 let create_registry () = { bindings = [] }
 
-let create ~family =
-  {
-    family;
-    state = S_unbound;
-    opts = Hashtbl.create 4;
-    nonblock_default = false;
-  }
+let create ~family = { family; state = S_unbound; opts = Hashtbl.create 4 }
 
 let find_listener reg addr =
   List.find_opt (fun (a, l) -> a = addr && not l.l_closed) reg.bindings
@@ -100,8 +89,8 @@ let connect reg (s : t) (addr : addr) ~intr : (unit, Errno.t) result =
           if Queue.length l.backlog >= l.max_backlog then Error Errno.ECONNREFUSED
           else begin
             let p1 = Pipe.create () and p2 = Pipe.create () in
-            let client = { rx = p1; tx = p2; peer = Some addr } in
-            let server = { rx = p2; tx = p1; peer = None } in
+            let client = { rx = p1; tx = p2 } in
+            let server = { rx = p2; tx = p1 } in
             (* Each pipe has exactly one reader and one writer end. *)
             Queue.push server l.backlog;
             ignore (Waitq.wake_one l.accept_wq ());
@@ -172,6 +161,6 @@ let poll_bits (s : t) =
 let pair ~family =
   let p1 = Pipe.create () and p2 = Pipe.create () in
   let a = create ~family and b = create ~family in
-  a.state <- S_connected { rx = p1; tx = p2; peer = None };
-  b.state <- S_connected { rx = p2; tx = p1; peer = None };
+  a.state <- S_connected { rx = p1; tx = p2 };
+  b.state <- S_connected { rx = p2; tx = p1 };
   (a, b)

@@ -9,8 +9,6 @@ type ctx = { k : Task.kernel; t : Task.t; futexes : Futex.t }
 
 let make_ctx k t futexes = { k; t; futexes }
 
-let count ctx = ctx.k.Task.syscall_count <- Int64.add ctx.k.Task.syscall_count 1L
-
 (* Always-on kernel counters (observability): cheap inline tallies read
    out by the sink at dump time. *)
 let kstats ctx = ctx.k.Task.stats
@@ -127,17 +125,14 @@ let with_fd ctx fd f =
 (* ------------------------------------------------------------------ *)
 
 let read ctx ~fd ~buf ~off ~len : int Errno.result =
-  count ctx;
   if len < 0 then Error Errno.EINVAL
   else with_fd ctx fd (fun d -> desc_read ctx d buf off len)
 
 let write ctx ~fd ~buf ~off ~len : int Errno.result =
-  count ctx;
   if len < 0 then Error Errno.EINVAL
   else with_fd ctx fd (fun d -> desc_write ctx d buf off len)
 
 let pread64 ctx ~fd ~buf ~off ~len ~pos : int Errno.result =
-  count ctx;
   with_fd ctx fd (fun d ->
       match d.Fdtab.d_kind with
       | Fdtab.F_inode { Vfs.kind = Vfs.Reg b; _ } ->
@@ -152,7 +147,6 @@ let pread64 ctx ~fd ~buf ~off ~len ~pos : int Errno.result =
       | _ -> Error Errno.ESPIPE)
 
 let pwrite64 ctx ~fd ~buf ~off ~len ~pos : int Errno.result =
-  count ctx;
   with_fd ctx fd (fun d ->
       match d.Fdtab.d_kind with
       | Fdtab.F_inode ({ Vfs.kind = Vfs.Reg b; _ } as i) ->
@@ -162,7 +156,6 @@ let pwrite64 ctx ~fd ~buf ~off ~len ~pos : int Errno.result =
       | _ -> Error Errno.ESPIPE)
 
 let lseek ctx ~fd ~offset ~whence : int Errno.result =
-  count ctx;
   with_fd ctx fd (fun d ->
       match d.Fdtab.d_kind with
       | Fdtab.F_inode { Vfs.kind = Vfs.Reg b; _ } ->
@@ -220,7 +213,6 @@ let dir_base ctx dirfd path : (Vfs.inode, Errno.t) result =
 let ( let* ) = Result.bind
 
 let openat ctx ~dirfd ~path ~flags ~mode : int Errno.result =
-  count ctx;
   vfs_op ctx "open";
   let* base = dir_base ctx dirfd path in
   let fs = ctx.k.Task.fs in
@@ -267,18 +259,15 @@ let openat ctx ~dirfd ~path ~flags ~mode : int Errno.result =
   end
 
 let close ctx ~fd : unit Errno.result =
-  count ctx;
   Fdtab.close ~sock_registry:ctx.k.Task.sockets ctx.t.Task.fdtab fd
 
 let stat_path ctx ~dirfd ~path ~follow : stat Errno.result =
-  count ctx;
   vfs_op ctx "stat";
   let* base = dir_base ctx dirfd path in
   let* node = Vfs.resolve ctx.k.Task.fs ~cwd:base ~follow path in
   Ok (Vfs.stat_of node)
 
 let fstat ctx ~fd : stat Errno.result =
-  count ctx;
   with_fd ctx fd (fun d ->
       match d.Fdtab.d_kind with
       | Fdtab.F_inode i -> Ok (Vfs.stat_of i)
@@ -317,7 +306,6 @@ let fstat ctx ~fd : stat Errno.result =
             })
 
 let ftruncate ctx ~fd ~len : unit Errno.result =
-  count ctx;
   with_fd ctx fd (fun d ->
       match d.Fdtab.d_kind with
       | Fdtab.F_inode { Vfs.kind = Vfs.Reg b; _ } ->
@@ -329,11 +317,9 @@ let ftruncate ctx ~fd ~len : unit Errno.result =
       | _ -> Error Errno.EINVAL)
 
 let fsync ctx ~fd : unit Errno.result =
-  count ctx;
   with_fd ctx fd (fun _ -> Ok ())
 
 let faccessat ctx ~dirfd ~path ~amode : unit Errno.result =
-  count ctx;
   ignore amode;
   let* base = dir_base ctx dirfd path in
   let* _ = Vfs.resolve ctx.k.Task.fs ~cwd:base path in
@@ -344,7 +330,6 @@ let faccessat ctx ~dirfd ~path ~amode : unit Errno.result =
 (* ------------------------------------------------------------------ *)
 
 let mkdirat ctx ~dirfd ~path ~mode : unit Errno.result =
-  count ctx;
   vfs_op ctx "mkdir";
   let* base = dir_base ctx dirfd path in
   let* parent, name = Vfs.resolve_parent ctx.k.Task.fs ~cwd:base path in
@@ -352,14 +337,12 @@ let mkdirat ctx ~dirfd ~path ~mode : unit Errno.result =
   Ok ()
 
 let unlinkat ctx ~dirfd ~path ~rmdir_flag : unit Errno.result =
-  count ctx;
   vfs_op ctx (if rmdir_flag then "rmdir" else "unlink");
   let* base = dir_base ctx dirfd path in
   let* parent, name = Vfs.resolve_parent ctx.k.Task.fs ~cwd:base path in
   if rmdir_flag then Vfs.rmdir ctx.k.Task.fs parent name else Vfs.unlink ctx.k.Task.fs parent name
 
 let linkat ctx ~olddirfd ~oldpath ~newdirfd ~newpath : unit Errno.result =
-  count ctx;
   vfs_op ctx "link";
   let* obase = dir_base ctx olddirfd oldpath in
   let* target = Vfs.resolve ctx.k.Task.fs ~cwd:obase oldpath in
@@ -368,7 +351,6 @@ let linkat ctx ~olddirfd ~oldpath ~newdirfd ~newpath : unit Errno.result =
   Vfs.link ctx.k.Task.fs parent name target
 
 let symlinkat ctx ~target ~dirfd ~path : unit Errno.result =
-  count ctx;
   vfs_op ctx "symlink";
   let* base = dir_base ctx dirfd path in
   let* parent, name = Vfs.resolve_parent ctx.k.Task.fs ~cwd:base path in
@@ -376,7 +358,6 @@ let symlinkat ctx ~target ~dirfd ~path : unit Errno.result =
   Ok ()
 
 let readlinkat ctx ~dirfd ~path : string Errno.result =
-  count ctx;
   vfs_op ctx "readlink";
   let* base = dir_base ctx dirfd path in
   let* node = Vfs.resolve ctx.k.Task.fs ~cwd:base ~follow:false path in
@@ -385,7 +366,6 @@ let readlinkat ctx ~dirfd ~path : string Errno.result =
   | _ -> Error Errno.EINVAL
 
 let renameat ctx ~olddirfd ~oldpath ~newdirfd ~newpath : unit Errno.result =
-  count ctx;
   vfs_op ctx "rename";
   let* obase = dir_base ctx olddirfd oldpath in
   let* sdir, sname = Vfs.resolve_parent ctx.k.Task.fs ~cwd:obase oldpath in
@@ -394,7 +374,6 @@ let renameat ctx ~olddirfd ~oldpath ~newdirfd ~newpath : unit Errno.result =
   Vfs.rename ctx.k.Task.fs sdir sname ddir dname
 
 let chdir ctx ~path : unit Errno.result =
-  count ctx;
   let* node = Vfs.resolve ctx.k.Task.fs ~cwd:ctx.t.Task.cwd path in
   if Vfs.is_dir node then begin
     ctx.t.Task.cwd <- node;
@@ -403,7 +382,6 @@ let chdir ctx ~path : unit Errno.result =
   else Error Errno.ENOTDIR
 
 let fchdir ctx ~fd : unit Errno.result =
-  count ctx;
   with_fd ctx fd (fun d ->
       match d.Fdtab.d_kind with
       | Fdtab.F_inode i when Vfs.is_dir i ->
@@ -412,11 +390,9 @@ let fchdir ctx ~fd : unit Errno.result =
       | _ -> Error Errno.ENOTDIR)
 
 let getcwd ctx : string Errno.result =
-  count ctx;
   Ok (Vfs.path_of ctx.k.Task.fs ctx.t.Task.cwd)
 
 let fchmodat ctx ~dirfd ~path ~mode : unit Errno.result =
-  count ctx;
   let* base = dir_base ctx dirfd path in
   let* node = Vfs.resolve ctx.k.Task.fs ~cwd:base path in
   node.Vfs.mode <- mode land 0o7777;
@@ -424,7 +400,6 @@ let fchmodat ctx ~dirfd ~path ~mode : unit Errno.result =
   Ok ()
 
 let fchownat ctx ~dirfd ~path ~uid ~gid : unit Errno.result =
-  count ctx;
   let* base = dir_base ctx dirfd path in
   let* node = Vfs.resolve ctx.k.Task.fs ~cwd:base path in
   if ctx.t.Task.euid <> 0 && ctx.t.Task.euid <> node.Vfs.uid then
@@ -437,7 +412,6 @@ let fchownat ctx ~dirfd ~path ~uid ~gid : unit Errno.result =
 
 (** getdents64: up to [max] entries starting at the fd's cookie. *)
 let getdents ctx ~fd ~max : (string * int * int) list Errno.result =
-  count ctx;
   with_fd ctx fd (fun d ->
       match d.Fdtab.d_kind with
       | Fdtab.F_inode i when Vfs.is_dir i ->
@@ -452,7 +426,6 @@ let getdents ctx ~fd ~max : (string * int * int) list Errno.result =
       | _ -> Error Errno.ENOTDIR)
 
 let utimensat ctx ~dirfd ~path ~atime_ns ~mtime_ns : unit Errno.result =
-  count ctx;
   let* base = dir_base ctx dirfd path in
   let* node = Vfs.resolve ctx.k.Task.fs ~cwd:base path in
   node.Vfs.atime <- atime_ns;
@@ -464,13 +437,11 @@ let utimensat ctx ~dirfd ~path ~atime_ns ~mtime_ns : unit Errno.result =
 (* ------------------------------------------------------------------ *)
 
 let dup ctx ~fd : int Errno.result =
-  count ctx;
   with_fd ctx fd (fun d ->
       Fdtab.incref d;
       noting ctx (Fdtab.install ctx.t.Task.fdtab d))
 
 let dup3 ctx ~fd ~newfd ~cloexec : int Errno.result =
-  count ctx;
   if fd = newfd then
     if Fdtab.get ctx.t.Task.fdtab fd = None then Error Errno.EBADF else Ok fd
   else
@@ -481,7 +452,6 @@ let dup3 ctx ~fd ~newfd ~cloexec : int Errno.result =
              ctx.t.Task.fdtab newfd d))
 
 let fcntl ctx ~fd ~cmd ~arg : int Errno.result =
-  count ctx;
   match Fdtab.get_entry ctx.t.Task.fdtab fd with
   | None -> Error Errno.EBADF
   | Some e ->
@@ -507,7 +477,6 @@ let fcntl ctx ~fd ~cmd ~arg : int Errno.result =
       else Error Errno.EINVAL
 
 let ioctl ctx ~fd ~request : int Errno.result =
-  count ctx;
   with_fd ctx fd (fun d ->
       if request = tiocgwinsz then
         match d.Fdtab.d_kind with
@@ -525,7 +494,6 @@ let ioctl ctx ~fd ~request : int Errno.result =
       else Error Errno.EINVAL)
 
 let pipe2 ctx ~flags : (int * int) Errno.result =
-  count ctx;
   let p = Pipe.create () in
   let cloexec = flags land o_cloexec <> 0 in
   let dr = Fdtab.mk_desc ~flags:(flags land o_nonblock) (Fdtab.F_pipe_r p) in
@@ -560,7 +528,6 @@ let poll_tick_ns = 200_000L (* virtual re-check interval *)
     ready count. [timeout_ms] < 0 means infinite. *)
 let poll ctx ~(fds : (int * int) list) ~timeout_ms :
     (int * int list) Errno.result =
-  count ctx;
   let deadline =
     if timeout_ms < 0 then None
     else Some (Int64.add (Fiber.now ()) (Int64.mul (Int64.of_int timeout_ms) 1_000_000L))
@@ -605,7 +572,6 @@ let poll ctx ~(fds : (int * int) list) ~timeout_ms :
 (* ------------------------------------------------------------------ *)
 
 let socket ctx ~family ~stype : int Errno.result =
-  count ctx;
   if family <> af_unix && family <> af_inet then Error Errno.EAFNOSUPPORT
   else if stype land 0xff <> sock_stream then Error Errno.EPROTONOSUPPORT
   else begin
@@ -621,31 +587,25 @@ let with_sock ctx fd f =
       | _ -> Error Errno.ENOTSOCK)
 
 let bind ctx ~fd ~addr : unit Errno.result =
-  count ctx;
   with_sock ctx fd (fun _ s -> Socket.bind ctx.k.Task.sockets s addr)
 
 let listen ctx ~fd ~backlog : unit Errno.result =
-  count ctx;
   with_sock ctx fd (fun _ s -> Socket.listen ctx.k.Task.sockets s ~backlog)
 
 let accept ctx ~fd : int Errno.result =
-  count ctx;
   with_sock ctx fd (fun d s ->
       let* peer = Socket.accept s ~intr:ctx.t.Task.intr ~nonblock:(nonblock_of d) in
       let nd = Fdtab.mk_desc (Fdtab.F_sock peer) in
       noting ctx (Fdtab.install ctx.t.Task.fdtab nd))
 
 let connect ctx ~fd ~addr : unit Errno.result =
-  count ctx;
   with_sock ctx fd (fun _ s ->
       Socket.connect ctx.k.Task.sockets s addr ~intr:ctx.t.Task.intr)
 
 let shutdown ctx ~fd ~how : unit Errno.result =
-  count ctx;
   with_sock ctx fd (fun _ s -> Socket.shutdown s how)
 
 let socketpair ctx ~family : (int * int) Errno.result =
-  count ctx;
   let a, b = Socket.pair ~family in
   let* fa =
     noting ctx (Fdtab.install ctx.t.Task.fdtab (Fdtab.mk_desc (Fdtab.F_sock a)))
@@ -656,13 +616,11 @@ let socketpair ctx ~family : (int * int) Errno.result =
   Ok (fa, fb)
 
 let setsockopt ctx ~fd ~level ~opt ~value : unit Errno.result =
-  count ctx;
   with_sock ctx fd (fun _ s ->
       Hashtbl.replace s.Socket.opts (level, opt) value;
       Ok ())
 
 let getsockopt ctx ~fd ~level ~opt : int Errno.result =
-  count ctx;
   with_sock ctx fd (fun _ s ->
       Ok (Option.value (Hashtbl.find_opt s.Socket.opts (level, opt)) ~default:0))
 
@@ -672,7 +630,6 @@ let getsockopt ctx ~fd ~level ~opt : int Errno.result =
 
 let rt_sigaction ctx ~signo ~(action : sigaction option) :
     sigaction Errno.result =
-  count ctx;
   if signo < 1 || signo > nsig || signo = sigkill || signo = sigstop then
     if action = None && signo >= 1 && signo <= nsig then
       Ok ctx.t.Task.group.Task.actions.(signo)
@@ -686,7 +643,6 @@ let rt_sigaction ctx ~signo ~(action : sigaction option) :
   end
 
 let rt_sigprocmask ctx ~how ~(set : Sigset.t option) : Sigset.t Errno.result =
-  count ctx;
   let old = ctx.t.Task.sigmask in
   (match set with
   | Some s ->
@@ -698,19 +654,16 @@ let rt_sigprocmask ctx ~how ~(set : Sigset.t option) : Sigset.t Errno.result =
   Ok old
 
 let rt_sigpending ctx : Sigset.t Errno.result =
-  count ctx;
   Ok (Sigset.inter
         (Sigset.union ctx.t.Task.pending ctx.t.Task.group.Task.group_pending)
         ctx.t.Task.sigmask)
 
 let kill ctx ~pid ~signo : unit Errno.result =
-  count ctx;
   Task.kill ctx.k ctx.t ~pid ~signo
 
 (** tkill, and tgkill when [tgid] is given: the thread must then belong
     to that thread group. *)
 let tkill ?tgid ctx ~tid ~signo : unit Errno.result =
-  count ctx;
   match Task.find ctx.k tid with
   | Some t when t.Task.state = Task.Running
                 && Option.fold tgid ~none:true ~some:(Int.equal t.Task.tgid) ->
@@ -722,7 +675,6 @@ let tkill ?tgid ctx ~tid ~signo : unit Errno.result =
   | _ -> Error Errno.ESRCH
 
 let alarm ctx ~seconds : int Errno.result =
-  count ctx;
   let t = ctx.t in
   t.Task.alarm_gen <- t.Task.alarm_gen + 1;
   let gen = t.Task.alarm_gen in
@@ -735,14 +687,12 @@ let alarm ctx ~seconds : int Errno.result =
   Ok 0
 
 let pause ctx : unit Errno.result =
-  count ctx;
   let dummy : unit Waitq.t = Waitq.create () in
   match Waitq.wait ~intr:ctx.t.Task.intr dummy with
   | Waitq.Interrupted -> Error Errno.EINTR
   | Waitq.Woken () | Waitq.Timeout -> Error Errno.EINTR
 
 let nanosleep ctx ~ns : unit Errno.result =
-  count ctx;
   if ns <= 0L then Ok ()
   else begin
     let dummy : unit Waitq.t = Waitq.create () in
@@ -756,16 +706,15 @@ let nanosleep ctx ~ns : unit Errno.result =
 (* Identity / misc                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let getpid ctx = count ctx; ctx.t.Task.tgid
-let getppid ctx = count ctx; ctx.t.Task.ppid
-let gettid ctx = count ctx; ctx.t.Task.tid
-let getuid ctx = count ctx; ctx.t.Task.uid
-let geteuid ctx = count ctx; ctx.t.Task.euid
-let getgid ctx = count ctx; ctx.t.Task.gid
-let getegid ctx = count ctx; ctx.t.Task.egid
+let getpid ctx = ctx.t.Task.tgid
+let getppid ctx = ctx.t.Task.ppid
+let gettid ctx = ctx.t.Task.tid
+let getuid ctx = ctx.t.Task.uid
+let geteuid ctx = ctx.t.Task.euid
+let getgid ctx = ctx.t.Task.gid
+let getegid ctx = ctx.t.Task.egid
 
 let setuid ctx ~uid : unit Errno.result =
-  count ctx;
   if ctx.t.Task.euid = 0 || uid = ctx.t.Task.uid then begin
     ctx.t.Task.uid <- uid;
     ctx.t.Task.euid <- uid;
@@ -774,7 +723,6 @@ let setuid ctx ~uid : unit Errno.result =
   else Error Errno.EPERM
 
 let setgid ctx ~gid : unit Errno.result =
-  count ctx;
   if ctx.t.Task.euid = 0 || gid = ctx.t.Task.gid then begin
     ctx.t.Task.gid <- gid;
     ctx.t.Task.egid <- gid;
@@ -783,7 +731,6 @@ let setgid ctx ~gid : unit Errno.result =
   else Error Errno.EPERM
 
 let getpgid ctx ~pid : int Errno.result =
-  count ctx;
   if pid = 0 then Ok ctx.t.Task.pgid
   else
     match Task.find ctx.k pid with
@@ -791,7 +738,6 @@ let getpgid ctx ~pid : int Errno.result =
     | None -> Error Errno.ESRCH
 
 let setpgid ctx ~pid ~pgid : unit Errno.result =
-  count ctx;
   let target = if pid = 0 then Some ctx.t else Task.find ctx.k pid in
   match target with
   | Some t ->
@@ -800,7 +746,6 @@ let setpgid ctx ~pid ~pgid : unit Errno.result =
   | None -> Error Errno.ESRCH
 
 let setsid ctx : int Errno.result =
-  count ctx;
   if ctx.t.Task.pgid = ctx.t.Task.tgid then Error Errno.EPERM
   else begin
     ctx.t.Task.sid <- ctx.t.Task.tgid;
@@ -809,7 +754,6 @@ let setsid ctx : int Errno.result =
   end
 
 let umask ctx ~mask : int =
-  count ctx;
   let old = ctx.t.Task.umask in
   ctx.t.Task.umask <- mask land 0o777;
   old
@@ -819,16 +763,13 @@ let uname _ctx =
     "(none)" )
 
 let sysinfo ctx =
-  count ctx;
   (Fiber.now (), Hashtbl.length ctx.k.Task.tasks)
 
 let getrusage ctx ~who : (int64 * int64 * int) Errno.result =
-  count ctx;
   ignore who;
   Ok (ctx.t.Task.utime, ctx.t.Task.stime, ctx.t.Task.vm_peak / 1024)
 
 let prlimit64 ctx ~resource : (int64 * int64) Errno.result =
-  count ctx;
   if resource = rlimit_nofile then
     Ok (Int64.of_int ctx.t.Task.fdtab.Fdtab.max_fds,
         Int64.of_int ctx.t.Task.fdtab.Fdtab.max_fds)
@@ -836,11 +777,9 @@ let prlimit64 ctx ~resource : (int64 * int64) Errno.result =
   else Ok (Int64.max_int, Int64.max_int)
 
 let clock_gettime ctx ~clock : int64 =
-  count ctx;
   Task.clock_gettime ctx.k clock
 
 let getrandom ctx ~buf ~off ~len : int Errno.result =
-  count ctx;
   (* Same deterministic generator as /dev/urandom semantics-wise. *)
   let seed = ref (Int64.add 0x2545F4914F6CDD1DL (Int64.of_int (ctx.t.Task.tid * 7919))) in
   for i = 0 to len - 1 do
@@ -853,32 +792,26 @@ let getrandom ctx ~buf ~off ~len : int Errno.result =
   done;
   Ok len
 
-let sched_yield ctx : unit =
-  count ctx;
-  Fiber.yield ()
+let sched_yield (_ : ctx) : unit = Fiber.yield ()
 
 let futex_wait ctx ~mem_id ~addr ~load ~expected ~timeout_ns : unit Errno.result =
-  count ctx;
   let s = kstats ctx in
   s.Observe.Metrics.futex_waits <- s.Observe.Metrics.futex_waits + 1;
   Futex.wait ctx.futexes ~key:(mem_id, addr) ~load ~expected ?timeout_ns
     ~intr:ctx.t.Task.intr ()
 
 let futex_wake ctx ~mem_id ~addr ~n : int =
-  count ctx;
   let woken = Futex.wake ctx.futexes ~key:(mem_id, addr) ~n in
   let s = kstats ctx in
   s.Observe.Metrics.futex_wakes <- s.Observe.Metrics.futex_wakes + woken;
   woken
 
 let wait4 ctx ~pid ~options : (Task.wait_result option, Errno.t) result =
-  count ctx;
   Task.wait4 ctx.k ctx.t ~pid ~options
 
 (** execve, kernel half: resolve and read the new image; close CLOEXEC
     fds. The engine swaps the machine. *)
 let execve_load ctx ~path : string Errno.result =
-  count ctx;
   let* node = Vfs.resolve ctx.k.Task.fs ~cwd:ctx.t.Task.cwd path in
   match node.Vfs.kind with
   | Vfs.Reg b ->

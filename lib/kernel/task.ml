@@ -6,7 +6,6 @@ open Ktypes
 type state = Running | Zombie | Dead
 
 type tgroup = {
-  mutable tg_id : int; (* = leader tid *)
   mutable actions : sigaction array; (* index 1..nsig *)
   mutable group_pending : Sigset.t;
   mutable threads : t list;
@@ -37,7 +36,6 @@ and t = {
   mutable vm_peak : int;
   mutable utime : int64; (* consumed cpu, ns (charged by engines) *)
   mutable stime : int64;
-  mutable start_time : int64;
   mutable umask : int;
   mutable alarm_gen : int; (* cancels stale alarms *)
   attn : bool ref;
@@ -55,7 +53,6 @@ type kernel = {
   console_in : Pipe.t;
   mutable fg_pgid : int;
   mutable epoch_ns : int64; (* CLOCK_REALTIME base *)
-  mutable syscall_count : int64; (* global, for stats *)
   stats : Observe.Metrics.kstats; (* always-on kernel counters *)
 }
 
@@ -134,7 +131,6 @@ let boot () : kernel =
       console_in = Pipe.create ();
       fg_pgid = 1;
       epoch_ns = 1_700_000_000_000_000_000L;
-      syscall_count = 0L;
       stats;
     }
   in
@@ -182,8 +178,8 @@ let alloc_tid k =
 let make_init (k : kernel) ~comm : t =
   let tid = alloc_tid k in
   let group =
-    { tg_id = tid; actions = fresh_actions (); group_pending = Sigset.empty;
-      threads = []; exiting = None }
+    { actions = fresh_actions (); group_pending = Sigset.empty; threads = [];
+      exiting = None }
   in
   let t =
     {
@@ -210,7 +206,6 @@ let make_init (k : kernel) ~comm : t =
       vm_peak = 0;
       utime = 0L;
       stime = 0L;
-      start_time = Fiber.now ();
       umask = 0o022;
       alarm_gen = 0;
       attn = ref true;
@@ -228,7 +223,6 @@ let clone_task (k : kernel) (parent : t) ~thread ~share_files : t =
     if thread then parent.group
     else
       {
-        tg_id = tid;
         actions = Array.copy parent.group.actions;
         group_pending = Sigset.empty;
         threads = [];
@@ -260,7 +254,6 @@ let clone_task (k : kernel) (parent : t) ~thread ~share_files : t =
       vm_peak = parent.vm_bytes;
       utime = 0L;
       stime = 0L;
-      start_time = Fiber.now ();
       umask = parent.umask;
       alarm_gen = 0;
       attn = ref true;

@@ -29,6 +29,17 @@ type ctx = {
 
 let align4 n = (n + 3) land lnot 3
 
+(** The ["wali"] import a MiniC builtin lowers to. *)
+let builtin_import_name = function
+  | "argc" -> "get_argc"
+  | "argv_len" -> "get_argv_len"
+  | "argv_copy" -> "copy_argv"
+  | "envc" -> "get_envc"
+  | "env_len" -> "get_env_len"
+  | "env_copy" -> "copy_env"
+  | "thread_spawn" -> "thread_spawn"
+  | b -> error "unknown builtin import %s" b
+
 (* ---- pre-scan: which imports / fnptrs does the program need? ---- *)
 
 let rec scan_expr ~syscalls ~builtins ~fnptrs (e : expr) =
@@ -398,16 +409,6 @@ let compile ?(mem_min_pages = 0) ?(mem_max_pages = 1024) ?(data_base = 1024)
       in
       Hashtbl.replace ctx.syscall_imports name idx)
     syscalls;
-  let builtin_import_name = function
-    | "argc" -> "get_argc"
-    | "argv_len" -> "get_argv_len"
-    | "argv_copy" -> "copy_argv"
-    | "envc" -> "get_envc"
-    | "env_len" -> "get_env_len"
-    | "env_copy" -> "copy_env"
-    | "thread_spawn" -> "thread_spawn"
-    | b -> error "unknown builtin import %s" b
-  in
   Hashtbl.iter
     (fun name arity ->
       let idx =

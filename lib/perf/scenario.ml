@@ -128,7 +128,3 @@ let model (results : app_result list) : Model.t * (string * string) list =
     List.map
       (fun r -> (r.ar_name, Observe.Sink.profile_folded r.ar_sink))
       results )
-
-(** Run the suite's deterministic scenarios. *)
-let run_suite ?(apps = Apps.Suite.all) () : Model.t * (string * string) list =
-  model (List.map run_app apps)

@@ -315,11 +315,10 @@ let hook (st : state) : Engine.hook =
 (** Replay [trace] against [binary]. [setup] re-creates the boot-time
     VFS environment (needed only when the recorded run execve'd binaries
     out of the VFS). The digest check refuses a binary other than the
-    recorded one unless [check_digest:false]. A verbose [strace] and an
-    [observe] sink see the replay as they would the recorded run. *)
-let replay ?(setup = fun (_ : Kernel.Task.kernel) -> ())
-    ?(check_digest = true) ?strace ?observe ~(trace : Trace.t)
-    ~(binary : string) () : outcome =
+    recorded one. A verbose [strace] and an [observe] sink see the
+    replay as they would the recorded run. *)
+let replay ?(setup = fun (_ : Kernel.Task.kernel) -> ()) ?strace ?observe
+    ~(trace : Trace.t) ~(binary : string) () : outcome =
   let total = Array.length trace.Trace.tr_events in
   let st = make trace and status = ref 0 in
   (* a divergence found outside the run: pid 0, the first one wins *)
@@ -333,7 +332,7 @@ let replay ?(setup = fun (_ : Kernel.Task.kernel) -> ())
     else "run completion"
   in
   let digest = Digest.string binary and h = trace.Trace.tr_header in
-  if check_digest && digest <> h.Trace.h_digest then
+  if digest <> h.Trace.h_digest then
     found (-1) "binary digest" (Digest.to_hex h.Trace.h_digest) (Digest.to_hex digest)
   else begin
     let kernel = Kernel.Task.boot () in

@@ -24,8 +24,8 @@ let errno_of_name = Errno.to_code
 
 (* Build the shared proc plumbing so Wali.Interface.dispatch can serve
    this task. *)
-let make_proc eng (task : Task.t) (mem : Wasm.Rt.Memory.t) ~heap_base :
-    Wali.Engine.proc * Wasm.Rt.machine =
+let make_proc eng (task : Task.t) (mem : Wasm.Rt.Memory.t) ~heap_base ~argv
+    ~env : Wali.Engine.proc * Wasm.Rt.machine =
   let inst : Wasm.Rt.instance =
     {
       Wasm.Rt.i_name = "native";
@@ -43,8 +43,8 @@ let make_proc eng (task : Task.t) (mem : Wasm.Rt.Memory.t) ~heap_base :
   let shared =
     {
       Wali.Engine.ps_mmap = Wali.Mmap_mgr.create ~heap_base;
-      ps_argv = [||];
-      ps_env = [||];
+      ps_argv = Array.of_list argv;
+      ps_env = Array.of_list env;
       ps_mem_id = Wali.Engine.fresh_mem_id eng;
       ps_brk = Wali.Mmap_mgr.align_up heap_base;
       ps_heap_base = heap_base;
@@ -106,9 +106,9 @@ let start ?(kernel : Task.kernel option) ?(argv = [ "prog" ]) ?(env = [])
         t
   in
   let mem = Wasm.Rt.Memory.create ~min_pages:64 ~max_pages:2048 in
-  let p, machine = make_proc eng task mem ~heap_base:c.Minic.Mc_native.nc_heap_base in
-  ignore p;
-  let argv_arr = Array.of_list argv and env_arr = Array.of_list env in
+  let p, machine =
+    make_proc eng task mem ~heap_base:c.Minic.Mc_native.nc_heap_base ~argv ~env
+  in
   let result = ref None in
   let finish status st =
     Task.exit_task kernel task ~status;
@@ -145,26 +145,13 @@ let start ?(kernel : Task.kernel option) ?(argv = [ "prog" ]) ?(env = [])
         ;
         h_builtin =
           (fun b args ->
-            let vec =
-              match b with
-              | "envc" | "env_len" | "env_copy" -> env_arr
-              | _ -> argv_arr
-            in
             match b with
-            | "argc" | "envc" -> Array.length vec
-            | "argv_len" | "env_len" ->
-                let i = args.(0) in
-                if i < 0 || i >= Array.length vec then -1
-                else String.length vec.(i) + 1
-            | "argv_copy" | "env_copy" ->
-                let addr = args.(0) and i = args.(1) in
-                if i < 0 || i >= Array.length vec then -1
-                else begin
-                  Wasm.Rt.Memory.write_string mem ~addr (vec.(i) ^ "\000");
-                  String.length vec.(i) + 1
-                end
             | "thread_spawn" -> -errno_of_name Errno.ENOSYS
-            | _ -> -1);
+            | _ ->
+                let arg i = if i < Array.length args then args.(i) else 0 in
+                Wali.Interface.argv_env
+                  (Minic.Mc_wasm.builtin_import_name b)
+                  p.Wali.Engine.pr_shared mem (arg 0) (arg 1));
         h_poll =
           (fun () ->
             match !st_ref with

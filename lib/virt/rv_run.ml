@@ -32,46 +32,31 @@ let start ?(kernel : Task.kernel option) ?(argv = [ "prog" ]) ?(env = [])
   let kernel = match kernel with Some k -> k | None -> Task.boot () in
   let eng = Wali.Engine.create kernel in
   let result = ref None in
-  let argv_arr = Array.of_list argv and env_arr = Array.of_list env in
   (* Launch one guest machine as one kernel task; fork recurses. *)
   let rec launch (task : Task.t) (rv : Riscv.Rv_mach.t) : unit =
     let mem = rv.Riscv.Rv_mach.mem in
     let p, wmachine =
       Native_run.make_proc eng task mem ~heap_base:img.Minic.Mc_rv.rv_heap_base
+        ~argv ~env
     in
-    ignore p;
     let ecall (m : Riscv.Rv_mach.t) : unit =
       let nr = Riscv.Rv_mach.get m Riscv.Rv_asm.a7 in
       let arg i = Riscv.Rv_mach.get m (Riscv.Rv_asm.a0 + i) in
       let setret v = Riscv.Rv_mach.set m Riscv.Rv_asm.a0 v in
       match Riscv.Rv_linux.builtin_of_nr nr with
       | Some b -> (
-          let vec =
-            match b with
-            | "envc" | "env_len" | "env_copy" -> env_arr
-            | _ -> argv_arr
-          in
           match b with
-          | "argc" | "envc" -> setret (Array.length vec)
-          | "argv_len" | "env_len" ->
-              let i = arg 0 in
-              setret
-                (if i < 0 || i >= Array.length vec then -1
-                 else String.length vec.(i) + 1)
-          | "argv_copy" | "env_copy" ->
-              let addr = arg 0 and i = arg 1 in
-              if i < 0 || i >= Array.length vec then setret (-1)
-              else begin
-                Wasm.Rt.Memory.write_string mem ~addr (vec.(i) ^ "\000");
-                setret (String.length vec.(i) + 1)
-              end
           | "memcopy" ->
               Wasm.Rt.Memory.copy mem ~dst:(arg 0) ~src:(arg 1) ~len:(arg 2);
               setret 0
           | "memfill" ->
               Wasm.Rt.Memory.fill mem ~dst:(arg 0) ~byte:(arg 1) ~len:(arg 2);
               setret 0
-          | _ -> setret (-Errno.to_code Errno.ENOSYS))
+          | _ ->
+              setret
+                (Wali.Interface.argv_env
+                   (Minic.Mc_wasm.builtin_import_name b)
+                   p.Wali.Engine.pr_shared mem (arg 0) (arg 1)))
       | None -> (
           match Riscv.Rv_linux.name_of_nr nr with
           | None -> setret (-Errno.to_code Errno.ENOSYS)

@@ -2,29 +2,29 @@
    behave identically on Wasm+WALI, native closures, and the RV32
    emulator — the compiler-backend-reusability story, checked. *)
 
-let run_wasm ?(argv = [ "prog" ]) src =
+let run_wasm ?(argv = [ "prog" ]) ?(env = []) src =
   let binary = Minic.to_wasm_binary src in
-  let status, out, _ = Wali.Interface.run_program ~binary ~argv ~env:[] () in
+  let status, out, _ = Wali.Interface.run_program ~binary ~argv ~env () in
   (status, out)
 
-let run_native ?(argv = [ "prog" ]) src =
+let run_native ?(argv = [ "prog" ]) ?env src =
   let c = Minic.Mc_native.compile (Minic.parse_with_libc src) in
-  let r = Virt.Native_run.run ~argv c in
+  let r = Virt.Native_run.run ~argv ?env c in
   (r.Virt.Native_run.r_status, r.Virt.Native_run.r_output)
 
-let run_rv ?(argv = [ "prog" ]) src =
+let run_rv ?(argv = [ "prog" ]) ?env src =
   let img = Minic.Mc_rv.compile (Minic.parse_with_libc src) in
-  let r = Virt.Rv_run.run ~argv img in
+  let r = Virt.Rv_run.run ~argv ?env img in
   (r.Virt.Rv_run.r_status, r.Virt.Rv_run.r_output)
 
-let check_all ?argv src expected =
-  let sw, ow = run_wasm ?argv src in
+let check_all ?argv ?env src expected =
+  let sw, ow = run_wasm ?argv ?env src in
   Alcotest.(check string) "wasm out" expected ow;
   Alcotest.(check int) "wasm status" 0 sw;
-  let sn, on = run_native ?argv src in
+  let sn, on = run_native ?argv ?env src in
   Alcotest.(check string) "native out" expected on;
   Alcotest.(check int) "native status" 0 sn;
-  let sr, orv = run_rv ?argv src in
+  let sr, orv = run_rv ?argv ?env src in
   Alcotest.(check string) "rv out" expected orv;
   Alcotest.(check int) "rv status" 0 sr
 
@@ -85,17 +85,28 @@ let test_syscalls_files () =
     |}
     "bcd\n1\n"
 
+(* The argv/env methods are one implementation on every backend: the
+   same vectors, and a copy to an address outside memory writes nothing
+   and returns the element's size, as WALI's does. *)
 let test_argv_across_backends () =
-  check_all ~argv:[ "prog"; "x"; "yy" ]
+  check_all ~argv:[ "prog"; "x"; "yy" ] ~env:[ "HOME=/h"; "TERM=vt100" ]
     {|
       int main(int argc, char **argv) {
+        printi(argv_copy((char*)2147483000, 0)); printc('\n');
         printi(argc); printc('\n');
-        printi(strlen(argv[2])); printc('\n');
-        println(argv[1]);
+        for (int i = 0; i < argc; i = i + 1) { println(argv[i]); }
+        int n = envc();
+        printi(n); printc('\n');
+        for (int i = 0; i < n; i = i + 1) {
+          char *e = malloc(env_len(i));
+          env_copy(e, i);
+          println(e);
+        }
+        printi(argv_len(3)); printc('\n');
         return 0;
       }
     |}
-    "3\n2\nx\n"
+    "5\n3\nprog\nx\nyy\n2\nHOME=/h\nTERM=vt100\n-1\n"
 
 let test_memops () =
   check_all

@@ -220,8 +220,8 @@ let test_scenario_deterministic () =
     | Some a -> a
     | None -> Alcotest.fail "no calc app"
   in
-  let m1, p1 = Perf.Scenario.run_suite ~apps:[ app ] () in
-  let m2, p2 = Perf.Scenario.run_suite ~apps:[ app ] () in
+  let m1, p1 = Perf.Scenario.(model [ run_app app ]) in
+  let m2, p2 = Perf.Scenario.(model [ run_app app ]) in
   Alcotest.(check string) "byte-identical wali-bench emission"
     (Perf.Model.to_json m1) (Perf.Model.to_json m2);
   (match (p1, p2) with

@@ -8,18 +8,12 @@ let contains = Astring_contains.contains
 
 (* ---- helpers ---- *)
 
-(* Record a suite app the way walireplay does: boot, app setup, scripted
-   stdin with EOF, then the recorded run. *)
+(* Record a suite app the way the gate and `walirun --app NAME --record`
+   do: boot, app setup, scripted stdin with EOF, then the recorded run. *)
 let record_app name : Replay.Recorder.run * string =
   match Apps.Suite.find name with
   | None -> Alcotest.failf "no app %s" name
-  | Some a ->
-      let kernel =
-        Apps.Suite.boot ~setup:a.Apps.Suite.a_setup ~stdin:a.Apps.Suite.a_stdin ()
-      in
-      ( Replay.Recorder.record ~app:name ~kernel
-          ~binary:(Apps.Suite.binary_of a) ~argv:a.Apps.Suite.a_argv ~env:[] (),
-        Apps.Suite.binary_of a )
+  | Some a -> (Perf.Scenario.record a, Apps.Suite.binary_of a)
 
 let replay_app name trace binary =
   match Apps.Suite.find name with
@@ -499,7 +493,7 @@ let test_golden_trace () =
     Alcotest.fail
       "calc compiles to a different image than the golden recording — the \
        compiler or WALI ABI changed; regenerate test/golden/app_calc.trace \
-       with `dune exec bin/walireplay.exe -- record --app calc -o \
+       with `dune exec bin/walirun.exe -- --app calc --record \
        test/golden/app_calc.trace` and review what moved";
   let o = replay_app "calc" trace binary in
   match o.Replay.Replayer.rp_divergence with
