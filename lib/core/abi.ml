@@ -19,11 +19,12 @@ type mem = Rt.Memory.t
 let check (m : mem) addr len =
   if addr < 0 || len < 0 || addr + len > Rt.Memory.size_bytes m then raise Efault
 
-(** Translate a guest pointer to a host view: the backing [Bytes.t] plus
-    the validated offset. This is the zero-copy path. *)
-let buffer (m : mem) ~addr ~len : Bytes.t * int =
+(** Translate a guest buffer of [len] bytes at [addr] to a host view:
+    the backing [Bytes.t], in which the buffer starts at offset [addr]
+    once this check passes. This is the zero-copy path. *)
+let bytes (m : mem) ~addr ~len : Bytes.t =
   check m addr len;
-  (m.Rt.Memory.data, addr)
+  m.Rt.Memory.data
 
 let u8 (m : mem) addr = check m addr 1; Char.code (Bytes.get m.Rt.Memory.data addr)
 let u16 (m : mem) addr = check m addr 2; Bytes.get_uint16_le m.Rt.Memory.data addr

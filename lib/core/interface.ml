@@ -11,11 +11,14 @@
 open Wasm
 open Kernel
 
-(* ---- result encoding ---- *)
+(* ---- result encoding: an unboxed int, widened only at a boxed edge ---- *)
 
-let errno_ret (e : Errno.t) = Int64.of_int (-Errno.to_code e)
-let retu = function Ok () -> 0L | Error e -> errno_ret e
-let reti = function Ok n -> Int64.of_int n | Error e -> errno_ret e
+let errno_ret (e : Errno.t) = -Errno.to_code e
+let retu = function Ok () -> 0 | Error e -> errno_ret e
+let reti = function Ok n -> n | Error e -> errno_ret e
+
+(* A result as the boxed edge returns it. *)
+let ret_i64 r = Rt.H_return [ Values.I64 (Int64.of_int r) ]
 
 (* ------------------------------------------------------------------ *)
 (* fork / exec / thread machinery                                       *)
@@ -77,7 +80,7 @@ let do_execve eng (p : Engine.proc) mem ~path_ptr ~argv_ptr ~envp_ptr :
   let argv = read_str_array mem argv_ptr in
   let envp = read_str_array mem envp_ptr in
   match Syscalls.execve_load p.Engine.pr_sys ~path with
-  | Error e -> Rt.H_return [ Values.I64 (errno_ret e) ]
+  | Error e -> ret_i64 (errno_ret e)
   | Ok binary -> (
       match
         Engine.build_image eng
@@ -85,7 +88,7 @@ let do_execve eng (p : Engine.proc) mem ~path_ptr ~argv_ptr ~envp_ptr :
             !resolver_ref eng ~module_name ~name)
           ~binary ~name:(Filename.basename path)
       with
-      | exception _ -> Rt.H_return [ Values.I64 (errno_ret Errno.ENOEXEC) ]
+      | exception _ -> ret_i64 (errno_ret Errno.ENOEXEC)
       | inst ->
           Rt.H_exec
             (fun () ->
@@ -114,8 +117,7 @@ let do_execve eng (p : Engine.proc) mem ~path_ptr ~argv_ptr ~envp_ptr :
               p.Engine.pr_machine <- Some m';
               m'))
 
-let do_thread_spawn eng (p : Engine.proc) (m : Rt.machine) ~entry_idx ~arg :
-    int64 =
+let do_thread_spawn eng (p : Engine.proc) (m : Rt.machine) ~entry_idx ~arg : int =
   match Engine.handler_func m.Rt.m_inst entry_idx with
   | None -> errno_ret Errno.EINVAL
   | Some f ->
@@ -130,7 +132,7 @@ let do_thread_spawn eng (p : Engine.proc) (m : Rt.machine) ~entry_idx ~arg :
       ignore
         (start eng child_task p.Engine.pr_shared tm ~fiber ~entry:(Some f)
            ~args:[ Values.I32 (Int32.of_int arg) ]);
-      Int64.of_int child_task.Task.tid
+      child_task.Task.tid
 
 (* ------------------------------------------------------------------ *)
 (* The syscall handlers, bound once per import                          *)
@@ -153,7 +155,7 @@ let ap c i = ai c i land 0xFFFFFFFF (* guest pointers are u32s carried in i64s *
 let ctx c = c.p.Engine.pr_sys
 let mem c = Rt.memory0 c.m
 let mm c = c.p.Engine.pr_shared.Engine.ps_mmap
-let buf c i len = Abi.buffer (mem c) ~addr:(ap c i) ~len
+let buf c i len = Abi.bytes (mem c) ~addr:(ap c i) ~len
 let str c i = Abi.cstring (mem c) (ap c i)
 let ( let* ) r f = match r with Ok x -> f x | Error e -> errno_ret e
 
@@ -176,48 +178,49 @@ let landed (mem : Rt.Memory.t) b off (r : int Errno.result) =
   r
 
 (* A partial transfer reports what moved before the error. *)
-let partial total e = if total > 0 then Int64.of_int total else errno_ret e
+let partial total e = if total > 0 then total else errno_ret e
 
 (** How an import is served: a [Slot] handler reads its arguments from the
-    stack and returns the raw i64 result; a [Proc] one needs machine
+    stack and returns the raw result as an [int]; a [Proc] one needs machine
     surgery only the engine loop can do (fork, exec, exit), so it keeps
     the boxed {!Rt.host_outcome} convention. *)
 type bound =
-  | Slot of (call -> int64)
+  | Slot of (call -> int)
   | Proc of (Engine.t -> Engine.proc -> Rt.machine -> Values.value array -> Rt.host_outcome)
 
 (** The handler of syscall [name]. The [match] runs when an import is
     linked (or a by-name call is made), never per guest call. *)
-let slot_handler (name : string) : call -> int64 =
+let slot_handler (name : string) : call -> int =
   match name with
   (* ---- plain I/O: zero-copy address-space translation ---- *)
   | "read" | "recvfrom" -> fun c ->
-      let b, off = buf c 1 (ai c 2) in
-      reti (landed (mem c) b off (Syscalls.read (ctx c) ~fd:(ai c 0) ~buf:b ~off ~len:(ai c 2)))
+      let off = ap c 1 and len = ai c 2 in
+      let b = buf c 1 len in
+      reti (landed (mem c) b off (Syscalls.read (ctx c) ~fd:(ai c 0) ~buf:b ~off ~len))
   | "write" | "sendto" -> fun c ->
-      let b, off = buf c 1 (ai c 2) in
-      reti (Syscalls.write (ctx c) ~fd:(ai c 0) ~buf:b ~off ~len:(ai c 2))
+      let off = ap c 1 and len = ai c 2 in
+      reti (Syscalls.write (ctx c) ~fd:(ai c 0) ~buf:(buf c 1 len) ~off ~len)
   | "pread64" -> fun c ->
-      let b, off = buf c 1 (ai c 2) in
-      reti (Syscalls.pread64 (ctx c) ~fd:(ai c 0) ~buf:b ~off ~len:(ai c 2) ~pos:(ai c 3))
+      let off = ap c 1 and len = ai c 2 in
+      reti (Syscalls.pread64 (ctx c) ~fd:(ai c 0) ~buf:(buf c 1 len) ~off ~len ~pos:(ai c 3))
   | "pwrite64" -> fun c ->
-      let b, off = buf c 1 (ai c 2) in
-      reti (Syscalls.pwrite64 (ctx c) ~fd:(ai c 0) ~buf:b ~off ~len:(ai c 2) ~pos:(ai c 3))
+      let off = ap c 1 and len = ai c 2 in
+      reti (Syscalls.pwrite64 (ctx c) ~fd:(ai c 0) ~buf:(buf c 1 len) ~off ~len ~pos:(ai c 3))
   | "readv" | "writev" ->
       let read = name = "readv" in
       fun c ->
         let mem = mem c and fd = ai c 0 in
         let rec go total = function
-          | [] -> Int64.of_int total
+          | [] -> total
           | (base, len) :: rest -> (
-              let b, off = Abi.buffer mem ~addr:base ~len in
+              let b = Abi.bytes mem ~addr:base ~len in
               let r =
-                if read then landed mem b off (Syscalls.read (ctx c) ~fd ~buf:b ~off ~len)
-                else Syscalls.write (ctx c) ~fd ~buf:b ~off ~len
+                if read then landed mem b base (Syscalls.read (ctx c) ~fd ~buf:b ~off:base ~len)
+                else Syscalls.write (ctx c) ~fd ~buf:b ~off:base ~len
               in
               match r with
-              | Ok 0 when read -> Int64.of_int total
-              | Ok n -> if n < len then Int64.of_int (total + n) else go (total + n) rest
+              | Ok 0 when read -> total
+              | Ok n -> if n < len then total + n else go (total + n) rest
               | Error e -> partial total e)
         in
         go 0 (Abi.read_iovecs mem ~iov:(ap c 1) ~cnt:(ai c 2))
@@ -237,7 +240,7 @@ let slot_handler (name : string) : call -> int64 =
       match Vfs.resolve c.eng.Engine.kernel.Task.fs ~cwd:(ctx c).Syscalls.t.Task.cwd (str c 0) with
       | Ok { Vfs.kind = Vfs.Reg b; _ } ->
           Bytebuf.truncate b (ai c 1);
-          0L
+          0
       | Ok _ -> errno_ret Errno.EINVAL
       | Error e -> errno_ret e)
   | "fsync" | "fdatasync" -> fun c -> retu (Syscalls.fsync (ctx c) ~fd:(ai c 0))
@@ -249,17 +252,17 @@ let slot_handler (name : string) : call -> int64 =
           let follow = if k = 1 then ai c 3 land 0x100 = 0 else stat in
           let* st = Syscalls.stat_path (ctx c) ~dirfd:(dirfd c k) ~path:(str c k) ~follow in
           Abi.write_kstat (mem c) (ap c (k + 1)) st;
-          0L
+          0
   | "fstat" -> fun c ->
       let* st = Syscalls.fstat (ctx c) ~fd:(ai c 0) in
       Abi.write_kstat (mem c) (ap c 1) st;
-      0L
+      0
   | "statfs" | "fstatfs" -> fun c ->
       (* synthetic tmpfs-shaped statfs: type, bsize, blocks, bfree *)
       List.iteri
         (fun i v -> Abi.set_i64 (mem c) (ap c 1 + (8 * i)) v)
         [ 0x01021994L; 4096L; 1048576L; 524288L ];
-      0L
+      0
   | "access" | "faccessat" ->
       let k = at name "faccessat" in
       fun c ->
@@ -294,7 +297,7 @@ let slot_handler (name : string) : call -> int64 =
           let* target = Syscalls.readlinkat (ctx c) ~dirfd:(dirfd c k) ~path:(str c k) in
           let n = min (String.length target) (ai c (k + 2)) in
           Abi.write_bytes (mem c) (ap c (k + 1)) (String.sub target 0 n);
-          Int64.of_int n
+          n
   | "chdir" -> fun c -> retu (Syscalls.chdir (ctx c) ~path:(str c 0))
   | "fchdir" -> fun c -> retu (Syscalls.fchdir (ctx c) ~fd:(ai c 0))
   | "getcwd" -> fun c ->
@@ -302,7 +305,7 @@ let slot_handler (name : string) : call -> int64 =
       if String.length cwd + 1 > ai c 1 then errno_ret Errno.ERANGE
       else begin
         Abi.write_cstring (mem c) (ap c 0) cwd;
-        Int64.of_int (String.length cwd + 1)
+        String.length cwd + 1
       end
   | "chmod" | "fchmodat" ->
       let k = at name "fchmodat" in
@@ -322,7 +325,7 @@ let slot_handler (name : string) : call -> int64 =
       (match Fdtab.get (ctx c).Syscalls.t.Task.fdtab fd with
       | Some d -> d.Fdtab.d_dir_cookie <- d.Fdtab.d_dir_cookie - (List.length entries - consumed)
       | None -> ());
-      Int64.of_int written)
+      written)
   | "utimensat" -> fun c ->
       let now = Task.clock_gettime c.eng.Engine.kernel Ktypes.clock_realtime in
       let mem = mem c and times = ap c 2 in
@@ -346,14 +349,14 @@ let slot_handler (name : string) : call -> int64 =
       if req = Ktypes.tiocgwinsz && a <> 0 then
         List.iteri (fun i v -> Abi.set_u16 mem (a + (2 * i)) v) [ 24; 80; 0; 0 ]
       else if req = Ktypes.fionread && a <> 0 then Abi.set_i32i mem a r;
-      0L
+      0
   | "pipe" | "pipe2" ->
       let pipe2 = name = "pipe2" in
       fun c ->
         let* r, w = Syscalls.pipe2 (ctx c) ~flags:(if pipe2 then ai c 1 else 0) in
         Abi.set_i32i (mem c) (ap c 0) r;
         Abi.set_i32i (mem c) (ap c 0 + 4) w;
-        0L
+        0
   (* ---- poll / select ---- *)
   | "poll" | "ppoll" ->
       let ppoll = name = "ppoll" in
@@ -367,7 +370,7 @@ let slot_handler (name : string) : call -> int64 =
         in
         let* n, revents = Syscalls.poll (ctx c) ~fds ~timeout_ms in
         Abi.write_revents mem ~addr:(ap c 0) revents;
-        Int64.of_int n
+        n
   | "select" | "pselect6" -> (fun c ->
       let mem = mem c and n = max 0 (min (ai c 0) 1024) in
       let byte a fd = a + (fd / 8) and bit fd = 1 lsl (fd mod 8) in
@@ -393,7 +396,7 @@ let slot_handler (name : string) : call -> int64 =
       List.iter
         (fun ((fd, _, a), _) -> Abi.set_u8 mem (byte a fd) (Abi.u8 mem (byte a fd) lor bit fd))
         ready;
-      Int64.of_int (List.length ready))
+      List.length ready)
   (* ---- memory management (§3.2) ---- *)
   | "mmap" -> (fun c ->
       let addr = ap c 0 and len = ai c 1 and prot = ai c 2 and flags = ai c 3 in
@@ -410,24 +413,24 @@ let slot_handler (name : string) : call -> int64 =
       let* file = file in
       let* a = Mmap_mgr.mmap (mm c) ~mem:(mem c) ~addr ~len ~prot ~flags ~file in
       Task.charge_vm (ctx c).Syscalls.t (Mmap_mgr.align_up len);
-      Int64.of_int a)
+      a)
   | "munmap" -> fun c ->
       let* () = Mmap_mgr.munmap (mm c) ~mem:(mem c) ~addr:(ap c 0) ~len:(ai c 1) in
       Task.charge_vm (ctx c).Syscalls.t (-Mmap_mgr.align_up (ai c 1));
-      0L
+      0
   | "mremap" -> fun c ->
       let* a =
         Mmap_mgr.mremap (mm c) ~mem:(mem c) ~old_addr:(ap c 0) ~old_len:(ai c 1) ~new_len:(ai c 2)
       in
       Task.charge_vm (ctx c).Syscalls.t (Mmap_mgr.align_up (ai c 2) - Mmap_mgr.align_up (ai c 1));
-      Int64.of_int a
+      a
   | "mprotect" ->
       fun c -> retu (Mmap_mgr.mprotect (mm c) ~addr:(ap c 0) ~len:(ai c 1) ~prot:(ai c 2))
   | "msync" -> fun c -> retu (Mmap_mgr.msync (mm c) ~mem:(mem c) ~addr:(ap c 0) ~len:(ai c 1))
   | "brk" -> (fun c ->
       let sh = c.p.Engine.pr_shared and req = ap c 0 in
       let cur = sh.Engine.ps_brk in
-      if req <= cur then Int64.of_int cur
+      if req <= cur then cur
       else
         (* grow-only brk within the mmap pool, as a dedicated region *)
         match
@@ -438,14 +441,14 @@ let slot_handler (name : string) : call -> int64 =
         with
         | Ok _ ->
             sh.Engine.ps_brk <- Mmap_mgr.align_up req;
-            Int64.of_int sh.Engine.ps_brk
-        | Error _ -> Int64.of_int cur)
+            sh.Engine.ps_brk
+        | Error _ -> cur)
   (* ---- signals (§3.3) ---- *)
   | "rt_sigaction" -> fun c ->
       let act = if ap c 1 = 0 then None else Some (Abi.read_sigaction (mem c) (ap c 1)) in
       let* old = Syscalls.rt_sigaction (ctx c) ~signo:(ai c 0) ~action:act in
       if ap c 2 <> 0 then Abi.write_sigaction (mem c) (ap c 2) old;
-      0L
+      0
   | "rt_sigprocmask" -> fun c ->
       let set = if ap c 1 = 0 then None else Some (Abi.i64 (mem c) (ap c 1)) in
       let* old = Syscalls.rt_sigprocmask (ctx c) ~how:(ai c 0) ~set in
@@ -453,11 +456,11 @@ let slot_handler (name : string) : call -> int64 =
       (* §3.3: handle signals unblocked by this call before re-entering
          the Wasm critical section. *)
       Engine.safepoint c.eng c.p c.m;
-      0L
+      0
   | "rt_sigpending" -> fun c ->
       let* pend = Syscalls.rt_sigpending (ctx c) in
       Abi.set_i64 (mem c) (ap c 0) pend;
-      0L
+      0
   | "rt_sigsuspend" -> fun c ->
       let nmask = Abi.i64 (mem c) (ap c 0) in
       let* old = Syscalls.rt_sigprocmask (ctx c) ~how:Ktypes.sig_setmask ~set:(Some nmask) in
@@ -481,35 +484,35 @@ let slot_handler (name : string) : call -> int64 =
       reti (Syscalls.alarm (ctx c) ~seconds:secs)
   | "getitimer" -> fun c ->
       List.iter (fun o -> Abi.write_timespec (mem c) (ap c 1 + o) ~ns:0L) [ 0; 16 ];
-      0L
+      0
   (* ---- processes (§3.1) ---- *)
   | "wait4" | "waitid" -> (fun c ->
       let* r = Syscalls.wait4 (ctx c) ~pid:(ai c 0) ~options:(ai c 2) in
       match r with
-      | None -> 0L
+      | None -> 0
       | Some wr ->
           if ap c 1 <> 0 then Abi.set_i32i (mem c) (ap c 1) wr.Task.wr_status;
-          (* rusage: fill ru_utime (timeval) *)
-          if ap c 3 <> 0 then Abi.write_timeval (mem c) (ap c 3) ~ns:wr.Task.wr_rusage_utime;
-          Int64.of_int wr.Task.wr_pid)
-  | "getpid" -> fun c -> Int64.of_int (Syscalls.getpid (ctx c))
-  | "getppid" -> fun c -> Int64.of_int (Syscalls.getppid (ctx c))
-  | "gettid" -> fun c -> Int64.of_int (Syscalls.gettid (ctx c))
-  | "getuid" -> fun c -> Int64.of_int (Syscalls.getuid (ctx c))
-  | "geteuid" -> fun c -> Int64.of_int (Syscalls.geteuid (ctx c))
-  | "getgid" -> fun c -> Int64.of_int (Syscalls.getgid (ctx c))
-  | "getegid" -> fun c -> Int64.of_int (Syscalls.getegid (ctx c))
+          (* rusage: ru_utime (timeval) is zero, no CPU time is charged *)
+          if ap c 3 <> 0 then Abi.write_timeval (mem c) (ap c 3) ~ns:0L;
+          wr.Task.wr_pid)
+  | "getpid" -> fun c -> Syscalls.getpid (ctx c)
+  | "getppid" -> fun c -> Syscalls.getppid (ctx c)
+  | "gettid" -> fun c -> Syscalls.gettid (ctx c)
+  | "getuid" -> fun c -> Syscalls.getuid (ctx c)
+  | "geteuid" -> fun c -> Syscalls.geteuid (ctx c)
+  | "getgid" -> fun c -> Syscalls.getgid (ctx c)
+  | "getegid" -> fun c -> Syscalls.getegid (ctx c)
   | "setuid" -> fun c -> retu (Syscalls.setuid (ctx c) ~uid:(ai c 0))
   | "setgid" -> fun c -> retu (Syscalls.setgid (ctx c) ~gid:(ai c 0))
   | "setpgid" -> fun c -> retu (Syscalls.setpgid (ctx c) ~pid:(ai c 0) ~pgid:(ai c 1))
   | "getpgid" -> fun c -> reti (Syscalls.getpgid (ctx c) ~pid:(ai c 0))
   | "getpgrp" -> fun c -> reti (Syscalls.getpgid (ctx c) ~pid:0)
   | "setsid" -> fun c -> reti (Syscalls.setsid (ctx c))
-  | "getsid" -> fun c -> Int64.of_int (ctx c).Syscalls.t.Task.sid
-  | "sched_yield" -> fun c -> Syscalls.sched_yield (ctx c); 0L
+  | "getsid" -> fun c -> (ctx c).Syscalls.t.Task.sid
+  | "sched_yield" -> fun c -> Syscalls.sched_yield (ctx c); 0
   | "sched_getaffinity" -> fun c ->
-      if ai c 1 < 8 then errno_ret Errno.EINVAL else (Abi.set_i64 (mem c) (ap c 2) 1L; 8L)
-  | "set_tid_address" -> fun c -> Int64.of_int (ctx c).Syscalls.t.Task.tid
+      if ai c 1 < 8 then errno_ret Errno.EINVAL else (Abi.set_i64 (mem c) (ap c 2) 1L; 8)
+  | "set_tid_address" -> fun c -> (ctx c).Syscalls.t.Task.tid
   | "prlimit64" | "getrlimit" ->
       let getrlimit = name = "getrlimit" in
       fun c ->
@@ -519,21 +522,19 @@ let slot_handler (name : string) : call -> int64 =
           Abi.set_i64 (mem c) out cur;
           Abi.set_i64 (mem c) (out + 8) mx
         end;
-        0L
+        0
   | "getrusage" -> fun c ->
-      let* ut, st, maxrss = Syscalls.getrusage (ctx c) ~who:(ai c 0) in
+      let* maxrss = Syscalls.getrusage (ctx c) ~who:(ai c 0) in
       let mem = mem c and a = ap c 1 in
-      Abi.write_timeval mem a ~ns:ut;
-      Abi.write_timeval mem (a + 16) ~ns:st;
+      Abi.write_timeval mem a ~ns:0L;
+      Abi.write_timeval mem (a + 16) ~ns:0L;
       Abi.set_i64 mem (a + 32) (Int64.of_int maxrss);
-      0L
+      0
   | "times" -> fun c ->
-      let t = (ctx c).Syscalls.t and mem = mem c and a = ap c 0 in
-      if a <> 0 then
-        List.iteri
-          (fun i v -> Abi.set_i64 mem (a + (8 * i)) v)
-          [ Int64.div t.Task.utime 10_000_000L; Int64.div t.Task.stime 10_000_000L; 0L; 0L ];
-      Int64.div (Fiber.now ()) 10_000_000L
+      (* struct tms: four zero clock counts, no CPU time is charged *)
+      let mem = mem c and a = ap c 0 in
+      if a <> 0 then for i = 0 to 3 do Abi.set_i64 mem (a + (8 * i)) 0L done;
+      Int64.to_int (Int64.div (Fiber.now ()) 10_000_000L)
   | "sysinfo" -> fun c ->
       let uptime, procs = Syscalls.sysinfo (ctx c) in
       let mem = mem c and a = ap c 0 in
@@ -541,34 +542,34 @@ let slot_handler (name : string) : call -> int64 =
       Abi.set_i64 mem (a + 8) 8_589_934_592L;
       Abi.set_i64 mem (a + 16) 4_294_967_296L;
       Abi.set_i32i mem (a + 24) procs;
-      0L
+      0
   | "uname" -> fun c ->
       let sysname, nodename, release, version, machine, domain = Syscalls.uname (ctx c) in
       List.iteri
         (fun i s -> Abi.write_cstring (mem c) (ap c 0 + (i * 65)) ~max:65 s)
         [ sysname; nodename; release; version; machine; domain ];
-      0L
-  | "umask" -> fun c -> Int64.of_int (Syscalls.umask (ctx c) ~mask:(ai c 0))
+      0
+  | "umask" -> fun c -> Syscalls.umask (ctx c) ~mask:(ai c 0)
   (* ---- time ---- *)
   | "nanosleep" | "clock_nanosleep" ->
       let req = if name = "nanosleep" then 0 else 2 in
       fun c -> retu (Syscalls.nanosleep (ctx c) ~ns:(Abi.read_timespec_ns (mem c) (ap c req)))
   | "clock_gettime" -> fun c ->
       Abi.write_timespec (mem c) (ap c 1) ~ns:(Syscalls.clock_gettime (ctx c) ~clock:(ai c 0));
-      0L
+      0
   | "clock_getres" -> fun c ->
       if ap c 1 <> 0 then Abi.write_timespec (mem c) (ap c 1) ~ns:1L;
-      0L
+      0
   | "gettimeofday" -> fun c ->
       let ns = Syscalls.clock_gettime (ctx c) ~clock:Ktypes.clock_realtime in
       Abi.write_timeval (mem c) (ap c 0) ~ns;
-      0L
+      0
   | "time" -> fun c ->
       let secs =
         Int64.div (Syscalls.clock_gettime (ctx c) ~clock:Ktypes.clock_realtime) 1_000_000_000L
       in
       if ap c 0 <> 0 then Abi.set_i64 (mem c) (ap c 0) secs;
-      secs
+      Int64.to_int secs
   (* ---- sockets ---- *)
   | "socket" -> fun c -> reti (Syscalls.socket (ctx c) ~family:(ai c 0) ~stype:(ai c 1))
   | "bind" | "connect" ->
@@ -584,13 +585,13 @@ let slot_handler (name : string) : call -> int64 =
         let n = Abi.write_sockaddr (mem c) ~addr:(ap c 1) (Socket.A_inet (0x7F000001, 0)) in
         Abi.set_i32i (mem c) (ap c 2) n
       end;
-      Int64.of_int fd
+      fd
   | "shutdown" -> fun c -> retu (Syscalls.shutdown (ctx c) ~fd:(ai c 0) ~how:(ai c 1))
   | "socketpair" -> fun c ->
       let* a, b = Syscalls.socketpair (ctx c) ~family:(ai c 0) in
       Abi.set_i32i (mem c) (ap c 3) a;
       Abi.set_i32i (mem c) (ap c 3 + 4) b;
-      0L
+      0
   | "setsockopt" -> fun c ->
       let v = if ap c 3 <> 0 && ai c 4 >= 4 then Int32.to_int (Abi.i32 (mem c) (ap c 3)) else 0 in
       retu (Syscalls.setsockopt (ctx c) ~fd:(ai c 0) ~level:(ai c 1) ~opt:(ai c 2) ~value:v)
@@ -598,21 +599,21 @@ let slot_handler (name : string) : call -> int64 =
       let* v = Syscalls.getsockopt (ctx c) ~fd:(ai c 0) ~level:(ai c 1) ~opt:(ai c 2) in
       if ap c 3 <> 0 then Abi.set_i32i (mem c) (ap c 3) v;
       if ap c 4 <> 0 then Abi.set_i32i (mem c) (ap c 4) 4;
-      0L
+      0
   | "getsockname" | "getpeername" -> fun c ->
       let n = Abi.write_sockaddr (mem c) ~addr:(ap c 1) (Socket.A_inet (0x7F000001, 0)) in
       Abi.set_i32i (mem c) (ap c 2) n;
-      0L
+      0
   | "sendfile" -> (fun c ->
       let infd = ai c 1 and outfd = ai c 0 and count = ai c 3 in
       if count < 0 then errno_ret Errno.EINVAL else
       let tmp = Bytes.create (min count 65536) in
       let rec go total =
         let want = min (Bytes.length tmp) (count - total) in
-        if want = 0 then Int64.of_int total
+        if want = 0 then total
         else
           match Syscalls.read (ctx c) ~fd:infd ~buf:tmp ~off:0 ~len:want with
-          | Ok 0 -> Int64.of_int total
+          | Ok 0 -> total
           | Ok n -> (
               match Syscalls.write (ctx c) ~fd:outfd ~buf:tmp ~off:0 ~len:n with
               | Ok _ -> go (total + n)
@@ -633,16 +634,16 @@ let slot_handler (name : string) : call -> int64 =
              ~timeout_ns)
       end
       else if op = Ktypes.futex_wake then
-        Int64.of_int (Syscalls.futex_wake (ctx c) ~mem_id ~addr ~n:(ai c 2))
+        Syscalls.futex_wake (ctx c) ~mem_id ~addr ~n:(ai c 2)
       else errno_ret Errno.ENOSYS
   | "getrandom" -> fun c ->
-      let b, off = buf c 0 (ai c 1) in
-      reti (Syscalls.getrandom (ctx c) ~buf:b ~off ~len:(ai c 1))
+      let len = ai c 1 in
+      reti (Syscalls.getrandom (ctx c) ~buf:(buf c 0 len) ~off:(ap c 0) ~len)
   (* accepted, with no effect *)
   | "sync" | "fchmod" | "fchown" | "flock" | "madvise" | "mincore" | "fadvise64" | "membarrier"
   | "sigaltstack" | "getgroups" | "sched_setaffinity" | "prctl" | "set_robust_list"
   | "setrlimit" ->
-      fun _ -> 0L
+      fun _ -> 0
   (* auto-generated passthrough stub (paper §5/§6) *)
   | _ -> fun _ -> errno_ret Errno.ENOSYS
 
@@ -654,7 +655,7 @@ let bind (name : string) : bound =
       (* Thread creation goes through the dedicated spawn method the
          libc uses (instance-per-thread); raw CLONE_VM is refused. *)
       if Int64.to_int (Values.as_i64 args.(0)) land Ktypes.clone_vm <> 0 then
-        Rt.H_return [ Values.I64 (errno_ret Errno.EINVAL) ]
+        ret_i64 (errno_ret Errno.EINVAL)
       else Rt.H_fork (fun child -> do_fork eng p child))
   | "execve" -> Proc (fun eng p m args ->
       let ptr i = Int64.to_int (Values.as_i64 args.(i)) land 0xFFFFFFFF in
@@ -694,18 +695,21 @@ let denied eng s =
 
 (* The checked calls. Failed pointer translation is -EFAULT, as in the raw
    kernel ABI. *)
-let efault_outcome = Rt.H_return [ Values.I64 (errno_ret Errno.EFAULT) ]
+let efault_outcome = ret_i64 (errno_ret Errno.EFAULT)
 
 let run_slot s h c =
   match denied c.eng s with
   | None -> ( try h c with Abi.Efault | Rt.Memory.Bounds -> errno_ret Errno.EFAULT)
   | Some r -> r
 
+(* What a call that never returns counts as. *)
+let eperm = errno_ret Errno.EPERM
+
 (* A crossing's one registry update, made whether the call returns or
    raises (a seccomp kill, a trap): a call that never returns counts as a
-   failed one. *)
+   failed one. Its result and its ns stay unboxed ints. *)
 let note eng s t0 r =
-  let ns = Int64.sub (Fiber.now ()) t0 and reg = Strace.metrics eng.Engine.trace in
+  let ns = Int64.to_int (Int64.sub (Fiber.now ()) t0) and reg = Strace.metrics eng.Engine.trace in
   if s.s_reg != reg then (s.s_row <- Observe.Metrics.stats_of reg s.s_name; s.s_reg <- reg);
   Observe.Metrics.record_stats reg s.s_row ~result:r ~ns
 
@@ -716,8 +720,8 @@ let hook_exit eng name p m ~base ~arity t0 r =
   | Some h -> h.Engine.h_exit p m name ~base ~arity ~ns:(Int64.sub (Fiber.now ()) t0) r
   | None -> ()
 
-let finish eng s (p : Engine.proc) m ~base ~arity t0 r =
-  note eng s t0 (Option.value r ~default:Engine.eperm);
+let finish eng s (p : Engine.proc) m ~base ~arity t0 (r : int64 option) =
+  note eng s t0 (match r with Some r -> Int64.to_int r | None -> eperm);
   hook_exit eng s.s_name p m ~base ~arity t0 r
 
 let enter eng name p m ~base ~arity =
@@ -751,7 +755,7 @@ let boxed eng s p m ~base args run : Rt.host_outcome =
   let live () =
     match denied eng s with
     | None -> ( try run () with Abi.Efault | Rt.Memory.Bounds -> efault_outcome)
-    | Some r -> Rt.H_return [ Values.I64 r ]
+    | Some r -> ret_i64 r
   in
   match
     match enter eng s.s_name p m ~base ~arity with
@@ -777,38 +781,45 @@ let boxed eng s p m ~base args run : Rt.host_outcome =
       outcome
 
 (* A slot syscall of [arity] arguments, the stack slots of [c]. The plain
-   path tests the hook slot and builds nothing; a hook reads the
-   arguments in place. *)
-let slot_crossing s arity h c : int64 =
+   path tests the hook slot and allocates nothing ([c] aside): the result,
+   the registry update and the virtual ns stay unboxed ints, and nothing
+   reads the machine's step snapshot, so it is not synced. The hooked and
+   interposed branches sync it first, since a hook or an interposer may
+   read it; a hook reads the arguments in place and sees an int64
+   result. *)
+let slot_crossing s arity h c : int =
   let eng = c.eng and p = c.p and m = c.m and base = c.base in
-  if eng.Engine.interpose != None then
+  if eng.Engine.interpose != None then begin
+    Rt.Machine.sync m;
     let args = Array.init arity (fun i -> Values.I64 (a64 c i)) in
-    match boxed eng s p m ~base args (fun () -> Rt.H_return [ Values.I64 (h c) ]) with
-    | Rt.H_return [ Values.I64 r ] -> r
+    match boxed eng s p m ~base args (fun () -> ret_i64 (h c)) with
+    | Rt.H_return [ Values.I64 r ] -> Int64.to_int r
     | _ -> Values.trap "%s: an interposer changed the result's type" s.s_name
+  end
   else
     let t0 = Fiber.now () in
     match eng.Engine.hook with
     | None -> (
         match run_slot s h c with
         | exception e ->
-            note eng s t0 Engine.eperm;
+            note eng s t0 eperm;
             raise e
         | r ->
             note eng s t0 r;
             Engine.safepoint eng p m;
             r)
     | Some hk -> (
+        Rt.Machine.sync m;
         match
           match hk.Engine.h_enter p m s.s_name ~base ~arity with
-          | Some r -> r
+          | Some r -> Int64.to_int r
           | None -> run_slot s h c
         with
         | exception e ->
             finish eng s p m ~base ~arity t0 None;
             raise e
         | r ->
-            finish eng s p m ~base ~arity t0 (Some r);
+            finish eng s p m ~base ~arity t0 (Some (Int64.of_int r));
             Engine.safepoint eng p m;
             r)
 
@@ -854,7 +865,7 @@ let dispatch eng name m (args : Values.value array) : Rt.host_outcome =
   by_name eng name m args (fun _ b _ base ->
       try
         match b with
-        | Slot h -> Rt.H_return [ Values.I64 (h { eng; p; m; base }) ]
+        | Slot h -> ret_i64 (h { eng; p; m; base })
         | Proc f -> f eng p m args
       with Abi.Efault | Rt.Memory.Bounds -> efault_outcome)
 
@@ -864,7 +875,7 @@ let traced_dispatch eng name m (args : Values.value array) : Rt.host_outcome =
   let p = Engine.proc_of eng m in
   by_name eng name m args (fun n b s base ->
       match b with
-      | Slot h -> Rt.H_return [ Values.I64 (slot_crossing s n h { eng; p; m; base }) ]
+      | Slot h -> ret_i64 (slot_crossing s n h { eng; p; m; base })
       | Proc f -> boxed eng s p m ~base args (fun () -> f eng p m args))
 
 (* ------------------------------------------------------------------ *)
@@ -921,7 +932,7 @@ let thread_spawn_host_func eng : Rt.func_inst =
       ignore (enter eng name p m ~base ~arity:2);
       interposed eng p name m args (fun () ->
           let tid = do_thread_spawn eng p m ~entry_idx:(arg 0) ~arg:(arg 1) in
-          Rt.H_return [ Values.I32 (Int64.to_int32 tid) ])
+          Rt.H_return [ Values.I32 (Int32.of_int tid) ])
     with
     | exception e ->
         exit None;

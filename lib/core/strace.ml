@@ -44,7 +44,7 @@ let print t ~pid ~name ~arity (arg : int -> int64) ~(result : int64) =
 (** Count one crossing of [name] in the registry, and log its line when
     the tracer is verbose. *)
 let note t ~pid ~name ~(args : int64 array) ~(result : int64) ~ns =
-  Observe.Metrics.record_stats t.reg (Observe.Metrics.stats_of t.reg name) ~result ~ns;
+  Observe.Metrics.record t.reg ~name ~result ~ns;
   if t.verbose then print t ~pid ~name ~arity:(Array.length args) (Array.get args) ~result
 
 (** (name, calls) sorted by frequency, most frequent first; ties break
@@ -65,7 +65,7 @@ let info_of (s : Observe.Metrics.syscall_stats) =
   {
     i_calls = s.Observe.Metrics.calls;
     i_errors = s.Observe.Metrics.errors;
-    i_ns = s.Observe.Metrics.ns;
+    i_ns = Int64.of_int s.Observe.Metrics.ns;
   }
 
 (** (name, info) in the same deterministic order as [profile]. *)

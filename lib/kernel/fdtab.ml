@@ -26,12 +26,19 @@ type t = {
   (* Last-fd fast path: most syscall bursts hammer a single descriptor
      (read/read/read on one fd), so remember the last successful lookup
      and serve repeats without touching the slot array.  Any operation
-     that can change what lives at a slot drops the memo. *)
-  mutable last : (int * entry) option;
+     that can change what lives at a slot drops the memo. The memo holds
+     the very [Some] stored in the slot, so neither a hit nor a miss
+     allocates. *)
+  mutable last_fd : int; (* -1: no memo *)
+  mutable last : entry option; (* [slots.(last_fd)] *)
 }
 
 let create ?(max_fds = 1024) () =
-  { slots = Array.make 64 None; max_fds; last = None }
+  { slots = Array.make 64 None; max_fds; last_fd = -1; last = None }
+
+let forget t =
+  t.last_fd <- -1;
+  t.last <- None
 
 let mk_desc ?(flags = 0) ?(path = "") kind =
   { d_kind = kind; d_pos = 0; d_flags = flags; d_refs = 1; d_path = path;
@@ -57,15 +64,16 @@ let release ?(sock_registry : Socket.registry option) d =
     | F_inode _ | F_gen _ | F_chardev _ -> ()
 
 let get_entry (t : t) fd : entry option =
-  match t.last with
-  | Some (lfd, e) when lfd = fd -> Some e
-  | _ ->
-      if fd < 0 || fd >= Array.length t.slots then None
-      else begin
-        let r = t.slots.(fd) in
-        (match r with Some e -> t.last <- Some (fd, e) | None -> ());
-        r
-      end
+  if fd = t.last_fd then t.last
+  else if fd < 0 || fd >= Array.length t.slots then None
+  else begin
+    let r = t.slots.(fd) in
+    if r != None then begin
+      t.last_fd <- fd;
+      t.last <- r
+    end;
+    r
+  end
 
 let get (t : t) fd : desc option =
   match get_entry t fd with Some e -> Some e.e_desc | None -> None
@@ -85,9 +93,10 @@ let install ?(from = 0) ?(cloexec = false) (t : t) d : (int, Errno.t) result =
       ensure_capacity t i;
       match t.slots.(i) with
       | None ->
-          let e = { e_desc = d; e_cloexec = cloexec } in
-          t.slots.(i) <- Some e;
-          t.last <- Some (i, e);
+          let r = Some { e_desc = d; e_cloexec = cloexec } in
+          t.slots.(i) <- r;
+          t.last_fd <- i;
+          t.last <- r;
           Ok i
       | Some _ -> find (i + 1)
     end
@@ -103,7 +112,7 @@ let install_at ?(cloexec = false) ?sock_registry (t : t) fd d :
     (match t.slots.(fd) with
     | Some e -> release ?sock_registry e.e_desc
     | None -> ());
-    t.last <- None;
+    forget t;
     t.slots.(fd) <- Some { e_desc = d; e_cloexec = cloexec };
     Ok fd
   end
@@ -112,13 +121,13 @@ let close ?sock_registry (t : t) fd : (unit, Errno.t) result =
   match get_entry t fd with
   | None -> Error Errno.EBADF
   | Some e ->
-      t.last <- None;
+      forget t;
       t.slots.(fd) <- None;
       release ?sock_registry e.e_desc;
       Ok ()
 
 let close_all ?sock_registry (t : t) =
-  t.last <- None;
+  forget t;
   Array.iteri
     (fun i e ->
       match e with
@@ -129,7 +138,7 @@ let close_all ?sock_registry (t : t) =
     t.slots
 
 let close_cloexec ?sock_registry (t : t) =
-  t.last <- None;
+  forget t;
   Array.iteri
     (fun i e ->
       match e with
@@ -148,7 +157,7 @@ let clone (t : t) : t =
            { e_desc = e.e_desc; e_cloexec = e.e_cloexec }))
       t.slots
   in
-  { slots; max_fds = t.max_fds; last = None }
+  { slots; max_fds = t.max_fds; last_fd = -1; last = None }
 
 let count (t : t) =
   Array.fold_left (fun n e -> if e = None then n else n + 1) 0 t.slots

@@ -63,46 +63,35 @@ let push p src src_off len =
   n
 
 (** Blocking read; 0 = EOF. *)
-let read p ~intr ~nonblock dst dst_off len : (int, Errno.t) result =
+let rec read p ~intr ~nonblock dst dst_off len : (int, Errno.t) result =
   if len = 0 then Ok 0
-  else begin
-    let rec go () =
-      if p.count > 0 then Ok (pop p dst dst_off len)
-      else if p.writers = 0 then Ok 0
-      else if nonblock then Error Errno.EAGAIN
-      else
-        match Waitq.wait ~intr p.read_wq with
-        | Waitq.Interrupted -> Error Errno.EINTR
-        | Waitq.Woken () | Waitq.Timeout -> go ()
-    in
-    go ()
-  end
+  else if p.count > 0 then Ok (pop p dst dst_off len)
+  else if p.writers = 0 then Ok 0
+  else if nonblock then Error Errno.EAGAIN
+  else
+    match Waitq.wait ~intr p.read_wq with
+    | Waitq.Interrupted -> Error Errno.EINTR
+    | Waitq.Woken () | Waitq.Timeout -> read p ~intr ~nonblock dst dst_off len
+
+(* [write] with [written] bytes of [len] already in. *)
+let rec write_from p ~intr ~nonblock src src_off len written =
+  let partial e = if written > 0 then Ok written else Error e in
+  if p.readers = 0 then partial Errno.EPIPE
+  else if written >= len then Ok written
+  else if space p > 0 then
+    write_from p ~intr ~nonblock src src_off len
+      (written + push p src (src_off + written) (len - written))
+  else if nonblock then partial Errno.EAGAIN
+  else
+    match Waitq.wait ~intr p.write_wq with
+    | Waitq.Interrupted -> partial Errno.EINTR
+    | Waitq.Woken () | Waitq.Timeout -> write_from p ~intr ~nonblock src src_off len written
 
 (** Blocking write of the full buffer (short writes only in nonblocking
     mode). Returns [Error EPIPE] when no readers remain — the caller is
     responsible for raising SIGPIPE. *)
 let write p ~intr ~nonblock src src_off len : (int, Errno.t) result =
-  if len = 0 then Ok 0
-  else begin
-    let written = ref 0 in
-    let rec go () =
-      if p.readers = 0 then
-        if !written > 0 then Ok !written else Error Errno.EPIPE
-      else if !written >= len then Ok !written
-      else if space p > 0 then begin
-        written := !written + push p src (src_off + !written) (len - !written);
-        go ()
-      end
-      else if nonblock then
-        if !written > 0 then Ok !written else Error Errno.EAGAIN
-      else
-        match Waitq.wait ~intr p.write_wq with
-        | Waitq.Interrupted ->
-            if !written > 0 then Ok !written else Error Errno.EINTR
-        | Waitq.Woken () | Waitq.Timeout -> go ()
-    in
-    go ()
-  end
+  if len = 0 then Ok 0 else write_from p ~intr ~nonblock src src_off len 0
 
 (** Poll readiness bits for one end of the pipe. *)
 let poll_read p =

@@ -76,16 +76,14 @@ let desc_read ctx (d : Fdtab.desc) buf off len : int Errno.result =
   | Fdtab.F_chardev cd -> cd.Vfs.cd_read ~intr ~nonblock buf off len
   | Fdtab.F_sock s -> tally_sock ctx (Socket.read s ~intr ~nonblock buf off len)
 
+(* A write to a pipe or socket with no reader raises SIGPIPE. *)
+let sigpipe_wrap ctx r =
+  (match r with Error Errno.EPIPE -> Task.post_to_thread ctx.k ctx.t sigpipe | _ -> ());
+  r
+
 let desc_write ctx (d : Fdtab.desc) buf off len : int Errno.result =
   let intr = ctx.t.Task.intr in
   let nonblock = nonblock_of d in
-  let sigpipe_wrap r =
-    match r with
-    | Error Errno.EPIPE ->
-        Task.post_to_thread ctx.k ctx.t sigpipe;
-        r
-    | _ -> r
-  in
   match d.Fdtab.d_kind with
   | Fdtab.F_inode i -> (
       match i.Vfs.kind with
@@ -100,41 +98,52 @@ let desc_write ctx (d : Fdtab.desc) buf off len : int Errno.result =
           Ok len
       | Vfs.Dir _ -> Error Errno.EISDIR
       | Vfs.Fifo p ->
-          tally_pipe ctx (sigpipe_wrap (Pipe.write p ~intr ~nonblock buf off len))
+          tally_pipe ctx (sigpipe_wrap ctx (Pipe.write p ~intr ~nonblock buf off len))
       | Vfs.Chardev cd -> cd.Vfs.cd_write buf off len
       | Vfs.Symlink _ | Vfs.Gen _ -> Error Errno.EINVAL)
   | Fdtab.F_gen _ -> Error Errno.EACCES
   | Fdtab.F_pipe_r _ -> Error Errno.EBADF
   | Fdtab.F_pipe_w p ->
-      tally_pipe ctx (sigpipe_wrap (Pipe.write p ~intr ~nonblock buf off len))
+      tally_pipe ctx (sigpipe_wrap ctx (Pipe.write p ~intr ~nonblock buf off len))
   | Fdtab.F_fifo (p, _, has_w) ->
       if has_w then
-        tally_pipe ctx (sigpipe_wrap (Pipe.write p ~intr ~nonblock buf off len))
+        tally_pipe ctx (sigpipe_wrap ctx (Pipe.write p ~intr ~nonblock buf off len))
       else Error Errno.EBADF
   | Fdtab.F_chardev cd -> cd.Vfs.cd_write buf off len
   | Fdtab.F_sock s ->
-      tally_sock ctx (sigpipe_wrap (Socket.write s ~intr ~nonblock buf off len))
+      tally_sock ctx (sigpipe_wrap ctx (Socket.write s ~intr ~nonblock buf off len))
 
 let with_fd ctx fd f =
-  match Fdtab.get ctx.t.Task.fdtab fd with
+  match Fdtab.get_entry ctx.t.Task.fdtab fd with
   | None -> Error Errno.EBADF
-  | Some d -> f d
+  | Some e -> f e.Fdtab.e_desc
 
 (* ------------------------------------------------------------------ *)
 (* I/O syscalls                                                         *)
 (* ------------------------------------------------------------------ *)
 
+(* The four hot calls match on the fd table themselves: a closure passed
+   to [with_fd] would be allocated on every call. *)
+
 let read ctx ~fd ~buf ~off ~len : int Errno.result =
   if len < 0 then Error Errno.EINVAL
-  else with_fd ctx fd (fun d -> desc_read ctx d buf off len)
+  else
+    match Fdtab.get_entry ctx.t.Task.fdtab fd with
+    | None -> Error Errno.EBADF
+    | Some e -> desc_read ctx e.Fdtab.e_desc buf off len
 
 let write ctx ~fd ~buf ~off ~len : int Errno.result =
   if len < 0 then Error Errno.EINVAL
-  else with_fd ctx fd (fun d -> desc_write ctx d buf off len)
+  else
+    match Fdtab.get_entry ctx.t.Task.fdtab fd with
+    | None -> Error Errno.EBADF
+    | Some e -> desc_write ctx e.Fdtab.e_desc buf off len
 
 let pread64 ctx ~fd ~buf ~off ~len ~pos : int Errno.result =
-  with_fd ctx fd (fun d ->
-      match d.Fdtab.d_kind with
+  match Fdtab.get_entry ctx.t.Task.fdtab fd with
+  | None -> Error Errno.EBADF
+  | Some e -> (
+      match e.Fdtab.e_desc.Fdtab.d_kind with
       | Fdtab.F_inode { Vfs.kind = Vfs.Reg b; _ } ->
           Ok (Bytebuf.pread b ~off:pos ~dst:buf ~dst_off:off ~len)
       | Fdtab.F_gen s ->
@@ -147,8 +156,10 @@ let pread64 ctx ~fd ~buf ~off ~len ~pos : int Errno.result =
       | _ -> Error Errno.ESPIPE)
 
 let pwrite64 ctx ~fd ~buf ~off ~len ~pos : int Errno.result =
-  with_fd ctx fd (fun d ->
-      match d.Fdtab.d_kind with
+  match Fdtab.get_entry ctx.t.Task.fdtab fd with
+  | None -> Error Errno.EBADF
+  | Some e -> (
+      match e.Fdtab.e_desc.Fdtab.d_kind with
       | Fdtab.F_inode ({ Vfs.kind = Vfs.Reg b; _ } as i) ->
           Bytebuf.pwrite b ~off:pos ~src:buf ~src_off:off ~len;
           i.Vfs.mtime <- Fiber.now ();
@@ -765,9 +776,11 @@ let uname _ctx =
 let sysinfo ctx =
   (Fiber.now (), Hashtbl.length ctx.k.Task.tasks)
 
-let getrusage ctx ~who : (int64 * int64 * int) Errno.result =
+(** The peak resident size in KiB, [ru_maxrss]. No CPU time is charged
+    to a task (DESIGN, known deviations), so getrusage's times are zero. *)
+let getrusage ctx ~who : int Errno.result =
   ignore who;
-  Ok (ctx.t.Task.utime, ctx.t.Task.stime, ctx.t.Task.vm_peak / 1024)
+  Ok (ctx.t.Task.vm_peak / 1024)
 
 let prlimit64 ctx ~resource : (int64 * int64) Errno.result =
   if resource = rlimit_nofile then

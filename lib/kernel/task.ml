@@ -34,8 +34,6 @@ and t = {
   child_wq : unit Waitq.t; (* this task waits here for its children *)
   mutable vm_bytes : int;
   mutable vm_peak : int;
-  mutable utime : int64; (* consumed cpu, ns (charged by engines) *)
-  mutable stime : int64;
   mutable umask : int;
   mutable alarm_gen : int; (* cancels stale alarms *)
   attn : bool ref;
@@ -204,8 +202,6 @@ let make_init (k : kernel) ~comm : t =
       child_wq = Waitq.create ();
       vm_bytes = 0;
       vm_peak = 0;
-      utime = 0L;
-      stime = 0L;
       umask = 0o022;
       alarm_gen = 0;
       attn = ref true;
@@ -252,8 +248,6 @@ let clone_task (k : kernel) (parent : t) ~thread ~share_files : t =
       child_wq = Waitq.create ();
       vm_bytes = parent.vm_bytes;
       vm_peak = parent.vm_bytes;
-      utime = 0L;
-      stime = 0L;
       umask = parent.umask;
       alarm_gen = 0;
       attn = ref true;
@@ -437,7 +431,7 @@ let exit_task (k : kernel) (t : t) ~(status : int) : unit =
     end
   end
 
-type wait_result = { wr_pid : int; wr_status : int; wr_rusage_utime : int64 }
+type wait_result = { wr_pid : int; wr_status : int }
 
 (** wait4. [pid] selector: -1 any child, >0 specific, 0 same pgroup,
     <-1 pgroup -pid. *)
@@ -455,10 +449,7 @@ let wait4 (k : kernel) (t : t) ~pid ~options : (wait_result option, Errno.t) res
     else
       match List.find_opt (fun c -> c.state = Zombie) candidates with
       | Some z ->
-          let r =
-            { wr_pid = z.tgid; wr_status = z.exit_status;
-              wr_rusage_utime = z.utime }
-          in
+          let r = { wr_pid = z.tgid; wr_status = z.exit_status } in
           reap k z;
           Ok (Some r)
       | None ->

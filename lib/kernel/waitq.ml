@@ -55,15 +55,21 @@ let wake_one q v =
   q.waiters <- List.filter (fun w -> w.live) q.waiters;
   r
 
-(** Wake every current waiter; returns the number woken. *)
+(** Wake every current waiter; returns the number woken. An empty
+    queue, the common case, returns at once. *)
 let wake_all q v =
-  let n = ref 0 in
-  List.iter
-    (fun w ->
-      if w.live then begin
-        w.fire (Woken v);
-        incr n
-      end)
-    q.waiters;
-  q.waiters <- [];
-  !n
+  match q.waiters with
+  | [] -> 0
+  | ws ->
+      let n =
+        List.fold_left
+          (fun n w ->
+            if w.live then begin
+              w.fire (Woken v);
+              n + 1
+            end
+            else n)
+          0 ws
+      in
+      q.waiters <- [];
+      n

@@ -4,27 +4,33 @@
     bucket [b >= 1] holds values in [[2^(b-1), 2^b - 1]]. The last bucket
     is open-ended up to [Int64.max_int]. Percentile estimates return the
     bucket's upper bound clamped to the largest value ever recorded, so a
-    single-sample histogram reports that sample exactly. *)
+    single-sample histogram reports that sample exactly.
+
+    The sum and the maximum are exact [int64]s kept unboxed in a byte
+    buffer, so recording a sample ({!record_int}, the WALI crossing's
+    path) allocates nothing. *)
 
 let nbuckets = 64
 
 type t = {
   counts : int array; (* length nbuckets *)
   mutable total : int;
-  mutable sum : int64;
-  mutable vmax : int64;
+  acc : Bytes.t; (* the int64 sum at byte 0, the int64 maximum at byte 8 *)
 }
 
-let create () = { counts = Array.make nbuckets 0; total = 0; sum = 0L; vmax = 0L }
+let create () = { counts = Array.make nbuckets 0; total = 0; acc = Bytes.make 16 '\000' }
 
+let sum t = Bytes.get_int64_ne t.acc 0
+let max_value t = Bytes.get_int64_ne t.acc 8
+
+(* Bit length of a non-negative int. *)
+let rec bits i v = if v = 0 then i else bits (i + 1) (v lsr 1)
+
+let bucket_of_int v = if v <= 0 then 0 else bits 0 v
+
+(* An int64 past [max_int] has 63 bits, the last bucket. *)
 let bucket_of (v : int64) : int =
-  if Int64.compare v 0L <= 0 then 0
-  else begin
-    let rec go i v =
-      if Int64.equal v 0L then i else go (i + 1) (Int64.shift_right_logical v 1)
-    in
-    min (nbuckets - 1) (go 0 v)
-  end
+  if v > Int64.of_int max_int then nbuckets - 1 else bucket_of_int (Int64.to_int v)
 
 (** Smallest value belonging to bucket [b]. *)
 let lower_bound b = if b <= 0 then 0L else Int64.shift_left 1L (b - 1)
@@ -35,16 +41,23 @@ let upper_bound b =
   else if b >= nbuckets - 1 then Int64.max_int
   else Int64.sub (Int64.shift_left 1L b) 1L
 
-let record t (v : int64) =
-  let v = if Int64.compare v 0L < 0 then 0L else v in
-  t.counts.(bucket_of v) <- t.counts.(bucket_of v) + 1;
+(* Count sample [v] >= 0 in bucket [b]. *)
+let[@inline] add t b (v : int64) =
+  t.counts.(b) <- t.counts.(b) + 1;
   t.total <- t.total + 1;
-  t.sum <- Int64.add t.sum v;
-  if Int64.compare v t.vmax > 0 then t.vmax <- v
+  Bytes.set_int64_ne t.acc 0 (Int64.add (Bytes.get_int64_ne t.acc 0) v);
+  if v > Bytes.get_int64_ne t.acc 8 then Bytes.set_int64_ne t.acc 8 v
+
+let record t (v : int64) =
+  let v = if v < 0L then 0L else v in
+  add t (bucket_of v) v
+
+(** [record] of an int sample, allocating nothing. *)
+let record_int t v =
+  let v = if v < 0 then 0 else v in
+  add t (bucket_of_int v) (Int64.of_int v)
 
 let count t = t.total
-let sum t = t.sum
-let max_value t = t.vmax
 
 (** [percentile t q] with [q] in [0, 1]: the upper bound of the bucket
     containing the sample of rank [ceil (q * total)], clamped to the
@@ -55,11 +68,11 @@ let percentile t (q : float) : int64 =
     let rank = Stdlib.max 1 (int_of_float (ceil (q *. float_of_int t.total))) in
     let rank = Stdlib.min rank t.total in
     let rec go b cum =
-      if b >= nbuckets then t.vmax
+      if b >= nbuckets then max_value t
       else begin
         let cum = cum + t.counts.(b) in
         if cum >= rank then
-          if Int64.compare (upper_bound b) t.vmax > 0 then t.vmax
+          if Int64.compare (upper_bound b) (max_value t) > 0 then max_value t
           else upper_bound b
         else go (b + 1) cum
       end
@@ -78,8 +91,8 @@ let merge a b =
     t.counts.(i) <- a.counts.(i) + b.counts.(i)
   done;
   t.total <- a.total + b.total;
-  t.sum <- Int64.add a.sum b.sum;
-  t.vmax <- (if Int64.compare a.vmax b.vmax > 0 then a.vmax else b.vmax);
+  Bytes.set_int64_ne t.acc 0 (Int64.add (sum a) (sum b));
+  Bytes.set_int64_ne t.acc 8 (if max_value a > max_value b then max_value a else max_value b);
   t
 
 (** Non-empty buckets as [(index, count)] pairs, index ascending. *)
@@ -93,5 +106,4 @@ let nonzero t : (int * int) list =
 let reset t =
   Array.fill t.counts 0 nbuckets 0;
   t.total <- 0;
-  t.sum <- 0L;
-  t.vmax <- 0L
+  Bytes.fill t.acc 0 16 '\000'

@@ -8,7 +8,7 @@
 type syscall_stats = {
   mutable calls : int;
   mutable errors : int;
-  mutable ns : int64; (* total time below the WALI boundary *)
+  mutable ns : int; (* total time below the WALI boundary *)
   hist : Hist.t; (* latency distribution, ns *)
 }
 
@@ -23,19 +23,28 @@ let stats_of t name =
   match Hashtbl.find_opt t.tbl name with
   | Some s -> s
   | None ->
-      let s = { calls = 0; errors = 0; ns = 0L; hist = Hist.create () } in
+      let s = { calls = 0; errors = 0; ns = 0; hist = Hist.create () } in
       Hashtbl.replace t.tbl name s;
       s
 
-(** Count one call in [s], a record of [t] from [stats_of]. *)
-let record_stats t s ~(result : int64) ~(ns : int64) =
+(* Count one call in [s], all but its histogram sample. *)
+let tally t s ~failed ~ns =
   s.calls <- s.calls + 1;
-  if Int64.compare result 0L < 0 then s.errors <- s.errors + 1;
-  s.ns <- Int64.add s.ns (if Int64.compare ns 0L > 0 then ns else 0L);
-  Hist.record s.hist ns;
+  if failed then s.errors <- s.errors + 1;
+  if ns > 0 then s.ns <- s.ns + ns;
   t.total <- t.total + 1
 
-let record t ~name ~result ~ns = record_stats t (stats_of t name) ~result ~ns
+(** Count one call in [s], a record of [t] from [stats_of]: the WALI
+    crossing's update, on unboxed ints, which allocates nothing. *)
+let record_stats t s ~(result : int) ~(ns : int) =
+  tally t s ~failed:(result < 0) ~ns;
+  Hist.record_int s.hist ns
+
+(** Count one call of [name], on the int64 values a trace carries. *)
+let record t ~name ~(result : int64) ~(ns : int64) =
+  let s = stats_of t name in
+  tally t s ~failed:(result < 0L) ~ns:(Int64.to_int ns);
+  Hist.record s.hist ns
 
 let find t name = Hashtbl.find_opt t.tbl name
 
@@ -45,7 +54,7 @@ let unique t = Hashtbl.length t.tbl
 let total_calls t = t.total
 
 let total_errors t = fold (fun _ s acc -> acc + s.errors) t 0
-let total_ns t = fold (fun _ s acc -> Int64.add acc s.ns) t 0L
+let total_ns t = Int64.of_int (fold (fun _ s acc -> acc + s.ns) t 0)
 
 (** [(name, stats)] sorted by name (deterministic dump order). *)
 let by_name t : (string * syscall_stats) list =
@@ -61,7 +70,7 @@ let cmp_by_calls (an, (a : syscall_stats)) (bn, (b : syscall_stats)) =
   match compare b.calls a.calls with 0 -> compare an bn | c -> c
 
 let cmp_by_time (an, (a : syscall_stats)) (bn, (b : syscall_stats)) =
-  let c = Int64.compare b.ns a.ns in
+  let c = compare b.ns a.ns in
   if c <> 0 then c
   else match compare b.calls a.calls with 0 -> compare an bn | c -> c
 

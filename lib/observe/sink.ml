@@ -301,7 +301,7 @@ let metrics_json o : string =
     (fun i (name, (s : Metrics.syscall_stats)) ->
       if i > 0 then Buffer.add_char b ',';
       Printf.bprintf b
-        "%s:{\"calls\":%d,\"errors\":%d,\"total_ns\":%Ld,\"p50_ns\":%Ld,\"p90_ns\":%Ld,\"p99_ns\":%Ld,\"max_ns\":%Ld,\"buckets\":["
+        "%s:{\"calls\":%d,\"errors\":%d,\"total_ns\":%d,\"p50_ns\":%Ld,\"p90_ns\":%Ld,\"p99_ns\":%Ld,\"max_ns\":%Ld,\"buckets\":["
         (Json.quote name) s.calls s.errors s.ns
         (Hist.percentile s.hist 0.50)
         (Hist.percentile s.hist 0.90)
@@ -365,7 +365,7 @@ let report o : string =
   let by_time = Metrics.by_time o.reg in
   List.iter
     (fun (name, (s : Metrics.syscall_stats)) ->
-      Printf.bprintf b "  %-18s %7d %6d %12Ld %9Ld %9Ld %9Ld\n" name s.calls
+      Printf.bprintf b "  %-18s %7d %6d %12d %9Ld %9Ld %9Ld\n" name s.calls
         s.errors s.ns
         (Hist.percentile s.hist 0.50)
         (Hist.percentile s.hist 0.90)

@@ -339,7 +339,7 @@ let call_host_direct m f args ~where =
   | Host_slot { hs_type; hs_fn; _ } ->
       let base = m.sp in
       List.iter (Machine.push m) args;
-      let r = hs_fn m base in
+      let r = Int64.of_int (hs_fn m base) in
       m.sp <- base;
       R_done (List.map (fun t -> Values.of_slot t r) hs_type.Types.results)
   | Host_func { hf_fn; _ } -> (
@@ -391,9 +391,7 @@ let rec run_machine ?(stop_depth = 0) (m0 : machine)
         (* the arguments stay in place; the result replaces the first *)
         let mch = !m in
         let base = mch.sp - List.length hs_type.Types.params in
-        Machine.sync mch;
-        let r = hs_fn mch base in
-        set_slot mch base r;
+        set_slot_i mch base (hs_fn mch base);
         mch.sp <- base + 1
     | Host_func { hf_type; hf_fn; _ } -> call_host f hf_type hf_fn
   in

@@ -199,12 +199,13 @@ and extern =
 
 and host_fn = machine -> value array -> host_outcome
 
-(** A host function on the slot convention, with one result: called as
-    [hs_fn m base], it reads its arguments from [m]'s stack slots
-    [base, base + arity), which stay live under anything pushed meanwhile
-    until it returns, and returns the result's slot bits. No
-    {!Values.value} is built. *)
-and slot_fn = machine -> int -> int64
+(** A host function on the slot convention, with one integer result:
+    called as [hs_fn m base], it reads its arguments from [m]'s stack
+    slots [base, base + arity), which stay live under anything pushed
+    meanwhile until it returns, and returns the result as an unboxed
+    [int], which the interpreter stores sign-extended into the result's
+    slot. No {!Values.value} and no boxed [int64] is built. *)
+and slot_fn = machine -> int -> int
 
 (** What a host function tells the engine loop to do. [H_fork] and
     [H_exec] require machine surgery that only the engine loop can
@@ -323,9 +324,11 @@ module Machine = struct
     }
 
   (** Publish the hot counters to the [steps]/[fused] snapshot. The
-      interpreter calls this wherever control leaves its loop: before a
-      host call, the poll hook and the profiler hook, and when the run
-      ends (result, trap or exit). *)
+      interpreter calls this wherever control leaves its loop for code
+      that may read the snapshot: before a boxed host call, the poll hook
+      and the profiler hook, and when the run ends (result, trap or
+      exit). A slot host call does not: the WALI crossing syncs in its
+      hooked and interposed branches, the only ones that read it. *)
   let sync m =
     m.steps <- Int64.of_int m.hot_steps;
     m.fused <- Int64.of_int m.hot_fused

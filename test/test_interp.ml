@@ -187,7 +187,7 @@ let test_slot_host_args_stable () =
     | Interp.R_done [ Values.I32 63l ] -> ()
     | r -> Alcotest.failf "nested call: %s" (show r));
     Alcotest.(check (pair int64 int64)) "arguments intact" before (slot m base, slot m (base + 1));
-    Int64.add (Int64.mul (fst before) 1_000_000L) (snd before)
+    Int64.to_int (Int64.add (Int64.mul (fst before) 1_000_000L) (snd before))
   in
   let ty = { Types.params = [ i64; i64 ]; results = [ i64 ] } in
   let hosts = [ ("h", Rt.E_func (Rt.Host_slot { hs_name = "h"; hs_type = ty; hs_fn })) ] in

@@ -113,6 +113,45 @@ let test_hist_merge () =
       last := v)
     [ 0.0; 0.25; 0.5; 0.75; 0.9; 0.99; 1.0 ]
 
+(* ---- the crossing's unboxed registry path ---- *)
+
+(* The WALI crossing counts a call with [Metrics.record_stats] on unboxed
+   ints (what [Interface]'s [note] calls); a trace's int64 values go
+   through [Metrics.record]. One random sequence of (result, ns), mostly
+   zeros, with ns up to 2^40 and some negatives, must leave both
+   registries identical. *)
+let prop_registry_int_path =
+  let open QCheck.Gen in
+  let result = frequency [ (6, return 0); (2, int_range 1 4096); (2, int_range (-133) (-1)) ] in
+  let ns =
+    frequency
+      [ (5, return 0); (3, int_range 1 1_000); (2, int_range 0 (1 lsl 40));
+        (1, int_range (-(1 lsl 40)) (-1)) ]
+  in
+  let print = QCheck.Print.(list (pair int int)) in
+  QCheck.Test.make ~name:"registry: crossing's int path = Metrics.record" ~count:200
+    (QCheck.make ~print (list_size (int_range 1 300) (pair result ns)))
+    (fun calls ->
+      let open Observe in
+      let crossing = Metrics.create () and traced = Metrics.create () in
+      let row = Metrics.stats_of crossing "read" in
+      List.iter
+        (fun (result, ns) ->
+          Metrics.record_stats crossing row ~result ~ns;
+          Metrics.record traced ~name:"read" ~result:(Int64.of_int result) ~ns:(Int64.of_int ns))
+        calls;
+      let view reg =
+        match Metrics.find reg "read" with
+        | None -> None
+        | Some s ->
+            let h = s.Metrics.hist in
+            Some
+              ( (s.Metrics.calls, s.Metrics.errors, s.Metrics.ns, Metrics.total_calls reg),
+                (Hist.count h, Hist.sum h, Hist.nonzero h),
+                List.map (Hist.percentile h) [ 0.5; 0.9; 0.99 ] @ [ Hist.max_value h ] )
+      in
+      view crossing = view traced)
+
 (* ---- deterministic row ordering (shared comparators) ---- *)
 
 let test_metrics_sort_tiebreak () =
@@ -325,6 +364,7 @@ let tests =
     Alcotest.test_case "histogram bucket edges" `Quick test_hist_buckets;
     Alcotest.test_case "histogram percentiles" `Quick test_hist_percentiles;
     Alcotest.test_case "histogram merge" `Quick test_hist_merge;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 20 |]) prop_registry_int_path;
     Alcotest.test_case "metrics sort tie-breaks on name" `Quick
       test_metrics_sort_tiebreak;
     Alcotest.test_case "json parser" `Quick test_json_parser;

@@ -566,85 +566,122 @@ let test_exit_in_handler () =
 (* Safepoint attention cell                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* [n] trips of an i32 countdown loop, then exit_group(0). *)
-let countdown n =
-  build_wali_module ~imports:[ ("exit_group", 1) ] ~locals:[ i32t ] (fun call ->
-      [
-        I32_const (Int32.of_int n); Local_set 0;
-        Block
-          ( Bt_none,
-            [
-              Loop
-                ( Bt_none,
-                  [
-                    Local_get 0; I32_eqz; Br_if 1;
-                    Local_get 0; I32_const 1l; I32_binop Sub; Local_set 0; Br 0;
-                  ] );
-            ] );
-        k 0; call "exit_group"; Drop;
-      ])
+(* [n] trips of an i32 countdown loop, each running [trip] (after
+   [setup], run once), then exit_group(0). *)
+let trips ?extra ?(setup = fun _ -> []) ~imports trip n =
+  build_wali_module ?extra ~imports:(imports @ [ ("exit_group", 1) ]) ~locals:[ i32t; i64t ]
+    (fun call ->
+      setup call
+      @ [
+          I32_const (Int32.of_int n); Local_set 0;
+          Block
+            ( Bt_none,
+              [
+                Loop
+                  ( Bt_none,
+                    [ Local_get 0; I32_eqz; Br_if 1 ]
+                    @ trip call
+                    @ [ Local_get 0; I32_const 1l; I32_binop Sub; Local_set 0; Br 0 ] );
+              ] );
+          k 0; call "exit_group"; Drop;
+        ])
 
-(* Under the engine's poll hook, a loop-header poll with nothing pending
-   stays in the interpreter: [2n] trips allocate under one word per trip
-   more than [n] (a poll that leaves the frame boxes the step counters). *)
-let test_poll_no_alloc () =
-  let n = 20_000 in
+let countdown = trips ~imports:[] (fun _ -> [])
+
+(* Minor words a trip of [program] allocates: [2n] trips against [n],
+   after a run of each (which compiles and caches both). *)
+let words_per_trip ?hook program n =
   let words binary =
     let w0 = Gc.minor_words () in
-    let status, _, _ = run binary in
-    let w1 = Gc.minor_words () in
+    let status, _, _ = run ?hook binary in
     Alcotest.(check int) "status" 0 status;
-    w1 -. w0
+    Gc.minor_words () -. w0
   in
-  let short = countdown n and long = countdown (2 * n) in
+  let short = program n and long = program (2 * n) in
   ignore (words short);
   ignore (words long);
-  let per_trip = (words long -. words short) /. float_of_int n in
+  (words long -. words short) /. float_of_int n
+
+(* Under the engine's poll hook, a loop-header poll with nothing pending
+   stays in the interpreter: a trip allocates under one word (a poll that
+   leaves the frame boxes the step counters). *)
+let test_poll_no_alloc () =
+  let per_trip = words_per_trip countdown 20_000 in
   if per_trip >= 1.0 then
     Alcotest.failf "a poll with nothing pending allocates %.2f words per trip" per_trip
 
 (* [countdown n] with a six-argument syscall per trip: futex op 99, which
    is -ENOSYS. *)
-let futex_loop n =
-  build_wali_module ~imports:[ ("futex", 6); ("exit_group", 1) ] ~locals:[ i32t ] (fun call ->
-      [
-        I32_const (Int32.of_int n); Local_set 0;
-        Block
-          ( Bt_none,
-            [
-              Loop
-                ( Bt_none,
-                  [
-                    Local_get 0; I32_eqz; Br_if 1;
-                    k 0; k 99; k 0; k 0; k 0; k 0; call "futex"; Drop;
-                    Local_get 0; I32_const 1l; I32_binop Sub; Local_set 0; Br 0;
-                  ] );
-            ] );
-        k 0; call "exit_group"; Drop;
-      ])
+let futex_loop =
+  trips ~imports:[ ("futex", 6) ] (fun call ->
+      [ k 0; k 99; k 0; k 0; k 0; k 0; call "futex"; Drop ])
 
 (* A hooked crossing reads its arguments in place. With a hook that does
    nothing, a trip (one six-argument call, its post-call poll and one
-   loop poll, both of which a hooked engine takes) allocates 23 words
-   more than a plain one, under the 37 that a [Values.value array] of
-   six i64 arguments alone takes. The verbose tracer, the recorder and
-   the replayer all take the hooked path. *)
+   loop poll, both of which a hooked engine takes) allocates at most 37
+   words, what a [Values.value array] of six i64 arguments alone would
+   take. The verbose tracer, the recorder and the replayer all take the
+   hooked path. *)
 let test_hooked_crossing_unboxed () =
-  let n = 5_000 in
-  let per_trip hook =
-    let words binary =
-      let w0 = Gc.minor_words () in
-      let status, _, _ = Interface.run_program ?hook ~binary ~argv:[ "t" ] ~env:[] () in
-      Alcotest.(check int) "status" 0 status;
-      Gc.minor_words () -. w0
-    in
-    let short = futex_loop n and long = futex_loop (2 * n) in
-    ignore (words short);
-    (words long -. words short) /. float_of_int n
+  let hooked = words_per_trip ~hook:Engine.nop_hook futex_loop 5_000 in
+  if hooked > 37.0 then Alcotest.failf "a hooked trip allocates %.1f words" hooked
+
+(* The plain crossing allocates its 5-word call record and nothing else:
+   the result, the registry update and the virtual ns stay unboxed, and
+   the step snapshot is not synced. A getpid trip is that record alone;
+   a pipe write and read, and a pread64 of a file, add only what their
+   kernel paths allocate: each [Ok n], and the pipe-byte tally's int64. *)
+let test_plain_crossing_alloc () =
+  let over = ref [] in
+  let pin name bound program =
+    let w = words_per_trip program 5_000 in
+    if w > bound then over := Printf.sprintf "%s %.1f (at most %.0f)" name w bound :: !over
   in
-  let plain = per_trip None and hooked = per_trip (Some Engine.nop_hook) in
-  if hooked -. plain > 30.0 then
-    Alcotest.failf "a hooked trip allocates %.1f words more than a plain one" (hooked -. plain)
+  pin "getpid" 6.0 (trips ~imports:[ ("getpid", 0) ] (fun call -> [ call "getpid"; Drop ]));
+  (* fds at 0 and 4, 8 bytes from 64 through the pipe to 128 *)
+  let fd a = [ I32_const a; I32_load { offset = 0; align = 2 }; I64_extend_i32 ZX ] in
+  pin "pipe write+read" 20.0
+    (trips
+       ~imports:[ ("pipe", 1); ("write", 3); ("read", 3) ]
+       ~setup:(fun call -> [ k 0; call "pipe"; Drop ])
+       (fun call ->
+         (fd 4l @ [ k 64; k 8; call "write"; Drop ]) @ fd 0l @ [ k 128; k 8; call "read"; Drop ]));
+  (* "/tmp/f" at 256; 64 bytes written once, 16 read back per trip *)
+  pin "pread64" 7.0
+    (trips
+       ~extra:(fun b -> Builder.add_data b ~offset:256 "/tmp/f\000")
+       ~imports:[ ("open", 3); ("write", 3); ("pread64", 4) ]
+       ~setup:(fun call ->
+         [ k 256; k Kernel.Ktypes.(o_creat lor o_rdwr); k 0o644; call "open"; Local_set 1;
+           Local_get 1; k 0; k 64; call "write"; Drop ])
+       (fun call -> [ Local_get 1; k 128; k 16; k 0; call "pread64"; Drop ]));
+  if !over <> [] then
+    Alcotest.failf "words per plain trip: %s" (String.concat ", " (List.rev !over))
+
+(* getrusage after a 64 KiB anonymous mmap: no CPU time is charged, so
+   both timevals are zeros written over 0xFF bytes, and ru_maxrss is the
+   task's peak in KiB. The exit code names the first check that fails. *)
+let test_getrusage () =
+  let m64 = { offset = 0; align = 3 } in
+  let at a = I32_const (Int32.of_int a) in
+  let binary =
+    build_wali_module
+      ~imports:[ ("mmap", 6); ("getrusage", 2); ("exit_group", 1) ]
+      ~locals:[]
+      (fun call ->
+        let exit_if code = [ If (Bt_none, [ k code; call "exit_group"; Drop ], []) ] in
+        List.concat_map (fun i -> [ at (64 + (8 * i)); I64_const (-1L); I64_store m64 ]) [ 0; 1; 2; 3; 4 ]
+        @ [ k 0; k 65536; k 3; k 0x22; k (-1); k 0; call "mmap"; Drop ]
+        @ [ k 0; k 64; call "getrusage"; I64_eqz; I32_eqz ] @ exit_if 3
+        @ [ at 64; I64_load m64; at 72; I64_load m64; I64_binop Or;
+            at 80; I64_load m64; I64_binop Or; at 88; I64_load m64; I64_binop Or;
+            I64_eqz; I32_eqz ]
+        @ exit_if 1
+        @ [ at 96; I64_load m64; k 64; I64_relop Ne ] @ exit_if 2
+        @ [ k 0; call "exit_group"; Drop ])
+  in
+  let status, _, _ = run binary in
+  Alcotest.(check int) "zero times, maxrss 64 KiB" 0 status
 
 (* Run [binary] as the initial process of a fresh engine whose "env"
    import [post] runs [post] on the calling process (a host call with no
@@ -1005,4 +1042,7 @@ let tests =
     Alcotest.test_case "a fork child's recycled memory equals its parent's" `Quick
       test_recycled_fork_memory;
     Alcotest.test_case "a released memory has 0 pages and faults" `Quick test_released_memory;
+    Alcotest.test_case "a plain crossing allocates only its call record" `Quick
+      test_plain_crossing_alloc;
+    Alcotest.test_case "getrusage: zero times, a non-zero maxrss" `Quick test_getrusage;
   ]
