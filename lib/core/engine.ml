@@ -112,7 +112,7 @@ let machine_stack (m : Rt.machine) : string list =
   List.init m.Rt.depth (fun i -> m.Rt.frames.(i).Rt.fr_code.Code.fc_name)
 
 (* What a call that never returns reports as its result. *)
-let eperm = Int64.of_int (-Kernel.Errno.to_code Kernel.Errno.EPERM)
+let eperm = -Kernel.Errno.to_code Kernel.Errno.EPERM
 
 (** The verbose tracer (WALI_VERBOSE): one strace line per crossing. *)
 let verbose_hook (tr : Strace.t) : hook =
@@ -121,7 +121,7 @@ let verbose_hook (tr : Strace.t) : hook =
     h_exit =
       (fun p m name ~base ~arity ~ns:_ r ->
         Strace.print tr ~pid:p.pr_task.Kernel.Task.tgid ~name ~arity (arg m base)
-          ~result:(Option.value r ~default:eperm));
+          ~result:(Option.value r ~default:(Int64.of_int eperm)));
   }
 
 (** The observability sink as a hook: syscall and signal spans, process
@@ -143,7 +143,7 @@ let sink_hook (o : Observe.Sink.t) : hook =
       (fun p m name ~base:_ ~arity:_ ~ns r ->
         let pid, tid = ids p in
         S.syscall_end o ~pid ~tid ~name ~ts:(Fiber.now ()) ~ns
-          ~result:(Option.value r ~default:eperm) ~stack:(fun () -> machine_stack m));
+          ~result:(Option.value r ~default:(Int64.of_int eperm)) ~stack:(fun () -> machine_stack m));
     h_poll = (fun _ _ -> S.safepoint_poll o);
     h_event =
       (fun ev ->

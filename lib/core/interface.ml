@@ -702,9 +702,6 @@ let run_slot s h c =
   | None -> ( try h c with Abi.Efault | Rt.Memory.Bounds -> errno_ret Errno.EFAULT)
   | Some r -> r
 
-(* What a call that never returns counts as. *)
-let eperm = errno_ret Errno.EPERM
-
 (* A crossing's one registry update, made whether the call returns or
    raises (a seccomp kill, a trap): a call that never returns counts as a
    failed one. Its result and its ns stay unboxed ints. *)
@@ -721,7 +718,7 @@ let hook_exit eng name p m ~base ~arity t0 r =
   | None -> ()
 
 let finish eng s (p : Engine.proc) m ~base ~arity t0 (r : int64 option) =
-  note eng s t0 (match r with Some r -> Int64.to_int r | None -> eperm);
+  note eng s t0 (match r with Some r -> Int64.to_int r | None -> Engine.eperm);
   hook_exit eng s.s_name p m ~base ~arity t0 r
 
 let enter eng name p m ~base ~arity =
@@ -802,7 +799,7 @@ let slot_crossing s arity h c : int =
     | None -> (
         match run_slot s h c with
         | exception e ->
-            note eng s t0 eperm;
+            note eng s t0 Engine.eperm;
             raise e
         | r ->
             note eng s t0 r;

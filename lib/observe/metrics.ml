@@ -27,24 +27,18 @@ let stats_of t name =
       Hashtbl.replace t.tbl name s;
       s
 
-(* Count one call in [s], all but its histogram sample. *)
-let tally t s ~failed ~ns =
-  s.calls <- s.calls + 1;
-  if failed then s.errors <- s.errors + 1;
-  if ns > 0 then s.ns <- s.ns + ns;
-  t.total <- t.total + 1
-
 (** Count one call in [s], a record of [t] from [stats_of]: the WALI
     crossing's update, on unboxed ints, which allocates nothing. *)
 let record_stats t s ~(result : int) ~(ns : int) =
-  tally t s ~failed:(result < 0) ~ns;
+  s.calls <- s.calls + 1;
+  if result < 0 then s.errors <- s.errors + 1;
+  if ns > 0 then s.ns <- s.ns + ns;
+  t.total <- t.total + 1;
   Hist.record_int s.hist ns
 
 (** Count one call of [name], on the int64 values a trace carries. *)
 let record t ~name ~(result : int64) ~(ns : int64) =
-  let s = stats_of t name in
-  tally t s ~failed:(result < 0L) ~ns:(Int64.to_int ns);
-  Hist.record s.hist ns
+  record_stats t (stats_of t name) ~result:(Int64.to_int result) ~ns:(Int64.to_int ns)
 
 let find t name = Hashtbl.find_opt t.tbl name
 

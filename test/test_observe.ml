@@ -119,7 +119,8 @@ let test_hist_merge () =
    ints (what [Interface]'s [note] calls); a trace's int64 values go
    through [Metrics.record]. One random sequence of (result, ns), mostly
    zeros, with ns up to 2^40 and some negatives, must leave both
-   registries identical. *)
+   registries identical, and their histograms must match one fed the
+   same samples through [Hist]'s exact int64 [record]. *)
 let prop_registry_int_path =
   let open QCheck.Gen in
   let result = frequency [ (6, return 0); (2, int_range 1 4096); (2, int_range (-133) (-1)) ] in
@@ -133,24 +134,30 @@ let prop_registry_int_path =
     (QCheck.make ~print (list_size (int_range 1 300) (pair result ns)))
     (fun calls ->
       let open Observe in
-      let crossing = Metrics.create () and traced = Metrics.create () in
+      let crossing = Metrics.create () and traced = Metrics.create () and exact = Hist.create () in
       let row = Metrics.stats_of crossing "read" in
       List.iter
         (fun (result, ns) ->
           Metrics.record_stats crossing row ~result ~ns;
-          Metrics.record traced ~name:"read" ~result:(Int64.of_int result) ~ns:(Int64.of_int ns))
+          Metrics.record traced ~name:"read" ~result:(Int64.of_int result) ~ns:(Int64.of_int ns);
+          Hist.record exact (Int64.of_int ns))
         calls;
+      let hist h =
+        ( (Hist.count h, Hist.sum h, Hist.nonzero h),
+          List.map (Hist.percentile h) [ 0.5; 0.9; 0.99 ] @ [ Hist.max_value h ] )
+      in
       let view reg =
         match Metrics.find reg "read" with
         | None -> None
         | Some s ->
-            let h = s.Metrics.hist in
             Some
               ( (s.Metrics.calls, s.Metrics.errors, s.Metrics.ns, Metrics.total_calls reg),
-                (Hist.count h, Hist.sum h, Hist.nonzero h),
-                List.map (Hist.percentile h) [ 0.5; 0.9; 0.99 ] @ [ Hist.max_value h ] )
+                hist s.Metrics.hist )
       in
-      view crossing = view traced)
+      let errors = List.length (List.filter (fun (r, _) -> r < 0) calls)
+      and ns = List.fold_left (fun acc (_, n) -> if n > 0 then acc + n else acc) 0 calls in
+      view crossing = view traced
+      && view crossing = Some ((List.length calls, errors, ns, List.length calls), hist exact))
 
 (* ---- deterministic row ordering (shared comparators) ---- *)
 
