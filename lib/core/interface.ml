@@ -826,7 +826,7 @@ let syscall_host_func eng (e : Spec.entry) : Rt.func_inst =
   match bind e.Spec.name with
   | Slot h ->
       let hs_fn m base = slot_crossing s arity h { eng; p = Engine.proc_of eng m; m; base } in
-      Rt.Host_slot { hs_name = name; hs_type = ty; hs_fn }
+      Rt.host_slot ~name ty hs_fn
   | Proc f ->
       let hf_fn m args =
         let p = Engine.proc_of eng m in

@@ -127,7 +127,7 @@ let read (s : t) ~intr ~nonblock dst off len : (int, Errno.t) result =
 
 let write (s : t) ~intr ~nonblock src off len : (int, Errno.t) result =
   match s.state with
-  | S_connected c -> Pipe.write c.tx ~intr ~nonblock src off len
+  | S_connected c -> Pipe.write c.tx ~intr ~nonblock ~atomic:false src off len
   | _ -> Error Errno.ENOTCONN
 
 let shutdown (s : t) how : (unit, Errno.t) result =
@@ -152,7 +152,7 @@ let close reg (s : t) =
 
 let poll_bits (s : t) =
   match s.state with
-  | S_connected c -> Pipe.poll_read c.rx lor Pipe.poll_write c.tx
+  | S_connected c -> Pipe.poll_read c.rx lor Pipe.poll_write c.tx ~atomic:false
   | S_listening l -> if not (Queue.is_empty l.backlog) then Ktypes.pollin else 0
   | S_closed -> Ktypes.pollnval
   | _ -> 0

@@ -81,6 +81,12 @@ let sigpipe_wrap ctx r =
   (match r with Error Errno.EPIPE -> Task.post_to_thread ctx.k ctx.t sigpipe | _ -> ());
   r
 
+(* Pipes and FIFOs write at most [Pipe.pipe_buf] bytes atomically;
+   socket streams do not. *)
+let pipe_write ctx p ~nonblock buf off len =
+  tally_pipe ctx
+    (sigpipe_wrap ctx (Pipe.write p ~intr:ctx.t.Task.intr ~nonblock ~atomic:true buf off len))
+
 let desc_write ctx (d : Fdtab.desc) buf off len : int Errno.result =
   let intr = ctx.t.Task.intr in
   let nonblock = nonblock_of d in
@@ -97,33 +103,24 @@ let desc_write ctx (d : Fdtab.desc) buf off len : int Errno.result =
           i.Vfs.mtime <- Fiber.now ();
           Ok len
       | Vfs.Dir _ -> Error Errno.EISDIR
-      | Vfs.Fifo p ->
-          tally_pipe ctx (sigpipe_wrap ctx (Pipe.write p ~intr ~nonblock buf off len))
+      | Vfs.Fifo p -> pipe_write ctx p ~nonblock buf off len
       | Vfs.Chardev cd -> cd.Vfs.cd_write buf off len
       | Vfs.Symlink _ | Vfs.Gen _ -> Error Errno.EINVAL)
   | Fdtab.F_gen _ -> Error Errno.EACCES
   | Fdtab.F_pipe_r _ -> Error Errno.EBADF
-  | Fdtab.F_pipe_w p ->
-      tally_pipe ctx (sigpipe_wrap ctx (Pipe.write p ~intr ~nonblock buf off len))
+  | Fdtab.F_pipe_w p -> pipe_write ctx p ~nonblock buf off len
   | Fdtab.F_fifo (p, _, has_w) ->
-      if has_w then
-        tally_pipe ctx (sigpipe_wrap ctx (Pipe.write p ~intr ~nonblock buf off len))
-      else Error Errno.EBADF
+      if has_w then pipe_write ctx p ~nonblock buf off len else Error Errno.EBADF
   | Fdtab.F_chardev cd -> cd.Vfs.cd_write buf off len
   | Fdtab.F_sock s ->
       tally_sock ctx (sigpipe_wrap ctx (Socket.write s ~intr ~nonblock buf off len))
-
-let with_fd ctx fd f =
-  match Fdtab.get_entry ctx.t.Task.fdtab fd with
-  | None -> Error Errno.EBADF
-  | Some e -> f e.Fdtab.e_desc
 
 (* ------------------------------------------------------------------ *)
 (* I/O syscalls                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* The four hot calls match on the fd table themselves: a closure passed
-   to [with_fd] would be allocated on every call. *)
+(* Every fd call matches on the fd table itself: a helper that took the
+   rest of the call as a closure would allocate it on every call. *)
 
 let read ctx ~fd ~buf ~off ~len : int Errno.result =
   if len < 0 then Error Errno.EINVAL
@@ -167,7 +164,9 @@ let pwrite64 ctx ~fd ~buf ~off ~len ~pos : int Errno.result =
       | _ -> Error Errno.ESPIPE)
 
 let lseek ctx ~fd ~offset ~whence : int Errno.result =
-  with_fd ctx fd (fun d ->
+  match Fdtab.get_entry ctx.t.Task.fdtab fd with
+  | None -> Error Errno.EBADF
+  | Some { Fdtab.e_desc = d; _ } -> (
       match d.Fdtab.d_kind with
       | Fdtab.F_inode { Vfs.kind = Vfs.Reg b; _ } ->
           let base =
@@ -279,7 +278,9 @@ let stat_path ctx ~dirfd ~path ~follow : stat Errno.result =
   Ok (Vfs.stat_of node)
 
 let fstat ctx ~fd : stat Errno.result =
-  with_fd ctx fd (fun d ->
+  match Fdtab.get_entry ctx.t.Task.fdtab fd with
+  | None -> Error Errno.EBADF
+  | Some { Fdtab.e_desc = d; _ } -> (
       match d.Fdtab.d_kind with
       | Fdtab.F_inode i -> Ok (Vfs.stat_of i)
       | Fdtab.F_gen s ->
@@ -317,7 +318,9 @@ let fstat ctx ~fd : stat Errno.result =
             })
 
 let ftruncate ctx ~fd ~len : unit Errno.result =
-  with_fd ctx fd (fun d ->
+  match Fdtab.get_entry ctx.t.Task.fdtab fd with
+  | None -> Error Errno.EBADF
+  | Some { Fdtab.e_desc = d; _ } -> (
       match d.Fdtab.d_kind with
       | Fdtab.F_inode { Vfs.kind = Vfs.Reg b; _ } ->
           if len < 0 then Error Errno.EINVAL
@@ -328,7 +331,9 @@ let ftruncate ctx ~fd ~len : unit Errno.result =
       | _ -> Error Errno.EINVAL)
 
 let fsync ctx ~fd : unit Errno.result =
-  with_fd ctx fd (fun _ -> Ok ())
+  match Fdtab.get_entry ctx.t.Task.fdtab fd with
+  | None -> Error Errno.EBADF
+  | Some _ -> Ok ()
 
 let faccessat ctx ~dirfd ~path ~amode : unit Errno.result =
   ignore amode;
@@ -393,7 +398,9 @@ let chdir ctx ~path : unit Errno.result =
   else Error Errno.ENOTDIR
 
 let fchdir ctx ~fd : unit Errno.result =
-  with_fd ctx fd (fun d ->
+  match Fdtab.get_entry ctx.t.Task.fdtab fd with
+  | None -> Error Errno.EBADF
+  | Some { Fdtab.e_desc = d; _ } -> (
       match d.Fdtab.d_kind with
       | Fdtab.F_inode i when Vfs.is_dir i ->
           ctx.t.Task.cwd <- i;
@@ -423,7 +430,9 @@ let fchownat ctx ~dirfd ~path ~uid ~gid : unit Errno.result =
 
 (** getdents64: up to [max] entries starting at the fd's cookie. *)
 let getdents ctx ~fd ~max : (string * int * int) list Errno.result =
-  with_fd ctx fd (fun d ->
+  match Fdtab.get_entry ctx.t.Task.fdtab fd with
+  | None -> Error Errno.EBADF
+  | Some { Fdtab.e_desc = d; _ } -> (
       match d.Fdtab.d_kind with
       | Fdtab.F_inode i when Vfs.is_dir i ->
           let all = Vfs.readdir i in
@@ -448,7 +457,9 @@ let utimensat ctx ~dirfd ~path ~atime_ns ~mtime_ns : unit Errno.result =
 (* ------------------------------------------------------------------ *)
 
 let dup ctx ~fd : int Errno.result =
-  with_fd ctx fd (fun d ->
+  match Fdtab.get_entry ctx.t.Task.fdtab fd with
+  | None -> Error Errno.EBADF
+  | Some { Fdtab.e_desc = d; _ } -> (
       Fdtab.incref d;
       noting ctx (Fdtab.install ctx.t.Task.fdtab d))
 
@@ -456,7 +467,9 @@ let dup3 ctx ~fd ~newfd ~cloexec : int Errno.result =
   if fd = newfd then
     if Fdtab.get ctx.t.Task.fdtab fd = None then Error Errno.EBADF else Ok fd
   else
-    with_fd ctx fd (fun d ->
+    match Fdtab.get_entry ctx.t.Task.fdtab fd with
+    | None -> Error Errno.EBADF
+    | Some { Fdtab.e_desc = d; _ } -> (
         Fdtab.incref d;
         noting ctx
           (Fdtab.install_at ~cloexec ~sock_registry:ctx.k.Task.sockets
@@ -488,7 +501,9 @@ let fcntl ctx ~fd ~cmd ~arg : int Errno.result =
       else Error Errno.EINVAL
 
 let ioctl ctx ~fd ~request : int Errno.result =
-  with_fd ctx fd (fun d ->
+  match Fdtab.get_entry ctx.t.Task.fdtab fd with
+  | None -> Error Errno.EBADF
+  | Some { Fdtab.e_desc = d; _ } -> (
       if request = tiocgwinsz then
         match d.Fdtab.d_kind with
         | Fdtab.F_inode { Vfs.kind = Vfs.Chardev _; _ } | Fdtab.F_chardev _ ->
@@ -522,14 +537,14 @@ let desc_poll_bits (d : Fdtab.desc) : int =
   | Fdtab.F_inode i -> (
       match i.Vfs.kind with
       | Vfs.Reg _ | Vfs.Dir _ -> pollin lor pollout
-      | Vfs.Fifo p -> Pipe.poll_read p lor Pipe.poll_write p
+      | Vfs.Fifo p -> Pipe.poll_read p lor Pipe.poll_write p ~atomic:true
       | Vfs.Chardev cd -> cd.Vfs.cd_poll ()
       | Vfs.Symlink _ | Vfs.Gen _ -> pollin)
   | Fdtab.F_gen _ -> pollin
   | Fdtab.F_pipe_r p -> Pipe.poll_read p
-  | Fdtab.F_pipe_w p -> Pipe.poll_write p
+  | Fdtab.F_pipe_w p -> Pipe.poll_write p ~atomic:true
   | Fdtab.F_fifo (p, r, w) ->
-      (if r then Pipe.poll_read p else 0) lor if w then Pipe.poll_write p else 0
+      (if r then Pipe.poll_read p else 0) lor if w then Pipe.poll_write p ~atomic:true else 0
   | Fdtab.F_chardev cd -> cd.Vfs.cd_poll ()
   | Fdtab.F_sock s -> Socket.poll_bits s
 
@@ -592,7 +607,9 @@ let socket ctx ~family ~stype : int Errno.result =
   end
 
 let with_sock ctx fd f =
-  with_fd ctx fd (fun d ->
+  match Fdtab.get_entry ctx.t.Task.fdtab fd with
+  | None -> Error Errno.EBADF
+  | Some { Fdtab.e_desc = d; _ } -> (
       match d.Fdtab.d_kind with
       | Fdtab.F_sock s -> f d s
       | _ -> Error Errno.ENOTSOCK)

@@ -125,7 +125,7 @@ let boot () : kernel =
       sockets = Socket.create_registry ();
       tasks = Hashtbl.create 64;
       next_tid = 1;
-      console_out = Buffer.create 4096;
+      console_out = Buffer.create 256; (* under the minor heap's 256-word limit *)
       console_in = Pipe.create ();
       fg_pgid = 1;
       epoch_ns = 1_700_000_000_000_000_000L;

@@ -387,10 +387,10 @@ let rec run_machine ?(stop_depth = 0) (m0 : machine)
   let call f =
     match f with
     | Wasm_func { wf_inst; wf_code } -> Machine.push_frame !m wf_inst wf_code
-    | Host_slot { hs_type; hs_fn; _ } ->
+    | Host_slot { hs_arity; hs_fn; _ } ->
         (* the arguments stay in place; the result replaces the first *)
         let mch = !m in
-        let base = mch.sp - List.length hs_type.Types.params in
+        let base = mch.sp - hs_arity in
         set_slot_i mch base (hs_fn mch base);
         mch.sp <- base + 1
     | Host_func { hf_type; hf_fn; _ } -> call_host f hf_type hf_fn

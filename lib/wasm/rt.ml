@@ -189,7 +189,12 @@ type instance = {
 and func_inst =
   | Wasm_func of { wf_inst : instance; wf_code : Code.fcode }
   | Host_func of { hf_name : string; hf_type : func_type; hf_fn : host_fn }
-  | Host_slot of { hs_name : string; hs_type : func_type; hs_fn : slot_fn }
+  | Host_slot of {
+      hs_name : string;
+      hs_type : func_type;
+      hs_arity : int; (* [List.length hs_type.params], read per call *)
+      hs_fn : slot_fn;
+    }
 
 and extern =
   | E_func of func_inst
@@ -259,6 +264,9 @@ and machine = {
   mutable m_pid : int; (* owning simulated process; engine bookkeeping *)
 }
 
+let host_slot ~name ty fn =
+  Host_slot { hs_name = name; hs_type = ty; hs_arity = List.length ty.params; hs_fn = fn }
+
 let func_type_of = function
   | Wasm_func { wf_code; _ } -> wf_code.Code.fc_type
   | Host_func { hf_type; _ } -> hf_type
@@ -306,9 +314,14 @@ module Machine = struct
   let max_frames = 1 lsl 16
   let max_slots = 1 lsl 20
 
+  (* The first value stack stays below the minor heap's 256-word limit
+     (248 slots are 249 words), so a machine's creation allocates nothing
+     directly in the major heap; [reserve] grows it. *)
+  let stack_slots0 = 248
+
   let create inst =
     {
-      stack = Bytes.make (256 * 8) '\000';
+      stack = Bytes.make (stack_slots0 * 8) '\000';
       sp = 0;
       frames = Array.init 16 (fun _ -> null_frame ());
       depth = 0;

@@ -190,7 +190,7 @@ let test_slot_host_args_stable () =
     Int64.to_int (Int64.add (Int64.mul (fst before) 1_000_000L) (snd before))
   in
   let ty = { Types.params = [ i64; i64 ]; results = [ i64 ] } in
-  let hosts = [ ("h", Rt.E_func (Rt.Host_slot { hs_name = "h"; hs_type = ty; hs_fn })) ] in
+  let hosts = [ ("h", Rt.E_func (Rt.host_slot ~name:"h" ty hs_fn)) ] in
   let inst = instantiate ~hosts b in
   g := Some (Rt.exported_func inst "g");
   (match invoke inst "f" [] with
@@ -198,7 +198,7 @@ let test_slot_host_args_stable () =
       Alcotest.(check int64) "f" (Int64.of_int (100 + 5_000_000 + 0x1234)) r
   | _, r -> Alcotest.failf "f: %s" (show r));
   let m = Rt.Machine.create inst in
-  let direct = Rt.Host_slot { hs_name = "h"; hs_type = ty; hs_fn } in
+  let direct = Rt.host_slot ~name:"h" ty hs_fn in
   match Interp.invoke m direct [ Values.I64 2L; Values.I64 3L ] with
   | Interp.R_done [ Values.I64 2_000_003L ] -> Alcotest.(check int) "popped" 0 m.Rt.sp
   | r -> Alcotest.failf "direct call: %s" (show r)

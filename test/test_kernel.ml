@@ -527,6 +527,175 @@ let prop_fd_alloc_lowest =
           in
           fds = List.init (n + 1) (fun i -> i)))
 
+(* ---- pipe writes of at most PIPE_BUF bytes are atomic ---- *)
+
+(* Fill a pipe end so that [free] bytes of its 64 KiB stay free. *)
+let fill ctx fd ~free =
+  Alcotest.(check int) "filled" (65536 - free) (write_str ctx fd (String.make (65536 - free) 'f'))
+
+let fionread ctx fd = ok (Syscalls.ioctl ctx ~fd ~request:Ktypes.fionread)
+let pollout ctx fd = fst (ok (Syscalls.poll ctx ~fds:[ (fd, Ktypes.pollout) ] ~timeout_ms:0))
+
+(* With 50 bytes free, a nonblocking 100-byte write is EAGAIN and writes
+   nothing, as POSIX says of writes of at most PIPE_BUF, and poll does not
+   report the pipe writable; a larger write and a socket stream's write
+   still go in partly. *)
+let test_pipe_atomic_nonblock () =
+  in_kernel (fun _k ctx ->
+      let r, w = ok (Syscalls.pipe2 ctx ~flags:Ktypes.o_nonblock) in
+      fill ctx w ~free:50;
+      expect_err Errno.EAGAIN (Syscalls.write ctx ~fd:w ~buf:(Bytes.make 100 'a') ~off:0 ~len:100);
+      Alcotest.(check int) "nothing written" 65486 (fionread ctx r);
+      Alcotest.(check int) "not writable: a PIPE_BUF write would wait" 0 (pollout ctx w);
+      Alcotest.(check int) "past PIPE_BUF: partial" 50
+        (ok (Syscalls.write ctx ~fd:w ~buf:(Bytes.make 5000 'b') ~off:0 ~len:5000));
+      expect_err Errno.EAGAIN (Syscalls.write ctx ~fd:w ~buf:(Bytes.make 1 'c') ~off:0 ~len:1);
+      let a, b = ok (Syscalls.socketpair ctx ~family:Ktypes.af_unix) in
+      ignore (ok (Syscalls.fcntl ctx ~fd:a ~cmd:Ktypes.f_setfl ~arg:Ktypes.o_nonblock));
+      fill ctx a ~free:50;
+      Alcotest.(check int) "socket writable" 1 (pollout ctx a);
+      Alcotest.(check int) "socket stream: partial" 50
+        (ok (Syscalls.write ctx ~fd:a ~buf:(Bytes.make 100 'a') ~off:0 ~len:100));
+      Alcotest.(check int) "socket full" 65536 (fionread ctx b))
+
+(* A blocking 100-byte write into 50 free bytes waits with nothing
+   written, so a write that gets in meanwhile (10 'b's, after a read
+   frees 60 bytes) lands before it and not inside it. *)
+let test_pipe_atomic_blocking () =
+  in_kernel (fun k ctx ->
+      let r, w = ok (Syscalls.pipe2 ctx ~flags:0) in
+      fill ctx w ~free:50;
+      let wt = Task.clone_task k ctx.Syscalls.t ~thread:false ~share_files:true in
+      let wctx = Syscalls.make_ctx k wt ctx.Syscalls.futexes in
+      let wrote = ref (-1) in
+      ignore
+        (Fiber.spawn "writer" (fun () ->
+             wrote := write_str wctx w (String.make 100 'a');
+             Task.exit_task k wt ~status:0));
+      Fiber.yield ();
+      Alcotest.(check int) "writer still waiting" (-1) !wrote;
+      Alcotest.(check int) "nothing written yet" 65486 (fionread ctx r);
+      let buf = Bytes.create 65536 in
+      Alcotest.(check int) "freed" 60 (ok (Syscalls.read ctx ~fd:r ~buf ~off:0 ~len:60));
+      Alcotest.(check int) "other writer" 10 (write_str ctx w (String.make 10 'b'));
+      Fiber.yield ();
+      Fiber.yield ();
+      Alcotest.(check int) "written whole" 100 !wrote;
+      let n = ok (Syscalls.read ctx ~fd:r ~buf ~off:0 ~len:65536) in
+      Alcotest.(check string) "tail" (String.make 10 'b' ^ String.make 100 'a')
+        (Bytes.sub_string buf (n - 110) 110))
+
+(* ---- the pipe ring, allocated by use ---- *)
+
+(* Nonblocking writes and reads against a reference FIFO of 65,536
+   bytes. The model holds counts only: byte [i] of the stream is
+   [i mod 251], so a read checks its bytes against the total read so
+   far. *)
+type ring_op = Write of int * bool (* length, atomic *) | Read of int
+
+let run_ring_model ops =
+  let cap = Pipe.default_capacity in
+  let p = Pipe.create () in
+  let written = ref 0 and read = ref 0 in
+  let held () = !written - !read in
+  let scratch = Bytes.create 70_001 in
+  let step = function
+    | Write (n, atomic) ->
+        for i = 0 to n - 1 do
+          Bytes.unsafe_set scratch i (Char.unsafe_chr ((!written + i) mod 251))
+        done;
+        let free = cap - held () in
+        let expect =
+          if n = 0 then Ok 0
+          else if atomic && n <= Pipe.pipe_buf then if free >= n then Ok n else Error Errno.EAGAIN
+          else if free = 0 then Error Errno.EAGAIN
+          else Ok (min n free)
+        in
+        let got = Pipe.write p ~intr:(ref None) ~nonblock:true ~atomic scratch 0 n in
+        if got <> expect then QCheck.Test.fail_reportf "write %d: wrong result" n;
+        (match got with Ok k -> written := !written + k | Error _ -> ());
+        true
+    | Read n ->
+        let expect =
+          if n = 0 then Ok 0 else if held () = 0 then Error Errno.EAGAIN else Ok (min n (held ()))
+        in
+        let got = Pipe.read p ~intr:(ref None) ~nonblock:true scratch 0 n in
+        if got <> expect then QCheck.Test.fail_reportf "read %d: wrong result" n;
+        (match got with
+        | Ok k ->
+            for i = 0 to k - 1 do
+              if Char.code (Bytes.get scratch i) <> (!read + i) mod 251 then
+                QCheck.Test.fail_reportf "read %d: byte %d of the stream differs" n (!read + i)
+            done;
+            read := !read + k
+        | Error _ -> ());
+        true
+  in
+  List.for_all
+    (fun op ->
+      step op
+      && Pipe.available p = held ()
+      && Bytes.length p.Pipe.buf <= cap
+      && (Pipe.poll_write p ~atomic:false land Ktypes.pollout <> 0) = (held () < cap)
+      && (Pipe.poll_write p ~atomic:true land Ktypes.pollout <> 0) = (cap - held () >= Pipe.pipe_buf)
+      && (Pipe.poll_read p land Ktypes.pollin <> 0) = (held () > 0))
+    ops
+
+let ring_op_gen =
+  QCheck.Gen.(
+    let len = frequency [ (6, int_bound 200); (2, int_bound 5000); (2, int_bound 70_000) ] in
+    frequency [ (1, map2 (fun n a -> Write (n, a)) len bool); (1, map (fun n -> Read n) len) ])
+
+let prop_ring_model =
+  QCheck.Test.make ~name:"pipe ring = reference FIFO" ~count:150
+    (QCheck.make
+       ~print:(fun ops ->
+         String.concat " "
+           (List.map
+              (function
+                | Write (n, a) -> Printf.sprintf "w%d%s" n (if a then "a" else "")
+                | Read n -> Printf.sprintf "r%d" n)
+              ops))
+       QCheck.Gen.(list_size (int_range 1 40) ring_op_gen))
+    run_ring_model
+
+(* The ring's three edges, checked on its state: a write that grows it
+   while its contents wrap, filling it to capacity, and draining it to
+   empty (which puts the read position back at 0); then the hangup bits
+   of each end. *)
+let test_ring_edges () =
+  let p = Pipe.create () in
+  let intr = ref None in
+  let b = Bytes.init 65536 (fun i -> Char.chr (i mod 251)) in
+  let w ?(atomic = false) n = ok (Pipe.write p ~intr ~nonblock:true ~atomic b 0 n) in
+  let r n = ok (Pipe.read p ~intr ~nonblock:true (Bytes.create n) 0 n) in
+  Alcotest.(check int) "empty until written" 0 (Bytes.length p.Pipe.buf);
+  ignore (w 40);
+  ignore (r 30);
+  ignore (w 40);
+  Alcotest.(check (pair int int)) "wrapped in 64 bytes" (64, 30) (Bytes.length p.Pipe.buf, p.Pipe.rd);
+  ignore (w 100);
+  Alcotest.(check (pair int int)) "grown, contents at the front" (256, 0)
+    (Bytes.length p.Pipe.buf, p.Pipe.rd);
+  let out = Bytes.create 150 in
+  Alcotest.(check int) "all there" 150 (ok (Pipe.read p ~intr ~nonblock:true out 0 150));
+  Alcotest.(check string) "in order"
+    (Bytes.sub_string b 30 10 ^ Bytes.sub_string b 0 40 ^ Bytes.sub_string b 0 100)
+    (Bytes.to_string out);
+  Alcotest.(check int) "drained: back at 0" 0 p.Pipe.rd;
+  Alcotest.(check int) "filled to capacity" 65536 (w 65000 + w 1000);
+  Alcotest.(check int) "never past capacity" 65536 (Bytes.length p.Pipe.buf);
+  expect_err Errno.EAGAIN (Pipe.write p ~intr ~nonblock:true ~atomic:true b 0 1);
+  ignore (r 65536);
+  Alcotest.(check (pair int int)) "drained to empty" (0, 0) (Pipe.available p, p.Pipe.rd);
+  let bits () = (Pipe.poll_read p, Pipe.poll_write p ~atomic:true) in
+  Alcotest.(check (pair int int)) "open, empty" (0, Ktypes.pollout) (bits ());
+  Pipe.drop_writer p;
+  Alcotest.(check (pair int int)) "writer gone" (Ktypes.pollhup, Ktypes.pollout) (bits ());
+  Pipe.drop_reader p;
+  Alcotest.(check (pair int int)) "reader gone" (Ktypes.pollhup, Ktypes.pollout lor Ktypes.pollerr)
+    (bits ())
+
 let tests =
   [
     Alcotest.test_case "open/write/read" `Quick test_open_write_read;
@@ -560,4 +729,10 @@ let tests =
     Alcotest.test_case "ids + umask" `Quick test_ids_and_umask;
     QCheck_alcotest.to_alcotest prop_resolution_stable;
     QCheck_alcotest.to_alcotest prop_fd_alloc_lowest;
+    Alcotest.test_case "pipe write <= PIPE_BUF: EAGAIN, nothing written" `Quick
+      test_pipe_atomic_nonblock;
+    Alcotest.test_case "pipe write <= PIPE_BUF: waits, lands whole" `Quick
+      test_pipe_atomic_blocking;
+    Alcotest.test_case "pipe ring: grows wrapped, fills, drains" `Quick test_ring_edges;
+    QCheck_alcotest.to_alcotest prop_ring_model;
   ]

@@ -629,8 +629,9 @@ let test_hooked_crossing_unboxed () =
 (* The plain crossing allocates its 5-word call record and nothing else:
    the result, the registry update and the virtual ns stay unboxed, and
    the step snapshot is not synced. A getpid trip is that record alone;
-   a pipe write and read, and a pread64 of a file, add only what their
-   kernel paths allocate: each [Ok n], and the pipe-byte tally's int64. *)
+   a pipe write and read, a pread64 of a file and an lseek add only what
+   their kernel paths allocate: each [Ok n], and the pipe-byte tally's
+   int64. *)
 let test_plain_crossing_alloc () =
   let over = ref [] in
   let pin name bound program =
@@ -655,6 +656,13 @@ let test_plain_crossing_alloc () =
          [ k 256; k Kernel.Ktypes.(o_creat lor o_rdwr); k 0o644; call "open"; Local_set 1;
            Local_get 1; k 0; k 64; call "write"; Drop ])
        (fun call -> [ Local_get 1; k 128; k 16; k 0; call "pread64"; Drop ]));
+  pin "lseek" 7.0
+    (trips
+       ~extra:(fun b -> Builder.add_data b ~offset:256 "/tmp/f\000")
+       ~imports:[ ("open", 3); ("lseek", 3) ]
+       ~setup:(fun call ->
+         [ k 256; k Kernel.Ktypes.(o_creat lor o_rdwr); k 0o644; call "open"; Local_set 1 ])
+       (fun call -> [ Local_get 1; k 0; k Kernel.Ktypes.seek_set; call "lseek"; Drop ]));
   if !over <> [] then
     Alcotest.failf "words per plain trip: %s" (String.concat ", " (List.rev !over))
 
@@ -1010,6 +1018,29 @@ let test_released_memory () =
           Alcotest.(check int64) "read into it" (Int64.of_int (-Kernel.Errno.(to_code EFAULT))) r
       | _ -> Alcotest.fail "read: not a value")
 
+(* A boot's kernel buffers (the console's pipe and output buffer), a
+   pipe, a socketpair and a machine's first value stack all start under
+   the minor heap's 256-word limit, so none is allocated directly in the
+   major heap: a pipe's ring grows by use from empty. [Gc.counters]
+   counts a direct major allocation at once (OCaml 5.1's
+   [Gc.quick_stat] adds it only at the next minor collection), and a
+   minor collection meanwhile adds its promoted words to both counts. *)
+let test_boot_direct_major () =
+  let direct () =
+    let _, promoted, major = Gc.counters () in
+    major -. promoted
+  in
+  Fiber.run (fun () ->
+      let d0 = direct () in
+      let k = Kernel.Task.boot () in
+      let ctx =
+        Kernel.Syscalls.make_ctx k (Kernel.Task.make_init k ~comm:"init") (Kernel.Futex.create ())
+      in
+      ignore (Kernel.Syscalls.pipe2 ctx ~flags:0);
+      ignore (Kernel.Syscalls.socketpair ctx ~family:Kernel.Ktypes.af_unix);
+      ignore (Rt.Machine.create Rt.Machine.null_inst);
+      Alcotest.(check (float 0.0)) "direct major words" 0.0 (direct () -. d0))
+
 let tests =
   [
     Alcotest.test_case "hello via SYS_write" `Quick test_hello;
@@ -1045,4 +1076,6 @@ let tests =
     Alcotest.test_case "a plain crossing allocates only its call record" `Quick
       test_plain_crossing_alloc;
     Alcotest.test_case "getrusage: zero times, a non-zero maxrss" `Quick test_getrusage;
+    Alcotest.test_case "boot, pipe, socketpair, machine: 0 direct major words" `Quick
+      test_boot_direct_major;
   ]
