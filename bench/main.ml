@@ -674,15 +674,14 @@ let replay_bench () =
 (* ------------------------------------------------------------------ *)
 
 (** Host-time cost of running the suite with the metrics pillar on
-    (per-syscall histograms + kernel counters + run counters), versus
-    plain runs. The budget is <= 5% aggregate overhead; tracing and
-    profiling are opt-in and excluded from the budget. [smoke] runs a
-    single pass per app (the CI configuration). *)
-let observe_bench ?(smoke = false) () =
+    (per-syscall histograms + kernel counters + run counters) and with
+    all three pillars on, versus plain runs, min of 3 each. A table to
+    read, not a gate: perfbench's [hooks.observe_pct] is the figure the
+    overhead is judged on, and test_wali_basic pins a sink's words per
+    getpid trip. *)
+let observe_bench () =
   header "Observe: metrics-on overhead vs plain runs (lib/observe)";
-  (* smoke = one warmup + one sample per configuration (the CI shape);
-     the full run uses the min-of-3 estimator *)
-  let sample f = time_ms ~n:(if smoke then 1 else 3) f in
+  let sample f = time_ms ~n:3 f in
   Printf.printf "%-10s %9s %9s %9s  %8s\n" "app" "plain" "metrics" "all-on"
     "overhead";
   let ob_metrics = ref [] in
@@ -720,11 +719,8 @@ let observe_bench ?(smoke = false) () =
     Apps.Suite.all;
   emit "observe" !ob_metrics;
   let pct = (!tm -. !tp) /. !tp *. 100.0 in
-  Printf.printf "suite: plain %.1fms, metrics %.1fms (%+.1f%% overhead, budget 5%%)\n"
-    !tp !tm pct;
-  print_endline
-    (if pct <= 5.0 then "observe overhead within budget"
-     else "observe overhead OVER budget")
+  Printf.printf "suite: plain %.1fms, metrics %.1fms (%+.1f%% overhead)\n"
+    !tp !tm pct
 
 (* ------------------------------------------------------------------ *)
 
@@ -749,8 +745,7 @@ let fuzz_bench () =
 let usage () =
   prerr_endline
     "usage: bench/main.exe [--json=FILE] \
-     [all|fig2|fig3|table1|table2|table3|fig7|fig8|fig8a|analysis|replay|observe \
-     [smoke]|fuzz]";
+     [all|fig2|fig3|table1|table2|table3|fig7|fig8|fig8a|analysis|replay|observe|fuzz]";
   exit 2
 
 let () =
@@ -779,7 +774,7 @@ let () =
       fig8bcd ()
   | "analysis" -> analysis_bench ()
   | "replay" -> replay_bench ()
-  | "observe" -> observe_bench ~smoke:(List.mem "smoke" args) ()
+  | "observe" -> observe_bench ()
   | "fuzz" -> fuzz_bench ()
   | "all" ->
       fig2 ();

@@ -3,69 +3,35 @@
 
      dune exec bin/waliperf.exe -- gate --quiet -o BENCH_perf.json
      dune exec bin/waliperf.exe -- baseline update
-     dune exec bin/waliperf.exe -- compare baseline.json current.json
      dune exec bin/waliperf.exe -- diff base.folded cur.folded
 
    `gate` runs every bundled app once, with the recorder, every
    observability pillar and the statically derived seccomp allowlist on,
-   checks each run (static ⊇ dynamic syscalls, well-formed
-   trace/metrics/profile, fused = unfused recording, replay without
-   divergence — see Perf.Gate) and compares its deterministic counters
-   (instructions retired, syscall crossings, virtual-clock ns) against
-   the committed baselines under bench/baselines/ at zero tolerance: any
-   counter drift is a real behavior change, and the diff of the run's
-   folded-stack profile against the baseline profile names the
-   responsible frames and syscalls. `-o` writes the counters as a
-   `wali-bench v1` JSON document. `baseline update` is the deliberate
-   way to accept a new truth: it runs the same checks and writes the
-   baselines only when every one passes. *)
+   and checks each run (expected output, static ⊇ dynamic syscalls,
+   well-formed trace/metrics/profile, fused = unfused recording, replay
+   without divergence — see Perf.Gate). It then renders the baseline
+   store from that run (deterministic.json and one folded profile per
+   app, Perf.Baseline.files) and fails on any file that differs from
+   bench/baselines/ by a byte. The counter table names the deterministic
+   counters (instructions retired, syscall crossings, virtual-clock ns)
+   that moved, and the diff of each changed app's folded-stack profile
+   against its baseline names the responsible frames and syscalls. `-o`
+   writes the counters as a `wali-bench v1` JSON document. `baseline
+   update` is the deliberate way to accept a new truth: it runs the same
+   checks and writes the same files only when every check passes. *)
 
 open Cmdliner
 
 let default_dir = "bench/baselines"
-let det_file dir = Filename.concat dir "deterministic.json"
-let folded_file dir app = Filename.concat dir (app ^ ".folded")
 
 let write_file f s =
   Out_channel.with_open_bin f (fun oc -> Out_channel.output_string oc s)
-
-let read_file f =
-  match In_channel.with_open_bin f In_channel.input_all with
-  | s -> Some s
-  | exception Sys_error _ -> None
-
-let load_model what file =
-  match Perf.Model.load file with
-  | Ok m -> m
-  | Error e ->
-      Printf.eprintf "waliperf: %s %s: %s\n" what file e;
-      exit 1
-
-(* ---- compare ---- *)
-
-let compare_cmd floor_pct all base_file cur_file =
-  let base = load_model "baseline" base_file in
-  let cur = load_model "current" cur_file in
-  let rows = Perf.Baseline.compare_runs ~floor_pct ~base ~cur () in
-  print_string (Perf.Baseline.render ~all rows);
-  let bad =
-    Perf.Baseline.regressions rows @ Perf.Baseline.counter_drift rows
-  in
-  if bad = [] then begin
-    Printf.printf "no regressions (%d metrics compared)\n" (List.length rows);
-    exit 0
-  end
-  else begin
-    Printf.printf "%d metric(s) regressed or drifted\n"
-      (List.length (List.sort_uniq compare bad));
-    exit 1
-  end
 
 (* ---- diff ---- *)
 
 let diff_cmd top base_file cur_file =
   let slurp f =
-    match read_file f with
+    match Perf.Baseline.read_file f with
     | Some s -> s
     | None ->
         Printf.eprintf "waliperf: cannot read %s\n" f;
@@ -81,32 +47,22 @@ let diff_cmd top base_file cur_file =
 
 (* ---- gate ---- *)
 
-(* Flamegraph-diff every drifted app against its baseline profile; the
+(* Flamegraph-diff every changed app against its baseline profile; the
    responsible frames and syscall leaves name the behavior change. *)
-let gate_diffs dir (drift : Perf.Baseline.row list)
-    (profiles : (string * string) list) : string =
-  let apps =
-    List.filter_map
-      (fun (r : Perf.Baseline.row) ->
-        let sc = r.Perf.Baseline.r_scenario in
-        if String.length sc > 4 && String.sub sc 0 4 = "app/" then
-          Some (String.sub sc 4 (String.length sc - 4))
-        else None)
-      drift
-    |> List.sort_uniq compare
-  in
+let gate_diffs dir (apps : string list) (profiles : (string * string) list) :
+    string =
   let b = Buffer.create 1024 in
   List.iter
     (fun app ->
-      match (read_file (folded_file dir app), List.assoc_opt app profiles) with
+      let base_file = Filename.concat dir (Perf.Baseline.folded_file app) in
+      match (Perf.Baseline.read_file base_file, List.assoc_opt app profiles) with
       | Some base, Some cur -> (
           match Perf.Diffprof.diff ~base ~cur with
           | Ok d ->
               Printf.bprintf b "--- %s ---\n%s" app (Perf.Diffprof.render d)
           | Error e -> Printf.bprintf b "--- %s ---\ndiff failed: %s\n" app e)
       | None, _ ->
-          Printf.bprintf b "--- %s ---\nno baseline profile %s\n" app
-            (folded_file dir app)
+          Printf.bprintf b "--- %s ---\nno baseline profile %s\n" app base_file
       | _, None -> Printf.bprintf b "--- %s ---\nno current profile\n" app)
     apps;
   Buffer.contents b
@@ -151,43 +107,37 @@ let baseline_cmd dir =
     Printf.eprintf "waliperf: a gate check failed; %s left as it was\n" dir;
     exit 1
   end;
-  let model, profiles = Perf.Scenario.model results in
+  let files = Perf.Baseline.files (Perf.Scenario.model results) in
   (try Sys.mkdir dir 0o755 with Sys_error _ -> ());
-  Perf.Model.save (det_file dir) model;
-  List.iter (fun (app, folded) -> write_file (folded_file dir app) folded) profiles;
-  Printf.printf
-    "waliperf: baseline updated: %s (%d scenarios) + %d folded profiles in %s\n"
-    (det_file dir)
-    (List.length model.Perf.Model.b_scenarios)
-    (List.length profiles) dir
+  List.iter (fun (f, s) -> write_file (Filename.concat dir f) s) files;
+  Printf.printf "waliperf: baseline updated: %d files in %s\n"
+    (List.length files) dir
 
-(* The only suite gate: the per-app checks, then the zero-tolerance
-   counter comparison against the baseline. *)
+(* The only suite gate: the per-app checks, then the run's baseline
+   files against the committed ones, byte for byte. *)
 let gate_cmd dir out report quiet =
   let results, failed = check_apps ~quiet in
-  let model, profiles = Perf.Scenario.model results in
+  let ((model, profiles) as run) = Perf.Scenario.model results in
   (match out with
   | Some f -> write_file f (Perf.Model.to_json model)
   | None -> ());
-  let base =
-    match Perf.Model.load (det_file dir) with
-    | Ok m -> m
-    | Error e ->
-        Printf.eprintf
-          "waliperf: no usable baseline (%s: %s)\n\
-           run `waliperf baseline update` and commit %s\n"
-          (det_file dir) e dir;
-        exit 1
+  let files = Perf.Baseline.files run in
+  let mismatches = Perf.Baseline.mismatches ~dir files in
+  (* An unreadable deterministic.json is a mismatch already; the table
+     then has no rows. *)
+  let rows =
+    match Perf.Model.load (Filename.concat dir Perf.Baseline.det_file) with
+    | Ok base -> Perf.Baseline.compare_runs ~base ~cur:model
+    | Error _ -> []
   in
-  let rows = Perf.Baseline.compare_runs ~base ~cur:model () in
   let drift = Perf.Baseline.counter_drift rows in
-  if drift = [] && failed = "" then begin
+  if mismatches = [] && failed = "" then begin
     let msg =
       Printf.sprintf
-        "waliperf: %d apps sound, artifacts valid, fused = unfused, replays \
-         converged; %d deterministic metrics across %d scenarios match the \
-         baseline\n"
-        (List.length results) (List.length rows)
+        "waliperf: %d apps sound, outputs as expected, artifacts valid, \
+         fused = unfused, replays converged; %d baseline files match, %d \
+         deterministic metrics across %d scenarios\n"
+        (List.length results) (List.length files) (List.length rows)
         (List.length model.Perf.Model.b_scenarios)
     in
     (match report with Some f -> write_file f ("no drift\n" ^ msg) | None -> ());
@@ -196,17 +146,38 @@ let gate_cmd dir out report quiet =
     exit 0
   end
   else begin
+    (* the apps whose counters drifted ("app/NAME") or whose profile
+       changed ("NAME.folded") *)
+    let changed_apps =
+      List.filter_map
+        (fun (r : Perf.Baseline.row) ->
+          let sc = r.Perf.Baseline.r_scenario in
+          if String.starts_with ~prefix:"app/" sc then
+            Some (String.sub sc 4 (String.length sc - 4))
+          else None)
+        drift
+      @ List.filter_map
+          (fun (f, _) -> Filename.chop_suffix_opt ~suffix:".folded" f)
+          mismatches
+      |> List.sort_uniq compare
+    in
     let body =
       failed
-      ^
-      if drift = [] then ""
-      else
-        Perf.Baseline.render rows
-        ^ Printf.sprintf
-            "waliperf: %d deterministic counter(s) drifted from the baseline\n\
-             (a deliberate change? run `waliperf baseline update` and commit)\n"
-            (List.length drift)
-        ^ gate_diffs dir drift profiles
+      ^ String.concat ""
+          (List.map
+             (fun (f, why) ->
+               Printf.sprintf "%s: %s\n" (Filename.concat dir f) why)
+             mismatches)
+      ^ (if drift = [] then "" else Perf.Baseline.render drift)
+      ^ (if mismatches = [] then ""
+         else
+           Printf.sprintf
+             "waliperf: %d baseline file(s) differ from this run, %d \
+              deterministic counter(s) drifted\n\
+              (a deliberate change? run `waliperf baseline update` and \
+              commit)\n"
+             (List.length mismatches) (List.length drift))
+      ^ gate_diffs dir changed_apps profiles
     in
     (match report with Some f -> write_file f body | None -> ());
     prerr_string body;
@@ -232,28 +203,11 @@ let report_t =
 let quiet_t =
   Arg.(value & flag & info [ "quiet"; "q" ] ~doc:"Suppress per-metric lines.")
 
-let floor_t =
-  Arg.(value & opt float 5.0
-       & info [ "floor" ] ~docv:"PCT"
-           ~doc:"Relative tolerance floor for wall metrics, percent.")
-
-let all_t =
-  Arg.(value & flag & info [ "all" ] ~doc:"Include unchanged rows.")
-
 let top_t =
   Arg.(value & opt int 10
        & info [ "top" ] ~docv:"N" ~doc:"Show the top $(docv) changed rows.")
 
 let pos_file n docv = Arg.(required & pos n (some string) None & info [] ~docv)
-
-let compare_c =
-  Cmd.v
-    (Cmd.info "compare"
-       ~doc:
-         "Compare two wali-bench runs: counters at zero tolerance, wall \
-          metrics against their noise bands")
-    Term.(const compare_cmd $ floor_t $ all_t
-          $ pos_file 0 "BASELINE.json" $ pos_file 1 "CURRENT.json")
 
 let diff_c =
   Cmd.v
@@ -281,9 +235,10 @@ let gate_c =
     (Cmd.info "gate"
        ~doc:
          "Run every bundled app once with all hooks on; fail on any \
-          soundness escape, malformed artifact, fusion or replay \
-          divergence, or counter drift from the committed baseline \
-          (naming the responsible frames via the flamegraph diff)")
+          missing output, soundness escape, malformed artifact, fusion \
+          or replay divergence, or baseline file that differs from the \
+          committed one by a byte (naming the drifted counters and, via \
+          the flamegraph diff, the responsible frames)")
     Term.(const gate_cmd $ dir_t $ out_t $ report_t $ quiet_t)
 
 let cmd =
@@ -292,6 +247,6 @@ let cmd =
        ~doc:
          "Machine-readable benchmarks, baselines, regression gates and \
           differential profiles")
-    [ compare_c; diff_c; baseline_c; gate_c ]
+    [ diff_c; baseline_c; gate_c ]
 
 let () = exit (Cmd.eval cmd)

@@ -26,15 +26,6 @@ let classify (imp : Wasm.Ast.import) : kind =
   else if List.mem m wasi_modules then Wasi_call n
   else Host_other (m, n)
 
-(** Is [name] resolvable by the engine at all (implemented handler or
-    auto-generated ENOSYS stub)? Anything else fails at link time. *)
-let known_syscall name = Wali.Spec.find name <> None
-
-let implemented_syscall name =
-  match Wali.Spec.find name with
-  | Some e -> e.Wali.Spec.implemented
-  | None -> false
-
 (** The classified function imports of a module, with their position in
     the function index space (imports precede local definitions). *)
 let func_imports (m : Wasm.Ast.module_) :

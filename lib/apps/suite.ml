@@ -158,6 +158,16 @@ let all : app list =
 
 let find name = List.find_opt (fun a -> a.a_name = name) all
 
+(** The substrings of [a.a_expect] that the output [out] lacks. *)
+let missing_output (a : app) (out : string) : string list =
+  let n = String.length out in
+  let has sub =
+    let k = String.length sub in
+    let rec at i = i + k <= n && (String.sub out i k = sub || at (i + 1)) in
+    at 0
+  in
+  List.filter (fun sub -> not (has sub)) a.a_expect
+
 (* Compiled binaries are cached: apps are compiled once per process. *)
 let binary_cache : (string, string) Hashtbl.t = Hashtbl.create 16
 
@@ -231,11 +241,6 @@ let wasix_supported =
     ]
 
 type api = Wali_api | Wasix_api | Wasi_api
-
-let api_name = function
-  | Wali_api -> "WALI"
-  | Wasix_api -> "WASIX"
-  | Wasi_api -> "WASI"
 
 (** Extract the syscall manifest from a binary's import section — the
     name-bound imports make this a static, ISA-agnostic check (§3.6). *)

@@ -16,13 +16,6 @@ let layer ?(dirs = []) ?(whiteouts = []) name files =
 
 let image name layers = { img_name = name; layers }
 
-let layer_bytes (l : layer) : int =
-  List.fold_left (fun acc (_, c) -> acc + String.length c + 256) 0 l.l_files
-  + (List.length l.l_dirs * 128)
-
-let image_bytes (img : t) : int =
-  List.fold_left (fun acc l -> acc + layer_bytes l) 0 img.layers
-
 (* A base rootfs layer shaped like a slim distro image: libc, coreutils
    stubs, service configs — the ~30 MB base cost Docker pays and WALI
    does not (Fig 8a). [scale] multiplies the synthetic payload size. *)

@@ -185,8 +185,8 @@ type t = {
   futexes : Kernel.Futex.t;
   trace : Strace.t;
   mutable policy : Seccomp.t;
-  mutable poll_scheme : Code.poll_scheme;
-  mutable fuse : bool; (* fuse superinstructions into new images *)
+  poll_scheme : Code.poll_scheme;
+  fuse : bool; (* fuse superinstructions into new images *)
   procs : proc Procs.t; (* task tid -> proc *)
   mutable next_mem_id : int;
   mutable on_proc_exit : (proc -> int -> unit) option;

@@ -902,19 +902,20 @@ let argv_env (name : string) : Engine.pshared -> Rt.Memory.t -> int -> int -> in
             String.length s + 1)
   | _ -> fun _ _ _ _ -> -1
 
-(* The WALI import of an argv/env method, resolved here, at link time. *)
+(* The WALI import of an argv/env method, resolved here, at link time.
+   It reads its i32 arguments from the caller's slots (each holds the
+   i32 sign-extended, so [Int64.to_int] reads it back); an argument past
+   [arity] is 0. *)
 let env_host_func eng (name : string) (arity : int) : Rt.func_inst =
   let fn = argv_env name in
-  let arg args i =
-    if i < Array.length args then Int32.to_int (Values.as_i32 args.(i)) else 0
+  let arg m base i =
+    if i < arity then Int64.to_int (Bytes.get_int64_ne m.Rt.stack (8 * (base + i)))
+    else 0
   in
-  let hf_fn m args =
-    let r =
-      fn (Engine.proc_of eng m).Engine.pr_shared (Rt.memory0 m) (arg args 0) (arg args 1)
-    in
-    Rt.H_return [ Values.I32 (Int32.of_int r) ]
+  let hs_fn m base =
+    fn (Engine.proc_of eng m).Engine.pr_shared (Rt.memory0 m) (arg m base 0) (arg m base 1)
   in
-  Rt.Host_func { hf_name = name; hf_type = fn_type Types.T_i32 arity; hf_fn }
+  Rt.host_slot ~name (fn_type Types.T_i32 arity) hs_fn
 
 let thread_spawn_host_func eng : Rt.func_inst =
   let hf_fn m args =

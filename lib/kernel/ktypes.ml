@@ -81,15 +81,6 @@ let sigwinch = 28
 let sigsys = 31
 let nsig = 64
 
-let signal_name n =
-  match n with
-  | 1 -> "SIGHUP" | 2 -> "SIGINT" | 3 -> "SIGQUIT" | 4 -> "SIGILL"
-  | 5 -> "SIGTRAP" | 6 -> "SIGABRT" | 7 -> "SIGBUS" | 8 -> "SIGFPE"
-  | 9 -> "SIGKILL" | 10 -> "SIGUSR1" | 11 -> "SIGSEGV" | 12 -> "SIGUSR2"
-  | 13 -> "SIGPIPE" | 14 -> "SIGALRM" | 15 -> "SIGTERM" | 17 -> "SIGCHLD"
-  | 18 -> "SIGCONT" | 19 -> "SIGSTOP" | 20 -> "SIGTSTP" | 21 -> "SIGTTIN"
-  | 22 -> "SIGTTOU" | n -> Printf.sprintf "SIG%d" n
-
 (* Signal sets as 64-bit masks; bit (n-1) is signal n, as in the kernel. *)
 module Sigset = struct
   type t = int64

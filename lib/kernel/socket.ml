@@ -8,13 +8,6 @@ type addr =
   | A_unix of string
   | A_inet of int * int (* host, port; host 0x7F000001 = loopback *)
 
-let addr_to_string = function
-  | A_unix p -> Printf.sprintf "unix:%s" p
-  | A_inet (h, p) ->
-      Printf.sprintf "%d.%d.%d.%d:%d"
-        ((h lsr 24) land 0xff) ((h lsr 16) land 0xff)
-        ((h lsr 8) land 0xff) (h land 0xff) p
-
 type conn = { rx : Pipe.t; tx : Pipe.t }
 
 type listener = {

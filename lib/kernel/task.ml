@@ -479,11 +479,3 @@ let console_output (k : kernel) = Buffer.contents k.console_out
 
 let console_feed (k : kernel) (s : string) =
   ignore (Pipe.push k.console_in (Bytes.of_string s) 0 (String.length s))
-
-(** Simulate the terminal driver's ^C: SIGINT to the foreground group. *)
-let console_interrupt (k : kernel) =
-  Hashtbl.iter
-    (fun _ t ->
-      if t.state = Running && t.pgid = k.fg_pgid && t.tid = t.tgid then
-        post_to_group k t.group sigint)
-    k.tasks

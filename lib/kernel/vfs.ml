@@ -260,14 +260,6 @@ let symlink fs (dirnode : inode) name ~target : (inode, Errno.t) result =
   let i = mk_inode fs ~mode:0o777 (Symlink target) in
   match add_entry fs dirnode name i with Ok () -> Ok i | Error _ as e -> e
 
-let mkfifo fs (dirnode : inode) name ~mode : (inode, Errno.t) result =
-  let p = Pipe.create () in
-  (* FIFO nodes start with no open ends. *)
-  p.Pipe.readers <- 0;
-  p.Pipe.writers <- 0;
-  let i = mk_inode fs ~mode:(mode land 0o7777) (Fifo p) in
-  match add_entry fs dirnode name i with Ok () -> Ok i | Error _ as e -> e
-
 let add_chardev fs (dirnode : inode) name cd : (inode, Errno.t) result =
   let i = mk_inode fs ~mode:0o666 (Chardev cd) in
   match add_entry fs dirnode name i with Ok () -> Ok i | Error _ as e -> e

@@ -1,25 +1,25 @@
-(** Baseline comparison: classify every metric of the current run against
-    the committed baseline.
+(** The committed baseline store and the gate's comparison against it.
 
-    Deterministic counters get 0% tolerance — any drift, in either
-    direction, is a real behavior change and fails the gate until the
-    baseline is deliberately updated. Wall metrics tolerate the larger of
-    a relative floor and the combined MAD noise bands of the two runs,
-    and only [Regressed] (slower beyond the band) counts against a
-    comparison. All units we emit are lower-is-better (ns, ms, counts of
-    work, bytes of trace), so "improved" means "smaller". *)
+    The store is one emission ({!files}): [deterministic.json] and one
+    [<app>.folded] profile per app. [waliperf baseline update] writes it
+    and [waliperf gate] compares it byte for byte ({!mismatches}).
+
+    The counter comparison ({!compare_runs}) names what moved. Every
+    metric of the gate's run is a deterministic counter, so it has zero
+    tolerance: any drift, in either direction, is a real behavior change
+    and fails the gate until the baseline is deliberately updated. All
+    units we emit are lower-is-better (ns, counts of work, bytes of
+    trace), so "improved" means "smaller". *)
 
 type verdict =
   | Unchanged (* exactly equal *)
-  | Within_noise (* wall metric inside its tolerance band *)
-  | Improved (* smaller, beyond tolerance *)
-  | Regressed (* larger, beyond tolerance *)
+  | Improved (* smaller *)
+  | Regressed (* larger *)
   | Added (* in current, not in baseline *)
   | Removed (* in baseline, gone from current *)
 
 let verdict_name = function
   | Unchanged -> "unchanged"
-  | Within_noise -> "within-noise"
   | Improved -> "improved"
   | Regressed -> "REGRESSED"
   | Added -> "added"
@@ -28,76 +28,43 @@ let verdict_name = function
 type row = {
   r_scenario : string;
   r_metric : string;
-  r_kind : Model.kind;
   r_unit : string;
   r_base : float;
   r_cur : float;
   r_delta_pct : float; (* (cur - base) / base * 100; 0 when base = 0 *)
-  r_tol_pct : float; (* the tolerance the verdict used *)
   r_verdict : verdict;
 }
 
-(** Tolerance for a wall metric, in percent: the larger of [floor_pct]
-    and [k] times the combined relative noise of both measurements. *)
-let wall_tolerance ?(floor_pct = 5.0) ?(k = 3.0)
-    ~(base : Model.metric) ~(cur : Model.metric) () : float =
-  let rel m =
-    if m.Model.m_value <= 0.0 then 0.0 else m.Model.m_mad /. m.Model.m_value
-  in
-  Stdlib.max floor_pct (k *. (rel base +. rel cur) *. 100.0)
-
-let classify ?floor_pct ?k ~scenario ~name ~(base : Model.metric)
-    ~(cur : Model.metric) () : row =
-  let delta_pct =
-    if base.Model.m_value = 0.0 then
-      if cur.Model.m_value = 0.0 then 0.0 else 100.0
-    else
-      (cur.Model.m_value -. base.Model.m_value) /. base.Model.m_value *. 100.0
-  in
-  let tol, verdict =
-    match cur.Model.m_kind with
-    | Model.Counter ->
-        ( 0.0,
-          if cur.Model.m_value = base.Model.m_value then Unchanged
-          else if cur.Model.m_value < base.Model.m_value then Improved
-          else Regressed )
-    | Model.Wall ->
-        let tol = wall_tolerance ?floor_pct ?k ~base ~cur () in
-        ( tol,
-          if cur.Model.m_value = base.Model.m_value then Unchanged
-          else if abs_float delta_pct <= tol then Within_noise
-          else if delta_pct < 0.0 then Improved
-          else Regressed )
-  in
+let classify ~scenario ~name ~(base : Model.metric) ~(cur : Model.metric) :
+    row =
+  let b = base.Model.m_value and c = cur.Model.m_value in
   {
     r_scenario = scenario;
     r_metric = name;
-    r_kind = cur.Model.m_kind;
     r_unit = cur.Model.m_unit;
-    r_base = base.Model.m_value;
-    r_cur = cur.Model.m_value;
-    r_delta_pct = delta_pct;
-    r_tol_pct = tol;
-    r_verdict = verdict;
+    r_base = b;
+    r_cur = c;
+    r_delta_pct =
+      (if b = 0.0 then if c = 0.0 then 0.0 else 100.0
+       else (c -. b) /. b *. 100.0);
+    r_verdict =
+      (if c = b then Unchanged else if c < b then Improved else Regressed);
   }
 
 let missing ~scenario ~name ~(m : Model.metric) ~(verdict : verdict) : row =
   {
     r_scenario = scenario;
     r_metric = name;
-    r_kind = m.Model.m_kind;
     r_unit = m.Model.m_unit;
     r_base = (if verdict = Added then 0.0 else m.Model.m_value);
     r_cur = (if verdict = Added then m.Model.m_value else 0.0);
     r_delta_pct = 0.0;
-    r_tol_pct = 0.0;
     r_verdict = verdict;
   }
 
 (** Compare two runs scenario by scenario, metric by metric. Rows come
     out in the canonical scenario/metric order — deterministic. *)
-let compare_runs ?floor_pct ?k ~(base : Model.t) ~(cur : Model.t) () :
-    row list =
+let compare_runs ~(base : Model.t) ~(cur : Model.t) : row list =
   let rows = ref [] in
   let emit r = rows := r :: !rows in
   List.iter
@@ -113,9 +80,7 @@ let compare_runs ?floor_pct ?k ~(base : Model.t) ~(cur : Model.t) () :
               match List.assoc_opt n base_metrics with
               | None -> emit (missing ~scenario:sc ~name:n ~m:cur_m ~verdict:Added)
               | Some base_m ->
-                  emit
-                    (classify ?floor_pct ?k ~scenario:sc ~name:n ~base:base_m
-                       ~cur:cur_m ()))
+                  emit (classify ~scenario:sc ~name:n ~base:base_m ~cur:cur_m))
             cur_metrics;
           List.iter
             (fun (n, m) ->
@@ -132,33 +97,70 @@ let compare_runs ?floor_pct ?k ~(base : Model.t) ~(cur : Model.t) () :
     base.Model.b_scenarios;
   List.rev !rows
 
-let regressions rows = List.filter (fun r -> r.r_verdict = Regressed) rows
-
-(** Counter rows that moved at all — the gate's failure condition. A
-    counter that "improved" without a baseline update is just as much an
-    unexplained behavior change as one that regressed. *)
-let counter_drift rows =
-  List.filter
-    (fun r ->
-      r.r_kind = Model.Counter
-      && (match r.r_verdict with
-         | Unchanged | Within_noise -> false
-         | Improved | Regressed | Added | Removed -> true))
-    rows
+(** Rows that moved at all. A counter that "improved" without a baseline
+    update is just as much an unexplained behavior change as one that
+    regressed. *)
+let counter_drift rows = List.filter (fun r -> r.r_verdict <> Unchanged) rows
 
 (** Render rows as an aligned table; [all] includes unchanged rows. *)
 let render ?(all = false) (rows : row list) : string =
   let b = Buffer.create 1024 in
-  Printf.bprintf b "%-28s %-16s %14s %14s %8s %6s  %s\n" "scenario" "metric"
-    "baseline" "current" "delta" "tol" "verdict";
+  Printf.bprintf b "%-28s %-16s %14s %14s %8s  %s\n" "scenario" "metric"
+    "baseline" "current" "delta" "verdict";
   List.iter
     (fun r ->
       if all || r.r_verdict <> Unchanged then
-        Printf.bprintf b "%-28s %-16s %14s %14s %+7.1f%% %5.1f%%  %s\n"
-          r.r_scenario r.r_metric
+        Printf.bprintf b "%-28s %-16s %14s %14s %+7.1f%%  %s\n" r.r_scenario
+          r.r_metric
           (Model.pp_num r.r_base ^ " " ^ r.r_unit)
           (Model.pp_num r.r_cur ^ " " ^ r.r_unit)
-          r.r_delta_pct r.r_tol_pct
-          (verdict_name r.r_verdict))
+          r.r_delta_pct (verdict_name r.r_verdict))
     rows;
   Buffer.contents b
+
+(* ---- the store as files ---- *)
+
+let det_file = "deterministic.json"
+let folded_file app = app ^ ".folded"
+
+(** The store's files, name and contents, for a run's model and its
+    per-app folded profiles ({!Scenario.model}). *)
+let files ((model, profiles) : Model.t * (string * string) list) :
+    (string * string) list =
+  (det_file, Model.to_json model)
+  :: List.map (fun (app, folded) -> (folded_file app, folded)) profiles
+
+let read_file f =
+  match In_channel.with_open_bin f In_channel.input_all with
+  | s -> Some s
+  | exception Sys_error _ -> None
+
+(** Every file where [dir] and [files] differ, with what is wrong: a
+    file that is missing or not byte-identical, and a file in [dir] the
+    run did not emit. Empty when the run reproduces the store exactly. *)
+let mismatches ~dir (files : (string * string) list) : (string * string) list
+    =
+  let emitted =
+    List.filter_map
+      (fun (name, contents) ->
+        match read_file (Filename.concat dir name) with
+        | None -> Some (name, "missing from the baseline")
+        | Some s when String.equal s contents -> None
+        | Some s ->
+            let n = min (String.length s) (String.length contents) in
+            let rec first i =
+              if i < n && s.[i] = contents.[i] then first (i + 1) else i
+            in
+            Some (name, Printf.sprintf "differs from this run at byte %d" (first 0)))
+      files
+  in
+  let stale =
+    match Sys.readdir dir with
+    | names ->
+        Array.to_list names |> List.sort compare
+        |> List.filter_map (fun name ->
+               if List.mem_assoc name files then None
+               else Some (name, "not emitted by this run"))
+    | exception Sys_error _ -> []
+  in
+  emitted @ stale

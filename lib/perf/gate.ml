@@ -2,6 +2,8 @@
     They read the app's one instrumented run ({!Scenario.run_app}) and
     add two runs of their own: an unfused recording and a replay.
 
+    - Output: the run's console output holds every substring the app
+      expects ([a_expect]).
     - Dynamic ⊆ static: every syscall the run dispatched is in the
       statically derived allowlist, and the allowlist denied nothing.
     - Artifacts: the span trace is well nested, the metrics dump matches
@@ -12,6 +14,11 @@
       never which events cross the WALI boundary.
     - Replay: the decode of the encoded fused trace replays against the
       binary with no divergence. *)
+
+let output (a : Apps.Suite.app) (out : string) : string list =
+  List.map
+    (Printf.sprintf "output %S lacks %S" out)
+    (Apps.Suite.missing_output a out)
 
 let soundness (v : Analysis.Crosscheck.verdict) : string list =
   List.map
@@ -82,6 +89,7 @@ let differential (a : Apps.Suite.app) ~(fused : Replay.Trace.t) : string list =
 
 (** Every per-app failure of [a], given its instrumented run [r]. *)
 let failures (a : Apps.Suite.app) (r : Scenario.app_result) : string list =
-  soundness r.Scenario.ar_verdict
+  output a r.Scenario.ar_output
+  @ soundness r.Scenario.ar_verdict
   @ artifacts ~name:r.Scenario.ar_name r.Scenario.ar_sink
   @ differential a ~fused:r.Scenario.ar_trace

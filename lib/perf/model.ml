@@ -8,7 +8,7 @@
       builds must emit the identical value, so baselines gate these at
       zero tolerance.
     - [Wall] — a host wall-clock measurement, reported as min-of-N with a
-      MAD noise band (see {!Stats}); comparisons tolerate the band.
+      MAD noise band (see {!Stats}). Nothing here compares wall metrics.
 
     Emission is canonical — scenarios and metrics sorted by name, fixed
     number formats — so a run of pure counters serializes byte-identically

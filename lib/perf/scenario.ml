@@ -20,6 +20,7 @@ type app_result = {
   ar_metrics : (string * Model.metric) list;
   ar_sink : Observe.Sink.t; (* all pillars: registry, trace, profile *)
   ar_trace : Replay.Trace.t; (* the run's recording *)
+  ar_output : string; (* the recorded run's console output *)
   ar_verdict : Analysis.Crosscheck.verdict; (* dynamic vs static syscalls *)
 }
 
@@ -73,6 +74,7 @@ let run_app (a : Apps.Suite.app) : app_result =
       ];
     ar_sink = sink;
     ar_trace = r.Replay.Recorder.r_trace;
+    ar_output = r.Replay.Recorder.r_output;
     ar_verdict = Analysis.Crosscheck.check ~summary ~policy reg;
   }
 

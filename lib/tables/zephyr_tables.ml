@@ -105,5 +105,3 @@ let implemented_count = List.length implemented_calls
 
 let groups () =
   List.sort_uniq compare (List.map (fun z -> z.group) all)
-
-let by_group g = List.filter (fun z -> z.group = g) all

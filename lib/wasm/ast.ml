@@ -172,11 +172,6 @@ let imported_funcs m =
 
 let num_imported_funcs m = List.length (imported_funcs m)
 
-let num_imported_globals m =
-  List.length
-    (List.filter (fun i -> match i.imp_desc with Id_global _ -> true | _ -> false)
-       m.imports)
-
 let num_imported_memories m =
   List.length
     (List.filter (fun i -> match i.imp_desc with Id_memory _ -> true | _ -> false)

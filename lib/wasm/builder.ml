@@ -20,7 +20,6 @@ type t = {
   mutable b_exports : export list; (* reversed *)
   mutable b_elems : elem list; (* reversed *)
   mutable b_datas : data list; (* reversed *)
-  mutable b_start : int option;
   mutable b_sealed_imports : bool;
   b_name : string;
 }
@@ -38,7 +37,6 @@ let create ?(name = "") () =
     b_exports = [];
     b_elems = [];
     b_datas = [];
-    b_start = None;
     b_sealed_imports = false;
     b_name = name;
   }
@@ -130,9 +128,6 @@ let export_memory b name midx =
 let export_global b name gidx =
   b.b_exports <- { exp_name = name; exp_desc = Ed_global gidx } :: b.b_exports
 
-let export_table b name tidx =
-  b.b_exports <- { exp_name = name; exp_desc = Ed_table tidx } :: b.b_exports
-
 let add_elem b ~table ~offset funcs =
   b.b_elems <-
     { e_table = table; e_offset = [ I32_const (Int32.of_int offset) ];
@@ -143,8 +138,6 @@ let add_data b ~offset bytes =
   b.b_datas <-
     { d_mem = 0; d_offset = [ I32_const (Int32.of_int offset) ]; d_bytes = bytes }
     :: b.b_datas
-
-let set_start b fidx = b.b_start <- Some fidx
 
 let build b : module_ =
   let funcs =
@@ -162,7 +155,7 @@ let build b : module_ =
     memories = Array.of_list (List.rev b.b_memories);
     globals = Array.of_list (List.rev b.b_globals);
     exports = List.rev b.b_exports;
-    start = b.b_start;
+    start = None;
     elems = List.rev b.b_elems;
     datas = List.rev b.b_datas;
     m_name = b.b_name;

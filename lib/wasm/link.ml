@@ -22,11 +22,6 @@ let ( <+> ) (a : resolver) (b : resolver) : resolver =
   | Some _ as r -> r
   | None -> b ~module_name ~name
 
-let of_instance (inst : instance) : resolver =
- fun ~module_name ~name ->
-  if module_name = inst.i_name then Hashtbl.find_opt inst.i_exports name
-  else None
-
 (* Evaluate a constant initializer expression. *)
 let eval_const (globals : Global.t array) (instrs : instr list) : value =
   match instrs with

@@ -39,8 +39,6 @@ let to_string = function
 
 let as_i32 = function I32 v -> v | v -> trap "expected i32, got %s" (to_string v)
 let as_i64 = function I64 v -> v | v -> trap "expected i64, got %s" (to_string v)
-let as_f32 = function F32 v -> v | v -> trap "expected f32, got %s" (to_string v)
-let as_f64 = function F64 v -> v | v -> trap "expected f64, got %s" (to_string v)
 
 (* ------------------------------------------------------------------ *)
 (* i32 operators                                                       *)

@@ -326,7 +326,6 @@ let uart_poll_in z : int =
         c
       end
 
-let uart_feed z s = z.uart_in <- z.uart_in @ [ s ]
 let uart_output z = Buffer.contents z.uart_out
 
 (* ---- kernel heap (bump accounting; real storage is the Wasm module's) *)

@@ -1,8 +1,9 @@
 (* The static syscall-reachability analyzer (lib/analysis): import
    classification, call-graph reachability, derived minimal allowlists,
    lint diagnostics, the Seccomp rule-order semantics the analyzer
-   relies on, and the dynamic soundness cross-check — on hand-built
-   modules and on the whole application suite. *)
+   relies on, and the dynamic soundness cross-check on a hand-built
+   module. The whole suite runs under its derived policies in the suite
+   gate (Perf.Gate, `dune build @gate`). *)
 
 open Wasm
 open Wasm.Ast
@@ -10,7 +11,6 @@ open Wasm.Ast
 let i64t = Types.T_i64
 let i32t = Types.T_i32
 let k n = I64_const (Int64.of_int n)
-let contains = Astring_contains.contains
 
 let imp b name arity =
   Builder.import_func b ~module_:"wali" ~name:("SYS_" ^ name)
@@ -215,36 +215,6 @@ let test_crosscheck_builder_module () =
   Alcotest.(check strs) "dynamic = static here"
     [ "exit_group"; "write" ] v.Analysis.Crosscheck.cc_dynamic
 
-(* The acceptance gate: every suite application runs under its
-   statically derived policy with zero seccomp denials, the dynamic
-   profile never escapes the static set, and the app still produces its
-   expected output. *)
-let test_suite_under_derived_policies () =
-  List.iter
-    (fun (a : Apps.Suite.app) ->
-      let binary = Apps.Suite.binary_of a in
-      let summary =
-        Analysis.Reach.analyze_binary ~name:a.Apps.Suite.a_name binary
-      in
-      let r =
-        Analysis.Crosscheck.run ~setup:a.Apps.Suite.a_setup
-          ~stdin:a.Apps.Suite.a_stdin ~argv:a.Apps.Suite.a_argv ~summary
-          ~binary ()
-      in
-      Alcotest.(check strs)
-        (a.Apps.Suite.a_name ^ ": dynamic escapes static set")
-        [] r.Analysis.Crosscheck.cc_verdict.Analysis.Crosscheck.cc_escaped;
-      Alcotest.(check (list (pair string int)))
-        (a.Apps.Suite.a_name ^ ": denials under derived policy")
-        [] r.Analysis.Crosscheck.cc_verdict.Analysis.Crosscheck.cc_denied;
-      List.iter
-        (fun sub ->
-          if not (contains r.Analysis.Crosscheck.cc_output sub) then
-            Alcotest.failf "%s under derived policy: output %S lacks %S"
-              a.Apps.Suite.a_name r.Analysis.Crosscheck.cc_output sub)
-        a.Apps.Suite.a_expect)
-    Apps.Suite.all
-
 let tests =
   [
     Alcotest.test_case "direct-call reachability" `Quick test_direct_reachability;
@@ -255,6 +225,4 @@ let tests =
     Alcotest.test_case "seccomp: latest rule wins" `Quick test_seccomp_rule_order;
     Alcotest.test_case "crosscheck: builder module" `Quick
       test_crosscheck_builder_module;
-    Alcotest.test_case "suite under derived policies" `Quick
-      test_suite_under_derived_policies;
   ]

@@ -1,7 +1,7 @@
 (* The performance observatory (lib/perf): sample statistics, the
    wali-bench v1 model round-trip through the schema checker, baseline
-   verdict classification (zero-tolerance counters, noise-banded wall
-   metrics), the differential profiler on hand-built folded stacks, and
+   verdict classification (zero-tolerance counters) and the byte compare
+   of the baseline store, the differential profiler on hand-built folded stacks, and
    determinism of the gate's scenario runner. *)
 
 let check_err msg = function
@@ -120,15 +120,7 @@ let test_baseline_verdicts () =
   let c = Perf.Model.counter in
   let base =
     run "b"
-      [
-        ("insns", c 1000.0);
-        ("up", c 10.0);
-        ("down", c 10.0);
-        ("gone", c 1.0);
-        ("t_stable", Perf.Model.wall_v ~n:5 ~mad:5.0 100.0);
-        ("t_slow", Perf.Model.wall_v ~n:5 ~mad:1.0 100.0);
-        ("t_fast", Perf.Model.wall_v ~n:5 ~mad:1.0 100.0);
-      ]
+      [ ("insns", c 1000.0); ("up", c 10.0); ("down", c 10.0); ("gone", c 1.0) ]
   in
   let cur =
     run "c"
@@ -137,40 +129,54 @@ let test_baseline_verdicts () =
         ("up", c 11.0); (* +1: drift even though tiny *)
         ("down", c 9.0); (* -1: "improved", still drift *)
         ("new", c 7.0);
-        ("t_stable", Perf.Model.wall_v ~n:5 ~mad:5.0 104.0); (* inside band *)
-        ("t_slow", Perf.Model.wall_v ~n:5 ~mad:1.0 150.0); (* way out *)
-        ("t_fast", Perf.Model.wall_v ~n:5 ~mad:1.0 50.0); (* way out, down *)
       ]
   in
-  let rows = compare_runs ~base ~cur () in
+  let rows = compare_runs ~base ~cur in
   let v = verdict_of rows in
   Alcotest.(check bool) "equal counter unchanged" true (v "insns" = Unchanged);
   Alcotest.(check bool) "+1 counter regressed" true (v "up" = Regressed);
   Alcotest.(check bool) "-1 counter improved" true (v "down" = Improved);
   Alcotest.(check bool) "added" true (v "new" = Added);
   Alcotest.(check bool) "removed" true (v "gone" = Removed);
-  Alcotest.(check bool) "wall inside band" true (v "t_stable" = Within_noise);
-  Alcotest.(check bool) "wall beyond band" true (v "t_slow" = Regressed);
-  Alcotest.(check bool) "wall faster beyond band" true (v "t_fast" = Improved);
-  (* the gate's failure condition: every counter move counts, including
-     the "improvement" and the added/removed ones; wall noise never does *)
+  (* every counter move counts, including the "improvement" and the
+     added/removed ones *)
   let drift =
     List.map (fun r -> r.r_metric) (counter_drift rows) |> List.sort compare
   in
   Alcotest.(check (list string))
     "counter drift" [ "down"; "gone"; "new"; "up" ] drift;
-  Alcotest.(check (list string))
-    "wall regressions" [ "t_slow" ]
-    (List.map (fun r -> r.r_metric) (regressions rows)
-    |> List.filter (fun m -> m = "t_slow" || m = "t_fast" || m = "t_stable"));
-  (* a larger noise band widens the tolerance *)
-  let t =
-    wall_tolerance
-      ~base:(Perf.Model.wall_v ~n:5 ~mad:10.0 100.0)
-      ~cur:(Perf.Model.wall_v ~n:5 ~mad:10.0 100.0)
-      ()
+  (* the store: a one-byte change, a missing file and a stale file are
+     each named; an exact copy has no mismatch *)
+  let dir = Filename.temp_dir "baseline" "" in
+  let files = files (base, [ ("calc", "main;wali;read 50\n") ]) in
+  List.iter
+    (fun (f, s) ->
+      Out_channel.with_open_bin (Filename.concat dir f) (fun oc ->
+          Out_channel.output_string oc s))
+    files;
+  Alcotest.(check (list string)) "exact copy" []
+    (List.map fst (mismatches ~dir files));
+  let edited =
+    List.map
+      (fun (f, s) -> if f = "calc.folded" then (f, "main;wali;read 51\n") else (f, s))
+      files
   in
-  Alcotest.(check bool) "band-driven tolerance above floor" true (t > 5.0)
+  Alcotest.(check (list (pair string string)))
+    "one byte differs"
+    [ ("calc.folded", "differs from this run at byte 16") ]
+    (mismatches ~dir edited);
+  Alcotest.(check (list (pair string string)))
+    "missing and stale"
+    [
+      ("kvd.folded", "missing from the baseline");
+      ("calc.folded", "not emitted by this run");
+    ]
+    (mismatches ~dir
+       (List.map
+          (fun (f, s) -> if f = "calc.folded" then ("kvd.folded", s) else (f, s))
+          files));
+  List.iter (fun (f, _) -> Sys.remove (Filename.concat dir f)) files;
+  Sys.rmdir dir
 
 (* ---- differential profiler ---- *)
 

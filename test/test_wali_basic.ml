@@ -34,8 +34,8 @@ let build_wali_module ?(extra = fun (_ : Builder.t) -> ()) ?(pages = 4)
 
 let k n = I64_const (Int64.of_int n)
 
-let run ?policy ?hook binary =
-  Interface.run_program ?policy ?hook ~binary ~argv:[ "test" ] ~env:[] ()
+let run ?policy ?hook ?observe binary =
+  Interface.run_program ?policy ?hook ?observe ~binary ~argv:[ "test" ] ~env:[] ()
 
 (* write(1, "hi\n", 3); exit_group(0) *)
 let test_hello () =
@@ -589,11 +589,13 @@ let trips ?extra ?(setup = fun _ -> []) ~imports trip n =
 let countdown = trips ~imports:[] (fun _ -> [])
 
 (* Minor words a trip of [program] allocates: [2n] trips against [n],
-   after a run of each (which compiles and caches both). *)
-let words_per_trip ?hook program n =
+   after a run of each (which compiles and caches both). With [observe],
+   each run has a fresh sink of that configuration. *)
+let words_per_trip ?hook ?observe program n =
   let words binary =
     let w0 = Gc.minor_words () in
-    let status, _, _ = run ?hook binary in
+    let observe = Option.map Observe.Sink.create observe in
+    let status, _, _ = run ?hook ?observe binary in
     Alcotest.(check int) "status" 0 status;
     Gc.minor_words () -. w0
   in
@@ -631,14 +633,19 @@ let test_hooked_crossing_unboxed () =
    the step snapshot is not synced. A getpid trip is that record alone;
    a pipe write and read, a pread64 of a file and an lseek add only what
    their kernel paths allocate: each [Ok n], and the pipe-byte tally's
-   int64. *)
+   int64. A sink's cost per getpid trip is pinned too, 5% above what it
+   measures (53 words with the metrics pillar, 471 with all three), so
+   the observability overhead cannot grow unseen. *)
 let test_plain_crossing_alloc () =
   let over = ref [] in
-  let pin name bound program =
-    let w = words_per_trip program 5_000 in
+  let pin name bound ?observe program =
+    let w = words_per_trip ?observe program 5_000 in
     if w > bound then over := Printf.sprintf "%s %.1f (at most %.0f)" name w bound :: !over
   in
-  pin "getpid" 6.0 (trips ~imports:[ ("getpid", 0) ] (fun call -> [ call "getpid"; Drop ]));
+  let getpid = trips ~imports:[ ("getpid", 0) ] (fun call -> [ call "getpid"; Drop ]) in
+  pin "getpid" 6.0 getpid;
+  pin "getpid, metrics sink" 56.0 ~observe:Observe.Sink.metrics_only getpid;
+  pin "getpid, all-on sink" 495.0 ~observe:Observe.Sink.all_on getpid;
   (* fds at 0 and 4, 8 bytes from 64 through the pipe to 128 *)
   let fd a = [ I32_const a; I32_load { offset = 0; align = 2 }; I64_extend_i32 ZX ] in
   pin "pipe write+read" 20.0
