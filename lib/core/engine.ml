@@ -33,15 +33,6 @@ type proc = {
   mutable pr_result : Interp.run_result option; (* set when the task ends *)
 }
 
-(* Processes by task tid, hashed as themselves: every crossing and every
-   armed poll finds its process without the polymorphic hash. *)
-module Procs = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash tid = tid
-end)
-
 (** What a process or machine lifecycle event, or a signal delivery,
     tells a hook. A signal is delivered to a handler ([Handler_begin],
     then [Handler_end] even when the handler ends the process) or ends
@@ -187,7 +178,6 @@ type t = {
   mutable policy : Seccomp.t;
   poll_scheme : Code.poll_scheme;
   fuse : bool; (* fuse superinstructions into new images *)
-  procs : proc Procs.t; (* task tid -> proc *)
   mutable next_mem_id : int;
   mutable on_proc_exit : (proc -> int -> unit) option;
   hook : hook option;
@@ -248,7 +238,6 @@ let create ?(poll_scheme = Code.Poll_loops) ?(fuse = true) ?trace
     policy;
     poll_scheme;
     fuse;
-    procs = Procs.create 16;
     next_mem_id = 1;
     on_proc_exit = None;
     hook = (match hooks with [] -> None | h :: hs -> Some (List.fold_left both h hs));
@@ -262,14 +251,17 @@ let fresh_mem_id eng =
   eng.next_mem_id <- id + 1;
   id
 
-let proc_of eng (m : Rt.machine) : proc =
-  match Procs.find eng.procs m.Rt.m_pid with
-  | p -> p
-  | exception Not_found ->
-      Values.trap "no WALI process for machine (pid %d)" m.Rt.m_pid
+(* A machine's process is its owner field: every crossing and every
+   armed poll finds it without a lookup. *)
+type Rt.owner += Owner of proc
+
+let proc_of (m : Rt.machine) : proc =
+  match m.Rt.m_owner with
+  | Owner p -> p
+  | _ -> Values.trap "no WALI process for machine (pid %d)" m.Rt.m_pid
 
 let register_proc eng (p : proc) =
-  Procs.replace eng.procs p.pr_task.Kernel.Task.tid p;
+  Option.iter (fun (m : Rt.machine) -> m.Rt.m_owner <- Owner p) p.pr_machine;
   event eng (Proc_start p)
 
 (* ------------------------------------------------------------------ *)
@@ -391,7 +383,7 @@ let poll eng (p : proc) (m : Rt.machine) : unit =
 let safepoint eng (p : proc) (m : Rt.machine) : unit =
   if !(m.Rt.m_attn) && Option.is_some m.Rt.poll_hook then poll eng p m
 
-let poll_hook eng : Rt.machine -> unit = fun m -> poll eng (proc_of eng m) m
+let poll_hook eng : Rt.machine -> unit = fun m -> poll eng (proc_of m) m
 
 (** A fresh machine for [task] (a new process image or a spawned
     thread), with the engine's safepoint poll on the task's attention
@@ -520,7 +512,7 @@ let do_exit eng (p : proc) ~group ~(status : int) : unit =
   (match eng.on_proc_exit with
   | Some f -> f p status
   | None -> ());
-  Procs.remove eng.procs task.Task.tid;
+  Option.iter (fun (m : Rt.machine) -> m.Rt.m_owner <- Rt.Unowned) p.pr_machine;
   (* The group's last thread is gone and every observer has had its look:
      the image's linear memory is the one thing worth reusing (DESIGN,
      "Linear-memory lifetime"). *)

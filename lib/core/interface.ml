@@ -109,6 +109,7 @@ let do_execve eng (p : Engine.proc) mem ~path_ptr ~argv_ptr ~envp_ptr :
               p.Engine.pr_shared <-
                 Engine.make_pshared eng ~inst ~argv ~env:envp ~binary;
               let m' = Engine.new_machine eng inst ~task in
+              m'.Rt.m_owner <- Engine.Owner p;
               (match Rt.exported_func inst "_start" with
               | Rt.Wasm_func { wf_inst; wf_code } ->
                   Rt.Machine.push_frame m' wf_inst wf_code
@@ -825,11 +826,11 @@ let syscall_host_func eng (e : Spec.entry) : Rt.func_inst =
   let name = Spec.import_name e.Spec.name and ty = fn_type Types.T_i64 arity in
   match bind e.Spec.name with
   | Slot h ->
-      let hs_fn m base = slot_crossing s arity h { eng; p = Engine.proc_of eng m; m; base } in
+      let hs_fn m base = slot_crossing s arity h { eng; p = Engine.proc_of m; m; base } in
       Rt.host_slot ~name ty hs_fn
   | Proc f ->
       let hf_fn m args =
-        let p = Engine.proc_of eng m in
+        let p = Engine.proc_of m in
         boxed eng s p m ~base:(spill m args) args (fun () -> f eng p m args)
       in
       Rt.Host_func { hf_name = name; hf_type = ty; hf_fn }
@@ -858,7 +859,7 @@ let by_name eng name m args f =
 
 (** Run syscall [name] with no seccomp check and no tracing. *)
 let dispatch eng name m (args : Values.value array) : Rt.host_outcome =
-  let p = Engine.proc_of eng m in
+  let p = Engine.proc_of m in
   by_name eng name m args (fun _ b _ base ->
       try
         match b with
@@ -869,7 +870,7 @@ let dispatch eng name m (args : Values.value array) : Rt.host_outcome =
 (** Run syscall [name] as a guest call of it runs: seccomp, tracing, the
     hook and the post-call signal poll. *)
 let traced_dispatch eng name m (args : Values.value array) : Rt.host_outcome =
-  let p = Engine.proc_of eng m in
+  let p = Engine.proc_of m in
   by_name eng name m args (fun n b s base ->
       match b with
       | Slot h -> ret_i64 (slot_crossing s n h { eng; p; m; base })
@@ -906,20 +907,20 @@ let argv_env (name : string) : Engine.pshared -> Rt.Memory.t -> int -> int -> in
    It reads its i32 arguments from the caller's slots (each holds the
    i32 sign-extended, so [Int64.to_int] reads it back); an argument past
    [arity] is 0. *)
-let env_host_func eng (name : string) (arity : int) : Rt.func_inst =
+let env_host_func (name : string) (arity : int) : Rt.func_inst =
   let fn = argv_env name in
   let arg m base i =
     if i < arity then Int64.to_int (Bytes.get_int64_ne m.Rt.stack (8 * (base + i)))
     else 0
   in
   let hs_fn m base =
-    fn (Engine.proc_of eng m).Engine.pr_shared (Rt.memory0 m) (arg m base 0) (arg m base 1)
+    fn (Engine.proc_of m).Engine.pr_shared (Rt.memory0 m) (arg m base 0) (arg m base 1)
   in
   Rt.host_slot ~name (fn_type Types.T_i32 arity) hs_fn
 
 let thread_spawn_host_func eng : Rt.func_inst =
   let hf_fn m args =
-    let p = Engine.proc_of eng m and arg i = Int32.to_int (Values.as_i32 args.(i)) in
+    let p = Engine.proc_of m and arg i = Int32.to_int (Values.as_i32 args.(i)) in
     (* thread_spawn creates engine structure (a fiber and a machine), so
        like fork the hook sees it: replay re-executes it live and
        validates the resulting tid. It is not a syscall: no seccomp rule
@@ -948,7 +949,7 @@ let resolver (eng : Engine.t) : Link.resolver =
   else if name = "thread_spawn" then Some (Rt.E_func (thread_spawn_host_func eng))
   else
     match List.assoc_opt name Spec.env_methods with
-    | Some arity -> Some (Rt.E_func (env_host_func eng name arity))
+    | Some arity -> Some (Rt.E_func (env_host_func name arity))
     | None ->
         if String.length name > 4 && String.sub name 0 4 = "SYS_" then
           Option.map

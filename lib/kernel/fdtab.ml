@@ -5,7 +5,6 @@ type desc_kind =
   | F_gen of string (* snapshot of a generated /proc node *)
   | F_pipe_r of Pipe.t
   | F_pipe_w of Pipe.t
-  | F_fifo of Pipe.t * bool * bool (* pipe, has_read_end, has_write_end *)
   | F_chardev of Vfs.chardev
   | F_sock of Socket.t
 
@@ -54,9 +53,6 @@ let release ?(sock_registry : Socket.registry option) d =
     match d.d_kind with
     | F_pipe_r p -> Pipe.drop_reader p
     | F_pipe_w p -> Pipe.drop_writer p
-    | F_fifo (p, r, w) ->
-        if r then Pipe.drop_reader p;
-        if w then Pipe.drop_writer p
     | F_sock s -> (
         match sock_registry with
         | Some reg -> Socket.close reg s

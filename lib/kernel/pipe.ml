@@ -40,9 +40,6 @@ let create ?(capacity = default_capacity) () =
 let available p = p.count
 let space p = p.capacity - p.count
 
-let add_reader p = p.readers <- p.readers + 1
-let add_writer p = p.writers <- p.writers + 1
-
 let drop_reader p =
   p.readers <- p.readers - 1;
   if p.readers = 0 then ignore (Waitq.wake_all p.write_wq ())
@@ -122,8 +119,8 @@ let rec write_from p ~intr ~nonblock ~need src src_off len written =
 
 (** Blocking write of the full buffer (short writes only in nonblocking
     mode). Returns [Error EPIPE] when no readers remain — the caller is
-    responsible for raising SIGPIPE. With [~atomic] (pipes and FIFOs, not
-    socket streams) a write of at most [pipe_buf] bytes goes in whole or
+    responsible for raising SIGPIPE. With [~atomic] (pipes, not socket
+    streams) a write of at most [pipe_buf] bytes goes in whole or
     not at all: it waits, or fails with EAGAIN, until all of it fits. *)
 let write p ~intr ~nonblock ~atomic src src_off len : (int, Errno.t) result =
   if len = 0 then Ok 0 else write_from p ~intr ~nonblock ~need:(need p ~atomic len) src src_off len 0

@@ -56,7 +56,6 @@ let desc_read ctx (d : Fdtab.desc) buf off len : int Errno.result =
           d.Fdtab.d_pos <- d.Fdtab.d_pos + n;
           Ok n
       | Vfs.Dir _ -> Error Errno.EISDIR
-      | Vfs.Fifo p -> tally_pipe ctx (Pipe.read p ~intr ~nonblock buf off len)
       | Vfs.Chardev cd -> cd.Vfs.cd_read ~intr ~nonblock buf off len
       | Vfs.Symlink _ | Vfs.Gen _ -> Error Errno.EINVAL)
   | Fdtab.F_gen s ->
@@ -70,9 +69,6 @@ let desc_read ctx (d : Fdtab.desc) buf off len : int Errno.result =
       end
   | Fdtab.F_pipe_r p -> tally_pipe ctx (Pipe.read p ~intr ~nonblock buf off len)
   | Fdtab.F_pipe_w _ -> Error Errno.EBADF
-  | Fdtab.F_fifo (p, has_r, _) ->
-      if has_r then tally_pipe ctx (Pipe.read p ~intr ~nonblock buf off len)
-      else Error Errno.EBADF
   | Fdtab.F_chardev cd -> cd.Vfs.cd_read ~intr ~nonblock buf off len
   | Fdtab.F_sock s -> tally_sock ctx (Socket.read s ~intr ~nonblock buf off len)
 
@@ -81,8 +77,8 @@ let sigpipe_wrap ctx r =
   (match r with Error Errno.EPIPE -> Task.post_to_thread ctx.k ctx.t sigpipe | _ -> ());
   r
 
-(* Pipes and FIFOs write at most [Pipe.pipe_buf] bytes atomically;
-   socket streams do not. *)
+(* Pipes write at most [Pipe.pipe_buf] bytes atomically; socket streams
+   do not. *)
 let pipe_write ctx p ~nonblock buf off len =
   tally_pipe ctx
     (sigpipe_wrap ctx (Pipe.write p ~intr:ctx.t.Task.intr ~nonblock ~atomic:true buf off len))
@@ -103,14 +99,11 @@ let desc_write ctx (d : Fdtab.desc) buf off len : int Errno.result =
           i.Vfs.mtime <- Fiber.now ();
           Ok len
       | Vfs.Dir _ -> Error Errno.EISDIR
-      | Vfs.Fifo p -> pipe_write ctx p ~nonblock buf off len
       | Vfs.Chardev cd -> cd.Vfs.cd_write buf off len
       | Vfs.Symlink _ | Vfs.Gen _ -> Error Errno.EINVAL)
   | Fdtab.F_gen _ -> Error Errno.EACCES
   | Fdtab.F_pipe_r _ -> Error Errno.EBADF
   | Fdtab.F_pipe_w p -> pipe_write ctx p ~nonblock buf off len
-  | Fdtab.F_fifo (p, _, has_w) ->
-      if has_w then pipe_write ctx p ~nonblock buf off len else Error Errno.EBADF
   | Fdtab.F_chardev cd -> cd.Vfs.cd_write buf off len
   | Fdtab.F_sock s ->
       tally_sock ctx (sigpipe_wrap ctx (Socket.write s ~intr ~nonblock buf off len))
@@ -254,13 +247,6 @@ let openat ctx ~dirfd ~path ~flags ~mode : int Errno.result =
           else Ok (Fdtab.F_inode node)
       | Vfs.Chardev _ -> Ok (Fdtab.F_inode node)
       | Vfs.Gen g -> Ok (Fdtab.F_gen (g ()))
-      | Vfs.Fifo p ->
-          let acc = flags land o_accmode in
-          let r = acc = o_rdonly || acc = o_rdwr in
-          let w = acc = o_wronly || acc = o_rdwr in
-          if r then Pipe.add_reader p;
-          if w then Pipe.add_writer p;
-          Ok (Fdtab.F_fifo (p, r, w))
       | Vfs.Symlink _ -> Error Errno.ELOOP
     in
     let d = Fdtab.mk_desc ~flags ~path kind in
@@ -292,7 +278,7 @@ let fstat ctx ~fd : stat Errno.result =
               st_blocks = 0L; st_atime_ns = 0L; st_mtime_ns = 0L;
               st_ctime_ns = 0L;
             }
-      | Fdtab.F_pipe_r _ | Fdtab.F_pipe_w _ | Fdtab.F_fifo _ ->
+      | Fdtab.F_pipe_r _ | Fdtab.F_pipe_w _ ->
           Ok
             {
               st_dev = 0; st_ino = 0; st_mode = s_ififo lor 0o600; st_nlink = 1;
@@ -511,7 +497,7 @@ let ioctl ctx ~fd ~request : int Errno.result =
         | _ -> Error Errno.ENOTTY
       else if request = fionread then
         match d.Fdtab.d_kind with
-        | Fdtab.F_pipe_r p | Fdtab.F_fifo (p, true, _) -> Ok (Pipe.available p)
+        | Fdtab.F_pipe_r p -> Ok (Pipe.available p)
         | Fdtab.F_sock s -> (
             match s.Socket.state with
             | Socket.S_connected c -> Ok (Pipe.available c.Socket.rx)
@@ -537,14 +523,11 @@ let desc_poll_bits (d : Fdtab.desc) : int =
   | Fdtab.F_inode i -> (
       match i.Vfs.kind with
       | Vfs.Reg _ | Vfs.Dir _ -> pollin lor pollout
-      | Vfs.Fifo p -> Pipe.poll_read p lor Pipe.poll_write p ~atomic:true
       | Vfs.Chardev cd -> cd.Vfs.cd_poll ()
       | Vfs.Symlink _ | Vfs.Gen _ -> pollin)
   | Fdtab.F_gen _ -> pollin
   | Fdtab.F_pipe_r p -> Pipe.poll_read p
   | Fdtab.F_pipe_w p -> Pipe.poll_write p ~atomic:true
-  | Fdtab.F_fifo (p, r, w) ->
-      (if r then Pipe.poll_read p else 0) lor if w then Pipe.poll_write p ~atomic:true else 0
   | Fdtab.F_chardev cd -> cd.Vfs.cd_poll ()
   | Fdtab.F_sock s -> Socket.poll_bits s
 

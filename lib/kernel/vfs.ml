@@ -1,4 +1,4 @@
-(** In-memory virtual filesystem: inodes, directories, symlinks, FIFOs,
+(** In-memory virtual filesystem: inodes, directories, symlinks,
     character devices and generated (proc-style) nodes. *)
 
 open Ktypes
@@ -19,7 +19,6 @@ and kind =
   | Reg of Bytebuf.t
   | Dir of dir
   | Symlink of string
-  | Fifo of Pipe.t
   | Chardev of chardev
   | Gen of (unit -> string) (* /proc-style: content generated at open *)
 
@@ -66,7 +65,6 @@ let kind_bits i =
   | Reg _ -> s_ifreg
   | Dir _ -> s_ifdir
   | Symlink _ -> s_iflnk
-  | Fifo _ -> s_ififo
   | Chardev _ -> s_ifchr
   | Gen _ -> s_ifreg
 
@@ -75,7 +73,7 @@ let size_of i =
   | Reg b -> Int64.of_int (Bytebuf.length b)
   | Symlink s -> Int64.of_int (String.length s)
   | Dir d -> Int64.of_int (Hashtbl.length d.entries * 32)
-  | Fifo _ | Chardev _ | Gen _ -> 0L
+  | Chardev _ | Gen _ -> 0L
 
 let stat_of i =
   {
@@ -351,7 +349,6 @@ let readdir (dirnode : inode) : (string * int * int) list =
         | Reg _ | Gen _ -> dt_reg
         | Dir _ -> dt_dir
         | Symlink _ -> dt_lnk
-        | Fifo _ -> dt_fifo
         | Chardev _ -> dt_chr
       in
       let parent_ino =

@@ -43,7 +43,8 @@ type op =
   | K_memory_grow
   | K_memory_fill
   | K_memory_copy
-  | K_const of Values.value
+  | K_const of int (* an i32's or f32's bits, sign-extended from 32 *)
+  | K_const64 of int64 (* an i64's or f64's bits *)
   | K_i32_eqz
   | K_i64_eqz
   | K_i32_unop of int_unop
@@ -226,7 +227,9 @@ type state = {
   mutable s_height : int;
   mutable s_max_height : int;
   mutable s_ctrls : ctrl list;
-  mutable s_out : op array; (* the module's one scratch emission buffer *)
+  mutable s_out : op array;
+      (* the module's one scratch emission buffer: 128 ops to start, under
+         the minor heap's 256-word limit, and [out] doubles it *)
   mutable s_len : int; (* this function's ops in [s_out] *)
   s_win : op array; (* a ring of 8 holding the pending fusion window: *)
   mutable s_whead : int; (* its first op's index *)
@@ -346,27 +349,25 @@ let out st op =
 
 (* Window op [k]. Past the window's end it reads as [K_unreachable],
    which no pattern contains, so one match on the window, longest
-   patterns first, picks the superinstruction. *)
+   patterns first, picks the superinstruction. A [K_const] right before
+   an i32 binop or relop is its operand, so in validated code it is an
+   i32 and its [int] is the value the handler computes with. *)
 let win st k = if k < st.s_wlen then st.s_win.((st.s_whead + k) land 7) else K_unreachable
 
 let superop st =
   match (st.s_win.(st.s_whead), win st 1, win st 2, win st 3, win st 4) with
   | K_local_get a, K_local_get b, K_i32_relop o, K_i32_eqz, K_br_if j ->
       F_ll_i32_relop_eqz_br_if (a, b, o, j)
-  | K_local_get a, K_const (Values.I32 c), K_i32_relop o, K_i32_eqz, K_br_if j
-    ->
-      F_lc_i32_relop_eqz_br_if (a, Int32.to_int c, o, j)
-  | K_local_get a, K_const (Values.I32 c), K_i32_binop o, K_local_set d, _
-    when nontrap_binop o ->
-      F_lc_i32_binop_set (a, Int32.to_int c, o, d)
+  | K_local_get a, K_const c, K_i32_relop o, K_i32_eqz, K_br_if j ->
+      F_lc_i32_relop_eqz_br_if (a, c, o, j)
+  | K_local_get a, K_const c, K_i32_binop o, K_local_set d, _ when nontrap_binop o ->
+      F_lc_i32_binop_set (a, c, o, d)
   | K_local_get a, K_local_get b, K_i32_binop o, _, _ -> F_ll_i32_binop (a, b, o)
-  | K_local_get a, K_const (Values.I32 c), K_i32_binop o, _, _ ->
-      F_lc_i32_binop (a, Int32.to_int c, o)
+  | K_local_get a, K_const c, K_i32_binop o, _, _ -> F_lc_i32_binop (a, c, o)
   | K_i32_relop o, K_i32_eqz, K_br_if j, _, _ -> F_i32_relop_eqz_br_if (o, j)
   | K_local_get a, K_i32_binop o, _, _, _ -> F_l_i32_binop (a, o)
   | K_local_get a, K_store (k, off), _, _, _ -> F_l_store (a, k, off)
-  | K_const (Values.I32 c), K_i32_binop o, _, _, _ ->
-      F_const_i32_binop (Int32.to_int c, o)
+  | K_const c, K_i32_binop o, _, _, _ -> F_const_i32_binop (c, o)
   | K_i32_binop o, K_local_set d, _, _, _ when nontrap_binop o ->
       F_i32_binop_set (o, d)
   | K_i32_binop o, K_load (k, off), _, _, _ when nontrap_binop o ->
@@ -595,16 +596,16 @@ let rec instr st (i : instr) =
       emit_r st K_memory_copy
   | I32_const v ->
       push st T_i32;
-      emit_r st (K_const (Values.I32 v))
+      emit_r st (K_const (Int32.to_int v))
   | I64_const v ->
       push st T_i64;
-      emit_r st (K_const (Values.I64 v))
+      emit_r st (K_const64 v)
   | F32_const v ->
       push st T_f32;
-      emit_r st (K_const (Values.F32 v))
+      emit_r st (K_const (Int32.to_int v))
   | F64_const v ->
       push st T_f64;
-      emit_r st (K_const (Values.F64 v))
+      emit_r st (K_const64 v)
   | I32_eqz -> unop st T_i32 T_i32 K_i32_eqz
   | I64_eqz -> unop st T_i64 T_i32 K_i64_eqz
   | I32_unop o -> unop st T_i32 T_i32 (K_i32_unop o)
@@ -804,9 +805,16 @@ type compiled = {
 (** Validate and compile every local function of [m] in one pass over
     each body. [fuse] (default on) fuses superinstructions as the ops are
     emitted; the unfused engine is the reference that the gate's
-    differential and the tests compare the fused one against. *)
+    differential and the tests compare the fused one against.
+
+    An image keeps only what links and runs it: its [cm_module] (which is
+    also [cm_env.e_module]) is [m] with every [f_body] emptied, so the
+    decoded instruction lists die with the caller's [m] while a cached
+    image lives on. Types, imports, [f_type]/[f_locals]/[f_name], tables,
+    memories, globals, segments, exports and start all stay. An image's
+    module is not for re-encoding. *)
 let compile_module ?(poll = Poll_none) ?(fuse = true) (m : module_) : compiled =
-  let env = build_env m in
+  let env = build_env { m with funcs = Array.map (fun f -> { f with f_body = [] }) m.funcs } in
   (* Validate that exports, segments and the start function refer to
      existing indices, and that memory limits are well formed. *)
   let check what n lim = if n < 0 || n >= lim then invalid "%s %d out of range" what n in
@@ -837,7 +845,7 @@ let compile_module ?(poll = Poll_none) ?(fuse = true) (m : module_) : compiled =
     {
       s_env = env; s_poll = poll; s_fuse = fuse; s_fname = ""; s_locals = [||];
       s_results = []; s_types = Array.make 64 T_i32; s_height = 0;
-      s_max_height = 0; s_ctrls = []; s_out = Array.make 1024 K_return;
+      s_max_height = 0; s_ctrls = []; s_out = Array.make 128 K_return;
       s_len = 0; s_win = Array.make 8 K_return; s_whead = 0; s_wlen = 0;
       s_ops_before = 0; s_sites = 0;
     }
@@ -850,4 +858,4 @@ let compile_module ?(poll = Poll_none) ?(fuse = true) (m : module_) : compiled =
       fs_sites = st.s_sites;
     }
   in
-  { cm_module = m; cm_env = env; cm_funcs = funcs; cm_fuse = fs }
+  { cm_module = env.e_module; cm_env = env; cm_funcs = funcs; cm_fuse = fs }

@@ -487,10 +487,10 @@ let rec run_machine ?(stop_depth = 0) (m0 : machine)
         (try Memory.copy mem ~dst ~src ~len
          with Memory.Bounds -> trap "out of bounds memory copy");
         exec mch fr ops fp mem next
-    | Code.K_const (I32 x | F32 x) ->
-        push_i mch (Int32.to_int x);
+    | Code.K_const c ->
+        push_i mch c;
         exec mch fr ops fp mem next
-    | Code.K_const (I64 x | F64 x) ->
+    | Code.K_const64 x ->
         push mch x;
         exec mch fr ops fp mem next
     | Code.K_i32_eqz ->

@@ -175,6 +175,12 @@ end
 (* Instances, functions, machine                                        *)
 (* ------------------------------------------------------------------ *)
 
+(** Who runs a machine: the engine extends this with its process record
+    ([Engine.Owner]), so a crossing finds its process in one field. *)
+type owner = ..
+
+type owner += Unowned
+
 type instance = {
   i_name : string;
   i_types : func_type array;
@@ -262,6 +268,7 @@ and machine = {
       (* profiler sample hook, fired on frame push/pop before the frame
          stack mutates (so the sampled stack is the one that ran) *)
   mutable m_pid : int; (* owning simulated process; engine bookkeeping *)
+  mutable m_owner : owner; (* the process running the machine, if any *)
 }
 
 let host_slot ~name ty fn =
@@ -334,6 +341,7 @@ module Machine = struct
       m_attn = ref true;
       prof_hook = None;
       m_pid = 0;
+      m_owner = Unowned;
     }
 
   (** Publish the hot counters to the [steps]/[fused] snapshot. The
@@ -484,6 +492,7 @@ module Machine = struct
       m_attn = m.m_attn;
       prof_hook = m.prof_hook;
       m_pid = m.m_pid;
+      m_owner = Unowned;
     }
 end
 

@@ -102,7 +102,7 @@ let dispatch (t : t) (name : string) (m : Rt.machine) (args : int array) :
   | "gpio_pin_get" -> ret (gpio_get z ~pin:(a 1))
   | "gpio_pin_toggle" -> ret (gpio_toggle z ~pin:(a 1))
   | "uart_poll_out" -> ret (uart_poll_out z (a 1))
-  | "uart_poll_in" -> ret (uart_poll_in z)
+  | "uart_poll_in" -> ret (-1) (* the simulated UART never receives a byte *)
   | "device_get_binding" -> ret 1 (* single board: handle 1 *)
   | "device_is_ready" -> ret 1
   | "sys_rand_get" -> (

@@ -42,7 +42,6 @@ type t = {
   mutable objects : (int, obj) Hashtbl.t; (* kernel object handles *)
   mutable next_obj : int;
   uart_out : Buffer.t;
-  mutable uart_in : string list; (* queued input bytes *)
   gpio : gpio_pin array;
   mutable gpio_log : (int * int * int64) list; (* pin, value, time *)
   mutable heap_used : int;
@@ -58,7 +57,6 @@ let create ?(heap_limit = 65536) () : t =
     objects = Hashtbl.create 16;
     next_obj = 1;
     uart_out = Buffer.create 256;
-    uart_in = [];
     gpio = Array.init 32 (fun _ -> { gp_dir_out = false; gp_value = 0 });
     gpio_log = [];
     heap_used = 0;
@@ -311,20 +309,6 @@ let gpio_toggle z ~pin : int =
 let uart_poll_out z (c : int) : int =
   Buffer.add_char z.uart_out (Char.chr (c land 0xff));
   0
-
-let uart_poll_in z : int =
-  match z.uart_in with
-  | [] -> -1
-  | s :: rest ->
-      if String.length s = 0 then begin
-        z.uart_in <- rest;
-        -1
-      end
-      else begin
-        let c = Char.code s.[0] in
-        z.uart_in <- String.sub s 1 (String.length s - 1) :: rest;
-        c
-      end
 
 let uart_output z = Buffer.contents z.uart_out
 

@@ -336,20 +336,16 @@ let reference_fuse (ops : Code.op array) : Code.op array =
     match (ops.(i), op (i + 1), op (i + 2), op (i + 3), op (i + 4)) with
     | K_local_get a, K_local_get b, K_i32_relop o, K_i32_eqz, K_br_if j ->
         F_ll_i32_relop_eqz_br_if (a, b, o, j)
-    | K_local_get a, K_const (Values.I32 c), K_i32_relop o, K_i32_eqz, K_br_if j
-      ->
-        F_lc_i32_relop_eqz_br_if (a, Int32.to_int c, o, j)
-    | K_local_get a, K_const (Values.I32 c), K_i32_binop o, K_local_set d, _
-      when nontrap_binop o ->
-        F_lc_i32_binop_set (a, Int32.to_int c, o, d)
+    | K_local_get a, K_const c, K_i32_relop o, K_i32_eqz, K_br_if j ->
+        F_lc_i32_relop_eqz_br_if (a, c, o, j)
+    | K_local_get a, K_const c, K_i32_binop o, K_local_set d, _ when nontrap_binop o ->
+        F_lc_i32_binop_set (a, c, o, d)
     | K_local_get a, K_local_get b, K_i32_binop o, _, _ -> F_ll_i32_binop (a, b, o)
-    | K_local_get a, K_const (Values.I32 c), K_i32_binop o, _, _ ->
-        F_lc_i32_binop (a, Int32.to_int c, o)
+    | K_local_get a, K_const c, K_i32_binop o, _, _ -> F_lc_i32_binop (a, c, o)
     | K_i32_relop o, K_i32_eqz, K_br_if j, _, _ -> F_i32_relop_eqz_br_if (o, j)
     | K_local_get a, K_i32_binop o, _, _, _ -> F_l_i32_binop (a, o)
     | K_local_get a, K_store (k, off), _, _, _ -> F_l_store (a, k, off)
-    | K_const (Values.I32 c), K_i32_binop o, _, _, _ ->
-        F_const_i32_binop (Int32.to_int c, o)
+    | K_const c, K_i32_binop o, _, _, _ -> F_const_i32_binop (c, o)
     | K_i32_binop o, K_local_set d, _, _, _ when nontrap_binop o ->
         F_i32_binop_set (o, d)
     | K_i32_binop o, K_load (k, off), _, _, _ when nontrap_binop o ->
@@ -654,6 +650,32 @@ let test_load_alloc () =
   if per_op > 8.0 then
     Alcotest.failf "compile allocates %.2f minor words per op" per_op
 
+(* A compiled image keeps what links and runs it, not the decoded
+   instruction lists: every function's body in its module is empty, and
+   its env holds that same module. The 13 suite images as the engine
+   compiles them are 92,845 words; they were 211,128 while each kept its
+   bodies and boxed constants. The bound is 5% over. *)
+let image_words_max = 97_487
+
+let test_image_retention () =
+  let cms =
+    List.map
+      (fun a ->
+        (a.Apps.Suite.a_name,
+         Code.compile_module ~poll:Code.Poll_loops (Binary.decode (Apps.Suite.binary_of a))))
+      Apps.Suite.all
+  in
+  List.iter
+    (fun (name, cm) ->
+      if not (Array.for_all (fun f -> f.f_body = []) cm.Code.cm_module.funcs) then
+        Alcotest.failf "%s: the image keeps an instruction list" name;
+      if cm.Code.cm_env.Code.e_module != cm.Code.cm_module then
+        Alcotest.failf "%s: the image's env holds another module" name)
+    cms;
+  let words = List.fold_left (fun a (_, cm) -> a + Obj.reachable_words (Obj.repr cm)) 0 cms in
+  if words > image_words_max then
+    Alcotest.failf "the 13 suite images are %d words (at most %d)" words image_words_max
+
 let tests =
   [
     Alcotest.test_case "hot idioms fuse and agree" `Quick test_idioms;
@@ -671,4 +693,5 @@ let tests =
     Alcotest.test_case "suite fusion matches the reference" `Quick test_oracle_suite;
     QCheck_alcotest.to_alcotest prop_differential;
     QCheck_alcotest.to_alcotest prop_oracle;
+    Alcotest.test_case "a compiled image keeps no instruction list" `Quick test_image_retention;
   ]

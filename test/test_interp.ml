@@ -631,6 +631,65 @@ let int_ops_match_reference =
         unops;
       !ok)
 
+(* A compiled constant is its bits: an i32's or f32's sign-extended, an
+   i64's or f64's as they are. Each case returns what it computes from one
+   constant, on its own and (for i32) inside each superinstruction that
+   takes a constant operand. A signed compare or [i32.eqz] reads a slot's
+   whole [int], so a constant stored zero-extended fails them. *)
+let test_const_bits () =
+  let b = Builder.create () in
+  let cases = ref [] in
+  let case name params args results body expect =
+    let f = Builder.func b ~name ~params ~results ~locals:[] body in
+    Builder.export_func b name f;
+    cases := (name, args, expect) :: !cases
+  in
+  let yes = Values.I32 1l in
+  List.iter
+    (fun c ->
+      let n = Printf.sprintf "i32 %ld" c in
+      case n [] [] [ i32 ] [ I32_const c ] (Values.I32 c);
+      case (n ^ " <s 0") [] [] [ i32 ] [ I32_const c; I32_const 0l; I32_relop Lt_s ] yes;
+      (* local_get; const; xor: the fused local-const binop *)
+      case (n ^ " lc") [ i32 ] [ Values.I32 c ] [ i32 ]
+        [ Local_get 0; I32_const c; I32_binop Xor; I32_eqz ] yes;
+      (* const; xor after a fused op: the fused const binop *)
+      case (n ^ " c") [ i32 ] [ Values.I32 c ] [ i32 ]
+        [ Local_get 0; I32_const 0l; I32_binop Or; I32_const c; I32_binop Xor; I32_eqz ] yes;
+      (* local_get; const; eq; eqz; br_if: the fused compare-and-branch *)
+      case (n ^ " br") [ i32 ] [ Values.I32 c ] [ i32 ]
+        [ Block (Bt_val i32,
+            [ I32_const 0l; Local_get 0; I32_const c; I32_relop Eq; I32_eqz; Br_if 0;
+              Drop; I32_const 1l ]) ]
+        yes)
+    [ -1l; Int32.min_int ];
+  case "i64 min" [] [] [ i64 ] [ I64_const Int64.min_int ] (Values.I64 Int64.min_int);
+  case "i64 min <s 0" [] [] [ i32 ] [ I64_const Int64.min_int; I64_const 0L; I64_relop Lt_s ] yes;
+  List.iter
+    (fun bits ->
+      let n = Printf.sprintf "f32 0x%lx" bits in
+      case n [] [] [ i32 ] [ F32_const bits; I32_reinterpret_f32 ] (Values.I32 bits);
+      case (n ^ " <s 0") [] [] [ i32 ]
+        [ F32_const bits; I32_reinterpret_f32; I32_const 0l; I32_relop Lt_s ]
+        (Values.I32 (if bits < 0l then 1l else 0l)))
+    [ Int32.bits_of_float (-0.0); 0x7fc00001l ];
+  List.iter
+    (fun bits ->
+      case (Printf.sprintf "f64 0x%Lx" bits) [] [] [ i64 ]
+        [ F64_const bits; I64_reinterpret_f64 ] (Values.I64 bits))
+    [ Int64.bits_of_float (-0.0); 0x7ff8000000000001L ];
+  List.iter
+    (fun fuse ->
+      let inst = instantiate ~fuse b in
+      List.iter
+        (fun (name, args, expect) ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s (fuse %b)" name fuse)
+            (show (Interp.R_done [ expect ]))
+            (show (snd (invoke inst name args))))
+        (List.rev !cases))
+    [ false; true ]
+
 let tests =
   [
     Alcotest.test_case "dispatch allocates nothing per instruction" `Quick test_no_alloc;
@@ -644,4 +703,5 @@ let tests =
     Alcotest.test_case "unbounded recursion traps" `Quick test_recursion_bound;
     Alcotest.test_case "nearest rounds half to even" `Quick test_nearest;
     QCheck_alcotest.to_alcotest int_ops_match_reference;
+    Alcotest.test_case "constants keep their bits, fused and unfused" `Quick test_const_bits;
   ]

@@ -706,7 +706,7 @@ let run_with_post ~post binary =
   let eng = Engine.create kernel in
   let status = ref (-1) in
   let hf_fn m _ =
-    post kernel (Engine.proc_of eng m).Engine.pr_task;
+    post kernel (Engine.proc_of m).Engine.pr_task;
     Rt.H_return []
   in
   let hf_type = { Types.params = []; results = [] } in
@@ -1018,6 +1018,7 @@ let test_released_memory () =
       (* a machine on the dead image, charged to a live process *)
       let stale = Rt.Machine.create m.Rt.m_inst in
       stale.Rt.m_pid <- live.Engine.pr_task.Kernel.Task.tid;
+      stale.Rt.m_owner <- Engine.Owner live;
       match
         Interface.traced_dispatch eng "read" stale [| Values.I64 0L; Values.I64 16L; Values.I64 8L |]
       with

@@ -169,6 +169,18 @@ let test_stub_traps () =
         (Astring_contains.contains s "unimplemented subsystem")
   | _ -> Alcotest.fail "expected stub trap"
 
+(* Nothing feeds the simulated UART, so a poll for input always reads
+   Zephyr's "no character waiting". *)
+let test_uart_poll_in_empty () =
+  let binary =
+    build ~imports:[ ("uart_poll_in", 2) ] ~locals:[]
+      (fun call -> [ k 1; k 0; call "uart_poll_in" ])
+  in
+  match fst (Wazi.run_module binary) with
+  | Interp.R_done [ Values.I32 v ] -> Alcotest.(check int32) "no input" (-1l) v
+  | Interp.R_trap s -> Alcotest.failf "trap: %s" s
+  | _ -> Alcotest.fail "unexpected result"
+
 let test_coverage_ratio () =
   (* the §2 scoping claim for Zephyr: the interface only needs a small
      core; the rest is auto-generated *)
@@ -185,4 +197,5 @@ let tests =
     Alcotest.test_case "k_sem_take timeout" `Quick test_sem_timeout;
     Alcotest.test_case "auto-generated stubs trap" `Quick test_stub_traps;
     Alcotest.test_case "coverage: small core suffices" `Quick test_coverage_ratio;
+    Alcotest.test_case "uart_poll_in: nothing received" `Quick test_uart_poll_in_empty;
   ]
