@@ -10,7 +10,7 @@ let length b = b.len
 
 let ensure b n =
   if n > Bytes.length b.data then begin
-    let cap = max n (2 * Bytes.length b.data) in
+    let cap = Int.max n (2 * Bytes.length b.data) in
     let d = Bytes.make cap '\000' in
     Bytes.blit b.data 0 d 0 b.len;
     b.data <- d
@@ -22,13 +22,13 @@ let pwrite b ~off ~src ~src_off ~len =
   ensure b (off + len);
   if off > b.len then Bytes.fill b.data b.len (off - b.len) '\000';
   Bytes.blit src src_off b.data off len;
-  b.len <- max b.len (off + len)
+  b.len <- Int.max b.len (off + len)
 
 (** Read up to [len] bytes at [off] into [dst]; returns bytes read. *)
 let pread b ~off ~dst ~dst_off ~len =
   if off >= b.len then 0
   else begin
-    let n = min len (b.len - off) in
+    let n = Int.min len (b.len - off) in
     Bytes.blit b.data off dst dst_off n;
     n
   end

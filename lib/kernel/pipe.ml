@@ -52,8 +52,8 @@ let drop_writer p =
    over at 0, so a write that is read back whole never wraps. *)
 let pop p dst dst_off len =
   let size = Bytes.length p.buf in
-  let n = min len p.count in
-  let first = min n (size - p.rd) in
+  let n = Int.min len p.count in
+  let first = Int.min n (size - p.rd) in
   Bytes.blit p.buf p.rd dst dst_off first;
   if n > first then Bytes.blit p.buf 0 dst (dst_off + first) (n - first);
   p.count <- p.count - n;
@@ -67,19 +67,19 @@ let pop p dst dst_off len =
 let grow p need =
   let size = Bytes.length p.buf in
   let rec fit n = if n >= need then n else fit (2 * n) in
-  let b = Bytes.create (min p.capacity (fit (max min_ring (2 * size)))) in
-  let first = min p.count (size - p.rd) in
+  let b = Bytes.create (Int.min p.capacity (fit (Int.max min_ring (2 * size)))) in
+  let first = Int.min p.count (size - p.rd) in
   Bytes.blit p.buf p.rd b 0 first;
   Bytes.blit p.buf 0 b first (p.count - first);
   p.buf <- b;
   p.rd <- 0
 
 let push p src src_off len =
-  let n = min len (space p) in
+  let n = Int.min len (space p) in
   if p.count + n > Bytes.length p.buf then grow p (p.count + n);
   let size = Bytes.length p.buf in
   let wr = if p.rd + p.count >= size then p.rd + p.count - size else p.rd + p.count in
-  let first = min n (size - wr) in
+  let first = Int.min n (size - wr) in
   Bytes.blit src src_off p.buf wr first;
   if n > first then Bytes.blit src (src_off + first) p.buf 0 (n - first);
   p.count <- p.count + n;
@@ -132,5 +132,5 @@ let poll_read p =
 
 let poll_write p ~atomic =
   (* writable: a write of up to [pipe_buf] bytes would not wait *)
-  (if space p >= need p ~atomic (min pipe_buf p.capacity) then Ktypes.pollout else 0)
+  (if space p >= need p ~atomic (Int.min pipe_buf p.capacity) then Ktypes.pollout else 0)
   lor if p.readers = 0 then Ktypes.pollerr else 0

@@ -62,7 +62,7 @@ let desc_read ctx (d : Fdtab.desc) buf off len : int Errno.result =
       let avail = String.length s - d.Fdtab.d_pos in
       if avail <= 0 then Ok 0
       else begin
-        let n = min len avail in
+        let n = Int.min len avail in
         Bytes.blit_string s d.Fdtab.d_pos buf off n;
         d.Fdtab.d_pos <- d.Fdtab.d_pos + n;
         Ok n
@@ -139,7 +139,7 @@ let pread64 ctx ~fd ~buf ~off ~len ~pos : int Errno.result =
       | Fdtab.F_gen s ->
           if pos >= String.length s then Ok 0
           else begin
-            let n = min len (String.length s - pos) in
+            let n = Int.min len (String.length s - pos) in
             Bytes.blit_string s pos buf off n;
             Ok n
           end
@@ -565,7 +565,7 @@ let poll ctx ~(fds : (int * int) list) ~timeout_ms :
       else begin
         let remaining =
           match deadline with
-          | Some dl -> min poll_tick_ns (Int64.sub dl (Fiber.now ()))
+          | Some dl -> Int64.min poll_tick_ns (Int64.sub dl (Fiber.now ()))
           | None -> poll_tick_ns
         in
         match Waitq.wait ~timeout_ns:remaining ~intr:ctx.t.Task.intr dummy with

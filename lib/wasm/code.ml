@@ -97,6 +97,11 @@ type op =
       (* local_set i; local_get i — a tee spelled as two ops *)
   | F_i32_eqz_eqz
       (* i32.eqz; i32.eqz — normalize to 0/1 *)
+  | F_const_i64_extend_s of int
+      (* i32.const c; i64.extend_i32_s — push c, already sign-extended *)
+  | F_l_i64_extend_s of int
+      (* local_get a; i64.extend_i32_s — push local a's slot unchanged:
+         an i32 slot holds its value sign-extended *)
 
 and load_kind =
   | L_i32 | L_i64 | L_f32 | L_f64
@@ -156,7 +161,8 @@ let op_width = function
   | F_ll_i32_binop _ | F_lc_i32_binop _ | F_i32_relop_eqz_br_if _ -> 3
   | F_const_i32_binop _ | F_i32_binop_set _ | F_i32_eqz_br_if _
   | F_l_i32_binop _ | F_i32_binop_load _ | F_i32_binop_store _ | F_l_store _
-  | F_set_get _ | F_i32_eqz_eqz -> 2
+  | F_set_get _ | F_i32_eqz_eqz | F_const_i64_extend_s _ | F_l_i64_extend_s _ ->
+      2
   | _ -> 1
 
 type fuse_stats = {
@@ -350,8 +356,9 @@ let out st op =
 (* Window op [k]. Past the window's end it reads as [K_unreachable],
    which no pattern contains, so one match on the window, longest
    patterns first, picks the superinstruction. A [K_const] right before
-   an i32 binop or relop is its operand, so in validated code it is an
-   i32 and its [int] is the value the handler computes with. *)
+   an i32 binop, relop or [i64.extend_i32_s] is its operand, so in
+   validated code it is an i32 and its [int] is the value the handler
+   computes with. [i64.extend_i32_u] never fuses. *)
 let win st k = if k < st.s_wlen then st.s_win.((st.s_whead + k) land 7) else K_unreachable
 
 let superop st =
@@ -377,6 +384,8 @@ let superop st =
   | K_i32_eqz, K_br_if j, _, _, _ -> F_i32_eqz_br_if j
   | K_i32_eqz, K_i32_eqz, _, _, _ -> F_i32_eqz_eqz
   | K_local_set s, K_local_get g, _, _, _ when s = g -> F_set_get s
+  | K_const c, K_cvt (C_i64_extend_i32 SX), _, _, _ -> F_const_i64_extend_s c
+  | K_local_get a, K_cvt (C_i64_extend_i32 SX), _, _, _ -> F_l_i64_extend_s a
   | o, _, _, _, _ -> o
 
 (* Emit the window head's superinstruction (or the head itself) and drop

@@ -384,23 +384,15 @@ let rec run_machine ?(stop_depth = 0) (m0 : machine)
         results := [];
         stop_depth := 0
   in
-  let call f =
-    match f with
-    | Wasm_func { wf_inst; wf_code } -> Machine.push_frame !m wf_inst wf_code
-    | Host_slot { hs_arity; hs_fn; _ } ->
-        (* the arguments stay in place; the result replaces the first *)
-        let mch = !m in
-        let base = mch.sp - hs_arity in
-        set_slot_i mch base (hs_fn mch base);
-        mch.sp <- base + 1
-    | Host_func { hf_type; hf_fn; _ } -> call_host f hf_type hf_fn
-  in
   (* [exec] runs frame [fr] with its op array, frame pointer, memory 0
      and pc held in arguments: an op that stays in the frame tail-calls
      [exec] with the next pc, and [fr_pc] is written back only by the ops
-     that leave it (calls, return, a poll whose hook is set and whose
-     attention cell is armed), after which [loop] re-reads the machine
-     and its top frame. A trap needs no write-back. *)
+     that leave it (calls and return). A call to a Wasm function or a slot
+     host function and a return that stays above [stop_depth] switch
+     frames by tail-calling [exec] again ([enter]); only a boxed host
+     call, a poll whose hook is set and whose attention cell is armed, and
+     a return to [stop_depth] go back to [loop], which re-reads the
+     machine and its top frame. A trap needs no write-back. *)
   let rec exec mch fr (ops : Code.op array) fp (mem : Memory.t) pc =
     let op = ops.(pc) in
     mch.hot_steps <- mch.hot_steps + 1;
@@ -415,10 +407,15 @@ let rec run_machine ?(stop_depth = 0) (m0 : machine)
         exec mch fr ops fp mem (jump mch (if i < Array.length js then js.(i) else dj))
     | Code.K_return ->
         fr.fr_pc <- next;
-        pop_frame mch
+        pop_frame mch;
+        if mch.depth > !stop_depth then
+          let caller = mch.frames.(mch.depth - 1) in
+          exec mch caller caller.fr_code.Code.fc_ops caller.fr_fp
+            (if caller.fr_inst == fr.fr_inst then mem else memory_of caller.fr_inst)
+            caller.fr_pc
     | Code.K_call fi ->
         fr.fr_pc <- next;
-        call fr.fr_inst.i_funcs.(fi)
+        enter mch fr ops fp mem next fr.fr_inst.i_funcs.(fi)
     | Code.K_call_indirect (ti, tbl) -> (
         let i = u32 (pop_i mch) in
         match Table.get fr.fr_inst.i_tables.(tbl) i with
@@ -432,7 +429,7 @@ let rec run_machine ?(stop_depth = 0) (m0 : machine)
                 (func_name_of f)
                 (Types.string_of_func_type (func_type_of f));
             fr.fr_pc <- next;
-            call f)
+            enter mch fr ops fp mem next f)
     | Code.K_drop ->
         mch.sp <- mch.sp - 1;
         exec mch fr ops fp mem next
@@ -554,6 +551,13 @@ let rec run_machine ?(stop_depth = 0) (m0 : machine)
         let k = mch.sp - 1 in
         set_slot_i mch k (b2i (exec_f_relop o (Int64.float_of_bits (slot mch k)) b));
         exec mch fr ops fp mem next
+    (* the two conversions around every WALI call: an i32 slot already
+       holds its value sign-extended, and a result narrows in place *)
+    | Code.K_cvt (Code.C_i64_extend_i32 Ast.SX) -> exec mch fr ops fp mem next
+    | Code.K_cvt Code.C_i32_wrap_i64 ->
+        let k = mch.sp - 1 in
+        set_slot_i mch k (wrap (slot_i mch k));
+        exec mch fr ops fp mem next
     | Code.K_cvt c ->
         exec_cvt mch c;
         exec mch fr ops fp mem next
@@ -642,6 +646,31 @@ let rec run_machine ?(stop_depth = 0) (m0 : machine)
         let k = mch.sp - 1 in
         set_slot_i mch k (b2i (slot_i mch k <> 0));
         exec mch fr ops fp mem next
+    | Code.F_const_i64_extend_s c ->
+        fuse mch 2;
+        push_i mch c;
+        exec mch fr ops fp mem next
+    | Code.F_l_i64_extend_s a ->
+        fuse mch 2;
+        push mch (slot mch (fp + a));
+        exec mch fr ops fp mem next
+  (* Call [f] from frame [fr], whose [fr_pc] is already [next]. The callee
+     of another instance runs on that instance's memory 0. *)
+  and enter mch fr ops fp mem next f =
+    match f with
+    | Wasm_func { wf_inst; wf_code } ->
+        Machine.push_frame mch wf_inst wf_code;
+        let callee = mch.frames.(mch.depth - 1) in
+        exec mch callee wf_code.Code.fc_ops callee.fr_fp
+          (if wf_inst == fr.fr_inst then mem else memory_of wf_inst)
+          0
+    | Host_slot { hs_arity; hs_fn; _ } ->
+        (* the arguments stay in place; the result replaces the first *)
+        let base = mch.sp - hs_arity in
+        set_slot_i mch base (hs_fn mch base);
+        mch.sp <- base + 1;
+        exec mch fr ops fp mem next
+    | Host_func { hf_type; hf_fn; _ } -> call_host f hf_type hf_fn
   in
   try
     let rec loop () =

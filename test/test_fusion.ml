@@ -52,14 +52,11 @@ let check_same ?params ?results ?locals ?mem body args =
    pattern silently stopped matching. *)
 let test_idioms () =
   let params = [ Types.T_i32; Types.T_i32 ] in
-  let fusing name (is : Code.op -> bool) body args =
-    let cm =
-      Code.compile_module
-        (build ~params ~results:[ Types.T_i32 ] ~locals:[] ~mem:true body)
-    in
+  let fusing ?(results = [ Types.T_i32 ]) name (is : Code.op -> bool) body args =
+    let cm = Code.compile_module (build ~params ~results ~locals:[] ~mem:true body) in
     if not (Array.exists is cm.Code.cm_funcs.(0).Code.fc_ops) then
       Alcotest.failf "%s: not in the compiled code" name;
-    if check_same ~params ~mem:true body args = 0L then
+    if check_same ~params ~results ~mem:true body args = 0L then
       Alcotest.failf "%s: no superinstruction dispatched" name
   in
   let load = I32_load { offset = 0; align = 2 } in
@@ -143,7 +140,45 @@ let test_idioms () =
           ] );
       Local_get 1;
     ]
-    (args 10l 0l)
+    (args 10l 0l);
+  (* a WALI call's argument widening, on the values where sign- and
+     zero-extension differ and on the largest i32 *)
+  List.iter
+    (fun c ->
+      fusing ~results:[ Types.T_i64 ] "const_i64_extend_s"
+        (function Code.F_const_i64_extend_s _ -> true | _ -> false)
+        [ I32_const c; I64_extend_i32 SX ] (args 0l 0l);
+      fusing ~results:[ Types.T_i64 ] "l_i64_extend_s"
+        (function Code.F_l_i64_extend_s _ -> true | _ -> false)
+        [ Local_get 1; I64_extend_i32 SX ] (args 0l c))
+    [ -1l; Int32.min_int; 0x7FFF_FFFFl ]
+
+(* The widening's value, and the zero-extension that never fuses. *)
+let test_extend () =
+  let run body args =
+    match
+      run_both ~params:[ Types.T_i32 ] ~results:[ Types.T_i64 ] body args
+    with
+    | (Interp.R_done [ Values.I64 f ], _, fused), (Interp.R_done [ Values.I64 u ], _, _) ->
+        Alcotest.(check int64) "fused = unfused" u f;
+        (f, fused)
+    | _ -> Alcotest.fail "widening did not return an i64"
+  in
+  let arg = [ Values.I32 (-1l) ] in
+  List.iter
+    (fun (name, body) ->
+      Alcotest.(check (pair int64 int64)) name (-1L, 1L) (run body arg))
+    [
+      ("i32.const -1; i64.extend_i32_s", [ I32_const (-1l); I64_extend_i32 SX ]);
+      ("local.get; i64.extend_i32_s", [ Local_get 0; I64_extend_i32 SX ]);
+    ];
+  List.iter
+    (fun (name, body) ->
+      Alcotest.(check (pair int64 int64)) name (0xFFFF_FFFFL, 0L) (run body arg))
+    [
+      ("i32.const -1; i64.extend_i32_u", [ I32_const (-1l); I64_extend_i32 ZX ]);
+      ("local.get; i64.extend_i32_u", [ Local_get 0; I64_extend_i32 ZX ]);
+    ]
 
 (* Division stays precise under fusion: traps carry the same message and
    the same instruction count (div never fuses as an interior op). *)
@@ -242,9 +277,23 @@ let program_gen =
                                            I32_binop o; Local_set d ]) ],
             0 )
       in
+      (* an i32 through i64 and back, as a WALI call's argument and
+         result go *)
+      let round_trip =
+        let* a = oneof operand and* e = oneofl [ SX; ZX ] in
+        let* op =
+          opt
+            (pair
+               (map Int64.of_int (oneof [ int_bound 40; int ]))
+               (oneofl [ Add; Sub; Mul; And; Or; Xor; Shl; Shr_u; Shr_s; Rotl ]))
+        in
+        let tail = match op with None -> [] | Some (c, o) -> [ I64_const c; I64_binop o ] in
+        return (a @ (I64_extend_i32 e :: tail) @ [ I32_wrap_i64 ], 1)
+      in
       let push =
         List.map (map (fun is -> (is, 1))) operand
         @ [
+            round_trip;
             map2 (fun a i -> ([ I32_const (Int32.of_int a); Local_get i;
                                 I32_store { offset = 0; align = 2 } ], 0))
               (int_bound 200) local;
@@ -355,6 +404,8 @@ let reference_fuse (ops : Code.op array) : Code.op array =
     | K_i32_eqz, K_br_if j, _, _, _ -> F_i32_eqz_br_if j
     | K_i32_eqz, K_i32_eqz, _, _, _ -> F_i32_eqz_eqz
     | K_local_set s, K_local_get g, _, _, _ when s = g -> F_set_get s
+    | K_const c, K_cvt (C_i64_extend_i32 SX), _, _, _ -> F_const_i64_extend_s c
+    | K_local_get a, K_cvt (C_i64_extend_i32 SX), _, _, _ -> F_l_i64_extend_s a
     | o, _, _, _, _ -> o
   in
   let i = ref 0 in
@@ -679,6 +730,7 @@ let test_image_retention () =
 let tests =
   [
     Alcotest.test_case "hot idioms fuse and agree" `Quick test_idioms;
+    Alcotest.test_case "widening: _s fuses, _u stays unfused" `Quick test_extend;
     Alcotest.test_case "div trap parity" `Quick test_div_trap_parity;
     Alcotest.test_case "branch into fusion window" `Quick test_branch_into_window;
     Alcotest.test_case "fusion stats" `Quick test_fusion_stats;

@@ -809,6 +809,36 @@ let test_masked_pending () =
   Alcotest.(check string) "held while masked, run at unmask" "01" out;
   Alcotest.(check int) "status" 0 status
 
+(* A signal handler that runs on the way back from a slot call (here
+   the unmasking rt_sigprocmask) returns into the interrupted
+   expression: the 1000 pushed before the call is still beneath its
+   result, and the handler's own calls and returns, a few frames deep,
+   stop at the frame that the crossing interrupted. *)
+let test_handler_in_slot_call () =
+  let binary =
+    Minic.to_wasm_binary
+      {|
+        int got;
+        char set[8];
+        int depth(int n) { if (n == 0) { return 0; } return 1 + depth(n - 1); }
+        void on_usr1(int sig) { got = got + depth(4) - 3; }
+        int main(int argc, char **argv) {
+          signal(10, fnptr(on_usr1));
+          *(int*)set = 512;
+          syscall("rt_sigprocmask", 0, set, 0, 8);
+          kill(getpid(), 10);
+          int v = 1000 + syscall("rt_sigprocmask", 1, set, 0, 8);
+          printi(v);
+          print(" ");
+          printi(got);
+          return 0;
+        }
+      |}
+  in
+  let status, out, _ = run binary in
+  Alcotest.(check string) "v and got" "1000 1" out;
+  Alcotest.(check int) "status" 0 status
+
 (* A fork child polls on its own task's cell: a SIGUSR1 sent to it while
    its parent's cell is clear still ends it at its first poll. *)
 let test_fork_child_cell () =
@@ -1086,4 +1116,6 @@ let tests =
     Alcotest.test_case "getrusage: zero times, a non-zero maxrss" `Quick test_getrusage;
     Alcotest.test_case "boot, pipe, socketpair, machine: 0 direct major words" `Quick
       test_boot_direct_major;
+    Alcotest.test_case "a handler run in a slot call keeps the caller's stack" `Quick
+      test_handler_in_slot_call;
   ]

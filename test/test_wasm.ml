@@ -450,6 +450,42 @@ let test_host_func () =
   | Interp.R_done [ Values.I32 42l ] -> ()
   | _ -> Alcotest.fail "host func failed"
 
+(* A call into another instance runs on that instance's memory, and the
+   return runs on the caller's again. B's memory holds 7 at address 0
+   and exports [peek] = its word 0; A's holds 5 and returns
+   [peek () + its word 0], so 12. The callee on A's memory gives 10, the
+   caller on B's memory after the return gives 14. *)
+let test_cross_instance_memory () =
+  let instance ?(resolver = Link.empty_resolver) word body =
+    let b = Builder.create () in
+    ignore (Builder.add_memory b ~min:1 ~max:(Some 1));
+    Builder.add_data b ~offset:0 (String.make 1 (Char.chr word) ^ "\000\000\000");
+    let f = body b in
+    Builder.export_func b "f" f;
+    fst (Link.instantiate resolver (Code.compile_module (Builder.build b)))
+  in
+  let word0 = I32_load { offset = 0; align = 2 } in
+  let b_inst =
+    instance 7 (fun b ->
+        Builder.func b ~name:"peek" ~params:[] ~results:[ Types.T_i32 ] ~locals:[]
+          [ I32_const 0l; word0 ])
+  in
+  let resolver ~module_name ~name =
+    if module_name = "b" && name = "peek" then Rt.export_opt b_inst "f" else None
+  in
+  let a_inst =
+    instance ~resolver 5 (fun b ->
+        let peek =
+          Builder.import_func b ~module_:"b" ~name:"peek" ~params:[]
+            ~results:[ Types.T_i32 ]
+        in
+        Builder.func b ~name:"f" ~params:[] ~results:[ Types.T_i32 ] ~locals:[]
+          [ Call peek; I32_const 0l; word0; I32_binop Add ])
+  in
+  match Interp.invoke (Rt.Machine.create a_inst) (Rt.exported_func a_inst "f") [] with
+  | Interp.R_done [ v ] -> Alcotest.check value "peek () + word 0" (Values.I32 12l) v
+  | _ -> Alcotest.fail "cross-instance call failed"
+
 let test_machine_clone () =
   (* Fork semantics at the machine level: mutate cloned memory, original
      unaffected. *)
@@ -639,6 +675,8 @@ let tests =
     Alcotest.test_case "segment indices are validated" `Quick test_segment_indices;
     Alcotest.test_case "module load fuzzer" `Quick test_load_fuzz;
     Alcotest.test_case "host function" `Quick test_host_func;
+    Alcotest.test_case "cross-instance call uses each memory" `Quick
+      test_cross_instance_memory;
     Alcotest.test_case "machine clone isolates memory" `Quick test_machine_clone;
     Alcotest.test_case "loop safepoints" `Quick test_poll_safepoints;
     QCheck_alcotest.to_alcotest leb_roundtrip_i64;
