@@ -18,8 +18,9 @@
    probe and layer accountant. `--json=FILE` additionally writes every
    scenario's numbers as a `wali-bench v1` document. A wrong result (a
    replay that diverges, a probed call or an app run that fails its
-   check) keeps its section out of the document and makes the run exit
-   1. *)
+   check, a Fig 8a method that exits non-zero or prints other than the
+   native run) keeps its section out of the document and makes the run
+   exit 1. *)
 
 let now = Monotonic_clock.now
 
@@ -473,8 +474,12 @@ let fig8a () =
       let p = Virt.prepare (fig8_workload name n) in
       let mb m = float_of_int m.Virt.m_peak_mem /. 1e6 in
       let r = List.map (fun m -> Virt.run p m) Virt.all_methods in
+      let native_out = (List.hd r).Virt.m_output in
       List.iter2
         (fun meth res ->
+          if res.Virt.m_status <> 0 || res.Virt.m_output <> native_out then
+            fail "%s: the %s run exits with status %d or its output differs from native's"
+              name (Virt.method_name meth) res.Virt.m_status;
           f8a_metrics :=
             ( Printf.sprintf "%s.%s_peak_mem" name (Virt.method_name meth),
               Perf.Model.counter ~unit_:"bytes"

@@ -23,7 +23,6 @@ type t = {
   ct_pidns_base : int;
   mutable ct_layers_materialized : int;
   mutable ct_bytes_copied : int;
-  mutable ct_state : [ `Created | `Running | `Exited of int ];
 }
 
 let charge cg n =
@@ -98,7 +97,6 @@ let create (k : Task.kernel) ~(name : string) (img : Image.t)
       ct_pidns_base = (incr next_pidns; !next_pidns);
       ct_layers_materialized = 0;
       ct_bytes_copied = 0;
-      ct_state = `Created;
     }
   in
   (* layer materialization: the dominant startup cost *)
@@ -131,13 +129,9 @@ let create (k : Task.kernel) ~(name : string) (img : Image.t)
   write ("/../../../sys/fs/cgroup/" ^ name ^ "/memory.max") (string_of_int mem_limit);
   ct
 
-(** Enter the container: chroot the task into the private rootfs and
-    mark it running. The caller then executes the workload natively. *)
-let enter (ct : t) (task : Task.t) : unit =
-  task.Task.cwd <- ct.ct_root;
-  ct.ct_state <- `Running
-
-let finish (ct : t) ~(status : int) : unit = ct.ct_state <- `Exited status
+(** Enter the container: chroot the task into the private rootfs. The
+    caller then executes the workload natively. *)
+let enter (ct : t) (task : Task.t) : unit = task.Task.cwd <- ct.ct_root
 
 (** Base memory consumed by the container before the app allocates
     anything: the materialized layers plus runtime structures. *)

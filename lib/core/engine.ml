@@ -278,16 +278,16 @@ let handler_func (inst : Rt.instance) idx : Rt.func_inst option =
     | None -> None
     | exception Values.Trap _ -> None
 
-(** Run the registered Wasm handler for [signo] with the mask discipline:
-    block the signal itself (unless SA_NODEFER) plus sa_mask for the
-    duration — nested delivery therefore defers identical signals, the
+(** Run the registered Wasm handler for [signo] with its task's mask set
+    to [mask] ({!Kernel.Task.handler_mask}) for the duration: nested
+    delivery therefore defers identical signals unless SA_NODEFER, the
     stack-based structure of §3.3. A dangling handler function pointer is
     treated as default Term. The hook sees [Handler_begin], then
     [Handler_end] even when the handler ends the process, so the trace
     stays well-nested. Also the entry point the replayer uses to
     re-inject recorded deliveries, which its hook therefore sees too. *)
 let run_signal_handler eng (p : proc) (m : Rt.machine) ~(signo : int)
-    ~(action : Kernel.Ktypes.sigaction) : unit =
+    ~(action : Kernel.Ktypes.sigaction) ~mask : unit =
   let task = p.pr_task in
   let open Kernel.Ktypes in
   let run () =
@@ -297,11 +297,7 @@ let run_signal_handler eng (p : proc) (m : Rt.machine) ~(signo : int)
         raise (Killed_by (wsignal_status signo))
     | Some f ->
         let old_mask = task.Kernel.Task.sigmask in
-        let block =
-          if action.sa_flags land sa_nodefer <> 0 then action.sa_mask
-          else Sigset.add action.sa_mask signo
-        in
-        task.Kernel.Task.sigmask <- Sigset.union old_mask block;
+        task.Kernel.Task.sigmask <- mask;
         let result = Interp.call_nested m f [ Values.I32 (Int32.of_int signo) ] in
         task.Kernel.Task.sigmask <- old_mask;
         (match result with
@@ -318,48 +314,40 @@ let run_signal_handler eng (p : proc) (m : Rt.machine) ~(signo : int)
       Fun.protect ~finally:(fun () -> h.h_event (Signal (p, m, signo, Handler_end))) run
   | None -> run ()
 
-(** Deliver every currently-deliverable signal on machine [m]. Handlers
-    run re-entrantly on the interrupted machine (sig_poll in Fig 5);
-    default dispositions terminate via [Killed_by]. *)
+(* Count a delivery and show it to the interposer. *)
+let delivered eng p m signo status =
+  (match eng.interpose with
+  | Some ip -> ip.ip_signal eng p m ~signo ~status
+  | None -> ());
+  let ks = eng.kernel.Kernel.Task.stats in
+  ks.Observe.Metrics.sig_delivered <- ks.Observe.Metrics.sig_delivered + 1
+
+(** Deliver every currently-deliverable signal on machine [m], as
+    {!Kernel.Task.take_signal} decides. Handlers run re-entrantly on the
+    interrupted machine (sig_poll in Fig 5); a kill ends the process via
+    [Killed_by]. While a hook or the interposer supplies the signals, only
+    a group exit under way is acted on. *)
 let rec deliver_signals eng (p : proc) (m : Rt.machine) : unit =
   let task = p.pr_task in
-  (match task.Kernel.Task.group.Kernel.Task.exiting with
-  | Some status -> raise (Killed_by status)
-  | None -> ());
   let suppressed =
     (match eng.hook with Some h -> h.h_virtual_signals | None -> false)
     || match eng.interpose with Some ip -> ip.ip_virtual_signals | None -> false
   in
-  if (not suppressed) && Kernel.Task.has_deliverable_signal task then begin
-    match Kernel.Task.next_signal task with
-    | None -> ()
-    | Some (signo, action) ->
-        let open Kernel.Ktypes in
-        let delivered status =
-          (match eng.interpose with
-          | Some ip -> ip.ip_signal eng p m ~signo ~status
-          | None -> ());
-          let ks = eng.kernel.Kernel.Task.stats in
-          ks.Observe.Metrics.sig_delivered <- ks.Observe.Metrics.sig_delivered + 1
-        in
-        if action.sa_handler = sig_ign then deliver_signals eng p m
-        else if action.sa_handler = sig_dfl then begin
-          match default_disposition signo with
-          | Ign | Cont -> deliver_signals eng p m
-          | Stop -> deliver_signals eng p m (* job control simplified *)
-          | Term | Core ->
-              let status = wsignal_status signo in
-              delivered (Some status);
-              event eng (Signal (p, m, signo, Fatal status));
-              raise (Killed_by status)
-        end
-        else begin
-          delivered None;
-          run_signal_handler eng p m ~signo ~action;
-          (* more signals may have arrived meanwhile *)
-          deliver_signals eng p m
-        end
-  end
+  if suppressed then
+    Option.iter (fun st -> raise (Killed_by st)) task.Kernel.Task.group.Kernel.Task.exiting
+  else
+    match Kernel.Task.take_signal task with
+    | Nothing -> ()
+    | Kill (None, status) -> raise (Killed_by status)
+    | Kill (Some signo, status) ->
+        delivered eng p m signo (Some status);
+        event eng (Signal (p, m, signo, Fatal status));
+        raise (Killed_by status)
+    | Catch (signo, action, mask) ->
+        delivered eng p m signo None;
+        run_signal_handler eng p m ~signo ~action ~mask;
+        (* more signals may have arrived meanwhile *)
+        deliver_signals eng p m
 
 (** A counted safepoint poll of process [p] running machine [m]. Once
     nothing is left to deliver it clears the task's attention cell, so

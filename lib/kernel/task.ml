@@ -375,6 +375,37 @@ let has_deliverable_signal (t : t) =
   Sigset.mem candidates sigkill
   || not (Sigset.is_empty (Sigset.diff candidates t.sigmask))
 
+(** The mask a handler for [signo] under [action] runs with: [t]'s mask
+    plus [sa_mask], plus [signo] itself unless SA_NODEFER is set. *)
+let handler_mask (t : t) signo (action : sigaction) =
+  let m = Sigset.union t.sigmask action.sa_mask in
+  if action.sa_flags land sa_nodefer <> 0 then m else Sigset.add m signo
+
+(** What a pending signal does to a task, decided once for every engine. *)
+type delivery =
+  | Nothing (* nothing left to deliver *)
+  | Kill of int option * int
+      (* the fatal signal (None for a group exit under way), packed status *)
+  | Catch of int * sigaction * Sigset.t (* signo, action, handler's mask *)
+
+(** Dequeue [t]'s next signal that does something: a group exit under
+    way or a default Term or Core kills; a registered handler catches.
+    SIG_IGN and the default Ign, Cont and Stop dispositions are skipped
+    (job control is not modelled). *)
+let rec take_signal (t : t) : delivery =
+  match t.group.exiting with
+  | Some status -> Kill (None, status)
+  | None when not (has_deliverable_signal t) -> Nothing
+  | None -> (
+      match next_signal t with
+      | None -> Nothing
+      | Some (_, a) when a.sa_handler = sig_ign -> take_signal t
+      | Some (signo, a) when a.sa_handler = sig_dfl -> (
+          match default_disposition signo with
+          | Ign | Cont | Stop -> take_signal t
+          | Term | Core -> Kill (Some signo, wsignal_status signo))
+      | Some (signo, a) -> Catch (signo, a, handler_mask t signo a))
+
 (* ------------------------------------------------------------------ *)
 (* Exit and wait                                                        *)
 (* ------------------------------------------------------------------ *)

@@ -1,8 +1,8 @@
 (** MiniC -> host-closure backend: the "native" baseline.
 
     The program compiles to OCaml closures over an explicit store (a flat
-    byte memory laid out exactly like the Wasm target), so it executes
-    without any bytecode interpretation — playing the role of natively
+    byte memory laid out by {!Mc_layout}, as on the Wasm target), so it
+    executes without any bytecode interpretation — playing the role of natively
     compiled code in the Fig 8 comparison and in differential tests
     against the Wasm and RV32 backends.
 
@@ -43,41 +43,11 @@ let store mem ty addr v =
   | TChar -> Wasm.Rt.Memory.store8 mem addr v
   | _ -> Wasm.Rt.Memory.store32 mem addr (Int32.of_int v)
 
-type gsym = { g_addr : int; g_ty : ty; g_is_array : bool }
-
-type cctx = {
-  env : Mc_check.env;
-  globals : (string, gsym) Hashtbl.t;
-  strings : (string, int) Hashtbl.t;
-  mutable data : (int * string) list;
-  mutable data_end : int;
-  func_idx : (string, int) Hashtbl.t;
-  table_idx : (string, int) Hashtbl.t;
-}
-
-let align4 n = (n + 3) land lnot 3
-
-let intern ctx s =
-  match Hashtbl.find_opt ctx.strings s with
-  | Some a -> a
-  | None ->
-      let a = ctx.data_end in
-      ctx.data <- (a, s ^ "\000") :: ctx.data;
-      ctx.data_end <- align4 (a + String.length s + 1);
-      Hashtbl.replace ctx.strings s a;
-      a
+type cctx = { l : Mc_layout.t; func_idx : (string, int) Hashtbl.t }
 
 type fctx = { locals : (string, int * ty) Hashtbl.t; mutable nlocals : int }
 
-let lookup_var ctx fc n : ty =
-  match Hashtbl.find_opt fc.locals n with
-  | Some (_, t) -> t
-  | None -> (
-      match Hashtbl.find_opt ctx.globals n with
-      | Some g -> if g.g_is_array then TPtr g.g_ty else g.g_ty
-      | None -> error "undefined variable %s" n)
-
-let ty_of ctx fc e = Mc_check.ty_of (lookup_var ctx fc) ctx.env e
+let ty_of ctx fc e = Mc_layout.ty_of ctx.l fc.locals e
 
 (* compile expr -> (st -> int array -> int) where the array holds locals *)
 let rec cexpr ctx fc (e : expr) : st -> int array -> int =
@@ -89,22 +59,20 @@ let rec cexpr ctx fc (e : expr) : st -> int array -> int =
       let s = size_of t in
       fun _ _ -> s
   | EStr s ->
-      let a = intern ctx s in
+      let a = Mc_layout.intern ctx.l s in
       fun _ _ -> a
   | EFnptr f ->
-      let slot = Hashtbl.find ctx.table_idx f in
+      let slot = Hashtbl.find ctx.l.fnptr_slots f in
       fun _ _ -> slot
   | EVar n -> (
       match Hashtbl.find_opt fc.locals n with
       | Some (i, _) -> fun _ l -> l.(i)
-      | None -> (
-          match Hashtbl.find_opt ctx.globals n with
-          | Some g ->
-              if g.g_is_array then fun _ _ -> g.g_addr
-              else
-                let addr = g.g_addr and t = g.g_ty in
-                fun st _ -> load st.mem t addr
-          | None -> error "undefined variable %s" n))
+      | None ->
+          let g = Mc_layout.global ctx.l n in
+          if g.g_is_array then fun _ _ -> g.g_addr
+          else
+            let addr = g.g_addr and t = g.g_ty in
+            fun st _ -> load st.mem t addr)
   | ECall (f, args) ->
       let idx = Hashtbl.find ctx.func_idx f in
       let cargs = Array.of_list (List.map (cexpr ctx fc) args) in
@@ -134,7 +102,7 @@ let rec cexpr ctx fc (e : expr) : st -> int array -> int =
         if Hashtbl.length inverse = 0 then
           Hashtbl.iter
             (fun f s -> Hashtbl.replace inverse s (Hashtbl.find ctx.func_idx f))
-            ctx.table_idx;
+            ctx.l.fnptr_slots;
         Hashtbl.find_opt inverse slot
       in
       fun st l ->
@@ -228,16 +196,14 @@ and cassign ctx fc lhs rhs : st -> int array -> int =
             let v = cr st l in
             l.(i) <- v;
             v
-      | None -> (
-          match Hashtbl.find_opt ctx.globals n with
-          | Some g when not g.g_is_array ->
-              let addr = g.g_addr and t = g.g_ty in
-              fun st l ->
-                let v = cr st l in
-                store st.mem t addr v;
-                v
-          | Some _ -> error "cannot assign to array %s" n
-          | None -> error "undefined variable %s" n))
+      | None ->
+          let g = Mc_layout.global ctx.l n in
+          if g.g_is_array then error "cannot assign to array %s" n;
+          let addr = g.g_addr and t = g.g_ty in
+          fun st l ->
+            let v = cr st l in
+            store st.mem t addr v;
+            v)
   | EIndex (p, i) ->
       let t = ty_of ctx fc lhs in
       let caddr = caddr_index ctx fc p i in
@@ -317,58 +283,20 @@ and cblock ctx fc (b : stmt list) : st -> int array -> unit =
 
 type compiled = {
   nc_mem_image : string; (* initial data segment contents *)
-  nc_data_end : int;
   nc_heap_base : int;
   nc_funcs : (st -> int array -> int) array;
   nc_func_idx : (string, int) Hashtbl.t;
-  nc_table_idx : (string, int) Hashtbl.t;
+  nc_fnptr_slots : (string, int) Hashtbl.t;
   nc_main_params : int;
   nc_argc_addr : int option; (* __argc global *)
   nc_argv_addr : int option;
 }
 
 let compile (p : program) : compiled =
-  let env = Mc_check.check p in
-  let ctx =
-    {
-      env;
-      globals = Hashtbl.create 32;
-      strings = Hashtbl.create 32;
-      data = [];
-      data_end = 1024;
-      func_idx = Hashtbl.create 32;
-      table_idx = Hashtbl.create 8;
-    }
-  in
-  (* globals/arrays: identical layout policy to the Wasm backend *)
-  List.iter
-    (function
-      | GVar (t, n, init) ->
-          let addr = ctx.data_end in
-          ctx.data_end <- align4 (addr + size_of t);
-          Hashtbl.replace ctx.globals n { g_addr = addr; g_ty = t; g_is_array = false };
-          (match init with
-          | Some v when v <> 0 ->
-              let b = Bytes.create 4 in
-              Bytes.set_int32_le b 0 (Int32.of_int v);
-              ctx.data <- (addr, Bytes.to_string b) :: ctx.data
-          | _ -> ())
-      | GArr (t, n, count) ->
-          let addr = ctx.data_end in
-          ctx.data_end <- align4 (addr + (size_of t * count)) + 4;
-          Hashtbl.replace ctx.globals n { g_addr = addr; g_ty = t; g_is_array = true }
-      | GFunc _ -> ())
-    p;
+  let l = Mc_layout.create p in
+  let ctx = { l; func_idx = Hashtbl.create 32 } in
   let funcs = List.filter_map (function GFunc f -> Some f | _ -> None) p in
   List.iteri (fun i f -> Hashtbl.replace ctx.func_idx f.fn_name i) funcs;
-  (* fnptr table slots, matching the Wasm backend's offset-2 policy *)
-  let fnptrs = Hashtbl.create 8 in
-  let syscalls = Hashtbl.create 1 and builtins = Hashtbl.create 1 in
-  List.iter
-    (fun f -> List.iter (Mc_wasm.scan_stmt ~syscalls ~builtins ~fnptrs) f.fn_body)
-    funcs;
-  let names = List.sort compare (Hashtbl.fold (fun k () a -> k :: a) fnptrs []) in
-  List.iteri (fun i n -> Hashtbl.replace ctx.table_idx n (i + 2)) names;
   let compiled_funcs =
     Array.of_list
       (List.map
@@ -387,23 +315,17 @@ let compile (p : program) : compiled =
               with Ret v -> v))
          funcs)
   in
-  (* render the initial data image *)
-  let img = Bytes.make ctx.data_end '\000' in
-  List.iter
-    (fun (addr, s) -> Bytes.blit_string s 0 img addr (String.length s))
-    ctx.data;
   let gaddr n =
-    Option.map (fun g -> g.g_addr) (Hashtbl.find_opt ctx.globals n)
+    Option.map (fun g -> g.Mc_layout.g_addr) (Hashtbl.find_opt l.globals n)
   in
   {
-    nc_mem_image = Bytes.to_string img;
-    nc_data_end = ctx.data_end;
-    nc_heap_base = (ctx.data_end + 4095) land lnot 4095;
+    nc_mem_image = Mc_layout.image l;
+    nc_heap_base = Mc_layout.heap_base l;
     nc_funcs = compiled_funcs;
     nc_func_idx = ctx.func_idx;
-    nc_table_idx = ctx.table_idx;
+    nc_fnptr_slots = l.fnptr_slots;
     nc_main_params =
-      (match Hashtbl.find_opt env.Mc_check.funcs "main" with
+      (match Hashtbl.find_opt l.env.Mc_check.funcs "main" with
       | Some s -> List.length s.Mc_check.fs_params
       | None -> 0);
     nc_argc_addr = gaddr "__argc";
@@ -425,7 +347,7 @@ let call_slot (c : compiled) (st : st) (slot : int) (args : int array) : int =
   let f =
     Hashtbl.fold
       (fun name s acc -> if s = slot then Some name else acc)
-      c.nc_table_idx None
+      c.nc_fnptr_slots None
   in
   match f with
   | Some name -> call c st name args

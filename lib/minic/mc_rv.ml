@@ -1,14 +1,12 @@
 (** MiniC -> RV32IM code generator: the QEMU-baseline guest target.
 
-    Same memory layout policy as the other backends (data at 1024), with
+    Data is laid out by {!Mc_layout}, as on the other targets, with
     code loaded at [code_base], the stack just below it and the heap
     above. Syscalls use the Linux RV convention (args a0..a5, number in
     a7, ecall) with the numbering from {!Riscv.Rv_linux}. *)
 
 open Mc_ast
 open Riscv.Rv_asm
-
-type gsym = { g_addr : int; g_ty : ty; g_is_array : bool }
 
 let code_base = 0x400000
 let stack_top = 0x3F0000
@@ -24,34 +22,16 @@ type rv_image = {
 }
 
 type cctx = {
-  env : Mc_check.env;
-  globals : (string, gsym) Hashtbl.t;
-  strings : (string, int) Hashtbl.t;
-  mutable data : (int * string) list;
-  mutable data_end : int;
-  fnames : (string, unit) Hashtbl.t;
-  table_labels : (string, int) Hashtbl.t; (* fnptr slot -> nothing; we use addresses *)
+  l : Mc_layout.t;
   mutable gensym : int;
   mutable out : instr list; (* reversed *)
 }
-
-let align4 n = (n + 3) land lnot 3
 
 let emit ctx i = ctx.out <- i :: ctx.out
 
 let fresh ctx prefix =
   ctx.gensym <- ctx.gensym + 1;
   Printf.sprintf ".%s%d" prefix ctx.gensym
-
-let intern ctx s =
-  match Hashtbl.find_opt ctx.strings s with
-  | Some a -> a
-  | None ->
-      let a = ctx.data_end in
-      ctx.data <- (a, s ^ "\000") :: ctx.data;
-      ctx.data_end <- align4 (a + String.length s + 1);
-      Hashtbl.replace ctx.strings s a;
-      a
 
 type fctx = {
   locals : (string, int * ty) Hashtbl.t;
@@ -62,15 +42,7 @@ type fctx = {
 
 let local_off i = -12 - (4 * i)
 
-let lookup_var ctx fc n : ty =
-  match Hashtbl.find_opt fc.locals n with
-  | Some (_, t) -> t
-  | None -> (
-      match Hashtbl.find_opt ctx.globals n with
-      | Some g -> if g.g_is_array then TPtr g.g_ty else g.g_ty
-      | None -> error "undefined variable %s" n)
-
-let ty_of ctx fc e = Mc_check.ty_of (lookup_var ctx fc) ctx.env e
+let ty_of ctx fc e = Mc_layout.ty_of ctx.l fc.locals e
 
 let push_a0 ctx =
   emit ctx (Addi (sp, sp, -4));
@@ -85,20 +57,18 @@ let rec cexpr ctx fc (e : expr) : unit =
   match e with
   | EInt n -> emit ctx (Li (a0, n))
   | ESizeof t -> emit ctx (Li (a0, Mc_ast.size_of t))
-  | EStr s -> emit ctx (Li (a0, intern ctx s))
+  | EStr s -> emit ctx (Li (a0, Mc_layout.intern ctx.l s))
   | EFnptr f -> emit ctx (La (a0, f))
   | EVar n -> (
       match Hashtbl.find_opt fc.locals n with
       | Some (i, _) -> emit ctx (Lw (a0, local_off i, s0))
-      | None -> (
-          match Hashtbl.find_opt ctx.globals n with
-          | Some g ->
-              if g.g_is_array then emit ctx (Li (a0, g.g_addr))
-              else begin
-                emit ctx (Li (t0, g.g_addr));
-                emit ctx (if g.g_ty = TChar then Lbu (a0, 0, t0) else Lw (a0, 0, t0))
-              end
-          | None -> error "undefined variable %s" n))
+      | None ->
+          let g = Mc_layout.global ctx.l n in
+          if g.g_is_array then emit ctx (Li (a0, g.g_addr))
+          else begin
+            emit ctx (Li (t0, g.g_addr));
+            emit ctx (if g.g_ty = TChar then Lbu (a0, 0, t0) else Lw (a0, 0, t0))
+          end)
   | ECall (f, args) ->
       List.iter
         (fun a ->
@@ -277,14 +247,12 @@ and cassign ctx fc lhs rhs =
       | Some (i, _) ->
           cexpr ctx fc rhs;
           emit ctx (Sw (a0, local_off i, s0))
-      | None -> (
-          match Hashtbl.find_opt ctx.globals n with
-          | Some g when not g.g_is_array ->
-              cexpr ctx fc rhs;
-              emit ctx (Li (t0, g.g_addr));
-              emit ctx (if g.g_ty = TChar then Sb (a0, 0, t0) else Sw (a0, 0, t0))
-          | Some _ -> error "cannot assign to array %s" n
-          | None -> error "undefined variable %s" n))
+      | None ->
+          let g = Mc_layout.global ctx.l n in
+          if g.g_is_array then error "cannot assign to array %s" n;
+          cexpr ctx fc rhs;
+          emit ctx (Li (t0, g.g_addr));
+          emit ctx (if g.g_ty = TChar then Sb (a0, 0, t0) else Sw (a0, 0, t0)))
   | EIndex (p, i) ->
       let t = ty_of ctx fc lhs in
       caddr_index ctx fc p i;
@@ -409,50 +377,20 @@ let cfunc ctx (f : func) : unit =
   emit ctx Ret
 
 let compile (p : program) : rv_image =
-  let env = Mc_check.check p in
-  let ctx =
-    {
-      env;
-      globals = Hashtbl.create 32;
-      strings = Hashtbl.create 32;
-      data = [];
-      data_end = 1024;
-      fnames = Hashtbl.create 32;
-      table_labels = Hashtbl.create 8;
-      gensym = 0;
-      out = [];
-    }
-  in
-  List.iter
-    (function
-      | GVar (t, n, init) ->
-          let addr = ctx.data_end in
-          ctx.data_end <- align4 (addr + Mc_ast.size_of t);
-          Hashtbl.replace ctx.globals n { g_addr = addr; g_ty = t; g_is_array = false };
-          (match init with
-          | Some v when v <> 0 ->
-              let b = Bytes.create 4 in
-              Bytes.set_int32_le b 0 (Int32.of_int v);
-              ctx.data <- (addr, Bytes.to_string b) :: ctx.data
-          | _ -> ())
-      | GArr (t, n, count) ->
-          let addr = ctx.data_end in
-          ctx.data_end <- align4 (addr + (Mc_ast.size_of t * count)) + 4;
-          Hashtbl.replace ctx.globals n { g_addr = addr; g_ty = t; g_is_array = true }
-      | GFunc f -> Hashtbl.replace ctx.fnames f.fn_name ())
-    p;
+  let l = Mc_layout.create p in
+  let ctx = { l; gensym = 0; out = [] } in
   let funcs = List.filter_map (function GFunc f -> Some f | _ -> None) p in
   (* entry shim *)
-  let has_rt_init = Hashtbl.mem env.Mc_check.funcs "__rt_init" in
+  let has_rt_init = Hashtbl.mem l.env.Mc_check.funcs "__rt_init" in
   let main_params =
-    match Hashtbl.find_opt env.Mc_check.funcs "main" with
+    match Hashtbl.find_opt l.env.Mc_check.funcs "main" with
     | Some s -> List.length s.Mc_check.fs_params
     | None -> error "RV target requires a main function"
   in
   emit ctx (Label "_start");
   if has_rt_init then emit ctx (Call "__rt_init");
   (if main_params > 0 then begin
-     match (Hashtbl.find_opt ctx.globals "__argc", Hashtbl.find_opt ctx.globals "__argv") with
+     match (Hashtbl.find_opt l.globals "__argc", Hashtbl.find_opt l.globals "__argv") with
      | Some ac, Some av ->
          emit ctx (Li (t0, ac.g_addr));
          emit ctx (Lw (a0, 0, t0));
@@ -467,12 +405,10 @@ let compile (p : program) : rv_image =
   emit ctx Ecall;
   List.iter (cfunc ctx) funcs;
   let code, labels = Riscv.Rv_asm.assemble ~base:code_base (List.rev ctx.out) in
-  let data = Bytes.make ctx.data_end '\000' in
-  List.iter (fun (a, s) -> Bytes.blit_string s 0 data a (String.length s)) ctx.data;
   {
     rv_code = code;
     rv_code_base = code_base;
-    rv_data = Bytes.to_string data;
+    rv_data = Mc_layout.image l;
     rv_entry = Hashtbl.find labels "_start";
     rv_sp_init = stack_top;
     rv_heap_base = heap_base;

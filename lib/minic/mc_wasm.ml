@@ -12,88 +12,13 @@ open Mc_ast
 open Wasm
 open Wasm.Ast
 
-type gsym = { g_addr : int; g_ty : ty; g_is_array : bool }
-
 type ctx = {
-  env : Mc_check.env;
+  l : Mc_layout.t;
   b : Builder.t;
-  globals : (string, gsym) Hashtbl.t;
-  strings : (string, int) Hashtbl.t;
-  mutable data : (int * string) list;
-  mutable data_end : int;
   func_idx : (string, int) Hashtbl.t;
-  table_idx : (string, int) Hashtbl.t; (* fnptr slots *)
   syscall_imports : (string, int) Hashtbl.t;
   builtin_imports : (string, int) Hashtbl.t;
 }
-
-let align4 n = (n + 3) land lnot 3
-
-(** The ["wali"] import a MiniC builtin lowers to. *)
-let builtin_import_name = function
-  | "argc" -> "get_argc"
-  | "argv_len" -> "get_argv_len"
-  | "argv_copy" -> "copy_argv"
-  | "envc" -> "get_envc"
-  | "env_len" -> "get_env_len"
-  | "env_copy" -> "copy_env"
-  | "thread_spawn" -> "thread_spawn"
-  | b -> error "unknown builtin import %s" b
-
-(* ---- pre-scan: which imports / fnptrs does the program need? ---- *)
-
-let rec scan_expr ~syscalls ~builtins ~fnptrs (e : expr) =
-  let r = scan_expr ~syscalls ~builtins ~fnptrs in
-  match e with
-  | EInt _ | EStr _ | EVar _ | ESizeof _ -> ()
-  | ECall (_, args) -> List.iter r args
-  | ESyscall (n, args) ->
-      Hashtbl.replace syscalls n (List.length args);
-      List.iter r args
-  | EBuiltin (b, args) ->
-      (match b with
-      | "argc" | "argv_len" | "argv_copy" | "envc" | "env_len" | "env_copy"
-      | "thread_spawn" ->
-          Hashtbl.replace builtins b (List.length args)
-      | _ -> ());
-      List.iter r args
-  | EFnptr f -> Hashtbl.replace fnptrs f ()
-  | EUnop (_, a) -> r a
-  | EBinop (_, a, b) -> r a; r b
-  | EAssign (a, b) -> r a; r b
-  | EIndex (a, b) -> r a; r b
-  | EDeref a -> r a
-  | ECast (_, a) -> r a
-  | ECond (a, b, c) -> r a; r b; r c
-
-let rec scan_stmt ~syscalls ~builtins ~fnptrs (s : stmt) =
-  let se = scan_expr ~syscalls ~builtins ~fnptrs in
-  let sb = List.iter (scan_stmt ~syscalls ~builtins ~fnptrs) in
-  match s with
-  | SExpr e -> se e
-  | SDecl (_, _, init) -> Option.iter se init
-  | SIf (c, t, e) -> se c; sb t; sb e
-  | SWhile (c, b) -> se c; sb b
-  | SFor (i, c, st, b) ->
-      Option.iter (scan_stmt ~syscalls ~builtins ~fnptrs) i;
-      Option.iter se c;
-      Option.iter se st;
-      sb b
-  | SReturn e -> Option.iter se e
-  | SBreak | SContinue -> ()
-  | SBlock b -> sb b
-
-(* ---- data segment interning ---- *)
-
-let intern_string ctx s =
-  match Hashtbl.find_opt ctx.strings s with
-  | Some a -> a
-  | None ->
-      let a = ctx.data_end in
-      ctx.data <- (a, s ^ "\000") :: ctx.data;
-      ctx.data_end <- align4 (a + String.length s + 1);
-      Hashtbl.replace ctx.strings s a;
-      a
 
 (* ---- expression compilation ---- *)
 
@@ -115,31 +40,21 @@ let store_of = function
   | TChar -> I32_store8 { offset = 0; align = 0 }
   | _ -> I32_store { offset = 0; align = 2 }
 
-let lookup_var ctx fc n : ty =
-  match Hashtbl.find_opt fc.locals n with
-  | Some (_, t) -> t
-  | None -> (
-      match Hashtbl.find_opt ctx.globals n with
-      | Some g -> if g.g_is_array then TPtr g.g_ty else g.g_ty
-      | None -> error "undefined variable %s" n)
-
-let ty_of ctx fc e = Mc_check.ty_of (lookup_var ctx fc) ctx.env e
+let ty_of ctx fc e = Mc_layout.ty_of ctx.l fc.locals e
 
 let rec compile_expr ctx fc (e : expr) : instr list =
   match e with
   | EInt n -> [ I32_const (Int32.of_int n) ]
   | ESizeof t -> [ i32c (size_of t) ]
-  | EStr s -> [ i32c (intern_string ctx s) ]
-  | EFnptr f -> [ i32c (Hashtbl.find ctx.table_idx f) ]
+  | EStr s -> [ i32c (Mc_layout.intern ctx.l s) ]
+  | EFnptr f -> [ i32c (Hashtbl.find ctx.l.fnptr_slots f) ]
   | EVar n -> (
       match Hashtbl.find_opt fc.locals n with
       | Some (i, _) -> [ Local_get i ]
-      | None -> (
-          match Hashtbl.find_opt ctx.globals n with
-          | Some g ->
-              if g.g_is_array then [ i32c g.g_addr ]
-              else [ i32c g.g_addr; load_of g.g_ty ]
-          | None -> error "undefined variable %s" n))
+      | None ->
+          let g = Mc_layout.global ctx.l n in
+          if g.g_is_array then [ i32c g.g_addr ]
+          else [ i32c g.g_addr; load_of g.g_ty ])
   | ECall (f, args) ->
       List.concat_map (compile_expr ctx fc) args
       @ [ Call (Hashtbl.find ctx.func_idx f) ]
@@ -250,15 +165,13 @@ and compile_assign ctx fc l r ~want_value : instr list =
       match Hashtbl.find_opt fc.locals n with
       | Some (i, _) ->
           compile_expr ctx fc r @ [ (if want_value then Local_tee i else Local_set i) ]
-      | None -> (
-          match Hashtbl.find_opt ctx.globals n with
-          | Some g when not g.g_is_array ->
-              compile_expr ctx fc r
-              @ [ Local_set fc.scratch; i32c g.g_addr; Local_get fc.scratch;
-                  store_of g.g_ty ]
-              @ (if want_value then [ Local_get fc.scratch ] else [])
-          | Some _ -> error "cannot assign to array %s" n
-          | None -> error "undefined variable %s" n))
+      | None ->
+          let g = Mc_layout.global ctx.l n in
+          if g.g_is_array then error "cannot assign to array %s" n;
+          compile_expr ctx fc r
+          @ [ Local_set fc.scratch; i32c g.g_addr; Local_get fc.scratch;
+              store_of g.g_ty ]
+          @ (if want_value then [ Local_get fc.scratch ] else []))
   | EIndex (p, i) ->
       let et = ty_of ctx fc l in
       compile_addr_index ctx fc p i
@@ -373,28 +286,14 @@ and compile_block ctx fc labels (b : stmt list) : instr list =
 
 (* ---- program ---- *)
 
-let compile ?(mem_min_pages = 0) ?(mem_max_pages = 1024) ?(data_base = 1024)
-    (p : program) : module_ =
-  let env = Mc_check.check p in
+let compile ?data_base (p : program) : module_ =
+  let l = Mc_layout.create ?data_base p in
   let b = Builder.create ~name:"minic" () in
-  let syscalls = Hashtbl.create 16
-  and builtins = Hashtbl.create 8
-  and fnptrs = Hashtbl.create 8 in
-  List.iter
-    (function
-      | GFunc f -> List.iter (scan_stmt ~syscalls ~builtins ~fnptrs) f.fn_body
-      | GVar _ | GArr _ -> ())
-    p;
   let ctx =
     {
-      env;
+      l;
       b;
-      globals = Hashtbl.create 32;
-      strings = Hashtbl.create 32;
-      data = [];
-      data_end = data_base;
       func_idx = Hashtbl.create 32;
-      table_idx = Hashtbl.create 8;
       syscall_imports = Hashtbl.create 16;
       builtin_imports = Hashtbl.create 8;
     }
@@ -408,35 +307,17 @@ let compile ?(mem_min_pages = 0) ?(mem_max_pages = 1024) ?(data_base = 1024)
           ~results:[ Types.T_i64 ]
       in
       Hashtbl.replace ctx.syscall_imports name idx)
-    syscalls;
+    l.syscalls;
   Hashtbl.iter
     (fun name arity ->
       let idx =
-        Builder.import_func b ~module_:"wali" ~name:(builtin_import_name name)
+        Builder.import_func b ~module_:"wali"
+          ~name:(Mc_layout.builtin_import_name name)
           ~params:(List.init arity (fun _ -> Types.T_i32))
           ~results:[ Types.T_i32 ]
       in
       Hashtbl.replace ctx.builtin_imports name idx)
-    builtins;
-  (* globals and arrays in the data region *)
-  List.iter
-    (function
-      | GVar (t, n, init) ->
-          let addr = ctx.data_end in
-          ctx.data_end <- align4 (addr + size_of t);
-          Hashtbl.replace ctx.globals n { g_addr = addr; g_ty = t; g_is_array = false };
-          (match init with
-          | Some v when v <> 0 ->
-              let bytes = Bytes.create 4 in
-              Bytes.set_int32_le bytes 0 (Int32.of_int v);
-              ctx.data <- (addr, Bytes.to_string bytes) :: ctx.data
-          | _ -> ())
-      | GArr (t, n, count) ->
-          let addr = ctx.data_end in
-          ctx.data_end <- align4 (addr + (size_of t * count)) + 4;
-          Hashtbl.replace ctx.globals n { g_addr = addr; g_ty = t; g_is_array = true }
-      | GFunc _ -> ())
-    p;
+    l.builtins;
   (* declare all functions (forward references allowed) *)
   let funcs = List.filter_map (function GFunc f -> Some f | _ -> None) p in
   List.iter
@@ -447,20 +328,15 @@ let compile ?(mem_min_pages = 0) ?(mem_max_pages = 1024) ?(data_base = 1024)
       Hashtbl.replace ctx.func_idx f.fn_name idx)
     funcs;
   (* fnptr table: slots 0/1 reserved (SIG_DFL / SIG_IGN) *)
-  let fnptr_names = Hashtbl.fold (fun k () acc -> k :: acc) fnptrs [] in
-  let fnptr_names = List.sort compare fnptr_names in
-  List.iteri
-    (fun i name -> Hashtbl.replace ctx.table_idx name (i + 2))
-    fnptr_names;
-  ignore (Builder.add_table b ~min:(2 + List.length fnptr_names) ~max:None);
-  if fnptr_names <> [] then
+  ignore (Builder.add_table b ~min:(2 + List.length l.fnptrs) ~max:None);
+  if l.fnptrs <> [] then
     Builder.add_elem b ~table:0 ~offset:2
       (List.map
          (fun n ->
            match Hashtbl.find_opt ctx.func_idx n with
            | Some i -> i
            | None -> error "fnptr of unknown function %s" n)
-         fnptr_names);
+         l.fnptrs);
   (* compile bodies *)
   List.iter
     (fun f ->
@@ -493,10 +369,10 @@ let compile ?(mem_min_pages = 0) ?(mem_max_pages = 1024) ?(data_base = 1024)
         | Some i -> i
         | None -> error "program must use syscall(\"exit_group\") via the libc"
       in
-      let argc_g = Hashtbl.find_opt ctx.globals "__argc" in
-      let argv_g = Hashtbl.find_opt ctx.globals "__argv" in
+      let argc_g = Hashtbl.find_opt l.globals "__argc" in
+      let argv_g = Hashtbl.find_opt l.globals "__argv" in
       let main_arity =
-        (Hashtbl.find env.Mc_check.funcs "main").Mc_check.fs_params |> List.length
+        (Hashtbl.find l.env.Mc_check.funcs "main").Mc_check.fs_params |> List.length
       in
       let call_main =
         if main_arity = 0 then [ Call main_idx ]
@@ -519,12 +395,11 @@ let compile ?(mem_min_pages = 0) ?(mem_max_pages = 1024) ?(data_base = 1024)
       Builder.export_func b "_start" start
   | None -> ());
   (* memory: enough pages for data + slack *)
-  let data_pages = (ctx.data_end / Types.page_size) + 2 in
-  let min_pages = max mem_min_pages data_pages in
-  ignore (Builder.add_memory b ~min:min_pages ~max:(Some mem_max_pages));
+  let data_pages = (l.data_end / Types.page_size) + 2 in
+  ignore (Builder.add_memory b ~min:data_pages ~max:(Some 1024));
   Builder.export_memory b "memory" 0;
-  List.iter (fun (addr, bytes) -> Builder.add_data b ~offset:addr bytes) ctx.data;
+  List.iter (fun (addr, bytes) -> Builder.add_data b ~offset:addr bytes) l.data;
   let hb = Builder.add_global b ~mut:Types.Immutable ~typ:Types.T_i32
-      [ I32_const (Int32.of_int ((ctx.data_end + 4095) land lnot 4095)) ] in
+      [ I32_const (Int32.of_int (Mc_layout.heap_base l)) ] in
   Builder.export_global b "__heap_base" hb;
   Builder.build b

@@ -9,6 +9,7 @@ module Parser = Mc_parser
 module Check = Mc_check
 module Libc = Mc_stdlib
 module Mc_ast = Mc_ast
+module Mc_layout = Mc_layout
 module Mc_wasm = Mc_wasm
 module Mc_native = Mc_native
 module Mc_rv = Mc_rv
@@ -20,11 +21,10 @@ let parse_with_libc (src : string) : Mc_ast.program =
   Mc_parser.parse_program (Mc_stdlib.source ^ "\n" ^ src)
 
 (** Compile MiniC source (plus libc) to a WALI Wasm module. *)
-let to_wasm_module ?(with_libc = true) ?mem_max_pages (src : string) :
-    Wasm.Ast.module_ =
+let to_wasm_module ?(with_libc = true) (src : string) : Wasm.Ast.module_ =
   let p = if with_libc then parse_with_libc src else parse src in
-  Mc_wasm.compile ?mem_max_pages p
+  Mc_wasm.compile p
 
 (** Compile MiniC source to an encoded .wasm binary for the WALI target. *)
-let to_wasm_binary ?with_libc ?mem_max_pages (src : string) : string =
-  Wasm.Binary.encode (to_wasm_module ?with_libc ?mem_max_pages src)
+let to_wasm_binary ?with_libc (src : string) : string =
+  Wasm.Binary.encode (to_wasm_module ?with_libc src)

@@ -217,7 +217,8 @@ let rec inject_signals st (p : Engine.proc) (m : Rt.machine) =
                     ~actual:"no handler registered at this point on replay"
                 else begin
                   Engine.run_signal_handler (Option.get st.st_engine) p m ~signo
-                    ~action;
+                    ~action
+                    ~mask:(Kernel.Task.handler_mask p.Engine.pr_task signo action);
                   (* further deliveries may be recorded at this same
                      safepoint (or the handler's own polls advanced c) *)
                   inject_signals st p m

@@ -10,8 +10,7 @@
 
 open Kernel
 
-exception Native_exit of int
-exception Native_killed of int
+exception Ended of int (* packed wait status *)
 
 type result = {
   r_status : int; (* packed wait status *)
@@ -63,48 +62,24 @@ let make_proc eng (task : Task.t) (mem : Wasm.Rt.Memory.t) ~heap_base ~argv
   Wali.Engine.register_proc eng p;
   (p, m)
 
-(* Deliver pending signals to a native task; handlers are MiniC functions
-   resolved through the fnptr table. *)
-let native_poll (c : Minic.Mc_native.compiled) (st : Minic.Mc_native.st)
-    (task : Task.t) : unit =
-  (match task.Task.group.Task.exiting with
-  | Some status -> raise (Native_killed status)
-  | None -> ());
-  if Task.has_deliverable_signal task then begin
-    match Task.next_signal task with
-    | None -> ()
-    | Some (signo, action) ->
-        let open Ktypes in
-        if action.sa_handler = sig_ign then ()
-        else if action.sa_handler = sig_dfl then begin
-          match default_disposition signo with
-          | Ign | Cont | Stop -> ()
-          | Term | Core -> raise (Native_killed (wsignal_status signo))
-        end
-        else begin
-          let old = task.Task.sigmask in
-          task.Task.sigmask <- Sigset.add (Sigset.union old action.sa_mask) signo;
-          ignore (Minic.Mc_native.call_slot c st action.sa_handler [| signo |]);
-          task.Task.sigmask <- old
-        end
-  end
+(* Act on [task]'s pending signals as the kernel decides: a kill ends the
+   run, and [catch signo action mask] runs each caught signal's handler. *)
+let rec take_signals (task : Task.t) ~catch : unit =
+  match Task.take_signal task with
+  | Nothing -> ()
+  | Kill (_, status) -> raise (Ended status)
+  | Catch (signo, action, mask) ->
+      catch signo action mask;
+      take_signals task ~catch
 
-(** Run [compiled] as a fresh kernel task. Must be called inside
-    {!Fiber.run}; spawns its own fiber and returns a promise-like
-    getter. *)
-let start ?(kernel : Task.kernel option) ?(argv = [ "prog" ]) ?(env = [])
-    ?(task : Task.t option) (c : Minic.Mc_native.compiled) :
-    Task.kernel * (unit -> result option) =
-  let kernel = match kernel with Some k -> k | None -> Task.boot () in
+(** Run [c] as [kernel]'s init task. Must be called inside {!Fiber.run}:
+    it spawns the task's fiber, and the getter it returns has the result
+    once {!Fiber.run} has returned. *)
+let start ~kernel ?(argv = [ "prog" ]) ?(env = []) (c : Minic.Mc_native.compiled) :
+    unit -> result option =
   let eng = Wali.Engine.create kernel in
-  let task =
-    match task with
-    | Some t -> t
-    | None ->
-        let t = Task.make_init kernel ~comm:(List.hd argv) in
-        Wali.Engine.setup_stdio eng t;
-        t
-  in
+  let task = Task.make_init kernel ~comm:(List.hd argv) in
+  Wali.Engine.setup_stdio eng task;
   let mem = Wasm.Rt.Memory.create ~min_pages:64 ~max_pages:2048 in
   let p, machine =
     make_proc eng task mem ~heap_base:c.Minic.Mc_native.nc_heap_base ~argv ~env
@@ -123,25 +98,41 @@ let start ?(kernel : Task.kernel option) ?(argv = [ "prog" ]) ?(env = [])
   in
   let body () =
     let st_ref = ref None in
+    (* a handler is a MiniC function, found through its fnptr slot *)
+    let catch signo (action : Ktypes.sigaction) mask =
+      let old = task.Task.sigmask in
+      task.Task.sigmask <- mask;
+      Option.iter
+        (fun st -> ignore (Minic.Mc_native.call_slot c st action.sa_handler [| signo |]))
+        !st_ref;
+      task.Task.sigmask <- old
+    in
+    let poll () = take_signals task ~catch in
     let hooks =
       {
         Minic.Mc_native.h_sys =
           (fun name args ->
             match name with
             | "exit" | "exit_group" ->
-                raise (Native_exit (if Array.length args > 0 then args.(0) else 0))
+                raise
+                  (Ended (Ktypes.wexit_status (if Array.length args > 0 then args.(0) else 0)))
             | "fork" | "vfork" | "execve" | "clone" ->
                 -errno_of_name Errno.ENOSYS
             | _ -> (
                 let vals =
                   Array.map (fun v -> Wasm.Values.I64 (Int64.of_int v)) args
                 in
-                match Wali.Interface.dispatch eng name machine vals with
-                | Wasm.Rt.H_return [ Wasm.Values.I64 r ] ->
-                    let r = Int64.to_int r in
-                    (r land 0xFFFFFFFF)
-                    - (if r land 0x80000000 <> 0 then 0x100000000 else 0)
-                | _ -> -errno_of_name Errno.ENOSYS))
+                let r =
+                  match Wali.Interface.dispatch eng name machine vals with
+                  | Wasm.Rt.H_return [ Wasm.Values.I64 r ] ->
+                      let r = Int64.to_int r in
+                      (r land 0xFFFFFFFF)
+                      - (if r land 0x80000000 <> 0 then 0x100000000 else 0)
+                  | _ -> -errno_of_name Errno.ENOSYS
+                in
+                (* signals take effect on the way back, as under Linux *)
+                poll ();
+                r))
         ;
         h_builtin =
           (fun b args ->
@@ -150,13 +141,9 @@ let start ?(kernel : Task.kernel option) ?(argv = [ "prog" ]) ?(env = [])
             | _ ->
                 let arg i = if i < Array.length args then args.(i) else 0 in
                 Wali.Interface.argv_env
-                  (Minic.Mc_wasm.builtin_import_name b)
+                  (Minic.Mc_layout.builtin_import_name b)
                   p.Wali.Engine.pr_shared mem (arg 0) (arg 1));
-        h_poll =
-          (fun () ->
-            match !st_ref with
-            | Some st -> native_poll c st task
-            | None -> ());
+        h_poll = poll;
       }
     in
     let st = Minic.Mc_native.make_state c ~mem ~hooks in
@@ -177,38 +164,18 @@ let start ?(kernel : Task.kernel option) ?(argv = [ "prog" ]) ?(env = [])
         in
         let code = Minic.Mc_native.call c st "main" margs in
         Ktypes.wexit_status code
-      with
-      | Native_exit code -> Ktypes.wexit_status code
-      | Native_killed status -> status
+      with Ended status -> status
     in
     finish status st.Minic.Mc_native.steps
   in
   ignore (Fiber.spawn ("native-" ^ task.Task.comm) body);
-  (kernel, fun () -> !result)
+  fun () -> !result
 
-(** One-shot convenience: boot kernel, run to completion. *)
+(** One-shot convenience: boot a kernel and run [c] to completion. *)
 let run ?(argv = [ "prog" ]) ?(env = []) (c : Minic.Mc_native.compiled) : result =
-  let out = ref None in
-  let kout = ref "" in
-  Fiber.run (fun () ->
-      let kernel, get = start ~argv ~env c in
-      ignore
-        (Fiber.spawn "native-waiter" (fun () ->
-             (* runs after everything else drains; Fiber.run returns when
-                all fibers finish *)
-             ignore kernel));
-      ignore get;
-      (* capture at scheduler drain via a final closure *)
-      let rec finalize () =
-        match get () with
-        | Some r ->
-            out := Some r;
-            kout := Task.console_output kernel
-        | None ->
-            Fiber.yield ();
-            finalize ()
-      in
-      ignore (Fiber.spawn "native-finalize" finalize));
-  match !out with
-  | Some r -> { r with r_output = !kout }
+  let kernel = Task.boot () in
+  let get = ref (fun () -> None) in
+  Fiber.run (fun () -> get := start ~kernel ~argv ~env c);
+  match !get () with
+  | Some r -> { r with r_output = Task.console_output kernel }
   | None -> failwith "native run did not complete"

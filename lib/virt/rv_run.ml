@@ -25,11 +25,15 @@ let load_image (img : Minic.Mc_rv.rv_image) : Wasm.Rt.Memory.t =
     img.Minic.Mc_rv.rv_code;
   mem
 
-exception Guest_exit of int
+(* A caught signal is dropped: a guest function pointer is a code
+   address, and guest handlers are not modelled under emulation. *)
+let take_signals task = Native_run.take_signals task ~catch:(fun _ _ _ -> ())
 
-let start ?(kernel : Task.kernel option) ?(argv = [ "prog" ]) ?(env = [])
-    (img : Minic.Mc_rv.rv_image) : Task.kernel * (unit -> result option) =
-  let kernel = match kernel with Some k -> k | None -> Task.boot () in
+(** Run [img] as [kernel]'s init task. Must be called inside
+    {!Fiber.run}: it spawns the guest's fiber, and the getter it returns
+    has the result once {!Fiber.run} has returned. *)
+let start ~kernel ?(argv = [ "prog" ]) ?(env = []) (img : Minic.Mc_rv.rv_image) :
+    unit -> result option =
   let eng = Wali.Engine.create kernel in
   let result = ref None in
   (* Launch one guest machine as one kernel task; fork recurses. *)
@@ -55,12 +59,13 @@ let start ?(kernel : Task.kernel option) ?(argv = [ "prog" ]) ?(env = [])
           | _ ->
               setret
                 (Wali.Interface.argv_env
-                   (Minic.Mc_wasm.builtin_import_name b)
+                   (Minic.Mc_layout.builtin_import_name b)
                    p.Wali.Engine.pr_shared mem (arg 0) (arg 1)))
       | None -> (
           match Riscv.Rv_linux.name_of_nr nr with
           | None -> setret (-Errno.to_code Errno.ENOSYS)
-          | Some "exit" | Some "exit_group" -> raise (Guest_exit (arg 0))
+          | Some "exit" | Some "exit_group" ->
+              raise (Native_run.Ended (Ktypes.wexit_status (arg 0)))
           | Some "fork" | Some "vfork" ->
               (* clone the guest: registers + memory *)
               let child_task =
@@ -87,32 +92,23 @@ let start ?(kernel : Task.kernel option) ?(argv = [ "prog" ]) ?(env = [])
               let vals =
                 Array.init arity (fun i -> Wasm.Values.I64 (Int64.of_int (arg i)))
               in
-              match Wali.Interface.dispatch eng name wmachine vals with
+              (match Wali.Interface.dispatch eng name wmachine vals with
               | Wasm.Rt.H_return [ Wasm.Values.I64 r ] ->
                   setret (Int64.to_int r)
-              | _ -> setret (-Errno.to_code Errno.ENOSYS)))
+              | _ -> setret (-Errno.to_code Errno.ENOSYS));
+              (* signals take effect on the way back, as under Linux *)
+              take_signals task))
     in
     let poll () =
       Fiber.yield ();
-      (match task.Task.group.Task.exiting with
-      | Some st -> raise (Guest_exit (st lsr 8))
-      | None -> ());
-      if Task.has_deliverable_signal task then begin
-        match Task.next_signal task with
-        | Some (signo, action)
-          when action.Ktypes.sa_handler = Ktypes.sig_dfl
-               && (Ktypes.default_disposition signo = Ktypes.Term
-                  || Ktypes.default_disposition signo = Ktypes.Core) ->
-            raise (Guest_exit (128 + signo))
-        | _ -> () (* guest handlers not modelled under emulation *)
-      end
+      take_signals task
     in
     let status =
       try
         Riscv.Rv_mach.run rv ~ecall ~poll ~poll_interval:4096 ();
         Ktypes.wexit_status 0
       with
-      | Guest_exit code -> Ktypes.wexit_status code
+      | Native_run.Ended status -> status
       | Riscv.Rv_mach.Rv_trap msg ->
           ignore msg;
           Ktypes.wsignal_status Ktypes.sigsegv
@@ -136,23 +132,12 @@ let start ?(kernel : Task.kernel option) ?(argv = [ "prog" ]) ?(env = [])
       ~sp_init:img.Minic.Mc_rv.rv_sp_init
   in
   ignore (Fiber.spawn "rv-init" (fun () -> launch task rv));
-  (kernel, fun () -> !result)
+  fun () -> !result
 
 let run ?(argv = [ "prog" ]) ?(env = []) (img : Minic.Mc_rv.rv_image) : result =
-  let out = ref None in
-  let kout = ref "" in
-  Fiber.run (fun () ->
-      let kernel, get = start ~argv ~env img in
-      let rec finalize () =
-        match get () with
-        | Some r ->
-            out := Some r;
-            kout := Task.console_output kernel
-        | None ->
-            Fiber.yield ();
-            finalize ()
-      in
-      ignore (Fiber.spawn "rv-finalize" finalize));
-  match !out with
-  | Some r -> { r with r_output = !kout }
+  let kernel = Task.boot () in
+  let get = ref (fun () -> None) in
+  Fiber.run (fun () -> get := start ~kernel ~argv ~env img);
+  match !get () with
+  | Some r -> { r with r_output = Task.console_output kernel }
   | None -> failwith "rv run did not complete"

@@ -76,12 +76,11 @@ let run_native (p : prepared) : measurement =
 (* ---- docker ---- *)
 
 let run_docker (p : prepared) : measurement =
-  let out = ref None in
   let t0 = now () in
-  let startup = ref 0L in
-  let base_mem = ref 0 in
+  let kernel = Kernel.Task.boot () in
+  let startup = ref 0L and base_mem = ref 0 in
+  let get = ref (fun () -> None) in
   Fiber.run (fun () ->
-      let kernel = Kernel.Task.boot () in
       (* docker run: create the container (materialize layers) first *)
       let img =
         Container.Image.image p.p_workload.w_name
@@ -95,36 +94,18 @@ let run_docker (p : prepared) : measurement =
       base_mem := Container.Runtime.base_memory ct;
       startup := Int64.sub (now ()) t0;
       (* then execute the entrypoint natively inside it *)
-      let _kernel2, get =
-        Native_run.start ~kernel ~argv:p.p_workload.w_argv p.p_native
-      in
-      (match Kernel.Task.find kernel 1 with
-      | Some t -> Container.Runtime.enter ct t
-      | None -> ());
-      let rec finalize () =
-        match get () with
-        | Some r ->
-            Container.Runtime.finish ct ~status:r.Native_run.r_status;
-            out :=
-              Some
-                ( r.Native_run.r_status,
-                  Kernel.Task.console_output kernel,
-                  r.Native_run.r_vm_peak )
-        | None ->
-            Fiber.yield ();
-            finalize ()
-      in
-      ignore (Fiber.spawn "docker-finalize" finalize));
+      get := Native_run.start ~kernel ~argv:p.p_workload.w_argv p.p_native;
+      Option.iter (Container.Runtime.enter ct) (Kernel.Task.find kernel 1));
   let t1 = now () in
-  match !out with
-  | Some (status, output, vm_peak) ->
+  match !get () with
+  | Some r ->
       {
         m_method = M_docker;
         m_startup_ns = !startup;
         m_total_ns = Int64.sub t1 t0;
-        m_peak_mem = vm_peak + !base_mem;
-        m_status = status;
-        m_output = output;
+        m_peak_mem = r.Native_run.r_vm_peak + !base_mem;
+        m_status = r.Native_run.r_status;
+        m_output = Kernel.Task.console_output kernel;
       }
   | None -> failwith "docker run did not complete"
 

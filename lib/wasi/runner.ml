@@ -64,26 +64,14 @@ let run ?(kernel : Task.kernel option) ?(poll_scheme = Code.Poll_loops)
           Link.(adapter_resolver <+> mem_resolver)
           app_cm
       in
-      let m = Rt.Machine.create app_inst in
-      m.Rt.m_pid <- task.Task.tid;
-      m.Rt.poll_hook <- Some (Wali.Engine.poll_hook eng);
-      let p =
-        {
-          Wali.Engine.pr_task = task;
-          pr_sys = sys;
-          pr_shared =
-            Wali.Engine.make_pshared eng ~inst:app_inst ~argv ~env
-              ~binary:app_binary;
-          pr_machine = Some m;
-          pr_result = None;
-        }
+      let m = Wali.Engine.new_machine eng app_inst ~task in
+      let shared =
+        Wali.Engine.make_pshared eng ~inst:app_inst ~argv ~env ~binary:app_binary
       in
-      Wali.Engine.register_proc eng p;
+      let p =
+        Wali.Interface.start eng task shared m ~fiber:"wasi-app"
+          ~entry:(Some (Rt.exported_func app_inst "_start")) ~args:[]
+      in
       eng.Wali.Engine.on_proc_exit <-
-        Some (fun q st -> if q == p then status := st);
-      let entry = Rt.exported_func app_inst "_start" in
-      ignore
-        (Fiber.spawn "wasi-app" (fun () ->
-             Wali.Engine.run_machine_body eng p m ~fresh_entry:true
-               ~entry:(Some entry) ~args:[])));
+        Some (fun q st -> if q == p then status := st));
   (!status, Task.console_output kernel)

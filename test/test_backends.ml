@@ -174,6 +174,37 @@ let test_wrapping_arithmetic () =
     |}
     "-2147483648\n689956897\n"
 
+(* A signal takes effect when the syscall that raised it returns, on
+   every target: a fatal one before the next statement, a caught one by
+   running its handler first. RV32 drops caught signals: its function
+   pointers are code addresses, and guest handlers are not modelled. *)
+let test_signal_on_syscall_return () =
+  let term =
+    {| int main() { println("a"); kill(getpid(), 15); println("b"); return 0; } |}
+  in
+  List.iter
+    (fun (target, run) ->
+      let status, out = run term in
+      Alcotest.(check int) (target ^ " SIGTERM status") 15 status;
+      Alcotest.(check string) (target ^ " SIGTERM output") "a\n" out)
+    [ ("wasm", fun s -> run_wasm s); ("native", fun s -> run_native s);
+      ("rv", fun s -> run_rv s) ];
+  let usr1 =
+    {|
+      int hits;
+      void on_usr1(int sig) { hits = hits + 1; }
+      int main() {
+        signal(10, fnptr(on_usr1));
+        kill(getpid(), 10);
+        printi(hits);
+        return 0;
+      }
+    |}
+  in
+  Alcotest.(check (pair int string)) "wasm SIGUSR1 caught" (0, "1") (run_wasm usr1);
+  Alcotest.(check (pair int string)) "native SIGUSR1 caught" (0, "1") (run_native usr1);
+  Alcotest.(check (pair int string)) "rv SIGUSR1 dropped" (0, "0") (run_rv usr1)
+
 (* QCheck: random MiniC programs must print the same output and exit
    with the same status through the Wasm engine and the native closure
    backend. The native backend shares no code with the interpreter's
@@ -296,4 +327,6 @@ let tests =
     Alcotest.test_case "i32 wrapping agrees" `Quick test_wrapping_arithmetic;
     QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 13 |])
       prop_wasm_matches_native;
+    Alcotest.test_case "signals take effect on syscall return" `Quick
+      test_signal_on_syscall_return;
   ]

@@ -839,6 +839,43 @@ let test_handler_in_slot_call () =
   Alcotest.(check string) "v and got" "1000 1" out;
   Alcotest.(check int) "status" 0 status
 
+(* A SIGUSR1 handler that raises SIGUSR1 again, twice: with SA_NODEFER
+   each raise nests a delivery on the way back from kill (depth 3);
+   without it the signal stays blocked while its handler runs, and each
+   raise is delivered only after the handler returns (depth 1). *)
+let test_sa_nodefer () =
+  let run_with flags =
+    let binary =
+      Minic.to_wasm_binary
+        (Printf.sprintf
+           {|
+        int depth; int maxd; int hits;
+        char act[16];
+        void on_usr1(int sig) {
+          depth = depth + 1;
+          if (depth > maxd) { maxd = depth; }
+          hits = hits + 1;
+          if (hits < 3) { kill(getpid(), 10); }
+          depth = depth - 1;
+        }
+        int main(int argc, char **argv) {
+          *(int*)act = fnptr(on_usr1);
+          *(int*)(act + 4) = %d;
+          syscall("rt_sigaction", 10, act, 0, 16);
+          kill(getpid(), 10);
+          printi(hits); print(" "); printi(maxd);
+          return 0;
+        }
+      |}
+           flags)
+    in
+    let status, out, _ = run binary in
+    Alcotest.(check int) "status" 0 status;
+    out
+  in
+  Alcotest.(check string) "SA_NODEFER nests" "3 3" (run_with Kernel.Ktypes.sa_nodefer);
+  Alcotest.(check string) "deferred until the handler returns" "3 1" (run_with 0)
+
 (* A fork child polls on its own task's cell: a SIGUSR1 sent to it while
    its parent's cell is clear still ends it at its first poll. *)
 let test_fork_child_cell () =
@@ -1118,4 +1155,6 @@ let tests =
       test_boot_direct_major;
     Alcotest.test_case "a handler run in a slot call keeps the caller's stack" `Quick
       test_handler_in_slot_call;
+    Alcotest.test_case "SA_NODEFER: a handler's own signal nests or waits" `Quick
+      test_sa_nodefer;
   ]
