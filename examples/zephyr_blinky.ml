@@ -61,7 +61,4 @@ let () =
   List.iter
     (fun (pin, v, ts) ->
       Printf.printf "  pin %d -> %d at %Ld ms\n" pin v (Int64.div ts 1_000_000L))
-    (List.rev z.Zephyr.Zkernel.gpio_log);
-  Printf.printf "WAZI calls: %s\n"
-    (String.concat ", "
-       (List.map (fun (n, c) -> Printf.sprintf "%s x%d" n c) t.Wazi.trace))
+    (List.rev z.Zephyr.Zkernel.gpio_log)

@@ -37,21 +37,24 @@ let start eng task shared m ~fiber ~entry ~args : Engine.proc =
   ignore (Fiber.spawn fiber (fun () -> Engine.run_machine_body eng p m ~fresh_entry ~entry ~args));
   p
 
+(** A fork child's process state: its parent's mappings, brk and vectors,
+    copied, and an address space of its own for futexes. Every backend's
+    fork makes it here. *)
+let fork_shared eng (old : Engine.pshared) : Engine.pshared =
+  {
+    old with
+    Engine.ps_mmap = Mmap_mgr.clone old.Engine.ps_mmap;
+    ps_argv = Array.copy old.Engine.ps_argv;
+    ps_env = Array.copy old.Engine.ps_env;
+    ps_mem_id = Engine.fresh_mem_id eng;
+  }
+
 let do_fork eng (p : Engine.proc) (child_m : Rt.machine) : int64 =
   let child_task =
     Task.clone_task eng.Engine.kernel p.Engine.pr_task ~thread:false
       ~share_files:false
   in
-  let old = p.Engine.pr_shared in
-  let shared =
-    {
-      old with
-      Engine.ps_mmap = Mmap_mgr.clone old.Engine.ps_mmap;
-      ps_argv = Array.copy old.Engine.ps_argv;
-      ps_env = Array.copy old.Engine.ps_env;
-      ps_mem_id = Engine.fresh_mem_id eng;
-    }
-  in
+  let shared = fork_shared eng p.Engine.pr_shared in
   child_m.Rt.m_pid <- child_task.Task.tid;
   (* the clone still holds the parent's attention cell *)
   child_m.Rt.m_attn <- child_task.Task.attn;
@@ -835,43 +838,60 @@ let syscall_host_func eng (e : Spec.entry) : Rt.func_inst =
       in
       Rt.Host_func { hf_name = name; hf_type = ty; hf_fn }
 
-(* The by-name edges (tests, probes, the native and RISC-V runs) bind each
-   name once, to a site shared by every engine (it resolves its verdict
-   and row per engine). [by_name] runs [f] on the arg count, [name]'s
-   handler and site, and the base of [args], pushed as slots of [m]
-   (zero-padded to the largest arity, 6) and popped after. *)
+(* Run [f base] with [n] arguments, [arg i] each, pushed as slots of [m]
+   from [base] (zero-padded to the largest arity, 6) and popped after. *)
+let on_stack m n (arg : int -> int64) f =
+  let base = m.Rt.sp in
+  Rt.Machine.reserve m (base + Int.max 6 n);
+  for i = 0 to Int.max 6 n - 1 do
+    Bytes.set_int64_ne m.Rt.stack (8 * (base + i)) (if i < n then arg i else 0L)
+  done;
+  m.Rt.sp <- base + n;
+  match f base with
+  | r -> m.Rt.sp <- base; r
+  | exception e -> m.Rt.sp <- base; raise e
+
+(* Slot handler [h] for [p] on [m], run from outside the Wasm engine on
+   int arguments; a bad pointer gives -EFAULT. *)
+let on_slots eng p m h (args : int array) : int =
+  on_stack m (Array.length args) (fun i -> Int64.of_int args.(i)) (fun base ->
+      try h { eng; p; m; base } with Abi.Efault | Rt.Memory.Bounds -> errno_ret Errno.EFAULT)
+
+(** Syscall [name] bound once for process [p] running [m], for the native
+    and RV32 runners: the call returns the raw result of [name]'s slot
+    handler on its int arguments. Process control (fork, clone, execve,
+    exit) needs the engine loop, so it gives -ENOSYS. No seccomp check, no
+    tracing and no signal poll. *)
+let bridge eng (p : Engine.proc) (m : Rt.machine) (name : string) : int array -> int =
+  match bind name with
+  | Slot h -> on_slots eng p m h
+  | Proc _ -> fun _ -> errno_ret Errno.ENOSYS
+
+(* The by-name edges (tests, probes) bind each name once, to a site shared
+   by every engine (it resolves its verdict and row per engine). *)
 let named : (string, bound * site) Hashtbl.t = Hashtbl.create 64
 
-let by_name eng name m args f =
-  let b, s =
-    match Hashtbl.find_opt named name with
-    | Some bs -> bs
-    | None ->
-        let bs = (bind name, site eng name) in
-        Hashtbl.replace named name bs;
-        bs
-  in
-  let base = spill m args in
-  m.Rt.sp <- base + Array.length args;
-  let r = try f (Array.length args) b s base with e -> m.Rt.sp <- base; raise e in
-  m.Rt.sp <- base;
-  r
+let named_bound eng name =
+  match Hashtbl.find_opt named name with
+  | Some bs -> bs
+  | None ->
+      let bs = (bind name, site eng name) in
+      Hashtbl.replace named name bs;
+      bs
 
-(** Run syscall [name] with no seccomp check and no tracing. *)
+(** Run syscall [name] with no seccomp check and no tracing: a slot call
+    crosses as the {!bridge} does, on the arguments unboxed. *)
 let dispatch eng name m (args : Values.value array) : Rt.host_outcome =
   let p = Engine.proc_of m in
-  by_name eng name m args (fun _ b _ base ->
-      try
-        match b with
-        | Slot h -> ret_i64 (h { eng; p; m; base })
-        | Proc f -> f eng p m args
-      with Abi.Efault | Rt.Memory.Bounds -> efault_outcome)
+  match fst (named_bound eng name) with
+  | Slot h -> ret_i64 (on_slots eng p m h (Array.map (fun v -> Int64.to_int (Values.to_slot v)) args))
+  | Proc f -> ( try f eng p m args with Abi.Efault | Rt.Memory.Bounds -> efault_outcome)
 
 (** Run syscall [name] as a guest call of it runs: seccomp, tracing, the
     hook and the post-call signal poll. *)
 let traced_dispatch eng name m (args : Values.value array) : Rt.host_outcome =
-  let p = Engine.proc_of m in
-  by_name eng name m args (fun n b s base ->
+  let p = Engine.proc_of m and b, s = named_bound eng name and n = Array.length args in
+  on_stack m n (fun i -> Values.to_slot args.(i)) (fun base ->
       match b with
       | Slot h -> ret_i64 (slot_crossing s n h { eng; p; m; base })
       | Proc f -> boxed eng s p m ~base args (fun () -> f eng p m args))

@@ -6,16 +6,17 @@
     compiled code in the Fig 8 comparison and in differential tests
     against the Wasm and RV32 backends.
 
-    The runner supplies the OS surface: a [sys] callback (the libc ->
-    kernel boundary), argv/env accessors, and thread spawning. Safepoint
-    polling runs at loop headers, mirroring the engines, so signals reach
-    native processes too. *)
+    The runner supplies the OS surface, bound once per name: each
+    syscall the program makes (the libc -> kernel boundary) and each
+    imported builtin (argv/env accessors, thread spawning), which a call
+    site reaches by index. Safepoint polling runs at loop headers,
+    mirroring the engines, so signals reach native processes too. *)
 
 open Mc_ast
 
 type hooks = {
-  h_sys : string -> int array -> int; (* syscall by name *)
-  h_builtin : string -> int array -> int; (* argc/argv_len/.../thread_spawn *)
+  h_sys : (int array -> int) array; (* syscall [nc_syscalls.(i)] *)
+  h_builtin : (int array -> int) array; (* builtin [nc_builtins.(i)] *)
   h_poll : unit -> unit; (* loop-header safepoint *)
 }
 
@@ -43,7 +44,20 @@ let store mem ty addr v =
   | TChar -> Wasm.Rt.Memory.store8 mem addr v
   | _ -> Wasm.Rt.Memory.store32 mem addr (Int32.of_int v)
 
-type cctx = { l : Mc_layout.t; func_idx : (string, int) Hashtbl.t }
+type cctx = {
+  l : Mc_layout.t;
+  func_idx : (string, int) Hashtbl.t;
+  syscalls : string array; (* the program's syscall names, sorted *)
+  builtins : string array; (* its imported builtins, sorted *)
+}
+
+(* A name's index among the sorted [names] a call site reaches it by. *)
+let index names n =
+  match Array.find_index (String.equal n) names with
+  | Some i -> i
+  | None -> error "native: %s is not an import" n
+
+let sorted_names tbl = Array.of_list (List.sort compare (Hashtbl.fold (fun n _ a -> n :: a) tbl []))
 
 type fctx = { locals : (string, int * ty) Hashtbl.t; mutable nlocals : int }
 
@@ -80,8 +94,9 @@ let rec cexpr ctx fc (e : expr) : st -> int array -> int =
         let a = Array.map (fun c -> c st l) cargs in
         st.funcs.(idx) st a
   | ESyscall (name, args) ->
+      let i = index ctx.syscalls name in
       let cargs = Array.of_list (List.map (cexpr ctx fc) args) in
-      fun st l -> st.hooks.h_sys name (Array.map (fun c -> c st l) cargs)
+      fun st l -> st.hooks.h_sys.(i) (Array.map (fun c -> c st l) cargs)
   | EBuiltin ("memcopy", [ d; s; n ]) ->
       let cd = cexpr ctx fc d and cs = cexpr ctx fc s and cn = cexpr ctx fc n in
       fun st l ->
@@ -112,8 +127,9 @@ let rec cexpr ctx fc (e : expr) : st -> int array -> int =
         | Some fi -> st.funcs.(fi) st a
         | None -> error "calli: bad function pointer %d" slot)
   | EBuiltin (b, args) ->
+      let i = index ctx.builtins b in
       let cargs = Array.of_list (List.map (cexpr ctx fc) args) in
-      fun st l -> st.hooks.h_builtin b (Array.map (fun c -> c st l) cargs)
+      fun st l -> st.hooks.h_builtin.(i) (Array.map (fun c -> c st l) cargs)
   | EUnop (Neg, a) ->
       let c = cexpr ctx fc a in
       fun st l -> wrap (-c st l)
@@ -286,6 +302,8 @@ type compiled = {
   nc_heap_base : int;
   nc_funcs : (st -> int array -> int) array;
   nc_func_idx : (string, int) Hashtbl.t;
+  nc_syscalls : string array; (* [hooks.h_sys.(i)] makes syscall [i] *)
+  nc_builtins : string array; (* [hooks.h_builtin.(i)] runs builtin [i] *)
   nc_fnptr_slots : (string, int) Hashtbl.t;
   nc_main_params : int;
   nc_argc_addr : int option; (* __argc global *)
@@ -294,7 +312,10 @@ type compiled = {
 
 let compile (p : program) : compiled =
   let l = Mc_layout.create p in
-  let ctx = { l; func_idx = Hashtbl.create 32 } in
+  let ctx =
+    { l; func_idx = Hashtbl.create 32; syscalls = sorted_names l.syscalls;
+      builtins = sorted_names l.builtins }
+  in
   let funcs = List.filter_map (function GFunc f -> Some f | _ -> None) p in
   List.iteri (fun i f -> Hashtbl.replace ctx.func_idx f.fn_name i) funcs;
   let compiled_funcs =
@@ -323,6 +344,8 @@ let compile (p : program) : compiled =
     nc_heap_base = Mc_layout.heap_base l;
     nc_funcs = compiled_funcs;
     nc_func_idx = ctx.func_idx;
+    nc_syscalls = ctx.syscalls;
+    nc_builtins = ctx.builtins;
     nc_fnptr_slots = l.fnptr_slots;
     nc_main_params =
       (match Hashtbl.find_opt l.env.Mc_check.funcs "main" with
@@ -332,8 +355,8 @@ let compile (p : program) : compiled =
     nc_argv_addr = gaddr "__argv";
   }
 
-(** Instantiate a compiled program over a fresh memory and run a function
-    by name. Used by the native runner. *)
+(** Instantiate a compiled program over a fresh memory, with [hooks]
+    bound to its syscall and builtin names. Used by the native runner. *)
 let make_state (c : compiled) ~(mem : Wasm.Rt.Memory.t) ~(hooks : hooks) : st =
   Wasm.Rt.Memory.write_string mem ~addr:0 c.nc_mem_image;
   { mem; hooks; funcs = c.nc_funcs; steps = 0 }

@@ -2,11 +2,12 @@
     closures as a kernel task — the "native" side of the Fig 8
     comparison and the execution engine inside containers.
 
-    Syscall marshalling reuses the WALI dispatcher over the process's
-    flat memory (the work a native libc does against the kernel ABI is
-    the same translation); fork/exec are not supported in this backend
-    because the host call stack is not cloneable — the benchmark
-    workloads are single-process (documented in DESIGN.md). *)
+    A syscall crosses through {!Wali.Interface.bridge}, bound once per
+    name over the process's flat memory (the work a native libc does
+    against the kernel ABI is the same translation). fork/exec are not
+    supported in this backend because the host call stack is not
+    cloneable — the benchmark workloads are single-process (documented in
+    DESIGN.md). The bindings below are shared with the RV32 runner. *)
 
 open Kernel
 
@@ -19,12 +20,13 @@ type result = {
   r_loop_steps : int;
 }
 
-let errno_of_name = Errno.to_code
+let enosys = -Errno.to_code Errno.ENOSYS
 
-(* Build the shared proc plumbing so Wali.Interface.dispatch can serve
-   this task. *)
-let make_proc eng (task : Task.t) (mem : Wasm.Rt.Memory.t) ~heap_base ~argv
-    ~env : Wali.Engine.proc * Wasm.Rt.machine =
+(** Register [task], running over [mem] with process state [shared], as a
+    process the bridge can serve; the machine is where the bridge writes
+    a call's arguments. *)
+let make_proc eng (task : Task.t) (mem : Wasm.Rt.Memory.t) shared :
+    Wali.Engine.proc * Wasm.Rt.machine =
   let inst : Wasm.Rt.instance =
     {
       Wasm.Rt.i_name = "native";
@@ -39,17 +41,6 @@ let make_proc eng (task : Task.t) (mem : Wasm.Rt.Memory.t) ~heap_base ~argv
   in
   let m = Wasm.Rt.Machine.create inst in
   m.Wasm.Rt.m_pid <- task.Task.tid;
-  let shared =
-    {
-      Wali.Engine.ps_mmap = Wali.Mmap_mgr.create ~heap_base;
-      ps_argv = Array.of_list argv;
-      ps_env = Array.of_list env;
-      ps_mem_id = Wali.Engine.fresh_mem_id eng;
-      ps_brk = Wali.Mmap_mgr.align_up heap_base;
-      ps_heap_base = heap_base;
-      ps_binary = "";
-    }
-  in
   let p =
     {
       Wali.Engine.pr_task = task;
@@ -62,6 +53,18 @@ let make_proc eng (task : Task.t) (mem : Wasm.Rt.Memory.t) ~heap_base ~argv
   Wali.Engine.register_proc eng p;
   (p, m)
 
+(** A new process's state: [argv], [env] and no mappings over [heap_base]. *)
+let fresh_shared eng ~heap_base ~argv ~env : Wali.Engine.pshared =
+  {
+    Wali.Engine.ps_mmap = Wali.Mmap_mgr.create ~heap_base;
+    ps_argv = Array.of_list argv;
+    ps_env = Array.of_list env;
+    ps_mem_id = Wali.Engine.fresh_mem_id eng;
+    ps_brk = Wali.Mmap_mgr.align_up heap_base;
+    ps_heap_base = heap_base;
+    ps_binary = "";
+  }
+
 (* Act on [task]'s pending signals as the kernel decides: a kill ends the
    run, and [catch signo action mask] runs each caught signal's handler. *)
 let rec take_signals (task : Task.t) ~catch : unit =
@@ -72,6 +75,32 @@ let rec take_signals (task : Task.t) ~catch : unit =
       catch signo action mask;
       take_signals task ~catch
 
+(** Syscall [name] for process [p] on machine [m], bound once. exit and
+    exit_group end the run; other process control is the bridge's
+    -ENOSYS. Signals take effect on the way back, as under Linux, and the
+    result is the i32 the guest reads. *)
+let syscall eng (p : Wali.Engine.proc) m ~catch (name : string) : int array -> int =
+  match name with
+  | "exit" | "exit_group" ->
+      fun args -> raise (Ended (Ktypes.wexit_status (if Array.length args > 0 then args.(0) else 0)))
+  | _ ->
+      let call = Wali.Interface.bridge eng p m name in
+      fun args ->
+        let r = call args in
+        take_signals p.Wali.Engine.pr_task ~catch;
+        Minic.Mc_native.wrap r
+
+(** MiniC builtin [b] for process [p] over [mem], bound once: an argv/env
+    method, WALI's own; thread_spawn is -ENOSYS. *)
+let builtin (p : Wali.Engine.proc) mem (b : string) : int array -> int =
+  match b with
+  | "thread_spawn" -> fun _ -> enosys
+  | _ ->
+      let f = Wali.Interface.argv_env (Minic.Mc_layout.builtin_import_name b) in
+      fun args ->
+        let n = Array.length args in
+        f p.Wali.Engine.pr_shared mem (if n > 0 then args.(0) else 0) (if n > 1 then args.(1) else 0)
+
 (** Run [c] as [kernel]'s init task. Must be called inside {!Fiber.run}:
     it spawns the task's fiber, and the getter it returns has the result
     once {!Fiber.run} has returned. *)
@@ -81,9 +110,8 @@ let start ~kernel ?(argv = [ "prog" ]) ?(env = []) (c : Minic.Mc_native.compiled
   let task = Task.make_init kernel ~comm:(List.hd argv) in
   Wali.Engine.setup_stdio eng task;
   let mem = Wasm.Rt.Memory.create ~min_pages:64 ~max_pages:2048 in
-  let p, machine =
-    make_proc eng task mem ~heap_base:c.Minic.Mc_native.nc_heap_base ~argv ~env
-  in
+  let heap_base = c.Minic.Mc_native.nc_heap_base in
+  let p, machine = make_proc eng task mem (fresh_shared eng ~heap_base ~argv ~env) in
   let result = ref None in
   let finish status st =
     Task.exit_task kernel task ~status;
@@ -107,43 +135,12 @@ let start ~kernel ?(argv = [ "prog" ]) ?(env = []) (c : Minic.Mc_native.compiled
         !st_ref;
       task.Task.sigmask <- old
     in
-    let poll () = take_signals task ~catch in
     let hooks =
       {
         Minic.Mc_native.h_sys =
-          (fun name args ->
-            match name with
-            | "exit" | "exit_group" ->
-                raise
-                  (Ended (Ktypes.wexit_status (if Array.length args > 0 then args.(0) else 0)))
-            | "fork" | "vfork" | "execve" | "clone" ->
-                -errno_of_name Errno.ENOSYS
-            | _ -> (
-                let vals =
-                  Array.map (fun v -> Wasm.Values.I64 (Int64.of_int v)) args
-                in
-                let r =
-                  match Wali.Interface.dispatch eng name machine vals with
-                  | Wasm.Rt.H_return [ Wasm.Values.I64 r ] ->
-                      let r = Int64.to_int r in
-                      (r land 0xFFFFFFFF)
-                      - (if r land 0x80000000 <> 0 then 0x100000000 else 0)
-                  | _ -> -errno_of_name Errno.ENOSYS
-                in
-                (* signals take effect on the way back, as under Linux *)
-                poll ();
-                r))
-        ;
-        h_builtin =
-          (fun b args ->
-            match b with
-            | "thread_spawn" -> -errno_of_name Errno.ENOSYS
-            | _ ->
-                let arg i = if i < Array.length args then args.(i) else 0 in
-                Wali.Interface.argv_env
-                  (Minic.Mc_layout.builtin_import_name b)
-                  p.Wali.Engine.pr_shared mem (arg 0) (arg 1));
-        h_poll = poll;
+          Array.map (syscall eng p machine ~catch) c.Minic.Mc_native.nc_syscalls;
+        h_builtin = Array.map (builtin p mem) c.Minic.Mc_native.nc_builtins;
+        h_poll = (fun () -> take_signals task ~catch);
       }
     in
     let st = Minic.Mc_native.make_state c ~mem ~hooks in

@@ -27,7 +27,7 @@ let load_image (img : Minic.Mc_rv.rv_image) : Wasm.Rt.Memory.t =
 
 (* A caught signal is dropped: a guest function pointer is a code
    address, and guest handlers are not modelled under emulation. *)
-let take_signals task = Native_run.take_signals task ~catch:(fun _ _ _ -> ())
+let catch _ _ _ = ()
 
 (** Run [img] as [kernel]'s init task. Must be called inside
     {!Fiber.run}: it spawns the guest's fiber, and the getter it returns
@@ -36,72 +36,59 @@ let start ~kernel ?(argv = [ "prog" ]) ?(env = []) (img : Minic.Mc_rv.rv_image) 
     unit -> result option =
   let eng = Wali.Engine.create kernel in
   let result = ref None in
-  (* Launch one guest machine as one kernel task; fork recurses. *)
-  let rec launch (task : Task.t) (rv : Riscv.Rv_mach.t) : unit =
+  (* Launch one guest machine as one kernel task with process state
+     [shared]; fork recurses. *)
+  let rec launch (task : Task.t) (rv : Riscv.Rv_mach.t) shared : unit =
     let mem = rv.Riscv.Rv_mach.mem in
-    let p, wmachine =
-      Native_run.make_proc eng task mem ~heap_base:img.Minic.Mc_rv.rv_heap_base
-        ~argv ~env
+    let p, wmachine = Native_run.make_proc eng task mem shared in
+    let fork _ =
+      (* clone the guest: registers, memory and process state *)
+      let child_task = Task.clone_task kernel task ~thread:false ~share_files:false in
+      let crv =
+        Riscv.Rv_mach.create ~mem:(Wasm.Rt.Memory.clone mem) ~entry:(rv.Riscv.Rv_mach.pc + 4)
+          ~sp_init:0
+      in
+      Array.blit rv.Riscv.Rv_mach.regs 0 crv.Riscv.Rv_mach.regs 0 32;
+      Riscv.Rv_mach.set crv Riscv.Rv_asm.a0 0;
+      let cshared = Wali.Interface.fork_shared eng p.Wali.Engine.pr_shared in
+      ignore
+        (Fiber.spawn
+           (Printf.sprintf "rv-pid%d" child_task.Task.tid)
+           (fun () -> launch child_task crv cshared));
+      child_task.Task.tgid
+    in
+    (* one handler per number, bound at launch *)
+    let syscalls =
+      Array.map
+        (function
+          | "fork" | "vfork" -> fork
+          | name -> Native_run.syscall eng p wmachine ~catch name)
+        Riscv.Rv_linux.names
+    in
+    let builtins =
+      Array.map
+        (function
+          | "memcopy" ->
+              fun a -> Wasm.Rt.Memory.copy mem ~dst:a.(0) ~src:a.(1) ~len:a.(2); 0
+          | "memfill" ->
+              fun a -> Wasm.Rt.Memory.fill mem ~dst:a.(0) ~byte:a.(1) ~len:a.(2); 0
+          | b -> Native_run.builtin p mem b)
+        Riscv.Rv_linux.builtins
+    in
+    let handler nr =
+      let i = nr - Riscv.Rv_linux.first_nr and j = nr - Riscv.Rv_linux.first_builtin_nr in
+      if i >= 0 && i < Array.length syscalls then syscalls.(i)
+      else if j >= 0 && j < Array.length builtins then builtins.(j)
+      else fun _ -> Native_run.enosys
     in
     let ecall (m : Riscv.Rv_mach.t) : unit =
-      let nr = Riscv.Rv_mach.get m Riscv.Rv_asm.a7 in
       let arg i = Riscv.Rv_mach.get m (Riscv.Rv_asm.a0 + i) in
-      let setret v = Riscv.Rv_mach.set m Riscv.Rv_asm.a0 v in
-      match Riscv.Rv_linux.builtin_of_nr nr with
-      | Some b -> (
-          match b with
-          | "memcopy" ->
-              Wasm.Rt.Memory.copy mem ~dst:(arg 0) ~src:(arg 1) ~len:(arg 2);
-              setret 0
-          | "memfill" ->
-              Wasm.Rt.Memory.fill mem ~dst:(arg 0) ~byte:(arg 1) ~len:(arg 2);
-              setret 0
-          | _ ->
-              setret
-                (Wali.Interface.argv_env
-                   (Minic.Mc_layout.builtin_import_name b)
-                   p.Wali.Engine.pr_shared mem (arg 0) (arg 1)))
-      | None -> (
-          match Riscv.Rv_linux.name_of_nr nr with
-          | None -> setret (-Errno.to_code Errno.ENOSYS)
-          | Some "exit" | Some "exit_group" ->
-              raise (Native_run.Ended (Ktypes.wexit_status (arg 0)))
-          | Some "fork" | Some "vfork" ->
-              (* clone the guest: registers + memory *)
-              let child_task =
-                Task.clone_task kernel task ~thread:false ~share_files:false
-              in
-              let cmem = Wasm.Rt.Memory.clone mem in
-              let crv =
-                Riscv.Rv_mach.create ~mem:cmem ~entry:(m.Riscv.Rv_mach.pc + 4)
-                  ~sp_init:0
-              in
-              Array.blit m.Riscv.Rv_mach.regs 0 crv.Riscv.Rv_mach.regs 0 32;
-              Riscv.Rv_mach.set crv Riscv.Rv_asm.a0 0;
-              setret child_task.Task.tgid;
-              ignore
-                (Fiber.spawn
-                   (Printf.sprintf "rv-pid%d" child_task.Task.tid)
-                   (fun () -> launch child_task crv))
-          | Some name -> (
-              let arity =
-                match Wali.Spec.find name with
-                | Some e -> e.Wali.Spec.arity
-                | None -> 6
-              in
-              let vals =
-                Array.init arity (fun i -> Wasm.Values.I64 (Int64.of_int (arg i)))
-              in
-              (match Wali.Interface.dispatch eng name wmachine vals with
-              | Wasm.Rt.H_return [ Wasm.Values.I64 r ] ->
-                  setret (Int64.to_int r)
-              | _ -> setret (-Errno.to_code Errno.ENOSYS));
-              (* signals take effect on the way back, as under Linux *)
-              take_signals task))
+      let h = handler (Riscv.Rv_mach.get m Riscv.Rv_asm.a7) in
+      Riscv.Rv_mach.set m Riscv.Rv_asm.a0 (h [| arg 0; arg 1; arg 2; arg 3; arg 4; arg 5 |])
     in
     let poll () =
       Fiber.yield ();
-      take_signals task
+      Native_run.take_signals task ~catch
     in
     let status =
       try
@@ -131,7 +118,10 @@ let start ~kernel ?(argv = [ "prog" ]) ?(env = []) (img : Minic.Mc_rv.rv_image) 
     Riscv.Rv_mach.create ~mem ~entry:img.Minic.Mc_rv.rv_entry
       ~sp_init:img.Minic.Mc_rv.rv_sp_init
   in
-  ignore (Fiber.spawn "rv-init" (fun () -> launch task rv));
+  let shared =
+    Native_run.fresh_shared eng ~heap_base:img.Minic.Mc_rv.rv_heap_base ~argv ~env
+  in
+  ignore (Fiber.spawn "rv-init" (fun () -> launch task rv shared));
   fun () -> !result
 
 let run ?(argv = [ "prog" ]) ?(env = []) (img : Minic.Mc_rv.rv_image) : result =

@@ -3,7 +3,7 @@
 
     1. name-bind all syscalls — imports are ("wazi", <zephyr call name>)
        taken from the compiler-extracted encoding in
-       {!Tables.Zephyr_tables};
+       {!Tables.Zephyr_tables}, each bound to its handler at link time;
     2. sandbox pointers — buffer arguments are translated/bounds-checked
        against the module's linear memory;
     3. portable layouts — Zephyr's encoding is already ISA-portable;
@@ -19,167 +19,118 @@
 
 open Wasm
 
-type t = {
-  z : Zephyr.Zkernel.t;
-  mutable trace : (string * int) list; (* call counts *)
-  strings : Buffer.t; (* uart text staging *)
-}
+type t = { z : Zephyr.Zkernel.t }
 
 let create ?(z : Zephyr.Zkernel.t option) () : t =
-  {
-    z = (match z with Some z -> z | None -> Zephyr.Zkernel.create ());
-    trace = [];
-    strings = Buffer.create 64;
-  }
+  { z = (match z with Some z -> z | None -> Zephyr.Zkernel.create ()) }
 
-let note t name =
-  t.trace <-
-    (match List.assoc_opt name t.trace with
-    | Some n -> (name, n + 1) :: List.remove_assoc name t.trace
-    | None -> (name, 1) :: t.trace)
+(* k_thread_create's entry is a table slot; its thread runs the function
+   there on a machine of its own over the caller's instance. *)
+let thread_create z (m : Rt.machine) ~entry_idx ~arg : int =
+  let f =
+    if Array.length m.Rt.m_inst.Rt.i_tables = 0 then None
+    else
+      match Rt.Table.get m.Rt.m_inst.Rt.i_tables.(0) entry_idx with
+      | Some fidx -> Some m.Rt.m_inst.Rt.i_funcs.(fidx)
+      | None -> None
+      | exception Values.Trap _ -> None
+  in
+  match f with
+  | None -> -22
+  | Some fn ->
+      Zephyr.Zkernel.k_thread_create z ~name:"wasm" ~prio:5 (fun () ->
+          let tm = Rt.Machine.create m.Rt.m_inst in
+          tm.Rt.poll_hook <- m.Rt.poll_hook;
+          ignore (Interp.invoke tm fn [ Values.I32 (Int32.of_int arg) ]))
 
-let i32 v = Values.I32 (Int32.of_int v)
-
-(* The per-call implementations over the Zephyr simulator. Each gets the
-   calling machine (for address-space translation) and i32 args. *)
-let dispatch (t : t) (name : string) (m : Rt.machine) (args : int array) :
-    Rt.host_outcome =
-  note t name;
+(** The handler of call [name] over the Zephyr simulator, bound at link
+    time: [h m a] gets the calling machine (for address-space
+    translation) and [a i], its i-th i32 argument. A call the interface
+    does not virtualize is an auto-generated stub that traps. *)
+let handler (t : t) (name : string) : Rt.machine -> (int -> int) -> int =
   let z = t.z in
-  let mem = Rt.memory0 m in
-  let a i = if i < Array.length args then args.(i) else 0 in
-  let ret v = Rt.H_return [ i32 v ] in
   let open Zephyr.Zkernel in
   match name with
-  | "k_yield" ->
-      k_yield ();
-      ret 0
-  | "k_sleep" ->
-      k_sleep_ms (a 0);
-      ret 0
-  | "k_usleep" ->
-      k_sleep_ms (max 1 (a 0 / 1000));
-      ret 0
-  | "k_uptime_ticks" -> ret (k_uptime_ms ())
-  | "k_sem_init" -> ret (k_sem_init z ~count:(a 1) ~limit:(a 2))
-  | "k_sem_take" -> ret (k_sem_take z ~handle:(a 0) ~timeout_ms:(a 1))
-  | "k_sem_give" -> ret (k_sem_give z ~handle:(a 0))
-  | "k_sem_count_get" -> ret (k_sem_count z ~handle:(a 0))
-  | "k_mutex_init" -> ret (k_mutex_init z)
-  | "k_mutex_lock" -> ret (k_mutex_lock z ~handle:(a 0))
-  | "k_mutex_unlock" -> ret (k_mutex_unlock z ~handle:(a 0))
-  | "k_msgq_init" -> ret (k_msgq_init z ~msg_size:(a 2) ~capacity:(a 3))
+  | "k_thread_create" -> fun m a -> thread_create z m ~entry_idx:(a 0) ~arg:(a 1)
+  | "k_yield" -> fun _ _ -> k_yield (); 0
+  | "k_sleep" -> fun _ a -> k_sleep_ms (a 0); 0
+  | "k_usleep" -> fun _ a -> k_sleep_ms (max 1 (a 0 / 1000)); 0
+  | "k_uptime_ticks" -> fun _ _ -> k_uptime_ms ()
+  | "k_sem_init" -> fun _ a -> k_sem_init z ~count:(a 1) ~limit:(a 2)
+  | "k_sem_take" -> fun _ a -> k_sem_take z ~handle:(a 0) ~timeout_ms:(a 1)
+  | "k_sem_give" -> fun _ a -> k_sem_give z ~handle:(a 0)
+  | "k_sem_count_get" -> fun _ a -> k_sem_count z ~handle:(a 0)
+  | "k_mutex_init" -> fun _ _ -> k_mutex_init z
+  | "k_mutex_lock" -> fun _ a -> k_mutex_lock z ~handle:(a 0)
+  | "k_mutex_unlock" -> fun _ a -> k_mutex_unlock z ~handle:(a 0)
+  | "k_msgq_init" -> fun _ a -> k_msgq_init z ~msg_size:(a 2) ~capacity:(a 3)
   | "k_msgq_put" -> (
-      let size =
-        match find_obj z (a 0) with
-        | Some (O_msgq q) -> q.q_msg_size
-        | _ -> 0
-      in
-      if size = 0 then ret (-22)
-      else
-        try
-          let data = Bytes.of_string (Rt.Memory.read_string mem ~addr:(a 1) ~len:size) in
-          ret (k_msgq_put z ~handle:(a 0) ~data ~timeout_ms:(a 2))
-        with Rt.Memory.Bounds -> ret (-14))
-  | "k_msgq_get" -> (
-      match k_msgq_get z ~handle:(a 0) ~timeout_ms:(a 2) with
-      | Ok data -> (
+      fun m a ->
+        let size = match find_obj z (a 0) with Some (O_msgq q) -> q.q_msg_size | _ -> 0 in
+        if size = 0 then -22
+        else
           try
-            Rt.Memory.write_string mem ~addr:(a 1) (Bytes.to_string data);
-            ret 0
-          with Rt.Memory.Bounds -> ret (-14))
-      | Error e -> ret e)
-  | "k_timer_start" -> ret (k_timer_start z ~handle:(a 0) ~duration_ms:(a 1) ~period_ms:(a 2))
-  | "k_timer_stop" -> ret (k_timer_stop z ~handle:(a 0))
-  | "k_timer_status_get" -> ret (k_timer_status z ~handle:(a 0))
-  | "k_timer_init" -> ret (k_timer_init z) (* convenience alias *)
-  | "k_malloc" -> ret (k_malloc z (a 0))
-  | "k_free" ->
-      k_free z (a 0);
-      ret 0
-  | "gpio_pin_configure" -> ret (gpio_configure z ~pin:(a 1) ~output:(a 2 <> 0))
-  | "gpio_pin_set" -> ret (gpio_set z ~pin:(a 1) ~value:(a 2))
-  | "gpio_pin_get" -> ret (gpio_get z ~pin:(a 1))
-  | "gpio_pin_toggle" -> ret (gpio_toggle z ~pin:(a 1))
-  | "uart_poll_out" -> ret (uart_poll_out z (a 1))
-  | "uart_poll_in" -> ret (-1) (* the simulated UART never receives a byte *)
-  | "device_get_binding" -> ret 1 (* single board: handle 1 *)
-  | "device_is_ready" -> ret 1
+            let data = Bytes.of_string (Rt.Memory.read_string (Rt.memory0 m) ~addr:(a 1) ~len:size) in
+            k_msgq_put z ~handle:(a 0) ~data ~timeout_ms:(a 2)
+          with Rt.Memory.Bounds -> -14)
+  | "k_msgq_get" -> (
+      fun m a ->
+        match k_msgq_get z ~handle:(a 0) ~timeout_ms:(a 2) with
+        | Ok data -> (
+            try
+              Rt.Memory.write_string (Rt.memory0 m) ~addr:(a 1) (Bytes.to_string data);
+              0
+            with Rt.Memory.Bounds -> -14)
+        | Error e -> e)
+  | "k_timer_start" -> fun _ a -> k_timer_start z ~handle:(a 0) ~duration_ms:(a 1) ~period_ms:(a 2)
+  | "k_timer_stop" -> fun _ a -> k_timer_stop z ~handle:(a 0)
+  | "k_timer_status_get" -> fun _ a -> k_timer_status z ~handle:(a 0)
+  | "k_malloc" -> fun _ a -> k_malloc z (a 0)
+  | "k_free" -> fun _ a -> k_free z (a 0); 0
+  | "gpio_pin_configure" -> fun _ a -> gpio_configure z ~pin:(a 1) ~output:(a 2 <> 0)
+  | "gpio_pin_set" -> fun _ a -> gpio_set z ~pin:(a 1) ~value:(a 2)
+  | "gpio_pin_get" -> fun _ a -> gpio_get z ~pin:(a 1)
+  | "gpio_pin_toggle" -> fun _ a -> gpio_toggle z ~pin:(a 1)
+  | "uart_poll_out" -> fun _ a -> uart_poll_out z (a 1)
+  | "uart_poll_in" -> fun _ _ -> -1 (* the simulated UART never receives a byte *)
+  | "device_get_binding" -> fun _ _ -> 1 (* single board: handle 1 *)
+  | "device_is_ready" -> fun _ _ -> 1
   | "sys_rand_get" -> (
-      try
-        let len = a 1 in
-        Rt.Memory.check mem (a 0) len;
-        sys_rand mem.Rt.Memory.data (a 0) len;
-        ret 0
-      with Rt.Memory.Bounds -> ret (-14))
-  | "k_thread_join" -> ret (k_thread_join z ~tid:(a 0))
-  | "k_thread_abort" -> ret (k_thread_abort z ~tid:(a 0))
+      fun m a ->
+        let mem = Rt.memory0 m and len = a 1 in
+        try
+          Rt.Memory.check mem (a 0) len;
+          sys_rand mem.Rt.Memory.data (a 0) len;
+          0
+        with Rt.Memory.Bounds -> -14)
+  | "k_thread_join" -> fun _ a -> k_thread_join z ~tid:(a 0)
+  | "k_thread_abort" -> fun _ a -> k_thread_abort z ~tid:(a 0)
   | _ ->
       (* auto-generated stub: the call exists in the encoding but targets
          a subsystem the interface does not virtualize *)
-      Rt.H_trap (Printf.sprintf "WAZI: %s is an unimplemented subsystem stub" name)
-
-(** k_thread_create needs the engine loop (instance-per-thread), so it is
-    installed specially by {!resolver}. *)
-let thread_create_host (t : t) : Rt.func_inst =
-  Rt.Host_func
-    {
-      hf_name = "k_thread_create";
-      hf_type =
-        { Types.params = [ Types.T_i32; Types.T_i32 ]; results = [ Types.T_i32 ] };
-      hf_fn =
-        (fun m args ->
-          let entry_idx = Int32.to_int (Values.as_i32 args.(0)) in
-          let arg = Int32.to_int (Values.as_i32 args.(1)) in
-          let f =
-            if Array.length m.Rt.m_inst.Rt.i_tables = 0 then None
-            else
-              match Rt.Table.get m.Rt.m_inst.Rt.i_tables.(0) entry_idx with
-              | Some fidx -> Some m.Rt.m_inst.Rt.i_funcs.(fidx)
-              | None -> None
-              | exception Values.Trap _ -> None
-          in
-          match f with
-          | None -> Rt.H_return [ i32 (-22) ]
-          | Some fn ->
-              let tid =
-                Zephyr.Zkernel.k_thread_create t.z ~name:"wasm" ~prio:5
-                  (fun () ->
-                    let tm = Rt.Machine.create m.Rt.m_inst in
-                    tm.Rt.poll_hook <- m.Rt.poll_hook;
-                    ignore (Interp.invoke tm fn [ i32 arg ]))
-              in
-              Rt.H_return [ i32 tid ]);
-    }
+      fun _ _ -> Values.trap "WAZI: %s is an unimplemented subsystem stub" name
 
 (** The WAZI import resolver: every call in the Zephyr encoding resolves
-    (implemented or stub), demonstrating the auto-generation claim. *)
+    (implemented or stub), demonstrating the auto-generation claim. Each
+    is a slot call that reads its i32 arguments where they stand and
+    returns an i32. *)
 let resolver (t : t) : Link.resolver =
  fun ~module_name ~name ->
   if module_name <> "wazi" then None
-  else if name = "k_thread_create" then Some (Rt.E_func (thread_create_host t))
   else
-    match
-      List.find_opt
-        (fun (e : Tables.Zephyr_tables.entry) -> e.Tables.Zephyr_tables.name = name)
-        Tables.Zephyr_tables.all
-    with
-    | None -> None
-    | Some entry ->
-        let arity = entry.Tables.Zephyr_tables.arity in
-        Some
-          (Rt.E_func
-             (Rt.Host_func
-                {
-                  hf_name = name;
-                  hf_type =
-                    { Types.params = List.init arity (fun _ -> Types.T_i32);
-                      results = [ Types.T_i32 ] };
-                  hf_fn =
-                    (fun m args ->
-                      dispatch t name m
-                        (Array.map (fun v -> Int32.to_int (Values.as_i32 v)) args));
-                }))
+    List.find_opt
+      (fun (e : Tables.Zephyr_tables.entry) -> e.Tables.Zephyr_tables.name = name)
+      Tables.Zephyr_tables.all
+    |> Option.map (fun (e : Tables.Zephyr_tables.entry) ->
+           (* k_thread_create takes the entry's table slot and its argument *)
+           let arity = if name = "k_thread_create" then 2 else e.Tables.Zephyr_tables.arity in
+           let h = handler t name in
+           let ty =
+             { Types.params = List.init arity (fun _ -> Types.T_i32); results = [ Types.T_i32 ] }
+           in
+           Rt.E_func
+             (Rt.host_slot ~name ty (fun m base ->
+                  Int32.to_int (Int32.of_int (h m (fun i -> Interp.slot_i m (base + i)))))))
 
 (** Run a Wasm module's [main] export on WAZI. Returns (result, wazi). *)
 let run_module ?(wazi : t option) (binary : string) :

@@ -314,8 +314,11 @@ let uart_output z = Buffer.contents z.uart_out
 
 (* ---- kernel heap (bump accounting; real storage is the Wasm module's) *)
 
+(* The size is Zephyr's size_t, a u32: a size of 0, or one the heap has
+   no room for, gets NULL. *)
 let k_malloc z n : int =
-  if z.heap_used + n > z.heap_limit then 0
+  let n = n land 0xFFFFFFFF in
+  if n = 0 || n > z.heap_limit - z.heap_used then 0
   else begin
     z.heap_used <- z.heap_used + n;
     z.heap_used (* opaque nonzero cookie *)

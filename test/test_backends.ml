@@ -315,6 +315,47 @@ int main() {
       || QCheck.Test.fail_reportf "wasm (%d) %S\nnative (%d) %S" (fst wasm)
            (snd wasm) (fst native) (snd native))
 
+(* A bad pointer is -EFAULT on every target: the native and RV32 runners
+   cross through the same bridge as the Wasm engine's handlers. *)
+let test_efault_across_backends () =
+  check_all
+    {|
+      int main() {
+        printi(syscall("write", 1, -16, 8)); printc('\n');
+        printi(syscall("read", 0, -16, 8)); printc('\n');
+        return 0;
+      }
+    |}
+    "-14\n-14\n"
+
+(* A fork child keeps its parent's mappings and brk: its own mmaps land
+   past them, so the parent's malloc chunk and mapping survive in the
+   child, on RV32 as on Wasm. *)
+let test_fork_keeps_mappings () =
+  let src =
+    {|
+      int st[1];
+      int main() {
+        char *m = malloc(16);
+        m[0] = 'm';
+        char *a = (char*)syscall("mmap", 0, 4096, 3, 34, -1, 0);
+        a[0] = 'x';
+        int pid = fork();
+        if (pid == 0) {
+          char *b = (char*)syscall("mmap", 0, 4096, 3, 34, -1, 0);
+          char *c = (char*)syscall("mmap", 0, 4096, 3, 34, -1, 0);
+          printc(m[0]); printc(a[0]); printc(' ');
+          printi(b[0]); printi(c[0]); printc('\n');
+          exit(0);
+        }
+        waitpid(pid, st, 0);
+        return 0;
+      }
+    |}
+  in
+  Alcotest.(check (pair int string)) "wasm" (0, "mx 00\n") (run_wasm src);
+  Alcotest.(check (pair int string)) "rv" (0, "mx 00\n") (run_rv src)
+
 let tests =
   [
     Alcotest.test_case "compute kernels agree" `Quick test_compute;
@@ -329,4 +370,8 @@ let tests =
       prop_wasm_matches_native;
     Alcotest.test_case "signals take effect on syscall return" `Quick
       test_signal_on_syscall_return;
+    Alcotest.test_case "a bad pointer is -EFAULT everywhere" `Quick
+      test_efault_across_backends;
+    Alcotest.test_case "an RV fork child keeps its mappings" `Quick
+      test_fork_keeps_mappings;
   ]

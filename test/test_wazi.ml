@@ -190,6 +190,25 @@ let test_coverage_ratio () =
   Alcotest.(check bool) "core is a small fraction" true
     (impl * 100 / total < 15)
 
+(* k_malloc's size is a u32 (Zephyr's size_t): a negative one is over
+   the limit, so it gets NULL and leaves the heap's use as it was, as do a
+   size of 0 and one past the limit. *)
+let test_k_malloc_size () =
+  let binary =
+    build ~imports:[ ("k_malloc", 1) ] ~locals:[] (fun call -> [ k (-4096); call "k_malloc" ])
+  in
+  let result, t = Wazi.run_module binary in
+  (match result with
+  | Interp.R_done [ Values.I32 v ] -> Alcotest.(check int32) "k_malloc(-4096)" 0l v
+  | Interp.R_trap s -> Alcotest.failf "trap: %s" s
+  | _ -> Alcotest.fail "unexpected result");
+  let z = t.Wazi.z in
+  Alcotest.(check int) "heap_used" 0 z.Zephyr.Zkernel.heap_used;
+  Alcotest.(check int) "k_malloc(0)" 0 (Zephyr.Zkernel.k_malloc z 0);
+  Alcotest.(check int) "k_malloc(limit + 1)" 0 (Zephyr.Zkernel.k_malloc z 65537);
+  Alcotest.(check int) "heap_used after" 0 z.Zephyr.Zkernel.heap_used;
+  Alcotest.(check bool) "k_malloc(limit)" true (Zephyr.Zkernel.k_malloc z 65536 <> 0)
+
 let tests =
   [
     Alcotest.test_case "blinky: gpio + sleep + uart" `Quick test_blinky;
@@ -198,4 +217,5 @@ let tests =
     Alcotest.test_case "auto-generated stubs trap" `Quick test_stub_traps;
     Alcotest.test_case "coverage: small core suffices" `Quick test_coverage_ratio;
     Alcotest.test_case "uart_poll_in: nothing received" `Quick test_uart_poll_in_empty;
+    Alcotest.test_case "k_malloc reads its size as a u32" `Quick test_k_malloc_size;
   ]
