@@ -215,8 +215,11 @@ let run main =
           fire_due ();
           loop ()
         end
-        else if not (Timer_heap.is_empty s.timers) then begin
-          (* Everyone is blocked: jump the clock to the next deadline. *)
+        else if s.live > 0 && not (Timer_heap.is_empty s.timers) then begin
+          (* Everyone is blocked: jump the clock to the next deadline.
+             Once every fiber has finished, a timer left (the timeout
+             of a wait that ended early) has nobody to wake, and the
+             run ends without moving the clock to it. *)
           (let t = (Timer_heap.peek s.timers).Timer_heap.time in
            if Int64.compare t s.clock > 0 then begin
              (match !observer with

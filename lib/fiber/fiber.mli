@@ -50,7 +50,8 @@ exception Deadlock of string list
 
 val run : (unit -> unit) -> unit
 (** [run main] installs a fresh scheduler, runs [main] as the root fiber
-    and returns when every fiber has finished.
+    and returns when every fiber has finished; timers still pending then
+    are dropped.
     @raise Deadlock if the system wedges. *)
 
 val alive : unit -> int

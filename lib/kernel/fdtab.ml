@@ -5,7 +5,6 @@ type desc_kind =
   | F_gen of string (* snapshot of a generated /proc node *)
   | F_pipe_r of Pipe.t
   | F_pipe_w of Pipe.t
-  | F_chardev of Vfs.chardev
   | F_sock of Socket.t
 
 type desc = {
@@ -57,7 +56,7 @@ let release ?(sock_registry : Socket.registry option) d =
         match sock_registry with
         | Some reg -> Socket.close reg s
         | None -> ())
-    | F_inode _ | F_gen _ | F_chardev _ -> ()
+    | F_inode _ | F_gen _ -> ()
 
 let get_entry (t : t) fd : entry option =
   if fd = t.last_fd then t.last

@@ -22,7 +22,7 @@ let wait f ~key ~(load : unit -> int32) ~(expected : int32) ?timeout_ns ~intr
   if load () <> expected then Error Errno.EAGAIN
   else begin
     let q = queue_of f key in
-    match Waitq.wait ?timeout_ns ~intr q with
+    match Waitq.wait ?timeout_ns ~intr [ q ] with
     | Waitq.Woken () -> Ok ()
     | Waitq.Timeout -> Error Errno.ETIMEDOUT
     | Waitq.Interrupted -> Error Errno.EINTR

@@ -93,7 +93,7 @@ let rec read p ~intr ~nonblock dst dst_off len : (int, Errno.t) result =
   else if p.writers = 0 then Ok 0
   else if nonblock then Error Errno.EAGAIN
   else
-    match Waitq.wait ~intr p.read_wq with
+    match Waitq.wait ~intr [ p.read_wq ] with
     | Waitq.Interrupted -> Error Errno.EINTR
     | Waitq.Woken () | Waitq.Timeout -> read p ~intr ~nonblock dst dst_off len
 
@@ -112,7 +112,7 @@ let rec write_from p ~intr ~nonblock ~need src src_off len written =
       (written + push p src (src_off + written) (len - written))
   else if nonblock then partial Errno.EAGAIN
   else
-    match Waitq.wait ~intr p.write_wq with
+    match Waitq.wait ~intr [ p.write_wq ] with
     | Waitq.Interrupted -> partial Errno.EINTR
     | Waitq.Woken () | Waitq.Timeout ->
         write_from p ~intr ~nonblock ~need src src_off len written

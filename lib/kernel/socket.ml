@@ -86,7 +86,8 @@ let connect reg (s : t) (addr : addr) ~intr : (unit, Errno.t) result =
             let server = { rx = p2; tx = p1 } in
             (* Each pipe has exactly one reader and one writer end. *)
             Queue.push server l.backlog;
-            ignore (Waitq.wake_one l.accept_wq ());
+            (* a blocked accept and any poller of the listener *)
+            ignore (Waitq.wake_all l.accept_wq ());
             s.state <- S_connected client;
             Ok ()
           end)
@@ -106,7 +107,7 @@ let accept (s : t) ~intr ~nonblock : (t, Errno.t) result =
         else if l.l_closed then Error Errno.EINVAL
         else if nonblock then Error Errno.EAGAIN
         else
-          match Waitq.wait ~intr l.accept_wq with
+          match Waitq.wait ~intr [ l.accept_wq ] with
           | Waitq.Interrupted -> Error Errno.EINTR
           | Waitq.Woken () | Waitq.Timeout -> go ()
       in
@@ -149,6 +150,13 @@ let poll_bits (s : t) =
   | S_listening l -> if not (Queue.is_empty l.backlog) then Ktypes.pollin else 0
   | S_closed -> Ktypes.pollnval
   | _ -> 0
+
+(** The queues woken when [poll_bits s] may change. *)
+let poll_wq (s : t) =
+  match s.state with
+  | S_connected c -> [ c.rx.Pipe.read_wq; c.tx.Pipe.write_wq ]
+  | S_listening l -> [ l.accept_wq ]
+  | _ -> []
 
 (** socketpair: two already-connected sockets. *)
 let pair ~family =

@@ -69,7 +69,6 @@ let desc_read ctx (d : Fdtab.desc) buf off len : int Errno.result =
       end
   | Fdtab.F_pipe_r p -> tally_pipe ctx (Pipe.read p ~intr ~nonblock buf off len)
   | Fdtab.F_pipe_w _ -> Error Errno.EBADF
-  | Fdtab.F_chardev cd -> cd.Vfs.cd_read ~intr ~nonblock buf off len
   | Fdtab.F_sock s -> tally_sock ctx (Socket.read s ~intr ~nonblock buf off len)
 
 (* A write to a pipe or socket with no reader raises SIGPIPE. *)
@@ -104,7 +103,6 @@ let desc_write ctx (d : Fdtab.desc) buf off len : int Errno.result =
   | Fdtab.F_gen _ -> Error Errno.EACCES
   | Fdtab.F_pipe_r _ -> Error Errno.EBADF
   | Fdtab.F_pipe_w p -> pipe_write ctx p ~nonblock buf off len
-  | Fdtab.F_chardev cd -> cd.Vfs.cd_write buf off len
   | Fdtab.F_sock s ->
       tally_sock ctx (sigpipe_wrap ctx (Socket.write s ~intr ~nonblock buf off len))
 
@@ -285,14 +283,6 @@ let fstat ctx ~fd : stat Errno.result =
               st_uid = ctx.t.Task.uid; st_gid = ctx.t.Task.gid; st_rdev = 0;
               st_size = 0L; st_blksize = 4096; st_blocks = 0L;
               st_atime_ns = 0L; st_mtime_ns = 0L; st_ctime_ns = 0L;
-            }
-      | Fdtab.F_chardev _ ->
-          Ok
-            {
-              st_dev = 0; st_ino = 0; st_mode = s_ifchr lor 0o666; st_nlink = 1;
-              st_uid = 0; st_gid = 0; st_rdev = 0x8801; st_size = 0L;
-              st_blksize = 1024; st_blocks = 0L; st_atime_ns = 0L;
-              st_mtime_ns = 0L; st_ctime_ns = 0L;
             }
       | Fdtab.F_sock _ ->
           Ok
@@ -492,7 +482,7 @@ let ioctl ctx ~fd ~request : int Errno.result =
   | Some { Fdtab.e_desc = d; _ } -> (
       if request = tiocgwinsz then
         match d.Fdtab.d_kind with
-        | Fdtab.F_inode { Vfs.kind = Vfs.Chardev _; _ } | Fdtab.F_chardev _ ->
+        | Fdtab.F_inode { Vfs.kind = Vfs.Chardev _; _ } ->
             Ok 0 (* caller fills 80x24 via the WALI layer *)
         | _ -> Error Errno.ENOTTY
       else if request = fionread then
@@ -528,25 +518,35 @@ let desc_poll_bits (d : Fdtab.desc) : int =
   | Fdtab.F_gen _ -> pollin
   | Fdtab.F_pipe_r p -> Pipe.poll_read p
   | Fdtab.F_pipe_w p -> Pipe.poll_write p ~atomic:true
-  | Fdtab.F_chardev cd -> cd.Vfs.cd_poll ()
   | Fdtab.F_sock s -> Socket.poll_bits s
 
-let poll_tick_ns = 200_000L (* virtual re-check interval *)
+(* The queues woken when [desc_poll_bits d] may change; a description
+   whose bits never change has none. *)
+let desc_poll_wq (d : Fdtab.desc) : unit Waitq.t list =
+  match d.Fdtab.d_kind with
+  | Fdtab.F_inode { Vfs.kind = Vfs.Chardev cd; _ } -> cd.Vfs.cd_poll_wq
+  | Fdtab.F_inode _ | Fdtab.F_gen _ -> []
+  | Fdtab.F_pipe_r p -> [ p.Pipe.read_wq ]
+  | Fdtab.F_pipe_w p -> [ p.Pipe.write_wq ]
+  | Fdtab.F_sock s -> Socket.poll_wq s
 
 (** poll(2). [fds] is (fd, events) list; returns revents per entry and the
-    ready count. [timeout_ms] < 0 means infinite. *)
+    ready count. [timeout_ms] < 0 means infinite. With nothing ready the
+    task sleeps on its descriptors' queues until one is woken, the
+    deadline passes or a signal arrives, and checks again; a wait that
+    nothing can end is the scheduler's deadlock. *)
 let poll ctx ~(fds : (int * int) list) ~timeout_ms :
     (int * int list) Errno.result =
   let deadline =
     if timeout_ms < 0 then None
     else Some (Int64.add (Fiber.now ()) (Int64.mul (Int64.of_int timeout_ms) 1_000_000L))
   in
-  let dummy : unit Waitq.t = Waitq.create () in
+  let fdtab = ctx.t.Task.fdtab in
   let rec go () =
     let revents =
       List.map
         (fun (fd, events) ->
-          match Fdtab.get ctx.t.Task.fdtab fd with
+          match Fdtab.get fdtab fd with
           | None -> if fd < 0 then 0 else pollnval
           | Some d ->
               let bits = desc_poll_bits d in
@@ -554,25 +554,18 @@ let poll ctx ~(fds : (int * int) list) ~timeout_ms :
         fds
     in
     let ready = List.length (List.filter (fun r -> r <> 0) revents) in
-    if ready > 0 then Ok (ready, revents)
-    else begin
-      let expired =
-        match deadline with
-        | Some dl -> Int64.compare (Fiber.now ()) dl >= 0
-        | None -> false
-      in
-      if expired || timeout_ms = 0 then Ok (0, revents)
-      else begin
-        let remaining =
-          match deadline with
-          | Some dl -> Int64.min poll_tick_ns (Int64.sub dl (Fiber.now ()))
-          | None -> poll_tick_ns
+    match Option.map (fun dl -> Int64.sub dl (Fiber.now ())) deadline with
+    | _ when ready > 0 -> Ok (ready, revents)
+    | Some left when Int64.compare left 0L <= 0 -> Ok (0, revents)
+    | timeout_ns -> (
+        let qs =
+          List.concat_map
+            (fun (fd, _) -> Option.fold (Fdtab.get fdtab fd) ~none:[] ~some:desc_poll_wq)
+            fds
         in
-        match Waitq.wait ~timeout_ns:remaining ~intr:ctx.t.Task.intr dummy with
+        match Waitq.wait ?timeout_ns ~intr:ctx.t.Task.intr qs with
         | Waitq.Interrupted -> Error Errno.EINTR
-        | Waitq.Timeout | Waitq.Woken () -> go ()
-      end
-    end
+        | Waitq.Timeout | Waitq.Woken () -> go ())
   in
   go ()
 
@@ -697,21 +690,18 @@ let alarm ctx ~seconds : int Errno.result =
           Task.post_to_group ctx.k t.Task.group sigalrm);
   Ok 0
 
+(* pause and nanosleep sleep on no queue: only a signal (or the
+   timeout) ends them. *)
 let pause ctx : unit Errno.result =
-  let dummy : unit Waitq.t = Waitq.create () in
-  match Waitq.wait ~intr:ctx.t.Task.intr dummy with
-  | Waitq.Interrupted -> Error Errno.EINTR
-  | Waitq.Woken () | Waitq.Timeout -> Error Errno.EINTR
+  ignore (Waitq.wait ~intr:ctx.t.Task.intr []);
+  Error Errno.EINTR
 
 let nanosleep ctx ~ns : unit Errno.result =
   if ns <= 0L then Ok ()
-  else begin
-    let dummy : unit Waitq.t = Waitq.create () in
-    match Waitq.wait ~timeout_ns:ns ~intr:ctx.t.Task.intr dummy with
-    | Waitq.Timeout -> Ok ()
+  else
+    match Waitq.wait ~timeout_ns:ns ~intr:ctx.t.Task.intr [] with
     | Waitq.Interrupted -> Error Errno.EINTR
-    | Waitq.Woken () -> Ok ()
-  end
+    | Waitq.Timeout | Waitq.Woken () -> Ok ()
 
 (* ------------------------------------------------------------------ *)
 (* Identity / misc                                                      *)

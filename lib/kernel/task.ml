@@ -71,6 +71,7 @@ let console_chardev (k : kernel) : Vfs.chardev =
         Buffer.add_subbytes k.console_out src off len;
         Ok len);
     cd_poll = (fun () -> Pipe.poll_read k.console_in lor pollout);
+    cd_poll_wq = [ k.console_in.Pipe.read_wq ];
   }
 
 let null_chardev : Vfs.chardev =
@@ -79,6 +80,7 @@ let null_chardev : Vfs.chardev =
     cd_read = (fun ~intr:_ ~nonblock:_ _ _ _ -> Ok 0);
     cd_write = (fun _ _ len -> Ok len);
     cd_poll = (fun () -> pollin lor pollout);
+    cd_poll_wq = [];
   }
 
 let zero_chardev : Vfs.chardev =
@@ -90,6 +92,7 @@ let zero_chardev : Vfs.chardev =
         Ok len);
     cd_write = (fun _ _ len -> Ok len);
     cd_poll = (fun () -> pollin lor pollout);
+    cd_poll_wq = [];
   }
 
 (* Deterministic xorshift PRNG for /dev/urandom. *)
@@ -114,6 +117,7 @@ let urandom_chardev () : Vfs.chardev =
         Ok len);
     cd_write = (fun _ _ len -> Ok len);
     cd_poll = (fun () -> pollin lor pollout);
+    cd_poll_wq = [];
   }
 
 let boot () : kernel =
@@ -486,7 +490,7 @@ let wait4 (k : kernel) (t : t) ~pid ~options : (wait_result option, Errno.t) res
       | None ->
           if options land wnohang <> 0 then Ok None
           else
-            match Waitq.wait ~intr:t.intr t.child_wq with
+            match Waitq.wait ~intr:t.intr [ t.child_wq ] with
             | Waitq.Interrupted -> Error Errno.EINTR
             | Waitq.Woken () | Waitq.Timeout -> go ()
   in

@@ -36,6 +36,7 @@ and chardev = {
     (int, Errno.t) result;
   cd_write : Bytes.t -> int -> int -> (int, Errno.t) result;
   cd_poll : unit -> int;
+  cd_poll_wq : unit Waitq.t list; (* woken when [cd_poll] may change *)
 }
 
 type t = {

@@ -13,31 +13,29 @@ type 'a t = { mutable waiters : 'a waiter list }
 
 let create () = { waiters = [] }
 
-let waiting q = List.length (List.filter (fun w -> w.live) q.waiters)
+let drop_dead q = q.waiters <- List.filter (fun w -> w.live) q.waiters
 
-(** Block until woken. [intr] is the task's interruption slot: while
-    waiting it holds a function that aborts the wait with [Interrupted]. *)
-let wait ?timeout_ns ~(intr : (unit -> unit) option ref) (q : 'a t) :
+(** Block on all of [qs] until woken, the timeout passes or a signal
+    arrives. The task's one waiter goes on every queue; the first of a
+    wake, the timeout and a signal ([intr], which holds the abort while
+    the task waits) fires it, its [live] one-shot ignores the rest, and
+    the other queues' dead entries are dropped here. With no queue only
+    the timeout or a signal ends the wait. *)
+let wait ?timeout_ns ~(intr : (unit -> unit) option ref) (qs : 'a t list) :
     'a outcome =
   let result =
     Fiber.suspend (fun resume ->
-        let w = ref { live = true; fire = (fun _ -> ()) } in
-        let fire o =
-          if !w.live then begin
-            !w.live <- false;
-            resume o
-          end
+        let rec w =
+          { live = true; fire = (fun o -> if w.live then begin w.live <- false; resume o end) }
         in
-        w := { live = true; fire };
-        q.waiters <- q.waiters @ [ !w ];
-        intr := Some (fun () -> fire Interrupted);
+        List.iter (fun q -> q.waiters <- q.waiters @ [ w ]) qs;
+        intr := Some (fun () -> w.fire Interrupted);
         match timeout_ns with
-        | Some ns -> Fiber.at (Int64.add (Fiber.now ()) ns) (fun () -> fire Timeout)
+        | Some ns -> Fiber.at (Int64.add (Fiber.now ()) ns) (fun () -> w.fire Timeout)
         | None -> ())
   in
   intr := None;
-  (* Drop dead waiters lazily. *)
-  q.waiters <- List.filter (fun w -> w.live) q.waiters;
+  List.iter drop_dead qs;
   result
 
 (** Wake at most one waiter with [v]; returns true if someone was woken. *)
@@ -52,7 +50,7 @@ let wake_one q v =
         else go rest
   in
   let r = go q.waiters in
-  q.waiters <- List.filter (fun w -> w.live) q.waiters;
+  drop_dead q;
   r
 
 (** Wake every current waiter; returns the number woken. An empty

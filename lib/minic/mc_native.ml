@@ -47,9 +47,16 @@ let store mem ty addr v =
 type cctx = {
   l : Mc_layout.t;
   func_idx : (string, int) Hashtbl.t;
+  slot_funcs : int array; (* fnptr slot -> function index, -1 for none *)
   syscalls : string array; (* the program's syscall names, sorted *)
   builtins : string array; (* its imported builtins, sorted *)
 }
+
+(* The function index a fnptr slot holds. *)
+let slot_func slot_funcs slot =
+  if slot >= 0 && slot < Array.length slot_funcs && slot_funcs.(slot) >= 0 then
+    slot_funcs.(slot)
+  else error "native: bad function pointer %d" slot
 
 (* A name's index among the sorted [names] a call site reaches it by. *)
 let index names n =
@@ -110,22 +117,9 @@ let rec cexpr ctx fc (e : expr) : st -> int array -> int =
   | EBuiltin ("calli", target :: args) ->
       let ct = cexpr ctx fc target in
       let cargs = Array.of_list (List.map (cexpr ctx fc) args) in
-      (* slot -> func index, resolved lazily because the callee may be
-         compiled after this call site *)
-      let inverse = Hashtbl.create 8 in
-      let resolve slot =
-        if Hashtbl.length inverse = 0 then
-          Hashtbl.iter
-            (fun f s -> Hashtbl.replace inverse s (Hashtbl.find ctx.func_idx f))
-            ctx.l.fnptr_slots;
-        Hashtbl.find_opt inverse slot
-      in
       fun st l ->
-        let slot = ct st l in
-        let a = Array.map (fun c -> c st l) cargs in
-        (match resolve slot with
-        | Some fi -> st.funcs.(fi) st a
-        | None -> error "calli: bad function pointer %d" slot)
+        let fi = slot_func ctx.slot_funcs (ct st l) in
+        st.funcs.(fi) st (Array.map (fun c -> c st l) cargs)
   | EBuiltin (b, args) ->
       let i = index ctx.builtins b in
       let cargs = Array.of_list (List.map (cexpr ctx fc) args) in
@@ -304,7 +298,7 @@ type compiled = {
   nc_func_idx : (string, int) Hashtbl.t;
   nc_syscalls : string array; (* [hooks.h_sys.(i)] makes syscall [i] *)
   nc_builtins : string array; (* [hooks.h_builtin.(i)] runs builtin [i] *)
-  nc_fnptr_slots : (string, int) Hashtbl.t;
+  nc_slot_funcs : int array; (* fnptr slot -> function index *)
   nc_main_params : int;
   nc_argc_addr : int option; (* __argc global *)
   nc_argv_addr : int option;
@@ -312,12 +306,17 @@ type compiled = {
 
 let compile (p : program) : compiled =
   let l = Mc_layout.create p in
+  let funcs = List.filter_map (function GFunc f -> Some f | _ -> None) p in
+  let func_idx = Hashtbl.create 32 in
+  List.iteri (fun i f -> Hashtbl.replace func_idx f.fn_name i) funcs;
+  let slot_funcs = Array.make (Hashtbl.fold (fun _ s n -> max n (s + 1)) l.fnptr_slots 0) (-1) in
+  Hashtbl.iter
+    (fun f s -> Option.iter (fun i -> slot_funcs.(s) <- i) (Hashtbl.find_opt func_idx f))
+    l.fnptr_slots;
   let ctx =
-    { l; func_idx = Hashtbl.create 32; syscalls = sorted_names l.syscalls;
+    { l; func_idx; slot_funcs; syscalls = sorted_names l.syscalls;
       builtins = sorted_names l.builtins }
   in
-  let funcs = List.filter_map (function GFunc f -> Some f | _ -> None) p in
-  List.iteri (fun i f -> Hashtbl.replace ctx.func_idx f.fn_name i) funcs;
   let compiled_funcs =
     Array.of_list
       (List.map
@@ -346,7 +345,7 @@ let compile (p : program) : compiled =
     nc_func_idx = ctx.func_idx;
     nc_syscalls = ctx.syscalls;
     nc_builtins = ctx.builtins;
-    nc_fnptr_slots = l.fnptr_slots;
+    nc_slot_funcs = slot_funcs;
     nc_main_params =
       (match Hashtbl.find_opt l.env.Mc_check.funcs "main" with
       | Some s -> List.length s.Mc_check.fs_params
@@ -366,12 +365,7 @@ let call (c : compiled) (st : st) (name : string) (args : int array) : int =
   | Some i -> c.nc_funcs.(i) st args
   | None -> error "native: no function %s" name
 
+(** Call the function in fnptr slot [slot], as a caught signal's
+    handler is. *)
 let call_slot (c : compiled) (st : st) (slot : int) (args : int array) : int =
-  let f =
-    Hashtbl.fold
-      (fun name s acc -> if s = slot then Some name else acc)
-      c.nc_fnptr_slots None
-  in
-  match f with
-  | Some name -> call c st name args
-  | None -> error "native: bad function pointer %d" slot
+  c.nc_funcs.(slot_func c.nc_slot_funcs slot) st args

@@ -5,8 +5,7 @@
     The recorder is a pure observer — every call still executes live
     against the simulated kernel, and the guest sees identical behavior.
     For each call it captures the result plus the guest-memory bytes the
-    kernel wrote (per the {!Writeset} oracle, or a whole-memory diff for
-    the few calls the oracle cannot enumerate), and the linear-memory
+    kernel wrote (per the {!Writeset} oracle), and the linear-memory
     size afterwards so replay can mirror growth. Signal deliveries are
     logged with the per-machine safepoint-poll counter value, which is
     the replay-stable coordinate for re-injection. *)
@@ -17,12 +16,12 @@ open Wali
 type t = {
   mutable rc_events : Trace.event list; (* reversed *)
   rc_polls : (int, int ref) Hashtbl.t; (* pid -> counted safepoint polls *)
-  mutable rc_pre : Bytes.t option;
-      (* the memory before a call the oracle cannot enumerate (brk, which
-         never blocks, so no other call runs before its exit) *)
+  mutable rc_brk : int;
+      (* the program break at the entry of the last brk, which never
+         blocks, so no other call runs before its exit *)
 }
 
-let make () = { rc_events = []; rc_polls = Hashtbl.create 8; rc_pre = None }
+let make () = { rc_events = []; rc_polls = Hashtbl.create 8; rc_brk = 0 }
 
 let emit rc ev = rc.rc_events <- ev :: rc.rc_events
 
@@ -50,49 +49,17 @@ let capture_regions (mem : Rt.Memory.t) (spans : (int * int) list) :
         Some (Trace.R_bytes (addr, Bytes.sub_string mem.Rt.Memory.data addr len)))
     spans
 
-(* Whole-memory diff for syscalls whose write-set is not statically
-   enumerable (brk). The pre-image is zero-extended if memory grew.
-   Nearby changed spans (gap <= 32 bytes) merge into one region. *)
-let diff_regions ~(pre : Bytes.t) ~(post : Bytes.t) : Trace.region list =
-  let n = Bytes.length post in
-  let pre_at i = if i < Bytes.length pre then Bytes.get pre i else '\000' in
-  let spans = ref [] in
-  let start = ref (-1) and last = ref (-1) in
-  for i = 0 to n - 1 do
-    if Bytes.get post i <> pre_at i then begin
-      if !start < 0 then start := i
-      else if i - !last > 32 then begin
-        spans := (!start, !last - !start + 1) :: !spans;
-        start := i
-      end;
-      last := i
-    end
-  done;
-  if !start >= 0 then spans := (!start, !last - !start + 1) :: !spans;
-  List.rev_map
-    (fun (a, len) -> Trace.R_bytes (a, Bytes.sub_string post a len))
-    !spans
-
 let hook (rc : t) : Engine.hook =
-  let h_enter _ (m : Rt.machine) name ~base:_ ~arity:_ =
-    if Writeset.needs_whole name then
-      rc.rc_pre <- Some (Bytes.copy (Rt.memory0 m).Rt.Memory.data);
+  let h_enter (p : Engine.proc) _ name ~base:_ ~arity:_ =
+    if name = "brk" then rc.rc_brk <- p.Engine.pr_shared.Engine.ps_brk;
     None
   in
   let h_exit _ (m : Rt.machine) name ~base ~arity ~ns:_ = function
-    | None -> rc.rc_pre <- None
+    | None -> ()
     | Some result ->
         let mem = Rt.memory0 m in
         let args = Array.init arity (Engine.arg m base) in
-        let regions =
-          match rc.rc_pre with
-          | Some pre -> diff_regions ~pre ~post:mem.Rt.Memory.data
-          | None -> (
-              match Writeset.written ~mem name args result with
-              | Writeset.Regions spans -> capture_regions mem spans
-              | Writeset.Whole -> diff_regions ~pre:Bytes.empty ~post:mem.Rt.Memory.data)
-        in
-        rc.rc_pre <- None;
+        let regions = capture_regions mem (Writeset.written ~mem ~brk:rc.rc_brk name args result) in
         emit rc
           (Trace.E_syscall
              {

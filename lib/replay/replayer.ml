@@ -7,9 +7,10 @@
     through the engine, because they create real engine structure, and
     their outcomes are validated against the log. The recorded global
     event order doubles as the scheduler oracle: a fiber whose next
-    action is not the globally-next record spin-yields until it is, which
-    forces the recorded interleaving; a bounded stall counter turns any
-    impossible schedule into a divergence instead of a livelock. Signal
+    action is not the globally-next record sleeps, and consuming a record
+    wakes the fiber that owns the next one, which forces the recorded
+    interleaving; an impossible schedule leaves every fiber asleep, and
+    the scheduler's deadlock is reported as a divergence. Signal
     deliveries are re-injected when a machine's counted safepoint-poll
     counter reaches the recorded coordinate.
 
@@ -44,17 +45,13 @@ type outcome = {
 
 let converged (o : outcome) = o.rp_divergence = None
 
-(* How many consecutive scheduler yields without global-cursor progress
-   before we call the replay stalled. Generous: every blocked fiber
-   burns one per scheduler round-trip while others make real progress. *)
-let stall_limit = 200_000
-
 type state = {
   st_trace : Trace.t;
   mutable st_cursor : int; (* next event index to consume *)
   st_queues : (int, int Queue.t) Hashtbl.t; (* pid -> its event indices *)
   st_polls : (int, int ref) Hashtbl.t; (* pid -> safepoint-poll counter *)
-  mutable st_stall : int;
+  st_asleep : (int, unit -> unit) Hashtbl.t;
+      (* pid -> the resumer of its fiber, asleep until its record is next *)
   mutable st_div : divergence option;
   mutable st_live : (Trace.syscall * int) option;
       (* the record of the live-class call in flight, checked at its exit
@@ -69,14 +66,9 @@ let counter st pid = Recorder.per_pid st.st_polls pid (fun () -> ref 0)
 let make (trace : Trace.t) : state =
   let st =
     { st_trace = trace; st_cursor = 0; st_queues = Hashtbl.create 8; st_polls = Hashtbl.create 8;
-      st_stall = 0; st_div = None; st_live = None; st_engine = None }
+      st_asleep = Hashtbl.create 8; st_div = None; st_live = None; st_engine = None }
   in
-  Array.iteri
-    (fun i -> function
-      | Trace.E_syscall { sc_pid = pid; _ } | Trace.E_signal { sg_pid = pid; _ }
-      | Trace.E_exit { ex_pid = pid; _ } ->
-          Queue.push i (queue st pid))
-    trace.Trace.tr_events;
+  Array.iteri (fun i ev -> Queue.push i (queue st (Trace.pid_of ev))) trace.Trace.tr_events;
   st
 
 let diverge st ~index ~pid ~kind ~expected ~actual : 'a =
@@ -90,32 +82,26 @@ let diverge st ~index ~pid ~kind ~expected ~actual : 'a =
 let fmt_call name (args : int64 array) =
   Printf.sprintf "%s(%s)" name (Trace.pp_args args)
 
-(* One more scheduler yield without progress of the global cursor; past
-   [stall_limit] the pid's [doing] cannot happen in the recorded order. *)
-let stall st pid ~doing =
-  st.st_stall <- st.st_stall + 1;
-  if st.st_stall > stall_limit then
-    diverge st ~index:st.st_cursor ~pid ~kind:"schedule"
-      ~expected:
-        (Printf.sprintf "globally-next record %s"
-           (Trace.pp_event st.st_trace.Trace.tr_events.(st.st_cursor)))
-      ~actual:(doing ());
-  Fiber.yield ()
+(* Sleep until record [i], [pid]'s next, is the globally-next one;
+   [consume] wakes the pid whose record comes up. *)
+let rec await st pid i =
+  if st.st_cursor < i then begin
+    Fiber.suspend (fun resume -> Hashtbl.replace st.st_asleep pid resume);
+    await st pid i
+  end
 
-(* Wait until pid's next recorded event is the globally-next one,
-   yielding to let the fibers that own the intervening records run.
-   [doing] describes the pid's action, for a divergence report. *)
-let rec wait_turn st pid ~(doing : unit -> string) : Trace.event * int =
+(* Wait until pid's next recorded event is the globally-next one, while
+   the fibers that own the intervening records run. [doing] describes
+   the pid's action, for a divergence report. *)
+let wait_turn st pid ~(doing : unit -> string) : Trace.event * int =
   match Queue.peek_opt (queue st pid) with
   | None ->
       diverge st ~index:(Array.length st.st_trace.Trace.tr_events) ~pid
         ~kind:"extra event" ~expected:"no more events for this pid"
         ~actual:(doing ())
-  | Some i when i = st.st_cursor -> (st.st_trace.Trace.tr_events.(i), i)
   | Some i ->
-      stall st pid ~doing:(fun () ->
-          Printf.sprintf "stalled at %s (pid's next record is #%d)" (doing ()) i);
-      wait_turn st pid ~doing
+      await st pid i;
+      (st.st_trace.Trace.tr_events.(i), i)
 
 let consume st pid =
   let q = queue st pid in
@@ -123,7 +109,15 @@ let consume st pid =
   | Some i -> assert (i = st.st_cursor)
   | None -> assert false);
   st.st_cursor <- st.st_cursor + 1;
-  st.st_stall <- 0
+  let events = st.st_trace.Trace.tr_events in
+  if st.st_cursor < Array.length events then begin
+    let next = Trace.pid_of events.(st.st_cursor) in
+    match Hashtbl.find_opt st.st_asleep next with
+    | Some resume ->
+        Hashtbl.remove st.st_asleep next;
+        resume ()
+    | None -> ()
+  end
 
 let hex (s : string) =
   String.concat "" (List.map (Printf.sprintf "%02x") (List.map Char.code (List.of_seq (String.to_seq s))))
@@ -187,11 +181,7 @@ let rec inject_signals st (p : Engine.proc) (m : Rt.machine) =
                 (Printf.sprintf "safepoint %d already passed without it" !c)
           else if sg.Trace.sg_poll = !c then begin
             (* ordering: other pids' earlier records must land first *)
-            while st.st_cursor < i do
-              stall st pid ~doing:(fun () ->
-                  Printf.sprintf "stalled delivering signal %d to pid %d (record #%d)"
-                    sg.Trace.sg_signo pid i)
-            done;
+            await st pid i;
             consume st pid;
             match sg.Trace.sg_status with
             | Some status -> raise (Engine.Killed_by status)

@@ -50,6 +50,11 @@ type exit_ev = { ex_pid : int; ex_status : int (* packed wait status *) }
 
 type event = E_syscall of syscall | E_signal of signal | E_exit of exit_ev
 
+(** The pid whose record an event is. *)
+let pid_of = function
+  | E_syscall { sc_pid = pid; _ } | E_signal { sg_pid = pid; _ } | E_exit { ex_pid = pid; _ } ->
+      pid
+
 type header = {
   h_app : string; (* informational: suite app name, or "" *)
   h_argv : string list;

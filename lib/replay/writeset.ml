@@ -9,8 +9,8 @@
     six strings' prefixes change); over-approximation is harmless since
     re-applying unchanged bytes is a no-op, while *under*-approximation
     would let replayed memory drift. `brk` is the one handler whose
-    write-set depends on engine state not visible in args/result, so it
-    falls back to a whole-memory diff ([Whole]). *)
+    write-set depends on engine state not visible in args/result: the
+    break before the call, which the recorder reads at the call's entry. *)
 
 open Wasm
 
@@ -33,31 +33,26 @@ let classify = function
     position signal deliveries stay aligned between record and replay. *)
 let polls_inside = function "rt_sigprocmask" | "rt_sigsuspend" -> 1 | _ -> 0
 
-type spec =
-  | Regions of (int * int) list (* (addr, len) candidates; may overlap *)
-  | Whole (* not statically enumerable: diff whole memory around the call *)
-
-(** True when the recorder must snapshot all of linear memory before the
-    call (the [Whole] fallback needs a pre-image to diff against). *)
-let needs_whole = function "brk" -> true | _ -> false
-
 let kstat_size = 112
 let sigaction_size = 16
 
-let written ~(mem : Rt.Memory.t) (name : string) (args : int64 array)
-    (result : int64) : spec =
+(** The (addr, len) regions the call may have written; they may overlap.
+    [brk] is the program break before the call: a grown break maps, and
+    zeroes, [brk, result). *)
+let written ~(mem : Rt.Memory.t) ~(brk : int) (name : string) (args : int64 array)
+    (result : int64) : (int * int) list =
   let a i = if i < Array.length args then args.(i) else 0L in
   let ai i = Int64.to_int (a i) in
   let ap i = Int64.to_int (Int64.logand (a i) 0xFFFFFFFFL) in
   let r = Int64.to_int result in
   let ok = Int64.compare result 0L >= 0 in
-  let if_ok l = if ok then Regions l else Regions [] in
+  let if_ok l = if ok then l else [] in
   let nz p l = if p <> 0 then l else [] in
   match name with
   | "read" | "pread64" | "recvfrom" -> if_ok [ (ap 1, r) ]
   | "getrandom" -> if_ok [ (ap 0, r) ]
   | "readv" ->
-      if not ok then Regions []
+      if not ok then []
       else begin
         let iovs =
           try Wali.Abi.read_iovecs mem ~iov:(ap 1) ~cnt:(ai 2)
@@ -70,7 +65,7 @@ let written ~(mem : Rt.Memory.t) (name : string) (args : int64 array)
               if n <= 0 then []
               else (base, min len n) :: take (n - len) rest
         in
-        Regions (take r iovs)
+        take r iovs
       end
   | "stat" | "lstat" | "fstat" -> if_ok [ (ap 1, kstat_size) ]
   | "newfstatat" -> if_ok [ (ap 2, kstat_size) ]
@@ -90,8 +85,8 @@ let written ~(mem : Rt.Memory.t) (name : string) (args : int64 array)
   | "rt_sigpending" -> if_ok [ (ap 0, 8) ]
   | "wait4" | "waitid" ->
       if ok && r > 0 then
-        Regions (nz (ap 1) [ (ap 1, 4) ] @ nz (ap 3) [ (ap 3, 16) ])
-      else Regions []
+        nz (ap 1) [ (ap 1, 4) ] @ nz (ap 3) [ (ap 3, 16) ]
+      else []
   | "getrusage" -> if_ok [ (ap 1, 40) ]
   | "times" -> if_ok (nz (ap 0) [ (ap 0, 32) ])
   | "sysinfo" -> if_ok [ (ap 0, 28) ]
@@ -107,10 +102,9 @@ let written ~(mem : Rt.Memory.t) (name : string) (args : int64 array)
   | "socketpair" -> if_ok [ (ap 3, 8) ]
   | "getsockopt" -> if_ok (nz (ap 3) [ (ap 3, 4) ] @ nz (ap 4) [ (ap 4, 4) ])
   | "accept" | "accept4" ->
-      if ok && ap 1 <> 0 && ap 2 <> 0 then Regions [ (ap 1, 8); (ap 2, 4) ]
-      else Regions []
+      if ok && ap 1 <> 0 && ap 2 <> 0 then [ (ap 1, 8); (ap 2, 4) ] else []
   | "getsockname" | "getpeername" -> if_ok [ (ap 1, 8); (ap 2, 4) ]
   | "mmap" -> if_ok [ (r, Wali.Mmap_mgr.align_up (ai 1)) ]
   | "mremap" -> if_ok [ (r, Wali.Mmap_mgr.align_up (ai 2)) ]
-  | "brk" -> Whole
-  | _ -> Regions []
+  | "brk" -> [ (brk, r - brk) ]
+  | _ -> []

@@ -46,6 +46,7 @@ let implemented_calls =
     z ~impl:true "k_msgq_init" "kernel" 4;
     z ~impl:true "k_msgq_put" "kernel" 3;
     z ~impl:true "k_msgq_get" "kernel" 3;
+    z ~impl:true "k_timer_init" "kernel" 3;
     z ~impl:true "k_timer_start" "kernel" 3;
     z ~impl:true "k_timer_stop" "kernel" 1;
     z ~impl:true "k_timer_status_get" "kernel" 1;

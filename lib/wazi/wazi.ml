@@ -82,6 +82,7 @@ let handler (t : t) (name : string) : Rt.machine -> (int -> int) -> int =
               0
             with Rt.Memory.Bounds -> -14)
         | Error e -> e)
+  | "k_timer_init" -> fun _ _ -> k_timer_init z
   | "k_timer_start" -> fun _ a -> k_timer_start z ~handle:(a 0) ~duration_ms:(a 1) ~period_ms:(a 2)
   | "k_timer_stop" -> fun _ a -> k_timer_stop z ~handle:(a 0)
   | "k_timer_status_get" -> fun _ a -> k_timer_status z ~handle:(a 0)

@@ -99,7 +99,7 @@ let k_thread_join z ~tid : int =
   | Some th ->
       if th.zt_alive then begin
         let intr = match !current_thread with Some t -> t.zt_intr | None -> ref None in
-        ignore (Kernel.Waitq.wait ~intr th.zt_join_wq)
+        ignore (Kernel.Waitq.wait ~intr [ th.zt_join_wq ])
       end;
       0
 
@@ -141,7 +141,7 @@ let k_sem_take z ~handle ~timeout_ms : int =
             if timeout_ms < 0 then None
             else Some (Int64.mul (Int64.of_int timeout_ms) 1_000_000L)
           in
-          match Kernel.Waitq.wait ?timeout_ns ~intr:(cur_intr ()) s.s_wq with
+          match Kernel.Waitq.wait ?timeout_ns ~intr:(cur_intr ()) [ s.s_wq ] with
           | Kernel.Waitq.Timeout -> -116 (* ETIMEDOUT-ish (Zephyr -EAGAIN) *)
           | Kernel.Waitq.Woken () | Kernel.Waitq.Interrupted -> go ()
         end
@@ -179,7 +179,7 @@ let k_mutex_lock z ~handle : int =
             m.m_depth <- m.m_depth + 1;
             0
         | Some _ -> (
-            match Kernel.Waitq.wait ~intr:(cur_intr ()) m.m_wq with
+            match Kernel.Waitq.wait ~intr:(cur_intr ()) [ m.m_wq ] with
             | _ -> go ())
       in
       go ()
@@ -215,7 +215,7 @@ let k_msgq_put z ~handle ~(data : Bytes.t) ~timeout_ms : int =
         end
         else if timeout_ms = 0 then -11
         else
-          match Kernel.Waitq.wait ~intr:(cur_intr ()) q.q_put_wq with _ -> go ()
+          match Kernel.Waitq.wait ~intr:(cur_intr ()) [ q.q_put_wq ] with _ -> go ()
       in
       go ()
   | _ -> -22
@@ -235,7 +235,7 @@ let k_msgq_get z ~handle ~timeout_ms : (Bytes.t, int) result =
             if timeout_ms < 0 then None
             else Some (Int64.mul (Int64.of_int timeout_ms) 1_000_000L)
           in
-          match Kernel.Waitq.wait ?timeout_ns ~intr:(cur_intr ()) q.q_get_wq with
+          match Kernel.Waitq.wait ?timeout_ns ~intr:(cur_intr ()) [ q.q_get_wq ] with
           | Kernel.Waitq.Timeout -> Error (-11)
           | _ -> go ()
         end

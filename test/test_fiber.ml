@@ -103,6 +103,18 @@ let test_many_fibers () =
       done);
   Alcotest.(check int) "all fibers ran" (n * (n + 1) / 2) !sum
 
+(* A timer still pending when the last fiber finishes is dropped: the
+   clock does not jump to it. *)
+let test_leftover_timer_dropped () =
+  let idle = ref 0L and fired = ref false in
+  Fiber.set_observer
+    (Some { Fiber.ob_quantum = (fun _ _ -> ()); ob_idle = (fun d -> idle := Int64.add !idle d) });
+  Fun.protect
+    ~finally:(fun () -> Fiber.set_observer None)
+    (fun () -> Fiber.run (fun () -> Fiber.at 10_000_000_000L (fun () -> fired := true)));
+  Alcotest.(check bool) "not fired" false !fired;
+  Alcotest.(check int64) "no idle jump" 0L !idle
+
 let tests =
   [
     Alcotest.test_case "spawn order round-robin" `Quick test_spawn_order;
@@ -113,4 +125,5 @@ let tests =
     Alcotest.test_case "deadlock detection" `Quick test_deadlock_detection;
     Alcotest.test_case "timeout pattern" `Quick test_timeout_pattern;
     Alcotest.test_case "1000 fibers" `Quick test_many_fibers;
+    Alcotest.test_case "a leftover timer is dropped" `Quick test_leftover_timer_dropped;
   ]

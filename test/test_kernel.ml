@@ -424,6 +424,87 @@ let test_poll_timeout_advances_clock () =
       Alcotest.(check bool) "5ms elapsed" true
         (Int64.compare (Int64.sub (Fiber.now ()) t0) 5_000_000L >= 0))
 
+(* [f]'s result and the scheduler quanta that end while it runs, all
+   fibers counted. *)
+let quanta_of f =
+  let n = ref 0 in
+  Fiber.set_observer (Some { Fiber.ob_quantum = (fun _ _ -> incr n); ob_idle = ignore });
+  let r = Fun.protect ~finally:(fun () -> Fiber.set_observer None) f in
+  (r, !n)
+
+(* A timed poll with nothing ready sleeps to its deadline: it does not
+   wake to re-check on the way. *)
+let test_poll_sleeps_to_deadline () =
+  in_kernel (fun _k ctx ->
+      let r, _w = ok (Syscalls.pipe2 ctx ~flags:0) in
+      let t0 = Fiber.now () in
+      let (n, _), quanta =
+        quanta_of (fun () -> ok (Syscalls.poll ctx ~fds:[ (r, Ktypes.pollin) ] ~timeout_ms:1000))
+      in
+      let elapsed = Int64.sub (Fiber.now ()) t0 in
+      Alcotest.(check int) "timed out" 0 n;
+      Alcotest.(check bool)
+        (Printf.sprintf "returns at +1000 ms (+%Ld ns)" elapsed)
+        true
+        (Int64.compare elapsed 1_000_000_000L >= 0
+        && Int64.compare elapsed (Int64.add 1_000_000_000L (Int64.mul 3L Fiber.tick_ns)) <= 0);
+      Alcotest.(check bool) (Printf.sprintf "%d quanta <= 3" quanta) true (quanta <= 3))
+
+(* A write to the pipe a poll sleeps on ends the poll at the write's
+   virtual time, not at a later re-check. *)
+let test_poll_woken_by_write () =
+  in_kernel (fun k ctx ->
+      let r, w = ok (Syscalls.pipe2 ctx ~flags:0) in
+      let writer = Task.clone_task k ctx.Syscalls.t ~thread:false ~share_files:true in
+      let wctx = Syscalls.make_ctx k writer ctx.Syscalls.futexes in
+      let written_at = ref 0L in
+      ignore
+        (Fiber.spawn "writer" (fun () ->
+             Fiber.sleep_until (Int64.add (Fiber.now ()) 1_050_000L);
+             ignore (write_str wctx w "z");
+             written_at := Fiber.now ();
+             Task.exit_task k writer ~status:0));
+      let n, revents = ok (Syscalls.poll ctx ~fds:[ (r, Ktypes.pollin) ] ~timeout_ms:(-1)) in
+      let late = Int64.sub (Fiber.now ()) !written_at in
+      Alcotest.(check int) "ready" 1 n;
+      Alcotest.(check int) "POLLIN" Ktypes.pollin (List.hd revents land Ktypes.pollin);
+      Alcotest.(check bool)
+        (Printf.sprintf "returns %Ld ns after the write" late)
+        true
+        (Int64.compare late 0L > 0 && Int64.compare late (Int64.mul 2L Fiber.tick_ns) <= 0))
+
+(* connect wakes a poller of the listener and a blocked accept, both
+   asleep on the listener's queue. *)
+let test_connect_wakes_poller_and_accept () =
+  in_kernel (fun k ctx ->
+      let addr = Socket.A_unix "/tmp/both" in
+      let srv = ok (Syscalls.socket ctx ~family:Ktypes.af_unix ~stype:Ktypes.sock_stream) in
+      ok (Syscalls.bind ctx ~fd:srv ~addr);
+      ok (Syscalls.listen ctx ~fd:srv ~backlog:8);
+      let polled = ref 0 and accepted = ref false in
+      let child name f =
+        let t = Task.clone_task k ctx.Syscalls.t ~thread:false ~share_files:true in
+        let c = Syscalls.make_ctx k t ctx.Syscalls.futexes in
+        ignore
+          (Fiber.spawn name (fun () ->
+               f c;
+               Task.exit_task k t ~status:0))
+      in
+      child "poller" (fun c ->
+          polled := fst (ok (Syscalls.poll c ~fds:[ (srv, Ktypes.pollin) ] ~timeout_ms:(-1))));
+      child "acceptor" (fun c ->
+          ignore (ok (Syscalls.accept c ~fd:srv));
+          accepted := true);
+      Fiber.yield ();
+      Fiber.yield ();
+      (* both are asleep on the listener now *)
+      let cli = ok (Syscalls.socket ctx ~family:Ktypes.af_unix ~stype:Ktypes.sock_stream) in
+      ok (Syscalls.connect ctx ~fd:cli ~addr);
+      Fiber.yield ();
+      Fiber.yield ();
+      Alcotest.(check int) "poller saw the connection" 1 !polled;
+      Alcotest.(check bool) "accept returned" true !accepted)
+
 (* ---- futex ---- *)
 
 let test_futex () =
@@ -735,4 +816,8 @@ let tests =
       test_pipe_atomic_blocking;
     Alcotest.test_case "pipe ring: grows wrapped, fills, drains" `Quick test_ring_edges;
     QCheck_alcotest.to_alcotest prop_ring_model;
+    Alcotest.test_case "timed poll sleeps to its deadline" `Quick test_poll_sleeps_to_deadline;
+    Alcotest.test_case "poll woken at the write's time" `Quick test_poll_woken_by_write;
+    Alcotest.test_case "connect wakes a poller and an accept" `Quick
+      test_connect_wakes_poller_and_accept;
   ]

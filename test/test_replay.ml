@@ -313,11 +313,26 @@ let test_replay_signal_spans () =
 (* ---- the write-set oracle against ground truth ---- *)
 
 (* Every byte of memory 0 that a call changes lies in its
-   [Writeset.written] regions: a test hook snapshots memory at each
-   call's enter and diffs it at the exit, for every suite app. brk is
-   the oracle's whole-memory case. A call during which another fiber ran
-   is skipped, since threads share memory. Shortening read's region by
-   one byte, or pipe's from 8 bytes to 4, fails this test. *)
+   [Writeset.written] regions: a test hook snapshots memory and the
+   program break at each call's enter and diffs memory at the exit, for
+   every suite app and a guest that writes bytes just above its break
+   and then grows the break over them, which zero-fills them. A call
+   during which another fiber ran is skipped, since threads share
+   memory. Shortening read's region by one byte, pipe's from 8 bytes to
+   4, or brk's by a page fails this test. *)
+let brk_guest =
+  {|
+int main(int argc, char **argv) {
+  int cur = syscall("brk", 0);
+  char *p = (char *)cur;
+  int i = 0;
+  while (i < 8192) { p[i] = 120; i = i + 1; }
+  syscall("brk", cur + 8192);
+  syscall("brk", cur);
+  return p[0];
+}
+|}
+
 let test_writeset_ground_truth () =
   let switches = ref 0 and last = ref (-1) in
   Fiber.set_observer
@@ -327,8 +342,8 @@ let test_writeset_ground_truth () =
            (fun f _ -> if Fiber.id f <> !last then (incr switches; last := Fiber.id f));
          ob_idle = ignore;
        });
-  let misses = ref [] and checked = ref 0 in
-  let pre : (int, (Bytes.t * int) list) Hashtbl.t = Hashtbl.create 8 in
+  let misses = ref [] and checked = ref 0 and brks = ref 0 and brk_writes = ref 0 in
+  let pre : (int, (Bytes.t * int * int) list) Hashtbl.t = Hashtbl.create 8 in
   let fid () = Fiber.id (Fiber.current ()) in
   (* snapshot buffers are reused: memory sizes rarely change *)
   let pool = ref [] in
@@ -346,28 +361,26 @@ let test_writeset_ground_truth () =
     {
       Wali.Engine.nop_hook with
       h_enter =
-        (fun _ m _ ~base:_ ~arity:_ ->
+        (fun p m _ ~base:_ ~arity:_ ->
           let stack = Option.value (Hashtbl.find_opt pre (fid ())) ~default:[] in
+          let brk = p.Wali.Engine.pr_shared.Wali.Engine.ps_brk in
           Hashtbl.replace pre (fid ())
-            ((snapshot (Wasm.Rt.memory0 m).Wasm.Rt.Memory.data, !switches) :: stack);
+            ((snapshot (Wasm.Rt.memory0 m).Wasm.Rt.Memory.data, brk, !switches) :: stack);
           None);
       h_exit =
         (fun _ m name ~base ~arity ~ns:_ r ->
           match Hashtbl.find pre (fid ()) with
           | [] -> assert false
-          | (before, at) :: rest ->
+          | (before, brk, at) :: rest ->
               Hashtbl.replace pre (fid ()) rest;
               (match r with
-              | Some result when at = !switches && not (Replay.Writeset.needs_whole name) ->
+              | Some result when at = !switches ->
                   incr checked;
+                  if name = "brk" then incr brks;
                   let mem = Wasm.Rt.memory0 m in
                   let after = mem.Wasm.Rt.Memory.data in
                   let args = Array.init arity (Wali.Engine.arg m base) in
-                  let spans =
-                    match Replay.Writeset.written ~mem name args result with
-                    | Replay.Writeset.Regions spans -> spans
-                    | Replay.Writeset.Whole -> []
-                  in
+                  let spans = Replay.Writeset.written ~mem ~brk name args result in
                   let covered i = List.exists (fun (a, len) -> i >= a && i < a + len) spans in
                   let byte b i = if i < Bytes.length b then Bytes.get b i else '\000' in
                   let n = Bytes.length after in
@@ -376,6 +389,7 @@ let test_writeset_ground_truth () =
                     if i + 8 <= Bytes.length b then Bytes.get_int64_ne b i else 0L
                   in
                   let i = ref (if Bytes.equal before after then n else 0) in
+                  if name = "brk" && !i = 0 then incr brk_writes;
                   while !i < n do
                     if not (Int64.equal (word before !i) (word after !i)) then
                       for j = !i to !i + 7 do
@@ -397,8 +411,13 @@ let test_writeset_ground_truth () =
           ignore
             (Wali.Interface.run_program ~kernel ~hook:(hook a.Apps.Suite.a_name)
                ~binary:(Apps.Suite.binary_of a) ~argv:a.Apps.Suite.a_argv ~env:[] ()))
-        Apps.Suite.all);
+        Apps.Suite.all;
+      ignore
+        (Wali.Interface.run_program ~hook:(hook "brk guest")
+           ~binary:(Minic.to_wasm_binary brk_guest) ~argv:[ "brk" ] ~env:[] ()));
   Alcotest.(check bool) "calls checked" true (!checked > 1000);
+  Alcotest.(check int) "brk calls checked" 3 !brks;
+  Alcotest.(check int) "brk calls that changed memory" 1 !brk_writes;
   match List.rev !misses with
   | [] -> ()
   | ms ->
@@ -448,6 +467,42 @@ let test_perturbed_args_detected () =
       Alcotest.(check bool)
         "report names the syscall" true
         (contains (Replay.Replayer.pp_divergence d) "write")
+
+(* Swapping a fork record with the first record of the child it makes
+   asks for an impossible schedule: the child's call before the fork
+   that creates it. Every fiber ends up asleep waiting for its turn, so
+   the replay stops at the scheduler's deadlock, a "schedule"
+   divergence, within a few quanta of the swap. *)
+let test_impossible_schedule_detected () =
+  let r, binary = record_app "minish" in
+  let events = Array.copy r.Replay.Recorder.r_trace.Replay.Trace.tr_events in
+  let is_fork_of i =
+    match events.(i) with
+    | Replay.Trace.E_syscall { sc_name = "fork"; sc_result; _ } ->
+        Int64.to_int sc_result = Replay.Trace.pid_of events.(i + 1)
+    | _ -> false
+  in
+  let idx =
+    match List.find_opt is_fork_of (List.init (Array.length events - 1) Fun.id) with
+    | Some i -> i
+    | None -> Alcotest.fail "no fork record followed by its child's"
+  in
+  let fork = events.(idx) in
+  events.(idx) <- events.(idx + 1);
+  events.(idx + 1) <- fork;
+  let bad = { r.Replay.Recorder.r_trace with Replay.Trace.tr_events = events } in
+  let quanta = ref 0 in
+  Fiber.set_observer (Some { Fiber.ob_quantum = (fun _ _ -> incr quanta); ob_idle = ignore });
+  let o =
+    Fun.protect ~finally:(fun () -> Fiber.set_observer None) (fun () ->
+        replay_app "minish" bad binary)
+  in
+  match o.Replay.Replayer.rp_divergence with
+  | None -> Alcotest.fail "swapped records replayed without divergence"
+  | Some d ->
+      Alcotest.(check string) "kind" "schedule" d.Replay.Replayer.d_kind;
+      Alcotest.(check int) "index" idx d.Replay.Replayer.d_index;
+      Alcotest.(check bool) (Printf.sprintf "%d quanta < 1000" !quanta) true (!quanta < 1000)
 
 let test_wrong_binary_detected () =
   let r, _ = record_app "calc" in
@@ -566,4 +621,5 @@ let tests =
     Alcotest.test_case "replayed signals reach the hook" `Quick test_replay_signal_spans;
     Alcotest.test_case "write-set covers every changed byte" `Quick
       test_writeset_ground_truth;
+    Alcotest.test_case "impossible schedule detected" `Quick test_impossible_schedule_detected;
   ]

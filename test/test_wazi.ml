@@ -209,6 +209,28 @@ let test_k_malloc_size () =
   Alcotest.(check int) "heap_used after" 0 z.Zephyr.Zkernel.heap_used;
   Alcotest.(check bool) "k_malloc(limit)" true (Zephyr.Zkernel.k_malloc z 65536 <> 0)
 
+(* A guest creates a timer through the encoding's k_timer_init, starts
+   it for 5 ms, sleeps 10 ms and reads its expiry count. *)
+let test_timer_expires () =
+  let binary =
+    build
+      ~imports:[ ("k_timer_init", 3); ("k_timer_start", 3); ("k_sleep", 1);
+                 ("k_timer_status_get", 1) ]
+      ~locals:[ i32t ]
+      (fun call ->
+        [
+          k 0; k 0; k 0; call "k_timer_init"; Local_set 0;
+          Local_get 0; k 5; k 0; call "k_timer_start"; Drop;
+          k 10; call "k_sleep"; Drop;
+          Local_get 0; call "k_timer_status_get";
+        ])
+  in
+  match fst (Wazi.run_module binary) with
+  | Interp.R_done [ Values.I32 v ] ->
+      Alcotest.(check bool) (Printf.sprintf "status %ld >= 1" v) true (Int32.compare v 1l >= 0)
+  | Interp.R_trap s -> Alcotest.failf "trap: %s" s
+  | _ -> Alcotest.fail "unexpected result"
+
 let tests =
   [
     Alcotest.test_case "blinky: gpio + sleep + uart" `Quick test_blinky;
@@ -218,4 +240,5 @@ let tests =
     Alcotest.test_case "coverage: small core suffices" `Quick test_coverage_ratio;
     Alcotest.test_case "uart_poll_in: nothing received" `Quick test_uart_poll_in_empty;
     Alcotest.test_case "k_malloc reads its size as a u32" `Quick test_k_malloc_size;
+    Alcotest.test_case "k_timer_init: a started timer expires" `Quick test_timer_expires;
   ]
