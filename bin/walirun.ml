@@ -15,6 +15,23 @@ open Cmdliner
    left to wake one (a deadlock); documented in the man page. *)
 let deadlock_exit = 126
 
+(* walirun's exit code when FILE (or the app) cannot be loaded: it cannot
+   be read, does not decode, does not validate or does not link against
+   WALI; documented in the man page. *)
+let load_exit = 127
+
+let or_load_error what run =
+  try run () with
+  | Wasm.Binary.Decode_error e | Wasm.Code.Invalid e | Wasm.Link.Link_error e ->
+      Printf.eprintf "walirun: cannot load %s: %s\n" what e;
+      exit load_exit
+
+let read_binary f =
+  try In_channel.with_open_bin f In_channel.input_all
+  with Sys_error e ->
+    Printf.eprintf "walirun: cannot load %s\n" e;
+    exit load_exit
+
 let load_trace file =
   match Replay.Trace.load file with
   | tr -> tr
@@ -74,7 +91,7 @@ let run_cmd file app trace deny derive poll record replay trace_out
   let binary, setup, stdin, argv, env =
     match (file, suite_app) with
     | Some f, _ ->
-        ( In_channel.with_open_bin f In_channel.input_all,
+        ( read_binary f,
           Apps.Suite.no_setup,
           "",
           Filename.basename f :: args,
@@ -170,6 +187,7 @@ let run_cmd file app trace deny derive poll record replay trace_out
           (String.concat ", " (List.sort compare names));
         exit deadlock_exit
   in
+  or_load_error (Option.value file ~default:(Option.value app ~default:"")) @@ fun () ->
   match (record, replayed) with
   | _, Some tr ->
       (* swap the simulated kernel out for the log *)
@@ -293,6 +311,10 @@ let cmd =
             ~doc:"when every task of the guest is blocked and nothing is left \
                   to wake one (a deadlock); the blocked fibers are named on \
                   standard error"
+         :: Cmd.Exit.info load_exit
+              ~doc:"when the program cannot be loaded: it cannot be read, \
+                    does not decode, does not validate or does not link \
+                    against WALI; the reason is printed on standard error"
          :: Cmd.Exit.defaults))
     Term.(const run_cmd $ file_t $ app_t $ trace_t $ deny_t $ derive_t
           $ poll_t $ record_t $ replay_t $ trace_out_t $ metrics_t

@@ -177,7 +177,7 @@ type t = {
   trace : Strace.t;
   mutable policy : Seccomp.t;
   poll_scheme : Code.poll_scheme;
-  fuse : bool; (* fuse superinstructions into new images *)
+  fuse : bool; (* fold operand moves into new images' ops *)
   mutable next_mem_id : int;
   mutable on_proc_exit : (proc -> int -> unit) option;
   hook : hook option;

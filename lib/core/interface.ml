@@ -434,7 +434,8 @@ let slot_handler (name : string) : call -> int =
   | "brk" -> (fun c ->
       let sh = c.p.Engine.pr_shared and req = ap c 0 in
       let cur = sh.Engine.ps_brk in
-      if req <= cur then cur
+      (* a break that would cover a mapping stays where it is, as on Linux *)
+      if req <= cur || Mmap_mgr.overlaps sh.Engine.ps_mmap ~addr:cur ~len:(req - cur) then cur
       else
         (* grow-only brk within the mmap pool, as a dedicated region *)
         match

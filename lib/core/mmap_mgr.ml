@@ -74,6 +74,9 @@ let insert t r =
 let region_overlaps ~addr ~len r =
   addr < r.r_addr + r.r_len && r.r_addr < addr + len
 
+(** Whether [addr, addr + len) overlaps a mapping. *)
+let overlaps t ~addr ~len = List.exists (region_overlaps ~addr ~len) t.regions
+
 (* Write a shared file mapping's pages back to the file. *)
 let writeback (mem : Rt.Memory.t) (r : region) =
   match r.r_backing with

@@ -39,10 +39,10 @@ type t = {
   instr_base : (int, int64 * int64) Hashtbl.t;
       (* pid -> (steps, fused dispatches) at machine birth *)
   mutable instructions : int64; (* retired across all exited machines *)
-  mutable fused : int64; (* superinstruction dispatches, same lifecycle *)
+  mutable fused : int64; (* dispatches of ops of width > 1, same lifecycle *)
   mutable fuse_before : int; (* flat ops of all built images, pre-fusion *)
   mutable fuse_after : int;
-  mutable fuse_sites : int; (* static superinstruction sites *)
+  mutable fuse_sites : int; (* static ops of width > 1 *)
   mutable polls : int64;
   mutable traps : int;
   mutable ctx_switches : int;
@@ -256,8 +256,8 @@ type run_counters = {
   rc_wall_ns : int64;
   rc_idle_ns : int64;
   rc_instructions : int64;
-  rc_fused : int64; (* superinstruction dispatches retired *)
-  rc_fusion_sites : int; (* static superinstruction sites in built images *)
+  rc_fused : int64; (* dispatches of ops of width > 1 retired *)
+  rc_fusion_sites : int; (* static ops of width > 1 in built images *)
   rc_fusion_ops_before : int;
   rc_fusion_ops_after : int;
   rc_safepoint_polls : int64;

@@ -1,13 +1,26 @@
 (** Validation + flattening of structured instructions into executable
-    flat code with resolved jump targets, with macro-op fusion done as
-    the ops are emitted: one walk over each function body.
+    register-form flat code, in one walk over each function body.
+
+    Every op names the frame slots it reads and writes. A frame is
+    [fr_fp + k]: the locals at [k < nlocals], a slot that always holds
+    zero at [k = nlocals], and the operand at stack height [h] at
+    [k = nlocals + 1 + h]. The validator knows [h] at every op, so every
+    operand's slot is static and no op touches a stack pointer.
+
+    With [fold] (the default) a [local.get] or an [i32.const] emits
+    nothing: it leaves a pending operand, a local or an immediate, that
+    its consumer reads in place; a non-trapping producer followed by
+    [local.set]/[local.tee] writes the local itself; [i32.eqz] after a
+    compare negates it, and a compare followed by [br_if] branches on it.
+    An op charges its width, the Wasm ops it stands for, before it can
+    trap; the unfolded form emits one op of width 1 per Wasm op, with
+    every operand in its stack slot, and is the reference the tests and
+    the gate compare the folded one against.
 
     Structured control (block/loop/if/br/br_table) is compiled into
-    [K_br]-style ops carrying [(target_pc, arity, drop)]: at runtime the top
-    [arity] values are the branch payload and [drop] slots beneath them are
-    discarded. The drop counts are computed statically from the validator's
-    stack heights, so the interpreter needs no label bookkeeping at all —
-    the sidetable technique used by in-place interpreters.
+    jumps carrying the target pc and the static slots of their payload,
+    so the interpreter needs no label bookkeeping at all — the sidetable
+    technique used by in-place interpreters.
 
     The compiler also inserts [K_poll] safepoints according to the chosen
     scheme; this is where the WALI signal-delivery experiments (paper
@@ -20,88 +33,57 @@ exception Invalid of string
 
 let invalid fmt = Printf.ksprintf (fun s -> raise (Invalid s)) fmt
 
-type jump = { mutable target : int; arity : int; drop : int }
+(* A branch: [moves] payload slots go from [src] to [dst] (frame-relative;
+   0 when they are already in place), and [top] is the frame's live top
+   at the target. A [poll] jump lands past its loop header's [K_poll] and
+   performs that poll itself. *)
+type jump = {
+  mutable target : int;
+  moves : int;
+  src : int;
+  dst : int;
+  top : int;
+  poll : bool;
+}
 
+(* [w] is the op's width: the Wasm ops it stands for. Slots ([a], [b],
+   [c], [d], [s], [v], [i]) are frame-relative; [c] in an [_imm] op and in
+   [K_const] is an immediate, an i32's or f32's bits sign-extended. The
+   mutable fields are rewritten only while compiling. *)
 type op =
-  | K_unreachable
-  | K_br of jump
-  | K_br_if of jump
-  | K_br_table of jump array * jump
-  | K_return
-  | K_call of int
-  | K_call_indirect of int * int
-  | K_drop
-  | K_select
-  | K_local_get of int
-  | K_local_set of int
-  | K_local_tee of int
-  | K_global_get of int
-  | K_global_set of int
-  | K_load of load_kind * int (* offset *)
-  | K_store of store_kind * int
-  | K_memory_size
-  | K_memory_grow
-  | K_memory_fill
-  | K_memory_copy
-  | K_const of int (* an i32's or f32's bits, sign-extended from 32 *)
-  | K_const64 of int64 (* an i64's or f64's bits *)
-  | K_i32_eqz
-  | K_i64_eqz
-  | K_i32_unop of int_unop
-  | K_i64_unop of int_unop
-  | K_i32_binop of int_binop
-  | K_i64_binop of int_binop
-  | K_i32_relop of int_relop
-  | K_i64_relop of int_relop
-  | K_f32_unop of float_unop
-  | K_f64_unop of float_unop
-  | K_f32_binop of float_binop
-  | K_f64_binop of float_binop
-  | K_f32_relop of float_relop
-  | K_f64_relop of float_relop
-  | K_cvt of cvt
-  | K_poll
-  (* Superinstructions, emitted by [compile_module ~fuse]: each stands
-     for the short op sequence named by its constructor and gets a dedicated
-     unboxed handler in {!Interp}. No pattern contains [K_poll], a call
-     or a branch *interior*, so safepoint delivery, the analyzer's call
-     graph and jump targets are all untouched by fusion. *)
-  | F_ll_i32_binop of int * int * int_binop
-      (* local_get a; local_get b; i32.binop *)
-  | F_lc_i32_binop of int * int * int_binop
-      (* local_get a; i32.const c; i32.binop *)
-  | F_lc_i32_binop_set of int * int * int_binop * int
-      (* local_get a; i32.const c; i32.binop; local_set d *)
-  | F_const_i32_binop of int * int_binop
-      (* i32.const c; i32.binop — tos := tos op c *)
-  | F_i32_binop_set of int_binop * int
-      (* i32.binop; local_set d — sink the result into a local *)
-  | F_i32_eqz_br_if of jump
-      (* i32.eqz; br_if — branch-if-zero *)
-  | F_i32_relop_eqz_br_if of int_relop * jump
-      (* i32.relop; i32.eqz; br_if — branch on the *negated* compare;
-         minicc lowers `if (a < b)` fall-through edges this way *)
-  | F_ll_i32_relop_eqz_br_if of int * int * int_relop * jump
-      (* local_get a; local_get b; i32.relop; i32.eqz; br_if *)
-  | F_lc_i32_relop_eqz_br_if of int * int * int_relop * jump
-      (* local_get a; i32.const c; i32.relop; i32.eqz; br_if *)
-  | F_l_i32_binop of int * int_binop
-      (* local_get b; i32.binop — tos := tos op local b *)
-  | F_i32_binop_load of int_binop * load_kind * int
-      (* i32.binop; load — address computed by the binop *)
-  | F_i32_binop_store of int_binop * store_kind * int
-      (* i32.binop; store — store the freshly computed value *)
-  | F_l_store of int * store_kind * int
-      (* local_get v; store — mem[pop + off] := local v *)
-  | F_set_get of int
-      (* local_set i; local_get i — a tee spelled as two ops *)
-  | F_i32_eqz_eqz
-      (* i32.eqz; i32.eqz — normalize to 0/1 *)
-  | F_const_i64_extend_s of int
-      (* i32.const c; i64.extend_i32_s — push c, already sign-extended *)
-  | F_l_i64_extend_s of int
-      (* local_get a; i64.extend_i32_s — push local a's slot unchanged:
-         an i32 slot holds its value sign-extended *)
+  | K_unreachable of { w : int }
+  | K_br of { w : int; j : jump }
+  | K_br_if of { w : int; c : int; j : jump }
+  | K_br_cmp of { w : int; o : int_relop; a : int; b : int; j : jump }
+      (* i32.relop [; i32.eqz]; br_if — branch when [a o b] *)
+  | K_br_cmp_imm of { w : int; o : int_relop; a : int; c : int; j : jump }
+  | K_br_table of { w : int; i : int; js : jump array; dj : jump }
+  | K_return of { w : int; s : int } (* the result's slot, if any *)
+  | K_call of { w : int; f : int; top : int } (* arguments end at [top] *)
+  | K_call_indirect of { w : int; ti : int; tbl : int; i : int; top : int }
+  | K_select of { mutable w : int; a : int; b : int; c : int; mutable d : int }
+  | K_copy of { w : int; s : int; d : int }
+  | K_const of { w : int; c : int; d : int }
+  | K_const64 of { mutable w : int; c : int64; mutable d : int }
+  | K_global_get of { mutable w : int; g : int; mutable d : int }
+  | K_global_set of { w : int; g : int; a : int }
+  | K_load of { w : int; k : load_kind; off : int; a : int; b : int; c : int; d : int }
+      (* the address is [u32 (a + b + c) + off] *)
+  | K_store of { w : int; k : store_kind; off : int; a : int; b : int; c : int; v : int }
+  | K_memory_size of { mutable w : int; mutable d : int }
+  | K_memory_grow of { w : int; a : int; d : int }
+  | K_memory_fill of { w : int; a : int; b : int; c : int } (* dst, byte, len *)
+  | K_memory_copy of { w : int; a : int; b : int; c : int } (* dst, src, len *)
+  | K_i32_binop of { mutable w : int; o : int_binop; a : int; b : int; mutable d : int }
+  | K_i32_binop_imm of { mutable w : int; o : int_binop; a : int; c : int; mutable d : int }
+  | K_i32_relop of { mutable w : int; mutable o : int_relop; a : int; b : int; mutable d : int }
+  | K_i32_relop_imm of
+      { mutable w : int; mutable o : int_relop; a : int; c : int; mutable d : int }
+      (* [i32.eqz] is [Eq] against 0 *)
+  | K_num of { mutable w : int; n : instr; a : int; b : int; mutable d : int }
+      (* any other numeric instruction or conversion, [n]: i64, float, an
+         i32 unop; [b] is a binary one's right operand *)
+  | K_poll of { w : int; top : int } (* [top]: the frame's live top *)
 
 and load_kind =
   | L_i32 | L_i64 | L_f32 | L_f64
@@ -112,29 +94,6 @@ and store_kind =
   | S_i32 | S_i64 | S_f32 | S_f64
   | S_i32_8 | S_i32_16 | S_i64_8 | S_i64_16 | S_i64_32
 
-and cvt =
-  | C_i32_wrap_i64
-  | C_i64_extend_i32 of extension
-  | C_i32_trunc_f32 of extension
-  | C_i32_trunc_f64 of extension
-  | C_i64_trunc_f32 of extension
-  | C_i64_trunc_f64 of extension
-  | C_f32_convert_i32 of extension
-  | C_f32_convert_i64 of extension
-  | C_f64_convert_i32 of extension
-  | C_f64_convert_i64 of extension
-  | C_f32_demote_f64
-  | C_f64_promote_f32
-  | C_i32_reinterpret_f32
-  | C_i64_reinterpret_f64
-  | C_f32_reinterpret_i32
-  | C_f64_reinterpret_i64
-  | C_i32_extend8_s
-  | C_i32_extend16_s
-  | C_i64_extend8_s
-  | C_i64_extend16_s
-  | C_i64_extend32_s
-
 type poll_scheme = Poll_none | Poll_loops | Poll_funcs | Poll_every
 
 type fcode = {
@@ -143,41 +102,59 @@ type fcode = {
   fc_arity : int; (* List.length fc_type.results, precomputed for returns *)
   fc_nparams : int; (* List.length fc_type.params, precomputed for calls *)
   fc_locals : val_type array; (* params followed by extra locals *)
-  fc_max_height : int; (* operand-stack slots the body can use above its locals *)
+  fc_max_height : int; (* slots the body uses above its locals: the zero slot and operands *)
   fc_ops : op array;
 }
 
-(* ------------------------------------------------------------------ *)
-(* Macro-op fusion                                                      *)
-(* ------------------------------------------------------------------ *)
-
-(** How many original ops an op stands for (1 for plain ops). The
-    interpreter charges this to [machine.steps], so instruction counts,
-    profile weights and replay coordinates are byte-identical between the
-    fused and unfused engines. *)
-let op_width = function
-  | F_ll_i32_relop_eqz_br_if _ | F_lc_i32_relop_eqz_br_if _ -> 5
-  | F_lc_i32_binop_set _ -> 4
-  | F_ll_i32_binop _ | F_lc_i32_binop _ | F_i32_relop_eqz_br_if _ -> 3
-  | F_const_i32_binop _ | F_i32_binop_set _ | F_i32_eqz_br_if _
-  | F_l_i32_binop _ | F_i32_binop_load _ | F_i32_binop_store _ | F_l_store _
-  | F_set_get _ | F_i32_eqz_eqz | F_const_i64_extend_s _ | F_l_i64_extend_s _ ->
-      2
-  | _ -> 1
-
 type fuse_stats = {
-  fs_ops_before : int; (* flat ops over all functions, pre-fusion *)
+  fs_ops_before : int; (* Wasm ops over all functions: the unfolded op count *)
   fs_ops_after : int;
-  fs_sites : int; (* superinstructions emitted *)
+  fs_sites : int; (* ops standing for more than one Wasm op *)
 }
 
-(* A window only fuses when every trap-capable op is the window's *last*
-   op: the handler charges the full width to [steps] before executing, so
-   a trap from an interior op would report a different instruction count
-   than the unfused engine. Integer div/rem are the only trapping binops. *)
+(* Integer div/rem trap, and a trapping op never writes a following
+   [local.set]'s local: the unfolded engine would not have counted that
+   [local.set] at the trap. *)
 let nontrap_binop = function
   | Ast.Div_s | Ast.Div_u | Ast.Rem_s | Ast.Rem_u -> false
   | _ -> true
+
+let nontrap_num = function
+  | I64_binop o -> nontrap_binop o
+  | I32_trunc_f32 _ | I32_trunc_f64 _ | I64_trunc_f32 _ | I64_trunc_f64 _ -> false
+  | _ -> true
+
+(* A [K_num] instruction's operand type, operand count and result type. *)
+let num_sig = function
+  | I32_unop _ | I32_extend8_s | I32_extend16_s -> (T_i32, 1, T_i32)
+  | I64_eqz | I32_wrap_i64 -> (T_i64, 1, T_i32)
+  | I64_unop _ | I64_extend8_s | I64_extend16_s | I64_extend32_s -> (T_i64, 1, T_i64)
+  | I64_binop _ -> (T_i64, 2, T_i64)
+  | I64_relop _ -> (T_i64, 2, T_i32)
+  | F32_unop _ -> (T_f32, 1, T_f32)
+  | F64_unop _ -> (T_f64, 1, T_f64)
+  | F32_binop _ -> (T_f32, 2, T_f32)
+  | F64_binop _ -> (T_f64, 2, T_f64)
+  | F32_relop _ -> (T_f32, 2, T_i32)
+  | F64_relop _ -> (T_f64, 2, T_i32)
+  | I64_extend_i32 _ -> (T_i32, 1, T_i64)
+  | I32_trunc_f32 _ | I32_reinterpret_f32 -> (T_f32, 1, T_i32)
+  | I32_trunc_f64 _ -> (T_f64, 1, T_i32)
+  | I64_trunc_f32 _ -> (T_f32, 1, T_i64)
+  | I64_trunc_f64 _ | I64_reinterpret_f64 -> (T_f64, 1, T_i64)
+  | F32_convert_i32 _ | F32_reinterpret_i32 -> (T_i32, 1, T_f32)
+  | F32_convert_i64 _ -> (T_i64, 1, T_f32)
+  | F64_convert_i32 _ -> (T_i32, 1, T_f64)
+  | F64_convert_i64 _ | F64_reinterpret_i64 -> (T_i64, 1, T_f64)
+  | F32_demote_f64 -> (T_f64, 1, T_f32)
+  | F64_promote_f32 -> (T_f32, 1, T_f64)
+  | _ -> invalid "not a numeric instruction"
+
+let negate = function
+  | Eq -> Ne | Ne -> Eq | Lt_s -> Ge_s | Lt_u -> Ge_u | Gt_s -> Le_s
+  | Gt_u -> Le_u | Le_s -> Gt_s | Le_u -> Gt_u | Ge_s -> Lt_s | Ge_u -> Lt_u
+
+let commutes = function Add | Mul | And | Or | Xor -> true | _ -> false
 
 (* ------------------------------------------------------------------ *)
 (* Validator and emitter state                                          *)
@@ -195,6 +172,7 @@ type ctrl = {
      patching: their target is known at entry. *)
   mutable cf_patches : jump list;
   cf_loop_pc : int; (* pc of a loop's header *)
+  cf_poll : bool; (* the header is a [K_poll] its back edges perform *)
 }
 
 type env = {
@@ -213,23 +191,29 @@ let resolve_block_type env = function
         invalid "block type index %d out of range" i;
       env.e_module.types.(i)
 
-(* The longest fusion pattern, in ops. *)
-let window = 5
+(* Where an operand on the compile-time stack is: in its own slot, still
+   in a local ([s_arg] names it), or an immediate ([s_arg] holds it). *)
+let in_slot = 0
+let in_local = 1
+let in_imm = 2
 
 (* One compile pass's state: built once per module, reset per function,
-   so compiling a function builds no closures. Ops are validated,
-   flattened and fused as they are emitted: each goes into the pending
-   fusion window, whose head becomes a superinstruction (or stays itself)
-   once the window is full, and the window is flushed whenever the next
-   pc becomes a branch target, so no superinstruction spans one. *)
+   so compiling a function builds no closures. *)
 type state = {
   s_env : env;
   s_poll : poll_scheme;
-  s_fuse : bool;
+  s_fold : bool;
   mutable s_fname : string;
   mutable s_locals : val_type array;
   mutable s_results : val_type list;
   mutable s_types : val_type array; (* operand types, [s_height] deep *)
+  mutable s_kind : int array; (* and where each operand is *)
+  mutable s_arg : int array;
+  mutable s_own : int array;
+      (* the absorbed Wasm ops a pending operand stands for, valid while
+         [s_since] is [s_epoch]: no op has charged them yet *)
+  mutable s_since : int array;
+  mutable s_epoch : int; (* bumped by each op that charges all of [s_pend] *)
   mutable s_height : int;
   mutable s_max_height : int;
   mutable s_ctrls : ctrl list;
@@ -237,11 +221,19 @@ type state = {
       (* the module's one scratch emission buffer: 128 ops to start, under
          the minor heap's 256-word limit, and [out] doubles it *)
   mutable s_len : int; (* this function's ops in [s_out] *)
-  s_win : op array; (* a ring of 8 holding the pending fusion window: *)
-  mutable s_whead : int; (* its first op's index *)
-  mutable s_wlen : int; (* and its length *)
-  mutable s_ops_before : int; (* ops emitted before fusion, module total *)
-  mutable s_sites : int; (* superinstructions emitted, module total *)
+  mutable s_pend : int; (* Wasm ops absorbed since the last op charged *)
+  mutable s_prod : int;
+      (* the pc of the last op if it produced the operand at height
+         [s_prod_h] into that operand's slot, else -1 *)
+  mutable s_prod_h : int;
+  mutable s_w : int; (* the width of the op about to be emitted *)
+  mutable s_h : int; (* an op's operand and result height, ... *)
+  mutable s_a : int; (* ... its operands' slots ... *)
+  mutable s_b : int;
+  mutable s_c : int; (* ... or immediate ... *)
+  mutable s_d : int; (* ... and its result's slot *)
+  mutable s_ops_before : int; (* Wasm ops, module total *)
+  mutable s_sites : int; (* ops of width > 1, module total *)
 }
 
 let cur st =
@@ -249,14 +241,23 @@ let cur st =
 
 let reachable st = not (cur st).cf_unreachable
 
+let grow a fill n =
+  let b = Array.make (2 * n) fill in
+  Array.blit a 0 b 0 n;
+  b
+
 let push st t =
-  if st.s_height = Array.length st.s_types then begin
-    let a = Array.make (2 * st.s_height) T_i32 in
-    Array.blit st.s_types 0 a 0 st.s_height;
-    st.s_types <- a
+  let h = st.s_height in
+  if h = Array.length st.s_types then begin
+    st.s_types <- grow st.s_types T_i32 h;
+    st.s_kind <- grow st.s_kind in_slot h;
+    st.s_arg <- grow st.s_arg 0 h;
+    st.s_own <- grow st.s_own 0 h;
+    st.s_since <- grow st.s_since 0 h
   end;
-  st.s_types.(st.s_height) <- t;
-  st.s_height <- st.s_height + 1;
+  st.s_types.(h) <- t;
+  st.s_kind.(h) <- in_slot;
+  st.s_height <- h + 1;
   if st.s_height > st.s_max_height then st.s_max_height <- st.s_height
 
 (* Pop one operand and return its slot in [s_types], or -1 for a
@@ -299,6 +300,7 @@ let push_ctrl st ~is_loop params results pc =
       cf_unreachable = false;
       cf_patches = [];
       cf_loop_pc = pc;
+      cf_poll = is_loop && st.s_fold && st.s_poll = Poll_loops;
     }
     :: st.s_ctrls
 
@@ -311,7 +313,8 @@ let truncate st base = if st.s_height > base then st.s_height <- base
 let mark_unreachable st =
   let c = cur st in
   truncate st c.cf_base;
-  c.cf_unreachable <- true
+  c.cf_unreachable <- true;
+  st.s_prod <- -1
 
 let rec nth_label st idx n = function
   | [] -> invalid "%s: branch depth %d out of range" st.s_fname idx
@@ -322,21 +325,134 @@ let label_of st idx = nth_label st idx idx st.s_ctrls
 (* Branch payload types for label l. *)
 let label_types c = if c.cf_is_loop then c.cf_params else c.cf_results
 
-(* Build a jump record for a branch to control frame [c] taken when the
-   value stack currently holds [h] values (after popping any condition). *)
-let make_jump c h =
-  let dest_height =
-    c.cf_base + List.length (if c.cf_is_loop then c.cf_params else c.cf_results)
-  in
+(* ------------------------------------------------------------------ *)
+(* Emission                                                             *)
+(* ------------------------------------------------------------------ *)
+
+let slot_of st h = Array.length st.s_locals + 1 + h
+let zero st = Array.length st.s_locals
+
+(* The width of the op about to be emitted, which stands for [base] Wasm
+   ops of its own: those, and every absorbed one not charged yet. *)
+let take st base =
+  let w = st.s_pend + base in
+  st.s_pend <- 0;
+  st.s_epoch <- st.s_epoch + 1;
+  st.s_ops_before <- st.s_ops_before + base;
+  st.s_w <- w;
+  w
+
+(* A Wasm op that emits nothing: the next op charges it. *)
+let absorb st =
+  if reachable st then begin
+    st.s_pend <- st.s_pend + 1;
+    st.s_ops_before <- st.s_ops_before + 1
+  end
+
+(* [w], an emitted op's width, grown by a following Wasm op it absorbs. *)
+let widen st w =
+  if w = 1 then st.s_sites <- st.s_sites + 1;
+  w + take st 1
+
+(* Emit [op], whose width was just taken. *)
+let out st op =
+  if st.s_len = Array.length st.s_out then st.s_out <- grow st.s_out op st.s_len;
+  st.s_out.(st.s_len) <- op;
+  st.s_len <- st.s_len + 1;
+  if st.s_w > 1 then st.s_sites <- st.s_sites + 1;
+  st.s_prod <- -1
+
+(* Emit [op], which writes the operand at height [s_h] into its slot. *)
+let prod st op =
+  out st op;
+  st.s_prod <- st.s_len - 1;
+  st.s_prod_h <- st.s_h
+
+(* The last op, if it produced the operand at height [h]. *)
+let producer st h =
+  if st.s_fold && st.s_prod >= 0 && st.s_prod = st.s_len - 1 && st.s_prod_h = h
+     && st.s_kind.(h) = in_slot
+  then Some st.s_out.(st.s_prod)
+  else None
+
+(* Write a pending operand into its slot, charging the Wasm ops it
+   stands for. *)
+let materialize st h =
+  let k = st.s_kind.(h) in
+  if k <> in_slot then begin
+    let w = if st.s_since.(h) = st.s_epoch then Int.min st.s_own.(h) st.s_pend else 0 in
+    st.s_pend <- st.s_pend - w;
+    st.s_w <- w;
+    let d = slot_of st h and x = st.s_arg.(h) in
+    out st (if k = in_local then K_copy { w; s = x; d } else K_const { w; c = x; d });
+    st.s_kind.(h) <- in_slot
+  end
+
+(* The slot an op reads the operand at height [h] from. *)
+let operand st h =
+  let k = st.s_kind.(h) in
+  if k = in_local then st.s_arg.(h)
+  else if k = in_imm && st.s_arg.(h) = 0 then zero st
+  else begin
+    materialize st h;
+    slot_of st h
+  end
+
+let imm st h = st.s_kind.(h) = in_imm
+
+(* Materialize the operands at heights [lo, hi). *)
+let spill st lo hi =
+  for h = lo to hi - 1 do
+    materialize st h
+  done
+
+(* Materialize every pending read of local [x] below height [hi] (of all
+   locals if [x] < 0): before [x] is written, and at block entry, where a
+   write inside the block may sit on one path only. Immediates never
+   change and stay pending. *)
+let spill_local st x hi =
+  for h = 0 to hi - 1 do
+    if st.s_kind.(h) = in_local && (x < 0 || st.s_arg.(h) = x) then materialize st h
+  done
+
+(* Validate a block's, loop's or if's parameters and put them into their
+   slots, along with every pending local read below them. *)
+let params st (ft : func_type) =
+  pop_list st ft.params;
+  let lo = st.s_height in
+  if reachable st then begin
+    spill st lo (lo + List.length ft.params);
+    spill_local st (-1) lo
+  end;
+  push_list st ft.params
+
+(* The pc of the next op, which is a branch target: what is absorbed
+   before it is charged by an op of its own (a no-op copy of the zero
+   slot), since the other paths into it did not run it. *)
+let here st =
+  (if st.s_pend > 0 then
+     let w = take st 0 and z = zero st in
+     out st (K_copy { w; s = z; d = z }));
+  st.s_prod <- -1;
+  st.s_len
+
+(* A jump to control frame [c] from a branch taken when the value stack
+   holds [h] values (after popping any condition), its payload in its
+   slots. *)
+let make_jump st c h =
+  let n = List.length (label_types c) in
+  let src = slot_of st (h - n) and dst = slot_of st c.cf_base in
   let j =
     {
-      target = (if c.cf_is_loop then c.cf_loop_pc else -1);
-      arity = List.length (label_types c);
-      drop = Int.max 0 (h - dest_height) (* negative in unreachable code only *);
+      target = (if c.cf_is_loop then c.cf_loop_pc + Bool.to_int c.cf_poll else -1);
+      moves = (if src = dst then 0 else n);
+      src; dst; top = dst + n; poll = c.cf_poll;
     }
   in
   if not c.cf_is_loop then c.cf_patches <- j :: c.cf_patches;
   j
+
+let new_jump () = { target = -1; moves = 0; src = 0; dst = 0; top = 0; poll = false }
 
 let rec patch pc = function
   | [] -> ()
@@ -344,78 +460,63 @@ let rec patch pc = function
       j.target <- pc;
       patch pc js
 
-let out st op =
-  if st.s_len = Array.length st.s_out then begin
-    let b = Array.make (2 * st.s_len) K_return in
-    Array.blit st.s_out 0 b 0 st.s_len;
-    st.s_out <- b
-  end;
-  st.s_out.(st.s_len) <- op;
-  st.s_len <- st.s_len + 1
+(* The last op, the producer of the operand at the stack top, writes
+   local [x] instead when it cannot trap. *)
+let retarget st x =
+  match st.s_out.(st.s_prod) with
+  | K_i32_binop r when nontrap_binop r.o -> r.w <- widen st r.w; r.d <- x; true
+  | K_i32_binop_imm r when nontrap_binop r.o -> r.w <- widen st r.w; r.d <- x; true
+  | K_i32_relop r -> r.w <- widen st r.w; r.d <- x; true
+  | K_i32_relop_imm r -> r.w <- widen st r.w; r.d <- x; true
+  | K_num r when nontrap_num r.n -> r.w <- widen st r.w; r.d <- x; true
+  | K_const64 r -> r.w <- widen st r.w; r.d <- x; true
+  | K_global_get r -> r.w <- widen st r.w; r.d <- x; true
+  | K_select r -> r.w <- widen st r.w; r.d <- x; true
+  | K_memory_size r -> r.w <- widen st r.w; r.d <- x; true
+  | _ -> false
 
-(* Window op [k]. Past the window's end it reads as [K_unreachable],
-   which no pattern contains, so one match on the window, longest
-   patterns first, picks the superinstruction. A [K_const] right before
-   an i32 binop, relop or [i64.extend_i32_s] is its operand, so in
-   validated code it is an i32 and its [int] is the value the handler
-   computes with. [i64.extend_i32_u] never fuses. *)
-let win st k = if k < st.s_wlen then st.s_win.((st.s_whead + k) land 7) else K_unreachable
+(* [local.set x] ([tee] keeps the value) of the operand at height [h].
+   Returns whether the operand now reads from [x]. *)
+let set_local st x h ~tee =
+  spill_local st x h;
+  let k = st.s_kind.(h) and y = st.s_arg.(h) in
+  if k = in_local && y = x then (absorb st; false)
+  else if k = in_local then (out st (K_copy { w = take st 1; s = y; d = x }); false)
+  else if k = in_imm then (out st (K_const { w = take st 1; c = y; d = x }); false)
+  else if producer st h <> None && retarget st x then tee
+  else (out st (K_copy { w = take st 1; s = slot_of st h; d = x }); false)
 
-let superop st =
-  match (st.s_win.(st.s_whead), win st 1, win st 2, win st 3, win st 4) with
-  | K_local_get a, K_local_get b, K_i32_relop o, K_i32_eqz, K_br_if j ->
-      F_ll_i32_relop_eqz_br_if (a, b, o, j)
-  | K_local_get a, K_const c, K_i32_relop o, K_i32_eqz, K_br_if j ->
-      F_lc_i32_relop_eqz_br_if (a, c, o, j)
-  | K_local_get a, K_const c, K_i32_binop o, K_local_set d, _ when nontrap_binop o ->
-      F_lc_i32_binop_set (a, c, o, d)
-  | K_local_get a, K_local_get b, K_i32_binop o, _, _ -> F_ll_i32_binop (a, b, o)
-  | K_local_get a, K_const c, K_i32_binop o, _, _ -> F_lc_i32_binop (a, c, o)
-  | K_i32_relop o, K_i32_eqz, K_br_if j, _, _ -> F_i32_relop_eqz_br_if (o, j)
-  | K_local_get a, K_i32_binop o, _, _, _ -> F_l_i32_binop (a, o)
-  | K_local_get a, K_store (k, off), _, _, _ -> F_l_store (a, k, off)
-  | K_const c, K_i32_binop o, _, _, _ -> F_const_i32_binop (c, o)
-  | K_i32_binop o, K_local_set d, _, _, _ when nontrap_binop o ->
-      F_i32_binop_set (o, d)
-  | K_i32_binop o, K_load (k, off), _, _, _ when nontrap_binop o ->
-      F_i32_binop_load (o, k, off)
-  | K_i32_binop o, K_store (k, off), _, _, _ when nontrap_binop o ->
-      F_i32_binop_store (o, k, off)
-  | K_i32_eqz, K_br_if j, _, _, _ -> F_i32_eqz_br_if j
-  | K_i32_eqz, K_i32_eqz, _, _, _ -> F_i32_eqz_eqz
-  | K_local_set s, K_local_get g, _, _, _ when s = g -> F_set_get s
-  | K_const c, K_cvt (C_i64_extend_i32 SX), _, _, _ -> F_const_i64_extend_s c
-  | K_local_get a, K_cvt (C_i64_extend_i32 SX), _, _, _ -> F_l_i64_extend_s a
-  | o, _, _, _, _ -> o
+(* [i32.eqz] of the operand at height [h]: a compare just made is
+   negated in place. *)
+let eqz st h =
+  match producer st h with
+  | Some (K_i32_relop r) -> r.o <- negate r.o; r.w <- widen st r.w
+  | Some (K_i32_relop_imm r) -> r.o <- negate r.o; r.w <- widen st r.w
+  | _ ->
+      let a = operand st h in
+      st.s_h <- h;
+      prod st (K_i32_relop_imm { w = take st 1; o = Eq; a; c = 0; d = slot_of st h });
+      st.s_kind.(h) <- in_slot
 
-(* Emit the window head's superinstruction (or the head itself) and drop
-   the ops it stands for. *)
-let fuse_head st =
-  let s = superop st in
-  let w = op_width s in
-  if w > 1 then st.s_sites <- st.s_sites + 1;
-  out st s;
-  st.s_whead <- (st.s_whead + w) land 7;
-  st.s_wlen <- st.s_wlen - w
+(* Take back the last op, of width [w], to emit it again as part of the
+   next one; returns the width of both. *)
+let unemit st w =
+  st.s_len <- st.s_len - 1;
+  if w > 1 then st.s_sites <- st.s_sites - 1;
+  st.s_w <- w + take st 1;
+  st.s_w
 
-let flush st = while st.s_wlen > 0 do fuse_head st done
-
-let emit st op =
-  st.s_ops_before <- st.s_ops_before + 1;
-  if not st.s_fuse then out st op
-  else begin
-    st.s_win.((st.s_whead + st.s_wlen) land 7) <- op;
-    st.s_wlen <- st.s_wlen + 1;
-    if st.s_wlen = window then fuse_head st
-  end
-
-(* The pc of the next op, which is a branch target: the window before it
-   is flushed first. *)
-let here st =
-  flush st;
-  st.s_len
-
-let emit_r st op = if reachable st then emit st op
+(* [br_if] on the i32 at height [h]: a compare just made becomes the
+   branch. *)
+let br_if st h j =
+  match producer st h with
+  | Some (K_i32_relop r) ->
+      out st (K_br_cmp { w = unemit st r.w; o = r.o; a = r.a; b = r.b; j })
+  | Some (K_i32_relop_imm r) ->
+      out st (K_br_cmp_imm { w = unemit st r.w; o = r.o; a = r.a; c = r.c; j })
+  | _ ->
+      let c = operand st h in
+      out st (K_br_if { w = take st 1; c; j })
 
 let check_local st i =
   if i < 0 || i >= Array.length st.s_locals then
@@ -428,74 +529,180 @@ let check_global st i =
 let check_mem st =
   if st.s_env.e_num_memories = 0 then invalid "%s: no memory" st.s_fname
 
-let do_load st kind t off =
+(* Pop a unary op's operand of type [t]; when the op is reachable, [s_a]
+   names its slot and [s_d] the slot of the result, which goes to the
+   same height [s_h] (the caller pushes it after emitting the op). *)
+let un st t =
+  pop_expect st t;
+  let h = st.s_height in
+  reachable st
+  && begin
+       st.s_a <- operand st h;
+       st.s_h <- h;
+       st.s_d <- slot_of st h;
+       true
+     end
+
+(* The same for a binary op: [s_a] and [s_b] name the operands' slots,
+   or [s_b] is -1 and [s_c] holds the right one when [lit] allows an
+   immediate there (2: on either side, the op commutes). *)
+let bin ?(lit = 0) st t =
+  pop_expect st t;
+  pop_expect st t;
+  let h = st.s_height in
+  reachable st
+  && begin
+       st.s_h <- h;
+       st.s_d <- slot_of st h;
+       st.s_b <- -1;
+       if lit > 0 && imm st (h + 1) then begin
+         st.s_c <- st.s_arg.(h + 1);
+         st.s_a <- operand st h
+       end
+       else if lit > 1 && imm st h then begin
+         st.s_c <- st.s_arg.(h);
+         st.s_a <- operand st (h + 1)
+       end
+       else begin
+         st.s_b <- operand st (h + 1);
+         st.s_a <- operand st h
+       end;
+       true
+     end
+
+(* A load's or store's address at height [h], as [s_a + s_b + s_c]: an
+   add just made folds into the access, and an immediate is [s_c] over
+   the zero slot. Returns the access's width. *)
+let address st h =
+  let z = zero st in
+  match producer st h with
+  | Some (K_i32_binop { o = Add; w; a; b; _ }) ->
+      st.s_a <- a; st.s_b <- b; st.s_c <- 0; unemit st w
+  | Some (K_i32_binop_imm { o = Add; w; a; c; _ }) ->
+      st.s_a <- a; st.s_b <- z; st.s_c <- c; unemit st w
+  | _ ->
+      if imm st h then (st.s_a <- z; st.s_c <- st.s_arg.(h))
+      else (st.s_a <- operand st h; st.s_c <- 0);
+      st.s_b <- z;
+      take st 1
+
+let do_load st k t off =
   check_mem st;
   pop_expect st T_i32;
+  let h = st.s_height in
+  if reachable st then begin
+    let w = address st h in
+    out st (K_load { w; k; off; a = st.s_a; b = st.s_b; c = st.s_c; d = slot_of st h })
+  end;
+  push st t
+
+let do_store st k t off =
+  check_mem st;
+  pop_expect st t;
+  pop_expect st T_i32;
+  let h = st.s_height in
+  if reachable st then begin
+    let v = operand st (h + 1) in
+    let w = address st h in
+    out st (K_store { w; k; off; a = st.s_a; b = st.s_b; c = st.s_c; v })
+  end
+
+(* A conversion that leaves the slot's bits as they are: folded, the
+   operand stays where it is. *)
+let same_bits st t into =
+  st.s_fold
+  && begin
+       pop_expect st t;
+       let h = st.s_height and r = reachable st in
+       let k = if r then st.s_kind.(h) else in_slot and x = if r then st.s_arg.(h) else 0 in
+       push st into;
+       st.s_kind.(h) <- k;
+       st.s_arg.(h) <- x;
+       if r && st.s_since.(h) = st.s_epoch then st.s_own.(h) <- st.s_own.(h) + 1;
+       absorb st;
+       true
+     end
+
+let num st n =
+  let t, arity, into = num_sig n in
+  if if arity = 1 then un st t else bin st t then
+    prod st (K_num { w = take st 1; n; a = st.s_a; b = (if arity = 1 then 0 else st.s_b); d = st.s_d });
+  push st into
+
+(* [local.get] or a 32-bit constant: pending when folding, else copied
+   into its slot. *)
+let pending st t kind x =
   push st t;
-  emit_r st (K_load (kind, off))
+  let h = st.s_height - 1 in
+  if st.s_fold then begin
+    st.s_kind.(h) <- kind;
+    st.s_arg.(h) <- x;
+    st.s_own.(h) <- 1;
+    st.s_since.(h) <- st.s_epoch;
+    absorb st
+  end
+  else if reachable st then
+    let w = take st 1 and d = slot_of st h in
+    out st (if kind = in_local then K_copy { w; s = x; d } else K_const { w; c = x; d })
 
-let do_store st kind t off =
-  check_mem st;
-  pop_expect st t;
-  pop_expect st T_i32;
-  emit_r st (K_store (kind, off))
-
-let unop st t into op =
-  pop_expect st t;
-  push st into;
-  emit_r st op
-
-let binop st t into op =
-  pop_expect st t;
-  pop_expect st t;
-  push st into;
-  emit_r st op
+(* An op that produces into a fresh height: global.get, memory.size and
+   the 64-bit constants. *)
+let fresh st t mk =
+  push st t;
+  if reachable st then begin
+    st.s_h <- st.s_height - 1;
+    prod st (mk (take st 1) (slot_of st st.s_h))
+  end
 
 let rec instr st (i : instr) =
-  (if st.s_poll = Poll_every && reachable st then emit st K_poll);
+  (if st.s_poll = Poll_every && reachable st then
+     out st (K_poll { w = take st 1; top = slot_of st st.s_height }));
   match i with
   | Nop -> ()
   | Unreachable ->
-      emit_r st K_unreachable;
+      if reachable st then out st (K_unreachable { w = take st 1 });
       mark_unreachable st
   | Block (bt, body) ->
       let ft = resolve_block_type st.s_env bt in
-      pop_list st ft.params;
-      push_list st ft.params;
+      params st ft;
       push_ctrl st ~is_loop:false ft.params ft.results 0;
       instrs st body;
       end_frame st
   | Loop (bt, body) ->
       let ft = resolve_block_type st.s_env bt in
-      pop_list st ft.params;
-      push_list st ft.params;
-      (* Under [Poll_none]/[Poll_funcs] this flushes even a header that
-         nothing branches back to; under [Poll_loops] the [K_poll] there
-         ends every window anyway. *)
+      params st ft;
       push_ctrl st ~is_loop:true ft.params ft.results (here st);
-      if st.s_poll = Poll_loops then emit st K_poll;
+      if st.s_poll = Poll_loops then
+        out st (K_poll { w = take st 1; top = slot_of st st.s_height });
       instrs st body;
       end_frame st
   | If (bt, then_body, else_body) ->
       let ft = resolve_block_type st.s_env bt in
       pop_expect st T_i32;
-      pop_list st ft.params;
-      push_list st ft.params;
-      if_construct st ft then_body else_body (reachable st)
+      let h = st.s_height in
+      params st ft;
+      if_construct st ft then_body else_body (reachable st) h
   | Br idx ->
       let c = label_of st idx in
       let ts = label_types c in
       pop_list st ts;
-      if reachable st then emit st (K_br (make_jump c (st.s_height + List.length ts)));
+      (if reachable st then
+         let h = st.s_height + List.length ts in
+         spill st st.s_height h;
+         out st (K_br { w = take st 1; j = make_jump st c h }));
       mark_unreachable st
   | Br_if idx ->
       pop_expect st T_i32;
+      let h = st.s_height in
       let c = label_of st idx in
-      pop_list st (label_types c);
-      push_list st (label_types c);
-      if reachable st then emit st (K_br_if (make_jump c st.s_height))
+      let ts = label_types c in
+      pop_list st ts;
+      if reachable st then spill st st.s_height h;
+      push_list st ts;
+      if reachable st then br_if st h (make_jump st c h)
   | Br_table (idxs, default) ->
       pop_expect st T_i32;
+      let h = st.s_height in
       let cd = label_of st default in
       let ts = label_types cd in
       List.iter
@@ -504,22 +711,29 @@ let rec instr st (i : instr) =
             invalid "%s: br_table arity mismatch" st.s_fname)
         idxs;
       pop_list st ts;
-      (if reachable st then
-         let h = st.s_height + List.length ts in
-         let jumps = Array.of_list (List.map (fun i -> make_jump (label_of st i) h) idxs) in
-         emit st (K_br_table (jumps, make_jump cd h)));
+      (if reachable st then begin
+         spill st st.s_height h;
+         let js = Array.of_list (List.map (fun i -> make_jump st (label_of st i) h) idxs) in
+         let i = operand st h in
+         out st (K_br_table { w = take st 1; i; js; dj = make_jump st cd h })
+       end);
       mark_unreachable st
   | Return ->
       pop_list st st.s_results;
-      emit_r st K_return;
+      (if reachable st then
+         let s = if st.s_results = [] then 0 else operand st st.s_height in
+         out st (K_return { w = take st 1; s }));
       mark_unreachable st
-  | Call fi ->
-      if fi < 0 || fi >= Array.length st.s_env.e_func_types then
-        invalid "%s: call index %d out of range" st.s_fname fi;
-      let ft = st.s_env.e_func_types.(fi) in
+  | Call f ->
+      if f < 0 || f >= Array.length st.s_env.e_func_types then
+        invalid "%s: call index %d out of range" st.s_fname f;
+      let ft = st.s_env.e_func_types.(f) in
       pop_list st ft.params;
-      push_list st ft.results;
-      emit_r st (K_call fi)
+      (if reachable st then
+         let top = st.s_height + List.length ft.params in
+         spill st st.s_height top;
+         out st (K_call { w = take st 1; f; top = slot_of st top }));
+      push_list st ft.results
   | Call_indirect (ti, tbl) ->
       let env = st.s_env in
       if ti < 0 || ti >= Array.length env.e_module.types then
@@ -528,44 +742,67 @@ let rec instr st (i : instr) =
         invalid "%s: table %d out of range" st.s_fname tbl;
       let ft = env.e_module.types.(ti) in
       pop_expect st T_i32;
+      let top = st.s_height in
       pop_list st ft.params;
-      push_list st ft.results;
-      emit_r st (K_call_indirect (ti, tbl))
+      (if reachable st then
+         let () = spill st st.s_height top in
+         let i = operand st top in
+         out st (K_call_indirect { w = take st 1; ti; tbl; i; top = slot_of st top }));
+      push_list st ft.results
   | Drop ->
-      ignore (pop_any st);
-      emit_r st K_drop
+      let h = pop_any st in
+      if st.s_fold then absorb st
+      else if reachable st then
+        let d = slot_of st h in
+        out st (K_copy { w = take st 1; s = d; d })
   | Select ->
       pop_expect st T_i32;
       let i1 = pop_any st in
       let i2 = pop_any st in
       if i1 >= 0 && i2 >= 0 && st.s_types.(i1) <> st.s_types.(i2) then
         invalid "%s: select operand mismatch" st.s_fname;
+      let h = st.s_height in
+      (if reachable st then
+         let c = operand st (h + 2) in
+         let b = operand st (h + 1) in
+         let a = operand st h in
+         st.s_h <- h;
+         prod st (K_select { w = take st 1; a; b; c; d = slot_of st h }));
       push st
         (if i1 >= 0 then st.s_types.(i1)
          else if i2 >= 0 then st.s_types.(i2)
-         else T_i32 (* unreachable; arbitrary *));
-      emit_r st K_select
+         else T_i32 (* unreachable; arbitrary *))
   | Local_get i ->
       check_local st i;
-      push st st.s_locals.(i);
-      emit_r st (K_local_get i)
+      pending st st.s_locals.(i) in_local i
   | Local_set i ->
       check_local st i;
       pop_expect st st.s_locals.(i);
-      emit_r st (K_local_set i)
+      if reachable st then ignore (set_local st i st.s_height ~tee:false)
   | Local_tee i ->
       check_local st i;
-      unop st st.s_locals.(i) st.s_locals.(i) (K_local_tee i)
-  | Global_get i ->
-      check_global st i;
-      push st st.s_env.e_global_types.(i).gt_type;
-      emit_r st (K_global_get i)
-  | Global_set i ->
-      check_global st i;
-      let g = st.s_env.e_global_types.(i) in
-      if g.gt_mut = Immutable then invalid "%s: global %d is immutable" st.s_fname i;
-      pop_expect st g.gt_type;
-      emit_r st (K_global_set i)
+      let t = st.s_locals.(i) in
+      pop_expect st t;
+      let h = st.s_height in
+      let r = reachable st in
+      let now_local = r && set_local st i h ~tee:true in
+      (* the operand stays where it is, or now reads from the local; a
+         polymorphic pop leaves [h] past the arrays' end *)
+      let k = if r then st.s_kind.(h) else in_slot and x = if r then st.s_arg.(h) else 0 in
+      push st t;
+      st.s_kind.(h) <- (if now_local then in_local else k);
+      st.s_arg.(h) <- (if now_local then i else x)
+  | Global_get g ->
+      check_global st g;
+      fresh st st.s_env.e_global_types.(g).gt_type (fun w d -> K_global_get { w; g; d })
+  | Global_set g ->
+      check_global st g;
+      let gt = st.s_env.e_global_types.(g) in
+      if gt.gt_mut = Immutable then invalid "%s: global %d is immutable" st.s_fname g;
+      pop_expect st gt.gt_type;
+      if reachable st then
+        let a = operand st st.s_height in
+        out st (K_global_set { w = take st 1; g; a })
   | I32_load m -> do_load st L_i32 T_i32 m.offset
   | I64_load m -> do_load st L_i64 T_i64 m.offset
   | F32_load m -> do_load st L_f32 T_f32 m.offset
@@ -586,70 +823,57 @@ let rec instr st (i : instr) =
   | I64_store32 m -> do_store st S_i64_32 T_i64 m.offset
   | Memory_size ->
       check_mem st;
-      push st T_i32;
-      emit_r st K_memory_size
+      fresh st T_i32 (fun w d -> K_memory_size { w; d })
   | Memory_grow ->
       check_mem st;
-      unop st T_i32 T_i32 K_memory_grow
-  | Memory_fill ->
+      if un st T_i32 then out st (K_memory_grow { w = take st 1; a = st.s_a; d = st.s_d });
+      push st T_i32
+  | Memory_fill | Memory_copy ->
       check_mem st;
       pop_expect st T_i32;
       pop_expect st T_i32;
       pop_expect st T_i32;
-      emit_r st K_memory_fill
-  | Memory_copy ->
-      check_mem st;
+      if reachable st then begin
+        let h = st.s_height in
+        let c = operand st (h + 2) in
+        let b = operand st (h + 1) in
+        let a = operand st h in
+        let w = take st 1 in
+        out st
+          (if i = Memory_fill then K_memory_fill { w; a; b; c } else K_memory_copy { w; a; b; c })
+      end
+  | I32_const v -> pending st T_i32 in_imm (Int32.to_int v)
+  | F32_const v -> pending st T_f32 in_imm (Int32.to_int v)
+  | I64_const c -> fresh st T_i64 (fun w d -> K_const64 { w; c; d })
+  | F64_const c -> fresh st T_f64 (fun w d -> K_const64 { w; c; d })
+  | I32_eqz ->
       pop_expect st T_i32;
-      pop_expect st T_i32;
-      pop_expect st T_i32;
-      emit_r st K_memory_copy
-  | I32_const v ->
-      push st T_i32;
-      emit_r st (K_const (Int32.to_int v))
-  | I64_const v ->
-      push st T_i64;
-      emit_r st (K_const64 v)
-  | F32_const v ->
-      push st T_f32;
-      emit_r st (K_const (Int32.to_int v))
-  | F64_const v ->
-      push st T_f64;
-      emit_r st (K_const64 v)
-  | I32_eqz -> unop st T_i32 T_i32 K_i32_eqz
-  | I64_eqz -> unop st T_i64 T_i32 K_i64_eqz
-  | I32_unop o -> unop st T_i32 T_i32 (K_i32_unop o)
-  | I64_unop o -> unop st T_i64 T_i64 (K_i64_unop o)
-  | I32_binop o -> binop st T_i32 T_i32 (K_i32_binop o)
-  | I64_binop o -> binop st T_i64 T_i64 (K_i64_binop o)
-  | I32_relop o -> binop st T_i32 T_i32 (K_i32_relop o)
-  | I64_relop o -> binop st T_i64 T_i32 (K_i64_relop o)
-  | F32_unop o -> unop st T_f32 T_f32 (K_f32_unop o)
-  | F64_unop o -> unop st T_f64 T_f64 (K_f64_unop o)
-  | F32_binop o -> binop st T_f32 T_f32 (K_f32_binop o)
-  | F64_binop o -> binop st T_f64 T_f64 (K_f64_binop o)
-  | F32_relop o -> binop st T_f32 T_i32 (K_f32_relop o)
-  | F64_relop o -> binop st T_f64 T_i32 (K_f64_relop o)
-  | I32_wrap_i64 -> cvt st T_i64 T_i32 C_i32_wrap_i64
-  | I64_extend_i32 e -> cvt st T_i32 T_i64 (C_i64_extend_i32 e)
-  | I32_trunc_f32 e -> cvt st T_f32 T_i32 (C_i32_trunc_f32 e)
-  | I32_trunc_f64 e -> cvt st T_f64 T_i32 (C_i32_trunc_f64 e)
-  | I64_trunc_f32 e -> cvt st T_f32 T_i64 (C_i64_trunc_f32 e)
-  | I64_trunc_f64 e -> cvt st T_f64 T_i64 (C_i64_trunc_f64 e)
-  | F32_convert_i32 e -> cvt st T_i32 T_f32 (C_f32_convert_i32 e)
-  | F32_convert_i64 e -> cvt st T_i64 T_f32 (C_f32_convert_i64 e)
-  | F64_convert_i32 e -> cvt st T_i32 T_f64 (C_f64_convert_i32 e)
-  | F64_convert_i64 e -> cvt st T_i64 T_f64 (C_f64_convert_i64 e)
-  | F32_demote_f64 -> cvt st T_f64 T_f32 C_f32_demote_f64
-  | F64_promote_f32 -> cvt st T_f32 T_f64 C_f64_promote_f32
-  | I32_reinterpret_f32 -> cvt st T_f32 T_i32 C_i32_reinterpret_f32
-  | I64_reinterpret_f64 -> cvt st T_f64 T_i64 C_i64_reinterpret_f64
-  | F32_reinterpret_i32 -> cvt st T_i32 T_f32 C_f32_reinterpret_i32
-  | F64_reinterpret_i64 -> cvt st T_i64 T_f64 C_f64_reinterpret_i64
-  | I32_extend8_s -> cvt st T_i32 T_i32 C_i32_extend8_s
-  | I32_extend16_s -> cvt st T_i32 T_i32 C_i32_extend16_s
-  | I64_extend8_s -> cvt st T_i64 T_i64 C_i64_extend8_s
-  | I64_extend16_s -> cvt st T_i64 T_i64 C_i64_extend16_s
-  | I64_extend32_s -> cvt st T_i64 T_i64 C_i64_extend32_s
+      if reachable st then eqz st st.s_height;
+      push st T_i32
+  | I32_binop o ->
+      if bin ~lit:(if commutes o then 2 else 1) st T_i32 then
+        prod st
+          (if st.s_b < 0 then K_i32_binop_imm { w = take st 1; o; a = st.s_a; c = st.s_c; d = st.s_d }
+           else K_i32_binop { w = take st 1; o; a = st.s_a; b = st.s_b; d = st.s_d });
+      push st T_i32
+  | I32_relop o ->
+      if bin ~lit:1 st T_i32 then
+        prod st
+          (if st.s_b < 0 then K_i32_relop_imm { w = take st 1; o; a = st.s_a; c = st.s_c; d = st.s_d }
+           else K_i32_relop { w = take st 1; o; a = st.s_a; b = st.s_b; d = st.s_d });
+      push st T_i32
+  | I64_extend_i32 SX when same_bits st T_i32 T_i64 -> ()
+  | I32_reinterpret_f32 when same_bits st T_f32 T_i32 -> ()
+  | I64_reinterpret_f64 when same_bits st T_f64 T_i64 -> ()
+  | F32_reinterpret_i32 when same_bits st T_i32 T_f32 -> ()
+  | F64_reinterpret_i64 when same_bits st T_i64 T_f64 -> ()
+  | I64_eqz | I32_unop _ | I64_unop _ | I64_binop _ | I64_relop _ | F32_unop _ | F64_unop _
+  | F32_binop _ | F64_binop _ | F32_relop _ | F64_relop _ | I32_wrap_i64 | I64_extend_i32 _
+  | I32_trunc_f32 _ | I32_trunc_f64 _ | I64_trunc_f32 _ | I64_trunc_f64 _ | F32_convert_i32 _
+  | F32_convert_i64 _ | F64_convert_i32 _ | F64_convert_i64 _ | F32_demote_f64 | F64_promote_f32
+  | I32_reinterpret_f32 | I64_reinterpret_f64 | F32_reinterpret_i32 | F64_reinterpret_i64
+  | I32_extend8_s | I32_extend16_s | I64_extend8_s | I64_extend16_s | I64_extend32_s ->
+      num st i
 
 and instrs st = function
   | [] -> ()
@@ -657,35 +881,39 @@ and instrs st = function
       instr st i;
       instrs st is
 
-and cvt st from into op = unop st from into (K_cvt op)
+(* Close an arm whose results, if it falls through, go into their slots
+   above its base; returns whether it falls through. *)
+and arm_results st ts =
+  let c = cur st in
+  if not c.cf_unreachable then begin
+    spill st c.cf_base st.s_height;
+    pop_list st ts
+  end;
+  truncate st c.cf_base;
+  pop_ctrl st;
+  not c.cf_unreachable
 
-and if_construct st ft then_body else_body was_reachable =
-  (* Layout: [br_if_false -> else] then_code [br -> end] else_code end.
-     We implement "branch if false" by emitting i32.eqz + K_br_if. *)
-  let to_else = { target = -1; arity = 0; drop = 0 } in
+and if_construct st ft then_body else_body was_reachable h =
+  (* Layout: [br_if_false -> else] then_code [br -> end] else_code end;
+     the condition at height [h] is negated into the branch. *)
+  let to_else = new_jump () in
   if was_reachable then begin
-    emit st K_i32_eqz;
-    emit st (K_br_if to_else)
+    eqz st h;
+    br_if st h to_else
   end;
   push_ctrl st ~is_loop:false ft.params ft.results 0;
   instrs st then_body;
-  (* Close the then arm manually (types), then emit skip-over-else. *)
   let c = cur st in
-  if not c.cf_unreachable then pop_list st ft.results;
-  truncate st c.cf_base;
-  pop_ctrl st;
-  let to_end = { target = -1; arity = 0; drop = 0 } in
-  let skips_else = was_reachable && not c.cf_unreachable in
-  if skips_else then emit st (K_br to_end);
+  let skips_else = was_reachable && arm_results st ft.results in
+  let to_end = new_jump () in
+  if skips_else then out st (K_br { w = take st 1; j = to_end });
   if was_reachable then to_else.target <- here st;
   (* Else arm. *)
   push_list st ft.params;
   push_ctrl st ~is_loop:false ft.params ft.results 0;
   instrs st else_body;
   let c2 = cur st in
-  if not c2.cf_unreachable then pop_list st ft.results;
-  truncate st c2.cf_base;
-  pop_ctrl st;
+  ignore (arm_results st ft.results);
   (* Patch branches recorded against either arm's frame to the join. *)
   if skips_else || c.cf_patches <> [] || c2.cf_patches <> [] then begin
     let join = here st in
@@ -698,9 +926,7 @@ and if_construct st ft then_body else_body was_reachable =
 
 and end_frame st =
   let c = cur st in
-  if not c.cf_unreachable then pop_list st c.cf_results;
-  truncate st c.cf_base;
-  pop_ctrl st;
+  ignore (arm_results st c.cf_results);
   if c.cf_patches <> [] then patch (here st) c.cf_patches;
   push_list st c.cf_results
 
@@ -721,20 +947,29 @@ let compile_func st (f : func) : fcode =
   st.s_max_height <- 0;
   st.s_ctrls <- [];
   st.s_len <- 0;
-  st.s_wlen <- 0;
+  st.s_pend <- 0;
+  st.s_prod <- -1;
   (* Function body is an implicit block with the function's result type. *)
   push_ctrl st ~is_loop:false [] ftype.results 0;
-  if st.s_poll = Poll_funcs then emit st K_poll;
+  if st.s_poll = Poll_funcs then out st (K_poll { w = take st 1; top = slot_of st 0 });
   instrs st f.f_body;
   let c = cur st in
-  if not c.cf_unreachable then pop_list st ftype.results;
+  (* A fall-through result is read where it is, unless branches join it. *)
+  if not c.cf_unreachable then begin
+    if c.cf_patches <> [] then spill st 0 st.s_height;
+    pop_list st ftype.results
+  end;
   if c.cf_patches <> [] then patch (here st) c.cf_patches;
-  emit st K_return;
-  flush st;
+  let s =
+    if ftype.results = [] then 0
+    else if c.cf_unreachable || c.cf_patches <> [] then slot_of st 0
+    else operand st 0
+  in
+  out st (K_return { w = take st 1; s });
   { fc_name = f.f_name; fc_type = ftype;
     fc_arity = List.length ftype.results;
     fc_nparams = List.length ftype.params;
-    fc_locals = locals; fc_max_height = st.s_max_height;
+    fc_locals = locals; fc_max_height = 1 + st.s_max_height;
     fc_ops = Array.sub st.s_out 0 st.s_len }
 
 (* ------------------------------------------------------------------ *)
@@ -746,7 +981,7 @@ let compile_func st (f : func) : fcode =
     (dropped by the compiler) do not appear. *)
 let direct_calls (fc : fcode) : int list =
   Array.to_list fc.fc_ops
-  |> List.filter_map (function K_call fi -> Some fi | _ -> None)
+  |> List.filter_map (function K_call { f; _ } -> Some f | _ -> None)
   |> List.sort_uniq compare
 
 (** Type indices used by [call_indirect] in a compiled function. The
@@ -754,7 +989,7 @@ let direct_calls (fc : fcode) : int list =
     type-compatible elem-segment entries. *)
 let indirect_call_types (fc : fcode) : int list =
   Array.to_list fc.fc_ops
-  |> List.filter_map (function K_call_indirect (ti, _) -> Some ti | _ -> None)
+  |> List.filter_map (function K_call_indirect { ti; _ } -> Some ti | _ -> None)
   |> List.sort_uniq compare
 
 (* ------------------------------------------------------------------ *)
@@ -808,13 +1043,13 @@ type compiled = {
   cm_module : module_;
   cm_env : env;
   cm_funcs : fcode array; (* local functions only, in definition order *)
-  cm_fuse : fuse_stats; (* macro-op fusion coverage of this image *)
+  cm_fuse : fuse_stats; (* how far folding shrank this image *)
 }
 
 (** Validate and compile every local function of [m] in one pass over
-    each body. [fuse] (default on) fuses superinstructions as the ops are
-    emitted; the unfused engine is the reference that the gate's
-    differential and the tests compare the fused one against.
+    each body. [fuse] (default on) folds operand moves into the ops that
+    use them; the unfolded form is the reference that the gate's
+    differential and the tests compare the folded one against.
 
     An image keeps only what links and runs it: its [cm_module] (which is
     also [cm_env.e_module]) is [m] with every [f_body] emptied, so the
@@ -852,10 +1087,12 @@ let compile_module ?(poll = Poll_none) ?(fuse = true) (m : module_) : compiled =
     m.memories;
   let st =
     {
-      s_env = env; s_poll = poll; s_fuse = fuse; s_fname = ""; s_locals = [||];
-      s_results = []; s_types = Array.make 64 T_i32; s_height = 0;
-      s_max_height = 0; s_ctrls = []; s_out = Array.make 128 K_return;
-      s_len = 0; s_win = Array.make 8 K_return; s_whead = 0; s_wlen = 0;
+      s_env = env; s_poll = poll; s_fold = fuse; s_fname = ""; s_locals = [||];
+      s_results = []; s_types = Array.make 64 T_i32; s_kind = Array.make 64 in_slot;
+      s_arg = Array.make 64 0; s_own = Array.make 64 0; s_since = Array.make 64 0;
+      s_epoch = 0; s_height = 0; s_max_height = 0; s_ctrls = [];
+      s_out = Array.make 128 (K_unreachable { w = 0 }); s_len = 0; s_pend = 0;
+      s_prod = -1; s_prod_h = 0; s_w = 0; s_h = 0; s_a = 0; s_b = 0; s_c = 0; s_d = 0;
       s_ops_before = 0; s_sites = 0;
     }
   in

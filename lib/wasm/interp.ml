@@ -22,29 +22,17 @@ type run_result =
 (* Slots                                                                *)
 (* ------------------------------------------------------------------ *)
 
-external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
-external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
+(* Unchecked: every slot an op names lies below its frame's
+   [fr_fp + nlocals + fc_max_height], which {!Machine.push_frame}
+   reserves, and every other access ([m.sp] and the slots under it) lies
+   below the top of a frame too. *)
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let[@inline] slot (m : machine) k = get64 m.stack (8 * k)
 let[@inline] set_slot (m : machine) k v = set64 m.stack (8 * k) v
 let[@inline] slot_i (m : machine) k = Int64.to_int (get64 m.stack (8 * k))
 let[@inline] set_slot_i (m : machine) k v = set64 m.stack (8 * k) (Int64.of_int v)
-
-let[@inline] push (m : machine) v =
-  set_slot m m.sp v;
-  m.sp <- m.sp + 1
-
-let[@inline] push_i (m : machine) v =
-  set_slot_i m m.sp v;
-  m.sp <- m.sp + 1
-
-let[@inline] pop (m : machine) =
-  m.sp <- m.sp - 1;
-  slot m m.sp
-
-let[@inline] pop_i (m : machine) =
-  m.sp <- m.sp - 1;
-  slot_i m m.sp
 
 let[@inline] wrap x = (x lsl 31) asr 31 (* an int's low 32 bits, sign-extended *)
 let[@inline] u32 x = x land 0xFFFF_FFFF
@@ -56,28 +44,21 @@ let[@inline] b2i b = if b then 1 else 0
 (* Frames and branches                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Move a branch's payload over the slots it drops; returns the target pc. *)
-let jump (m : machine) (j : Code.jump) =
-  let { Code.target; arity; drop } = j in
-  if drop > 0 then begin
-    for i = 0 to arity - 1 do
-      set_slot m (m.sp - drop - arity + i) (slot m (m.sp - arity + i))
-    done;
-    m.sp <- m.sp - drop
-  end;
-  target
+(* Move a branch's payload of the frame at [fp] into its target's slots. *)
+let move (m : machine) fp (j : Code.jump) =
+  for i = 0 to j.Code.moves - 1 do
+    set_slot m (fp + j.Code.dst + i) (slot m (fp + j.Code.src + i))
+  done
 
-(* Pop the current frame, moving [fc_arity] results down to its [fr_fp].
-   The frame record stays in the machine's frame array for reuse by the
-   next call at this depth. *)
-let pop_frame (m : machine) =
+(* Pop the current frame, moving its result, if any, from the frame's
+   slot [s] down to its [fr_fp]. The frame record stays in the machine's
+   frame array for reuse by the next call at this depth. *)
+let pop_frame (m : machine) s =
   (match m.prof_hook with Some h -> Machine.sync m; h m | None -> ());
   if m.depth = 0 then trap "return with no frame";
   let fr = m.frames.(m.depth - 1) in
   let n = fr.fr_code.Code.fc_arity in
-  for i = 0 to n - 1 do
-    set_slot m (fr.fr_fp + i) (slot m (m.sp - n + i))
-  done;
+  if n > 0 then set_slot m fr.fr_fp (slot m (fr.fr_fp + s));
   m.sp <- fr.fr_fp + n;
   m.depth <- m.depth - 1
 
@@ -95,30 +76,30 @@ let oob addr = trap "out of bounds memory access at %d" addr
 
 let[@inline] check (d : Bytes.t) addr w = if addr > Bytes.length d - w then oob addr
 
-(* Load from [addr] and push the result slot. *)
-let exec_load (m : machine) (d : Bytes.t) kind addr =
+(* Load from [addr] into slot [k]. *)
+let exec_load (m : machine) (d : Bytes.t) kind addr k =
   match kind with
   | Code.L_i32 | Code.L_f32 | Code.L_i64_32 Ast.SX ->
       check d addr 4;
-      push m (Int64.of_int32 (Bytes.get_int32_le d addr))
+      set_slot m k (Int64.of_int32 (Bytes.get_int32_le d addr))
   | Code.L_i64 | Code.L_f64 ->
       check d addr 8;
-      push m (Bytes.get_int64_le d addr)
+      set_slot m k (Bytes.get_int64_le d addr)
   | Code.L_i32_8 Ast.SX | Code.L_i64_8 Ast.SX ->
       check d addr 1;
-      push_i m (Bytes.get_int8 d addr)
+      set_slot_i m k (Bytes.get_int8 d addr)
   | Code.L_i32_8 Ast.ZX | Code.L_i64_8 Ast.ZX ->
       check d addr 1;
-      push_i m (Bytes.get_uint8 d addr)
+      set_slot_i m k (Bytes.get_uint8 d addr)
   | Code.L_i32_16 Ast.SX | Code.L_i64_16 Ast.SX ->
       check d addr 2;
-      push_i m (Bytes.get_int16_le d addr)
+      set_slot_i m k (Bytes.get_int16_le d addr)
   | Code.L_i32_16 Ast.ZX | Code.L_i64_16 Ast.ZX ->
       check d addr 2;
-      push_i m (Bytes.get_uint16_le d addr)
+      set_slot_i m k (Bytes.get_uint16_le d addr)
   | Code.L_i64_32 Ast.ZX ->
       check d addr 4;
-      push_i m (u32 (Int32.to_int (Bytes.get_int32_le d addr)))
+      set_slot_i m k (u32 (Int32.to_int (Bytes.get_int32_le d addr)))
 
 (* Store the low bits of slot [v] at [addr]. Inlined, so that [v] is
    never boxed. *)
@@ -190,23 +171,21 @@ let exec_i32_relop o a b =
   | Ast.Ge_s -> a >= b
   | Ast.Ge_u -> u32 a >= u32 b
 
-(* The i64 and float operators rewrite the stack top in place, so their
+(* The i64 and float operators read and write slots directly, so their
    operands stay unboxed locals. *)
-let exec_i64_unop (m : machine) o =
-  let k = m.sp - 1 in
-  let x = slot m k in
-  set_slot_i m k
+let exec_i64_unop (m : machine) o a d =
+  let x = slot m a in
+  set_slot_i m d
     (match o with
     | Ast.Clz -> I64_op.clz x
     | Ast.Ctz -> I64_op.ctz x
     | Ast.Popcnt -> I64_op.popcnt x)
 
-let exec_i64_binop (m : machine) o =
-  let b = pop m in
-  let k = m.sp - 1 in
-  let a = slot m k in
+let exec_i64_binop (m : machine) o a b d =
+  let a = slot m a and b = slot m b in
   let open Int64 in
-  set64 m.stack (8 * k)
+  (* [set64] takes the [match] itself, so that the result is not boxed *)
+  set64 m.stack (8 * d)
     (match o with
     | Ast.Add -> add a b
     | Ast.Sub -> sub a b
@@ -224,12 +203,10 @@ let exec_i64_binop (m : machine) o =
     | Ast.Rotl -> I64_op.rotl a b
     | Ast.Rotr -> I64_op.rotr a b)
 
-let exec_i64_relop (m : machine) o =
-  let b = pop m in
-  let k = m.sp - 1 in
-  let a = slot m k in
+let exec_i64_relop (m : machine) o a b d =
+  let a = slot m a and b = slot m b in
   let ua = Int64.add a Int64.min_int and ub = Int64.add b Int64.min_int in
-  set_slot_i m k
+  set_slot_i m d
     (b2i
        (match o with
        | Ast.Eq -> a = b
@@ -282,56 +259,77 @@ let[@inline] exec_f_relop o (a : float) b =
   | Ast.Fle -> a <= b
   | Ast.Fge -> a >= b
 
-let exec_cvt (m : machine) (c : Code.cvt) =
-  let k = m.sp - 1 in
-  let v = slot m k in
+let exec_cvt (m : machine) (c : Ast.instr) a d =
+  let v = slot m a in
   let i32 = Int64.to_int32 v in
   let sx8 x = (x lsl 55) asr 55 and sx16 x = (x lsl 47) asr 47 in
-  set64 m.stack (8 * k)
+  set64 m.stack (8 * d)
     (match c with
-    | Code.C_i32_wrap_i64 | Code.C_i64_extend_i32 Ast.SX
-    | Code.C_i64_extend32_s ->
+    | Ast.I32_wrap_i64 | Ast.I64_extend_i32 Ast.SX | Ast.I64_extend32_s ->
         Int64.of_int32 i32
-    | Code.C_i64_extend_i32 Ast.ZX -> Int64.logand v 0xFFFFFFFFL
-    | Code.C_i32_trunc_f32 Ast.SX ->
+    | Ast.I64_extend_i32 Ast.ZX -> Int64.logand v 0xFFFFFFFFL
+    | Ast.I32_trunc_f32 Ast.SX ->
         Int64.of_int32 (Convert.trunc_f64_i32_s (f32_of_slot v))
-    | Code.C_i32_trunc_f32 Ast.ZX ->
+    | Ast.I32_trunc_f32 Ast.ZX ->
         Int64.of_int32 (Convert.trunc_f64_i32_u (f32_of_slot v))
-    | Code.C_i32_trunc_f64 Ast.SX ->
+    | Ast.I32_trunc_f64 Ast.SX ->
         Int64.of_int32 (Convert.trunc_f64_i32_s (Int64.float_of_bits v))
-    | Code.C_i32_trunc_f64 Ast.ZX ->
+    | Ast.I32_trunc_f64 Ast.ZX ->
         Int64.of_int32 (Convert.trunc_f64_i32_u (Int64.float_of_bits v))
-    | Code.C_i64_trunc_f32 Ast.SX -> Convert.trunc_f64_i64_s (f32_of_slot v)
-    | Code.C_i64_trunc_f32 Ast.ZX -> Convert.trunc_f64_i64_u (f32_of_slot v)
-    | Code.C_i64_trunc_f64 Ast.SX -> Convert.trunc_f64_i64_s (Int64.float_of_bits v)
-    | Code.C_i64_trunc_f64 Ast.ZX -> Convert.trunc_f64_i64_u (Int64.float_of_bits v)
-    | Code.C_f32_convert_i32 Ast.SX -> f32_slot (Int32.to_float i32)
-    | Code.C_f32_convert_i32 Ast.ZX -> f32_slot (Convert.convert_i32_u_to_float i32)
-    | Code.C_f32_convert_i64 Ast.SX -> f32_slot (Int64.to_float v)
-    | Code.C_f32_convert_i64 Ast.ZX -> f32_slot (Convert.convert_i64_u_to_float v)
-    | Code.C_f64_convert_i32 Ast.SX -> Int64.bits_of_float (Int32.to_float i32)
-    | Code.C_f64_convert_i32 Ast.ZX ->
+    | Ast.I64_trunc_f32 Ast.SX -> Convert.trunc_f64_i64_s (f32_of_slot v)
+    | Ast.I64_trunc_f32 Ast.ZX -> Convert.trunc_f64_i64_u (f32_of_slot v)
+    | Ast.I64_trunc_f64 Ast.SX -> Convert.trunc_f64_i64_s (Int64.float_of_bits v)
+    | Ast.I64_trunc_f64 Ast.ZX -> Convert.trunc_f64_i64_u (Int64.float_of_bits v)
+    | Ast.F32_convert_i32 Ast.SX -> f32_slot (Int32.to_float i32)
+    | Ast.F32_convert_i32 Ast.ZX -> f32_slot (Convert.convert_i32_u_to_float i32)
+    | Ast.F32_convert_i64 Ast.SX -> f32_slot (Int64.to_float v)
+    | Ast.F32_convert_i64 Ast.ZX -> f32_slot (Convert.convert_i64_u_to_float v)
+    | Ast.F64_convert_i32 Ast.SX -> Int64.bits_of_float (Int32.to_float i32)
+    | Ast.F64_convert_i32 Ast.ZX ->
         Int64.bits_of_float (Convert.convert_i32_u_to_float i32)
-    | Code.C_f64_convert_i64 Ast.SX -> Int64.bits_of_float (Int64.to_float v)
-    | Code.C_f64_convert_i64 Ast.ZX ->
+    | Ast.F64_convert_i64 Ast.SX -> Int64.bits_of_float (Int64.to_float v)
+    | Ast.F64_convert_i64 Ast.ZX ->
         Int64.bits_of_float (Convert.convert_i64_u_to_float v)
-    | Code.C_f32_demote_f64 -> f32_slot (Int64.float_of_bits v)
-    | Code.C_f64_promote_f32 -> Int64.bits_of_float (f32_of_slot v)
-    | Code.C_i32_reinterpret_f32 | Code.C_f32_reinterpret_i32
-    | Code.C_i64_reinterpret_f64 | Code.C_f64_reinterpret_i64 ->
+    | Ast.F32_demote_f64 -> f32_slot (Int64.float_of_bits v)
+    | Ast.F64_promote_f32 -> Int64.bits_of_float (f32_of_slot v)
+    | Ast.I32_reinterpret_f32 | Ast.F32_reinterpret_i32
+    | Ast.I64_reinterpret_f64 | Ast.F64_reinterpret_i64 ->
         v
-    | Code.C_i32_extend8_s | Code.C_i64_extend8_s ->
+    | Ast.I32_extend8_s | Ast.I64_extend8_s ->
         Int64.of_int (sx8 (Int64.to_int v))
-    | Code.C_i32_extend16_s | Code.C_i64_extend16_s ->
-        Int64.of_int (sx16 (Int64.to_int v)))
+    | Ast.I32_extend16_s | Ast.I64_extend16_s ->
+        Int64.of_int (sx16 (Int64.to_int v))
+    | _ -> invalid_arg "not a conversion")
 
-(* Each handler counts its op before anything can trap; a
-   superinstruction charges its whole width ({!Code.op_width}), so
-   instruction counts (and trap-time counts) are identical to the
-   unfused engine. *)
-let[@inline] fuse (m : machine) width =
-  m.hot_steps <- m.hot_steps + width - 1;
-  m.hot_fused <- m.hot_fused + 1
+(* A [K_num] instruction [n], reading slots [a] (and [b]), writing [d]. *)
+let exec_num (m : machine) (n : Ast.instr) a b d =
+  match n with
+  | Ast.I32_unop o -> set_slot_i m d (exec_i32_unop o (slot_i m a))
+  | Ast.I64_eqz -> set_slot_i m d (b2i (slot m a = 0L))
+  | Ast.I64_unop o -> exec_i64_unop m o a d
+  | Ast.I64_binop o -> exec_i64_binop m o a b d
+  | Ast.I64_relop o -> exec_i64_relop m o a b d
+  | Ast.F32_unop o -> set_slot m d (f32_slot (exec_f_unop o (f32_of_slot (slot m a))))
+  | Ast.F64_unop o -> set_slot m d (Int64.bits_of_float (exec_f_unop o (Int64.float_of_bits (slot m a))))
+  | Ast.F32_binop o ->
+      set_slot m d (f32_slot (exec_f_binop o (f32_of_slot (slot m a)) (f32_of_slot (slot m b))))
+  | Ast.F64_binop o ->
+      set_slot m d
+        (Int64.bits_of_float
+           (exec_f_binop o (Int64.float_of_bits (slot m a)) (Int64.float_of_bits (slot m b))))
+  | Ast.F32_relop o ->
+      set_slot_i m d (b2i (exec_f_relop o (f32_of_slot (slot m a)) (f32_of_slot (slot m b))))
+  | Ast.F64_relop o ->
+      set_slot_i m d
+        (b2i (exec_f_relop o (Int64.float_of_bits (slot m a)) (Int64.float_of_bits (slot m b))))
+  | c -> exec_cvt m c a d
+
+(* Each op charges its width, the Wasm ops it stands for, before anything
+   can trap, so instruction counts (and trap-time counts) are identical
+   to the unfolded engine's. *)
+let[@inline] charge (m : machine) w =
+  m.hot_steps <- m.hot_steps + w;
+  m.hot_fused <- m.hot_fused + Bool.to_int (w > 1)
 
 (* A host function called from outside the interpreter loop. *)
 let call_host_direct m f args ~where =
@@ -387,37 +385,96 @@ let rec run_machine ?(stop_depth = 0) (m0 : machine)
   (* [exec] runs frame [fr] with its op array, frame pointer, memory 0
      and pc held in arguments: an op that stays in the frame tail-calls
      [exec] with the next pc, and [fr_pc] is written back only by the ops
-     that leave it (calls and return). A call to a Wasm function or a slot
-     host function and a return that stays above [stop_depth] switch
-     frames by tail-calling [exec] again ([enter]); only a boxed host
-     call, a poll whose hook is set and whose attention cell is armed, and
-     a return to [stop_depth] go back to [loop], which re-reads the
-     machine and its top frame. A trap needs no write-back. *)
+     that leave it (calls, return and a poll whose hook runs). Ops read
+     and write the frame's slots at [fp] plus their static offsets;
+     [m.sp] is written only where something reads it: at a call, where
+     the callee's frame or a host function's arguments start below it, at
+     a poll whose hook runs, since a signal handler runs above it, and at
+     a return. A call to a Wasm function or a slot host function and a
+     return that stays above [stop_depth] switch frames by tail-calling
+     [exec] again ([enter]); only a boxed host call, a poll whose hook is
+     set and whose attention cell is armed, and a return to [stop_depth]
+     go back to [loop], which re-reads the machine and its top frame. A
+     trap needs no write-back. *)
   let rec exec mch fr (ops : Code.op array) fp (mem : Memory.t) pc =
-    let op = ops.(pc) in
-    mch.hot_steps <- mch.hot_steps + 1;
     let next = pc + 1 in
-    match op with
-    | Code.K_unreachable -> trap "unreachable executed"
-    | Code.K_br j -> exec mch fr ops fp mem (jump mch j)
-    | Code.K_br_if j ->
-        exec mch fr ops fp mem (if pop_i mch <> 0 then jump mch j else next)
-    | Code.K_br_table (js, dj) ->
-        let i = u32 (pop_i mch) in
-        exec mch fr ops fp mem (jump mch (if i < Array.length js then js.(i) else dj))
-    | Code.K_return ->
+    match ops.(pc) with
+    | Code.K_copy { w; s; d } ->
+        charge mch w;
+        set_slot mch (fp + d) (slot mch (fp + s));
+        exec mch fr ops fp mem next
+    | Code.K_const { w; c; d } ->
+        charge mch w;
+        set_slot_i mch (fp + d) c;
+        exec mch fr ops fp mem next
+    | Code.K_i32_binop { w; o; a; b; d } ->
+        charge mch w;
+        set_slot_i mch (fp + d) (exec_i32_binop o (slot_i mch (fp + a)) (slot_i mch (fp + b)));
+        exec mch fr ops fp mem next
+    | Code.K_i32_binop_imm { w; o; a; c; d } ->
+        charge mch w;
+        set_slot_i mch (fp + d) (exec_i32_binop o (slot_i mch (fp + a)) c);
+        exec mch fr ops fp mem next
+    | Code.K_i32_relop { w; o; a; b; d } ->
+        charge mch w;
+        set_slot_i mch (fp + d) (b2i (exec_i32_relop o (slot_i mch (fp + a)) (slot_i mch (fp + b))));
+        exec mch fr ops fp mem next
+    | Code.K_i32_relop_imm { w; o; a; c; d } ->
+        charge mch w;
+        set_slot_i mch (fp + d) (b2i (exec_i32_relop o (slot_i mch (fp + a)) c));
+        exec mch fr ops fp mem next
+    | Code.K_load { w; k; off; a; b; c; d } ->
+        charge mch w;
+        exec_load mch mem.Memory.data k
+          (u32 (slot_i mch (fp + a) + slot_i mch (fp + b) + c) + off)
+          (fp + d);
+        exec mch fr ops fp mem next
+    | Code.K_store { w; k; off; a; b; c; v } ->
+        charge mch w;
+        exec_store mem.Memory.data k
+          (u32 (slot_i mch (fp + a) + slot_i mch (fp + b) + c) + off)
+          (slot mch (fp + v));
+        exec mch fr ops fp mem next
+    | Code.K_br { w; j } ->
+        charge mch w;
+        branch mch fr ops fp mem w j
+    | Code.K_br_if { w; c; j } ->
+        charge mch w;
+        if slot mch (fp + c) <> 0L then branch mch fr ops fp mem w j
+        else exec mch fr ops fp mem next
+    | Code.K_br_cmp { w; o; a; b; j } ->
+        charge mch w;
+        if exec_i32_relop o (slot_i mch (fp + a)) (slot_i mch (fp + b)) then
+          branch mch fr ops fp mem w j
+        else exec mch fr ops fp mem next
+    | Code.K_br_cmp_imm { w; o; a; c; j } ->
+        charge mch w;
+        if exec_i32_relop o (slot_i mch (fp + a)) c then branch mch fr ops fp mem w j
+        else exec mch fr ops fp mem next
+    | Code.K_br_table { w; i; js; dj } ->
+        charge mch w;
+        let i = u32 (slot_i mch (fp + i)) in
+        branch mch fr ops fp mem w (if i < Array.length js then js.(i) else dj)
+    | Code.K_unreachable { w } ->
+        charge mch w;
+        trap "unreachable executed"
+    | Code.K_return { w; s } ->
+        charge mch w;
         fr.fr_pc <- next;
-        pop_frame mch;
+        pop_frame mch s;
         if mch.depth > !stop_depth then
           let caller = mch.frames.(mch.depth - 1) in
           exec mch caller caller.fr_code.Code.fc_ops caller.fr_fp
             (if caller.fr_inst == fr.fr_inst then mem else memory_of caller.fr_inst)
             caller.fr_pc
-    | Code.K_call fi ->
+    | Code.K_call { w; f; top } ->
+        charge mch w;
         fr.fr_pc <- next;
-        enter mch fr ops fp mem next fr.fr_inst.i_funcs.(fi)
-    | Code.K_call_indirect (ti, tbl) -> (
-        let i = u32 (pop_i mch) in
+        mch.sp <- fp + top;
+        enter mch fr ops fp mem next fr.fr_inst.i_funcs.(f)
+    | Code.K_call_indirect { w; ti; tbl; i; top } -> (
+        charge mch w;
+        let i = u32 (slot_i mch (fp + i)) in
         match Table.get fr.fr_inst.i_tables.(tbl) i with
         | None -> trap "uninitialized element %d" i
         | Some fidx ->
@@ -429,233 +486,83 @@ let rec run_machine ?(stop_depth = 0) (m0 : machine)
                 (func_name_of f)
                 (Types.string_of_func_type (func_type_of f));
             fr.fr_pc <- next;
+            mch.sp <- fp + top;
             enter mch fr ops fp mem next f)
-    | Code.K_drop ->
-        mch.sp <- mch.sp - 1;
+    | Code.K_select { w; a; b; c; d } ->
+        charge mch w;
+        set_slot mch (fp + d) (slot mch (fp + if slot mch (fp + c) <> 0L then a else b));
         exec mch fr ops fp mem next
-    | Code.K_select ->
-        let c = pop_i mch in
-        mch.sp <- mch.sp - 1;
-        if c = 0 then set_slot mch (mch.sp - 1) (slot mch mch.sp);
+    | Code.K_const64 { w; c; d } ->
+        charge mch w;
+        set_slot mch (fp + d) c;
         exec mch fr ops fp mem next
-    | Code.K_local_get i ->
-        push mch (slot mch (fp + i));
+    | Code.K_global_get { w; g; d } ->
+        charge mch w;
+        set_slot mch (fp + d) (Values.to_slot (Global.get fr.fr_inst.i_globals.(g)));
         exec mch fr ops fp mem next
-    | Code.K_local_set i ->
-        set_slot mch (fp + i) (pop mch);
+    | Code.K_global_set { w; g; a } ->
+        charge mch w;
+        let g = fr.fr_inst.i_globals.(g) in
+        Global.set g (Values.of_slot (Values.type_of (Global.get g)) (slot mch (fp + a)));
         exec mch fr ops fp mem next
-    | Code.K_local_tee i ->
-        set_slot mch (fp + i) (slot mch (mch.sp - 1));
+    | Code.K_memory_size { w; d } ->
+        charge mch w;
+        set_slot_i mch (fp + d) (Memory.size_pages mem);
         exec mch fr ops fp mem next
-    | Code.K_global_get i ->
-        push mch (Values.to_slot (Global.get fr.fr_inst.i_globals.(i)));
+    | Code.K_memory_grow { w; a; d } ->
+        charge mch w;
+        set_slot_i mch (fp + d) (Memory.grow mem (slot_i mch (fp + a)));
         exec mch fr ops fp mem next
-    | Code.K_global_set i ->
-        let g = fr.fr_inst.i_globals.(i) in
-        Global.set g (Values.of_slot (Values.type_of (Global.get g)) (pop mch));
-        exec mch fr ops fp mem next
-    | Code.K_load (kind, off) ->
-        let addr = u32 (pop_i mch) + off in
-        exec_load mch mem.Memory.data kind addr;
-        exec mch fr ops fp mem next
-    | Code.K_store (kind, off) ->
-        let v = pop mch in
-        let addr = u32 (pop_i mch) + off in
-        exec_store mem.Memory.data kind addr v;
-        exec mch fr ops fp mem next
-    | Code.K_memory_size ->
-        push_i mch (Memory.size_pages mem);
-        exec mch fr ops fp mem next
-    | Code.K_memory_grow ->
-        let k = mch.sp - 1 in
-        set_slot_i mch k (Memory.grow mem (slot_i mch k));
-        exec mch fr ops fp mem next
-    | Code.K_memory_fill ->
-        let len = u32 (pop_i mch) in
-        let byte = pop_i mch in
-        let dst = u32 (pop_i mch) in
-        (try Memory.fill mem ~dst ~byte ~len
+    | Code.K_memory_fill { w; a; b; c } ->
+        charge mch w;
+        let dst = u32 (slot_i mch (fp + a)) and byte = slot_i mch (fp + b) in
+        (try Memory.fill mem ~dst ~byte ~len:(u32 (slot_i mch (fp + c)))
          with Memory.Bounds -> trap "out of bounds memory fill");
         exec mch fr ops fp mem next
-    | Code.K_memory_copy ->
-        let len = u32 (pop_i mch) in
-        let src = u32 (pop_i mch) in
-        let dst = u32 (pop_i mch) in
-        (try Memory.copy mem ~dst ~src ~len
+    | Code.K_memory_copy { w; a; b; c } ->
+        charge mch w;
+        let dst = u32 (slot_i mch (fp + a)) and src = u32 (slot_i mch (fp + b)) in
+        (try Memory.copy mem ~dst ~src ~len:(u32 (slot_i mch (fp + c)))
          with Memory.Bounds -> trap "out of bounds memory copy");
         exec mch fr ops fp mem next
-    | Code.K_const c ->
-        push_i mch c;
+    (* a WALI call's result narrows to i32 *)
+    | Code.K_num { w; n = Ast.I32_wrap_i64; a; d; _ } ->
+        charge mch w;
+        set_slot_i mch (fp + d) (wrap (slot_i mch (fp + a)));
         exec mch fr ops fp mem next
-    | Code.K_const64 x ->
-        push mch x;
+    | Code.K_num { w; n; a; b; d } ->
+        charge mch w;
+        exec_num mch n (fp + a) (fp + b) (fp + d);
         exec mch fr ops fp mem next
-    | Code.K_i32_eqz ->
-        let k = mch.sp - 1 in
-        set_slot_i mch k (b2i (slot_i mch k = 0));
-        exec mch fr ops fp mem next
-    | Code.K_i64_eqz ->
-        let k = mch.sp - 1 in
-        set_slot_i mch k (b2i (slot mch k = 0L));
-        exec mch fr ops fp mem next
-    | Code.K_i32_unop o ->
-        let k = mch.sp - 1 in
-        set_slot_i mch k (exec_i32_unop o (slot_i mch k));
-        exec mch fr ops fp mem next
-    | Code.K_i64_unop o ->
-        exec_i64_unop mch o;
-        exec mch fr ops fp mem next
-    | Code.K_i32_binop o ->
-        let b = pop_i mch in
-        let k = mch.sp - 1 in
-        set_slot_i mch k (exec_i32_binop o (slot_i mch k) b);
-        exec mch fr ops fp mem next
-    | Code.K_i64_binop o ->
-        exec_i64_binop mch o;
-        exec mch fr ops fp mem next
-    | Code.K_i32_relop o ->
-        let b = pop_i mch in
-        let k = mch.sp - 1 in
-        set_slot_i mch k (b2i (exec_i32_relop o (slot_i mch k) b));
-        exec mch fr ops fp mem next
-    | Code.K_i64_relop o ->
-        exec_i64_relop mch o;
-        exec mch fr ops fp mem next
-    | Code.K_f32_unop o ->
-        let k = mch.sp - 1 in
-        set_slot mch k (f32_slot (exec_f_unop o (f32_of_slot (slot mch k))));
-        exec mch fr ops fp mem next
-    | Code.K_f64_unop o ->
-        let k = mch.sp - 1 in
-        set_slot mch k
-          (Int64.bits_of_float (exec_f_unop o (Int64.float_of_bits (slot mch k))));
-        exec mch fr ops fp mem next
-    | Code.K_f32_binop o ->
-        let b = f32_of_slot (pop mch) in
-        let k = mch.sp - 1 in
-        set_slot mch k (f32_slot (exec_f_binop o (f32_of_slot (slot mch k)) b));
-        exec mch fr ops fp mem next
-    | Code.K_f64_binop o ->
-        let b = Int64.float_of_bits (pop mch) in
-        let k = mch.sp - 1 in
-        set_slot mch k
-          (Int64.bits_of_float (exec_f_binop o (Int64.float_of_bits (slot mch k)) b));
-        exec mch fr ops fp mem next
-    | Code.K_f32_relop o ->
-        let b = f32_of_slot (pop mch) in
-        let k = mch.sp - 1 in
-        set_slot_i mch k (b2i (exec_f_relop o (f32_of_slot (slot mch k)) b));
-        exec mch fr ops fp mem next
-    | Code.K_f64_relop o ->
-        let b = Int64.float_of_bits (pop mch) in
-        let k = mch.sp - 1 in
-        set_slot_i mch k (b2i (exec_f_relop o (Int64.float_of_bits (slot mch k)) b));
-        exec mch fr ops fp mem next
-    (* the two conversions around every WALI call: an i32 slot already
-       holds its value sign-extended, and a result narrows in place *)
-    | Code.K_cvt (Code.C_i64_extend_i32 Ast.SX) -> exec mch fr ops fp mem next
-    | Code.K_cvt Code.C_i32_wrap_i64 ->
-        let k = mch.sp - 1 in
-        set_slot_i mch k (wrap (slot_i mch k));
-        exec mch fr ops fp mem next
-    | Code.K_cvt c ->
-        exec_cvt mch c;
-        exec mch fr ops fp mem next
-    | Code.K_poll -> (
-        (* with the attention cell clear there is nothing to deliver, and
-           the poll is one load and a branch *)
-        if not !(mch.m_attn) then exec mch fr ops fp mem next
-        else
-          match mch.poll_hook with
-          | Some f ->
-              fr.fr_pc <- next;
-              Machine.sync mch;
-              f mch
-          | None -> exec mch fr ops fp mem next)
-    (* Superinstructions: dedicated handlers that read and write stack
-       slots and locals directly. *)
-    | Code.F_ll_i32_binop (a, b, o) ->
-        fuse mch 3;
-        push_i mch (exec_i32_binop o (slot_i mch (fp + a)) (slot_i mch (fp + b)));
-        exec mch fr ops fp mem next
-    | Code.F_lc_i32_binop (a, c, o) ->
-        fuse mch 3;
-        push_i mch (exec_i32_binop o (slot_i mch (fp + a)) c);
-        exec mch fr ops fp mem next
-    | Code.F_lc_i32_binop_set (a, c, o, d) ->
-        fuse mch 4;
-        set_slot_i mch (fp + d) (exec_i32_binop o (slot_i mch (fp + a)) c);
-        exec mch fr ops fp mem next
-    | Code.F_const_i32_binop (c, o) ->
-        fuse mch 2;
-        let k = mch.sp - 1 in
-        set_slot_i mch k (exec_i32_binop o (slot_i mch k) c);
-        exec mch fr ops fp mem next
-    | Code.F_i32_binop_set (o, d) ->
-        fuse mch 2;
-        let b = pop_i mch in
-        let a = pop_i mch in
-        set_slot_i mch (fp + d) (exec_i32_binop o a b);
-        exec mch fr ops fp mem next
-    | Code.F_i32_eqz_br_if j ->
-        fuse mch 2;
-        exec mch fr ops fp mem (if pop_i mch = 0 then jump mch j else next)
-    | Code.F_i32_relop_eqz_br_if (o, j) ->
-        fuse mch 3;
-        let b = pop_i mch in
-        let a = pop_i mch in
-        exec mch fr ops fp mem (if exec_i32_relop o a b then next else jump mch j)
-    | Code.F_ll_i32_relop_eqz_br_if (a, b, o, j) ->
-        fuse mch 5;
-        exec mch fr ops fp mem
-          (if exec_i32_relop o (slot_i mch (fp + a)) (slot_i mch (fp + b)) then next
-           else jump mch j)
-    | Code.F_lc_i32_relop_eqz_br_if (a, c, o, j) ->
-        fuse mch 5;
-        exec mch fr ops fp mem
-          (if exec_i32_relop o (slot_i mch (fp + a)) c then next else jump mch j)
-    | Code.F_l_i32_binop (b, o) ->
-        fuse mch 2;
-        let k = mch.sp - 1 in
-        set_slot_i mch k (exec_i32_binop o (slot_i mch k) (slot_i mch (fp + b)));
-        exec mch fr ops fp mem next
-    | Code.F_i32_binop_load (o, kind, off) ->
-        fuse mch 2;
-        let b = pop_i mch in
-        let a = pop_i mch in
-        exec_load mch mem.Memory.data kind (u32 (exec_i32_binop o a b) + off);
-        exec mch fr ops fp mem next
-    | Code.F_i32_binop_store (o, kind, off) ->
-        fuse mch 2;
-        let y = pop_i mch in
-        let x = pop_i mch in
-        let addr = u32 (pop_i mch) + off in
-        exec_store mem.Memory.data kind addr (Int64.of_int (exec_i32_binop o x y));
-        exec mch fr ops fp mem next
-    | Code.F_l_store (v, kind, off) ->
-        fuse mch 2;
-        let addr = u32 (pop_i mch) + off in
-        exec_store mem.Memory.data kind addr (slot mch (fp + v));
-        exec mch fr ops fp mem next
-    | Code.F_set_get i ->
-        fuse mch 2;
-        set_slot mch (fp + i) (slot mch (mch.sp - 1));
-        exec mch fr ops fp mem next
-    | Code.F_i32_eqz_eqz ->
-        fuse mch 2;
-        let k = mch.sp - 1 in
-        set_slot_i mch k (b2i (slot_i mch k <> 0));
-        exec mch fr ops fp mem next
-    | Code.F_const_i64_extend_s c ->
-        fuse mch 2;
-        push_i mch c;
-        exec mch fr ops fp mem next
-    | Code.F_l_i64_extend_s a ->
-        fuse mch 2;
-        push mch (slot mch (fp + a));
-        exec mch fr ops fp mem next
-  (* Call [f] from frame [fr], whose [fr_pc] is already [next]. The callee
-     of another instance runs on that instance's memory 0. *)
+    | Code.K_poll { w; top } ->
+        charge mch w;
+        poll mch fr ops fp mem next top
+  (* With the attention cell clear there is nothing to deliver, and the
+     poll is one load and a branch. *)
+  and poll mch fr ops fp mem pc top =
+    if not !(mch.m_attn) then exec mch fr ops fp mem pc
+    else
+      match mch.poll_hook with
+      | Some f ->
+          fr.fr_pc <- pc;
+          mch.sp <- fp + top;
+          Machine.sync mch;
+          f mch
+      | None -> exec mch fr ops fp mem pc
+  (* A taken branch of an op of width [w]. A back edge to a loop whose
+     header polls performs that poll and lands past it, charging it only
+     here. *)
+  and branch mch fr ops fp mem w (j : Code.jump) =
+    if j.moves > 0 then move mch fp j;
+    if not j.poll then exec mch fr ops fp mem j.target
+    else begin
+      mch.hot_steps <- mch.hot_steps + 1;
+      mch.hot_fused <- mch.hot_fused + Bool.to_int (w = 1);
+      poll mch fr ops fp mem j.target j.top
+    end
+  (* Call [f] from frame [fr], whose [fr_pc] is already [next] and whose
+     arguments end at [m.sp]. The callee of another instance runs on that
+     instance's memory 0. *)
   and enter mch fr ops fp mem next f =
     match f with
     | Wasm_func { wf_inst; wf_code } ->
@@ -668,7 +575,6 @@ let rec run_machine ?(stop_depth = 0) (m0 : machine)
         (* the arguments stay in place; the result replaces the first *)
         let base = mch.sp - hs_arity in
         set_slot_i mch base (hs_fn mch base);
-        mch.sp <- base + 1;
         exec mch fr ops fp mem next
     | Host_func { hf_type; hf_fn; _ } -> call_host f hf_type hf_fn
   in

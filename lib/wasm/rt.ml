@@ -251,12 +251,15 @@ and frame = {
    globals and {!Machine.push}. *)
 and machine = {
   mutable stack : Bytes.t;
-  mutable sp : int; (* live slots *)
+  mutable sp : int;
+      (* live slots: exact at a call, a hooked poll and a return, where
+         something reads it; the interpreter's ops address slots from
+         their frame's [fr_fp] and leave it stale in between *)
   mutable frames : frame array; (* slots 0..depth-1 live; top = depth-1 *)
   mutable depth : int; (* live frame count *)
   mutable m_inst : instance; (* root instance (the process image) *)
   mutable hot_steps : int; (* executed ops, counted by the interpreter *)
-  mutable hot_fused : int; (* superinstruction dispatches (fusion coverage) *)
+  mutable hot_fused : int; (* dispatches of ops standing for more than one Wasm op *)
   mutable steps : int64; (* snapshot of [hot_steps], see [Machine.sync] *)
   mutable fused : int64; (* snapshot of [hot_fused] *)
   mutable poll_hook : (machine -> unit) option;
@@ -380,11 +383,11 @@ module Machine = struct
 
   (** Push a call frame for [code] whose arguments are the top
       [n_params] slots of the stack: they become its first locals, and
-      the remaining locals are zeroed (all-zero bits is the default of
-      every type). The frame record is reused from a previous call at
-      the same depth, and the stack is grown here to hold the body's
-      locals and operand stack, so the body's own pushes never need to
-      grow it. *)
+      the remaining locals and the zero slot above them are zeroed
+      (all-zero bits is the default of every type). The frame record is
+      reused from a previous call at the same depth, and the stack is
+      grown here to hold the body's locals and operand slots, so the
+      body itself never needs to grow it. *)
   let push_frame m inst (code : Code.fcode) =
     (match m.prof_hook with Some h -> sync m; h m | None -> ());
     let nparams = code.Code.fc_nparams in
@@ -393,7 +396,7 @@ module Machine = struct
     let fp = m.sp - nparams in
     if m.depth = Array.length m.frames then grow_frames m;
     reserve m (fp + nlocals + code.Code.fc_max_height);
-    for k = m.sp to fp + nlocals - 1 do
+    for k = m.sp to fp + nlocals do
       Bytes.set_int64_ne m.stack (8 * k) 0L
     done;
     let fr = m.frames.(m.depth) in
@@ -401,7 +404,7 @@ module Machine = struct
     fr.fr_code <- code;
     fr.fr_fp <- fp;
     fr.fr_pc <- 0;
-    m.sp <- fp + nlocals;
+    m.sp <- fp + nlocals + 1;
     m.depth <- m.depth + 1
 
   (** Deep-copy: new stack (locals included) and frames; memories of the

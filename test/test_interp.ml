@@ -633,8 +633,8 @@ let int_ops_match_reference =
 
 (* A compiled constant is its bits: an i32's or f32's sign-extended, an
    i64's or f64's as they are. Each case returns what it computes from one
-   constant, on its own and (for i32) inside each superinstruction that
-   takes a constant operand. A signed compare or [i32.eqz] reads a slot's
+   constant, on its own and (for i32) as the immediate of each op that
+   takes one. A signed compare or [i32.eqz] reads a slot's
    whole [int], so a constant stored zero-extended fails them. *)
 let test_const_bits () =
   let b = Builder.create () in
@@ -650,13 +650,14 @@ let test_const_bits () =
       let n = Printf.sprintf "i32 %ld" c in
       case n [] [] [ i32 ] [ I32_const c ] (Values.I32 c);
       case (n ^ " <s 0") [] [] [ i32 ] [ I32_const c; I32_const 0l; I32_relop Lt_s ] yes;
-      (* local_get; const; xor: the fused local-const binop *)
+      (* local_get; const; xor: a binop with an immediate *)
       case (n ^ " lc") [ i32 ] [ Values.I32 c ] [ i32 ]
         [ Local_get 0; I32_const c; I32_binop Xor; I32_eqz ] yes;
-      (* const; xor after a fused op: the fused const binop *)
+      (* const; xor after a binop: a binop with an immediate *)
       case (n ^ " c") [ i32 ] [ Values.I32 c ] [ i32 ]
         [ Local_get 0; I32_const 0l; I32_binop Or; I32_const c; I32_binop Xor; I32_eqz ] yes;
-      (* local_get; const; eq; eqz; br_if: the fused compare-and-branch *)
+      (* local_get; const; eq; eqz; br_if: a compare with an immediate
+         folded into its branch *)
       case (n ^ " br") [ i32 ] [ Values.I32 c ] [ i32 ]
         [ Block (Bt_val i32,
             [ I32_const 0l; Local_get 0; I32_const c; I32_relop Eq; I32_eqz; Br_if 0;

@@ -244,6 +244,26 @@ let test_realloc () =
     |}
     "abcdefghijklmn\n"
 
+(* malloc's first chunk is mapped at the initial break, so growing the
+   break over it must fail and leave the chunk's bytes alone: brk returns
+   the old break, as Linux does for a range that overlaps a mapping. *)
+let test_brk_keeps_mappings () =
+  check_out
+    {|
+      int main() {
+        char *p = malloc(64);
+        int i = 0;
+        while (i < 64) { p[i] = 120; i = i + 1; }
+        int cur = syscall("brk", 0);
+        int got = syscall("brk", cur + 5000);
+        printi(got == cur); printc(' ');
+        printi(p[0]); printc(' ');
+        printi(p[63]); printc('\n');
+        return 0;
+      }
+    |}
+    "1 120 120\n"
+
 let test_type_errors_rejected () =
   let expect_reject src =
     match Minic.to_wasm_binary src with
@@ -275,4 +295,5 @@ let tests =
     Alcotest.test_case "sandboxed wild pointer" `Quick test_sandbox_oob;
     Alcotest.test_case "realloc" `Quick test_realloc;
     Alcotest.test_case "type errors rejected" `Quick test_type_errors_rejected;
+    Alcotest.test_case "brk never covers a mapping" `Quick test_brk_keeps_mappings;
   ]

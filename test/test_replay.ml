@@ -315,8 +315,10 @@ let test_replay_signal_spans () =
 (* Every byte of memory 0 that a call changes lies in its
    [Writeset.written] regions: a test hook snapshots memory and the
    program break at each call's enter and diffs memory at the exit, for
-   every suite app and a guest that writes bytes just above its break
-   and then grows the break over them, which zero-fills them. A call
+   every suite app and a guest that unmaps the bytes just above its
+   break (MiniC's runtime maps its first 64 KiB there, and a break never
+   grows over a mapping), writes them and then grows the break over
+   them, which zero-fills them. A call
    during which another fiber ran is skipped, since threads share
    memory. Shortening read's region by one byte, pipe's from 8 bytes to
    4, or brk's by a page fails this test. *)
@@ -324,6 +326,7 @@ let brk_guest =
   {|
 int main(int argc, char **argv) {
   int cur = syscall("brk", 0);
+  syscall("munmap", cur, 8192);
   char *p = (char *)cur;
   int i = 0;
   while (i < 8192) { p[i] = 120; i = i + 1; }
